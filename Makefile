@@ -6,7 +6,7 @@ GO ?= go
 # fails.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build vet test race bench bench-check cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash
+.PHONY: all build vet test race bench bench-check bench-e2e cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash
 
 all: tier1
 
@@ -19,8 +19,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The -race suite exercises the concurrent costing layer: the sharded
-# what-if cache, the parallel matrix build, and the experiment fan-out.
+# The -race suite exercises the concurrent costing layer: the what-if
+# row store (matrix workers meeting on one segment row), the parallel
+# matrix build, and the experiment fan-out.
 # internal/experiments replays full workloads against the live engine
 # and sits near go test's default 10m package deadline under -race on
 # slower machines, so the timeout is raised explicitly.
@@ -38,6 +39,15 @@ bench:
 #   go run ./cmd/benchreport -o bench/baseline.json
 bench-check:
 	$(GO) run ./cmd/benchreport -check -baseline bench/baseline.json -threshold 0.25 -alloc-threshold 0.25 -o BENCH_$$(date -u +%Y-%m-%d).json
+
+# bench-e2e runs the repo benchmark (BENCHMARK.json, bench/e2e) briefly
+# for its correctness gate, not its timings: all four workloads, every
+# forced solve checked against an in-process advisor.Recommend and
+# every lattice solve against core.CheckSolution; any failed check is a
+# non-zero exit. The JSON report lands in .bench_build/e2e-report.json
+# (CI uploads it).
+bench-e2e:
+	$(GO) run ./bench/e2e -seconds 3
 
 # cover-check enforces the coverage floor on the solver layer.
 cover-check:

@@ -36,9 +36,10 @@
 // get 413. See DESIGN.md §14.
 //
 // Re-solves warm-start from state retained across windows: the what-if
-// EXEC memo (keyed by segment content, capped with clock eviction), the
-// dense cost-table cache (invalidated by model fingerprint), and the
-// last-known-good solution backing the resilient ladder's final rung.
+// EXEC row store (one cost row per distinct segment content, so a slid
+// window costs only the segments that entered it; -memo-cap bounds it
+// in cells) and the last-known-good solution backing the resilient
+// ladder's final rung.
 // Each solve runs under a deadline with the degradation ladder, and the
 // published recommendation is swapped atomically, so concurrent readers
 // always see a consistent last-known-good answer.
@@ -104,7 +105,7 @@ func run(ctx context.Context) error {
 	snapshotEvery := flag.Int("snapshot-every", 0, "also snapshot after every N ingested statements (0 = snapshot only after solves)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent /ingest requests before shedding with 429 (negative = unbounded)")
 	maxBody := flag.Int64("max-body-bytes", 1<<20, "request body cap in bytes; larger bodies get 413 (negative = unlimited)")
-	memoCap := flag.Int("memo-cap", 1<<20, "retained what-if memo bound in entries (0 = unbounded)")
+	memoCap := flag.Int("memo-cap", 1<<20, "retained what-if memo bound in cells, i.e. stored segment rows x candidate configurations (0 = unbounded)")
 	solveTimeout := flag.Duration("solve-timeout", 30*time.Second, "deadline per solve attempt (0 = none)")
 	fallback := flag.Bool("fallback", true, "degrade to cheaper strategies (and last-known-good) when a solve attempt fails")
 	parallelism := flag.Int("parallelism", 0, "worker bound for the cost-table build (0 = all cores, 1 = serial)")

@@ -51,7 +51,7 @@ type serviceConfig struct {
 	// MaxBody caps request bodies in bytes; larger bodies get 413
 	// (default 1 MiB; negative = unlimited).
 	MaxBody int64
-	// MemoCap bounds the retained what-if memo (entries; 0 = unbounded).
+	// MemoCap bounds the retained what-if memo (cells; 0 = unbounded).
 	MemoCap int
 
 	// K, Strategy, SegmentSize, Timeout, Fallback, and Parallelism
@@ -108,15 +108,15 @@ type snapshot struct {
 }
 
 // service is the long-running advisor: it owns the statement window,
-// the drift alerter, the retained memo and solve cache, and the
+// the drift alerter, the retained what-if row store, and the
 // last-known-good recommendation snapshot.
 //
 // Concurrency model: ingest handlers run on arbitrary HTTP goroutines
 // and serialize window mutation behind mu (the alerter serializes
 // itself inside alerter.Stream). Solves run on exactly ONE goroutine —
 // the run loop draining the trigger channel — which is what the shared
-// memo and solve cache require; installed and lkg are touched only
-// there. Readers never block on either: they load the atomic snapshot.
+// memo requires; installed and lkg are touched only there. Readers
+// never block on either: they load the atomic snapshot.
 type service struct {
 	adv    *advisor.Advisor
 	stream *alerter.Stream
@@ -125,8 +125,7 @@ type service struct {
 	mu  sync.Mutex // guards win
 	win *workload.Window
 
-	memo  *advisor.ExecMemo
-	cache *core.SolveCache
+	memo *advisor.ExecMemo
 
 	// Solver-goroutine state: the installed design (C0 of the next
 	// solve) and the last good solution (the resilient ladder's final
@@ -228,7 +227,6 @@ func newService(adv *advisor.Advisor, cfg serviceConfig) (*service, error) {
 		cfg:      cfg,
 		win:      win,
 		memo:     advisor.NewMemo(cfg.MemoCap),
-		cache:    core.NewSolveCache(),
 		trigger:  make(chan string, 1),
 		store:    cfg.Store,
 		snapCh:   make(chan struct{}, 1),
@@ -434,7 +432,7 @@ func (s *service) close() error {
 }
 
 // solveOnce snapshots the window, re-solves it warm-started from the
-// retained memo, solve cache, and last-known-good solution, and
+// retained memo and last-known-good solution, and
 // publishes the new recommendation snapshot. It must only be called
 // from the solver goroutine (or a test standing in for it).
 //
@@ -513,7 +511,6 @@ func (s *service) solveOnce(ctx context.Context, reason string) (*advisor.Recomm
 		Fallback:    s.cfg.Fallback,
 		Parallelism: s.cfg.Parallelism,
 		Memo:        s.memo,
-		Cache:       s.cache,
 		Tracer:      s.cfg.Tracer,
 	}
 	if s.cfg.Fallback {
@@ -1077,10 +1074,10 @@ func (s *service) helpGauges() {
 	g.Help("advisord_plan_tables_built_total", "Per-statement plan tables compiled by the last solve's batched costing layer.")
 	g.Help("advisord_plan_table_bytes", "Heap bytes retained by the last solve's compiled plan tables.")
 	g.Help("advisord_batched_lookups_total", "Configurations the last solve evaluated through the batched what-if entry point.")
-	g.Help("advisord_memo_entries", "Current occupancy of the retained what-if memo.")
+	g.Help("advisord_memo_entries", "Current occupancy of the retained what-if memo, in cells (stored rows x candidate configurations).")
 	g.Help("advisord_memo_hit_rate", "Lifetime hit rate of the retained what-if memo.")
-	g.Help("advisord_memo_evictions_total", "Entries evicted from the capped what-if memo.")
-	g.Help("advisord_memo_invalidations_total", "Whole-memo purges caused by cost-world changes.")
+	g.Help("advisord_memo_evictions_total", "Cells evicted (whole rows at a time) from the capped what-if memo.")
+	g.Help("advisord_memo_invalidations_total", "Whole-memo purges caused by cost-world or candidate-list changes.")
 	g.Help("advisord_shed_total", "Ingest requests shed with 429 by the overload guard.")
 	g.Help("advisord_body_too_large_total", "Requests rejected with 413 for exceeding the body cap.")
 	g.Help("advisord_wal_appends_total", "Records appended to the write-ahead log this process.")

@@ -25,12 +25,12 @@ type syntheticModel struct {
 	phases  int
 
 	mu    sync.Mutex
-	exec  map[execKey]float64
+	exec  map[cellKey]float64
 	calls int64
 	hits  int64
 }
 
-type execKey struct {
+type cellKey struct {
 	stage int
 	c     core.Config
 }
@@ -49,7 +49,7 @@ func newSyntheticModel(n, m, phases int) *syntheticModel {
 	return &syntheticModel{
 		n: n, m: m, structs: m - 1,
 		phases: phases,
-		exec:   make(map[execKey]float64, n*m),
+		exec:   make(map[cellKey]float64, n*m),
 	}
 }
 
@@ -62,7 +62,7 @@ func newLatticeModel(n, structs, phases int) *syntheticModel {
 	return &syntheticModel{
 		n: n, m: m, structs: structs,
 		phases: phases,
-		exec:   make(map[execKey]float64, n*m),
+		exec:   make(map[cellKey]float64, n*m),
 	}
 }
 
@@ -98,7 +98,7 @@ func (sm *syntheticModel) preferred(stage int) int {
 // scan-like cost otherwise, with deterministic per-(stage, config)
 // noise so no two cells are ever exactly tied.
 func (sm *syntheticModel) Exec(stage int, c core.Config) float64 {
-	key := execKey{stage, c}
+	key := cellKey{stage, c}
 	sm.mu.Lock()
 	sm.calls++
 	if v, ok := sm.exec[key]; ok {
@@ -171,7 +171,7 @@ type groupedBenchModel struct {
 	cliques    []core.Config
 
 	mu    sync.Mutex
-	exec  map[execKey]float64
+	exec  map[cellKey]float64
 	calls int64
 	hits  int64
 }
@@ -179,7 +179,7 @@ type groupedBenchModel struct {
 func newGroupedBenchModel(n, structs, phases int, factorable bool) *groupedBenchModel {
 	gm := &groupedBenchModel{
 		n: n, structs: structs, phases: phases,
-		exec: make(map[execKey]float64, n*(1<<uint(structs))),
+		exec: make(map[cellKey]float64, n*(1<<uint(structs))),
 	}
 	if factorable {
 		for s := 0; s < structs; s++ {
@@ -215,7 +215,7 @@ func (gm *groupedBenchModel) preferred(stage int) int {
 // preferred index, maintenance for other held indexes, plus
 // per-structure noise.
 func (gm *groupedBenchModel) Exec(stage int, c core.Config) float64 {
-	key := execKey{stage, c}
+	key := cellKey{stage, c}
 	gm.mu.Lock()
 	gm.calls++
 	if v, ok := gm.exec[key]; ok {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,13 +113,13 @@ type Options struct {
 	// serial solves produce bit-identical results.
 	Parallelism int
 
-	// Memo, when non-nil, supplies a retained what-if EXEC memo instead
-	// of the fresh per-problem default. Memo entries are keyed by
+	// Memo, when non-nil, supplies a retained what-if EXEC row store
+	// instead of the fresh per-problem default. Rows are keyed by
 	// segment content, so a long-running service that re-solves
-	// overlapping windows re-costs only statements it has not seen;
-	// stale entries are purged automatically when the cost world
-	// (statistics, physical descriptions) changes. Callers sharing one
-	// memo must serialize their solves. See NewMemo.
+	// overlapping windows costs only the segments it has not seen;
+	// stale rows are purged automatically when the cost world
+	// (statistics, physical descriptions) or the candidate list changes.
+	// Callers sharing one store must serialize their solves. See NewMemo.
 	Memo *ExecMemo
 
 	// Cache, when non-nil, supplies a retained solve cache
@@ -235,35 +236,32 @@ func (a *Advisor) StatementCost(s workload.Statement, c core.Config) (float64, e
 }
 
 // whatIfModel implements core.FallibleModel over the engine's what-if
-// cost functions. It is safe for concurrent use: the EXEC memo is a
-// sharded, mutex-guarded cache, TRANS and SIZE are pure functions of
-// immutable physical descriptions, and the call counter is atomic — so
-// one Problem can be shared by several solver goroutines and by the
-// parallel matrix build.
+// cost functions. It is safe for concurrent use: each stage's store row
+// has its own lock, TRANS and SIZE are pure functions of immutable
+// physical descriptions, and the counters are atomic — so one Problem
+// can be shared by several solver goroutines and by the parallel matrix
+// build.
 type whatIfModel struct {
 	table cost.TablePhys
 	phys  []cost.IndexPhys
 	segs  []workload.Segment
-	// segHash fingerprints each segment's statement content; it keys
-	// the EXEC memo so entries survive the stage renumbering a sliding
-	// window causes between solves.
-	segHash []uint64
 	// version memoizes ModelVersion: the world and the segments are
 	// immutable once the problem is assembled, and the solve cache
 	// consults the version on every table fetch and replay peek.
 	version uint64
 	memo    *ExecMemo
+	// rows[i] is stage i's row of the EXEC store, resolved from the
+	// segment's content hash when the problem is assembled (so entries
+	// survive the stage renumbering a sliding window causes between
+	// solves); layout is the candidate list the rows are dense over.
+	rows   []*execRow
+	layout *rowLayout
 	// whatIfCalls counts statement costings demanded of the model —
-	// memo misses times statements, attempted evaluations included even
-	// when costing fails; memo hits never count. See CostStats.
+	// cells not served from a stored row times statements, attempted
+	// evaluations included even when costing fails. See CostStats.
 	whatIfCalls atomic.Int64
-	// plan[i] holds stage i's compiled statement plan tables, built
-	// lazily under planLocks[i] on the first memo-missing evaluation
-	// and read lock-free afterwards. Compilation failures are
-	// deliberately not cached (mirroring the memo), so a healthy retry
-	// recompiles instead of replaying a dead error.
-	plan      []atomic.Pointer[stagePlans]
-	planLocks []sync.Mutex
+	// probes counts this problem's row-store lookups and hits, in cells.
+	probes probeCounters
 	// planBuilds, planBytes, and batchedLookups instrument the batched
 	// costing layer: plan tables compiled, bytes they retain, and
 	// configurations evaluated through BatchExec.
@@ -278,12 +276,6 @@ type whatIfModel struct {
 	// cliques (computed lazily — only the partitioned solver asks).
 	interOnce    sync.Once
 	interactions []core.Config
-}
-
-// stagePlans is one stage's compiled costing: a plan table per
-// statement of the segment.
-type stagePlans struct {
-	tables []*cost.PlanTable
 }
 
 // fnv64 is FNV-1a over a byte sequence fed piecewise.
@@ -344,128 +336,138 @@ func (m *whatIfModel) worldVersion() uint64 {
 // compute identical cost tables, which is what lets a retained
 // core.SolveCache warm-start the re-solve of an unchanged window and
 // forces a rebuild the moment statistics are refreshed under a
-// long-lived model. The value is memoized at problem assembly — the
-// model is immutable afterwards.
+// long-lived model. The value is memoized at problem assembly (attach)
+// — the model is immutable afterwards.
 func (m *whatIfModel) ModelVersion() uint64 { return m.version }
 
-// computeVersion derives the ModelVersion fingerprint; called once
-// after segHash is populated.
-func (m *whatIfModel) computeVersion() uint64 {
-	h := newFnv()
-	h.u64(m.worldVersion())
-	h.u64(uint64(len(m.segHash)))
-	for _, sh := range m.segHash {
-		h.u64(sh)
-	}
-	return uint64(h)
-}
-
-// stagePlans returns stage's compiled plan tables, compiling them on
-// first use. Compilation is the "one histogram pass per access path"
-// step: each statement's selectivities and candidate path costs are
-// derived exactly once, after which every configuration evaluation is
-// O(statements) masked table lookups.
-func (m *whatIfModel) stagePlans(stage int) (*stagePlans, error) {
-	if sp := m.plan[stage].Load(); sp != nil {
-		return sp, nil
-	}
-	m.planLocks[stage].Lock()
-	defer m.planLocks[stage].Unlock()
-	if sp := m.plan[stage].Load(); sp != nil {
-		return sp, nil
+// compile returns stage's plan tables, compiling them into the stage's
+// store row r on first use; the caller holds r.mu. Compilation is the
+// "one histogram pass per access path" step: each statement's
+// selectivities and candidate path costs are derived exactly once per
+// distinct segment content, after which every configuration evaluation
+// is O(statements) masked table lookups. A failure stores nothing.
+func (m *whatIfModel) compile(stage int, r *execRow) ([]*cost.PlanTable, error) {
+	if r.tables != nil {
+		return r.tables, nil
 	}
 	stmts := m.segs[stage].Statements
-	sp := &stagePlans{tables: make([]*cost.PlanTable, len(stmts))}
+	tables := make([]*cost.PlanTable, len(stmts))
 	retained := 0
 	for i, s := range stmts {
 		pt, err := cost.CompilePlan(s.Stmt, m.table, m.phys)
 		if err != nil {
 			return nil, fmt.Errorf("advisor: costing validated statement %q: %w", s.SQL, err)
 		}
-		sp.tables[i] = pt
+		tables[i] = pt
 		retained += pt.Bytes()
 	}
-	m.plan[stage].Store(sp)
+	r.tables = tables
 	m.planBuilds.Add(int64(len(stmts)))
 	m.planBytes.Add(int64(retained))
-	return sp, nil
+	return tables, nil
+}
+
+// sumTables is EXEC(segment, c) over compiled plan tables: the
+// statement costs accumulated in statement order, bit-identical to
+// summing cost.StatementCost per the PlanTable contract.
+func sumTables(tables []*cost.PlanTable, c core.Config) float64 {
+	total := 0.0
+	for _, pt := range tables {
+		total += pt.Cost(uint64(c))
+	}
+	return total
+}
+
+// noteProbe records row-store traffic on the problem's own counters and
+// the store's lifetime ones.
+func (m *whatIfModel) noteProbe(lookups, hits int) {
+	m.probes.note(lookups, hits)
+	m.memo.probes.note(lookups, hits)
 }
 
 // Exec implements core.CostModel: the summed what-if cost of the
-// segment's statements under configuration c, evaluated through the
-// stage's compiled plan tables (bit-identical to summing
-// cost.StatementCost, per the PlanTable contract). Statements are
-// validated when the problem is built, so a compile error here means
-// the model's world changed mid-solve; the failure is recorded for
-// TakeErr, the evaluation returns +Inf, and nothing is memoized so a
-// healthy retry can recompute the cell.
+// segment's statements under configuration c — read from the stage's
+// stored row when the row is filled and c is a candidate, summed from
+// the stage's plan tables otherwise (a scalar evaluation never fills a
+// row). Statements are validated when the problem is built, so a
+// compile error here means the model's world changed mid-solve; the
+// failure is recorded for TakeErr, the evaluation returns +Inf, and
+// nothing is stored so a healthy retry can recompute the cell.
 func (m *whatIfModel) Exec(stage int, c core.Config) float64 {
-	key := execKey{seg: m.segHash[stage], cfg: c}
-	if v, ok := m.memo.get(key); ok {
-		return v
+	r := m.rows[stage]
+	r.mu.Lock()
+	if r.costs != nil {
+		if j, ok := m.layout.index[c]; ok {
+			v := r.costs[j]
+			r.mu.Unlock()
+			m.noteProbe(1, 1)
+			return v
+		}
 	}
+	tables, err := m.compile(stage, r)
+	r.mu.Unlock()
+	m.noteProbe(1, 0)
 	// Count the attempted statement costings before knowing whether
 	// they succeed: the counter attributes demanded work per cell, and
 	// an error path that skipped it would under-report exactly when
 	// diagnosing matters most.
 	m.whatIfCalls.Add(int64(len(m.segs[stage].Statements)))
-	sp, err := m.stagePlans(stage)
 	if err != nil {
 		m.recordErr(err)
 		return math.Inf(1)
 	}
-	total := 0.0
-	for _, pt := range sp.tables {
-		total += pt.Cost(uint64(c))
-	}
-	m.memo.put(key, total)
-	return total
+	return sumTables(tables, c)
 }
 
-// BatchExec implements core.BatchCostModel: one memo probe per
-// configuration, plan-table evaluation for the misses. The per-stage
-// setup — segment hash, statement count, plan-table fetch — is paid
-// once per call instead of once per cell, and no per-call index-slice
-// assembly happens at all.
+// BatchExec implements core.BatchCostModel with one row-store access
+// per stage. Over the problem's candidate list a filled row is copied
+// into out; an empty one is compiled, costed cell by cell in the scalar
+// float op order, and stored — under the row's lock, so a stage with
+// the same content waits and then copies. Any other list (a
+// partitioned component's projection, a space-bound filter of explicit
+// candidates) reads the cells the row holds and sums the plan tables
+// for the rest, storing nothing.
 func (m *whatIfModel) BatchExec(stage int, configs []core.Config, out []float64) []float64 {
 	if cap(out) < len(configs) {
 		out = make([]float64, len(configs))
 	}
 	out = out[:len(configs)]
 	m.batchedLookups.Add(int64(len(configs)))
-	seg := m.segHash[stage]
-	var sp *stagePlans
-	var spErr error
-	loaded := false
-	missed := int64(0)
+	whole := slices.Equal(configs, m.layout.configs)
+	r := m.rows[stage]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if whole && r.costs != nil {
+		copy(out, r.costs)
+		m.noteProbe(len(configs), len(configs))
+		return out
+	}
+	// A filled row implies compiled tables, so compiling up front costs
+	// nothing unless some cell needs it.
+	tables, err := m.compile(stage, r)
+	if err != nil {
+		m.recordErr(err)
+	}
+	hits := 0
 	for j, c := range configs {
-		key := execKey{seg: seg, cfg: c}
-		if v, ok := m.memo.get(key); ok {
-			out[j] = v
-			continue
-		}
-		missed++
-		if !loaded {
-			loaded = true
-			sp, spErr = m.stagePlans(stage)
-			if spErr != nil {
-				m.recordErr(spErr)
+		if r.costs != nil {
+			if i, ok := m.layout.index[c]; ok {
+				out[j] = r.costs[i]
+				hits++
+				continue
 			}
 		}
-		if spErr != nil {
+		if err != nil {
 			out[j] = math.Inf(1)
 			continue
 		}
-		total := 0.0
-		for _, pt := range sp.tables {
-			total += pt.Cost(uint64(c))
-		}
-		m.memo.put(key, total)
-		out[j] = total
+		out[j] = sumTables(tables, c)
 	}
-	if missed > 0 {
-		m.whatIfCalls.Add(missed * int64(len(m.segs[stage].Statements)))
+	if whole && err == nil {
+		r.costs = slices.Clone(out)
 	}
+	m.noteProbe(len(configs), hits)
+	m.whatIfCalls.Add(int64(len(configs)-hits) * int64(len(m.segs[stage].Statements)))
 	return out
 }
 
@@ -492,8 +494,7 @@ func (m *whatIfModel) TakeErr() error {
 func (m *whatIfModel) costStats() CostStats {
 	return CostStats{
 		WhatIfCalls:     m.whatIfCalls.Load(),
-		CacheLookups:    m.memo.lookups.Load(),
-		CacheHits:       m.memo.hits.Load(),
+		ProbeStats:      m.probes.stats(),
 		PlanTableBuilds: m.planBuilds.Load(),
 		PlanTableBytes:  m.planBytes.Load(),
 		BatchedLookups:  m.batchedLookups.Load(),
@@ -548,11 +549,14 @@ func (m *whatIfModel) ExecInteractions() []core.Config {
 			// used to derive. Compile failures surface through Exec,
 			// not here; a failing stage just contributes no cliques,
 			// as its per-index probes would all have errored too.
-			sp, err := m.stagePlans(i)
+			r := m.rows[i]
+			r.mu.Lock()
+			tables, err := m.compile(i, r)
+			r.mu.Unlock()
 			if err != nil {
 				continue
 			}
-			for _, pt := range sp.tables {
+			for _, pt := range tables {
 				cl := core.Config(pt.RelevantMask())
 				if cl.Count() < 2 || seen[cl] {
 					continue // singletons add no edges
@@ -572,6 +576,25 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 		total += m.phys[bits.TrailingZeros64(b)].TotalPages
 	}
 	return total
+}
+
+// attach fingerprints the model and binds it to the EXEC store: the
+// store is pinned to this model's cost world and candidate list — rows
+// computed under refreshed statistics, different physical descriptions,
+// or another list are purged instead of replayed — and each stage
+// resolves its row by segment content.
+func (m *whatIfModel) attach(configs []core.Config) {
+	world := m.worldVersion()
+	h := newFnv()
+	h.u64(world)
+	h.u64(uint64(len(m.segs)))
+	segHash := make([]uint64, len(m.segs))
+	for i, seg := range m.segs {
+		segHash[i] = segmentHash(seg)
+		h.u64(segHash[i])
+	}
+	m.version = uint64(h)
+	m.layout, m.rows = m.memo.attach(world, configs, segHash)
 }
 
 // Problem assembles the core problem instance for a workload under the
@@ -602,25 +625,9 @@ func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, 
 	segs := w.Segments(segSize)
 	memo := opts.Memo
 	if memo == nil {
-		memo = newExecCache()
+		memo = NewMemo(0)
 	}
-	model := &whatIfModel{
-		table: a.table,
-		phys:  a.phys,
-		segs:  segs,
-		memo:  memo,
-	}
-	model.segHash = make([]uint64, len(segs))
-	for i, seg := range segs {
-		model.segHash[i] = segmentHash(seg)
-	}
-	model.plan = make([]atomic.Pointer[stagePlans], len(segs))
-	model.planLocks = make([]sync.Mutex, len(segs))
-	model.version = model.computeVersion()
-	// Pin the memo to this model's cost world: entries computed under
-	// refreshed statistics or different physical descriptions are
-	// purged instead of replayed.
-	memo.validate(model.worldVersion())
+	model := &whatIfModel{table: a.table, phys: a.phys, segs: segs, memo: memo}
 	configs := a.space.Configs
 	if configs == nil {
 		var err error
@@ -629,6 +636,7 @@ func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, 
 			return nil, nil, err
 		}
 	}
+	model.attach(configs)
 	cache := opts.Cache
 	if cache == nil {
 		cache = core.NewSolveCache()

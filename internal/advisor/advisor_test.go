@@ -579,8 +579,8 @@ func TestRecommendationInstrumentation(t *testing.T) {
 	if rec.Stats.WhatIfCalls <= 0 {
 		t.Errorf("WhatIfCalls = %d, want > 0", rec.Stats.WhatIfCalls)
 	}
-	if rec.Stats.CacheLookups <= 0 {
-		t.Errorf("CacheLookups = %d, want > 0", rec.Stats.CacheLookups)
+	if rec.Stats.Lookups <= 0 {
+		t.Errorf("Lookups = %d, want > 0", rec.Stats.Lookups)
 	}
 	if hr := rec.Stats.HitRate(); hr < 0 || hr > 1 {
 		t.Errorf("HitRate = %v, want within [0, 1]", hr)
@@ -594,7 +594,7 @@ func TestRecommendationInstrumentation(t *testing.T) {
 	// The recommendation re-reads the exec cells the matrix build already
 	// priced when it costs the final design: either the exec memo absorbs
 	// those calls or the solve cache serves the replay from its tables.
-	if rec.Stats.CacheHits == 0 && rec.MatrixReuses == 0 {
+	if rec.Stats.Hits == 0 && rec.MatrixReuses == 0 {
 		t.Error("neither the exec memo nor the solve cache recorded a hit on a full recommendation")
 	}
 	if rec.MatrixReuses <= 0 {

@@ -2,8 +2,6 @@ package advisor
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dyndesign/internal/core"
@@ -12,7 +10,7 @@ import (
 
 // TestBatchExecMatchesExec pins the tentpole invariant at the model
 // layer: BatchExec over a frontier is bit-for-bit identical to per-call
-// Exec, on cold and warm memos alike.
+// Exec, on cold and filled store rows alike.
 func TestBatchExecMatchesExec(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
@@ -24,8 +22,8 @@ func TestBatchExecMatchesExec(t *testing.T) {
 	if !ok {
 		t.Fatal("advisor problem model does not implement core.BatchCostModel")
 	}
-	// Scalar twin with its own memo, so neither side sees the other's
-	// cached values.
+	// Scalar twin with its own store, so neither side sees the other's
+	// rows.
 	p2, _, err := adv.Problem(w, paperOpts(2))
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +40,8 @@ func TestBatchExecMatchesExec(t *testing.T) {
 				t.Fatalf("stage %d config %v: batch %v != scalar %v", stage, c, out[j], want)
 			}
 		}
-		// Warm pass: every value now comes from the memo; must not drift.
+		// Warm pass: every value now comes from the stored row; must not
+		// drift.
 		warm := bm.BatchExec(stage, p.Configs, nil)
 		for j := range warm {
 			if math.Float64bits(warm[j]) != math.Float64bits(out[j]) {
@@ -63,18 +62,15 @@ func brokenModel(t *testing.T, adv *Advisor) (*whatIfModel, int) {
 		workload.MustStatement("SELECT a FROM t WHERE a = 1"),
 	}
 	segs := []workload.Segment{{Statements: stmts}}
-	m := &whatIfModel{table: adv.table, phys: adv.phys, segs: segs, memo: newExecCache()}
-	m.segHash = []uint64{segmentHash(segs[0])}
-	m.plan = make([]atomic.Pointer[stagePlans], 1)
-	m.planLocks = make([]sync.Mutex, 1)
-	m.version = m.computeVersion()
-	m.memo.validate(m.worldVersion())
+	m := &whatIfModel{table: adv.table, phys: adv.phys, segs: segs, memo: NewMemo(0)}
+	m.attach(adv.space.Configs)
 	return m, len(stmts)
 }
 
 // TestExecCountsAttemptedStatementsOnError pins the accounting fix:
 // what-if calls count the statements a costing *attempted*, even when
-// the attempt fails, and failed cells are never memoized.
+// the attempt fails, and a failed compile stores nothing — neither plan
+// tables nor a cost row — so a healthy retry recomputes.
 func TestExecCountsAttemptedStatementsOnError(t *testing.T) {
 	_, adv := testAdvisor(t)
 	m, nstmt := brokenModel(t, adv)
@@ -113,10 +109,49 @@ func TestExecCountsAttemptedStatementsOnError(t *testing.T) {
 	if got := m2.costStats().BatchedLookups; got != int64(len(configs)) {
 		t.Fatalf("BatchedLookups = %d, want %d", got, len(configs))
 	}
+
+	// Over the candidate list itself — the call that would store a row —
+	// the failure must leave the row empty, and once the world heals the
+	// same row is compiled, costed, and only then stored.
+	m3, _ := brokenModel(t, adv)
+	for j, v := range m3.BatchExec(0, adv.space.Configs, nil) {
+		if !math.IsInf(v, 1) {
+			t.Fatalf("candidate cell %d on a broken world = %v, want +Inf", j, v)
+		}
+	}
+	if r := m3.rows[0]; r.tables != nil || r.costs != nil {
+		t.Fatal("a failed compile was cached in the store row")
+	}
+	if err := m3.TakeErr(); err == nil {
+		t.Fatal("TakeErr returned nil after a failed row fill")
+	}
+	healthy := []workload.Statement{workload.MustStatement("SELECT a FROM t WHERE a = 1")}
+	m3.segs[0].Statements = healthy
+	before := m3.whatIfCalls.Load()
+	out = m3.BatchExec(0, adv.space.Configs, nil)
+	for j, c := range adv.space.Configs {
+		want, err := adv.StatementCost(healthy[0], c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(out[j]) != math.Float64bits(want) {
+			t.Fatalf("healthy retry cell %d = %v, want recomputed %v", j, out[j], want)
+		}
+	}
+	if got, want := m3.whatIfCalls.Load()-before, int64(len(adv.space.Configs)); got != want {
+		t.Fatalf("healthy retry performed %d what-if costings, want %d", got, want)
+	}
+	if err := m3.TakeErr(); err != nil {
+		t.Fatalf("healthy retry recorded %v", err)
+	}
+	if m3.rows[0].costs == nil {
+		t.Fatal("healthy retry did not store the row")
+	}
 }
 
 // TestExecWarmMemoZeroAllocs pins the arena property of the hot path: a
-// memo-served Exec performs no heap allocation at all.
+// scalar Exec performs no heap allocation at all, whether it sums the
+// stage's compiled plan tables or reads the stored row.
 func TestExecWarmMemoZeroAllocs(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
@@ -128,7 +163,11 @@ func TestExecWarmMemoZeroAllocs(t *testing.T) {
 	cfg := p.Configs[len(p.Configs)-1]
 	m.Exec(0, cfg)
 	if allocs := testing.AllocsPerRun(100, func() { m.Exec(0, cfg) }); allocs != 0 {
-		t.Fatalf("warm-memo Exec allocates %.1f objects per call, want 0", allocs)
+		t.Fatalf("plan-table Exec allocates %.1f objects per call, want 0", allocs)
+	}
+	m.BatchExec(0, p.Configs, nil)
+	if allocs := testing.AllocsPerRun(100, func() { m.Exec(0, cfg) }); allocs != 0 {
+		t.Fatalf("row-served Exec allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
@@ -187,5 +226,46 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 	}
 	if r2.Stats.PlanTableBuilds == 0 {
 		t.Fatal("solve compiled no plan tables")
+	}
+}
+
+// TestTwinSegmentsParallelMatchesSerial covers the one place two matrix
+// workers meet on a store row: a window holding content-identical
+// segments. Under Parallelism 4 (and -race) the twins must cost their
+// shared row once — the second worker waits on the row lock and copies
+// — and every stage's row must be bit-identical to a serial build's.
+func TestTwinSegmentsParallelMatchesSerial(t *testing.T) {
+	_, adv := testAdvisor(t)
+	const seg, distinct = 5, 6
+	base := distinctStream(seg * distinct)
+	w := &workload.Workload{Name: "twins"}
+	for rep := 0; rep < 4; rep++ {
+		w.Append("", base.Statements...)
+	}
+	build := func(parallelism int) (*core.Problem, *whatIfModel) {
+		p, _, err := adv.Problem(w, Options{K: 2, SegmentSize: seg, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.BuildCostTables(bg); err != nil {
+			t.Fatal(err)
+		}
+		return p, p.Model.(*whatIfModel)
+	}
+	ps, serial := build(1)
+	pp, parallel := build(4)
+	want := int64(len(ps.Configs) * seg * distinct)
+	if got := parallel.costStats().WhatIfCalls; got != want || serial.costStats().WhatIfCalls != want {
+		t.Fatalf("what-if costings: parallel %d, serial %d, want %d (twins costed once)",
+			got, serial.costStats().WhatIfCalls, want)
+	}
+	for stage := 0; stage < ps.Stages; stage++ {
+		a := serial.BatchExec(stage, ps.Configs, nil)
+		b := parallel.BatchExec(stage, pp.Configs, nil)
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				t.Fatalf("stage %d config %v: parallel %v != serial %v", stage, ps.Configs[j], b[j], a[j])
+			}
+		}
 	}
 }

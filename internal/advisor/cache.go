@@ -1,280 +1,241 @@
 package advisor
 
 import (
+	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"dyndesign/internal/core"
+	"dyndesign/internal/cost"
 )
 
-// execCacheShards is the shard count of the what-if EXEC memo. 64
-// shards keep lock contention negligible even when every core of a
-// large machine fills the cost matrix at once, at a fixed cost of a few
-// kilobytes per memo.
-const execCacheShards = 64
-
-// execKey identifies one EXEC memo cell: the content fingerprint of a
-// workload segment plus the configuration it was costed under. Keying
-// by segment content instead of stage index is what lets one memo
-// outlive a single problem — a sliding window shifts every stage index
-// between solves, but an unchanged segment keeps its key, so the
-// advisor service re-costs only the statements that actually entered
-// the window.
-type execKey struct {
-	seg uint64
-	cfg core.Config
+// execRow is one store entry: everything EXEC(segment, ·) needs for one
+// segment content — the compiled per-statement plan tables and the
+// dense cost row over the store's candidate list. mu guards tables and
+// costs; both are written once and immutable afterwards. A compile
+// failure leaves tables nil, so a healthy retry recompiles instead of
+// replaying a dead error.
+type execRow struct {
+	mu     sync.Mutex
+	tables []*cost.PlanTable
+	costs  []float64
+	// hash is the row's key; used the assembly number of the last
+	// problem that attached it; lru its place in ExecMemo.lru. The last
+	// two are guarded by ExecMemo.mu.
+	hash uint64
+	used uint64
+	lru  *list.Element
 }
 
-type execShard struct {
-	mu sync.RWMutex
-	m  map[execKey]int // key -> slot index
-	// Slot storage: parallel slices so the clock hand can walk
-	// insertion order. ref bits are set atomically under RLock by
-	// readers and inspected by the evicting writer.
-	keys []execKey
-	vals []float64
-	ref  []uint32
-	hand int
+// rowLayout is the candidate list every row of a store is dense over,
+// with the position of each configuration in it. Immutable once built:
+// a change of candidate list builds a new layout (and purges the rows).
+type rowLayout struct {
+	configs []core.Config
+	index   map[core.Config]int32
 }
 
-// ExecMemo is the sharded, mutex-guarded memo for EXEC(segment, config)
-// what-if results. It is safe for concurrent use, so one advisor
-// Problem can be solved by several strategies (or a parallel matrix
-// build) at the same time, and — because keys are segment content
-// hashes — it may be retained across recommendations: pass one via
-// Options.Memo and a re-solve warm-starts from every segment it has
-// seen before.
+func newRowLayout(configs []core.Config) *rowLayout {
+	l := &rowLayout{configs: slices.Clone(configs), index: make(map[core.Config]int32, len(configs))}
+	for j, c := range l.configs {
+		l.index[c] = int32(j)
+	}
+	return l
+}
+
+// ExecMemo is the content-addressed store of what-if EXEC results: one
+// row per distinct segment content, holding the segment's compiled plan
+// tables and its cost under every candidate configuration. Keying by
+// segment content instead of stage index is what lets one store outlive
+// a single problem — a sliding window shifts every stage index between
+// solves, but an unchanged segment keeps its row, so a re-solve costs
+// only the segments that actually entered the window. Pass one via
+// Options.Memo to retain it across recommendations.
 //
-// A capacity caps the number of retained entries; beyond it each shard
-// evicts with a clock (second-chance) sweep, so a statement stream of
-// unbounded length runs in bounded memory while looping workloads keep
-// their working set. Capacity 0 means unbounded — the right choice for
-// one-shot runs.
+// The store is pinned to a cost world (statistics + physical
+// descriptions) and a candidate list; a problem assembled under a
+// different world or list purges it instead of replaying dead rows.
 //
-// On a miss the value is computed outside any lock and stored after;
-// two goroutines racing on the same cold key both compute it, but the
-// model is deterministic so they store the same value — wasted work,
-// never wrong answers.
+// A capacity bounds the store in cells (rows × candidate list length).
+// The bound is enforced by one sweep when a problem is assembled: whole
+// rows are dropped, least recently attached first, and never a row of
+// the problem in hand — so occupancy stays at or below
+// max(capacity, current problem's cells). Capacity 0 means unbounded,
+// the right choice for one-shot runs.
+//
+// One mutex guards the row map; each row has its own lock, held while
+// its segment is compiled and costed, so two stages with identical
+// content cost it once. Callers sharing a store serialize their solves
+// (the advisor service does).
 type ExecMemo struct {
-	shards   [execCacheShards]execShard
-	capShard int // max slots per shard; 0 = unbounded
+	capacity int
 
-	lookups       atomic.Int64
-	hits          atomic.Int64
-	entries       atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
+	mu   sync.Mutex
+	rows map[uint64]*execRow
+	// lru orders the rows (*execRow values) most recently attached
+	// first; within one problem, later stages first.
+	lru    list.List
+	world  uint64
+	layout *rowLayout // nil until the first attach
+	// assembly numbers the attach calls; rows are stamped with it.
+	assembly      uint64
+	evictions     int64
+	invalidations int64
 
-	// genMu guards the world generation: the fingerprint of the cost
-	// world (statistics epoch + physical descriptions) the entries were
-	// computed under. A solve against a different world purges the memo
-	// instead of replaying costs from dead statistics.
-	genMu sync.Mutex
-	gen   uint64
-	genOK bool
+	probes probeCounters
 }
 
-// NewMemo builds an EXEC memo bounded to about capacity entries
-// (rounded up to a per-shard cap); capacity <= 0 means unbounded. Pass
-// the memo via Options.Memo to share it across recommendations.
+// NewMemo builds an EXEC row store bounded to capacity cells;
+// capacity <= 0 means unbounded. Pass it via Options.Memo to share it
+// across recommendations.
 func NewMemo(capacity int) *ExecMemo {
-	c := &ExecMemo{}
-	if capacity > 0 {
-		c.capShard = (capacity + execCacheShards - 1) / execCacheShards
-		if c.capShard < 1 {
-			c.capShard = 1
+	return &ExecMemo{capacity: max(capacity, 0), rows: make(map[uint64]*execRow)}
+}
+
+// attach binds a problem being assembled to the store: it pins the
+// store to the problem's cost world and candidate list (purging rows
+// computed under any other), resolves one row per stage from the
+// segment content hashes — creating empty rows for unseen content —
+// and sweeps the store back under its capacity.
+func (c *ExecMemo) attach(world uint64, configs []core.Config, segHash []uint64) (*rowLayout, []*execRow) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.layout == nil || c.world != world || !slices.Equal(c.layout.configs, configs) {
+		if c.layout != nil {
+			c.invalidations++
+			c.rows = make(map[uint64]*execRow)
+			c.lru.Init()
 		}
+		c.world, c.layout = world, newRowLayout(configs)
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[execKey]int)
+	c.assembly++
+	rows := make([]*execRow, len(segHash))
+	for i, h := range segHash {
+		r := c.rows[h]
+		if r == nil {
+			r = &execRow{hash: h}
+			r.lru = c.lru.PushFront(r)
+			c.rows[h] = r
+		} else {
+			c.lru.MoveToFront(r.lru)
+		}
+		r.used = c.assembly
+		rows[i] = r
 	}
-	return c
-}
-
-// newExecCache is the fresh unbounded memo a one-shot problem gets when
-// the caller does not retain one.
-func newExecCache() *ExecMemo { return NewMemo(0) }
-
-// validate pins the memo to the model's world fingerprint; entries
-// computed under a different world (refreshed statistics, changed
-// physical descriptions) are purged first. Callers that share a memo
-// serialize their solves (the advisor service does), so a purge never
-// races a solve in flight.
-func (c *ExecMemo) validate(world uint64) {
-	c.genMu.Lock()
-	defer c.genMu.Unlock()
-	if c.genOK && c.gen == world {
-		return
-	}
-	if c.genOK {
-		c.purge()
-		c.invalidations.Add(1)
-	}
-	c.gen, c.genOK = world, true
-}
-
-// purge empties every shard. Called with genMu held.
-func (c *ExecMemo) purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.entries.Add(-int64(len(s.keys)))
-		s.m = make(map[execKey]int)
-		s.keys, s.vals, s.ref = nil, nil, nil
-		s.hand = 0
-		s.mu.Unlock()
-	}
-}
-
-// shard maps a key to its shard with a Fibonacci mix so consecutive
-// segment hashes spread instead of clustering.
-func (c *ExecMemo) shard(k execKey) *execShard {
-	h := (k.seg ^ uint64(k.cfg)<<32 ^ uint64(k.cfg)>>32) * 0x9E3779B97F4A7C15
-	return &c.shards[h>>(64-6)] // top 6 bits: [0, 64)
-}
-
-func (c *ExecMemo) get(k execKey) (float64, bool) {
-	s := c.shard(k)
-	s.mu.RLock()
-	i, ok := s.m[k]
-	var v float64
-	if ok {
-		v = s.vals[i]
-		atomic.StoreUint32(&s.ref[i], 1)
-	}
-	s.mu.RUnlock()
-	c.lookups.Add(1)
-	if ok {
-		c.hits.Add(1)
-	}
-	return v, ok
-}
-
-func (c *ExecMemo) put(k execKey, v float64) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.m[k]; ok {
-		s.vals[i] = v
-		return
-	}
-	if c.capShard > 0 && len(s.keys) >= c.capShard {
-		// Clock sweep: give referenced slots a second chance, evict the
-		// first unreferenced one. Terminates within two laps — the
-		// first lap clears every ref bit it passes.
-		for {
-			if s.hand >= len(s.keys) {
-				s.hand = 0
-			}
-			if atomic.LoadUint32(&s.ref[s.hand]) != 0 {
-				atomic.StoreUint32(&s.ref[s.hand], 0)
-				s.hand++
-				continue
-			}
+	// The capacity sweep: drop the rows no problem has attached for the
+	// longest time; reaching a row of this assembly means only the
+	// problem in hand is left, and that is never evicted.
+	width := len(configs)
+	for c.capacity > 0 && len(c.rows)*width > c.capacity {
+		r := c.lru.Back().Value.(*execRow)
+		if r.used == c.assembly {
 			break
 		}
-		i := s.hand
-		s.hand++
-		delete(s.m, s.keys[i])
-		s.keys[i] = k
-		s.vals[i] = v
-		atomic.StoreUint32(&s.ref[i], 1)
-		s.m[k] = i
-		c.evictions.Add(1)
-		return
+		c.lru.Remove(r.lru)
+		delete(c.rows, r.hash)
+		c.evictions += int64(width)
 	}
-	s.m[k] = len(s.keys)
-	s.keys = append(s.keys, k)
-	s.vals = append(s.vals, v)
-	s.ref = append(s.ref, 1)
-	c.entries.Add(1)
+	return c.layout, rows
 }
 
-// MemoStats describes an EXEC memo's occupancy and lifetime counters —
-// the observability surface a capped, long-lived memo needs so growth
-// and eviction pressure are measurable instead of invisible.
-type MemoStats struct {
-	// Entries is the current occupancy; Capacity the configured bound
-	// (0 = unbounded).
-	Entries  int64
-	Capacity int
-	// Lookups and Hits count EXEC memo probes over the memo's lifetime.
+// ProbeStats counts EXEC lookups against the row store, in cells: a
+// whole-row lookup counts one per configuration, a scalar lookup one.
+type ProbeStats struct {
 	Lookups int64
 	Hits    int64
-	// Evictions counts entries displaced by the clock sweep once a
-	// shard reached its cap.
-	Evictions int64
-	// Invalidations counts whole-memo purges forced by a cost-world
-	// change (refreshed statistics).
-	Invalidations int64
 }
 
-// HitRate returns the fraction of lookups served from the memo, 0 when
-// nothing was looked up.
-func (s MemoStats) HitRate() float64 {
+// HitRate returns the fraction of lookups served from stored rows, 0
+// when nothing was looked up.
+func (s ProbeStats) HitRate() float64 {
 	if s.Lookups == 0 {
 		return 0
 	}
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// Stats returns a snapshot of the memo's counters.
+// probeCounters is the concurrent accumulator behind a ProbeStats.
+type probeCounters struct {
+	lookups atomic.Int64
+	hits    atomic.Int64
+}
+
+func (p *probeCounters) note(lookups, hits int) {
+	p.lookups.Add(int64(lookups))
+	p.hits.Add(int64(hits))
+}
+
+func (p *probeCounters) stats() ProbeStats {
+	return ProbeStats{Lookups: p.lookups.Load(), Hits: p.hits.Load()}
+}
+
+// MemoStats describes an EXEC row store's occupancy and lifetime
+// counters — the observability surface a capped, long-lived store needs
+// so growth and eviction pressure are measurable instead of invisible.
+// Entries, Capacity, and Evictions are in cells.
+type MemoStats struct {
+	// ProbeStats is the lifetime view over every problem the store
+	// served; a recommendation's own share is Recommendation.Stats.
+	ProbeStats
+	// Entries is the current occupancy; Capacity the configured bound
+	// (0 = unbounded).
+	Entries  int64
+	Capacity int
+	// Evictions counts cells dropped (a whole row at a time) by the
+	// capacity sweep.
+	Evictions int64
+	// Invalidations counts whole-store purges forced by a change of cost
+	// world (refreshed statistics) or candidate list.
+	Invalidations int64
+}
+
+// Stats returns a snapshot of the store's counters.
 func (c *ExecMemo) Stats() MemoStats {
-	capacity := 0
-	if c.capShard > 0 {
-		capacity = c.capShard * execCacheShards
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := MemoStats{
+		ProbeStats:    c.probes.stats(),
+		Capacity:      c.capacity,
+		Evictions:     c.evictions,
+		Invalidations: c.invalidations,
 	}
-	return MemoStats{
-		Entries:       c.entries.Load(),
-		Capacity:      capacity,
-		Lookups:       c.lookups.Load(),
-		Hits:          c.hits.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
+	if c.layout != nil {
+		st.Entries = int64(len(c.rows) * len(c.layout.configs))
 	}
+	return st
 }
 
 // CostStats is the lightweight instrumentation of one advisor run's
 // what-if costing: how many statement costings the cost model actually
-// performed and how well the EXEC memo served the solvers.
+// performed and how well the EXEC row store served the solvers.
 type CostStats struct {
 	// WhatIfCalls counts individual what-if statement costings — the
 	// unit the paper's Figure 4 discussion treats as the advisor's
-	// dominant expense. It counts costings the solvers *demanded* (memo
-	// misses × statements, attempted evaluations included even when
-	// costing fails); memo hits never count.
+	// dominant expense. It counts costings the solvers *demanded* (cells
+	// not served from a stored row × statements, attempted evaluations
+	// included even when costing fails); row hits never count.
 	WhatIfCalls int64
-	// CacheLookups and CacheHits describe the EXEC memo: every
-	// CostModel.Exec call is one lookup, served from the cache when the
-	// (segment, configuration) pair was costed before.
-	CacheLookups int64
-	CacheHits    int64
+	// ProbeStats is this problem's own row-store traffic — not the
+	// store's lifetime (see ExecMemo.Stats): a first solve over unseen
+	// segments reports a hit rate of 0, an unchanged-window re-solve 1.
+	ProbeStats
 	// PlanTableBuilds counts per-statement plan-table compilations —
 	// the "one histogram pass per access path" work the batched costing
-	// layer performs once per (stage, statement) instead of once per
+	// layer performs once per distinct segment instead of once per
 	// configuration. PlanTableBytes is the heap those tables retain.
 	PlanTableBuilds int64
 	PlanTableBytes  int64
 	// BatchedLookups counts configurations evaluated through the
-	// BatchExec frontier entry point (memo hits included).
+	// BatchExec frontier entry point (row hits included).
 	BatchedLookups int64
-}
-
-// HitRate returns the fraction of EXEC lookups served from the memo, 0
-// when nothing was looked up.
-func (s CostStats) HitRate() float64 {
-	if s.CacheLookups == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheLookups)
 }
 
 // add accumulates counters (used when several models back one run).
 func (s CostStats) add(o CostStats) CostStats {
 	return CostStats{
 		WhatIfCalls:     s.WhatIfCalls + o.WhatIfCalls,
-		CacheLookups:    s.CacheLookups + o.CacheLookups,
-		CacheHits:       s.CacheHits + o.CacheHits,
+		ProbeStats:      ProbeStats{Lookups: s.Lookups + o.Lookups, Hits: s.Hits + o.Hits},
 		PlanTableBuilds: s.PlanTableBuilds + o.PlanTableBuilds,
 		PlanTableBytes:  s.PlanTableBytes + o.PlanTableBytes,
 		BatchedLookups:  s.BatchedLookups + o.BatchedLookups,

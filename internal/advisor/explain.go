@@ -51,8 +51,9 @@ const sqlExcerptLen = 48
 // per-transition cost attribution, the counterfactual k-sweep, and the
 // overfitting audit replaying the design against block-bootstrap
 // resamples of the trace. The explanation is also stored on the
-// recommendation. The audit re-solves perturbed problems with fresh
-// what-if memos; expect it to dominate the explain cost.
+// recommendation. The audit re-solves perturbed problems under the
+// recommendation's own options — a caller-retained Memo serves every
+// resampled segment it has seen — and still dominates the explain cost.
 func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts ExplainOptions) (_ *explain.Explanation, err error) {
 	sp := rec.opts.Tracer.Start("advisor.explain")
 	defer func() { sp.End(obs.Bool("ok", err == nil)) }()
@@ -94,7 +95,8 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 // perturb builds the audit's perturbation closure: trial seeds resample
 // the workload block-wise (phase structure preserved) and the problem
 // is re-assembled exactly as the original was — same design space,
-// segmentation, bounds, and policy — with a fresh what-if memo.
+// segmentation, bounds, and policy, and the caller's retained Memo and
+// Cache when rec.opts carries them.
 func (a *Advisor) perturb(rec *Recommendation) explain.PerturbFunc {
 	return func(trial int, seed int64) (*core.Problem, error) {
 		w := rec.Workload.Resample(seed)

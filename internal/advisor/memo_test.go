@@ -1,143 +1,232 @@
 package advisor
 
 import (
-	"math/rand"
+	"fmt"
+	"math"
 	"testing"
 
 	"dyndesign/internal/core"
+	"dyndesign/internal/workload"
 )
 
-// memoTraceKeys builds the key population for the looping replay: a hot
-// working set touched constantly (a periodic workload sliding through a
-// window) plus a long cold tail of once-in-a-while segments.
-func memoTraceKeys(n int) []execKey {
-	keys := make([]execKey, n)
-	for i := range keys {
-		h := newFnv()
-		h.u64(uint64(i) * 0x9E3779B97F4A7C15)
-		keys[i] = execKey{seg: uint64(h), cfg: core.Config(uint64(i % 7))}
+// distinctStream returns n point queries with pairwise distinct SQL, so
+// no two segments of any slice share a content hash.
+func distinctStream(n int) *workload.Workload {
+	w := &workload.Workload{Name: "stream"}
+	cols := []string{"a", "b", "c", "d"}
+	for i := 0; i < n; i++ {
+		w.Append("", workload.MustStatement(fmt.Sprintf("SELECT a FROM t WHERE %s = %d", cols[i%len(cols)], i)))
 	}
-	return keys
+	return w
 }
 
-// replayMemo drives a memo with the looping trace: each step probes one
-// key and fills it on a miss, exactly the Exec fast path.
-func replayMemo(m *ExecMemo, hot, cold []execKey, steps int, seed int64) MemoStats {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < steps; i++ {
-		var k execKey
-		if rng.Intn(10) < 9 {
-			k = hot[rng.Intn(len(hot))]
-		} else {
-			k = cold[rng.Intn(len(cold))]
-		}
-		if _, ok := m.get(k); !ok {
-			m.put(k, float64(i))
-		}
-	}
-	return m.Stats()
-}
-
-// TestExecMemoCapBoundedUnder100kReplay is the regression for unbounded
-// what-if memo growth: under a 100k-statement looping replay whose key
-// population far exceeds the cap, the capped memo must stay within its
-// bound, record its evictions, and — because the clock sweep gives the
-// hot working set second chances — keep a hit rate close to the
-// uncapped memo's.
-func TestExecMemoCapBoundedUnder100kReplay(t *testing.T) {
-	const (
-		steps    = 100_000
-		hotKeys  = 512
-		coldKeys = 50_000
-		capacity = 2048
-	)
-	hot := memoTraceKeys(hotKeys)
-	cold := memoTraceKeys(hotKeys + coldKeys)[hotKeys:]
-
-	uncapped := replayMemo(NewMemo(0), hot, cold, steps, 11)
-	capped := replayMemo(NewMemo(capacity), hot, cold, steps, 11)
-
-	if uncapped.Entries <= int64(capped.Capacity) {
-		t.Fatalf("fixture too weak: uncapped memo holds %d entries, cap is %d — the cap never bites",
-			uncapped.Entries, capped.Capacity)
-	}
-	if capped.Capacity < capacity {
-		t.Fatalf("Capacity = %d, want >= requested %d", capped.Capacity, capacity)
-	}
-	if capped.Entries > int64(capped.Capacity) {
-		t.Fatalf("capped memo occupancy %d exceeds bound %d", capped.Entries, capped.Capacity)
-	}
-	if capped.Evictions == 0 {
-		t.Fatal("capped memo recorded no evictions under a trace exceeding its capacity")
-	}
-	if uncapped.Evictions != 0 {
-		t.Fatalf("uncapped memo evicted %d entries", uncapped.Evictions)
-	}
-	// The floor is derived from the uncapped run: losing the cold tail
-	// may cost hits, but the clock must preserve the hot set, which
-	// carries ~90% of the probes.
-	floor := 0.8 * uncapped.HitRate()
-	if got := capped.HitRate(); got < floor {
-		t.Fatalf("capped hit rate %.3f below floor %.3f (uncapped %.3f): eviction is destroying the working set",
-			got, floor, uncapped.HitRate())
-	}
-	if capped.Lookups != steps || uncapped.Lookups != steps {
-		t.Fatalf("lookup counters %d/%d, want %d", capped.Lookups, uncapped.Lookups, steps)
-	}
-}
-
-// TestExecMemoClockPrefersHotEntries pins the second-chance property
-// directly: with a shard full of referenced entries, the sweep clears
-// ref bits on its first lap and evicts an unreferenced slot, never an
-// entry probed since the last sweep.
-func TestExecMemoClockPrefersHotEntries(t *testing.T) {
-	// Capacity 64 gives exactly one slot per shard, so every insertion
-	// beyond the first per shard must evict and the clock logic is
-	// exercised on each one.
-	m := NewMemo(64)
-	keys := memoTraceKeys(512)
-	for i, k := range keys {
-		m.put(k, float64(i))
-	}
-	st := m.Stats()
-	if st.Entries > int64(st.Capacity) {
-		t.Fatalf("occupancy %d exceeds bound %d", st.Entries, st.Capacity)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions recorded with one slot per shard and 512 insertions")
-	}
-	// The most recently inserted key of some shard is referenced; it
-	// must still be resident.
-	last := keys[len(keys)-1]
-	if _, ok := m.get(last); !ok {
-		t.Fatal("most recent insertion already evicted")
-	}
-}
-
-// TestExecMemoInvalidationOnWorldChange pins the generation check in
-// isolation: a validate against a different world fingerprint purges
-// every entry and counts one invalidation.
+// TestExecMemoInvalidationOnWorldChange pins the store's pin in
+// isolation: attaching under the same world and candidate list keeps
+// every row, while a different world fingerprint — or a different
+// candidate list — purges the store and counts one invalidation.
 func TestExecMemoInvalidationOnWorldChange(t *testing.T) {
 	m := NewMemo(0)
-	m.validate(1)
-	keys := memoTraceKeys(100)
-	for i, k := range keys {
-		m.put(k, float64(i))
+	configs := SingleIndexConfigs(3)
+	hashes := make([]uint64, 100)
+	for i := range hashes {
+		hashes[i] = uint64(i + 1)
 	}
-	m.validate(1) // same world: no-op
-	if st := m.Stats(); st.Invalidations != 0 || st.Entries != 100 {
-		t.Fatalf("same-world validate purged: %+v", st)
+	_, rows := m.attach(1, configs, hashes)
+	rows[0].costs = make([]float64, len(configs))
+	want := int64(len(hashes) * len(configs))
+	if st := m.Stats(); st.Invalidations != 0 || st.Entries != want {
+		t.Fatalf("first attach: %+v, want %d cells and no invalidation", st, want)
 	}
-	m.validate(2)
-	st := m.Stats()
-	if st.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
+	if _, again := m.attach(1, configs, hashes[:1]); again[0] != rows[0] {
+		t.Fatal("same-world attach did not resolve the stored row")
 	}
-	if st.Entries != 0 {
-		t.Fatalf("entries after world change = %d, want 0", st.Entries)
+	if st := m.Stats(); st.Invalidations != 0 || st.Entries != want {
+		t.Fatalf("same-world attach purged: %+v", st)
 	}
-	if _, ok := m.get(keys[0]); ok {
-		t.Fatal("stale entry served after world change")
+	_, fresh := m.attach(2, configs, hashes[:1])
+	if st := m.Stats(); st.Invalidations != 1 || st.Entries != int64(len(configs)) {
+		t.Fatalf("after world change: %+v, want 1 invalidation and one empty row", st)
+	}
+	if fresh[0] == rows[0] || fresh[0].costs != nil {
+		t.Fatal("stale row served after world change")
+	}
+	fresh[0].costs = make([]float64, len(configs))
+	_, relisted := m.attach(2, configs[:3], hashes[:1])
+	if st := m.Stats(); st.Invalidations != 2 {
+		t.Fatalf("Invalidations after candidate-list change = %d, want 2", st.Invalidations)
+	}
+	if relisted[0].costs != nil {
+		t.Fatal("row over the old candidate list served after the list changed")
+	}
+}
+
+// slideWindow is the [lo, lo+stmts) slice of a stream, solved over a
+// retained store — one window position of a sliding-window service.
+func slideWindow(t *testing.T, adv *Advisor, stream *workload.Workload, lo, stmts int, opts Options) *Recommendation {
+	t.Helper()
+	rec, err := adv.Recommend(stream.Slice(lo, lo+stmts), opts)
+	if err != nil {
+		t.Fatalf("window at %d: %v", lo, err)
+	}
+	return rec
+}
+
+// TestSlideCostsOnlyTheNewSegment pins the O(changed segments) re-solve:
+// after a window slides by one segment over a retained store, the solve
+// compiles exactly the entering segment's plan tables and performs
+// exactly len(configs) × len(segment) what-if costings — every other
+// stage is a row copy — and still answers what a cold solve answers.
+func TestSlideCostsOnlyTheNewSegment(t *testing.T) {
+	_, adv := testAdvisor(t)
+	const seg, stages = 5, 12
+	stream := distinctStream(seg * (stages + 1))
+	opts := Options{K: 2, SegmentSize: seg, Memo: NewMemo(0)}
+	first := slideWindow(t, adv, stream, 0, seg*stages, opts)
+	configs := int64(len(first.Problem.Configs))
+	if got, want := first.Stats.WhatIfCalls, configs*seg*stages; got != want {
+		t.Fatalf("cold solve performed %d what-if costings, want %d", got, want)
+	}
+	slid := slideWindow(t, adv, stream, seg, seg*stages, opts)
+	if got, want := slid.Stats.WhatIfCalls, configs*seg; got != want {
+		t.Fatalf("one-segment slide performed %d what-if costings, want %d", got, want)
+	}
+	if got := slid.Stats.PlanTableBuilds; got != seg {
+		t.Fatalf("one-segment slide compiled %d plan tables, want %d", got, seg)
+	}
+	if got, want := slid.Stats.HitRate(), float64(stages-1)/stages; got != want {
+		t.Fatalf("one-segment slide hit rate %v, want %v", got, want)
+	}
+	coldOpts := opts
+	coldOpts.Memo = nil
+	cold := slideWindow(t, adv, stream, seg, seg*stages, coldOpts)
+	if math.Float64bits(cold.Solution.Cost) != math.Float64bits(slid.Solution.Cost) {
+		t.Fatalf("slide cost %v != cold cost %v", slid.Solution.Cost, cold.Solution.Cost)
+	}
+	for i, c := range cold.Solution.Designs {
+		if slid.Solution.Designs[i] != c {
+			t.Fatalf("stage %d: slide design %v != cold %v", i, slid.Solution.Designs[i], c)
+		}
+	}
+}
+
+// TestPerSolveHitRate is the regression for the lifetime-average bug:
+// Recommendation.Stats reports the problem's own store traffic — 0 on a
+// first solve over unseen segments, 1 on an unchanged-window re-solve —
+// while ExecMemo.Stats keeps the running lifetime view.
+func TestPerSolveHitRate(t *testing.T) {
+	_, adv := testAdvisor(t)
+	w := distinctStream(40)
+	opts := Options{K: 2, SegmentSize: 4, Memo: NewMemo(0)}
+	first, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Lookups == 0 || first.Stats.HitRate() != 0 {
+		t.Fatalf("first solve: %+v, want lookups and hit rate 0", first.Stats.ProbeStats)
+	}
+	again, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.Lookups == 0 || again.Stats.HitRate() != 1 {
+		t.Fatalf("unchanged-window re-solve: %+v, want hit rate 1", again.Stats.ProbeStats)
+	}
+	life := opts.Memo.Stats()
+	if want := first.Stats.Lookups + again.Stats.Lookups; life.Lookups != want || life.Hits != again.Stats.Hits {
+		t.Fatalf("lifetime %+v, want %d lookups and %d hits", life.ProbeStats, want, again.Stats.Hits)
+	}
+}
+
+// TestCappedMemoBoundedOverSlides drives 200 one-segment slides through
+// a store capped below the window's own cell count plus a margin: the
+// occupancy must stay at or below max(capacity, window cells), the
+// sweep must record evictions, no row of the problem in hand may be
+// evicted, and — since the overlap always survives — every slide must
+// still cost only the entering segment.
+func TestCappedMemoBoundedOverSlides(t *testing.T) {
+	_, adv := testAdvisor(t)
+	const seg, stages, slides = 2, 10, 200
+	stream := distinctStream(seg * (stages + slides))
+	width := len(adv.space.Configs)
+	capacity := (stages + 3) * width
+	memo := NewMemo(capacity)
+	opts := Options{K: 2, SegmentSize: seg, Memo: memo}
+	for s := 0; s <= slides; s++ {
+		p, segs, err := adv.Problem(stream.Slice(s*seg, (s+stages)*seg), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := p.Model.(*whatIfModel)
+		for i, r := range model.rows {
+			if memo.rows[segmentHash(segs[i])] != r {
+				t.Fatalf("slide %d: stage %d's row was evicted while its problem was being assembled", s, i)
+			}
+		}
+		if _, err := core.Solve(bg, p, core.StrategyKAware); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := model.costStats().WhatIfCalls, int64(width*seg); s > 0 && got != want {
+			t.Fatalf("slide %d performed %d what-if costings, want %d (overlap evicted)", s, got, want)
+		}
+		if st := memo.Stats(); st.Entries > int64(max(capacity, stages*width)) {
+			t.Fatalf("slide %d: occupancy %d cells exceeds bound %d", s, st.Entries, max(capacity, stages*width))
+		}
+	}
+	st := memo.Stats()
+	if st.Evictions == 0 {
+		t.Fatal("capped store recorded no evictions over 200 slides")
+	}
+	if st.Capacity != capacity {
+		t.Fatalf("Capacity = %d, want %d", st.Capacity, capacity)
+	}
+
+	// A capacity below one window never evicts the window itself.
+	tiny := NewMemo(width)
+	opts.Memo = tiny
+	rec := slideWindow(t, adv, stream, 0, seg*stages, opts)
+	if got, want := rec.Stats.WhatIfCalls, int64(width*seg*stages); got != want {
+		t.Fatalf("under-capacity solve performed %d what-if costings, want %d", got, want)
+	}
+	if st := tiny.Stats(); st.Entries != int64(stages*width) || st.Evictions != 0 {
+		t.Fatalf("under-capacity store: %+v, want the whole window resident", st)
+	}
+}
+
+// TestAdvisorRetainedStoreAcrossCandidateListChange mirrors the stats
+// refresh regression below for the store's other pin: rows are dense
+// over one candidate list, so a solve over a different list must purge
+// them and cost from scratch — never index a row laid out for the old
+// list.
+func TestAdvisorRetainedStoreAcrossCandidateListChange(t *testing.T) {
+	db, adv := testAdvisor(t)
+	w := testWorkload(t)
+	opts := paperOpts(2)
+	opts.Memo = NewMemo(0)
+	if _, err := adv.Recommend(w, opts); err != nil {
+		t.Fatal(err)
+	}
+	space := paperSpace()
+	space.Configs = append([]core.Config{space.Configs[len(space.Configs)-1]}, space.Configs[:len(space.Configs)-1]...)
+	reordered, err := New(db, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := reordered.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := opts.Memo.Stats(); st.Invalidations != 1 {
+		t.Fatalf("Invalidations after candidate-list change = %d, want 1", st.Invalidations)
+	}
+	cold, err := reordered.Recommend(w, paperOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(rec.Solution.Cost) != math.Float64bits(cold.Solution.Cost) {
+		t.Fatalf("post-purge cost %v != cold cost %v", rec.Solution.Cost, cold.Solution.Cost)
+	}
+	if got, want := rec.Stats.WhatIfCalls, cold.Stats.WhatIfCalls; got != want {
+		t.Fatalf("post-purge solve performed %d what-if costings, cold %d", got, want)
 	}
 }
 

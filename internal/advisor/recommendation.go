@@ -26,9 +26,9 @@ type Recommendation struct {
 	Solution       *core.Solution
 	Strategy       core.Strategy
 	Elapsed        time.Duration
-	// Stats is the what-if costing instrumentation of the run: call
-	// count and EXEC-memo hit rate. It makes costing-layer speedups
-	// observable instead of asserted.
+	// Stats is the what-if costing instrumentation of this run: call
+	// count and the hit rate of its own EXEC row-store lookups. It makes
+	// costing-layer speedups observable instead of asserted.
 	Stats CostStats
 	// MatrixBuilds and MatrixBuildTime describe the dense cost-table
 	// evaluations the solver performed; concurrent builds accumulate

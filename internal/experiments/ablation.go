@@ -177,9 +177,9 @@ func RunStrategyComparison(ctx context.Context, t2 *Table2Result, k int) (_ *Str
 		return nil, err
 	}
 	// Every strategy solves the same shared problem concurrently — the
-	// sharded what-if memo makes that safe, and it is exactly the
-	// "several strategies on one cached model" scenario the costing
-	// layer is built for. Costs and changes are scheduling-independent;
+	// per-row locks of the what-if store make that safe, and it is
+	// exactly the "several strategies on one cached model" scenario the
+	// costing layer is built for. Costs and changes are scheduling-independent;
 	// wall times are indicative under contention.
 	strategies := core.Strategies()
 	res := &StrategyComparison{
