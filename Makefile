@@ -6,7 +6,7 @@ GO ?= go
 # fails.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build vet test race bench bench-check bench-e2e cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash
+.PHONY: all build vet test race bench bench-check bench-e2e cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
 
 all: tier1
 
@@ -96,13 +96,20 @@ explain-smoke:
 # streamed through POST /ingest, at least one drift-triggered re-solve
 # (asserted via /healthz counters — the trigger is the alerter, not a
 # timer), and a parseable GET /recommendation. The run also asserts
-# post-publish calibration (GET /calibration + advisord_calib_* gauges
-# in a parsed metrics exposition) and the per-solve decision lineage
-# (GET /solves ring + solves.jsonl audit log); set
-# ADVISORD_CALIB_ARTIFACTS to a directory to keep the calibration
-# report JSON (CI uploads it). See DESIGN.md §13 and §16.
+# post-publish calibration (GET /calibration + advisord_calib_* families
+# in a linted metrics exposition: HELP and TYPE on every family, _total
+# <=> counter, ^advisord_[a-z0-9_]+$ names, no family declared twice)
+# and the per-solve decision lineage (GET /solves ring + solves.jsonl
+# audit log); set ADVISORD_CALIB_ARTIFACTS to a directory to keep the
+# calibration report JSON (CI uploads it). See DESIGN.md §13 and §16.
 advisord-smoke:
 	$(GO) test -race -count=1 -run TestAdvisordSmoke -v ./cmd/advisord/
+
+# metrics-doc regenerates the README's advisord metrics table from the
+# declarations in cmd/advisord (metricsTable). Without -update the same
+# test — an ordinary tier-1 test — fails when the two diverge.
+metrics-doc:
+	$(GO) test -count=1 -run TestMetricsTableInREADME ./cmd/advisord/ -update
 
 # advisord-crash runs the crash-restart equivalence harness under the
 # race detector: advisord children are SIGKILLed at seeded chaos points

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dyndesign/internal/advisor"
 	"dyndesign/internal/calib"
 )
 
@@ -47,33 +48,50 @@ type solveRecord struct {
 	// correlating a record to the alert that triggered it.
 	DriftAlerts int64 `json:"drift_alerts"`
 
-	// Outcome: the requested strategy, the ladder rung that actually
-	// answered, and the solved objective.
-	Strategy  string  `json:"strategy,omitempty"`
-	Rung      string  `json:"rung,omitempty"`
-	Degraded  bool    `json:"degraded,omitempty"`
-	K         int     `json:"k,omitempty"`
-	Cost      float64 `json:"cost,omitempty"`
-	ExecCost  float64 `json:"exec_cost,omitempty"`
-	TransCost float64 `json:"trans_cost,omitempty"`
-	Changes   int     `json:"changes,omitempty"`
-	Gap       float64 `json:"gap,omitempty"`
+	// The requested strategy and change bound, then what came back: the
+	// answering rung and objective, and how much of the answer came from
+	// retained state rather than fresh what-if calls.
+	Strategy string `json:"strategy,omitempty"`
+	K        int    `json:"k,omitempty"`
+	solveOutcome
+	solveStats
 
-	// Costing-layer warmth: how much of the answer came from retained
-	// state rather than fresh what-if calls.
-	WhatIfCalls      int64   `json:"whatif_calls,omitempty"`
-	MemoHitRate      float64 `json:"memo_hit_rate,omitempty"`
-	MatrixBuilds     int64   `json:"matrix_builds,omitempty"`
-	MatrixReuses     int64   `json:"matrix_reuses,omitempty"`
-	LatticeOverflows int64   `json:"lattice_overflows,omitempty"`
-
-	// Error is set on failed attempts; all outcome fields are then zero.
+	// Error is set on failed attempts; outcome and stats are then zero.
 	Error string `json:"error,omitempty"`
 
 	// Calibration summarizes the post-publish measured-vs-estimated
 	// replay of this recommendation; nil when calibration is disabled
 	// or the replay itself failed.
 	Calibration *calibSummary `json:"calibration,omitempty"`
+}
+
+// solveOutcome is what a solve answered and solveStats what the answer
+// cost to compute. Both are filled once from the Recommendation: the
+// lineage record embeds them, /recommendation serves the same values
+// (the stats as "stats"), and the last-solve metrics read them off the
+// newest record.
+type solveOutcome struct {
+	// Rung is the ladder rung that actually answered.
+	Rung      string  `json:"rung"`
+	Degraded  bool    `json:"degraded"`
+	Cost      float64 `json:"cost"`
+	ExecCost  float64 `json:"exec_cost"`
+	TransCost float64 `json:"trans_cost"`
+	Changes   int     `json:"changes"`
+	// Gap is the anytime optimality gap: 0 when the answering solver
+	// was exact, positive when a beam-pruned partitioned solve stopped
+	// early (the optimum is then within [cost-gap, cost]).
+	Gap float64 `json:"gap"`
+}
+
+type solveStats struct {
+	WhatIfCalls      int64   `json:"whatif_calls"`
+	MemoHitRate      float64 `json:"memo_hit_rate"`
+	MatrixBuilds     int64   `json:"matrix_builds"`
+	MatrixReuses     int64   `json:"matrix_reuses"`
+	LatticeOverflows int64   `json:"lattice_overflows,omitempty"`
+	// cost is not serialized: the plan-table metrics read it.
+	cost advisor.CostStats
 }
 
 // calibSummary is the per-solve slice of a calibration run, embedded in
@@ -174,6 +192,24 @@ func (l *lineage) list() ([]solveRecord, int64) {
 		out[len(out)-1-i] = r
 	}
 	return out, l.auditErrors
+}
+
+// newest returns the latest retained attempt and the latest one that
+// published a recommendation (SolveID 0 = none yet): the source of the
+// "last solve" metrics. Records land when an attempt finishes — for a
+// published solve, after its post-publish calibration.
+func (l *lineage) newest() (attempt, published solveRecord) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.recs) - 1; i >= 0 && published.SolveID == 0; i-- {
+		if attempt.SolveID == 0 {
+			attempt = l.recs[i]
+		}
+		if l.recs[i].Error == "" {
+			published = l.recs[i]
+		}
+	}
+	return attempt, published
 }
 
 func (l *lineage) close() error {

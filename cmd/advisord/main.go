@@ -49,9 +49,11 @@
 //	advisord -paper-rows 100000 -addr :8080 -k 2 -window 500
 //	advisord -setup schema.sql -table t -addr :8080 -metrics-addr :9090
 //
-// -metrics-addr serves the service gauges (advisord_*) in Prometheus
-// text format plus expvar and pprof; -trace-out writes solver spans as
-// JSONL (flushed on SIGTERM like the other CLIs). See DESIGN.md §13.
+// -metrics-addr serves the service metrics (advisord_*, each declared
+// once in views.go and read from live state at scrape time) in
+// Prometheus text format plus expvar and pprof; -trace-out writes solver
+// spans as JSONL (flushed on SIGTERM like the other CLIs). See DESIGN.md
+// §13.
 package main
 
 import (

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,18 +123,62 @@ func readAuditRecords(t *testing.T, path string) []solveRecord {
 // escaped-quote-aware label values.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*",?)*\})? [^ ]+$`)
 
-// assertPrometheusParses fails if any non-comment line of a text
-// exposition is not a well-formed sample.
-func assertPrometheusParses(t *testing.T, text string) {
+// familyName is what every advisord metric family must be called.
+var familyName = regexp.MustCompile(`^advisord_[a-z0-9_]+$`)
+
+// assertPrometheusParses lints a text exposition and returns its
+// label-free samples by name: every non-comment line is a well-formed
+// sample, every sample belongs to a family that carries both HELP and
+// TYPE, no family is declared twice, names match familyName, and a
+// family is a counter exactly when its name ends in _total.
+func assertPrometheusParses(t *testing.T, text string) map[string]float64 {
 	t.Helper()
+	samples := map[string]float64{}
+	help, kind := map[string]bool{}, map[string]string{}
 	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
+		fields := strings.Fields(line)
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "# HELP ") && len(fields) >= 3:
+			if help[fields[2]] {
+				t.Errorf("family %s has two HELP lines", fields[2])
+			}
+			help[fields[2]] = true
+		case strings.HasPrefix(line, "# TYPE ") && len(fields) == 4:
+			if kind[fields[2]] != "" {
+				t.Errorf("family %s is declared twice", fields[2])
+			}
+			kind[fields[2]] = fields[3]
+		case strings.HasPrefix(line, "#"):
+		case !promLine.MatchString(line):
 			t.Errorf("unparseable exposition line: %q", line)
+		default:
+			name := line[:strings.IndexAny(line, "{ ")]
+			family := name
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(name, suffix); kind[base] == "histogram" {
+					family = base
+				}
+			}
+			if kind[family] == "" || !help[family] {
+				t.Errorf("sample %q: family %s lacks HELP or TYPE (or they follow the sample)", line, family)
+			}
+			if v, err := strconv.ParseFloat(fields[len(fields)-1], 64); err != nil {
+				t.Errorf("sample %q: value does not parse: %v", line, err)
+			} else if name == fields[0] {
+				samples[name] = v
+			}
 		}
 	}
+	for name, k := range kind {
+		if !familyName.MatchString(name) {
+			t.Errorf("family name %q does not match %s", name, familyName)
+		}
+		if strings.HasSuffix(name, "_total") != (k == "counter") {
+			t.Errorf("family %s has TYPE %s: _total names, and only those, are counters", name, k)
+		}
+	}
+	return samples
 }
 
 func getHealthz(t *testing.T, client *http.Client, url string) healthzResponse {

@@ -70,7 +70,7 @@ type VersionedModel interface {
 // modelVersion returns the model's version fingerprint when it exposes
 // one.
 func modelVersion(m CostModel) (uint64, bool) {
-	if vm, ok := m.(VersionedModel); ok {
+	if vm, ok := capability[VersionedModel](m); ok {
 		return vm.ModelVersion(), true
 	}
 	return 0, false

@@ -116,6 +116,27 @@ type BatchCostModel interface {
 	BatchExec(stage int, configs []Config, out []float64) []float64
 }
 
+// capability finds an optional CostModel capability (AdditiveTransModel,
+// InteractionModel, VersionedModel) on m or on a model it decorates: a
+// wrapper that only intercepts evaluations exposes its inner model
+// through Unwrap() CostModel and inherits the inner model's
+// capabilities, instead of re-declaring each one as a forwarding
+// method that the next capability would silently miss.
+func capability[T any](m CostModel) (T, bool) {
+	for m != nil {
+		if t, ok := m.(T); ok {
+			return t, true
+		}
+		w, ok := m.(interface{ Unwrap() CostModel })
+		if !ok {
+			break
+		}
+		m = w.Unwrap()
+	}
+	var none T
+	return none, false
+}
+
 // ChangePolicy selects how design changes are counted against k; see
 // DESIGN.md §3 for why two policies exist.
 type ChangePolicy int

@@ -218,6 +218,39 @@ func (d *layeredDP) backtrack(cfg, layer int) []Config {
 	return designs
 }
 
+// curve reads the run at every change bound in [0, maxK]: element k is
+// the optimal design with at most k changes, nil while no design within
+// the bound exists. Each design is re-priced from the model
+// (epsilon-free), and a bound keeps the previous bound's design unless
+// the DP offers a strictly cheaper one — feasibility nests in k, so the
+// curve never goes up.
+func (d *layeredDP) curve(ctx context.Context, p *Problem, maxK int) ([]*Solution, error) {
+	sols := make([]*Solution, maxK+1)
+	var prev *Solution
+	prevCfg, prevLayer := -1, -1
+	for k := 0; k <= maxK; k++ {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		cfg, layer, ok := d.best(k)
+		if !ok {
+			continue
+		}
+		sol := prev
+		if cfg != prevCfg || layer != prevLayer {
+			sol = p.NewSolution(d.backtrack(cfg, layer))
+		}
+		if prev != nil && prev.Cost <= sol.Cost {
+			sol = prev
+		} else {
+			prevCfg, prevLayer = cfg, layer
+		}
+		prev = sol
+		sols[k] = sol
+	}
+	return sols, nil
+}
+
 // SolveKAware finds the optimal change-constrained dynamic physical
 // design via the paper's k-aware sequence graph (§3): the sequence graph
 // replicated into K+1 layers, where layer l holds the paths that have
@@ -304,36 +337,17 @@ func SweepK(ctx context.Context, p *Problem, maxK int) ([]KSweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]KSweepPoint, 0, maxK+1)
-	var prev *Solution
-	prevCfg, prevLayer := -1, -1
-	for k := 0; k <= maxK; k++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
+	sols, err := d.curve(ctx, p, maxK)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]KSweepPoint, maxK+1)
+	for k, sol := range sols {
+		out[k] = KSweepPoint{K: k}
+		if sol != nil {
+			out[k] = KSweepPoint{K: k, Feasible: true, Cost: sol.Cost,
+				ExecCost: sol.ExecCost, TransCost: sol.TransCost, Changes: sol.Changes}
 		}
-		pt := KSweepPoint{K: k}
-		cfg, layer, ok := d.best(k)
-		if ok {
-			sol := prev
-			if cfg != prevCfg || layer != prevLayer {
-				sol = p.NewSolution(d.backtrack(cfg, layer))
-			}
-			// Keep the previous point's design when the new endpoint is
-			// not a strict improvement on recomputed (epsilon-free) cost:
-			// feasibility nests in K, so the curve never goes up.
-			if prev != nil && prev.Cost <= sol.Cost {
-				sol = prev
-			} else {
-				prevCfg, prevLayer = cfg, layer
-			}
-			pt.Feasible = true
-			pt.Cost = sol.Cost
-			pt.ExecCost = sol.ExecCost
-			pt.TransCost = sol.TransCost
-			pt.Changes = sol.Changes
-			prev = sol
-		}
-		out = append(out, pt)
 	}
 	return out, nil
 }

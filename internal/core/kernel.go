@@ -144,7 +144,7 @@ func resolveKernel(p *Problem, configs []Config) kernelChoice {
 	if p.Kernel == KernelDense {
 		return dense
 	}
-	am, ok := p.Model.(AdditiveTransModel)
+	am, ok := capability[AdditiveTransModel](p.Model)
 	if !ok {
 		return dense
 	}

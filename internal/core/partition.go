@@ -198,11 +198,11 @@ type partitionPlan struct {
 // forces a global first-stage change no per-component budget accounts
 // for.
 func partitionConfigs(p *Problem, configs []Config) *partitionPlan {
-	im, ok := p.Model.(InteractionModel)
+	im, ok := capability[InteractionModel](p.Model)
 	if !ok {
 		return nil
 	}
-	am, ok := p.Model.(AdditiveTransModel)
+	am, ok := capability[AdditiveTransModel](p.Model)
 	if !ok {
 		return nil
 	}
@@ -402,28 +402,15 @@ func exactCurve(ctx context.Context, sub *Problem, k int) ([]componentPoint, err
 	if err != nil {
 		return nil, err
 	}
+	sols, err := d.curve(ctx, sub, k)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]componentPoint, k+1)
-	var prev *Solution
-	prevCfg, prevLayer := -1, -1
-	for l := 0; l <= k; l++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
+	for l, sol := range sols {
+		if sol != nil {
+			points[l] = newComponentPoint(sub, sol)
 		}
-		cfg, layer, ok := d.best(l)
-		if !ok {
-			continue
-		}
-		sol := prev
-		if cfg != prevCfg || layer != prevLayer {
-			sol = sub.NewSolution(d.backtrack(cfg, layer))
-		}
-		if prev != nil && prev.Cost <= sol.Cost {
-			sol = prev
-		} else {
-			prevCfg, prevLayer = cfg, layer
-		}
-		prev = sol
-		points[l] = newComponentPoint(sub, sol)
 	}
 	return points, nil
 }

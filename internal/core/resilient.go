@@ -87,6 +87,11 @@ func (b *budgetModel) BatchExec(stage int, configs []Config, out []float64) []fl
 func (b *budgetModel) Trans(from, to Config) float64 { return b.inner.Trans(from, to) }
 func (b *budgetModel) Size(c Config) float64         { return b.inner.Size(c) }
 
+// Unwrap exposes the budgeted model to capability lookups, so a budget
+// changes how much a rung may ask, never which kernel or factoring it
+// gets.
+func (b *budgetModel) Unwrap() CostModel { return b.inner }
+
 // FailureClass tags why a resilient rung did not answer.
 type FailureClass string
 

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dyndesign/internal/obs"
 )
 
 // faultyModel is a FallibleModel whose EXEC evaluations fail according
@@ -274,3 +277,85 @@ func TestClassifyFailure(t *testing.T) {
 		}
 	}
 }
+
+// kernelSink records the kernel attribute of every layer sweep.
+type kernelSink struct {
+	mu      sync.Mutex
+	kernels map[string]int
+}
+
+func (s *kernelSink) Emit(rec obs.SpanRecord) {
+	if rec.Name != SpanKAwareSweep {
+		return
+	}
+	for _, a := range rec.Attrs {
+		if a.Key == "kernel" {
+			s.mu.Lock()
+			s.kernels[a.StringValue()]++
+			s.mu.Unlock()
+		}
+	}
+}
+
+// TestBudgetKeepsModelCapabilities pins that a what-if budget bounds how
+// much a rung may ask and nothing else: the budget wrapper must not hide
+// the model's AdditiveTransModel / InteractionModel / VersionedModel
+// capabilities, so a budgeted full-lattice solve picks the same kernel
+// as the unbudgeted one and returns bit-identical cost and designs, and
+// a budgeted partitioned solve still factors.
+func TestBudgetKeepsModelCapabilities(t *testing.T) {
+	const stages, groups, bitsPer = 12, 2, 4 // 2^8 lattice: hypercube under KernelAuto
+	m, configs := randomGroupedModel(rand.New(rand.NewSource(77)), stages, groups, bitsPer)
+	solve := func(budget int64, ladder ...Strategy) (*Solution, map[string]int) {
+		t.Helper()
+		sink := &kernelSink{kernels: map[string]int{}}
+		p := &Problem{
+			Stages: stages, Configs: configs, K: 3, Model: m, Parallelism: 1,
+			Metrics: &Metrics{}, Tracer: obs.NewTracer(sink),
+		}
+		res, err := SolveResilient(context.Background(), p, ResilientOptions{Ladder: ladder, MaxWhatIfCalls: budget})
+		if err != nil {
+			t.Fatalf("budget %d, ladder %v: %v", budget, ladder, err)
+		}
+		if res.Degraded {
+			t.Fatalf("budget %d, ladder %v degraded to %s: %+v", budget, ladder, res.Rung, res.Reports)
+		}
+		return res.Solution, sink.kernels
+	}
+	ample := int64(stages * len(configs) * 4)
+
+	free, freeKernels := solve(0, StrategyKAware)
+	capped, cappedKernels := solve(ample, StrategyKAware)
+	if freeKernels["hypercube"] != stages-1 || len(freeKernels) != 1 {
+		t.Fatalf("unbudgeted sweeps by kernel = %v, want %d hypercube", freeKernels, stages-1)
+	}
+	if !reflect.DeepEqual(cappedKernels, freeKernels) {
+		t.Fatalf("budgeted sweeps by kernel = %v, unbudgeted = %v", cappedKernels, freeKernels)
+	}
+	if math.Float64bits(capped.Cost) != math.Float64bits(free.Cost) || !reflect.DeepEqual(capped.Designs, free.Designs) {
+		t.Fatalf("budgeted solve differs: cost %v vs %v\n%v\n%v", capped.Cost, free.Cost, capped.Designs, free.Designs)
+	}
+
+	// Two sweeps per stage transition (one per 4-bit component) is the
+	// signature of a factored solve; 2^8-wide sweeps would mean the
+	// partitioner lost the interaction cliques behind the wrapper.
+	freePart, freePartKernels := solve(0, StrategyPartitioned)
+	part, partKernels := solve(ample, StrategyPartitioned)
+	if n := partKernels["dense"] + partKernels["hypercube"]; n != groups*(stages-1) {
+		t.Fatalf("budgeted partitioned solve ran %d sweeps (%v), want %d (one per component per stage)", n, partKernels, groups*(stages-1))
+	}
+	if !reflect.DeepEqual(partKernels, freePartKernels) || part.Cost != freePart.Cost || !reflect.DeepEqual(part.Designs, freePart.Designs) {
+		t.Fatalf("budgeted partitioned solve differs: %v cost %v vs %v cost %v", partKernels, part.Cost, freePartKernels, freePart.Cost)
+	}
+
+	if v, ok := modelVersion(&budgetModel{inner: m}); ok {
+		t.Fatalf("unversioned model reports version %d through the wrapper", v)
+	}
+	if v, ok := modelVersion(&budgetModel{inner: versionedGrouped{m}}); !ok || v != 42 {
+		t.Fatalf("model version through the wrapper = %d, %v; want 42", v, ok)
+	}
+}
+
+type versionedGrouped struct{ *groupedModel }
+
+func (versionedGrouped) ModelVersion() uint64 { return 42 }

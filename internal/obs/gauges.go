@@ -9,17 +9,43 @@ import (
 	"sync"
 )
 
-// GaugeSet is a small Prometheus gauge registry for point-in-time
-// quantities that are not span durations — the explain layer's
-// cost-of-constraint curve, audit regrets, and attribution totals. It
-// complements the Aggregator (which only sees spans): gauges are set
-// explicitly, keep their last value, and render in the same text
-// exposition the /metrics endpoint serves. Safe for concurrent use.
+// GaugeSet is a small Prometheus registry for point-in-time quantities
+// that are not span durations. It complements the Aggregator (which
+// only sees spans) with two kinds of family, rendered in the same text
+// exposition the /metrics endpoint serves: labelled gauges that are Set
+// explicitly and keep their last value (the explain layer's
+// cost-of-constraint curve, audit regrets, attribution totals), and
+// label-free families declared once with Func and read from their
+// owner at every scrape (advisord's service metrics). Safe for
+// concurrent use.
 type GaugeSet struct {
 	mu     sync.Mutex
 	series map[string]gauge // keyed by name + rendered labels
 	help   map[string]string
-	funcs  map[string]func() float64 // evaluated at scrape time, keyed by name
+	funcs  []funcGroup // evaluated at scrape time, in declaration order
+}
+
+// MetricKind is a family's Prometheus TYPE.
+type MetricKind string
+
+const (
+	// Gauge is a value that can go up and down.
+	Gauge MetricKind = "gauge"
+	// Counter is a value that only grows while the process lives.
+	Counter MetricKind = "counter"
+)
+
+// Family declares one label-free family for Func: its name, the HELP
+// text, and the TYPE it renders as.
+type Family struct {
+	Name, Help string
+	Kind       MetricKind
+}
+
+// funcGroup is one Func declaration: read returns one value per family.
+type funcGroup struct {
+	families []Family
+	read     func() []float64
 }
 
 type gauge struct {
@@ -33,7 +59,6 @@ func NewGaugeSet() *GaugeSet {
 	return &GaugeSet{
 		series: make(map[string]gauge),
 		help:   make(map[string]string),
-		funcs:  make(map[string]func() float64),
 	}
 }
 
@@ -70,23 +95,23 @@ func (g *GaugeSet) Set(name string, value float64, labelPairs ...string) {
 	g.mu.Unlock()
 }
 
-// Func registers a dynamic, label-free gauge evaluated at scrape time —
-// for quantities like the age of the published recommendation, where a
-// Set-at-publish gauge would freeze while the staleness it measures
-// keeps growing. The function must be safe for concurrent calls; it is
-// invoked outside the registry lock, and a NaN return drops the sample
-// from that scrape (the family's HELP/TYPE header is suppressed with
-// it). Registering the same name again replaces the function; a nil
-// GaugeSet drops the registration.
-func (g *GaugeSet) Func(name string, fn func() float64) {
-	if g == nil || fn == nil {
+// Func declares label-free families evaluated at scrape time — for
+// quantities whose owner already holds the current value, where a
+// Set-at-some-moment copy would go stale between those moments (the age
+// of the published recommendation is the extreme case: it changes while
+// nothing happens). Every scrape calls read once and takes element i as
+// the value of families[i], so a group of families shares one snapshot
+// of its source per scrape. read must be safe for concurrent calls; it
+// is invoked outside the registry lock, and a NaN (or missing) element
+// drops that family — HELP and TYPE included — from that scrape.
+// A name is declared once (and not also Set); a nil GaugeSet drops the
+// registration.
+func (g *GaugeSet) Func(families []Family, read func() []float64) {
+	if g == nil || read == nil {
 		return
 	}
 	g.mu.Lock()
-	if g.funcs == nil {
-		g.funcs = make(map[string]func() float64)
-	}
-	g.funcs[name] = fn
+	g.funcs = append(g.funcs, funcGroup{families: families, read: read})
 	g.mu.Unlock()
 }
 
@@ -106,17 +131,19 @@ func (g *GaugeSet) WritePrometheus(w io.Writer) error {
 	for k, v := range g.help {
 		help[k] = v
 	}
-	funcs := make(map[string]func() float64, len(g.funcs))
-	for k, fn := range g.funcs {
-		funcs[k] = fn
-	}
+	funcs := g.funcs // append-only, so the header is a stable view
 	g.mu.Unlock()
-	// Dynamic gauges evaluate outside the lock so a slow or re-entrant
-	// function cannot stall concurrent Sets; NaN means "no sample this
-	// scrape".
-	for name, fn := range funcs {
-		if v := fn(); !math.IsNaN(v) {
-			all = append(all, gauge{name: name, value: v})
+	// Scrape-time families evaluate outside the lock so a slow or
+	// re-entrant read cannot stall concurrent Sets; NaN means "no sample
+	// this scrape".
+	declared := make(map[string]Family)
+	for _, grp := range funcs {
+		vals := grp.read()
+		for i, f := range grp.families {
+			if i < len(vals) && !math.IsNaN(vals[i]) {
+				all = append(all, gauge{name: f.Name, value: vals[i]})
+				declared[f.Name] = f
+			}
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -128,12 +155,16 @@ func (g *GaugeSet) WritePrometheus(w io.Writer) error {
 	lastFamily := ""
 	for _, s := range all {
 		if s.name != lastFamily {
-			if h := help[s.name]; h != "" {
+			h, kind := help[s.name], Gauge
+			if f, ok := declared[s.name]; ok {
+				h, kind = f.Help, f.Kind
+			}
+			if h != "" {
 				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", s.name, escapeHelp(h)); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", s.name); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.name, kind); err != nil {
 				return err
 			}
 			lastFamily = s.name

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -79,13 +80,19 @@ func TestHistogramSetNil(t *testing.T) {
 	}
 }
 
-// TestGaugeSetFunc pins dynamic gauges: evaluated at scrape time, NaN
-// suppressed, re-registration replaces.
+// TestGaugeSetFunc pins scrape-time families: one read per scrape
+// shared by the group, declared HELP and TYPE rendered, NaN suppressed
+// header and all.
 func TestGaugeSetFunc(t *testing.T) {
 	g := NewGaugeSet()
-	g.Help("age_seconds", "Age of the thing.")
-	val := 1.5
-	g.Func("age_seconds", func() float64 { return val })
+	age, reads := 1.5, 0
+	g.Func([]Family{
+		{Name: "age_seconds", Help: "Age of the thing.", Kind: Gauge},
+		{Name: "things_total", Help: "Things seen.", Kind: Counter},
+	}, func() []float64 {
+		reads++
+		return []float64{age, 7}
+	})
 	render := func() string {
 		var buf bytes.Buffer
 		if err := g.WritePrometheus(&buf); err != nil {
@@ -93,23 +100,28 @@ func TestGaugeSetFunc(t *testing.T) {
 		}
 		return buf.String()
 	}
-	if out := render(); !strings.Contains(out, "age_seconds 1.5\n") {
-		t.Errorf("missing func gauge sample:\n%s", out)
+	want := "# HELP age_seconds Age of the thing.\n# TYPE age_seconds gauge\nage_seconds 1.5\n" +
+		"# HELP things_total Things seen.\n# TYPE things_total counter\nthings_total 7\n"
+	if out := render(); out != want {
+		t.Errorf("func families rendered:\n%s\nwant:\n%s", out, want)
 	}
-	val = 2.5
+	if reads != 1 {
+		t.Errorf("one scrape read the group %d times, want 1", reads)
+	}
+	age = 2.5
 	if out := render(); !strings.Contains(out, "age_seconds 2.5\n") {
 		t.Errorf("func gauge not re-evaluated:\n%s", out)
 	}
-	val = math.NaN()
-	if out := render(); strings.Contains(out, "age_seconds") {
-		t.Errorf("NaN func gauge should be suppressed entirely:\n%s", out)
+	age = math.NaN()
+	if out := render(); strings.Contains(out, "age_seconds") || !strings.Contains(out, "things_total 7\n") {
+		t.Errorf("NaN should suppress age_seconds entirely and nothing else:\n%s", out)
 	}
-	// Nil-set and nil-func registrations are dropped silently.
+	// Nil-set and nil-read registrations are dropped silently.
 	var nilG *GaugeSet
-	nilG.Func("x", func() float64 { return 1 })
-	g.Func("x", nil)
+	nilG.Func([]Family{{Name: "x"}}, func() []float64 { return []float64{1} })
+	g.Func([]Family{{Name: "x"}}, nil)
 	if out := render(); strings.Contains(out, "\nx ") {
-		t.Errorf("nil func registered:\n%s", out)
+		t.Errorf("nil read registered:\n%s", out)
 	}
 }
 
@@ -148,7 +160,7 @@ func TestPrometheusEscaping(t *testing.T) {
 	}
 }
 
-// TestGaugeSetConcurrentScrape races Set/Func registration against
+// TestGaugeSetConcurrentScrape races Set and Func registration against
 // WritePrometheus; under -race this proves the registry is data-race
 // free, and every mid-flight scrape must still parse.
 func TestGaugeSetConcurrentScrape(t *testing.T) {
@@ -160,6 +172,9 @@ func TestGaugeSetConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var n atomic.Int64
+			g.Func([]Family{{Name: "racy_func_" + string(rune('a'+w)), Kind: Counter}},
+				func() []float64 { return []float64{float64(n.Load())} })
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -167,7 +182,7 @@ func TestGaugeSetConcurrentScrape(t *testing.T) {
 				default:
 				}
 				g.Set("racy_metric", float64(i), "worker", string(rune('a'+w)))
-				g.Func("racy_func", func() float64 { return float64(i) })
+				n.Add(1)
 			}
 		}(w)
 	}
