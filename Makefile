@@ -6,7 +6,7 @@ GO ?= go
 # fails.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build vet test race bench bench-check bench-e2e cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
+.PHONY: all build vet test race bench bench-check bench-e2e bench-pair cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
 
 all: tier1
 
@@ -49,6 +49,20 @@ bench-check:
 bench-e2e:
 	$(GO) run ./bench/e2e -seconds 3
 
+# bench-pair measures a performance claim: PAIRS alternating runs of
+# the repo benchmark on the parent commit REF and on the change (the
+# working tree, or HEAD when it is clean), each side built in a
+# throw-away git worktree; per gated metric it prints medians, quartiles,
+# the ratio and the pairs won, and with POINT=bench/history/<nnnn-name>.json
+# appends that point to the committed series (bench/history/README.md).
+# Ten pairs of all four workloads take about an hour.
+#   make bench-pair REF=<parent> WORKLOAD=<name|all> PAIRS=10 [POINT=...]
+REF ?= HEAD~1
+WORKLOAD ?= all
+PAIRS ?= 10
+bench-pair:
+	scripts/benchpair.sh $(REF) $(WORKLOAD) $(PAIRS) $(POINT)
+
 # cover-check enforces the coverage floor on the solver layer.
 cover-check:
 	$(GO) test -coverprofile=cover.out ./internal/core/
@@ -71,14 +85,16 @@ chaos:
 # must agree on feasibility and cost (kernel_test.go), and the
 # partitioned solver must stay within its reported optimality gap of
 # the monolithic exact solve — bit-identical when the gap is zero
-# (partition_test.go), and batched plan-table costing must be bitwise
-# identical to the scalar what-if coster on every configuration
-# (plan_test.go). CI runs this as a smoke test; longer local campaigns
-# just raise -fuzztime.
+# (partition_test.go), batched plan-table costing must be bitwise
+# identical to the scalar what-if coster on every configuration, and a
+# cost row filled by the statement-major row kernel bitwise identical to
+# both over arbitrary candidate lists (plan_test.go). CI runs this as a
+# smoke test; longer local campaigns just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
+	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve

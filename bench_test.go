@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"dyndesign/internal/advisor"
+	"dyndesign/internal/catalog"
 	"dyndesign/internal/core"
+	"dyndesign/internal/cost"
 	"dyndesign/internal/experiments"
 	"dyndesign/internal/workload"
 )
@@ -292,6 +294,59 @@ func BenchmarkMatrixBuildSerial(b *testing.B) { benchMatrixBuild(b, 1) }
 // against BenchmarkMatrixBuildSerial for the costing-layer speedup
 // (≈linear until the validation pass and memory bandwidth dominate).
 func BenchmarkMatrixBuildParallel(b *testing.B) { benchMatrixBuild(b, 0) }
+
+// BenchmarkExecRowFill times the fill of one EXEC row at the
+// solve_lattice shape — 50 compiled statements over the full 2¹⁰ lattice
+// of ten candidate indexes, 51 200 what-if cells — by the statement-major
+// row kernel every row goes through, and by the per-cell PlanTable.Cost
+// sum that defines its result.
+func BenchmarkExecRowFill(b *testing.B) {
+	t2 := getFixture(b)
+	tp, err := t2.DB.TablePhys(workload.PaperTable)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var phys []cost.IndexPhys
+	for _, cols := range [][]string{
+		{"a"}, {"b"}, {"c"}, {"d"}, {"a", "b"}, {"c", "d"}, {"b", "a"}, {"d", "c"}, {"a", "c"}, {"b", "d"},
+	} {
+		ip, err := cost.HypotheticalIndex(catalog.IndexDef{Table: workload.PaperTable, Columns: cols}, tp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		phys = append(phys, ip)
+	}
+	tables := make([]*cost.PlanTable, 50)
+	for i := range tables {
+		if tables[i], err = cost.CompilePlan(t2.W1.Statements[i].Stmt, tp, phys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	configs := make([]core.Config, 1<<len(phys))
+	for c := range configs {
+		configs[c] = core.Config(c)
+	}
+	row := make([]float64, len(configs))
+	b.Run("kernel", func(b *testing.B) {
+		kernel := cost.NewRowKernel(configs)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kernel.Fill(tables, row)
+		}
+	})
+	b.Run("percell", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, c := range configs {
+				total := 0.0
+				for _, pt := range tables {
+					total += pt.Cost(uint64(c))
+				}
+				row[j] = total
+			}
+		}
+	})
+}
 
 // BenchmarkRecommendConcurrent drives the whole advisor pipeline from
 // several goroutines at once — the "shared advisor under heavy traffic"

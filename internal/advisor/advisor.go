@@ -369,7 +369,8 @@ func (m *whatIfModel) compile(stage int, r *execRow) ([]*cost.PlanTable, error) 
 
 // sumTables is EXEC(segment, c) over compiled plan tables: the
 // statement costs accumulated in statement order, bit-identical to
-// summing cost.StatementCost per the PlanTable contract.
+// summing cost.StatementCost per the PlanTable contract — the scalar
+// definition of the cell cost.RowKernel fills rows of.
 func sumTables(tables []*cost.PlanTable, c core.Config) float64 {
 	total := 0.0
 	for _, pt := range tables {
@@ -420,54 +421,44 @@ func (m *whatIfModel) Exec(stage int, c core.Config) float64 {
 }
 
 // BatchExec implements core.BatchCostModel with one row-store access
-// per stage. Over the problem's candidate list a filled row is copied
-// into out; an empty one is compiled, costed cell by cell in the scalar
-// float op order, and stored — under the row's lock, so a stage with
-// the same content waits and then copies. Any other list (a
-// partitioned component's projection, a space-bound filter of explicit
-// candidates) reads the cells the row holds and sums the plan tables
-// for the rest, storing nothing.
-func (m *whatIfModel) BatchExec(stage int, configs []core.Config, out []float64) []float64 {
-	if cap(out) < len(configs) {
-		out = make([]float64, len(configs))
-	}
-	out = out[:len(configs)]
-	m.batchedLookups.Add(int64(len(configs)))
+// per stage. The result is always a slice the model owns — out is never
+// written, so a caller recycling an earlier result as out cannot clobber
+// a stored row. Over the store's candidate list a filled row is
+// returned by reference; an empty one is compiled, filled by the
+// layout's row kernel, published as the stage's row, and returned —
+// under the row's lock, so a stage with the same content waits and then
+// shares it. Any other list (a partitioned component's projection) is
+// filled by a kernel of its own and stores nothing.
+func (m *whatIfModel) BatchExec(stage int, configs []core.Config, _ []float64) []float64 {
+	n := len(configs)
+	m.batchedLookups.Add(int64(n))
 	whole := slices.Equal(configs, m.layout.configs)
 	r := m.rows[stage]
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if whole && r.costs != nil {
-		copy(out, r.costs)
-		m.noteProbe(len(configs), len(configs))
-		return out
+		m.noteProbe(n, n)
+		return r.costs
 	}
-	// A filled row implies compiled tables, so compiling up front costs
-	// nothing unless some cell needs it.
+	m.noteProbe(n, 0)
+	m.whatIfCalls.Add(int64(n) * int64(len(m.segs[stage].Statements)))
+	out := make([]float64, n)
 	tables, err := m.compile(stage, r)
 	if err != nil {
 		m.recordErr(err)
-	}
-	hits := 0
-	for j, c := range configs {
-		if r.costs != nil {
-			if i, ok := m.layout.index[c]; ok {
-				out[j] = r.costs[i]
-				hits++
-				continue
-			}
-		}
-		if err != nil {
+		for j := range out {
 			out[j] = math.Inf(1)
-			continue
 		}
-		out[j] = sumTables(tables, c)
+		return out
 	}
-	if whole && err == nil {
-		r.costs = slices.Clone(out)
+	kernel := m.layout.kernel
+	if !whole {
+		kernel = cost.NewRowKernel(configs)
 	}
-	m.noteProbe(len(configs), hits)
-	m.whatIfCalls.Add(int64(len(configs)-hits) * int64(len(m.segs[stage].Statements)))
+	kernel.Fill(tables, out)
+	if whole {
+		r.costs = out
+	}
 	return out
 }
 
@@ -597,26 +588,42 @@ func (m *whatIfModel) attach(configs []core.Config) {
 	m.layout, m.rows = m.memo.attach(world, configs, segHash)
 }
 
+// validate checks the statements of every stage whose store row holds
+// no plan tables; a row with tables was compiled from this very content
+// under the pinned cost world, which validated each statement (cost
+// errors are schema/type errors, configuration-independent). A slide
+// therefore validates the entering segment, not the window.
+func (m *whatIfModel) validate() error {
+	for i, seg := range m.segs {
+		r := m.rows[i]
+		r.mu.Lock()
+		compiled := r.tables != nil
+		r.mu.Unlock()
+		if compiled {
+			continue
+		}
+		for j, s := range seg.Statements {
+			switch s.Stmt.(type) {
+			case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
+				if _, err := cost.StatementCost(s.Stmt, m.table, nil); err != nil {
+					return fmt.Errorf("advisor: statement %d (%q): %w", seg.Start+j, s.SQL, err)
+				}
+			default:
+				return fmt.Errorf("advisor: statement %d (%q) is not a workload statement", seg.Start+j, s.SQL)
+			}
+		}
+	}
+	return nil
+}
+
 // Problem assembles the core problem instance for a workload under the
-// given options. It validates every statement against the schema up
-// front.
+// given options. It validates the statements against the schema up
+// front (see whatIfModel.validate).
 func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, _ []workload.Segment, err error) {
 	sp := opts.Tracer.Start("advisor.problem")
 	defer func() { sp.End(obs.Int("statements", int64(w.Len())), obs.Bool("ok", err == nil)) }()
 	if w.Len() == 0 {
 		return nil, nil, fmt.Errorf("advisor: empty workload")
-	}
-	// Validate statements once: cost errors are schema/type errors and
-	// configuration-independent.
-	for i, s := range w.Statements {
-		switch s.Stmt.(type) {
-		case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
-			if _, err := cost.StatementCost(s.Stmt, a.table, nil); err != nil {
-				return nil, nil, fmt.Errorf("advisor: statement %d (%q): %w", i, s.SQL, err)
-			}
-		default:
-			return nil, nil, fmt.Errorf("advisor: statement %d (%q) is not a workload statement", i, s.SQL)
-		}
 	}
 	segSize := opts.SegmentSize
 	if segSize <= 0 {
@@ -636,7 +643,18 @@ func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, 
 			return nil, nil, err
 		}
 	}
-	model.attach(configs)
+	// Rows are dense over the list the solvers ask for — core's usable
+	// list, which filters explicit candidates by the space bound.
+	pinned := configs
+	if a.space.Configs != nil && opts.SpaceBound > 0 {
+		pinned = slices.DeleteFunc(slices.Clone(configs), func(c core.Config) bool {
+			return !(model.Size(c) <= opts.SpaceBound)
+		})
+	}
+	model.attach(pinned)
+	if err := model.validate(); err != nil {
+		return nil, nil, err
+	}
 	cache := opts.Cache
 	if cache == nil {
 		cache = core.NewSolveCache()

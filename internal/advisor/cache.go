@@ -13,9 +13,11 @@ import (
 // execRow is one store entry: everything EXEC(segment, ·) needs for one
 // segment content — the compiled per-statement plan tables and the
 // dense cost row over the store's candidate list. mu guards tables and
-// costs; both are written once and immutable afterwards. A compile
-// failure leaves tables nil, so a healthy retry recompiles instead of
-// replaying a dead error.
+// costs; both are written once and immutable afterwards — BatchExec
+// hands costs out by reference, so solver matrices alias it and
+// eviction only drops the store's own reference. A compile failure
+// leaves tables nil, so a healthy retry recompiles instead of replaying
+// a dead error.
 type execRow struct {
 	mu     sync.Mutex
 	tables []*cost.PlanTable
@@ -29,11 +31,14 @@ type execRow struct {
 }
 
 // rowLayout is the candidate list every row of a store is dense over,
-// with the position of each configuration in it. Immutable once built:
-// a change of candidate list builds a new layout (and purges the rows).
+// with the position of each configuration in it and the row kernel
+// whose side tables serve the list under the store's one cost world.
+// Immutable once built: a change of candidate list or cost world builds
+// a new layout (and purges the rows).
 type rowLayout struct {
 	configs []core.Config
 	index   map[core.Config]int32
+	kernel  *cost.RowKernel[core.Config]
 }
 
 func newRowLayout(configs []core.Config) *rowLayout {
@@ -41,6 +46,7 @@ func newRowLayout(configs []core.Config) *rowLayout {
 	for j, c := range l.configs {
 		l.index[c] = int32(j)
 	}
+	l.kernel = cost.NewRowKernel(l.configs)
 	return l
 }
 

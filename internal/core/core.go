@@ -109,10 +109,16 @@ type CostModel interface {
 type BatchCostModel interface {
 	CostModel
 	// BatchExec evaluates EXEC(stage, c) for every configuration in
-	// configs, writing into out when it has sufficient capacity
-	// (allocating otherwise) and returning the filled slice. Results
-	// must be bit-for-bit identical to per-call Exec — solvers cache,
-	// replay, and memoize batched and scalar values interchangeably.
+	// configs and returns the values in list order. Results must be
+	// bit-for-bit identical to per-call Exec — solvers cache, replay,
+	// and memoize batched and scalar values interchangeably.
+	//
+	// out is optional scratch: a model may fill and return it when it
+	// has sufficient capacity, allocate otherwise, or return storage it
+	// owns (a retained row). The result is therefore read-only to the
+	// caller and must stay unchanged for as long as the caller holds it;
+	// the matrix build passes nil and keeps the result as the stage's
+	// row, so a model must not return one buffer for two calls.
 	BatchExec(stage int, configs []Config, out []float64) []float64
 }
 

@@ -371,32 +371,26 @@ func (k *hyperKernel) sweep(src []float64, scr *latticeScratch, reverse bool) {
 	if reverse {
 		stripPrice, addPrice = k.addL, k.drpL
 	}
-	size := k.size
-	for b := 0; b < k.nbits; b++ {
-		bit := 1 << uint(b)
-		price := stripPrice[b]
-		for x := bit; x < size; x++ {
-			if x&bit == 0 {
-				continue
+	// One pass per structure over the lattice as pair blocks: cells
+	// [blk, blk+bit) lack the structure, [blk+bit, blk+2·bit) hold it, and
+	// cell lo pairs with lo+bit. A strip pass reads the upper half and
+	// writes the lower, an add pass the reverse — disjoint cells, so the
+	// order within a pass is immaterial.
+	for pass, prices := range [2][]float64{stripPrice, addPrice} {
+		for b, price := range prices {
+			bit := 1 << uint(b)
+			from, to := bit, 0
+			if pass == 1 {
+				from, to = 0, bit
 			}
-			y := x &^ bit
-			if v := val[x] + price; v < val[y] {
-				val[y] = v
-				org[y] = org[x]
-			}
-		}
-	}
-	for b := 0; b < k.nbits; b++ {
-		bit := 1 << uint(b)
-		price := addPrice[b]
-		for x := 0; x < size; x++ {
-			if x&bit != 0 {
-				continue
-			}
-			y := x | bit
-			if v := val[x] + price; v < val[y] {
-				val[y] = v
-				org[y] = org[x]
+			for blk := 0; blk < k.size; blk += 2 * bit {
+				for lo := blk; lo < blk+bit; lo++ {
+					x, y := lo+from, lo+to
+					if v := val[x] + price; v < val[y] {
+						val[y] = v
+						org[y] = org[x]
+					}
+				}
 			}
 		}
 	}

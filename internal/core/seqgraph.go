@@ -23,7 +23,9 @@ const changeEpsilon = 1e-9
 type matrices struct {
 	configs []Config
 	index   map[Config]int32 // configuration -> row/column index
-	exec    [][]float64      // [stage][cfg], verbatim model EXEC
+	// exec[stage][cfg] is the verbatim model EXEC; rows are read-only,
+	// they may be the model's own storage (BatchCostModel).
+	exec [][]float64
 	// trans holds the raw model TRANS values (diagonal 0). Kernels add
 	// the changeEpsilon tie-break at use time — fl(raw + ε) is bit for
 	// bit the value the table used to bake in — which keeps the cells
@@ -86,15 +88,17 @@ func (p *Problem) buildMatrices(ctx context.Context, configs []Config, needTrans
 		if traced {
 			rowSpan = p.Tracer.Start(SpanMatrixExecStage)
 		}
-		row := make([]float64, len(configs))
 		if batched {
-			row = bm.BatchExec(i, configs, row)
+			// The model's slice is the row — possibly its own storage,
+			// shared by reference (see BatchCostModel).
+			m.exec[i] = bm.BatchExec(i, configs, nil)
 		} else {
+			row := make([]float64, len(configs))
 			for j, c := range configs {
 				row[j] = p.Model.Exec(i, c)
 			}
+			m.exec[i] = row
 		}
-		m.exec[i] = row
 		if traced {
 			rowSpan.End(obs.Int("stage", int64(i)))
 		}

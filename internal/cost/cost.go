@@ -591,7 +591,7 @@ func StatementCost(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (float6
 		for i := range indexes {
 			perRow += 2 * (indexes[i].Height + 1) // delete + insert entries
 		}
-		return base + rows*perRow, nil
+		return base + float64(rows*perRow), nil
 	case *sql.Delete:
 		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
 		base, err := SelectCost(probe, t, indexes)
@@ -603,7 +603,7 @@ func StatementCost(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (float6
 		for i := range indexes {
 			perRow += indexes[i].Height + 1
 		}
-		return base + rows*perRow, nil
+		return base + float64(rows*perRow), nil
 	default:
 		return 0, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
 	}

@@ -228,16 +228,19 @@ func (pt *PlanTable) perRow(c uint64) float64 {
 
 // Cost returns EXEC(statement, c) for the configuration whose bit i
 // selects candidate index i — bit-identical to StatementCost over the
-// corresponding index slice.
+// corresponding index slice. The explicit float64 around the product
+// rounds it before any enclosing add, here and wherever the same value
+// is computed (StatementCost, RowKernel): without it a compiler may fuse
+// the two (arm64 FMA) in one place and not another.
 func (pt *PlanTable) Cost(c uint64) float64 {
 	c &= pt.allMask
 	switch pt.kind {
 	case planSelect:
 		return pt.searchCost(c)
 	case planInsert:
-		return pt.rows * pt.perRow(c)
+		return float64(pt.rows * pt.perRow(c))
 	default: // planUpdate, planDelete
-		return pt.searchCost(c) + pt.rows*pt.perRow(c)
+		return pt.searchCost(c) + float64(pt.rows*pt.perRow(c))
 	}
 }
 

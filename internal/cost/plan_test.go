@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"dyndesign/internal/catalog"
@@ -216,6 +217,165 @@ func FuzzBatchCostEquivalence(f *testing.F) {
 func TestPlanTableMatchesStatementCostSeeds(t *testing.T) {
 	for s := uint64(0); s < 50; s++ {
 		checkSeed(t, s)
+	}
+}
+
+// checkRowKernelSeed is the body of the row-kernel fuzzer: for one random
+// world, statement list, and candidate list it asserts that a row filled
+// by RowKernel is bit-for-bit the per-cell sum of PlanTable.Cost and the
+// per-cell sum of scalar StatementCost, both accumulated in statement
+// order from 0. The candidate lists are arbitrary — unordered, with
+// duplicates, the empty and the full configuration, and bits beyond the
+// index list — and every fourth seed uses an index list that gives point
+// queries a clique wider than maxProjBits (no projection table). Four
+// goroutines sharing one fresh kernel must reproduce the serial rows.
+func checkRowKernelSeed(t *testing.T, seed uint64) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	tp := synthTable(t, rng)
+	var idx []IndexPhys
+	if seed%4 == 3 {
+		wide, err := HypotheticalIndex(catalog.IndexDef{Table: "t", Columns: []string{"a"}}, tp)
+		if err != nil {
+			t.Fatalf("hypothetical index: %v", err)
+		}
+		for i := 0; i < maxProjBits+2; i++ {
+			idx = append(idx, wide)
+		}
+	} else {
+		idx = synthIndexes(t, rng, tp, 1+rng.Intn(6))
+	}
+	all := uint64(1)<<uint(len(idx)) - 1
+
+	// Every statement kind, a search no index can win, and a point query
+	// on the wide clique's column, between random statements.
+	texts := []string{
+		"SELECT * FROM t",
+		"SELECT a FROM t WHERE a = 100",
+		"INSERT INTO t VALUES (1, 2, 3, 4)",
+		"UPDATE t SET b = 7 WHERE a = 100",
+		"DELETE FROM t WHERE a < 50",
+	}
+	for n := rng.Intn(8); n > 0; n-- {
+		texts = append(texts, synthStatement(rng))
+	}
+	rng.Shuffle(len(texts), func(i, j int) { texts[i], texts[j] = texts[j], texts[i] })
+	var stmts []sql.Statement
+	var tables []*PlanTable
+	compiled := texts[:0]
+	for _, text := range texts {
+		stmt, err := sql.Parse(text)
+		if err != nil {
+			t.Fatalf("seed %d: generated unparseable SQL %q: %v", seed, text, err)
+		}
+		pt, perr := CompilePlan(stmt, tp, idx)
+		if perr != nil {
+			if _, serr := StatementCost(stmt, tp, nil); serr == nil {
+				t.Fatalf("seed %d: CompilePlan failed (%v) but StatementCost succeeded for %q", seed, perr, text)
+			}
+			continue
+		}
+		compiled = append(compiled, text)
+		stmts = append(stmts, stmt)
+		tables = append(tables, pt)
+	}
+
+	configs := []uint64{0, all, all | 1<<40}
+	if len(idx) <= 6 && rng.Intn(2) == 0 {
+		for c := uint64(0); c <= all; c++ {
+			configs = append(configs, c)
+		}
+	}
+	for n := 1 + rng.Intn(40); n > 0; n-- {
+		configs = append(configs, rng.Uint64()&all)
+	}
+	configs = append(configs, configs[rng.Intn(len(configs))])
+	rng.Shuffle(len(configs), func(i, j int) { configs[i], configs[j] = configs[j], configs[i] })
+
+	// suffix[g] is the oracle row over tables[g:]: per cell, PlanTable.Cost
+	// summed in order — checked against the scalar coster for g == 0.
+	const workers = 4
+	suffix := make([][]float64, workers)
+	subset := make([]IndexPhys, 0, len(idx))
+	for g := range suffix {
+		from := min(g, len(tables))
+		suffix[g] = make([]float64, len(configs))
+		for j, c := range configs {
+			subset = subset[:0]
+			for i := range idx {
+				if c&(1<<uint(i)) != 0 {
+					subset = append(subset, idx[i])
+				}
+			}
+			perCell, scalar := 0.0, 0.0
+			for i := from; i < len(tables); i++ {
+				perCell += tables[i].Cost(c)
+				v, err := StatementCost(stmts[i], tp, subset)
+				if err != nil {
+					t.Fatalf("seed %d: StatementCost(%q, %b): %v", seed, compiled[i], c, err)
+				}
+				scalar += v
+			}
+			if math.Float64bits(perCell) != math.Float64bits(scalar) {
+				t.Fatalf("seed %d config %b: per-cell plan tables %v != scalar %v", seed, c, perCell, scalar)
+			}
+			suffix[g][j] = perCell
+		}
+	}
+
+	fill := func(k *RowKernel[uint64], g int) []float64 {
+		out := make([]float64, len(configs))
+		for j := range out {
+			out[j] = math.NaN() // Fill must not depend on out's contents
+		}
+		k.Fill(tables[min(g, len(tables)):], out)
+		return out
+	}
+	compare := func(how string, g int, got []float64) {
+		for j, c := range configs {
+			if math.Float64bits(got[j]) != math.Float64bits(suffix[g][j]) {
+				t.Errorf("seed %d %s tables[%d:] config %b: row kernel %v (bits %x) != per-cell %v (bits %x)",
+					seed, how, g, c, got[j], math.Float64bits(got[j]), suffix[g][j], math.Float64bits(suffix[g][j]))
+				return
+			}
+		}
+	}
+	serial := NewRowKernel(configs)
+	for g := 0; g < workers; g++ {
+		compare("serial", g, fill(serial, g))
+	}
+	shared := NewRowKernel(configs)
+	rows := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rows[g] = fill(shared, g)
+		}(g)
+	}
+	wg.Wait()
+	for g, row := range rows {
+		compare("concurrent", g, row)
+	}
+}
+
+// FuzzRowKernelEquivalence pins the row kernel to the per-cell
+// definition it replaces: row kernel ≡ PlanTable.Cost ≡ StatementCost,
+// bitwise, over random candidate lists.
+func FuzzRowKernelEquivalence(f *testing.F) {
+	for s := uint64(0); s < 8; s++ {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		checkRowKernelSeed(t, seed)
+	})
+}
+
+// TestRowKernelMatchesPerCellSeeds runs the row-kernel fuzz body over a
+// fixed seed sweep under plain `go test` (and -race).
+func TestRowKernelMatchesPerCellSeeds(t *testing.T) {
+	for s := uint64(0); s < 60; s++ {
+		checkRowKernelSeed(t, s)
 	}
 }
 
