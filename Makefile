@@ -52,7 +52,7 @@ bench-e2e:
 # bench-pair measures a performance claim: PAIRS alternating runs of
 # the repo benchmark on the parent commit REF and on the change (the
 # working tree, or HEAD when it is clean), each side built in a
-# throw-away git worktree; per gated metric it prints medians, quartiles,
+# throw-away git archive copy; per gated metric it prints medians, quartiles,
 # the ratio and the pairs won, and with POINT=bench/history/<nnnn-name>.json
 # appends that point to the committed series (bench/history/README.md).
 # Ten pairs of all four workloads take about an hour.
@@ -79,7 +79,7 @@ cover-check:
 chaos:
 	$(GO) test -race -run TestResilientSolveUnderChaos -v ./internal/chaos/
 
-# fuzz-smoke runs the solver fuzzers briefly (one go test run per
+# fuzz-smoke runs the fuzzers briefly (one go test run per
 # fuzzer — the tool accepts a single -fuzz pattern at a time): random
 # problems solved with both the dense and hypercube transition kernels
 # must agree on feasibility and cost (kernel_test.go), and the
@@ -88,13 +88,19 @@ chaos:
 # (partition_test.go), batched plan-table costing must be bitwise
 # identical to the scalar what-if coster on every configuration, and a
 # cost row filled by the statement-major row kernel bitwise identical to
-# both over arbitrary candidate lists (plan_test.go). CI runs this as a
+# both over arbitrary candidate lists (plan_test.go); and the readers of
+# on-disk bytes — WAL/snapshot frames and the snapshot inside one — must
+# answer arbitrary input with an error or a value that re-encodes to
+# bytes they accept, without panicking or allocating what a length field
+# merely promises (internal/durable/fuzz_test.go). CI runs this as a
 # smoke test; longer local campaigns just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
+	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/durable/
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/durable/
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve

@@ -59,10 +59,19 @@ type solveRecord struct {
 	// Error is set on failed attempts; outcome and stats are then zero.
 	Error string `json:"error,omitempty"`
 
-	// Calibration summarizes the post-publish measured-vs-estimated
-	// replay of this recommendation; nil when calibration is disabled
-	// or the replay itself failed.
+	// Calibration summarizes the measured-vs-estimated replay of this
+	// recommendation. The replay runs after the record has landed, so the
+	// summary arrives late (lineage.amend); it stays nil when calibration
+	// is disabled, the replay failed, or a newer publish superseded the
+	// replay before it started.
 	Calibration *calibSummary `json:"calibration,omitempty"`
+}
+
+// calibFollowUp is the audit line a finished replay appends: the solve's
+// own line was written at publication and is never rewritten.
+type calibFollowUp struct {
+	SolveID     uint64        `json:"solve_id"`
+	Calibration *calibSummary `json:"calibration"`
 }
 
 // solveOutcome is what a solve answered and solveStats what the answer
@@ -123,8 +132,9 @@ func summarizeCalibration(rep *calib.RunReport) *calibSummary {
 
 // lineage is the solve history: a bounded ring for GET /solves plus an
 // optional append-only JSONL audit file that survives the ring (and the
-// process). Records arrive from the single solver goroutine; readers
-// are arbitrary HTTP goroutines, hence the mutex.
+// process). Records arrive from the single solver goroutine, amendments
+// from the calibrator; readers are arbitrary HTTP goroutines, hence the
+// mutex.
 type lineage struct {
 	mu     sync.Mutex
 	nextID uint64
@@ -168,10 +178,31 @@ func (l *lineage) record(rec solveRecord) {
 	if len(l.recs) > lineageCap {
 		l.recs = l.recs[len(l.recs)-lineageCap:]
 	}
+	l.appendAudit(rec)
+}
+
+// amend attaches a finished replay's summary to solve id's ring entry,
+// if the ring still retains it, and appends one follow-up line to the
+// audit log.
+func (l *lineage) amend(id uint64, cal *calibSummary) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.recs) - 1; i >= 0; i-- {
+		if l.recs[i].SolveID == id {
+			l.recs[i].Calibration = cal
+			break
+		}
+	}
+	l.appendAudit(calibFollowUp{SolveID: id, Calibration: cal})
+}
+
+// appendAudit writes one JSON line to the audit file; without one (none
+// configured, or already closed) it does nothing. Called with mu held.
+func (l *lineage) appendAudit(v any) {
 	if l.audit == nil {
 		return
 	}
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(v)
 	if err == nil {
 		line = append(line, '\n')
 		_, err = l.audit.Write(line)
@@ -196,8 +227,8 @@ func (l *lineage) list() ([]solveRecord, int64) {
 
 // newest returns the latest retained attempt and the latest one that
 // published a recommendation (SolveID 0 = none yet): the source of the
-// "last solve" metrics. Records land when an attempt finishes — for a
-// published solve, after its post-publish calibration.
+// "last solve" metrics. A record lands when its attempt finishes — for a
+// published solve, at publication.
 func (l *lineage) newest() (attempt, published solveRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

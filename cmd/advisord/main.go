@@ -13,15 +13,18 @@
 //	GET  /calibration     streaming cost-model calibration report (estimate vs measured)
 //	GET  /healthz         ingest/solve counters, memo occupancy, and WAL/recovery state
 //
-// After every published solve the service replays -calib-samples window
+// After a published solve the service replays -calib-samples window
 // statements against the engine under the recommended design, pairing
 // each measured page-access count with the what-if estimate that
-// justified the recommendation. The streaming error statistics (bias,
-// ratio quantiles, drift trend) feed GET /calibration and the
-// advisord_calib_* gauges; each solve's lineage record — trigger,
-// window slice, WAL cursor, ladder rung, cache warmth, calibration
-// summary — lands in GET /solves and, with -data-dir, in an append-only
-// solves.jsonl audit log. See DESIGN.md §16.
+// justified the recommendation. The replay runs on its own goroutine,
+// one at a time, after the solve has answered; when solves outpace it
+// only the newest waiting publish is replayed. The streaming error
+// statistics (bias, ratio quantiles, drift trend) feed GET /calibration
+// and the advisord_calib_* gauges; each solve's lineage record —
+// trigger, window slice, WAL cursor, ladder rung, cache warmth — lands
+// in GET /solves and, with -data-dir, in an append-only solves.jsonl
+// audit log at publication, and gains its calibration summary (a
+// follow-up line in the log) when the replay finishes. See DESIGN.md §16.
 //
 // With -data-dir the service is crash-safe: every accepted statement is
 // appended to a CRC-framed, fsync-batched write-ahead log BEFORE the
@@ -202,9 +205,10 @@ func run(ctx context.Context) error {
 
 	// The solver gets its own context so shutdown can order things
 	// deterministically: drain HTTP, cancel any in-flight solve, wait
-	// for the solver goroutine to exit, and only then write the final
-	// snapshot and release the data dir (svc.close). A snapshot can
-	// therefore never race a publishing solve.
+	// for the solver goroutine to exit, and only then svc.close: cancel
+	// the calibrator and wait for it, write the final snapshot, release
+	// the data dir. A snapshot can therefore never race a publishing
+	// solve, and a replay never outlives the files its outcome lands in.
 	solverCtx, cancelSolver := context.WithCancel(context.Background())
 	defer cancelSolver()
 	solverDone := make(chan struct{})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -67,9 +68,10 @@ type serviceConfig struct {
 	// the live engine after every published solve, pairing measured page
 	// accesses with the what-if estimates that justified the
 	// recommendation (0 = calibration off; the solve path then runs
-	// byte-for-byte as before). Calibration runs strictly after the
-	// recommendation is published, on the solver goroutine, so it delays
-	// the next solve but never the current answer.
+	// byte-for-byte as before). The replay runs on the calibrator
+	// goroutine, after the solve has published, recorded its lineage and
+	// returned, so it delays neither this answer nor the next solve; when
+	// solves outpace replays only the newest waiting publish is replayed.
 	CalibSamples int
 	// CalibSeed drives the deterministic calibration sampling.
 	CalibSeed int64
@@ -113,8 +115,10 @@ func (sn *snapshot) serve(w http.ResponseWriter) {
 // and serialize window mutation behind mu (the alerter serializes
 // itself inside alerter.Stream). Solves run on exactly ONE goroutine —
 // the run loop draining the trigger channel — which is what the shared
-// memo requires; installed and lkg are touched only there. Readers
-// never block on either: they load the atomic snapshot.
+// memo requires; installed and lkg are touched only there. Calibration
+// replays run on one more goroutine, the calibrator, which alone touches
+// the engine. Readers never block on any of them: they load the atomic
+// snapshot.
 type service struct {
 	adv    *advisor.Advisor
 	stream *alerter.Stream
@@ -161,6 +165,16 @@ type service struct {
 	lineage  *lineage
 	calibMon *calib.Monitor
 
+	// The calibrator (calibrator.go; all nil with calibration off):
+	// calibCh is its one-slot, latest-wins mailbox, fed by the solver
+	// goroutine; close cancels it and waits on calibDone.
+	calibCh     chan calibJob
+	calibCancel context.CancelFunc
+	calibDone   chan struct{}
+	// calibHook, when non-nil, runs on the calibrator goroutine at the
+	// start of every replay — the test seam for holding one in flight.
+	calibHook func(solveID uint64)
+
 	// Recovery facts, fixed before serving starts.
 	recoveredSnapSeq uint64
 	recoveredReplay  int
@@ -179,6 +193,9 @@ type service struct {
 	solveErrors  atomic.Int64
 	snapErrors   atomic.Int64
 	calibErrors  atomic.Int64
+	// calibSuperseded counts publishes whose replay was replaced in the
+	// mailbox by a newer publish before it started.
+	calibSuperseded atomic.Int64
 }
 
 // newService wires the window, drift alerter, and retained caches over
@@ -270,6 +287,9 @@ func newService(adv *advisor.Advisor, cfg serviceConfig) (*service, error) {
 	if h := cfg.Hists; h != nil {
 		h.Help("advisord_ingest_seconds", "POST /ingest handler latency, including WAL append and drift-alerter observation.")
 		h.Help("advisord_solve_seconds", "Window re-solve latency (solver only; explain, publish, and calibration excluded).")
+	}
+	if cfg.CalibSamples > 0 {
+		s.startCalibrator()
 	}
 	return s, nil
 }

@@ -22,6 +22,7 @@ import (
 	"dyndesign/internal/candidates"
 	"dyndesign/internal/core"
 	"dyndesign/internal/durable"
+	"dyndesign/internal/engine"
 	"dyndesign/internal/experiments"
 	"dyndesign/internal/obs"
 	"dyndesign/internal/workload"
@@ -33,6 +34,7 @@ var (
 	advOnce sync.Once
 	advErr  error
 	testAdv *advisor.Advisor
+	testDB  *engine.Database
 )
 
 // testAdvisor builds the paper table once per test binary — the
@@ -46,6 +48,7 @@ func testAdvisor(t *testing.T) *advisor.Advisor {
 			advErr = err
 			return
 		}
+		testDB = db
 		structures := candidates.PaperStructures("t")
 		testAdv, advErr = advisor.New(db, advisor.DesignSpace{
 			Table:      "t",

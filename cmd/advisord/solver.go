@@ -153,10 +153,17 @@ func (s *service) writeDurableSnapshot() {
 }
 
 // close finishes the service after the solver loop has exited: it
+// stops the calibrator — cancelling a replay in flight, which returns
+// within one index build with the table's index set restored — then
 // writes a final durable snapshot and releases the data directory.
 // Callers must wait for run() to return first — that ordering is what
-// guarantees the final snapshot never races a publishing solve.
+// guarantees the final snapshot never races a publishing solve, and that
+// no publish reaches the calibrator after it has stopped.
 func (s *service) close() error {
+	if s.calibCancel != nil {
+		s.calibCancel()
+		<-s.calibDone
+	}
 	var first error
 	if s.store != nil {
 		s.writeDurableSnapshot()
@@ -175,10 +182,11 @@ func (s *service) close() error {
 //
 // Every attempt — including failed ones — leaves a lineage record
 // correlating the trigger, the stream slice consumed, the WAL cursor,
-// the answering ladder rung, cache warmth, and (when enabled) the
-// calibration of the cost model that justified the answer. Calibration
-// runs strictly AFTER publication: the fresh recommendation is already
-// serving while its replay measures the engine.
+// the answering ladder rung and cache warmth. A successful solve ends
+// in the order publish → durable snapshot → lineage record → hand-off:
+// it returns with its answer served and recorded, and the calibrator
+// replays the recommendation against the engine afterwards, amending the
+// record when (and if) the replay finishes.
 func (s *service) solveOnce(ctx context.Context, reason string) (*advisor.Recommendation, error) {
 	if s.solveHook != nil {
 		s.solveHook(reason)
@@ -292,23 +300,10 @@ func (s *service) solveOnce(ctx context.Context, reason string) (*advisor.Recomm
 	// Persist the new design chain immediately: the installed config is
 	// the next solve's C0, so losing it would change every later answer.
 	s.writeDurableSnapshot()
-	if s.cfg.CalibSamples > 0 {
-		// Vary the sampling by solve id (deterministically) so
-		// consecutive solves over a slow-moving window don't measure the
-		// same statements — the drift trend needs fresh draws.
-		crep, cerr := s.adv.Calibrate(rec, advisor.CalibrateOptions{
-			Samples: s.cfg.CalibSamples,
-			Seed:    s.cfg.CalibSeed + int64(id),
-			Monitor: s.calibMon,
-		})
-		if cerr != nil {
-			s.calibErrors.Add(1)
-			fmt.Fprintf(os.Stderr, "advisord: calibration after solve %d failed: %v\n", id, cerr)
-		} else {
-			lrec.Calibration = summarizeCalibration(crep)
-		}
-	}
 	finish(nil)
+	if s.cfg.CalibSamples > 0 {
+		s.submitCalibration(calibJob{rec: rec, id: id})
+	}
 	return rec, nil
 }
 

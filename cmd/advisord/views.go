@@ -259,6 +259,7 @@ var metricsTable = []metric{
 	{"advisord_calib_runs_total", obs.Counter, "Calibration replay runs folded into the monitor.", func(v *view) float64 { return float64(v.calib.Runs) }},
 	{"advisord_calib_samples_total", obs.Counter, "Estimate/measurement pairs collected across all calibration runs.", func(v *view) float64 { return float64(v.calib.Samples) }},
 	{"advisord_calib_skipped_dml_total", obs.Counter, "Statements excluded from calibration because replaying them would mutate the database.", func(v *view) float64 { return float64(v.calib.SkippedDML) }},
+	{"advisord_calib_superseded_total", obs.Counter, "Published solves whose calibration replay was replaced by a newer publish before it started.", func(v *view) float64 { return float64(v.svc.calibSuperseded.Load()) }},
 	{"advisord_calib_errors_total", obs.Counter, "Calibration replay runs that failed outright.", func(v *view) float64 { return float64(v.svc.calibErrors.Load()) }},
 	{"advisord_calib_median_abs_ratio", obs.Gauge, "Streaming median of the absolute estimate/measurement ratio max(r, 1/r); 1.0 = perfectly calibrated.", func(v *view) float64 { return v.calibrated(v.calib.MedianAbsRatio) }},
 	{"advisord_calib_p90_abs_ratio", obs.Gauge, "Streaming 90th percentile of the absolute estimate/measurement ratio.", func(v *view) float64 { return v.calibrated(v.calib.P90AbsRatio) }},

@@ -734,7 +734,7 @@ func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload, op
 		}
 	}
 	if opts.Calibrate != nil {
-		if _, err := a.Calibrate(rec, *opts.Calibrate); err != nil {
+		if _, err := a.CalibrateContext(ctx, rec, *opts.Calibrate); err != nil {
 			return rec, fmt.Errorf("advisor: calibrating recommendation: %w", err)
 		}
 	}

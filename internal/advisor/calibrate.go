@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"fmt"
 
 	"dyndesign/internal/calib"
@@ -31,6 +32,14 @@ type CalibrateOptions struct {
 // The database's index set is restored before returning; only SELECT
 // statements are executed, so the run never mutates rows.
 func (a *Advisor) Calibrate(rec *Recommendation, opts CalibrateOptions) (*calib.RunReport, error) {
+	return a.CalibrateContext(context.Background(), rec, opts)
+}
+
+// CalibrateContext is Calibrate under a context: cancellation stops the
+// replay between sampled statements (see calib.Run) and returns ctx's
+// error; the index set is still restored, and a cancelled run is neither
+// attached to the recommendation nor folded into the monitor.
+func (a *Advisor) CalibrateContext(ctx context.Context, rec *Recommendation, opts CalibrateOptions) (*calib.RunReport, error) {
 	if rec == nil || rec.Solution == nil {
 		return nil, fmt.Errorf("advisor: calibrating a recommendation without a solution")
 	}
@@ -39,7 +48,7 @@ func (a *Advisor) Calibrate(rec *Recommendation, opts CalibrateOptions) (*calib.
 	for i, s := range rec.Workload.Statements {
 		items[i] = calib.Item{Stmt: s, Config: designs[i]}
 	}
-	rep, err := calib.Run(
+	rep, err := calib.Run(ctx,
 		calib.Target{DB: a.db, Table: a.space.Table, Structures: a.space.Structures},
 		items,
 		a.StatementCost,

@@ -1,7 +1,9 @@
 package calib_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -156,11 +158,11 @@ func TestRunSamplingDeterministic(t *testing.T) {
 		items[i] = calib.Item{Stmt: s, Config: core.ConfigOf(i % 2)}
 	}
 	target := calib.Target{DB: db, Table: "t", Structures: space.Structures}
-	r1, err := calib.Run(target, items, adv.StatementCost, calib.Options{Samples: 8, Seed: 11})
+	r1, err := calib.Run(context.Background(), target, items, adv.StatementCost, calib.Options{Samples: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := calib.Run(target, items, adv.StatementCost, calib.Options{Samples: 8, Seed: 11})
+	r2, err := calib.Run(context.Background(), target, items, adv.StatementCost, calib.Options{Samples: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestRunSkipsDML(t *testing.T) {
 		{Stmt: workload.MustStatement("DELETE FROM t WHERE a = 1"), Config: 0},
 	}
 	before, _ := db.Exec("SELECT COUNT(*) FROM t")
-	rep, err := calib.Run(calib.Target{DB: db, Table: "t", Structures: adv.Space().Structures},
+	rep, err := calib.Run(context.Background(), calib.Target{DB: db, Table: "t", Structures: adv.Space().Structures},
 		items, adv.StatementCost, calib.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +195,52 @@ func TestRunSkipsDML(t *testing.T) {
 	after, _ := db.Exec("SELECT COUNT(*) FROM t")
 	if before.Count != after.Count {
 		t.Errorf("calibration mutated the table: %d -> %d rows", before.Count, after.Count)
+	}
+}
+
+// TestRunStopsOnCancel pins the cancellation contract: a context
+// cancelled mid-run stops the replay at the next sampled item, the
+// samples taken so far come back with ctx's error, and the table's
+// index set is what it was before the run.
+func TestRunStopsOnCancel(t *testing.T) {
+	db, adv, w := buildFixture(t, 5000)
+	space := adv.Space()
+	if _, err := db.Exec("CREATE INDEX ON t (a)"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := db.IndexNames("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alternate between two single-index designs that both differ from
+	// the installed one, so the run is mid-transition when it stops.
+	items := make([]calib.Item, w.Len())
+	for i, s := range w.Statements {
+		items[i] = calib.Item{Stmt: s, Config: core.ConfigOf(1 + i%2)}
+	}
+	const stopAfter = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	est := func(s workload.Statement, c core.Config) (float64, error) {
+		if calls++; calls == stopAfter {
+			cancel()
+		}
+		return adv.StatementCost(s, c)
+	}
+	rep, err := calib.Run(ctx, calib.Target{DB: db, Table: "t", Structures: space.Structures}, items, est, calib.Options{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if calls != stopAfter || rep.Replayed != stopAfter {
+		t.Errorf("run estimated %d and replayed %d statements after a cancel at %d", calls, rep.Replayed, stopAfter)
+	}
+	after, err := db.IndexNames("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("index set after a cancelled run is %v, before it was %v", after, before)
 	}
 }
 

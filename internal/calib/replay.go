@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -147,9 +148,14 @@ func ClassOf(s workload.Statement) string {
 // counter. Sampled items are replayed grouped by configuration to
 // minimize index churn.
 //
+// ctx is checked between sampled items — an index build in flight runs
+// to completion — and a cancelled run returns ctx's error with the
+// samples taken so far, after restoring the original index set like any
+// other return.
+//
 // Indexes present on the table but outside Structures are an error:
 // the replay could not restore a world it cannot name.
-func Run(t Target, items []Item, est Estimator, opts Options) (rep *RunReport, err error) {
+func Run(ctx context.Context, t Target, items []Item, est Estimator, opts Options) (rep *RunReport, err error) {
 	rep = &RunReport{}
 	start := time.Now()
 	defer func() { rep.Wall = time.Since(start) }()
@@ -232,6 +238,9 @@ func Run(t Target, items []Item, est Estimator, opts Options) (rep *RunReport, e
 	}()
 
 	for _, i := range eligible {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
 		it := items[i]
 		if err := reconcile(it.Config); err != nil {
 			return rep, err

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame layout: a 8-byte header (little-endian payload length, then
@@ -33,6 +34,11 @@ const frameHeaderSize = 8
 // ring (up to a few megabytes). Anything larger than this is treated as
 // a corrupt length field, not a record.
 const maxFramePayload = 64 << 20
+
+// frameAllocStep is how much of a frame's declared length readFrame
+// allocates before it has seen the bytes. WAL records fit in one step,
+// so they still take exactly one allocation.
+const frameAllocStep = 1 << 20
 
 // castagnoli is the CRC-32C table (the checksum polynomial used by
 // most storage formats; hardware-accelerated on amd64/arm64).
@@ -69,9 +75,16 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if length > maxFramePayload {
 		return nil, errBadFrame
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errBadFrame // short payload: torn tail
+	// The length is untrusted until the CRC holds: beyond the first
+	// frameAllocStep bytes the buffer grows only as bytes arrive, so a
+	// corrupt length field costs no more memory than the file holds.
+	payload := make([]byte, 0, min(length, frameAllocStep))
+	for uint32(len(payload)) < length {
+		n := int(min(length-uint32(len(payload)), frameAllocStep))
+		payload = slices.Grow(payload, n)[:len(payload)+n]
+		if _, err := io.ReadFull(r, payload[len(payload)-n:]); err != nil {
+			return nil, errBadFrame // short payload: torn tail
+		}
 	}
 	if crc32.Checksum(payload, castagnoli) != want {
 		return nil, errBadFrame

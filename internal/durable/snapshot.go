@@ -3,6 +3,7 @@ package durable
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,11 +71,10 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	if err := s.syncLocked(); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(snap)
+	frame, err := encodeSnapshot(snap)
 	if err != nil {
 		return err
 	}
-	frame := appendFrame(nil, payload)
 
 	final := snapPath(s.dir, snap.Seq)
 	tmp := final + tmpSuffix
@@ -213,17 +213,37 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := readFrame(f)
+	snap, err := decodeSnapshot(f)
 	if err != nil {
 		return nil, fmt.Errorf("durable: snapshot %s: %w", filepath.Base(path), err)
 	}
+	return snap, nil
+}
+
+// encodeSnapshot renders a snapshot file's bytes: one frame around the
+// JSON of the snapshot.
+func encodeSnapshot(snap *Snapshot) ([]byte, error) {
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		return nil, err
+	}
+	return appendFrame(nil, payload), nil
+}
+
+// decodeSnapshot reads what encodeSnapshot wrote, rejecting a bad frame
+// (errBadFrame, or io.EOF for no bytes at all), JSON that is not a
+// snapshot, and any schema version but the current one.
+func decodeSnapshot(r io.Reader) (*Snapshot, error) {
+	payload, err := readFrame(r)
+	if err != nil {
+		return nil, err
+	}
 	var snap Snapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: %w", filepath.Base(path), err)
+		return nil, err
 	}
 	if snap.SchemaVersion != SnapshotSchemaVersion {
-		return nil, fmt.Errorf("durable: snapshot %s has schema version %d, want %d",
-			filepath.Base(path), snap.SchemaVersion, SnapshotSchemaVersion)
+		return nil, fmt.Errorf("schema version %d, want %d", snap.SchemaVersion, SnapshotSchemaVersion)
 	}
 	return &snap, nil
 }

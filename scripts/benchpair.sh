@@ -13,12 +13,12 @@
 #
 # The change is the working tree's tracked and staged content (git stash
 # create; `git add` new files first), or HEAD when the tree is clean.
-# Both sides are checked out into throw-away git worktrees under
+# Both sides are unpacked (git archive) into throw-away directories under
 # ${TMPDIR:-/tmp}, built once, and run one at a time under `timeout`
 # (RUN_LIMIT seconds, default 600), alternating which side goes first.
 # Per gated metric the script prints each side's median and quartiles,
 # the ratio change/parent, and the pairs the change won. Every exit path
-# removes the worktrees and kills anything still running out of them.
+# removes the directories and kills anything still running out of them.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -56,10 +56,6 @@ cleanup() {
 		leftover || break
 		sleep 0.25
 	done
-	for side in parent change; do
-		git -C "$root" worktree remove --force "$tmp/$side" 2>/dev/null || true
-	done
-	git -C "$root" worktree prune
 	rm -rf "$tmp"
 	if leftover; then
 		echo "benchpair: a process is still running:" >&2
@@ -72,9 +68,9 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-git worktree add --quiet --detach "$tmp/parent" "$parent_sha"
-git worktree add --quiet --detach "$tmp/change" "$change_sha"
-mkdir "$tmp/bin" "$tmp/runs"
+mkdir "$tmp/parent" "$tmp/change" "$tmp/bin" "$tmp/runs"
+git archive "$parent_sha" | tar -x -C "$tmp/parent"
+git archive "$change_sha" | tar -x -C "$tmp/change"
 for side in parent change; do
 	(cd "$tmp/$side" && go build -o "$tmp/bin/e2e-$side" ./bench/e2e)
 done
@@ -86,7 +82,7 @@ else
 fi
 
 # run SIDE WORKLOAD OUT [flags...]: one benchmark run from the side's
-# worktree, waited for; its last stdout line is the contract JSON.
+# directory, waited for; its last stdout line is the contract JSON.
 run() {
 	local side=$1 wl=$2 out=$3
 	shift 3
