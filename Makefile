@@ -6,7 +6,7 @@ GO ?= go
 # fails.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build vet test race bench bench-check bench-e2e bench-pair cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
+.PHONY: all build vet test race bench bench-smoke bench-e2e bench-pair cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
 
 all: tier1
 
@@ -31,14 +31,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-check produces a machine-readable BENCH_<date>.json over the
-# strategy × n × m × k grid and fails on a >25% ns/op regression
-# (normalized for machine speed by the calibration cell) or a >25%
-# allocs/op regression (machine-independent, unnormalized) against the
-# committed baseline; see cmd/benchreport. Refresh the baseline with:
-#   go run ./cmd/benchreport -o bench/baseline.json
-bench-check:
-	$(GO) run ./cmd/benchreport -check -baseline bench/baseline.json -threshold 0.25 -alloc-threshold 0.25 -o BENCH_$$(date -u +%Y-%m-%d).json
+# bench-smoke runs every Go benchmark for exactly one iteration (about
+# half a minute): it gates nothing on time, only that no benchmark rots
+# uncompiled or crashes unnoticed between the rare full `make bench` runs.
+bench-smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # bench-e2e runs the repo benchmark (BENCHMARK.json, bench/e2e) briefly
 # for its correctness gate, not its timings: all four workloads, every
@@ -151,4 +148,4 @@ lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 # tier1 is what CI runs and what every change must keep green.
-tier1: build vet race
+tier1: build vet race bench-smoke

@@ -99,7 +99,14 @@ func run(ctx context.Context) error {
 	paperRows := flag.Int64("paper-rows", 0, "instead of -setup, build the paper's table with this many rows")
 	table := flag.String("table", "t", "table to tune")
 	k := flag.Int("k", 2, "change bound per window solve")
-	strategyFlag := flag.String("strategy", "kaware", "solver: kaware, greedyseq, merge, ranking, rankmerge, hybrid")
+	// An unknown -strategy is a usage error (exit status 2) while the flags
+	// parse, before the database is built or the listener opened: -fallback
+	// is on by default, under which it would degrade every solve instead.
+	strategy := core.StrategyKAware
+	flag.Func("strategy", fmt.Sprintf("solver `name`, one of %v (default %s)", core.Strategies(), strategy), func(name string) (err error) {
+		strategy, err = core.ParseStrategy(name)
+		return err
+	})
 	segment := flag.Int("segment", 1, "statements per optimization stage")
 	windowCap := flag.Int("window", 500, "sliding window capacity in statements")
 	tumbling := flag.Bool("tumbling", false, "reset the window at every re-solve instead of sliding it")
@@ -174,7 +181,7 @@ func run(ctx context.Context) error {
 		MinSolve:      *minSolve,
 		MemoCap:       *memoCap,
 		K:             *k,
-		Strategy:      core.Strategy(*strategyFlag),
+		Strategy:      strategy,
 		SegmentSize:   *segment,
 		Timeout:       *solveTimeout,
 		Fallback:      *fallback,

@@ -213,9 +213,11 @@ func newService(adv *advisor.Advisor, cfg serviceConfig) (*service, error) {
 	if cfg.MinSolve > cfg.WindowCap {
 		cfg.MinSolve = cfg.WindowCap
 	}
-	if cfg.Strategy == "" {
-		cfg.Strategy = core.StrategyKAware
+	strategy, err := core.ParseStrategy(string(cfg.Strategy))
+	if err != nil {
+		return nil, err
 	}
+	cfg.Strategy = strategy
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 64
 	}

@@ -78,7 +78,14 @@ func run(ctx context.Context) error {
 	table := flag.String("table", "t", "table to tune")
 	kFlag := flag.String("k", "2", "change bound (a number, or 'unconstrained')")
 	space := flag.Float64("space", 0, "space bound b in pages (0 = unbounded)")
-	strategyFlag := flag.String("strategy", "kaware", "solver: kaware, greedyseq, merge, ranking, rankmerge, hybrid")
+	// An unknown -strategy is a usage error (exit status 2) while the flags
+	// parse, before any database is built: under -fallback it would fail
+	// only its own rung and the run would exit 0 on the next rung's answer.
+	strategy := core.StrategyKAware
+	flag.Func("strategy", fmt.Sprintf("solver `name`, one of %v (default %s)", core.Strategies(), strategy), func(name string) (err error) {
+		strategy, err = core.ParseStrategy(name)
+		return err
+	})
 	segment := flag.Int("segment", 1, "statements per optimization stage")
 	policy := flag.String("policy", "free", "change counting: 'free' (endpoints free) or 'strict' (Definition 1)")
 	candMode := flag.String("candidates", "paper", "candidate structures: 'paper' or 'auto' (derived from the trace)")
@@ -194,7 +201,7 @@ func run(ctx context.Context) error {
 	// Options.
 	opts := advisor.Options{
 		SpaceBound:  *space,
-		Strategy:    core.Strategy(*strategyFlag),
+		Strategy:    strategy,
 		SegmentSize: *segment,
 	}
 	switch *kFlag {

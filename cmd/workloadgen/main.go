@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,21 +20,41 @@ import (
 )
 
 func main() {
-	name := flag.String("workload", "", "paper workload to generate: W1, W2, or W3")
-	plan := flag.String("plan", "", "custom plan over mixes A-D, e.g. \"A:500,B:500\" (alternative to -workload)")
-	rows := flag.Int64("rows", 100000, "table cardinality the workload targets (sets the value domain)")
-	block := flag.Int("block", 200, "queries per block for -workload")
-	seed := flag.Int64("seed", 1, "random seed")
-	out := flag.String("o", "-", "output file (- for stdout)")
-	statsPath := flag.String("stats", "", "instead of generating, print block statistics of an existing trace file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// create opens the -o file. It is a variable so a test can hand run a
+// file whose Close fails, the way a full disk makes it fail.
+var create = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+
+// run is the whole command and returns its exit status: 0, 1 when
+// reading, generating or writing fails, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("workloadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("workload", "", "paper workload to generate: W1, W2, or W3")
+	plan := fs.String("plan", "", "custom plan over mixes A-D, e.g. \"A:500,B:500\" (alternative to -workload)")
+	rows := fs.Int64("rows", 100000, "table cardinality the workload targets (sets the value domain)")
+	block := fs.Int("block", 200, "queries per block for -workload")
+	seed := fs.Int64("seed", 1, "random seed")
+	out := fs.String("o", "-", "output file (- for stdout)")
+	statsPath := fs.String("stats", "", "instead of generating, print block statistics of an existing trace file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintf(stderr, "workloadgen: %v\n", err)
+		return status
+	}
 
 	if *statsPath != "" {
-		if err := printStats(*statsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-			os.Exit(1)
+		if err := printStats(stdout, *statsPath); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	var w *workload.Workload
@@ -49,30 +70,39 @@ func main() {
 		err = fmt.Errorf("one of -workload or -plan is required")
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
-	var dst io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		dst = f
+	if *out == "-" {
+		err = w.WriteJSON(stdout)
+	} else {
+		err = writeFile(*out, w)
 	}
-	if err := w.WriteJSON(dst); err != nil {
-		fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-		os.Exit(1)
+	if err != nil {
+		return fail(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d statements (%s)\n", w.Len(), w.Name)
+	fmt.Fprintf(stderr, "wrote %d statements (%s)\n", w.Len(), w.Name)
+	return 0
+}
+
+// writeFile writes the trace to path. A full disk may surface only when
+// the file is closed, so the Close error is the write's result rather
+// than something a defer drops.
+func writeFile(path string, w *workload.Workload) error {
+	f, err := create(path)
+	if err != nil {
+		return err
+	}
+	if err := w.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printStats summarizes an existing trace: statement count, mix
 // histogram, and the block structure.
-func printStats(path string) error {
+func printStats(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -82,19 +112,19 @@ func printStats(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace %q: %d statements\n", w.Name, w.Len())
+	fmt.Fprintf(stdout, "trace %q: %d statements\n", w.Name, w.Len())
 	if len(w.Labels) == 0 {
-		fmt.Println("(no block labels)")
+		fmt.Fprintln(stdout, "(no block labels)")
 		return nil
 	}
-	fmt.Println("mix histogram:")
+	fmt.Fprintln(stdout, "mix histogram:")
 	for _, b := range w.MixHistogram() {
-		fmt.Printf("  %-6s %6d\n", b.Label, b.Count)
+		fmt.Fprintf(stdout, "  %-6s %6d\n", b.Label, b.Count)
 	}
 	blocks := w.BlockLabels()
-	fmt.Printf("blocks: %d\n", len(blocks))
+	fmt.Fprintf(stdout, "blocks: %d\n", len(blocks))
 	for _, b := range blocks {
-		fmt.Printf("  @%-7d %-6s x%d\n", b.Start, b.Label, b.Count)
+		fmt.Fprintf(stdout, "  @%-7d %-6s x%d\n", b.Start, b.Label, b.Count)
 	}
 	return nil
 }

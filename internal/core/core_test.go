@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -461,6 +462,26 @@ func TestSolveDispatch(t *testing.T) {
 	}
 	if _, err := Solve(bg, p, "nonsense"); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+}
+
+func TestParseStrategy(t *testing.T) {
+	for _, want := range Strategies() {
+		if got, err := ParseStrategy(string(want)); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %q, %v", want, got, err)
+		}
+	}
+	if got, err := ParseStrategy(""); err != nil || got != StrategyKAware {
+		t.Errorf("ParseStrategy(\"\") = %q, %v; want the kaware default", got, err)
+	}
+	_, err := ParseStrategy("kawre")
+	if err == nil {
+		t.Fatal("misspelt strategy accepted")
+	}
+	for _, s := range Strategies() {
+		if !strings.Contains(err.Error(), string(s)) {
+			t.Errorf("error %q does not list %s", err, s)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dyndesign/internal/obs"
 )
@@ -97,6 +98,20 @@ func Strategies() []Strategy {
 		StrategyRanking, StrategyRankAndMerge, StrategyHybrid,
 		StrategyPartitioned,
 	}
+}
+
+// ParseStrategy resolves a user-supplied strategy name; the empty name
+// is the default, StrategyKAware. Front ends call it before any work
+// starts: under a fallback ladder an unknown name otherwise fails only
+// its own rung, and every solve is quietly answered by the next one.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "" {
+		return StrategyKAware, nil
+	}
+	if s := Strategy(name); slices.Contains(Strategies(), s) {
+		return s, nil
+	}
+	return "", fmt.Errorf("core: unknown strategy %q (want one of %v)", name, Strategies())
 }
 
 // Solve dispatches a problem to the named strategy with default

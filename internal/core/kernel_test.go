@@ -182,10 +182,12 @@ func runKernelCase(t *testing.T, seed int64, stages, structs, k int, policy Chan
 
 // TestKernelEquivalence is the property test over a randomized grid of
 // problem shapes: both change policies, constrained and free final
-// endpoints, subsetted candidate lists, k from 0 up.
+// endpoints, subsetted candidate lists, k from 0 up, lattices up to the
+// 8 structures (256 configurations) where the dense kernel's all-pairs
+// scan is still affordable.
 func TestKernelEquivalence(t *testing.T) {
 	seed := int64(0)
-	for _, structs := range []int{1, 2, 4, 6} {
+	for _, structs := range []int{1, 2, 4, 6, 8} {
 		for _, stages := range []int{1, 2, 7, 23} {
 			for _, k := range []int{0, 1, 3} {
 				for _, policy := range []ChangePolicy{FreeEndpoints, CountAll} {
@@ -422,14 +424,17 @@ func benchProblem(structs int, kernel TransKernel) *Problem {
 
 // BenchmarkKAwareKernels measures the exact k-aware solve under both
 // kernels at m=8 (256 configurations); allocs/op documents the buffer
-// reuse across stages and layers.
+// reuse across stages and layers. The hypercube kernel also runs at 10
+// structures (1024 configurations), where the dense kernel's 4^10
+// relaxations per stage and layer are a timeout, not a benchmark.
 func BenchmarkKAwareKernels(b *testing.B) {
 	for _, bench := range []struct {
-		name   string
-		kernel TransKernel
-	}{{"dense", KernelDense}, {"hypercube", KernelHypercube}} {
+		name    string
+		kernel  TransKernel
+		structs int
+	}{{"dense", KernelDense, 8}, {"hypercube", KernelHypercube, 8}, {"hypercube/structs=10", KernelHypercube, 10}} {
 		b.Run(bench.name, func(b *testing.B) {
-			p := benchProblem(8, bench.kernel)
+			p := benchProblem(bench.structs, bench.kernel)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -79,7 +80,7 @@ func randomGroupedModel(rng *rand.Rand, stages, nGroups, bitsPer int) (*groupedM
 // solution is feasible, the gap is non-negative, the cost sandwich
 // Cost − Gap ≤ OPT ≤ Cost holds, and a zero gap means bitwise cost
 // equality (integer costs make float sums exact).
-func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int, policy ChangePolicy, withFinal, forceBeam bool) {
+func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int, policy ChangePolicy, withFinal bool, opts PartitionOptions) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m, configs := randomGroupedModel(rng, stages, nGroups, bitsPer)
@@ -94,7 +95,7 @@ func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int,
 	}
 	exactP := *p
 	exact, exactErr := SolveKAware(bg, &exactP)
-	ps, psErr := SolvePartitionedOpts(bg, p, PartitionOptions{ForceBeam: forceBeam})
+	ps, psErr := SolvePartitionedOpts(bg, p, opts)
 	if (exactErr == nil) != (psErr == nil) {
 		t.Fatalf("feasibility disagrees: exact err %v, partitioned err %v", exactErr, psErr)
 	}
@@ -140,11 +141,21 @@ func TestPartitionedMatchesExact(t *testing.T) {
 					for _, policy := range []ChangePolicy{FreeEndpoints, CountAll} {
 						seed++
 						runPartitionCase(t, seed, stages, nGroups, bitsPer, k,
-							policy, seed%2 == 0, seed%5 == 0)
+							policy, seed%2 == 0, PartitionOptions{ForceBeam: seed%5 == 0})
 					}
 				}
 			}
 		}
+	}
+	// The beam where it actually prunes: one unfactorable 7- and 9-bit
+	// clique (128 and 512 candidates, three layers each) over 64 stages
+	// at k=2, forced through a beam of width 128. Every grid shape above
+	// fits inside the narrowest beam, so there the search is exhaustive;
+	// here it is not, and the sandwich is all that may be asserted.
+	for _, bits := range []int{7, 9} {
+		seed++
+		runPartitionCase(t, seed, 64, 1, bits, 2, FreeEndpoints, false,
+			PartitionOptions{ForceBeam: true, BeamWidth: 128})
 	}
 }
 
@@ -164,30 +175,40 @@ func FuzzPartitionEquivalence(f *testing.F) {
 		if countAll {
 			policy = CountAll
 		}
-		runPartitionCase(t, seed, stages, nGroups, bitsPer, k, policy, withFinal, forceBeam)
+		runPartitionCase(t, seed, stages, nGroups, bitsPer, k, policy, withFinal, PartitionOptions{ForceBeam: forceBeam})
 	})
 }
 
-// synchronizedModel builds a two-component problem whose components
-// both want their single design change at the same stage (switchAt) —
-// the shape where the shared-stage fast path must prove optimality —
-// or at different stages when the offsets differ.
-func synchronizedModel(stages int, switchAt [2]int) (*groupedModel, []Config) {
+// synchronizedModel builds a problem of len(switchAt) one-bit
+// components, each wanting its single design change at its own stage
+// switchAt[g]: components that share a switch stage are the shape where
+// the shared-stage fast path must prove optimality, components that do
+// not must trade the budget. Costs are integers, so sums are exact.
+func synchronizedModel(stages int, switchAt []int) (*groupedModel, []Config) {
+	g := len(switchAt)
 	m := &groupedModel{
 		additiveModel: additiveModel{
 			exec: make([][]float64, stages),
-			add:  []float64{5, 5},
-			drop: []float64{1, 1},
+			add:  make([]float64, g),
+			drop: make([]float64, g),
 		},
-		groups: []Config{1, 2},
+		groups: make([]Config, g),
+	}
+	for s := 0; s < g; s++ {
+		m.add[s], m.drop[s] = 5, 1
+		m.groups[s] = ConfigOf(s)
+	}
+	configs := make([]Config, 1<<uint(g))
+	for c := range configs {
+		configs[c] = Config(c)
 	}
 	for i := 0; i < stages; i++ {
-		row := make([]float64, 4)
-		for c := 0; c < 4; c++ {
+		row := make([]float64, len(configs))
+		for c := range row {
 			v := 0.0
-			for g := 0; g < 2; g++ {
-				has := c&(1<<uint(g)) != 0
-				if i >= switchAt[g] {
+			for s := 0; s < g; s++ {
+				has := Config(c).Has(s)
+				if i >= switchAt[s] {
 					// After the switch point the group's index saves 100/stage.
 					if has {
 						v += 10
@@ -207,16 +228,30 @@ func synchronizedModel(stages int, switchAt [2]int) (*groupedModel, []Config) {
 		}
 		m.exec[i] = row
 	}
-	return m, []Config{0, 1, 2, 3}
+	return m, configs
+}
+
+// sharedPhaseProblem is synchronizedModel at lattice width: structs
+// one-bit components (2^structs candidates) over 64 stages cut into four
+// 16-stage phases, every component switching on one of the three phase
+// boundaries, so the full-budget composition makes 3 global changes.
+func sharedPhaseProblem(structs, k int) *Problem {
+	switchAt := make([]int, structs)
+	for s := range switchAt {
+		switchAt[s] = 16 * (1 + s%3)
+	}
+	m, configs := synchronizedModel(64, switchAt)
+	return &Problem{Stages: 64, Configs: configs, Initial: 0, K: k, Model: m}
 }
 
 // TestPartitionedTightK pins the recombination behaviour under a tight
 // shared budget: components wanting the same switch stage compose into
-// one global change (gap 0, equal to exact); components wanting
-// different stages must trade budget and stay within the reported gap.
+// one global change (gap 0, equal to exact), also when seven or nine of
+// them share three stages; components wanting different stages must
+// trade budget and stay within the reported gap.
 func TestPartitionedTightK(t *testing.T) {
 	t.Run("same stage", func(t *testing.T) {
-		m, configs := synchronizedModel(8, [2]int{4, 4})
+		m, configs := synchronizedModel(8, []int{4, 4})
 		p := &Problem{Stages: 8, Configs: configs, Initial: 0, K: 1, Model: m}
 		exact, err := SolveKAware(bg, &Problem{Stages: 8, Configs: configs, Initial: 0, K: 1, Model: m})
 		if err != nil {
@@ -239,8 +274,40 @@ func TestPartitionedTightK(t *testing.T) {
 			t.Fatalf("changes = %d, want 1 shared change", ps.Changes)
 		}
 	})
+	t.Run("shared phases", func(t *testing.T) {
+		// 128 and 512 candidates, k at and above the three shared
+		// boundaries: the composition fits, so the solver must factor and
+		// claim — not merely reach — the optimum.
+		for _, structs := range []int{7, 9} {
+			for _, k := range []int{4, 8} {
+				p := sharedPhaseProblem(structs, k)
+				exactP := *p
+				exact, err := SolveKAware(bg, &exactP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps, err := SolvePartitioned(bg, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ps.Factored || ps.Components != structs {
+					t.Fatalf("structs=%d k=%d: expected %d components, got %d (factored %v)",
+						structs, k, structs, ps.Components, ps.Factored)
+				}
+				if ps.Gap != 0 {
+					t.Fatalf("structs=%d k=%d: gap %v, want exactly 0", structs, k, ps.Gap)
+				}
+				if ps.Cost != exact.Cost {
+					t.Fatalf("structs=%d k=%d: cost %v != exact %v", structs, k, ps.Cost, exact.Cost)
+				}
+				if ps.Changes != 3 {
+					t.Fatalf("structs=%d k=%d: changes = %d, want the 3 shared boundaries", structs, k, ps.Changes)
+				}
+			}
+		}
+	})
 	t.Run("different stages", func(t *testing.T) {
-		m, configs := synchronizedModel(8, [2]int{2, 6})
+		m, configs := synchronizedModel(8, []int{2, 6})
 		p := &Problem{Stages: 8, Configs: configs, Initial: 0, K: 1, Model: m}
 		exact, err := SolveKAware(bg, &Problem{Stages: 8, Configs: configs, Initial: 0, K: 1, Model: m})
 		if err != nil {
@@ -503,5 +570,37 @@ func TestPartitionedStrategy(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("StrategyPartitioned missing from %v", Strategies())
+	}
+}
+
+// BenchmarkPartitioned times the partitioned solver on lattices wider
+// than the dense kernel affords (128 and 512 candidates): exact
+// recombination of one-bit components (TestPartitionedTightK's shared
+// phases), and the forced width-128 beam over one unfactorable clique
+// (TestPartitionedMatchesExact's last rows).
+func BenchmarkPartitioned(b *testing.B) {
+	for _, structs := range []int{7, 9} {
+		factor := sharedPhaseProblem(structs, 4)
+		factor.Parallelism = 1
+		m, configs := randomGroupedModel(rand.New(rand.NewSource(42)), 64, 1, structs)
+		beam := &Problem{Stages: 64, Configs: configs, Initial: 0, K: 2, Model: m, Parallelism: 1}
+		for _, bench := range []struct {
+			name string
+			p    *Problem
+			opts PartitionOptions
+		}{
+			{"factor", factor, PartitionOptions{}},
+			{"beam", beam, PartitionOptions{ForceBeam: true, BeamWidth: 128}},
+		} {
+			b.Run(fmt.Sprintf("%s/structs=%d", bench.name, structs), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := SolvePartitionedOpts(bg, bench.p, bench.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
