@@ -6,7 +6,7 @@ GO ?= go
 # fails.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build vet test race bench bench-smoke bench-e2e bench-pair cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
+.PHONY: all build vet test race bench bench-smoke bench-e2e bench-pair frontier cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
 
 all: tier1
 
@@ -20,8 +20,8 @@ test:
 	$(GO) test ./...
 
 # The -race suite exercises the concurrent costing layer: the what-if
-# row store (matrix workers meeting on one segment row), the parallel
-# matrix build, and the experiment fan-out.
+# row store (matrix workers meeting on one segment row) and the parallel
+# matrix build.
 # internal/experiments replays full workloads against the live engine
 # and sits near go test's default 10m package deadline under -race on
 # slower machines, so the timeout is raised explicitly.
@@ -59,6 +59,16 @@ WORKLOAD ?= all
 PAIRS ?= 10
 bench-pair:
 	scripts/benchpair.sh $(REF) $(WORKLOAD) $(PAIRS) $(POINT)
+
+# frontier prints the two blocks of EXPERIMENTS.md that time the solver
+# surface: Figure 4 (optimizer runtime against k) and the strategy table
+# that decides which solvers are production strategies. Every cell runs
+# alone, one after another; run it on an otherwise idle machine. It
+# records nothing and gates nothing on time — the numbers are
+# cmd/paperexp's to print and EXPERIMENTS.md's to quote (a few minutes).
+frontier:
+	$(GO) run ./cmd/paperexp -exp fig4 -rows 100000
+	$(GO) run ./cmd/paperexp -exp ablations -rows 100000
 
 # cover-check enforces the coverage floor on the solver layer.
 cover-check:

@@ -82,7 +82,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIStrategies(t *testing.T) {
-	if len(dyndesign.Strategies()) != 7 {
+	if len(dyndesign.Strategies()) != 5 {
 		t.Errorf("strategies = %v", dyndesign.Strategies())
 	}
 	db := buildAPIDatabase(t, 10000)

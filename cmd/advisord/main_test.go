@@ -29,10 +29,11 @@ func runChild(t *testing.T, args ...string) (status int, stderr string) {
 }
 
 // TestStrategyFlag: every strategy core offers gets past flag parsing
-// (to the next check, the missing table source), while a misspelt one
-// is a usage error naming the choices, raised before the paper table is
-// built or the listener opened — with -fallback on by default the
-// ladder used to absorb it on every solve.
+// (to the next check, the missing table source), while a misspelt one,
+// or a library solver that is not a strategy, is a usage error naming
+// the choices, raised before the paper table is built or the listener
+// opened — with -fallback on by default the ladder used to absorb it on
+// every solve.
 func TestStrategyFlag(t *testing.T) {
 	for _, s := range core.Strategies() {
 		status, stderr := runChild(t, "-strategy", string(s))
@@ -40,20 +41,22 @@ func TestStrategyFlag(t *testing.T) {
 			t.Errorf("-strategy %s: exit %d, stderr %q", s, status, stderr)
 		}
 	}
-	status, stderr := runChild(t, "-paper-rows", "3000", "-addr", "127.0.0.1:0", "-strategy", "kawre")
-	if status != 2 {
-		t.Errorf("-strategy kawre: exit %d, want 2", status)
-	}
-	if strings.Contains(stderr, "building paper table") || strings.Contains(stderr, "serving on") {
-		t.Errorf("-strategy kawre started work before failing: %q", stderr)
-	}
 	_, help := runChild(t, "-h")
-	for _, s := range core.Strategies() {
-		if !strings.Contains(stderr, string(s)) {
-			t.Errorf("rejection does not list %s: %q", s, stderr)
+	for _, name := range []string{"kawre", "ranking", "rankmerge"} {
+		status, stderr := runChild(t, "-paper-rows", "3000", "-addr", "127.0.0.1:0", "-strategy", name)
+		if status != 2 {
+			t.Errorf("-strategy %s: exit %d, want 2", name, status)
 		}
-		if !strings.Contains(help, string(s)) {
-			t.Errorf("-h does not list %s", s)
+		if strings.Contains(stderr, "building paper table") || strings.Contains(stderr, "serving on") {
+			t.Errorf("-strategy %s started work before failing: %q", name, stderr)
+		}
+		for _, s := range core.Strategies() {
+			if !strings.Contains(stderr, string(s)) {
+				t.Errorf("rejection of %s does not list %s: %q", name, s, stderr)
+			}
+			if !strings.Contains(help, string(s)) {
+				t.Errorf("-h does not list %s", s)
+			}
 		}
 	}
 }

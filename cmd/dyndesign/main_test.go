@@ -37,9 +37,10 @@ func runChild(t *testing.T, args ...string) (status int, stderr string) {
 }
 
 // TestStrategyFlag: every strategy core offers gets past flag parsing
-// (to the next check, the missing -trace), while a misspelt one is a
-// usage error naming the choices, raised before the paper table is
-// built — even under -fallback, which used to absorb it and exit 0.
+// (to the next check, the missing -trace), while a misspelt one, or a
+// library solver that is not a strategy, is a usage error naming the
+// choices, raised before the paper table is built — even under
+// -fallback, which used to absorb it and exit 0.
 func TestStrategyFlag(t *testing.T) {
 	for _, s := range core.Strategies() {
 		status, stderr := runChild(t, "-paper-rows", "5000", "-strategy", string(s))
@@ -47,20 +48,22 @@ func TestStrategyFlag(t *testing.T) {
 			t.Errorf("-strategy %s: exit %d, stderr %q", s, status, stderr)
 		}
 	}
-	status, stderr := runChild(t, "-paper-rows", "5000", "-trace", "absent.json", "-fallback", "-strategy", "kawre")
-	if status != 2 {
-		t.Errorf("-strategy kawre: exit %d, want 2", status)
-	}
-	if strings.Contains(stderr, "building paper table") {
-		t.Errorf("-strategy kawre built the database before failing: %q", stderr)
-	}
 	_, help := runChild(t, "-h")
-	for _, s := range core.Strategies() {
-		if !strings.Contains(stderr, string(s)) {
-			t.Errorf("rejection does not list %s: %q", s, stderr)
+	for _, name := range []string{"kawre", "ranking", "rankmerge"} {
+		status, stderr := runChild(t, "-paper-rows", "5000", "-trace", "absent.json", "-fallback", "-strategy", name)
+		if status != 2 {
+			t.Errorf("-strategy %s: exit %d, want 2", name, status)
 		}
-		if !strings.Contains(help, string(s)) {
-			t.Errorf("-h does not list %s", s)
+		if strings.Contains(stderr, "building paper table") {
+			t.Errorf("-strategy %s built the database before failing: %q", name, stderr)
+		}
+		for _, s := range core.Strategies() {
+			if !strings.Contains(stderr, string(s)) {
+				t.Errorf("rejection of %s does not list %s: %q", name, s, stderr)
+			}
+			if !strings.Contains(help, string(s)) {
+				t.Errorf("-h does not list %s", s)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@
 //	paperexp -exp all                      # everything at default scale
 //	paperexp -exp table2 -rows 2500000 -block 500   # paper scale
 //	paperexp -exp fig4 -ks 2,4,6,8,10,12,14,16,18
+//	paperexp -exp ablations                # quality vs k, the strategy table, ...
 //	paperexp -exp table2 -timeout 30s -fallback     # bounded, degradable solves
 //
 // -timeout, -max-whatif, and -fallback bound every advisor solve the
@@ -32,9 +33,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -44,31 +47,71 @@ import (
 	"dyndesign/internal/obs"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, table2, fig3, fig4, or all")
-	rows := flag.Int64("rows", experiments.DefaultScale.Rows, "table cardinality (paper: 2500000)")
-	block := flag.Int("block", experiments.DefaultScale.BlockSize, "queries per workload block (paper: 500)")
-	seed := flag.Int64("seed", experiments.DefaultScale.Seed, "random seed")
-	ksFlag := flag.String("ks", "2,4,6,8,10,12,14,16,18", "comma-separated k values for fig4")
-	format := flag.String("format", "text", "output format: text or json")
-	workers := flag.Int("workers", 0, "worker count for parallel what-if costing and experiment fan-out (0 = all cores, 1 = serial)")
-	timeout := flag.Duration("timeout", 0, "deadline per solver attempt (0 = none)")
-	maxWhatIf := flag.Int64("max-whatif", 0, "what-if evaluation budget per solver attempt (0 = unbounded)")
-	fallback := flag.Bool("fallback", false, "degrade to cheaper strategies when a solver attempt fails")
-	traceOut := flag.String("trace", "", "write solver and experiment spans as JSONL to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics, expvar, and pprof at this address (e.g. :9090)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof at this address (may equal -metrics-addr)")
-	runtimeTrace := flag.String("runtime-trace", "", "capture a runtime/trace execution trace to this file")
-	explainOut := flag.String("explain-out", "", "explain the constrained Table 2 design and write the provenance JSON here")
-	auditTrials := flag.Int("audit-trials", 0, "perturbed replays in the explain overfitting audit (0 = default 5)")
-	auditSeed := flag.Int64("audit-seed", 0, "seed deriving the audit's resampling trials (0 = default 1)")
-	flag.Parse()
+// experimentNames are the values -exp accepts besides "all".
+var experimentNames = []string{"table1", "table2", "fig3", "fig4", "ablations"}
 
-	// SIGINT/SIGTERM cancel the context; every experiment checks it at
-	// cell boundaries and inside the solvers, so an interrupt exits
-	// cleanly with partial diagnostics instead of killing the process.
-	// The context is created before the obs sinks so the JSONL writer's
-	// tail flush can be routed through the signal teardown path.
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command and returns its exit status: 0, 1 when an
+// experiment fails, 2 for a usage error (reported before any table is
+// built), 130 when interrupted.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", ")+", or all")
+	rows := fs.Int64("rows", experiments.DefaultScale.Rows, "table cardinality (paper: 2500000)")
+	block := fs.Int("block", experiments.DefaultScale.BlockSize, "queries per workload block (paper: 500)")
+	seed := fs.Int64("seed", experiments.DefaultScale.Seed, "random seed")
+	ksFlag := fs.String("ks", "2,4,6,8,10,12,14,16,18", "comma-separated k values for fig4")
+	format := fs.String("format", "text", "output format: text or json")
+	workers := fs.Int("workers", 0, "GOMAXPROCS for the solvers' own worker pools; experiment cells always run one at a time (0 = all cores, 1 = serial)")
+	timeout := fs.Duration("timeout", 0, "deadline per solver attempt (0 = none)")
+	maxWhatIf := fs.Int64("max-whatif", 0, "what-if evaluation budget per solver attempt (0 = unbounded)")
+	fallback := fs.Bool("fallback", false, "degrade to cheaper strategies when a solver attempt fails")
+	traceOut := fs.String("trace", "", "write solver and experiment spans as JSONL to this file")
+	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics, expvar, and pprof at this address (e.g. :9090)")
+	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof at this address (may equal -metrics-addr)")
+	runtimeTrace := fs.String("runtime-trace", "", "capture a runtime/trace execution trace to this file")
+	explainOut := fs.String("explain-out", "", "explain the constrained Table 2 design and write the provenance JSON here")
+	auditTrials := fs.Int("audit-trials", 0, "perturbed replays in the explain overfitting audit (0 = default 5)")
+	auditSeed := fs.Int64("audit-seed", 0, "seed deriving the audit's resampling trials (0 = default 1)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "paperexp: "+format+"\n", a...)
+		return 2
+	}
+	if *exp != "all" && !slices.Contains(experimentNames, *exp) {
+		return usage("unknown experiment %q (want %s, or all)", *exp, strings.Join(experimentNames, ", "))
+	}
+	if *format != "text" && *format != "json" {
+		return usage("unknown -format %q", *format)
+	}
+	asJSON := *format == "json"
+	var ks []int
+	for _, part := range strings.Split(*ksFlag, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		k, err := strconv.Atoi(part)
+		if err != nil || k < 0 {
+			return usage("bad -ks entry %q", part)
+		}
+		ks = append(ks, k)
+	}
+
+	// SIGINT/SIGTERM cancel the context; every experiment checks it
+	// inside the solvers, so an interrupt exits cleanly with partial
+	// diagnostics instead of killing the process. The context is created
+	// before the obs sinks so the JSONL writer's tail flush can be routed
+	// through the signal teardown path.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -78,13 +121,13 @@ func main() {
 		MetricsAddr:      *metricsAddr,
 		PprofAddr:        *pprofAddr,
 		RuntimeTracePath: *runtimeTrace,
-		SummaryW:         os.Stderr,
+		SummaryW:         stderr,
 		Gauges:           gauges,
 		FlushCtx:         ctx,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperexp: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "paperexp: %v\n", err)
+		return 1
 	}
 	defer obsTeardown()
 	experiments.SetRobustness(experiments.Robustness{
@@ -93,210 +136,139 @@ func main() {
 		Fallback:       *fallback,
 		Tracer:         tracer,
 	})
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "paperexp: %v\n", err)
-		obsTeardown() // os.Exit skips defers; flush traces explicitly
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "paperexp: %v\n", err)
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "paperexp: interrupted — results above are partial\n")
-			os.Exit(130)
+			fmt.Fprintf(stderr, "paperexp: interrupted — results above are partial\n")
+			return 130
 		}
-		os.Exit(1)
+		return 1
 	}
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
-	asJSON := *format == "json"
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "paperexp: unknown -format %q\n", *format)
-		obsTeardown() // os.Exit skips defers; flush traces explicitly
-		os.Exit(2)
-	}
-	var report experiments.JSONReport
-
 	scale := experiments.Scale{Rows: *rows, BlockSize: *block, Seed: *seed}
-	run := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if run("table1") {
-		t1 := experiments.RunTable1()
-		if asJSON {
-			report.Table1 = t1
-		} else {
-			t1.Render(os.Stdout)
-			fmt.Println()
+	report := experiments.JSONReport{Scale: scale}
+	selected := func(name string) bool { return *exp == "all" || *exp == name }
+	// show prints one result as text; under -format json the results go
+	// out together, in report, at the end.
+	show := func(r interface{ Render(io.Writer) }) {
+		if !asJSON {
+			r.Render(stdout)
+			fmt.Fprintln(stdout)
 		}
 	}
-	if !run("table2") && !run("fig3") && !run("fig4") && !run("ablations") {
-		if *exp != "table1" {
-			fmt.Fprintf(os.Stderr, "paperexp: unknown experiment %q\n", *exp)
-			obsTeardown() // os.Exit skips defers; flush traces explicitly
-			os.Exit(2)
-		}
+
+	if selected("table1") {
+		report.Table1 = experiments.RunTable1()
+		show(report.Table1)
+	}
+	if *exp == "table1" {
 		if asJSON {
-			report.Scale = scale
-			if err := experiments.WriteJSON(os.Stdout, report); err != nil {
-				fail(err)
+			if err := experiments.WriteJSON(stdout, report); err != nil {
+				return fail(err)
 			}
 		}
-		return
+		return 0
 	}
 
-	fmt.Fprintf(os.Stderr, "building %d-row table and solving designs (this is the expensive part)...\n", scale.Rows)
+	fmt.Fprintf(stderr, "building %d-row table and solving designs (this is the expensive part)...\n", scale.Rows)
 	t2, err := experiments.RunTable2(ctx, scale)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	costingSummary := func(name string, rec *advisor.Recommendation) {
-		fmt.Fprintf(os.Stderr, "  %s costing: %d what-if calls, %.1f%% cache hit rate, %.1f ms matrix build\n",
+		fmt.Fprintf(stderr, "  %s costing: %d what-if calls, %.1f%% cache hit rate, %.1f ms matrix build\n",
 			name, rec.Stats.WhatIfCalls, 100*rec.Stats.HitRate(),
 			float64(rec.MatrixBuildTime.Microseconds())/1000)
 		if rec.Degraded {
-			fmt.Fprintf(os.Stderr, "  %s solve degraded to rung %s\n", name, rec.Rung)
+			fmt.Fprintf(stderr, "  %s solve degraded to rung %s\n", name, rec.Rung)
 		}
-		rec.RenderRobustness(os.Stderr)
+		rec.RenderRobustness(stderr)
 	}
 	costingSummary("unconstrained", t2.Unconstrained)
 	costingSummary("k=2", t2.Constrained)
 	if *explainOut != "" {
-		fmt.Fprintf(os.Stderr, "explaining the constrained design (k-sweep + overfitting audit)...\n")
+		fmt.Fprintf(stderr, "explaining the constrained design (k-sweep + overfitting audit)...\n")
 		e, err := experiments.ExplainConstrained(ctx, t2, advisor.ExplainOptions{
 			AuditTrials: *auditTrials,
 			AuditSeed:   *auditSeed,
 		})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		e.PublishGauges(gauges)
 		buf, err := json.MarshalIndent(e, "", "  ")
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*explainOut, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "explanation written to %s\n", *explainOut)
-		if asJSON {
-			report.Explanation = e
-		} else {
-			e.Render(os.Stdout)
-			fmt.Println()
-		}
+		fmt.Fprintf(stderr, "explanation written to %s\n", *explainOut)
+		report.Explanation = e
+		show(e)
 	}
-	if run("table2") {
-		if asJSON {
-			report.Table2 = t2.Rows
-		} else {
-			t2.Render(os.Stdout)
-			fmt.Println()
-		}
+	if selected("table2") {
+		report.Table2 = t2.Rows
+		show(t2)
 	}
-	if run("fig3") {
-		fmt.Fprintf(os.Stderr, "replaying 6 workload/design combinations...\n")
-		f3, err := experiments.RunFigure3(ctx, t2)
-		if err != nil {
-			fail(err)
+	if selected("fig3") {
+		fmt.Fprintf(stderr, "replaying 6 workload/design combinations...\n")
+		if report.Figure3, err = experiments.RunFigure3(ctx, t2); err != nil {
+			return fail(err)
 		}
-		if asJSON {
-			report.Figure3 = f3
-		} else {
-			f3.Render(os.Stdout)
-			fmt.Println()
-		}
+		show(report.Figure3)
 	}
-	if run("fig4") {
-		var ks []int
-		for _, part := range strings.Split(*ksFlag, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			k, err := strconv.Atoi(part)
-			if err != nil || k < 0 {
-				fmt.Fprintf(os.Stderr, "paperexp: bad -ks entry %q\n", part)
-				obsTeardown()
-				os.Exit(2)
-			}
-			ks = append(ks, k)
+	if selected("fig4") {
+		fmt.Fprintf(stderr, "timing optimizers for k = %v...\n", ks)
+		if report.Figure4, err = experiments.RunFigure4(ctx, t2, ks); err != nil {
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "timing optimizers for k = %v...\n", ks)
-		f4, err := experiments.RunFigure4(ctx, t2, ks)
-		if err != nil {
-			fail(err)
-		}
-		if asJSON {
-			report.Figure4 = f4
-		} else {
-			f4.Render(os.Stdout)
-			fmt.Println()
-		}
+		show(report.Figure4)
 	}
-	if run("ablations") {
-		fmt.Fprintf(os.Stderr, "running ablations...\n")
-		quality, err := experiments.RunQualityVsK(ctx, t2)
+	if selected("ablations") {
+		fmt.Fprintf(stderr, "running ablations...\n")
+		if report.Quality, err = experiments.RunQualityVsK(ctx, t2); err != nil {
+			return fail(err)
+		}
+		show(report.Quality)
+		const rankingBudget = 2_000_000
+		strat, err := experiments.RunStrategyComparison(ctx, t2, rankingBudget)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if asJSON {
-			report.Quality = quality
-		} else {
-			quality.Render(os.Stdout)
-			fmt.Println()
-		}
-		strat, err := experiments.RunStrategyComparison(ctx, t2, 2)
+		show(strat)
+		ranking, err := experiments.RunRankingAblation(ctx, t2, []int{2, 4, 8, 12}, rankingBudget)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if !asJSON {
-			strat.Render(os.Stdout)
-			fmt.Println()
-		}
-		ranking, err := experiments.RunRankingAblation(ctx, t2, []int{2, 4, 8, 12}, 2_000_000)
-		if err != nil {
-			fail(err)
-		}
-		if !asJSON {
-			ranking.Render(os.Stdout)
-			fmt.Println()
-		}
+		show(ranking)
 		policy, err := experiments.RunPolicyAblation(ctx, t2, []int{0, 1, 2, 4, 8})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if !asJSON {
-			policy.Render(os.Stdout)
-			fmt.Println()
+		show(policy)
+		if report.WriteLoad, err = experiments.RunWriteLoad(ctx, scale); err != nil {
+			return fail(err)
 		}
-		writeLoad, err := experiments.RunWriteLoad(ctx, scale)
-		if err != nil {
-			fail(err)
-		}
-		if asJSON {
-			report.WriteLoad = writeLoad
-		} else {
-			writeLoad.Render(os.Stdout)
-			fmt.Println()
-		}
+		show(report.WriteLoad)
 		estimate, err := experiments.RunEstimateVsMeasured(ctx, t2, []int{0, 2, 8, 14})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if !asJSON {
-			estimate.Render(os.Stdout)
-			fmt.Println()
+		show(estimate)
+		if report.Calibration, err = experiments.RunCalibration(ctx, t2, 64); err != nil {
+			return fail(err)
 		}
-		calibration, err := experiments.RunCalibration(ctx, t2, 64)
-		if err != nil {
-			fail(err)
-		}
-		if asJSON {
-			report.Calibration = calibration
-		} else {
-			calibration.Render(os.Stdout)
+		if !asJSON { // the last block ends the output: no blank line after it
+			report.Calibration.Render(stdout)
 		}
 	}
 	if asJSON {
-		report.Scale = scale
-		if err := experiments.WriteJSON(os.Stdout, report); err != nil {
-			fail(err)
+		if err := experiments.WriteJSON(stdout, report); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
 }

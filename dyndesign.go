@@ -175,13 +175,11 @@ type Strategy = core.Strategy
 
 // Solution strategies.
 const (
-	StrategyKAware       = core.StrategyKAware
-	StrategyGreedySeq    = core.StrategyGreedySeq
-	StrategyMerge        = core.StrategyMerge
-	StrategyRanking      = core.StrategyRanking
-	StrategyRankAndMerge = core.StrategyRankAndMerge
-	StrategyHybrid       = core.StrategyHybrid
-	StrategyPartitioned  = core.StrategyPartitioned
+	StrategyKAware      = core.StrategyKAware
+	StrategyGreedySeq   = core.StrategyGreedySeq
+	StrategyMerge       = core.StrategyMerge
+	StrategyHybrid      = core.StrategyHybrid
+	StrategyPartitioned = core.StrategyPartitioned
 )
 
 // Strategies lists every available strategy.

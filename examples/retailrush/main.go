@@ -77,7 +77,6 @@ func main() {
 	rec, err := adv.Recommend(w, dyndesign.Options{
 		K:          2,
 		SpaceBound: 450,
-		Strategy:   dyndesign.StrategyHybrid,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -122,11 +122,11 @@ type Options struct {
 	// Callers sharing one store must serialize their solves. See NewMemo.
 	Memo *ExecMemo
 
-	// Cache, when non-nil, supplies a retained solve cache
-	// (core.SolveCache) instead of the fresh per-problem default, so a
-	// re-solve of an unchanged window warm-starts from the previous
-	// solve's cost tables. The cache invalidates itself when the model
-	// version changes (see core.VersionedModel).
+	// Cache, when non-nil, supplies the solve cache (core.SolveCache)
+	// instead of the fresh per-problem default. Tables are keyed by the
+	// problem's own model, so nothing carries over from one Recommend
+	// to the next; what a retained window shares across solves is the
+	// Memo's rows.
 	Cache *core.SolveCache
 
 	// Tracer, when non-nil, receives spans from the whole advisor
@@ -245,11 +245,7 @@ type whatIfModel struct {
 	table cost.TablePhys
 	phys  []cost.IndexPhys
 	segs  []workload.Segment
-	// version memoizes ModelVersion: the world and the segments are
-	// immutable once the problem is assembled, and the solve cache
-	// consults the version on every table fetch and replay peek.
-	version uint64
-	memo    *ExecMemo
+	memo  *ExecMemo
 	// rows[i] is stage i's row of the EXEC store, resolved from the
 	// segment's content hash when the problem is assembled (so entries
 	// survive the stage renumbering a sliding window causes between
@@ -329,16 +325,6 @@ func (m *whatIfModel) worldVersion() uint64 {
 	}
 	return uint64(h)
 }
-
-// ModelVersion implements core.VersionedModel: a fingerprint of
-// everything EXEC, TRANS, and SIZE depend on — the cost world plus the
-// workload segments behind each stage. Equal versions mean two models
-// compute identical cost tables, which is what lets a retained
-// core.SolveCache warm-start the re-solve of an unchanged window and
-// forces a rebuild the moment statistics are refreshed under a
-// long-lived model. The value is memoized at problem assembly (attach)
-// — the model is immutable afterwards.
-func (m *whatIfModel) ModelVersion() uint64 { return m.version }
 
 // compile returns stage's plan tables, compiling them into the stage's
 // store row r on first use; the caller holds r.mu. Compilation is the
@@ -569,23 +555,17 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 	return total
 }
 
-// attach fingerprints the model and binds it to the EXEC store: the
-// store is pinned to this model's cost world and candidate list — rows
-// computed under refreshed statistics, different physical descriptions,
-// or another list are purged instead of replayed — and each stage
-// resolves its row by segment content.
+// attach binds the model to the EXEC store: the store is pinned to this
+// model's cost world and candidate list — rows computed under refreshed
+// statistics, different physical descriptions, or another list are
+// purged instead of replayed — and each stage resolves its row by
+// segment content.
 func (m *whatIfModel) attach(configs []core.Config) {
-	world := m.worldVersion()
-	h := newFnv()
-	h.u64(world)
-	h.u64(uint64(len(m.segs)))
 	segHash := make([]uint64, len(m.segs))
 	for i, seg := range m.segs {
 		segHash[i] = segmentHash(seg)
-		h.u64(segHash[i])
 	}
-	m.version = uint64(h)
-	m.layout, m.rows = m.memo.attach(world, configs, segHash)
+	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segHash)
 }
 
 // validate checks the statements of every stage whose store row holds

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"time"
 
 	"dyndesign/internal/calib"
@@ -131,19 +130,10 @@ type Step struct {
 	DDL []string
 }
 
-// ddlFor builds the DDL statements for a configuration change.
+// ddlFor builds the DDL statements for a configuration change — the
+// ones Replay executes through the same calib.Target.
 func (r *Recommendation) ddlFor(from, to core.Config) []string {
-	added, removed := from.Diff(to)
-	var out []string
-	for _, s := range removed {
-		def := r.Structures[s]
-		out = append(out, fmt.Sprintf("DROP INDEX %s ON %s", def.Name(), def.Table))
-	}
-	for _, s := range added {
-		def := r.Structures[s]
-		out = append(out, fmt.Sprintf("CREATE INDEX ON %s (%s)", def.Table, strings.Join(def.Columns, ", ")))
-	}
-	return out
+	return calib.Target{Structures: r.Structures}.DDL(from, to)
 }
 
 // Steps lists every design change, including the initial installation

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dyndesign/internal/calib"
 	"dyndesign/internal/core"
 	"dyndesign/internal/engine"
 	"dyndesign/internal/workload"
@@ -48,7 +49,8 @@ func Replay(db *engine.Database, w *workload.Workload, rec *Recommendation, desi
 	report := ReplayReport{}
 	start := time.Now()
 
-	current, err := currentConfig(db, rec)
+	target := calib.Target{DB: db, Table: rec.Table, Structures: rec.Structures}
+	current, err := target.Current()
 	if err != nil {
 		return ReplayReport{}, err
 	}
@@ -57,10 +59,8 @@ func Replay(db *engine.Database, w *workload.Workload, rec *Recommendation, desi
 			return nil
 		}
 		before := stats.Snapshot()
-		for _, ddl := range rec.ddlFor(current, to) {
-			if _, err := db.Exec(ddl); err != nil {
-				return fmt.Errorf("advisor: applying %q: %w", ddl, err)
-			}
+		if _, err := target.Reconcile(current, to); err != nil {
+			return fmt.Errorf("advisor: applying a design change: %w", err)
 		}
 		report.TransitionPages += stats.Snapshot().Sub(before).Total()
 		report.Changes++
@@ -86,27 +86,4 @@ func Replay(db *engine.Database, w *workload.Workload, rec *Recommendation, desi
 	}
 	report.Wall = time.Since(start)
 	return report, nil
-}
-
-// currentConfig maps the database's materialized indexes onto the
-// recommendation's structure bits. Indexes outside the design space are
-// an error: the replay would not know when to drop them.
-func currentConfig(db *engine.Database, rec *Recommendation) (core.Config, error) {
-	names, err := db.IndexNames(rec.Table)
-	if err != nil {
-		return 0, err
-	}
-	byName := make(map[string]int, len(rec.Structures))
-	for i, def := range rec.Structures {
-		byName[def.Name()] = i
-	}
-	var c core.Config
-	for _, n := range names {
-		bit, ok := byName[n]
-		if !ok {
-			return 0, fmt.Errorf("advisor: table has index %s outside the design space", n)
-		}
-		c = c.With(bit)
-	}
-	return c, nil
 }

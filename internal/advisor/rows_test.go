@@ -113,8 +113,8 @@ func TestSlideMatrixBuildAllocatesOneRow(t *testing.T) {
 // TestRowsSurviveEvictionUnderRetainedSolveCache pins row immutability
 // across the two retainers: a core.SolveCache entry aliases the store's
 // rows, the capacity sweep later evicts those rows from the store, and a
-// re-solve served from the cache entry must still read the original
-// values.
+// re-solve of the first window's retained problem, served from its
+// cache entry, must still read the original values.
 func TestRowsSurviveEvictionUnderRetainedSolveCache(t *testing.T) {
 	_, adv := testAdvisor(t)
 	const seg, stages = 2, 10
@@ -129,21 +129,25 @@ func TestRowsSurviveEvictionUnderRetainedSolveCache(t *testing.T) {
 	if st := memo.Stats(); st.Evictions < int64(stages*width) {
 		t.Fatalf("evicted %d cells, want the first window's %d gone", st.Evictions, stages*width)
 	}
-	again := slideWindow(t, adv, stream, 0, seg*stages, opts)
-	if again.Problem.Metrics.MatrixBuilds() != 0 {
+	builds := first.Problem.Metrics.MatrixBuilds()
+	again, err := core.Solve(bg, first.Problem, core.StrategyKAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Problem.Metrics.MatrixBuilds() != builds {
 		t.Fatal("re-solve rebuilt its matrices; the test needs the retained cache entry to answer")
 	}
 	cold := slideWindow(t, adv, stream, 0, seg*stages, Options{K: 2, SegmentSize: seg})
-	for _, rec := range []*Recommendation{first, again} {
-		if math.Float64bits(rec.Solution.Cost) != math.Float64bits(cold.Solution.Cost) ||
-			math.Float64bits(rec.Solution.ExecCost) != math.Float64bits(cold.Solution.ExecCost) {
+	for _, sol := range []*core.Solution{first.Solution, again} {
+		if math.Float64bits(sol.Cost) != math.Float64bits(cold.Solution.Cost) ||
+			math.Float64bits(sol.ExecCost) != math.Float64bits(cold.Solution.ExecCost) {
 			t.Fatalf("cost %v (exec %v) != cold cost %v (exec %v)",
-				rec.Solution.Cost, rec.Solution.ExecCost, cold.Solution.Cost, cold.Solution.ExecCost)
+				sol.Cost, sol.ExecCost, cold.Solution.Cost, cold.Solution.ExecCost)
 		}
 	}
 	for i, c := range cold.Solution.Designs {
-		if again.Solution.Designs[i] != c {
-			t.Fatalf("stage %d: cache-served design %v != cold %v", i, again.Solution.Designs[i], c)
+		if again.Designs[i] != c {
+			t.Fatalf("stage %d: cache-served design %v != cold %v", i, again.Designs[i], c)
 		}
 	}
 }

@@ -32,6 +32,58 @@ type Target struct {
 	Structures []catalog.IndexDef
 }
 
+// Current maps the table's materialized indexes onto configuration
+// bits. An index outside Structures is an error: whoever reconciles
+// from the result could not restore, or know when to drop, an index it
+// cannot name.
+func (t Target) Current() (core.Config, error) {
+	names, err := t.DB.IndexNames(t.Table)
+	if err != nil {
+		return 0, err
+	}
+	bitOf := make(map[string]int, len(t.Structures))
+	for i, def := range t.Structures {
+		bitOf[def.Name()] = i
+	}
+	var c core.Config
+	for _, n := range names {
+		bit, ok := bitOf[n]
+		if !ok {
+			return 0, fmt.Errorf("calib: table has index %s outside the design space", n)
+		}
+		c = c.With(bit)
+	}
+	return c, nil
+}
+
+// DDL lists the statements that change the index set from one
+// configuration to another, drops first. It needs Structures only.
+func (t Target) DDL(from, to core.Config) []string {
+	added, removed := from.Diff(to)
+	var out []string
+	for _, s := range removed {
+		def := t.Structures[s]
+		out = append(out, fmt.Sprintf("DROP INDEX %s ON %s", def.Name(), def.Table))
+	}
+	for _, s := range added {
+		def := t.Structures[s]
+		out = append(out, fmt.Sprintf("CREATE INDEX ON %s (%s)", def.Table, strings.Join(def.Columns, ", ")))
+	}
+	return out
+}
+
+// Reconcile executes DDL(from, to) on the live engine and returns how
+// many of its statements ran.
+func (t Target) Reconcile(from, to core.Config) (ddl int, err error) {
+	for _, stmt := range t.DDL(from, to) {
+		if _, err := t.DB.Exec(stmt); err != nil {
+			return ddl, fmt.Errorf("calib: %s: %w", stmt, err)
+		}
+		ddl++
+	}
+	return ddl, nil
+}
+
 // Item is one statement to calibrate plus the configuration the
 // recommendation put in effect for it.
 type Item struct {
@@ -188,43 +240,16 @@ func Run(ctx context.Context, t Target, items []Item, est Estimator, opts Option
 		return eligible[a] < eligible[b]
 	})
 
-	bitOf := make(map[string]int, len(t.Structures))
-	for i, def := range t.Structures {
-		bitOf[def.Name()] = i
-	}
-	names, err := t.DB.IndexNames(t.Table)
+	original, err := t.Current()
 	if err != nil {
 		return rep, err
 	}
-	var original core.Config
-	for _, n := range names {
-		bit, ok := bitOf[n]
-		if !ok {
-			return rep, fmt.Errorf("calib: table has index %s outside the design space", n)
-		}
-		original = original.With(bit)
-	}
-
 	current := original
 	reconcile := func(to core.Config) error {
-		if to == current {
-			return nil
-		}
-		added, removed := current.Diff(to)
-		for _, s := range removed {
-			def := t.Structures[s]
-			if _, err := t.DB.Exec(fmt.Sprintf("DROP INDEX %s ON %s", def.Name(), def.Table)); err != nil {
-				return fmt.Errorf("calib: dropping %s: %w", def.Name(), err)
-			}
-			rep.Transitions++
-		}
-		for _, s := range added {
-			def := t.Structures[s]
-			if _, err := t.DB.Exec(fmt.Sprintf("CREATE INDEX ON %s (%s)",
-				def.Table, strings.Join(def.Columns, ", "))); err != nil {
-				return fmt.Errorf("calib: creating %s: %w", def.Name(), err)
-			}
-			rep.Transitions++
+		n, err := t.Reconcile(current, to)
+		rep.Transitions += n
+		if err != nil {
+			return err
 		}
 		current = to
 		return nil

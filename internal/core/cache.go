@@ -7,24 +7,26 @@ import (
 	"sync"
 )
 
-// SolveCache memoizes the dense cost tables across solves that share a
-// cost model: the hybrid's unconstrained seed plus its constrained run,
-// a SweepK after the Solve whose layers it exposes, and the explain
-// audit's oracle-solve-then-replay of each perturbed problem. Problems
-// do not cache by default — attach one explicitly (the advisor does)
-// and share it by copying the Problem, the same way Metrics is shared.
+// SolveCache memoizes the dense cost tables across the solves of one
+// problem, which share its cost model: the hybrid's unconstrained seed
+// plus its constrained run, a SweepK after the Solve whose layers it
+// exposes, and the explain audit's oracle-solve-then-replay of each
+// perturbed problem. Problems do not cache by default — attach one
+// explicitly (the advisor does) and share it by copying the Problem,
+// the same way Metrics is shared.
 //
 // The cache retains the few most recent table sets (maxCacheEntries,
 // MRU-evicted), each keyed by the model identity, stage count,
-// endpoints, and candidate list. Multiple live entries are what lets a
-// partitioned solve keep one table set per component sub-lattice, so a
-// window-to-window re-solve reuses the components the workload did not
-// touch. Tables containing non-finite cells (a FallibleModel reporting
-// a fault as +Inf) are returned to the requesting solve but never
-// retained, so a healthy retry after a fault cannot observe poisoned
-// cells. All methods are safe for concurrent use; concurrent builds of
-// the same family serialize on the cache so the model is evaluated
-// once.
+// endpoints, and candidate list. A model is immutable once its problem
+// is assembled, so the same model means the same tables; a different
+// model, even one that would compute the same values, builds its own.
+// Multiple live entries are what lets a partitioned solve keep one
+// table set per component sub-lattice. Tables containing non-finite
+// cells (a FallibleModel reporting a fault as +Inf) are returned to the
+// requesting solve but never retained, so a healthy retry after a fault
+// cannot observe poisoned cells. All methods are safe for concurrent
+// use; concurrent builds of the same family serialize on the cache so
+// the model is evaluated once.
 type SolveCache struct {
 	mu      sync.Mutex
 	entries []*cacheEntry // most recently used first
@@ -36,58 +38,16 @@ type SolveCache struct {
 const maxCacheEntries = 8
 
 type cacheEntry struct {
-	model CostModel
-	// version and versioned record the model's ModelVersion at build
-	// time when it implements VersionedModel; a later solve whose model
-	// reports a different version never reuses the entry.
-	version   uint64
-	versioned bool
-	stages    int
-	initial   Config
-	final     *Config
-	configs   []Config
-	m         *matrices
+	model   CostModel
+	stages  int
+	initial Config
+	final   *Config
+	configs []Config
+	m       *matrices
 }
 
 // NewSolveCache returns an empty cache ready to attach to a Problem.
 func NewSolveCache() *SolveCache { return &SolveCache{} }
-
-// VersionedModel is an optional CostModel capability for models whose
-// outputs can change over a long lifetime — refreshed statistics,
-// mutated histograms, a re-analyzed table. ModelVersion must return a
-// fingerprint of everything EXEC, TRANS, and SIZE depend on (statistics
-// epoch, physical descriptions, the workload segments behind each
-// stage): equal versions mean the cost functions are extensionally
-// equal. The SolveCache uses it two ways: a cached entry whose model
-// reports a new version is invalidated instead of replaying tables from
-// a dead world, and two distinct model instances of the same dynamic
-// type reporting equal versions may share tables — the warm start a
-// long-running advisor gets when it re-solves an unchanged window.
-type VersionedModel interface {
-	ModelVersion() uint64
-}
-
-// modelVersion returns the model's version fingerprint when it exposes
-// one.
-func modelVersion(m CostModel) (uint64, bool) {
-	if vm, ok := capability[VersionedModel](m); ok {
-		return vm.ModelVersion(), true
-	}
-	return 0, false
-}
-
-// sameWorld reports whether the entry's tables describe the same cost
-// world as the problem's model: the same instance at an unchanged
-// version, or — for versioned models only — another instance of the
-// same dynamic type whose fingerprint matches.
-func (e *cacheEntry) sameWorld(p *Problem) bool {
-	ver, versioned := modelVersion(p.Model)
-	if e.model == p.Model {
-		return !versioned || (e.versioned && e.version == ver)
-	}
-	return versioned && e.versioned && e.version == ver &&
-		reflect.TypeOf(e.model) == reflect.TypeOf(p.Model)
-}
 
 // comparableModel guards the interface comparisons the cache key needs:
 // a model of a non-comparable dynamic type (all the repo's models are
@@ -98,7 +58,7 @@ func comparableModel(m CostModel) bool {
 }
 
 func (e *cacheEntry) matches(p *Problem, configs []Config) bool {
-	if e == nil || !e.sameWorld(p) || e.stages != p.Stages || e.initial != p.Initial {
+	if e == nil || e.model != p.Model || e.stages != p.Stages || e.initial != p.Initial {
 		return false
 	}
 	if (e.final == nil) != (p.Final == nil) {
@@ -154,10 +114,6 @@ func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, n
 		faulted.trans = trans
 		return &faulted, nil
 	}
-	// Capture the model version before evaluating it: if the world
-	// changes mid-build, the recorded (pre-build) version differs from
-	// the next solve's and the entry is conservatively rebuilt.
-	ver, versioned := modelVersion(p.Model)
 	m, err := p.buildMatrices(ctx, configs, needTrans)
 	if err != nil {
 		return nil, err
@@ -169,8 +125,7 @@ func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, n
 			final = &f
 		}
 		c.entries = append([]*cacheEntry{{
-			model: p.Model, version: ver, versioned: versioned,
-			stages: p.Stages, initial: p.Initial,
+			model: p.Model, stages: p.Stages, initial: p.Initial,
 			final: final, configs: configs, m: m,
 		}}, c.entries...)
 		if len(c.entries) > maxCacheEntries {
@@ -204,7 +159,7 @@ func (c *SolveCache) peek(p *Problem) *matrices {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
-		if !e.sameWorld(p) || e.stages != p.Stages {
+		if e.model != p.Model || e.stages != p.Stages {
 			continue
 		}
 		p.Metrics.noteMatrixReuse()

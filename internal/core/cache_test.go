@@ -5,116 +5,10 @@ import (
 	"testing"
 )
 
-// versionedTableModel is a tableModel whose cost world can change in
-// place — the shape of a long-lived what-if model whose statistics are
-// refreshed between solves. The version is the model's statistics
-// epoch; bumping it without swapping the model pointer is exactly the
-// staleness case the SolveCache must detect.
-type versionedTableModel struct {
-	tableModel
-	version uint64
-}
-
-func (m *versionedTableModel) ModelVersion() uint64 { return m.version }
-
-// TestSolveCacheStaleModelVersion is the regression for stale cost
-// tables surviving a statistics refresh: a long-lived Problem whose
-// model mutates its histograms (same pointer, new outputs) must NOT
-// replay tables from the dead world.
-func TestSolveCacheStaleModelVersion(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	base, configs := randomModel(rng, 10, 4)
-	m := &versionedTableModel{tableModel: *base, version: 1}
-	p := &Problem{
-		Stages: 10, Configs: configs, Initial: 0, K: 2, Model: m,
-		Cache: NewSolveCache(), Metrics: &Metrics{},
-	}
-	sol1, err := SolveKAware(bg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Metrics.MatrixBuilds(); got != 1 {
-		t.Fatalf("MatrixBuilds after first solve = %d, want 1", got)
-	}
-
-	// "Refresh the statistics": mutate the histograms in place — every
-	// EXEC cell changes — and advance the model's version accordingly.
-	for i := range m.exec {
-		for j := range m.exec[i] {
-			m.exec[i][j] = m.exec[i][j]*3 + 7
-		}
-	}
-	m.version = 2
-
-	sol2, err := SolveKAware(bg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Metrics.MatrixBuilds(); got != 2 {
-		t.Fatalf("MatrixBuilds after stats refresh = %d, want 2 (stale tables replayed)", got)
-	}
-	// The second solution must be priced in the new world: recompute
-	// its cost from the mutated model directly.
-	fresh := *p
-	fresh.Cache = nil
-	if got := fresh.SequenceCost(sol2.Designs); !almostEqual(got, sol2.Cost) {
-		t.Fatalf("second solve cost %v != fresh model replay %v", sol2.Cost, got)
-	}
-	// Sanity: the old solution's cost no longer prices correctly, so a
-	// replayed table would have been observable.
-	if almostEqual(sol1.Cost, sol2.Cost) {
-		t.Fatalf("solve costs identical (%v) across a world change; fixture too weak", sol1.Cost)
-	}
-}
-
-// TestSolveCacheCrossInstanceWarmStart asserts the flip side of version
-// keying: two DISTINCT model instances of the same type reporting the
-// same version (a service rebuilding its model over an unchanged
-// window) share one table build.
-func TestSolveCacheCrossInstanceWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	base, configs := randomModel(rng, 8, 3)
-	m1 := &versionedTableModel{tableModel: *base, version: 42}
-	m2 := &versionedTableModel{tableModel: *base, version: 42}
-	cache := NewSolveCache()
-	metrics := &Metrics{}
-	p1 := &Problem{
-		Stages: 8, Configs: configs, Initial: 0, K: 2, Model: m1,
-		Cache: cache, Metrics: metrics,
-	}
-	sol1, err := SolveKAware(bg, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := *p1
-	p2.Model = m2
-	sol2, err := SolveKAware(bg, &p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metrics.MatrixBuilds(); got != 1 {
-		t.Fatalf("MatrixBuilds across same-version instances = %d, want 1 (no warm start)", got)
-	}
-	if got := metrics.MatrixReuses(); got == 0 {
-		t.Fatal("MatrixReuses = 0, want > 0")
-	}
-	if sol1.Cost != sol2.Cost {
-		t.Fatalf("warm-started cost %v != cold cost %v", sol2.Cost, sol1.Cost)
-	}
-
-	// A version bump on the new instance still forces a rebuild.
-	m2.version = 43
-	if _, err := SolveKAware(bg, &p2); err != nil {
-		t.Fatal(err)
-	}
-	if got := metrics.MatrixBuilds(); got != 2 {
-		t.Fatalf("MatrixBuilds after version bump = %d, want 2", got)
-	}
-}
-
-// TestSolveCacheUnversionedModelKeepsIdentitySemantics pins that models
-// without a version keep the original pointer-identity behaviour.
-func TestSolveCacheUnversionedModelKeepsIdentitySemantics(t *testing.T) {
+// TestSolveCacheKeysOnModelIdentity pins what a cached table set is
+// keyed on: the same model instance reuses it, and a distinct instance,
+// even one with identical content, builds its own.
+func TestSolveCacheKeysOnModelIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	m1, configs := randomModel(rng, 6, 3)
 	metrics := &Metrics{}
@@ -131,14 +25,12 @@ func TestSolveCacheUnversionedModelKeepsIdentitySemantics(t *testing.T) {
 	if got := metrics.MatrixBuilds(); got != 1 {
 		t.Fatalf("same-instance rebuilds: MatrixBuilds = %d, want 1", got)
 	}
-	// A distinct instance with identical content cannot prove world
-	// equality without a version — it must rebuild.
 	m2 := &tableModel{exec: m1.exec, trans: m1.trans, size: m1.size}
 	p.Model = m2
 	if _, err := SolveKAware(bg, p); err != nil {
 		t.Fatal(err)
 	}
 	if got := metrics.MatrixBuilds(); got != 2 {
-		t.Fatalf("unversioned cross-instance: MatrixBuilds = %d, want 2", got)
+		t.Fatalf("cross-instance: MatrixBuilds = %d, want 2", got)
 	}
 }

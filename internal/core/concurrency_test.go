@@ -99,30 +99,31 @@ func TestSharedProblemAllStrategiesConcurrently(t *testing.T) {
 	p := &Problem{Stages: 8, Configs: configs, Initial: 0, K: 2, Model: m, Metrics: &Metrics{}}
 
 	// Serial reference answer per strategy.
-	want := map[Strategy]float64{}
-	for _, s := range Strategies() {
-		sol, err := Solve(bg, p, s)
+	want := map[string]float64{}
+	for _, s := range everySolver() {
+		sol, err := s.run(bg, p)
 		if err != nil {
-			t.Fatalf("strategy %s (serial): %v", s, err)
+			t.Fatalf("solver %s (serial): %v", s.name, err)
 		}
-		want[s] = sol.Cost
+		want[s.name] = sol.Cost
 	}
 
 	const repetitions = 4
 	var wg sync.WaitGroup
-	errs := make(chan error, len(Strategies())*repetitions)
-	for _, s := range Strategies() {
+	// Two sends at most per goroutine.
+	errs := make(chan error, 2*len(everySolver())*repetitions)
+	for _, s := range everySolver() {
 		for r := 0; r < repetitions; r++ {
 			wg.Add(1)
-			go func(s Strategy) {
+			go func(s namedSolver) {
 				defer wg.Done()
-				sol, err := Solve(bg, p, s)
+				sol, err := s.run(bg, p)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if sol.Cost != want[s] {
-					errs <- errors.New("strategy " + string(s) + ": concurrent solve diverged from serial")
+				if sol.Cost != want[s.name] {
+					errs <- errors.New("solver " + s.name + ": concurrent solve diverged from serial")
 				}
 				if err := p.CheckSolution(sol); err != nil {
 					errs <- err
@@ -183,9 +184,10 @@ func TestMergeCountAllKZeroInfeasibleInitial(t *testing.T) {
 }
 
 // TestRankingBudgetTypedError is the regression test for the
-// nil-solution escape: when the expansion budget runs out, Solve-style
-// paths surface an error wrapping ErrRankingBudget instead of handing
-// callers a nil Solution.
+// nil-solution escape: when the expansion budget runs out,
+// RankingResult.Err is an error wrapping ErrRankingBudget, so a caller
+// that needs a solution has a typed failure to return instead of a nil
+// Solution.
 func TestRankingBudgetTypedError(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	m, configs := randomModel(rng, 10, 2)
@@ -202,16 +204,12 @@ func TestRankingBudgetTypedError(t *testing.T) {
 		t.Fatalf("RankingResult.Err() = %v, want ErrRankingBudget", err)
 	}
 
-	sol, err := rankingSolution(bg, p, RankingOptions{MaxExpansions: 3})
-	if sol != nil || !errors.Is(err, ErrRankingBudget) {
-		t.Fatalf("rankingSolution = (%v, %v), want typed budget error", sol, err)
-	}
 	// A successful ranking reports no error.
-	sol, err = rankingSolution(bg, p, RankingOptions{Prune: true})
-	if err != nil || sol == nil {
-		t.Fatalf("feasible ranking failed: (%v, %v)", sol, err)
+	res2, err := SolveRanking(bg, p, RankingOptions{Prune: true})
+	if err != nil || res2.Solution == nil {
+		t.Fatalf("feasible ranking failed: (%+v, %v)", res2, err)
 	}
-	if res2, _ := SolveRanking(bg, p, RankingOptions{Prune: true}); res2.Err() != nil {
+	if res2.Err() != nil {
 		t.Fatalf("Err() non-nil on success: %v", res2.Err())
 	}
 }

@@ -123,7 +123,7 @@ type BatchCostModel interface {
 }
 
 // capability finds an optional CostModel capability (AdditiveTransModel,
-// InteractionModel, VersionedModel) on m or on a model it decorates: a
+// InteractionModel) on m or on a model it decorates: a
 // wrapper that only intercepts evaluations exposes its inner model
 // through Unwrap() CostModel and inherits the inner model's
 // capabilities, instead of re-declaring each one as a forwarding

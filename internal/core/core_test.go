@@ -57,6 +57,39 @@ func randomModel(rng *rand.Rand, stages, structs int) (*tableModel, []Config) {
 	return m, configs
 }
 
+// namedSolver is one way to solve a problem, for the tests that cover
+// every solver the package has.
+type namedSolver struct {
+	name string
+	run  func(context.Context, *Problem) (*Solution, error)
+}
+
+// everySolver lists the table's strategies, each through Solve, and
+// then the two solvers that are library functions, by name. Ranking
+// gets its default budget and fails with ErrRankingBudget when that
+// runs out.
+func everySolver() []namedSolver {
+	var out []namedSolver
+	for _, s := range Strategies() {
+		s := s
+		out = append(out, namedSolver{string(s), func(ctx context.Context, p *Problem) (*Solution, error) {
+			return Solve(ctx, p, s)
+		}})
+	}
+	return append(out,
+		namedSolver{"ranking", func(ctx context.Context, p *Problem) (*Solution, error) {
+			res, err := SolveRanking(ctx, p, RankingOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return res.Solution, res.Err()
+		}},
+		namedSolver{"rankmerge", func(ctx context.Context, p *Problem) (*Solution, error) {
+			return SolveRankAndMerge(ctx, p, RankingOptions{})
+		}},
+	)
+}
+
 func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b))
 }
@@ -442,21 +475,21 @@ func TestSolveDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range Strategies() {
-		sol, err := Solve(bg, p, s)
+	for _, s := range everySolver() {
+		sol, err := s.run(bg, p)
 		if err != nil {
-			t.Fatalf("strategy %s: %v", s, err)
+			t.Fatalf("solver %s: %v", s.name, err)
 		}
 		if err := p.CheckSolution(sol); err != nil {
-			t.Fatalf("strategy %s: %v", s, err)
+			t.Fatalf("solver %s: %v", s.name, err)
 		}
 		if sol.Cost < optimal.Cost-1e-6 {
-			t.Fatalf("strategy %s beats optimal", s)
+			t.Fatalf("solver %s beats optimal", s.name)
 		}
-		// Exact strategies must match the optimum.
-		if s == StrategyKAware || s == StrategyRanking {
+		// Exact solvers must match the optimum.
+		if s.name == "kaware" || s.name == "ranking" {
 			if !almostEqual(sol.Cost, optimal.Cost) {
-				t.Fatalf("exact strategy %s cost %f != optimal %f", s, sol.Cost, optimal.Cost)
+				t.Fatalf("exact solver %s cost %f != optimal %f", s.name, sol.Cost, optimal.Cost)
 			}
 		}
 	}

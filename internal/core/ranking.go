@@ -12,10 +12,10 @@ import (
 // ErrRankingBudget is the typed error surfaced when shortest-path
 // ranking exhausts its expansion budget before a feasible design
 // appears. Callers that can degrade gracefully (SolveRankAndMerge)
-// check RankingResult.Exhausted instead; everything that must produce a
-// solution or fail (Solve, the advisor's Recommend) returns an error
-// wrapping this one, so callers can errors.Is on it rather than risk a
-// nil-solution dereference.
+// check RankingResult.Exhausted instead; a caller that must produce a
+// solution or fail returns RankingResult.Err, which wraps this one, so
+// its callers can errors.Is on it rather than risk a nil-solution
+// dereference.
 var ErrRankingBudget = errors.New("core: ranking expansion budget exhausted before a feasible design appeared")
 
 // RankingOptions configures SolveRanking.
@@ -249,20 +249,6 @@ func SolveRanking(ctx context.Context, p *Problem, opts RankingOptions) (*Rankin
 		}
 	}
 	return nil, fmt.Errorf("core: ranking exhausted the path space without a feasible design (K=%d)", p.K)
-}
-
-// rankingSolution runs SolveRanking and requires a solution: budget
-// exhaustion becomes a typed error (ErrRankingBudget) instead of a nil
-// solution. Solve's StrategyRanking branch is this.
-func rankingSolution(ctx context.Context, p *Problem, opts RankingOptions) (*Solution, error) {
-	res, err := SolveRanking(ctx, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	return res.Solution, nil
 }
 
 // SolveRankAndMerge combines the two techniques the way §5 suggests:

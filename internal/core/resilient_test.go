@@ -252,9 +252,9 @@ func TestDefaultLadder(t *testing.T) {
 	if len(got) != 2 || got[0] != StrategyMerge || got[1] != StrategyGreedySeq {
 		t.Fatalf("DefaultLadder(merge) = %v", got)
 	}
-	got = DefaultLadder(StrategyRanking)
-	if len(got) != 3 || got[0] != StrategyRanking {
-		t.Fatalf("DefaultLadder(ranking) = %v", got)
+	got = DefaultLadder(StrategyPartitioned)
+	if len(got) != 3 || got[0] != StrategyPartitioned {
+		t.Fatalf("DefaultLadder(partitioned) = %v", got)
 	}
 }
 
@@ -299,10 +299,10 @@ func (s *kernelSink) Emit(rec obs.SpanRecord) {
 
 // TestBudgetKeepsModelCapabilities pins that a what-if budget bounds how
 // much a rung may ask and nothing else: the budget wrapper must not hide
-// the model's AdditiveTransModel / InteractionModel / VersionedModel
-// capabilities, so a budgeted full-lattice solve picks the same kernel
-// as the unbudgeted one and returns bit-identical cost and designs, and
-// a budgeted partitioned solve still factors.
+// the model's AdditiveTransModel / InteractionModel capabilities, so a
+// budgeted full-lattice solve picks the same kernel as the unbudgeted
+// one and returns bit-identical cost and designs, and a budgeted
+// partitioned solve still factors.
 func TestBudgetKeepsModelCapabilities(t *testing.T) {
 	const stages, groups, bitsPer = 12, 2, 4 // 2^8 lattice: hypercube under KernelAuto
 	m, configs := randomGroupedModel(rand.New(rand.NewSource(77)), stages, groups, bitsPer)
@@ -347,15 +347,4 @@ func TestBudgetKeepsModelCapabilities(t *testing.T) {
 	if !reflect.DeepEqual(partKernels, freePartKernels) || part.Cost != freePart.Cost || !reflect.DeepEqual(part.Designs, freePart.Designs) {
 		t.Fatalf("budgeted partitioned solve differs: %v cost %v vs %v cost %v", partKernels, part.Cost, freePartKernels, freePart.Cost)
 	}
-
-	if v, ok := modelVersion(&budgetModel{inner: m}); ok {
-		t.Fatalf("unversioned model reports version %d through the wrapper", v)
-	}
-	if v, ok := modelVersion(&budgetModel{inner: versionedGrouped{m}}); !ok || v != 42 {
-		t.Fatalf("model version through the wrapper = %d, %v; want 42", v, ok)
-	}
 }
-
-type versionedGrouped struct{ *groupedModel }
-
-func (versionedGrouped) ModelVersion() uint64 { return 42 }

@@ -56,9 +56,9 @@ func TestSolversShareModelRowsReadOnly(t *testing.T) {
 
 	cache := NewSolveCache()
 	for _, kernel := range []TransKernel{KernelHypercube, KernelDense} {
-		for _, strat := range Strategies() {
-			if _, err := Solve(bg, problem(kernel, cache), strat); err != nil {
-				t.Fatalf("%s: %v", strat, err)
+		for _, s := range everySolver() {
+			if _, err := s.run(bg, problem(kernel, cache)); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
 			}
 		}
 		if _, err := SolveUnconstrained(bg, problem(kernel, cache)); err != nil {

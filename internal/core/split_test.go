@@ -22,13 +22,14 @@ func TestSolutionCostSplit(t *testing.T) {
 		}
 		f := ConfigOf()
 		p.Final = &f
-		for _, strat := range Strategies() {
-			if k == 0 && (strat == StrategyRanking || strat == StrategyRankAndMerge) {
+		for _, s := range everySolver() {
+			strat := s.name
+			if k == 0 && (strat == "ranking" || strat == "rankmerge") {
 				// Unpruned ranking at k=0 can be slow; the split logic is
 				// identical, so skip the expensive cells.
 				continue
 			}
-			sol, err := Solve(bg, p, strat)
+			sol, err := s.run(bg, p)
 			if err != nil {
 				t.Fatalf("k=%d %s: %v", k, strat, err)
 			}

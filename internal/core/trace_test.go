@@ -71,28 +71,33 @@ func TestTracedSolveCoversWallTime(t *testing.T) {
 	}
 }
 
-// TestTracedStrategiesEmitTheirSpans checks each strategy leaves its
-// characteristic spans in the aggregator.
+// TestTracedStrategiesEmitTheirSpans checks each solver leaves its
+// characteristic spans in the aggregator. The solve span is Solve's:
+// the library functions run below it.
 func TestTracedStrategiesEmitTheirSpans(t *testing.T) {
 	cases := []struct {
-		strategy Strategy
-		k        int
-		want     []string
+		solver string
+		k      int
+		want   []string
 	}{
-		{StrategyKAware, 2, []string{SpanSolve, SpanMatrixBuild, SpanKAwareSweep}},
-		{StrategyGreedySeq, 2, []string{SpanSolve, SpanGreedyReduce, SpanKAwareSweep}},
-		{StrategyMerge, 2, []string{SpanSolve, SpanSeqgraphDP, SpanMergeStep}},
+		{"kaware", 2, []string{SpanSolve, SpanMatrixBuild, SpanKAwareSweep}},
+		{"greedyseq", 2, []string{SpanSolve, SpanGreedyReduce, SpanKAwareSweep}},
+		{"merge", 2, []string{SpanSolve, SpanSeqgraphDP, SpanMergeStep}},
 		// Ranking gets a loose bound: with small k its enumeration is the
 		// paper's worst case and would exhaust the budget, which is a
 		// different test's business (TestRankingBudget).
-		{StrategyRanking, 39, []string{SpanSolve, SpanRankingSweep, SpanRankingExpand}},
-		{StrategyHybrid, 2, []string{SpanSolve, SpanSeqgraphDP}},
+		{"ranking", 39, []string{SpanRankingSweep, SpanRankingExpand}},
+		{"hybrid", 2, []string{SpanSolve, SpanSeqgraphDP}},
+	}
+	solvers := map[string]namedSolver{}
+	for _, s := range everySolver() {
+		solvers[s.name] = s
 	}
 	for _, c := range cases {
-		t.Run(string(c.strategy), func(t *testing.T) {
+		t.Run(c.solver, func(t *testing.T) {
 			agg := obs.NewAggregator()
 			p := tracedProblem(40, 3, c.k, agg)
-			if _, err := Solve(bg, p, c.strategy); err != nil {
+			if _, err := solvers[c.solver].run(bg, p); err != nil {
 				t.Fatal(err)
 			}
 			seen := map[string]bool{}
@@ -101,7 +106,7 @@ func TestTracedStrategiesEmitTheirSpans(t *testing.T) {
 			}
 			for _, name := range c.want {
 				if !seen[name] {
-					t.Errorf("strategy %s left no %q span (saw %v)", c.strategy, name, seen)
+					t.Errorf("solver %s left no %q span (saw %v)", c.solver, name, seen)
 				}
 			}
 		})

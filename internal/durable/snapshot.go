@@ -25,10 +25,9 @@ const SnapshotSchemaVersion = 1
 // after it.
 //
 // Deliberately absent: the what-if memo and the solve-cache tables.
-// Both are deterministic caches keyed by content; they re-warm from the
-// recovered window via core.VersionedModel on the first solve, so
-// persisting them would add bulk and a staleness channel without
-// changing any answer.
+// Both are deterministic caches; the first solve over the recovered
+// window refills them, so persisting them would add bulk and a
+// staleness channel without changing any answer.
 type Snapshot struct {
 	SchemaVersion int    `json:"schema_version"`
 	Seq           uint64 `json:"seq"`

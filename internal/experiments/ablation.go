@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
+	"dyndesign/internal/advisor"
 	"dyndesign/internal/core"
 )
 
@@ -33,25 +35,15 @@ func RunQualityVsK(ctx context.Context, t2 *Table2Result) (_ *QualityVsK, err er
 	if err != nil {
 		return nil, err
 	}
-	res := &QualityVsK{Unconstrained: unc.Cost, L: unc.Changes}
-	// The per-k solves are independent cells sharing one cached what-if
-	// model (warmed by the unconstrained solve above), so they fan out
-	// across cores; slot k of each slice belongs to cell k.
-	res.Ks = make([]int, unc.Changes+1)
-	res.RelativeCost = make([]float64, unc.Changes+1)
-	err = fanOut(ctx, unc.Changes+1, func(k int) error {
-		pk := *base
-		pk.K = k
-		sol, err := core.SolveKAware(ctx, &pk)
-		if err != nil {
-			return err
-		}
-		res.Ks[k] = k
-		res.RelativeCost[k] = sol.Cost / unc.Cost
-		return nil
-	})
+	// One layered DP run holds every point of the curve.
+	curve, err := core.SweepK(ctx, base, unc.Changes)
 	if err != nil {
 		return nil, err
+	}
+	res := &QualityVsK{Unconstrained: unc.Cost, L: unc.Changes}
+	for _, pt := range curve {
+		res.Ks = append(res.Ks, pt.K)
+		res.RelativeCost = append(res.RelativeCost, pt.Cost/unc.Cost)
 	}
 	return res, nil
 }
@@ -97,19 +89,14 @@ func RunRankingAblation(ctx context.Context, t2 *Table2Result, ks []int, budget 
 		PlainTime: make([]time.Duration, len(ks)), PrunedTime: make([]time.Duration, len(ks)),
 		Exhausted: make([]bool, len(ks)), PrunedOut: make([]bool, len(ks)),
 	}
-	// Per-k cells fan out against the shared warmed model. Expansion
-	// counts are scheduling-independent; the per-cell wall times are
-	// indicative under contention (the experiment's primary output is
-	// the expansion count, which the paper's "quite bad" prediction is
-	// about).
-	err = fanOut(ctx, len(ks), func(i int) error {
+	for i, k := range ks {
 		pk := *base
-		pk.K = ks[i]
+		pk.K = k
 
 		start := time.Now()
 		plain, err := core.SolveRanking(ctx, &pk, core.RankingOptions{MaxExpansions: budget})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.PlainTime[i] = time.Since(start)
 		res.PlainExpand[i] = plain.Expansions
@@ -118,15 +105,11 @@ func RunRankingAblation(ctx context.Context, t2 *Table2Result, ks []int, budget 
 		start = time.Now()
 		pruned, err := core.SolveRanking(ctx, &pk, core.RankingOptions{MaxExpansions: budget, Prune: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.PrunedTime[i] = time.Since(start)
 		res.PrunedExpand[i] = pruned.Expansions
 		res.PrunedOut[i] = pruned.Exhausted
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -150,100 +133,188 @@ func (r *RankingAblation) Render(w io.Writer) {
 	}
 }
 
-// StrategyComparison runs every strategy on the same constrained problem
-// and reports cost, changes, and runtime — the library-level summary of
-// §3–§5.
+// StrategyComparison is the table that decides which solvers are
+// production strategies: every row of core's strategy table through
+// core.Solve, then the two library functions by name, each timed
+// alone, one cell at a time, over two fixtures and three change bounds.
+// A heuristic belongs in core's table iff some cell here has it
+// undominated: no other row at least as fast and at least as cheap. The
+// exact solvers stay whatever their cells say; they are the oracle.
 type StrategyComparison struct {
-	K       int
-	Names   []string
-	Costs   []float64
-	Changes []int
-	Times   []time.Duration
-	Optimal float64
+	Ks       []int
+	Fixtures []ComparisonFixture
 }
 
-// RunStrategyComparison compares all strategies at one k on W1.
-func RunStrategyComparison(ctx context.Context, t2 *Table2Result, k int) (_ *StrategyComparison, err error) {
+// ComparisonFixture is one problem family of the comparison.
+type ComparisonFixture struct {
+	Name            string
+	Stages, Configs int
+	// L is the change count of the unconstrained optimum: a bound of L
+	// or more does not bind.
+	L int
+	// Optimal[i] is the exact optimum at Ks[i] (the kaware row's cost).
+	Optimal []float64
+	Rows    []ComparisonRow
+}
+
+// ComparisonRow is one solver's cells, one per change bound.
+type ComparisonRow struct {
+	Name  string
+	Cells []ComparisonCell
+}
+
+// ComparisonCell is one timed solve.
+type ComparisonCell struct {
+	Cost    float64
+	Changes int
+	// Gap is the optimality gap the solver itself reports (partitioned).
+	Gap float64
+	// Time is the median run; see timeIt.
+	Time time.Duration
+	// Exhausted marks a ranking run whose expansion budget ran out
+	// before a feasible design appeared: the cell has a time and nothing
+	// else, and takes no part in the dominance rule.
+	Exhausted bool
+}
+
+// RunStrategyComparison builds the comparison over W1 at the table's
+// scale: the paper's seven single-index configurations (the dense
+// kernel) and the full 2^6 lattice over the same six structures (the
+// hypercube kernel). Cost rows are warmed first and each fixture's
+// problem carries its solve cache, so a cell times graph work the way
+// Figure 4 does. rankingBudget bounds ranking's frontier pops on the
+// seven-configuration fixture; the lattice gets proportionally fewer,
+// so that neither holds more path nodes than the other.
+func RunStrategyComparison(ctx context.Context, t2 *Table2Result, rankingBudget int) (_ *StrategyComparison, err error) {
 	end := experimentSpan("strategy_comparison")
 	defer func() { end(err == nil) }()
-	base, _, err := t2.Advisor.Problem(t2.W1, PaperOptions(k))
+	lattice := PaperSpace()
+	lattice.Configs = nil
+	latticeAdvisor, err := advisor.New(t2.DB, lattice)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.SolveUnconstrained(ctx, &core.Problem{
-		Stages: base.Stages, Configs: base.Configs, Initial: base.Initial,
-		Final: base.Final, K: core.Unconstrained, Policy: base.Policy, Model: base.Model,
-	}); err != nil { // warm the memo
-		return nil, err
+	var names []string
+	for _, s := range core.Strategies() {
+		names = append(names, string(s))
 	}
-	// Every strategy solves the same shared problem concurrently — the
-	// per-row locks of the what-if store make that safe, and it is
-	// exactly the "several strategies on one cached model" scenario the
-	// costing layer is built for. Costs and changes are scheduling-independent;
-	// wall times are indicative under contention.
-	strategies := core.Strategies()
-	res := &StrategyComparison{
-		K:       k,
-		Names:   make([]string, len(strategies)),
-		Costs:   make([]float64, len(strategies)),
-		Changes: make([]int, len(strategies)),
-		Times:   make([]time.Duration, len(strategies)),
-	}
-	err = fanOut(ctx, len(strategies), func(i int) error {
-		s := strategies[i]
-		start := time.Now()
-		var sol *core.Solution
-		var err error
-		if s == core.StrategyRanking {
-			// Plain ranking blows up for small k exactly as the paper
-			// warns; run it with a budget and report exhaustion rather
-			// than hanging.
-			var rr *core.RankingResult
-			rr, err = core.SolveRanking(ctx, base, core.RankingOptions{MaxExpansions: 2_000_000})
-			if err == nil {
-				sol = rr.Solution // nil when exhausted
-			}
-		} else {
-			sol, err = core.Solve(ctx, base, s)
-		}
+	names = append(names, "ranking", "rankmerge")
+	res := &StrategyComparison{Ks: []int{2, 4, 8}}
+	for _, fx := range []struct {
+		name string
+		adv  *advisor.Advisor
+	}{
+		{"7 single-index configurations", t2.Advisor},
+		{"full lattice over the 6 structures", latticeAdvisor},
+	} {
+		base, _, err := fx.adv.Problem(t2.W1, PaperOptions(core.Unconstrained))
 		if err != nil {
-			return fmt.Errorf("experiments: strategy %s: %w", s, err)
+			return nil, err
 		}
-		res.Names[i] = string(s)
-		if sol == nil {
-			res.Costs[i] = 0
-			res.Changes[i] = -1
-		} else {
-			res.Costs[i] = sol.Cost
-			res.Changes[i] = sol.Changes
+		unc, err := core.SolveUnconstrained(ctx, base) // warms the rows
+		if err != nil {
+			return nil, err
 		}
-		res.Times[i] = time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range strategies {
-		if s == core.StrategyKAware && res.Changes[i] >= 0 {
-			res.Optimal = res.Costs[i]
+		ranking := core.RankingOptions{MaxExpansions: rankingBudget * len(t2.Advisor.Space().Configs) / len(base.Configs)}
+		out := ComparisonFixture{Name: fx.name, Stages: base.Stages, Configs: len(base.Configs), L: unc.Changes}
+		for _, name := range names {
+			row := ComparisonRow{Name: name}
+			for _, k := range res.Ks {
+				pk := *base
+				pk.K = k
+				// A ranking row leaves a heap of path nodes behind; collect
+				// it, or the rows after it run under a heap goal no other
+				// row gets and never pay for a collection.
+				runtime.GC()
+				var sol *core.Solution
+				_, d, err := timeIt(func() (err error) {
+					sol, err = solveRow(ctx, name, &pk, ranking)
+					return err
+				})
+				if err != nil {
+					return nil, fmt.Errorf("experiments: %s, %s at k=%d: %w", fx.name, name, k, err)
+				}
+				cell := ComparisonCell{Time: d, Exhausted: sol == nil}
+				if sol != nil {
+					cell.Cost, cell.Changes, cell.Gap = sol.Cost, sol.Changes, sol.Gap
+				}
+				row.Cells = append(row.Cells, cell)
+			}
+			out.Rows = append(out.Rows, row)
 		}
+		for _, c := range out.Rows[0].Cells { // core's table leads with kaware
+			out.Optimal = append(out.Optimal, c.Cost)
+		}
+		res.Fixtures = append(res.Fixtures, out)
 	}
 	return res, nil
 }
 
-// Render prints the strategy comparison.
-func (r *StrategyComparison) Render(w io.Writer) {
-	fmt.Fprintf(w, "Ablation: all strategies at k=%d\n\n", r.K)
-	fmt.Fprintf(w, "%-12s %14s %10s %10s %10s\n", "strategy", "cost", "vs opt", "changes", "ms")
-	for i, n := range r.Names {
-		if r.Changes[i] < 0 {
-			fmt.Fprintf(w, "%-12s %14s %10s %10s %10.2f  (expansion budget exhausted)\n",
-				n, "-", "-", "-", float64(r.Times[i].Microseconds())/1000)
-			continue
+// solveRow runs one row of the comparison: a strategy of core's table
+// through core.Solve, or one of the two library functions by name —
+// ranking plain, as §5 states it. A nil solution is a ranking run whose
+// budget ran out.
+func solveRow(ctx context.Context, name string, p *core.Problem, ranking core.RankingOptions) (*core.Solution, error) {
+	switch name {
+	case "ranking":
+		res, err := core.SolveRanking(ctx, p, ranking)
+		if err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(w, "%-12s %14.0f %9.2f%% %10d %10.2f\n",
-			n, r.Costs[i], 100*(r.Costs[i]/r.Optimal-1), r.Changes[i],
-			float64(r.Times[i].Microseconds())/1000)
+		return res.Solution, nil
+	case "rankmerge":
+		return core.SolveRankAndMerge(ctx, p, ranking)
+	}
+	return core.Solve(ctx, p, core.Strategy(name))
+}
+
+// Undominated reports whether row r's cell at Ks[i] is on the fixture's
+// frontier: no other row's cell there is at least as fast and at least
+// as cheap.
+func (f *ComparisonFixture) Undominated(r, i int) bool {
+	c := f.Rows[r].Cells[i]
+	if c.Exhausted {
+		return false
+	}
+	for o, other := range f.Rows {
+		oc := other.Cells[i]
+		if o != r && !oc.Exhausted && oc.Time <= c.Time && oc.Cost <= c.Cost {
+			return false
+		}
+	}
+	return true
+}
+
+// Render prints the comparison, one block per fixture; a cell is
+// "ms (cost over the optimum)", starred when undominated.
+func (r *StrategyComparison) Render(w io.Writer) {
+	fmt.Fprintf(w, "Ablation: the solver surface, one cell at a time\n")
+	fmt.Fprintf(w, "          (median ms over warmed cost rows, cost over the exact optimum; * = no other row is\n")
+	fmt.Fprintf(w, "          at least as fast and at least as cheap in that cell)\n")
+	for _, f := range r.Fixtures {
+		fmt.Fprintf(w, "\n%s: %d stages x %d configurations, unconstrained optimum has l=%d changes\n",
+			f.Name, f.Stages, f.Configs, f.L)
+		fmt.Fprintf(w, "%-12s", "solver")
+		for _, k := range r.Ks {
+			fmt.Fprintf(w, " %24s", fmt.Sprintf("k=%d", k))
+		}
+		fmt.Fprintln(w)
+		for ri, row := range f.Rows {
+			fmt.Fprintf(w, "%-12s", row.Name)
+			for i, c := range row.Cells {
+				ms := float64(c.Time.Microseconds()) / 1000
+				cell := fmt.Sprintf("%.2f (budget exhausted)", ms)
+				if !c.Exhausted {
+					star := " "
+					if f.Undominated(ri, i) {
+						star = "*"
+					}
+					cell = fmt.Sprintf("%.2f (%.2f%%)%s", ms, 100*(c.Cost/f.Optimal[i]-1), star)
+				}
+				fmt.Fprintf(w, " %24s", cell)
+			}
+			fmt.Fprintln(w)
+		}
 	}
 }
 
@@ -266,34 +337,28 @@ func RunPolicyAblation(ctx context.Context, t2 *Table2Result, ks []int) (_ *Poli
 		FreeCost: make([]float64, len(ks)), StrictCost: make([]float64, len(ks)),
 		FreeChanges: make([]int, len(ks)),
 	}
-	// (k × policy) cells are independent; both policies of one k share
-	// a cell so the fan-out stays coarse-grained.
-	err = fanOut(ctx, len(ks), func(i int) error {
-		opts := PaperOptions(ks[i])
+	for i, k := range ks {
+		opts := PaperOptions(k)
 		pFree, _, err := t2.Advisor.Problem(t2.W1, opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		solFree, err := core.SolveKAware(ctx, pFree)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts.Policy = core.CountAll
 		pStrict, _, err := t2.Advisor.Problem(t2.W1, opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		solStrict, err := core.SolveKAware(ctx, pStrict)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.FreeCost[i] = solFree.Cost
 		res.StrictCost[i] = solStrict.Cost
 		res.FreeChanges[i] = solFree.Changes
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }

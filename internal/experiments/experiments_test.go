@@ -262,19 +262,6 @@ func TestAblationHarnesses(t *testing.T) {
 		t.Errorf("quality at k=l is %f, want 1.0", last)
 	}
 
-	strat, err := RunStrategyComparison(bg, t2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strat.Names) != 7 || strat.Optimal <= 0 {
-		t.Errorf("strategy comparison = %+v", strat)
-	}
-	for i, c := range strat.Costs {
-		if strat.Changes[i] >= 0 && c < strat.Optimal-1e-6 {
-			t.Errorf("strategy %s beat the optimum", strat.Names[i])
-		}
-	}
-
 	policy, err := RunPolicyAblation(bg, t2, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -297,11 +284,115 @@ func TestAblationHarnesses(t *testing.T) {
 
 	var sb strings.Builder
 	quality.Render(&sb)
-	strat.Render(&sb)
 	policy.Render(&sb)
 	ranking.Render(&sb)
 	if !strings.Contains(sb.String(), "Ablation") {
 		t.Error("ablation renders empty")
+	}
+}
+
+// TestQualityCurveMatchesKAware is the differential test behind the
+// quality curve reading one SweepK run: on W1, under both change
+// policies, every point of the sweep costs exactly what SolveKAware
+// finds at that bound, and RunQualityVsK's curve is those costs over
+// the unconstrained optimum.
+func TestQualityCurveMatchesKAware(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves W1 at every bound up to l, twice")
+	}
+	t2 := getTable2(t)
+	quality, err := RunQualityVsK(bg, t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []core.ChangePolicy{core.FreeEndpoints, core.CountAll} {
+		opts := PaperOptions(core.Unconstrained)
+		opts.Policy = policy
+		p, _, err := t2.Advisor.Problem(t2.W1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve, err := core.SweepK(bg, p, quality.L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range curve {
+			pk := *p
+			pk.K = pt.K
+			sol, err := core.SolveKAware(bg, &pk)
+			if err != nil {
+				t.Fatalf("%s, k=%d: %v", policy, pt.K, err)
+			}
+			if !pt.Feasible || pt.Cost != sol.Cost {
+				t.Errorf("%s, k=%d: sweep point %+v, SolveKAware cost %v", policy, pt.K, pt, sol.Cost)
+			}
+			if policy == core.FreeEndpoints && quality.RelativeCost[pt.K] != sol.Cost/quality.Unconstrained {
+				t.Errorf("k=%d: curve reads %v, SolveKAware cost %v over %v", pt.K,
+					quality.RelativeCost[pt.K], sol.Cost, quality.Unconstrained)
+			}
+		}
+	}
+}
+
+// TestStrategyComparison checks the table that decides the production
+// strategies, not its timings: both fixtures and every change bound are
+// there, each on the kernel it is there for; the exact rows agree
+// (ranking when its budget sufficed, partitioned when it reports no
+// gap); no row beats the optimum or its bound; and a ranking run that
+// exhausts its budget is a marked cell, not a failed comparison.
+func TestStrategyComparison(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves two fixtures at three bounds with nine solvers")
+	}
+	cmp, err := RunStrategyComparison(bg, getTable2(t), 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmp.Fixtures) != 2 || len(cmp.Ks) != 3 {
+		t.Fatalf("comparison has %d fixtures x %d bounds, want 2 x 3", len(cmp.Fixtures), len(cmp.Ks))
+	}
+	if got := []int{cmp.Fixtures[0].Configs, cmp.Fixtures[1].Configs}; got[0] != 7 || got[1] != 64 {
+		t.Fatalf("fixtures have %v configurations, want 7 (dense kernel) and 64 (hypercube)", got)
+	}
+	wantRows := len(core.Strategies()) + 2
+	for _, f := range cmp.Fixtures {
+		if len(f.Rows) != wantRows {
+			t.Fatalf("%s: %d rows, want core's %d strategies and the 2 library functions", f.Name, len(f.Rows), len(core.Strategies()))
+		}
+		for ri, row := range f.Rows {
+			for i, c := range row.Cells {
+				k, opt := cmp.Ks[i], f.Optimal[i]
+				switch {
+				case c.Exhausted:
+					if row.Name != "ranking" || c.Cost != 0 || f.Undominated(ri, i) {
+						t.Errorf("%s, %s at k=%d: exhausted cell %+v", f.Name, row.Name, k, c)
+					}
+					continue
+				case c.Changes > k:
+					t.Errorf("%s, %s at k=%d: %d changes", f.Name, row.Name, k, c.Changes)
+				case c.Cost < opt-1e-6:
+					t.Errorf("%s, %s at k=%d: cost %v beats the optimum %v", f.Name, row.Name, k, c.Cost, opt)
+				case c.Cost > opt+c.Gap+1e-6 && (row.Name == "kaware" || row.Name == "ranking" || row.Name == "partitioned"):
+					t.Errorf("%s, %s at k=%d: cost %v, optimum %v, reported gap %v", f.Name, row.Name, k, c.Cost, opt, c.Gap)
+				}
+			}
+		}
+	}
+	// Seven configurations over 3000 stages: plain ranking cannot finish
+	// at these bounds, and rank-and-merge must still answer.
+	for _, row := range cmp.Fixtures[0].Rows {
+		for i, c := range row.Cells {
+			if c.Exhausted != (row.Name == "ranking") {
+				t.Errorf("%s at k=%d: exhausted = %v", row.Name, cmp.Ks[i], c.Exhausted)
+			}
+		}
+	}
+	var sb strings.Builder
+	cmp.Render(&sb)
+	for _, want := range []string{"budget exhausted", "greedyseq", "hybrid", "k=8"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("render lacks %q:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -58,37 +58,26 @@ func RunTable2(ctx context.Context, s Scale) (_ *Table2Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// The three workload generators are independent cells; each writes
-	// its own slot.
-	wnames := []string{"W1", "W2", "W3"}
-	ws := make([]*workload.Workload, len(wnames))
-	err = fanOut(ctx, len(wnames), func(i int) error {
-		w, err := workload.PaperWorkload(wnames[i], s.Rows, s.BlockSize, s.Seed+100*int64(i+1))
-		ws[i] = w
-		return err
-	})
-	if err != nil {
-		return nil, err
+	var ws [3]*workload.Workload
+	for i, name := range []string{"W1", "W2", "W3"} {
+		ws[i], err = workload.PaperWorkload(name, s.Rows, s.BlockSize, s.Seed+100*int64(i+1))
+		if err != nil {
+			return nil, err
+		}
 	}
 	w1, w2, w3 := ws[0], ws[1], ws[2]
 	adv, err := advisor.New(db, PaperSpace())
 	if err != nil {
 		return nil, err
 	}
-	// The unconstrained and the k=2 recommendation are independent
-	// solver cells over the same advisor (its physical descriptions are
-	// read-only), so they run concurrently too.
-	recKs := []int{core.Unconstrained, 2}
-	recs := make([]*advisor.Recommendation, len(recKs))
-	err = fanOut(ctx, len(recKs), func(i int) error {
-		rec, err := adv.RecommendContext(ctx, w1, PaperOptions(recKs[i]))
-		recs[i] = rec
-		return err
-	})
+	unc, err := adv.RecommendContext(ctx, w1, PaperOptions(core.Unconstrained))
 	if err != nil {
 		return nil, err
 	}
-	unc, con := recs[0], recs[1]
+	con, err := adv.RecommendContext(ctx, w1, PaperOptions(2))
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Table2Result{
 		Scale: s, DB: db, Advisor: adv,
