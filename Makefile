@@ -1,10 +1,10 @@
 GO ?= go
 
 # COVER_FLOOR is the minimum statement coverage of internal/core (the
-# solver layer) that cover-check accepts; it sits a few points below
-# the current ~89% so routine churn passes but a big untested addition
+# solver layer) that cover-check accepts; it sits two points below
+# the current ~92% so routine churn passes but a big untested addition
 # fails.
-COVER_FLOOR ?= 85.0
+COVER_FLOOR ?= 90.0
 
 .PHONY: all build vet test race bench bench-smoke bench-e2e bench-pair frontier cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
 
@@ -22,11 +22,15 @@ test:
 # The -race suite exercises the concurrent costing layer: the what-if
 # row store (matrix workers meeting on one segment row) and the parallel
 # matrix build.
-# internal/experiments replays full workloads against the live engine
-# and sits near go test's default 10m package deadline under -race on
-# slower machines, so the timeout is raised explicitly.
+# internal/experiments replays full workloads against the live engine:
+# 578 s under -race at its full test scale (2 CPUs), near go test's
+# default 10m package deadline, so the race run takes that one package
+# with -short — every test of it then runs at a fifth of the rows and
+# half the block size, none skips, 77 s — and the timeout stays raised
+# for slower machines.
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 20m $$($(GO) list ./... | grep -v '/internal/experiments$$')
+	$(GO) test -race -short -timeout 20m ./internal/experiments/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

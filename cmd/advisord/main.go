@@ -76,7 +76,6 @@ import (
 	"dyndesign/internal/candidates"
 	"dyndesign/internal/core"
 	"dyndesign/internal/durable"
-	"dyndesign/internal/engine"
 	"dyndesign/internal/experiments"
 	"dyndesign/internal/obs"
 )
@@ -151,7 +150,7 @@ func run(ctx context.Context) error {
 	}
 	defer obsTeardown()
 
-	db, err := buildDatabase(*setup, *paperRows, *table)
+	db, err := experiments.LoadDatabase(*setup, *paperRows, *table, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -266,34 +265,5 @@ func run(ctx context.Context) error {
 			err = serr
 		}
 		return err
-	}
-}
-
-// buildDatabase loads the table to tune, mirroring the dyndesign CLI:
-// either a SQL setup script or the paper's synthetic table.
-func buildDatabase(setup string, paperRows int64, table string) (*engine.Database, error) {
-	switch {
-	case paperRows > 0 && setup != "":
-		return nil, fmt.Errorf("use either -setup or -paper-rows, not both")
-	case paperRows > 0:
-		fmt.Fprintf(os.Stderr, "advisord: building paper table with %d rows...\n", paperRows)
-		return experiments.SetupPaperDatabase(experiments.Scale{Rows: paperRows, BlockSize: 1, Seed: 1})
-	case setup != "":
-		db := engine.New()
-		f, err := os.Open(setup)
-		if err != nil {
-			return nil, err
-		}
-		err = db.ExecScript(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		if err := db.Analyze(table); err != nil {
-			return nil, err
-		}
-		return db, nil
-	default:
-		return nil, fmt.Errorf("one of -setup or -paper-rows is required")
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"dyndesign/internal/advisor"
 	"dyndesign/internal/candidates"
 	"dyndesign/internal/core"
-	"dyndesign/internal/engine"
 	"dyndesign/internal/experiments"
 	"dyndesign/internal/explain"
 	"dyndesign/internal/obs"
@@ -131,34 +130,9 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("-trace is required")
 	}
 
-	// Build the database.
-	var db *engine.Database
-	switch {
-	case *paperRows > 0 && *setup != "":
-		return fmt.Errorf("use either -setup or -paper-rows, not both")
-	case *paperRows > 0:
-		fmt.Fprintf(os.Stderr, "building paper table with %d rows...\n", *paperRows)
-		var err error
-		db, err = experiments.SetupPaperDatabase(experiments.Scale{Rows: *paperRows, BlockSize: 1, Seed: 1})
-		if err != nil {
-			return err
-		}
-	case *setup != "":
-		db = engine.New()
-		f, err := os.Open(*setup)
-		if err != nil {
-			return err
-		}
-		err = db.ExecScript(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if err := db.Analyze(*table); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("one of -setup or -paper-rows is required")
+	db, err := experiments.LoadDatabase(*setup, *paperRows, *table, os.Stderr)
+	if err != nil {
+		return err
 	}
 
 	// Read the workload.

@@ -6,6 +6,7 @@ import (
 
 	"dyndesign/internal/core"
 	"dyndesign/internal/explain"
+	"dyndesign/internal/workload"
 )
 
 // TestRecommendExplain pins the advisor-level provenance wiring: a
@@ -92,5 +93,39 @@ func TestExplainRequiresSolution(t *testing.T) {
 	_, adv := testAdvisor(t)
 	if _, err := adv.Explain(bg, &Recommendation{}, ExplainOptions{}); err == nil {
 		t.Error("Explain accepted an unsolved recommendation")
+	}
+}
+
+// TestRecommendMultiAuditKeepsOptions pins that a multi-trace
+// recommendation remembers the options it was solved under: Explain's
+// audit re-assembles every resample through them, and under forgotten
+// (zero) options it would compare the recommended design against a
+// static, one-statement-per-stage oracle.
+func TestRecommendMultiAuditKeepsOptions(t *testing.T) {
+	_, adv := testAdvisor(t)
+	other, err := workload.PaperWorkload("W1", testRows, testBlock, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := paperOpts(2)
+	opts.SegmentSize = testBlock
+	rec, err := adv.RecommendMulti([]*workload.Workload{testWorkload(t), other}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := adv.perturb(rec)(0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.K != 2 || p.Stages != rec.Problem.Stages || p.Final == nil {
+		t.Fatalf("perturbed problem has K=%d, %d stages, final constrained %v; the recommendation's has K=2, %d stages, true",
+			p.K, p.Stages, p.Final != nil, rec.Problem.Stages)
+	}
+	e, err := adv.Explain(bg, rec, ExplainOptions{AuditTrials: 1, AuditSeed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Audit == nil || e.Audit.Constrained.K != 2 {
+		t.Fatalf("audit = %+v", e.Audit)
 	}
 }

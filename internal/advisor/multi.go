@@ -120,6 +120,7 @@ func (a *Advisor) RecommendMultiContext(ctx context.Context, traces []*workload.
 		Workload:       traces[0],
 		Problem:        &combined,
 		Strategy:       strategy,
+		opts:           opts,
 	}
 	start := time.Now()
 	sol, err := a.solveProblem(ctx, &combined, strategy, opts, rec)

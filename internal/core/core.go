@@ -323,6 +323,15 @@ func (p *Problem) usableConfigs() ([]Config, error) {
 	return out, nil
 }
 
+// maxChanges is the most changes any design sequence of the problem can
+// count: one per stage boundary, plus the installation under CountAll.
+func (p *Problem) maxChanges() int {
+	if p.Policy == CountAll {
+		return p.Stages
+	}
+	return p.Stages - 1
+}
+
 // CountChanges counts the design changes of a sequence under a policy.
 func CountChanges(initial Config, designs []Config, policy ChangePolicy) int {
 	if len(designs) == 0 {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -659,5 +661,67 @@ func TestSolutionRuns(t *testing.T) {
 	}
 	if total != len(s.Designs) {
 		t.Errorf("runs cover %d of %d stages", total, len(s.Designs))
+	}
+}
+
+// TestChangeBoundAboveStageCount pins that a change bound no sequence
+// can reach is free: 50 stages have at most 49 counted changes, so
+// K = 200 000 must answer with the unconstrained optimum and size its
+// tables by the stage count — the layered DP used to allocate 171 MB of
+// parent links here, the partitioned knapsack K+1-wide rows.
+func TestChangeBoundAboveStageCount(t *testing.T) {
+	const hugeK = 200_000
+	m, configs := randomGroupedModel(rand.New(rand.NewSource(5)), 50, 2, 1)
+	problem := func(k int, policy ChangePolicy) *Problem {
+		return &Problem{Stages: 50, Configs: configs, Initial: 0, K: k, Policy: policy, Model: m, Parallelism: 1}
+	}
+	for _, policy := range []ChangePolicy{FreeEndpoints, CountAll} {
+		want, err := SolveUnconstrained(bg, problem(Unconstrained, policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []namedSolver{
+			{"kaware", SolveKAware},
+			{"partitioned", func(ctx context.Context, p *Problem) (*Solution, error) {
+				return Solve(ctx, p, StrategyPartitioned)
+			}},
+			{"beam", func(ctx context.Context, p *Problem) (*Solution, error) {
+				ps, err := solvePartitioned(ctx, p, beamWidth, true)
+				if err != nil {
+					return nil, err
+				}
+				return ps.Solution, nil
+			}},
+		} {
+			p := problem(hugeK, policy)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := s.run(bg, p)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", s.name, policy, err)
+			}
+			if got.Cost != want.Cost || !reflect.DeepEqual(got.Designs, want.Designs) {
+				t.Errorf("%s/%v: (%v, %v), want the unconstrained optimum (%v, %v)",
+					s.name, policy, got.Cost, got.Designs, want.Cost, want.Designs)
+			}
+			if err := p.CheckSolution(got); err != nil {
+				t.Errorf("%s/%v: %v", s.name, policy, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("%s/%v: solve allocated %d bytes, want under 1 MiB", s.name, policy, alloc)
+			}
+		}
+		// SweepK keeps one point per requested bound and is flat above
+		// the stage count.
+		curve, err := SweepK(bg, problem(0, policy), 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(curve) != 121 || curve[120] != (KSweepPoint{K: 120, Feasible: true, Cost: want.Cost,
+			ExecCost: want.ExecCost, TransCost: want.TransCost, Changes: want.Changes}) {
+			t.Errorf("%v: SweepK(120) has %d points ending %+v, want 121 ending at the unconstrained optimum %+v",
+				policy, len(curve), curve[len(curve)-1], want)
+		}
 	}
 }

@@ -14,9 +14,8 @@ import (
 // global optimum; SweepK reads every layer, which is why the run is kept
 // as a value instead of being discarded inside the solver.
 type layeredDP struct {
-	configs []Config
-	m       *matrices
-	layers  int
+	m      *matrices // m.configs is the usable candidate list the run covers
+	layers int
 	// cost[idx(c,l)] is the cheapest way to execute all stages with the
 	// last stage under configs[c] and exactly l changes counted.
 	cost []float64
@@ -30,22 +29,26 @@ type layeredDP struct {
 // idx is layer-major so each layer's cost row is one contiguous slice —
 // exactly the shape the transition kernels relax and the layer-parallel
 // sweep partitions.
-func (d *layeredDP) idx(c, l int) int { return l*len(d.configs) + c }
+func (d *layeredDP) idx(c, l int) int { return l*len(d.m.configs) + c }
 
 // runLayeredDP executes the paper's k-aware sequence-graph relaxation
-// (§3) over the given number of layers: layer l holds the paths that
-// have made exactly l design changes so far. Staying in a configuration
-// keeps the layer; switching moves one layer down through the kernel's
-// move relaxation — O(layers·m²) per stage dense, O(layers·m'·2^m')
-// hypercube. Layers relax independently (each reads the frozen previous
-// stage), so stages with enough configurations fan the layer sweep out
-// across the worker pool; every layer is owned by exactly one worker,
-// which keeps the output bit-identical to the serial sweep. The stage
-// loop checks the context between stages, so cancellation latency is
-// bounded by one relaxation.
-func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelaxer, configs []Config, layers int) (*layeredDP, error) {
+// (§3) over layers 0..maxK: layer l holds the paths that have made
+// exactly l design changes so far. No sequence counts more than
+// maxChanges of them, so a larger bound buys no further layer — the
+// tables are sized by the stage count, never by the bound alone. Staying
+// in a configuration keeps the layer; switching moves one layer down
+// through the kernel's move relaxation — O(layers·m²) per stage dense,
+// O(layers·m'·2^m') hypercube. Layers relax independently (each reads
+// the frozen previous stage), so stages with enough configurations fan
+// the layer sweep out across the worker pool; every layer is owned by
+// exactly one worker, which keeps the output bit-identical to the serial
+// sweep. The stage loop checks the context between stages, so
+// cancellation latency is bounded by one relaxation.
+func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelaxer, maxK int) (*layeredDP, error) {
+	configs := m.configs
 	nc := len(configs)
-	d := &layeredDP{configs: configs, m: m, layers: layers, stages: p.Stages}
+	layers := min(maxK, p.maxChanges()) + 1
+	d := &layeredDP{m: m, layers: layers, stages: p.Stages}
 	inf := math.Inf(1)
 
 	cost := make([]float64, nc*layers)
@@ -85,12 +88,9 @@ func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelax
 	next := make([]float64, nc*layers)
 	move := make([]float64, nc*layers)
 	moveFrom := make([]int32, nc*layers)
-	var scratch []*latticeScratch
-	if kern.needsScratch() {
-		scratch = make([]*latticeScratch, layers)
-		for l := 1; l < layers; l++ {
-			scratch[l] = kern.newScratch()
-		}
+	scratch := make([]*latticeScratch, layers) // one per layer: the sweep below fans out by layer
+	for l := 1; l < layers; l++ {
+		scratch[l] = kern.newScratch()
 	}
 	nextLive := make([]bool, layers)
 	workers := p.workers()
@@ -112,11 +112,7 @@ func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelax
 			if l > 0 && live[l-1] {
 				moveRow = move[base : base+nc]
 				moveSrc = moveFrom[base : base+nc]
-				var scr *latticeScratch
-				if scratch != nil {
-					scr = scratch[l]
-				}
-				kern.relaxMove(cost[(l-1)*nc:base], moveRow, moveSrc, scr)
+				kern.relaxMove(cost[(l-1)*nc:base], moveRow, moveSrc, scratch[l])
 			}
 			anyLive := false
 			for t := 0; t < nc; t++ {
@@ -182,7 +178,7 @@ func (d *layeredDP) best(maxLayer int) (cfg, layer int, ok bool) {
 	}
 	bestCost := math.Inf(1)
 	cfg, layer = -1, -1
-	for j := 0; j < len(d.configs); j++ {
+	for j := 0; j < len(d.m.configs); j++ {
 		for l := 0; l <= maxLayer; l++ {
 			v := d.cost[d.idx(j, l)]
 			if math.IsInf(v, 1) {
@@ -205,7 +201,7 @@ func (d *layeredDP) backtrack(cfg, layer int) []Config {
 	designs := make([]Config, d.stages)
 	c, l := cfg, layer
 	for i := d.stages - 1; i >= 0; i-- {
-		designs[i] = d.configs[c]
+		designs[i] = d.m.configs[c]
 		if i == 0 {
 			break
 		}
@@ -232,6 +228,10 @@ func (d *layeredDP) curve(ctx context.Context, p *Problem, maxK int) ([]*Solutio
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
+		if k >= d.layers {
+			sols[k] = prev // every layer is already read: flat from here on
+			continue
+		}
 		cfg, layer, ok := d.best(k)
 		if !ok {
 			continue
@@ -251,6 +251,21 @@ func (d *layeredDP) curve(ctx context.Context, p *Problem, maxK int) ([]*Solutio
 	return sols, nil
 }
 
+// layeredCurve is one layered relaxation read at every change bound in
+// [0, maxK] (see curve): what SweepK reports and what the partitioned
+// solver recombines per component.
+func (p *Problem) layeredCurve(ctx context.Context, maxK int) ([]*Solution, error) {
+	m, kern, err := p.solveInputs(ctx)
+	if err != nil {
+		return nil, err
+	}
+	d, err := p.runLayeredDP(ctx, m, kern, maxK)
+	if err != nil {
+		return nil, err
+	}
+	return d.curve(ctx, p, maxK)
+}
+
 // SolveKAware finds the optimal change-constrained dynamic physical
 // design via the paper's k-aware sequence graph (§3): the sequence graph
 // replicated into K+1 layers, where layer l holds the paths that have
@@ -264,19 +279,11 @@ func SolveKAware(ctx context.Context, p *Problem) (*Solution, error) {
 	if p.K == Unconstrained {
 		return SolveUnconstrained(ctx, p)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	configs, err := p.usableConfigs()
+	m, kern, err := p.solveInputs(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ch := resolveKernel(p, configs)
-	m, err := p.tables(ctx, configs, ch.needTrans())
-	if err != nil {
-		return nil, err
-	}
-	d, err := p.runLayeredDP(ctx, m, ch.kernel(m), configs, p.K+1)
+	d, err := p.runLayeredDP(ctx, m, kern, p.K)
 	if err != nil {
 		return nil, err
 	}
@@ -321,23 +328,7 @@ func SweepK(ctx context.Context, p *Problem, maxK int) ([]KSweepPoint, error) {
 	if maxK < 0 {
 		return nil, fmt.Errorf("core: cannot sweep to negative change bound %d", maxK)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	configs, err := p.usableConfigs()
-	if err != nil {
-		return nil, err
-	}
-	ch := resolveKernel(p, configs)
-	m, err := p.tables(ctx, configs, ch.needTrans())
-	if err != nil {
-		return nil, err
-	}
-	d, err := p.runLayeredDP(ctx, m, ch.kernel(m), configs, maxK+1)
-	if err != nil {
-		return nil, err
-	}
-	sols, err := d.curve(ctx, p, maxK)
+	sols, err := p.layeredCurve(ctx, maxK)
 	if err != nil {
 		return nil, err
 	}

@@ -102,9 +102,8 @@ type transRelaxer interface {
 	// cost the ranking expansion charges.
 	transCost(f, t int) float64
 
-	// needsScratch reports whether relax calls require a scratch from
-	// newScratch (nil is fine otherwise).
-	needsScratch() bool
+	// newScratch returns the buffer one relax call at a time may use,
+	// nil for a kernel that needs none.
 	newScratch() *latticeScratch
 }
 
@@ -149,10 +148,7 @@ func resolveKernel(p *Problem, configs []Config) kernelChoice {
 		return dense
 	}
 	add, drop := am.TransParts()
-	var span Config
-	for _, c := range configs {
-		span |= c
-	}
+	span := spanOf(configs)
 	nbits := span.Count()
 	if nbits > maxLatticeBits {
 		// An additive model wanted the lattice but the span is over the
@@ -162,16 +158,8 @@ func resolveKernel(p *Problem, configs []Config) kernelChoice {
 		p.Metrics.noteLatticeOverflow()
 		return dense
 	}
-	for s := span; s != 0; s &= s - 1 {
-		bit := bits.TrailingZeros64(uint64(s))
-		if bit >= len(add) || bit >= len(drop) {
-			return dense
-		}
-		for _, v := range [2]float64{add[bit], drop[bit]} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return dense
-			}
-		}
+	if !validTransParts(add, drop, span) {
+		return dense
 	}
 	if p.Kernel != KernelHypercube {
 		nc := len(configs)
@@ -182,6 +170,35 @@ func resolveKernel(p *Problem, configs []Config) kernelChoice {
 	return kernelChoice{kind: KernelHypercube, add: add, drop: drop, span: span, bits: nbits}
 }
 
+// spanOf is the union of a candidate list: every structure some
+// candidate uses.
+func spanOf(configs []Config) Config {
+	var span Config
+	for _, c := range configs {
+		span |= c
+	}
+	return span
+}
+
+// validTransParts is the one check of the AdditiveTransModel contract
+// anything in the package makes: add and drop must reach every structure
+// of span with a finite, non-negative cost. The hypercube kernel and the
+// partitioner both trust the decomposition itself once this holds.
+func validTransParts(add, drop []float64, span Config) bool {
+	for s := span; s != 0; s &= s - 1 {
+		bit := bits.TrailingZeros64(uint64(s))
+		if bit >= len(add) || bit >= len(drop) {
+			return false
+		}
+		for _, v := range [2]float64{add[bit], drop[bit]} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // denseKernel is the all-pairs relaxation over the raw TRANS table.
 // Adding changeEpsilon to the raw cell at use time reproduces, bit for
 // bit, the previously baked-in table values, so every dense solve is
@@ -189,7 +206,6 @@ func resolveKernel(p *Problem, configs []Config) kernelChoice {
 type denseKernel struct{ m *matrices }
 
 func (k *denseKernel) name() string                { return "dense" }
-func (k *denseKernel) needsScratch() bool          { return false }
 func (k *denseKernel) newScratch() *latticeScratch { return nil }
 
 func (k *denseKernel) transCost(f, t int) float64 {
@@ -323,8 +339,7 @@ func compress(c, span Config) int {
 	return out
 }
 
-func (k *hyperKernel) name() string       { return "hypercube" }
-func (k *hyperKernel) needsScratch() bool { return true }
+func (k *hyperKernel) name() string { return "hypercube" }
 
 func (k *hyperKernel) newScratch() *latticeScratch {
 	return &latticeScratch{

@@ -53,45 +53,23 @@ type InteractionModel interface {
 	ExecInteractions() []Config
 }
 
-// Partitioned-solver defaults.
+// Partitioned-solver constants.
 const (
-	// DefaultBeamWidth is the anytime beam width used for components too
-	// wide to solve exactly.
-	DefaultBeamWidth = 512
-	// DefaultMaxExactConfigs is the largest per-component candidate list
-	// the partitioned solver hands to the exact layered DP when the
-	// component's span exceeds the hypercube ceiling (the dense kernel's
+	// beamWidth is the width of the anytime beam search used for
+	// components too wide to solve exactly.
+	beamWidth = 512
+	// maxExactConfigs is the largest candidate list — a component's, or
+	// an unfactorable problem's — still handed to the exact layered DP
+	// when its span exceeds the hypercube ceiling (the dense kernel's
 	// O(n·c²) stays affordable up to roughly this many configurations).
-	DefaultMaxExactConfigs = 4096
+	maxExactConfigs = 4096
 )
 
-// PartitionOptions tunes SolvePartitionedOpts.
-type PartitionOptions struct {
-	// BeamWidth bounds the beam of the anytime search used for
-	// components that cannot be solved exactly; 0 means
-	// DefaultBeamWidth. Widening the beam along powers of two never
-	// increases the reported gap: the search re-runs its internal
-	// doubling schedule (64, 128, ...) and keeps the best design found
-	// at any width.
-	BeamWidth int
-	// MaxExactConfigs is the candidate-count ceiling under which a
-	// component (or an unfactorable problem) is still solved exactly
-	// with the dense kernel even though its span exceeds the hypercube
-	// ceiling; 0 means DefaultMaxExactConfigs.
-	MaxExactConfigs int
-	// ForceBeam forces the beam path even where an exact solve is
-	// affordable — a testing and diagnostics knob.
-	ForceBeam bool
-}
-
-func (o PartitionOptions) withDefaults() PartitionOptions {
-	if o.BeamWidth <= 0 {
-		o.BeamWidth = DefaultBeamWidth
-	}
-	if o.MaxExactConfigs <= 0 {
-		o.MaxExactConfigs = DefaultMaxExactConfigs
-	}
-	return o
+// exactAffordable reports whether a candidate list is solved exactly:
+// its span fits the hypercube lattice, or the list is short enough for
+// the dense kernel.
+func exactAffordable(configs []Config) bool {
+	return spanOf(configs).Count() <= maxLatticeBits || len(configs) <= maxExactConfigs
 }
 
 // ComponentReport describes one independent component of a partitioned
@@ -154,14 +132,25 @@ type PartitionedSolution struct {
 // candidate list when not, so SolvePartitioned is safe to call on any
 // valid problem.
 func SolvePartitioned(ctx context.Context, p *Problem) (*PartitionedSolution, error) {
-	return SolvePartitionedOpts(ctx, p, PartitionOptions{})
+	return solvePartitioned(ctx, p, beamWidth, false)
 }
 
-// SolvePartitionedOpts is SolvePartitioned with explicit options.
-func SolvePartitionedOpts(ctx context.Context, p *Problem, opts PartitionOptions) (*PartitionedSolution, error) {
-	opts = opts.withDefaults()
+// solvePartitioned is SolvePartitioned with the beam's width given and,
+// under forceBeam, the beam taken even where an exact solve is
+// affordable. Production has one value of each; the package's tests
+// force the beam — at a width that really prunes — on problems small
+// enough to check against the exact solver.
+func solvePartitioned(ctx context.Context, p *Problem, width int, forceBeam bool) (*PartitionedSolution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if p.K > p.maxChanges() {
+		// No sequence has more changes than that, so a larger bound buys
+		// nothing — and the budget curves and knapsack rows below are
+		// K+1 wide.
+		clamped := *p
+		clamped.K = p.maxChanges()
+		p = &clamped
 	}
 	configs, err := p.usableConfigs()
 	if err != nil {
@@ -176,9 +165,9 @@ func SolvePartitionedOpts(ctx context.Context, p *Problem, opts PartitionOptions
 	sp.End(obs.Int("components", int64(nComp)), obs.Bool("factored", plan != nil),
 		obs.Int("configs", int64(len(configs))))
 	if plan == nil {
-		return solveUnfactored(ctx, p, configs, opts)
+		return solveUnfactored(ctx, p, configs, width, forceBeam)
 	}
-	return solveFactored(ctx, p, configs, plan, opts)
+	return solveFactored(ctx, p, configs, plan, width, forceBeam)
 }
 
 // partitionPlan is a discovered factoring of the candidate list.
@@ -206,27 +195,15 @@ func partitionConfigs(p *Problem, configs []Config) *partitionPlan {
 	if !ok {
 		return nil
 	}
-	var span Config
-	for _, c := range configs {
-		span |= c
-	}
+	span := spanOf(configs)
 	if span == 0 {
 		return nil
 	}
 	if p.Policy == CountAll && p.Initial&^span != 0 {
 		return nil
 	}
-	add, drop := am.TransParts()
-	for s := span; s != 0; s &= s - 1 {
-		bit := bits.TrailingZeros64(uint64(s))
-		if bit >= len(add) || bit >= len(drop) {
-			return nil
-		}
-		for _, v := range [2]float64{add[bit], drop[bit]} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil
-			}
-		}
+	if add, drop := am.TransParts(); !validTransParts(add, drop, span) {
+		return nil
 	}
 
 	// Union-find over the span's structure bits, joined by the cliques.
@@ -298,9 +275,6 @@ func partitionConfigs(p *Problem, configs []Config) *partitionPlan {
 			return nil
 		}
 		product *= len(sub)
-		if product > len(configs) {
-			return nil
-		}
 	}
 	if product != len(configs) {
 		return nil
@@ -371,16 +345,6 @@ type component struct {
 	lb      float64
 }
 
-// resolveComponentKernel picks tables and a relaxer for a sub-problem.
-func resolveComponentKernel(ctx context.Context, sub *Problem) (*matrices, transRelaxer, error) {
-	ch := resolveKernel(sub, sub.Configs)
-	m, err := sub.tables(ctx, sub.Configs, ch.needTrans())
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, ch.kernel(m), nil
-}
-
 // exactCurve computes a component's exact cost-versus-budget curve from
 // one layered-DP run, the way SweepK reads every layer of a single
 // relaxation — but retaining the backtracked designs the recombination
@@ -394,15 +358,7 @@ func exactCurve(ctx context.Context, sub *Problem, k int) ([]componentPoint, err
 		}
 		return []componentPoint{newComponentPoint(sub, sol)}, nil
 	}
-	m, kern, err := resolveComponentKernel(ctx, sub)
-	if err != nil {
-		return nil, err
-	}
-	d, err := sub.runLayeredDP(ctx, m, kern, sub.Configs, k+1)
-	if err != nil {
-		return nil, err
-	}
-	sols, err := d.curve(ctx, sub, k)
+	sols, err := sub.layeredCurve(ctx, k)
 	if err != nil {
 		return nil, err
 	}
@@ -422,15 +378,12 @@ type beamState struct {
 	parent     int32 // index into the previous stage's kept slice
 }
 
-// beamCurve runs the beam-pruned anytime search with an internal
-// doubling widening schedule (64, 128, …, BeamWidth), keeping the best
-// design found at any width per budget. Because every wider run keeps
-// the narrower runs' results, the returned curve — and hence the
-// reported gap — is monotone non-increasing as BeamWidth grows along
-// powers of two. The admissible lower bound is the unconstrained
-// optimum of the sub-problem (a relaxation of any change budget).
-func beamCurve(ctx context.Context, sub *Problem, k int, opts PartitionOptions) ([]componentPoint, float64, error) {
-	m, kern, err := resolveComponentKernel(ctx, sub)
+// beamCurve runs the beam-pruned anytime search, one pass at the given
+// width, and pairs its curve with the admissible lower bound: the
+// unconstrained optimum of the sub-problem (a relaxation of any change
+// budget).
+func beamCurve(ctx context.Context, sub *Problem, k, width int) ([]componentPoint, float64, error) {
+	m, kern, err := sub.solveInputs(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -438,37 +391,21 @@ func beamCurve(ctx context.Context, sub *Problem, k int, opts PartitionOptions) 
 	if err != nil {
 		return nil, 0, err
 	}
-	var widths []int
-	for w := 64; w < opts.BeamWidth; w *= 2 {
-		widths = append(widths, w)
+	points, err := runBeam(ctx, sub, m, kern, k, width)
+	if err != nil {
+		return nil, 0, err
 	}
-	widths = append(widths, opts.BeamWidth)
-	var best []componentPoint
-	for _, w := range widths {
-		points, err := runBeam(ctx, sub, m, kern, k, w)
-		if err != nil {
-			return nil, 0, err
-		}
-		if best == nil {
-			best = points
-			continue
-		}
-		for i := range points {
-			if points[i].feasible && (!best[i].feasible || points[i].cost < best[i].cost) {
-				best[i] = points[i]
-			}
-		}
-	}
-	return best, lbSol.Cost, nil
+	return points, lbSol.Cost, nil
 }
 
-// runBeam is one fixed-width pass: top-width (cost, layer, cfg) states
-// kept per stage, expanded by stay and move edges, with per-budget
-// endpoints backtracked into a curve. Everything is serial and
-// tie-broken by a total order, so the search is deterministic
-// regardless of Problem.Parallelism.
+// runBeam is the fixed-width pass over the sub-problem's usable
+// candidates: top-width (cost, layer, cfg) states kept per stage,
+// expanded by stay and move edges, with per-budget endpoints backtracked
+// into a curve. Everything is serial and tie-broken by a total order, so
+// the search is deterministic regardless of Problem.Parallelism.
 func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, k, width int) ([]componentPoint, error) {
-	nc := len(sub.Configs)
+	configs := m.configs
+	nc := len(configs)
 	counting := k != Unconstrained
 	kept := make([][]beamState, sub.Stages)
 
@@ -491,7 +428,7 @@ func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, 
 	cur := make([]beamState, 0, nc)
 	for j := 0; j < nc; j++ {
 		l := int32(0)
-		if counting && sub.Policy == CountAll && sub.Configs[j] != sub.Initial {
+		if counting && sub.Policy == CountAll && configs[j] != sub.Initial {
 			l = 1
 		}
 		if counting && int(l) > k {
@@ -554,7 +491,7 @@ func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, 
 		si := last
 		for i := sub.Stages - 1; i >= 0; i-- {
 			st := kept[i][si]
-			designs[i] = sub.Configs[st.cfg]
+			designs[i] = configs[st.cfg]
 			si = int(st.parent)
 		}
 		return designs
@@ -605,13 +542,9 @@ func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, 
 // exact delegation when the lattice (or candidate count) is within the
 // exact ceilings, the anytime beam over the whole candidate list
 // otherwise.
-func solveUnfactored(ctx context.Context, p *Problem, configs []Config, opts PartitionOptions) (*PartitionedSolution, error) {
-	var span Config
-	for _, c := range configs {
-		span |= c
-	}
-	exactAffordable := span.Count() <= maxLatticeBits || len(configs) <= opts.MaxExactConfigs
-	if exactAffordable && !opts.ForceBeam {
+func solveUnfactored(ctx context.Context, p *Problem, configs []Config, width int, forceBeam bool) (*PartitionedSolution, error) {
+	span := spanOf(configs)
+	if exactAffordable(configs) && !forceBeam {
 		sol, err := SolveKAware(ctx, p)
 		if err != nil {
 			return nil, err
@@ -624,11 +557,8 @@ func solveUnfactored(ctx context.Context, p *Problem, configs []Config, opts Par
 			}},
 		}, nil
 	}
-	sub := *p
-	sub.Configs = configs
-	sub.SpaceBound = 0
 	sp := p.Tracer.Start(SpanPartitionComponent)
-	points, lb, err := beamCurve(ctx, &sub, p.K, opts)
+	points, lb, err := beamCurve(ctx, p, p.K, width)
 	sp.End(obs.Int("bits", int64(span.Count())), obs.Int("configs", int64(len(configs))),
 		obs.Bool("exact", false), obs.Bool("ok", err == nil))
 	if err != nil {
@@ -663,12 +593,11 @@ func clampGap(gap float64) float64 {
 }
 
 // solveFactored solves each discovered component and recombines.
-func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *partitionPlan, opts PartitionOptions) (*PartitionedSolution, error) {
+func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *partitionPlan, width int, forceBeam bool) (*PartitionedSolution, error) {
 	comps := make([]*component, len(plan.masks))
 	for j, mask := range plan.masks {
 		sub := p.componentProblem(mask, plan.subs[j])
-		exact := !opts.ForceBeam &&
-			(mask.Count() <= maxLatticeBits || len(plan.subs[j]) <= opts.MaxExactConfigs)
+		exact := !forceBeam && exactAffordable(plan.subs[j])
 		sp := p.Tracer.Start(SpanPartitionComponent)
 		comp := &component{mask: mask, configs: plan.subs[j], exact: exact}
 		var err error
@@ -683,7 +612,7 @@ func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *part
 				}
 			}
 		} else {
-			comp.curve, comp.lb, err = beamCurve(ctx, sub, p.K, opts)
+			comp.curve, comp.lb, err = beamCurve(ctx, sub, p.K, width)
 			if err == nil && !comp.curve[len(comp.curve)-1].feasible {
 				err = fmt.Errorf("core: beam search found no design for component %s within %d changes: %w",
 					mask.Format(nil), p.K, ErrLatticeTooLarge)
@@ -696,7 +625,7 @@ func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *part
 		}
 		comps[j] = comp
 	}
-	return recombine(ctx, p, comps, opts)
+	return recombine(ctx, p, configs, comps)
 }
 
 // recombine assembles the global sequence from the per-component
@@ -711,9 +640,9 @@ func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *part
 // one stage count once globally — so a knapsack over the curves seeds
 // a repair pass that grants components extra budget whenever the
 // composed change count stays within K.
-func recombine(ctx context.Context, p *Problem, comps []*component, opts PartitionOptions) (*PartitionedSolution, error) {
+func recombine(ctx context.Context, p *Problem, configs []Config, comps []*component) (*PartitionedSolution, error) {
 	sp := p.Tracer.Start(SpanPartitionRecombine)
-	res, err := recombineInner(ctx, p, comps, opts)
+	res, err := recombineInner(ctx, p, configs, comps)
 	ok := err == nil
 	gap := 0.0
 	if ok {
@@ -723,11 +652,8 @@ func recombine(ctx context.Context, p *Problem, comps []*component, opts Partiti
 	return res, err
 }
 
-func recombineInner(ctx context.Context, p *Problem, comps []*component, opts PartitionOptions) (*PartitionedSolution, error) {
-	var span Config
-	for _, c := range comps {
-		span |= c.mask
-	}
+func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*component) (*PartitionedSolution, error) {
+	span := spanOf(configs)
 	// offset converts Σ per-component objectives into the global
 	// objective: each component re-counts the empty-design EXEC base,
 	// and dropping the initial configuration's out-of-span structures
@@ -806,13 +732,10 @@ func recombineInner(ctx context.Context, p *Problem, comps []*component, opts Pa
 	// stage; the repair pass below recovers the shared-stage savings.
 	inf := math.Inf(1)
 	// dp[b] after component j: cheapest Σ curve cost with Σ ℓ ≤ b.
-	dp := make([]float64, p.K+1)
-	for b := range dp {
-		dp[b] = 0 // zero components cost nothing at any budget
-	}
-	choice := make([][]int16, len(comps))
+	dp := make([]float64, p.K+1) // all 0: zero components cost nothing at any budget
+	choice := make([][]int32, len(comps))
 	for j, c := range comps {
-		choice[j] = make([]int16, p.K+1)
+		choice[j] = make([]int32, p.K+1)
 		ndp := make([]float64, p.K+1)
 		for b := 0; b <= p.K; b++ {
 			ndp[b] = inf
@@ -828,57 +751,42 @@ func recombineInner(ctx context.Context, p *Problem, comps []*component, opts Pa
 				}
 				if v := rest + pt.cost; v < ndp[b] {
 					ndp[b] = v
-					choice[j][b] = int16(l)
+					choice[j][b] = int32(l)
 				}
 			}
 		}
 		dp = ndp
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 
-	var alloc []int
-	if !math.IsInf(dp[p.K], 1) {
-		alloc = make([]int, len(comps))
-		b := p.K
-		for j := len(comps) - 1; j >= 0; j-- {
-			l := int(choice[j][b])
-			alloc[j] = l
-			b -= l
-		}
-	} else {
+	if math.IsInf(dp[p.K], 1) {
 		// No per-component split fits (e.g. CountAll forcing more
 		// first-stage component changes than K, which coincide into
-		// fewer global changes). Try the synchronized full-budget
-		// composition; failing that, delegate to the exact solver when
-		// affordable.
-		if composedChanges(p.Stages, comps, full) <= p.K {
-			return finish(full, true)
+		// fewer global changes), and the fast path above already found
+		// the full-budget composition over K: delegate to the exact
+		// solver when affordable.
+		if !exactAffordable(configs) {
+			return nil, fmt.Errorf("core: no per-component budget split within %d changes: %w", p.K, ErrLatticeTooLarge)
 		}
-		var fullSpan Config
-		nc := 1
-		for _, c := range comps {
-			fullSpan |= c.mask
-			nc *= len(c.configs)
+		sol, err := SolveKAware(ctx, p)
+		if err != nil {
+			return nil, err
 		}
-		if fullSpan.Count() <= maxLatticeBits || nc <= opts.MaxExactConfigs {
-			sol, err := SolveKAware(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &PartitionedSolution{
-				Solution: sol, LowerBound: sol.Cost, Gap: 0, Components: len(comps), Factored: true,
-			}, nil
-		}
-		return nil, fmt.Errorf("core: no per-component budget split within %d changes: %w", p.K, ErrLatticeTooLarge)
+		return &PartitionedSolution{
+			Solution: sol, LowerBound: sol.Cost, Gap: 0, Components: len(comps), Factored: true,
+		}, nil
+	}
+	alloc := make([]int, len(comps))
+	for j, b := len(comps)-1, p.K; j >= 0; j-- {
+		alloc[j] = int(choice[j][b])
+		b -= alloc[j]
 	}
 
 	// Repair: grant a component a bigger budget whenever the composed
 	// global change count still fits K (moves landing on a stage where
 	// another component already moves are free globally). Greedy best
 	// improvement, deterministic tie-break (smallest j, then ℓ), each
-	// step strictly decreasing the composed objective.
+	// step strictly decreasing the composed objective. Feasibility nests
+	// in the budget, so every point above an allocated one is feasible.
 	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
@@ -888,11 +796,7 @@ func recombineInner(ctx context.Context, p *Problem, comps []*component, opts Pa
 		for j, c := range comps {
 			cl := c.curve[alloc[j]]
 			for l := alloc[j] + 1; l < len(c.curve); l++ {
-				pt := c.curve[l]
-				if !pt.feasible {
-					continue
-				}
-				gain := cl.cost - pt.cost
+				gain := cl.cost - c.curve[l].cost
 				if gain <= bestGain {
 					continue
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -75,12 +76,21 @@ func randomGroupedModel(rng *rand.Rand, stages, nGroups, bitsPer int) (*groupedM
 	return m, configs
 }
 
+// interactionsOnly hides every capability of a grouped model but
+// ExecInteractions.
+type interactionsOnly struct{ m *groupedModel }
+
+func (o interactionsOnly) Exec(stage int, c Config) float64 { return o.m.Exec(stage, c) }
+func (o interactionsOnly) Trans(from, to Config) float64    { return o.m.Trans(from, to) }
+func (o interactionsOnly) Size(c Config) float64            { return o.m.Size(c) }
+func (o interactionsOnly) ExecInteractions() []Config       { return o.m.groups }
+
 // runPartitionCase asserts the partitioned solver's contract on one
 // randomized grouped problem against the monolithic exact solve: the
 // solution is feasible, the gap is non-negative, the cost sandwich
 // Cost − Gap ≤ OPT ≤ Cost holds, and a zero gap means bitwise cost
 // equality (integer costs make float sums exact).
-func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int, policy ChangePolicy, withFinal bool, opts PartitionOptions) {
+func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int, policy ChangePolicy, withFinal bool, width int, forceBeam bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m, configs := randomGroupedModel(rng, stages, nGroups, bitsPer)
@@ -95,7 +105,7 @@ func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int,
 	}
 	exactP := *p
 	exact, exactErr := SolveKAware(bg, &exactP)
-	ps, psErr := SolvePartitionedOpts(bg, p, opts)
+	ps, psErr := solvePartitioned(bg, p, width, forceBeam)
 	if (exactErr == nil) != (psErr == nil) {
 		t.Fatalf("feasibility disagrees: exact err %v, partitioned err %v", exactErr, psErr)
 	}
@@ -141,7 +151,7 @@ func TestPartitionedMatchesExact(t *testing.T) {
 					for _, policy := range []ChangePolicy{FreeEndpoints, CountAll} {
 						seed++
 						runPartitionCase(t, seed, stages, nGroups, bitsPer, k,
-							policy, seed%2 == 0, PartitionOptions{ForceBeam: seed%5 == 0})
+							policy, seed%2 == 0, beamWidth, seed%5 == 0)
 					}
 				}
 			}
@@ -154,8 +164,7 @@ func TestPartitionedMatchesExact(t *testing.T) {
 	// here it is not, and the sandwich is all that may be asserted.
 	for _, bits := range []int{7, 9} {
 		seed++
-		runPartitionCase(t, seed, 64, 1, bits, 2, FreeEndpoints, false,
-			PartitionOptions{ForceBeam: true, BeamWidth: 128})
+		runPartitionCase(t, seed, 64, 1, bits, 2, FreeEndpoints, false, 128, true)
 	}
 }
 
@@ -175,7 +184,7 @@ func FuzzPartitionEquivalence(f *testing.F) {
 		if countAll {
 			policy = CountAll
 		}
-		runPartitionCase(t, seed, stages, nGroups, bitsPer, k, policy, withFinal, PartitionOptions{ForceBeam: forceBeam})
+		runPartitionCase(t, seed, stages, nGroups, bitsPer, k, policy, withFinal, beamWidth, forceBeam)
 	})
 }
 
@@ -306,6 +315,74 @@ func TestPartitionedTightK(t *testing.T) {
 			}
 		}
 	})
+	t.Run("countall forced first changes", func(t *testing.T) {
+		// Three two-structure components whose candidates hold exactly
+		// one of the two, an empty initial design and CountAll: every
+		// component must spend a change at stage 0 and wants its second
+		// at a stage of its own. At K = 2 no per-component split exists
+		// (three forced changes), the full composition makes four global
+		// changes, and the solver must hand over to the exact solve.
+		const stages = 8
+		switchAt := []int{2, 4, 6}
+		m := &groupedModel{
+			additiveModel: additiveModel{
+				exec: make([][]float64, stages),
+				add:  []float64{5, 5, 5, 5, 5, 5},
+				drop: []float64{1, 1, 1, 1, 1, 1},
+			},
+			groups: []Config{ConfigOf(0, 1), ConfigOf(2, 3), ConfigOf(4, 5)},
+		}
+		for i := range m.exec {
+			row := make([]float64, 1<<6)
+			for raw := range row {
+				for g, at := range switchAt {
+					// Projection 1 is the component's first structure, wanted
+					// before its switch stage; 2 the second, wanted from it on.
+					wanted := 1
+					if i >= at {
+						wanted = 2
+					}
+					switch (raw >> uint(2*g)) & 3 {
+					case wanted:
+						row[raw] += 10
+					case 0:
+						row[raw] += 60
+					default:
+						row[raw] += 110
+					}
+				}
+			}
+			m.exec[i] = row
+		}
+		var configs []Config
+		for raw := 0; raw < 1<<6; raw++ {
+			if c := Config(raw); (c&3).Count() == 1 && (c>>2&3).Count() == 1 && (c>>4&3).Count() == 1 {
+				configs = append(configs, c)
+			}
+		}
+		p := &Problem{Stages: stages, Configs: configs, Initial: 0, K: 2, Policy: CountAll, Model: m}
+		exactP := *p
+		exact, err := SolveKAware(bg, &exactP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := SolvePartitioned(bg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ps.Factored || ps.Components != 3 {
+			t.Fatalf("expected 3 components, got %d (factored %v)", ps.Components, ps.Factored)
+		}
+		if ps.Gap != 0 || ps.LowerBound != exact.Cost {
+			t.Fatalf("gap %v, lower bound %v; want 0 and the optimum %v", ps.Gap, ps.LowerBound, exact.Cost)
+		}
+		if ps.Cost != exact.Cost || !reflect.DeepEqual(ps.Designs, exact.Designs) {
+			t.Fatalf("(%v, %v) differs from the exact solve (%v, %v)", ps.Cost, ps.Designs, exact.Cost, exact.Designs)
+		}
+		if ps.Changes != 2 {
+			t.Fatalf("changes = %d, want the installation plus one", ps.Changes)
+		}
+	})
 	t.Run("different stages", func(t *testing.T) {
 		m, configs := synchronizedModel(8, []int{2, 6})
 		p := &Problem{Stages: 8, Configs: configs, Initial: 0, K: 1, Model: m}
@@ -360,33 +437,6 @@ func TestPartitionedSingleComponent(t *testing.T) {
 	}
 }
 
-// TestPartitionedGapMonotone asserts the anytime property: widening the
-// beam along powers of two never increases the reported gap, and every
-// width's cost stays within its own reported gap of the exact optimum.
-func TestPartitionedGapMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m, configs := randomGroupedModel(rng, 14, 3, 2)
-	exact, err := SolveKAware(bg, &Problem{Stages: 14, Configs: configs, Initial: 0, K: 2, Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevGap := -1.0
-	for _, width := range []int{64, 128, 256, 512} {
-		p := &Problem{Stages: 14, Configs: configs, Initial: 0, K: 2, Model: m}
-		ps, err := SolvePartitionedOpts(bg, p, PartitionOptions{ForceBeam: true, BeamWidth: width})
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		if prevGap >= 0 && ps.Gap > prevGap+1e-12 {
-			t.Fatalf("gap grew when widening to %d: %v > %v", width, ps.Gap, prevGap)
-		}
-		prevGap = ps.Gap
-		if ps.Cost < exact.Cost-1e-6 || ps.Cost-ps.Gap > exact.Cost+1e-6 {
-			t.Fatalf("width %d: cost %v gap %v vs optimum %v", width, ps.Cost, ps.Gap, exact.Cost)
-		}
-	}
-}
-
 // TestPartitionConfigsEligibility pins every reason partitioning is
 // refused, and the component ordering when it is not.
 func TestPartitionConfigsEligibility(t *testing.T) {
@@ -397,6 +447,41 @@ func TestPartitionConfigsEligibility(t *testing.T) {
 		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m}
 		if partitionConfigs(p, configs) != nil {
 			t.Fatal("partitioned a model without ExecInteractions")
+		}
+	})
+
+	t.Run("no additive trans model", func(t *testing.T) {
+		m, configs := randomGroupedModel(rng, 4, 2, 1)
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: interactionsOnly{m}}
+		if partitionConfigs(p, configs) != nil {
+			t.Fatal("partitioned a model without TransParts")
+		}
+	})
+
+	t.Run("empty span", func(t *testing.T) {
+		m, _ := randomGroupedModel(rng, 4, 2, 1)
+		configs := []Config{0}
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m}
+		if partitionConfigs(p, configs) != nil {
+			t.Fatal("partitioned the empty design alone")
+		}
+	})
+
+	t.Run("trans parts shorter than the span", func(t *testing.T) {
+		m, configs := randomGroupedModel(rng, 4, 2, 1)
+		m.drop = m.drop[:1]
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m}
+		if partitionConfigs(p, configs) != nil {
+			t.Fatal("partitioned although TransParts does not reach structure 1")
+		}
+	})
+
+	t.Run("clique outside the span", func(t *testing.T) {
+		m, configs := randomGroupedModel(rng, 4, 2, 1)
+		m.groups = append(m.groups, ConfigOf(7, 8))
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m}
+		if plan := partitionConfigs(p, configs); plan == nil || len(plan.masks) != 2 {
+			t.Fatalf("a clique over structures no candidate uses changed the factoring: %+v", plan)
 		}
 	})
 
@@ -440,6 +525,18 @@ func TestPartitionConfigsEligibility(t *testing.T) {
 		}
 	})
 
+	t.Run("projection product outgrows the list", func(t *testing.T) {
+		// Four candidates over two two-bit components with four distinct
+		// projections each: the product is refused at 4 × 4 without being
+		// formed (the guard that keeps it from overflowing).
+		m, _ := randomGroupedModel(rng, 4, 2, 2)
+		configs := []Config{0b0000, 0b0101, 0b1010, 0b1111}
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m}
+		if partitionConfigs(p, configs) != nil {
+			t.Fatal("partitioned a diagonal candidate list")
+		}
+	})
+
 	t.Run("component order and projections", func(t *testing.T) {
 		m, configs := randomGroupedModel(rng, 4, 3, 2)
 		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m}
@@ -462,22 +559,31 @@ func TestPartitionConfigsEligibility(t *testing.T) {
 }
 
 // TestAutoLadder pins the resilient ladder's strategy selection around
-// the lattice ceiling.
+// the lattice ceiling, for every strategy of the table: below it the
+// ladder is DefaultLadder's, above it the partitioned solver goes first
+// (once). Today's literal wide ladder is pinned at the end.
 func TestAutoLadder(t *testing.T) {
 	narrow := &Problem{Configs: []Config{0, 1, 2}}
-	if got := AutoLadder(narrow, StrategyKAware); got[0] != StrategyKAware {
-		t.Fatalf("narrow ladder starts with %v", got)
-	}
 	wide := &Problem{Configs: make([]Config, 0, maxLatticeBits+2)}
 	for s := 0; s <= maxLatticeBits+1; s++ {
 		wide.Configs = append(wide.Configs, ConfigOf(s))
 	}
-	got := AutoLadder(wide, StrategyKAware)
-	if got[0] != StrategyPartitioned || got[1] != StrategyKAware {
-		t.Fatalf("wide ladder = %v, want partitioned first", got)
+	for _, primary := range Strategies() {
+		base := DefaultLadder(primary)
+		if got := AutoLadder(narrow, primary); !reflect.DeepEqual(got, base) {
+			t.Errorf("narrow AutoLadder(%s) = %v, want %v", primary, got, base)
+		}
+		want := base
+		if primary != StrategyPartitioned {
+			want = append([]Strategy{StrategyPartitioned}, base...)
+		}
+		if got := AutoLadder(wide, primary); !reflect.DeepEqual(got, want) {
+			t.Errorf("wide AutoLadder(%s) = %v, want %v", primary, got, want)
+		}
 	}
-	if got := AutoLadder(wide, StrategyPartitioned); got[0] != StrategyPartitioned || len(got) != 3 {
-		t.Fatalf("partitioned-primary ladder = %v (must not double up)", got)
+	want := []Strategy{StrategyPartitioned, StrategyKAware, StrategyGreedySeq, StrategyMerge}
+	if got := AutoLadder(wide, StrategyKAware); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wide ladder = %v, want %v", got, want)
 	}
 }
 
@@ -585,18 +691,19 @@ func BenchmarkPartitioned(b *testing.B) {
 		m, configs := randomGroupedModel(rand.New(rand.NewSource(42)), 64, 1, structs)
 		beam := &Problem{Stages: 64, Configs: configs, Initial: 0, K: 2, Model: m, Parallelism: 1}
 		for _, bench := range []struct {
-			name string
-			p    *Problem
-			opts PartitionOptions
+			name      string
+			p         *Problem
+			width     int
+			forceBeam bool
 		}{
-			{"factor", factor, PartitionOptions{}},
-			{"beam", beam, PartitionOptions{ForceBeam: true, BeamWidth: 128}},
+			{"factor", factor, beamWidth, false},
+			{"beam", beam, 128, true},
 		} {
 			b.Run(fmt.Sprintf("%s/structs=%d", bench.name, structs), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := SolvePartitionedOpts(bg, bench.p, bench.opts); err != nil {
+					if _, err := solvePartitioned(bg, bench.p, bench.width, bench.forceBeam); err != nil {
 						b.Fatal(err)
 					}
 				}

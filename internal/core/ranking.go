@@ -116,9 +116,6 @@ func (h *pathHeap) Pop() any {
 // frontier pops, so even a ranking that would blow through millions of
 // expansions stops promptly on cancellation.
 func SolveRanking(ctx context.Context, p *Problem, opts RankingOptions) (*RankingResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if p.K == Unconstrained {
 		sol, err := SolveUnconstrained(ctx, p)
 		if err != nil {
@@ -126,20 +123,12 @@ func SolveRanking(ctx context.Context, p *Problem, opts RankingOptions) (*Rankin
 		}
 		return &RankingResult{Solution: sol, PathsRanked: 1, Expansions: p.Stages}, nil
 	}
-	configs, err := p.usableConfigs()
+	m, kern, err := p.solveInputs(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ch := resolveKernel(p, configs)
-	m, err := p.tables(ctx, configs, ch.needTrans())
-	if err != nil {
-		return nil, err
-	}
-	kern := ch.kernel(m)
-	var scr *latticeScratch
-	if kern.needsScratch() {
-		scr = kern.newScratch()
-	}
+	configs := m.configs
+	scr := kern.newScratch()
 	nc := len(configs)
 	budget := opts.MaxExpansions
 	if budget <= 0 {

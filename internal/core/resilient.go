@@ -161,16 +161,17 @@ type ResilientOptions struct {
 }
 
 // DefaultLadder builds the standard degradation ladder starting from
-// the caller's preferred strategy: primary first, then greedy-seq and
-// merging (each progressively cheaper), without duplicates.
+// the caller's preferred strategy: primary first, then the strategy
+// table's rungs in table order — greedy-seq and merging, each
+// progressively cheaper — without duplicates.
 func DefaultLadder(primary Strategy) []Strategy {
 	if primary == "" {
 		primary = StrategyKAware
 	}
 	out := []Strategy{primary}
-	for _, s := range []Strategy{StrategyGreedySeq, StrategyMerge} {
-		if s != primary {
-			out = append(out, s)
+	for _, row := range strategyTable {
+		if row.rung && row.name != primary {
+			out = append(out, row.name)
 		}
 	}
 	return out
@@ -185,14 +186,7 @@ func DefaultLadder(primary Strategy) []Strategy {
 // solver is already optimal, so the ladder is unchanged.
 func AutoLadder(p *Problem, primary Strategy) []Strategy {
 	ladder := DefaultLadder(primary)
-	if primary == StrategyPartitioned {
-		return ladder
-	}
-	var span Config
-	for _, c := range p.Configs {
-		span |= c
-	}
-	if span.Count() > maxLatticeBits {
+	if primary != StrategyPartitioned && spanOf(p.Configs).Count() > maxLatticeBits {
 		return append([]Strategy{StrategyPartitioned}, ladder...)
 	}
 	return ladder

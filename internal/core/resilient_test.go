@@ -244,17 +244,46 @@ func TestResilientRejectsInvalidLastKnownGood(t *testing.T) {
 	}
 }
 
+// TestDefaultLadder derives the ladders from the strategy table — every
+// strategy heads its own ladder, followed by the table's rungs in
+// Strategies() order minus itself — and pins today's literal ladders
+// once, so a table edit that changes them is a visible diff here.
 func TestDefaultLadder(t *testing.T) {
-	if got := DefaultLadder(""); len(got) != 3 || got[0] != StrategyKAware {
-		t.Fatalf("DefaultLadder(\"\") = %v", got)
+	pos := make(map[Strategy]int)
+	for i, s := range Strategies() {
+		pos[s] = i
 	}
-	got := DefaultLadder(StrategyMerge)
-	if len(got) != 2 || got[0] != StrategyMerge || got[1] != StrategyGreedySeq {
-		t.Fatalf("DefaultLadder(merge) = %v", got)
+	rungs := DefaultLadder("")[1:]
+	for i, r := range rungs {
+		if _, ok := pos[r]; !ok {
+			t.Fatalf("rung %q is not a strategy (%v)", r, Strategies())
+		}
+		if i > 0 && pos[rungs[i-1]] >= pos[r] {
+			t.Fatalf("rungs %v are not in table order %v", rungs, Strategies())
+		}
 	}
-	got = DefaultLadder(StrategyPartitioned)
-	if len(got) != 3 || got[0] != StrategyPartitioned {
-		t.Fatalf("DefaultLadder(partitioned) = %v", got)
+	for _, primary := range Strategies() {
+		want := []Strategy{primary}
+		for _, r := range rungs {
+			if r != primary {
+				want = append(want, r)
+			}
+		}
+		if got := DefaultLadder(primary); !reflect.DeepEqual(got, want) {
+			t.Errorf("DefaultLadder(%s) = %v, want %v", primary, got, want)
+		}
+	}
+	for _, c := range []struct {
+		primary Strategy
+		want    []Strategy
+	}{
+		{"", []Strategy{StrategyKAware, StrategyGreedySeq, StrategyMerge}},
+		{StrategyMerge, []Strategy{StrategyMerge, StrategyGreedySeq}},
+		{StrategyPartitioned, []Strategy{StrategyPartitioned, StrategyGreedySeq, StrategyMerge}},
+	} {
+		if got := DefaultLadder(c.primary); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("DefaultLadder(%q) = %v, want %v", c.primary, got, c.want)
+		}
 	}
 }
 

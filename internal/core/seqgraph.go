@@ -47,6 +47,27 @@ func (p *Problem) tables(ctx context.Context, configs []Config, needTrans bool) 
 	return p.buildMatrices(ctx, configs, needTrans)
 }
 
+// solveInputs is the preamble every graph solver starts from: the
+// problem is validated, its candidate list filtered by the space bound
+// (the usable list, m.configs), the transition kernel resolved over that
+// list, the cost tables fetched — with the all-pairs TRANS table only
+// when the dense kernel was chosen — and the kernel bound to them.
+func (p *Problem) solveInputs(ctx context.Context) (*matrices, transRelaxer, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	configs, err := p.usableConfigs()
+	if err != nil {
+		return nil, nil, err
+	}
+	ch := resolveKernel(p, configs)
+	m, err := p.tables(ctx, configs, ch.needTrans())
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, ch.kernel(m), nil
+}
+
 // buildMatrices evaluates the cost model into dense tables over the
 // given configuration list. The EXEC table (one what-if costing per
 // stage × configuration — the advisor's dominant expense) is filled by
@@ -185,23 +206,12 @@ func (p *Problem) BuildCostTables(ctx context.Context) error {
 // checks the context between stages, so cancellation latency is bounded
 // by one relaxation.
 func SolveUnconstrained(ctx context.Context, p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	configs, err := p.usableConfigs()
+	m, kern, err := p.solveInputs(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ch := resolveKernel(p, configs)
-	m, err := p.tables(ctx, configs, ch.needTrans())
-	if err != nil {
-		return nil, err
-	}
-	kern := ch.kernel(m)
-	var scr *latticeScratch
-	if kern.needsScratch() {
-		scr = kern.newScratch()
-	}
+	configs := m.configs
+	scr := kern.newScratch()
 	nc := len(configs)
 	dp := p.Tracer.Start(SpanSeqgraphDP)
 

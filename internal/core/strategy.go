@@ -32,26 +32,29 @@ const (
 )
 
 // strategyTable declares the production strategies once; Strategies,
-// ParseStrategy and Solve all read it, so a strategy exists exactly
-// when it has a row here.
+// ParseStrategy, Solve and the resilient ladders all read it, so a
+// strategy exists exactly when it has a row here. rung marks the
+// degradation rungs: the heuristics DefaultLadder falls back to after
+// its primary, in table order (each cheaper than the one before).
 var strategyTable = []struct {
 	name Strategy
+	rung bool
 	run  func(context.Context, *Problem) (*Solution, error)
 }{
-	{StrategyKAware, SolveKAware},
-	{StrategyGreedySeq, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyKAware, false, SolveKAware},
+	{StrategyGreedySeq, true, func(ctx context.Context, p *Problem) (*Solution, error) {
 		sol, _, err := SolveGreedySeq(ctx, p)
 		return sol, err
 	}},
-	{StrategyMerge, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyMerge, true, func(ctx context.Context, p *Problem) (*Solution, error) {
 		sol, _, err := SolveMergeFromUnconstrained(ctx, p)
 		return sol, err
 	}},
-	{StrategyHybrid, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyHybrid, false, func(ctx context.Context, p *Problem) (*Solution, error) {
 		sol, _, err := SolveHybrid(ctx, p)
 		return sol, err
 	}},
-	{StrategyPartitioned, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyPartitioned, false, func(ctx context.Context, p *Problem) (*Solution, error) {
 		ps, err := SolvePartitioned(ctx, p)
 		if err != nil {
 			return nil, err

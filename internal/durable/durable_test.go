@@ -262,7 +262,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 
 func TestSnapshotPruneAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 128, KeepSnapshots: 2})
+	s, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestSnapshotPruneAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both retained snapshots still anchor a full recovery.
-	s2, err := Open(dir, Options{SegmentBytes: 128, KeepSnapshots: 2})
+	s2, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ type Snapshot struct {
 // rename, directory fsync — a kill at any point leaves either the old
 // or the new snapshot, never a half-written one. The WAL is synced
 // first so a durable snapshot never references records the log could
-// still lose. Afterwards old snapshots beyond Options.KeepSnapshots are
+// still lose. Afterwards old snapshots beyond keepSnapshots are
 // pruned and WAL segments every retained snapshot has folded in are
 // deleted.
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
@@ -120,7 +120,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 // count, oldest first.
 func (s *Store) pruneSnapshotsLocked() {
 	seqs := s.snapshotSeqs()
-	for len(seqs) > s.opts.KeepSnapshots {
+	for len(seqs) > keepSnapshots {
 		_ = os.Remove(snapPath(s.dir, seqs[0]))
 		seqs = seqs[1:]
 	}

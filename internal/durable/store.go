@@ -36,6 +36,12 @@ type Record struct {
 	SQL   string     `json:"sql,omitempty"`
 }
 
+// keepSnapshots is how many snapshot generations a Store retains: the
+// newest plus one fallback. WAL segments are only compacted up to the
+// oldest retained snapshot, so every retained snapshot can still be the
+// recovery base.
+const keepSnapshots = 2
+
 // Options tunes a Store. Zero values get crash-safe defaults.
 type Options struct {
 	// FsyncEvery batches WAL fsyncs: the log is synced after every
@@ -48,11 +54,6 @@ type Options struct {
 	// SegmentBytes rotates the WAL to a fresh segment file once the
 	// active one reaches this size (default 4 MiB).
 	SegmentBytes int64
-	// KeepSnapshots is how many snapshot generations to retain
-	// (default 2: the newest plus one fallback). WAL segments are only
-	// compacted up to the oldest retained snapshot, so every retained
-	// snapshot can still be the recovery base.
-	KeepSnapshots int
 	// BeforeSync, when non-nil, runs before every WAL fsync — the
 	// chaos/test seam for modeling a stalled disk.
 	BeforeSync func()
@@ -64,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.KeepSnapshots < 1 {
-		o.KeepSnapshots = 2
 	}
 	return o
 }

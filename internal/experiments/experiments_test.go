@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dyndesign/internal/advisor"
 	"dyndesign/internal/core"
 )
 
@@ -15,10 +18,22 @@ var bg = context.Background()
 // experiment test builds on.
 var sharedT2 *Table2Result
 
+// testScale is TestScale, or under -short (how the -race suite runs
+// this package) a fifth of its rows and half its block size: Figure 3
+// and estimate-vs-measured execute every statement on the live engine,
+// at a cost of the table's pages each, and no shape asserted here needs
+// more. No test skips under -short; every one runs at this scale.
+func testScale() Scale {
+	if testing.Short() {
+		return Scale{Rows: TestScale.Rows / 5, BlockSize: TestScale.BlockSize / 2, Seed: TestScale.Seed}
+	}
+	return TestScale
+}
+
 func getTable2(t *testing.T) *Table2Result {
 	t.Helper()
 	if sharedT2 == nil {
-		res, err := RunTable2(bg, TestScale)
+		res, err := RunTable2(bg, testScale())
 		if err != nil {
 			t.Fatalf("RunTable2: %v", err)
 		}
@@ -114,9 +129,6 @@ func TestTable2Render(t *testing.T) {
 // shifts — are *faster* under the constrained design than under the
 // over-fitted unconstrained one.
 func TestFigure3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure 3 executes 6 full workload replays")
-	}
 	res, err := RunFigure3(bg, getTable2(t))
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +167,6 @@ func TestFigure3Shape(t *testing.T) {
 // the k-aware optimizer slows down as k grows while merging speeds up,
 // matching the paper's Figure 4.
 func TestFigure4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure 4 is a timing experiment")
-	}
 	res, err := RunFigure4(bg, getTable2(t), []int{2, 8, 14})
 	if err != nil {
 		t.Fatal(err)
@@ -241,9 +250,6 @@ func TestWriteLoadDropsIndexForBulkInserts(t *testing.T) {
 
 // TestAblationHarnesses smoke-tests the remaining ablation runners.
 func TestAblationHarnesses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations re-solve many problems")
-	}
 	t2 := getTable2(t)
 	quality, err := RunQualityVsK(bg, t2)
 	if err != nil {
@@ -297,9 +303,6 @@ func TestAblationHarnesses(t *testing.T) {
 // finds at that bound, and RunQualityVsK's curve is those costs over
 // the unconstrained optimum.
 func TestQualityCurveMatchesKAware(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves W1 at every bound up to l, twice")
-	}
 	t2 := getTable2(t)
 	quality, err := RunQualityVsK(bg, t2)
 	if err != nil {
@@ -341,9 +344,6 @@ func TestQualityCurveMatchesKAware(t *testing.T) {
 // gap); no row beats the optimum or its bound; and a ranking run that
 // exhausts its budget is a marked cell, not a failed comparison.
 func TestStrategyComparison(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves two fixtures at three bounds with nine solvers")
-	}
 	cmp, err := RunStrategyComparison(bg, getTable2(t), 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -399,9 +399,6 @@ func TestStrategyComparison(t *testing.T) {
 // TestEstimateVsMeasured pins the advisor's central promise: what-if
 // estimates track measured execution within a tight band across k.
 func TestEstimateVsMeasured(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays the workload per k")
-	}
 	res, err := RunEstimateVsMeasured(bg, getTable2(t), []int{0, 2, 14})
 	if err != nil {
 		t.Fatal(err)
@@ -425,9 +422,6 @@ func TestEstimateVsMeasured(t *testing.T) {
 // guarantees (heap scans exact, index seeks off by the covering-scan
 // page, i.e. a 1.5x ratio).
 func TestCalibrationExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays sampled statements against the engine")
-	}
 	res, err := RunCalibration(bg, getTable2(t), 32)
 	if err != nil {
 		t.Fatal(err)
@@ -461,5 +455,46 @@ func TestExportJSON(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON export missing %s", want)
 		}
+	}
+}
+
+// TestLoadDatabase pins the one -setup / -paper-rows reading both
+// command lines share: exactly one of the two, a script's table
+// analyzed, the paper table announced on the progress writer.
+func TestLoadDatabase(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "setup.sql")
+	if err := os.WriteFile(script, []byte("CREATE TABLE t (a INT, b INT);\nINSERT INTO t VALUES (1, 2), (3, 4);\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var progress strings.Builder
+	for _, c := range []struct {
+		setup   string
+		rows    int64
+		table   string
+		wantErr string
+	}{
+		{script, 100, "t", "not both"},
+		{"", 0, "t", "is required"},
+		{script + ".missing", 0, "t", "no such file"},
+		{script, 0, "missing", "missing"},
+		{script, 0, "t", ""},
+		{"", 100, "t", ""},
+	} {
+		db, err := LoadDatabase(c.setup, c.rows, c.table, &progress)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("LoadDatabase(%q, %d, %q) = %v, want an error containing %q", c.setup, c.rows, c.table, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("LoadDatabase(%q, %d, %q): %v", c.setup, c.rows, c.table, err)
+		}
+		if _, err := advisor.New(db, PaperSpace()); c.rows > 0 && err != nil {
+			t.Errorf("the paper table is not ready for an advisor: %v", err)
+		}
+	}
+	if got := progress.String(); got != "building paper table with 100 rows...\n" {
+		t.Errorf("progress output %q", got)
 	}
 }

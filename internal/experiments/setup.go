@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"strings"
 
 	"dyndesign/internal/advisor"
@@ -83,6 +85,37 @@ func SetupPaperDatabase(s Scale) (*engine.Database, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// LoadDatabase loads the database a command line is to tune, from its
+// -setup / -paper-rows flags: either a SQL setup script, after which
+// table is analyzed, or the paper's synthetic table (announced on
+// progress, since building it takes a while).
+func LoadDatabase(setup string, paperRows int64, table string, progress io.Writer) (*engine.Database, error) {
+	switch {
+	case paperRows > 0 && setup != "":
+		return nil, fmt.Errorf("use either -setup or -paper-rows, not both")
+	case paperRows > 0:
+		fmt.Fprintf(progress, "building paper table with %d rows...\n", paperRows)
+		return SetupPaperDatabase(Scale{Rows: paperRows, BlockSize: 1, Seed: 1})
+	case setup != "":
+		db := engine.New()
+		f, err := os.Open(setup)
+		if err != nil {
+			return nil, err
+		}
+		err = db.ExecScript(f)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+		if err := db.Analyze(table); err != nil {
+			return nil, err
+		}
+		return db, nil
+	default:
+		return nil, fmt.Errorf("one of -setup or -paper-rows is required")
+	}
 }
 
 // PaperSpace is the paper's design space: six candidate indexes and the

@@ -32,7 +32,8 @@ func bucketOf(d time.Duration) int {
 	return b
 }
 
-// StageStats is the aggregate timing of one span name: count, total,
+// StageStats is the aggregate timing of one name — a span name in an
+// Aggregator, a histogram family in a HistogramSet: count, total,
 // min/max, and a log₂ duration histogram. It is a plain value; the
 // aggregator hands out copies.
 type StageStats struct {
@@ -52,6 +53,25 @@ func (s StageStats) Mean() time.Duration {
 	return s.Total / time.Duration(s.Count)
 }
 
+// observe folds one duration into the named entry of stats, creating it
+// on first use. The caller holds the lock that guards the map.
+func observe(stats map[string]*StageStats, name string, d time.Duration) {
+	st := stats[name]
+	if st == nil {
+		st = &StageStats{Name: name, Min: d, Max: d}
+		stats[name] = st
+	}
+	st.Count++
+	st.Total += d
+	if d < st.Min {
+		st.Min = d
+	}
+	if d > st.Max {
+		st.Max = d
+	}
+	st.Buckets[bucketOf(d)]++
+}
+
 // Aggregator is a Sink that folds spans into per-stage (per span name)
 // histograms in process — the live extension of core.Metrics' flat
 // counters. It is safe for concurrent Emit and Snapshot.
@@ -68,20 +88,7 @@ func NewAggregator() *Aggregator {
 // Emit implements Sink.
 func (a *Aggregator) Emit(rec SpanRecord) {
 	a.mu.Lock()
-	st := a.stages[rec.Name]
-	if st == nil {
-		st = &StageStats{Name: rec.Name, Min: rec.Dur, Max: rec.Dur}
-		a.stages[rec.Name] = st
-	}
-	st.Count++
-	st.Total += rec.Dur
-	if rec.Dur < st.Min {
-		st.Min = rec.Dur
-	}
-	if rec.Dur > st.Max {
-		st.Max = rec.Dur
-	}
-	st.Buckets[bucketOf(rec.Dur)]++
+	observe(a.stages, rec.Name, rec.Dur)
 	a.mu.Unlock()
 }
 

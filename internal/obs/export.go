@@ -23,26 +23,8 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 		return err
 	}
 	for _, st := range snap {
-		span := escapeLabel(st.Name)
-		cum := int64(0)
-		for i := 0; i < HistBuckets-1; i++ {
-			cum += st.Buckets[i]
-			le := formatSeconds(BucketBound(i).Seconds())
-			if _, err := fmt.Fprintf(w, "dyndesign_span_duration_seconds_bucket{span=\"%s\",le=\"%s\"} %d\n",
-				span, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "dyndesign_span_duration_seconds_bucket{span=\"%s\",le=\"+Inf\"} %d\n",
-			span, st.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "dyndesign_span_duration_seconds_sum{span=\"%s\"} %g\n",
-			span, st.Total.Seconds()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "dyndesign_span_duration_seconds_count{span=\"%s\"} %d\n",
-			span, st.Count); err != nil {
+		if err := writeHistogram(w, "dyndesign_span_duration_seconds",
+			`span="`+escapeLabel(st.Name)+`"`, st); err != nil {
 			return err
 		}
 	}

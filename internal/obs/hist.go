@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -20,20 +21,13 @@ import (
 // unconditional.
 type HistogramSet struct {
 	mu    sync.Mutex
-	hists map[string]*durationHist
+	hists map[string]*StageStats
 	help  map[string]string
-}
-
-// durationHist is one log₂ duration histogram plus count and sum.
-type durationHist struct {
-	count   int64
-	sum     time.Duration
-	buckets [HistBuckets]int64
 }
 
 // NewHistogramSet builds an empty histogram registry.
 func NewHistogramSet() *HistogramSet {
-	return &HistogramSet{hists: make(map[string]*durationHist), help: make(map[string]string)}
+	return &HistogramSet{hists: make(map[string]*StageStats), help: make(map[string]string)}
 }
 
 // Help sets the HELP text rendered for a histogram family.
@@ -53,14 +47,7 @@ func (h *HistogramSet) Observe(name string, d time.Duration) {
 		return
 	}
 	h.mu.Lock()
-	dh := h.hists[name]
-	if dh == nil {
-		dh = &durationHist{}
-		h.hists[name] = dh
-	}
-	dh.count++
-	dh.sum += d
-	dh.buckets[bucketOf(d)]++
+	observe(h.hists, name, d)
 	h.mu.Unlock()
 }
 
@@ -75,7 +62,7 @@ func (h *HistogramSet) Count(name string) int64 {
 	if dh == nil {
 		return 0
 	}
-	return dh.count
+	return dh.Count
 }
 
 // WritePrometheus renders every histogram as its own family in the text
@@ -86,45 +73,46 @@ func (h *HistogramSet) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	h.mu.Lock()
-	names := make([]string, 0, len(h.hists))
-	snap := make(map[string]durationHist, len(h.hists))
-	help := make(map[string]string, len(h.help))
-	for name, dh := range h.hists {
-		names = append(names, name)
-		snap[name] = *dh
+	snap := make([]StageStats, 0, len(h.hists))
+	for _, st := range h.hists {
+		snap = append(snap, *st)
 	}
-	for k, v := range h.help {
-		help[k] = v
-	}
+	help := maps.Clone(h.help)
 	h.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		dh := snap[name]
-		if ht := help[name]; ht != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(ht)); err != nil {
+	sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
+	for _, st := range snap {
+		if ht := help[st.Name]; ht != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", st.Name, escapeHelp(ht)); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", st.Name); err != nil {
 			return err
 		}
-		cum := int64(0)
-		for i := 0; i < HistBuckets-1; i++ {
-			cum += dh.buckets[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n",
-				name, formatSeconds(BucketBound(i).Seconds()), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, dh.count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %g\n", name, dh.sum.Seconds()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count %d\n", name, dh.count); err != nil {
+		if err := writeHistogram(w, st.Name, "", st); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeHistogram renders one histogram's sample lines — cumulative
+// buckets, +Inf, sum and count — under family, every line carrying
+// label (one rendered name="value" pair) when it is non-empty.
+func writeHistogram(w io.Writer, family, label string, st StageStats) error {
+	lead, alone := "", ""
+	if label != "" {
+		lead, alone = label+",", "{"+label+"}"
+	}
+	cum := int64(0)
+	for i := 0; i < HistBuckets-1; i++ {
+		cum += st.Buckets[i]
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n",
+			family, lead, formatSeconds(BucketBound(i).Seconds()), cum); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n%s_sum%s %g\n%s_count%s %d\n",
+		family, lead, st.Count, family, alone, st.Total.Seconds(), family, alone, st.Count)
+	return err
 }
