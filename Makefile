@@ -93,10 +93,13 @@ chaos:
 # fuzz-smoke runs the fuzzers briefly (one go test run per
 # fuzzer — the tool accepts a single -fuzz pattern at a time): random
 # problems solved with both the dense and hypercube transition kernels
-# must agree on feasibility and cost (kernel_test.go), and the
+# must agree on feasibility and cost (kernel_test.go), the
 # partitioned solver must stay within its reported optimality gap of
 # the monolithic exact solve — bit-identical when the gap is zero
-# (partition_test.go), batched plan-table costing must be bitwise
+# (partition_test.go), and the exact production path, which runs the
+# change-bounded layers only when k binds, must return the always-layered
+# relaxation's cost bit for bit, tie-heavy integer costs included
+# (exact_test.go); batched plan-table costing must be bitwise
 # identical to the scalar what-if coster on every configuration, and a
 # cost row filled by the statement-major row kernel bitwise identical to
 # both over arbitrary candidate lists (plan_test.go); and the readers of
@@ -108,6 +111,7 @@ chaos:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzExactFitsK -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/durable/

@@ -82,7 +82,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIStrategies(t *testing.T) {
-	if len(dyndesign.Strategies()) != 5 {
+	if len(dyndesign.Strategies()) != 4 {
 		t.Errorf("strategies = %v", dyndesign.Strategies())
 	}
 	db := buildAPIDatabase(t, 10000)
@@ -101,7 +101,7 @@ func TestPublicAPIStrategies(t *testing.T) {
 	}
 	for _, s := range []dyndesign.Strategy{
 		dyndesign.StrategyKAware, dyndesign.StrategyGreedySeq,
-		dyndesign.StrategyMerge, dyndesign.StrategyHybrid,
+		dyndesign.StrategyMerge,
 	} {
 		rec, err := adv.Recommend(w, dyndesign.Options{K: 2, Strategy: s})
 		if err != nil {

@@ -246,23 +246,6 @@ func BenchmarkAblationRankingPruned(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHybrid times the §6.4 hybrid at a small and a large k
-// (it should track the cheaper branch at both ends).
-func BenchmarkAblationHybrid(b *testing.B) {
-	for _, k := range []int{2, 12} {
-		p := warmProblem(b, k)
-		b.Run(kName(k), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.SolveHybrid(bg, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Parallel costing ------------------------------------------------------
 
 // benchMatrixBuild times one *cold* dense cost-table build — n stages ×

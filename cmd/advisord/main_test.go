@@ -42,7 +42,7 @@ func TestStrategyFlag(t *testing.T) {
 		}
 	}
 	_, help := runChild(t, "-h")
-	for _, name := range []string{"kawre", "ranking", "rankmerge"} {
+	for _, name := range []string{"kawre", "ranking", "rankmerge", "hybrid"} {
 		status, stderr := runChild(t, "-paper-rows", "3000", "-addr", "127.0.0.1:0", "-strategy", name)
 		if status != 2 {
 			t.Errorf("-strategy %s: exit %d, want 2", name, status)

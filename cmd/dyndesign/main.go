@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dyndesign -setup schema.sql -trace w1.json -k 2
-//	dyndesign -paper-rows 100000 -trace w1.json -k 2 -strategy hybrid
+//	dyndesign -paper-rows 100000 -trace w1.json -k 2 -strategy merge
 //	dyndesign -paper-rows 100000 -trace w1.json -k unconstrained -candidates auto
 //	dyndesign -paper-rows 100000 -trace w1.json -k 2 -timeout 5s -fallback
 //	dyndesign -paper-rows 100000 -trace w1.json -k 2 -trace-out spans.jsonl -metrics-addr :9090

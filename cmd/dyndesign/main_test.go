@@ -49,7 +49,7 @@ func TestStrategyFlag(t *testing.T) {
 		}
 	}
 	_, help := runChild(t, "-h")
-	for _, name := range []string{"kawre", "ranking", "rankmerge"} {
+	for _, name := range []string{"kawre", "ranking", "rankmerge", "hybrid"} {
 		status, stderr := runChild(t, "-paper-rows", "5000", "-trace", "absent.json", "-fallback", "-strategy", name)
 		if status != 2 {
 			t.Errorf("-strategy %s: exit %d, want 2", name, status)

@@ -178,7 +178,6 @@ const (
 	StrategyKAware      = core.StrategyKAware
 	StrategyGreedySeq   = core.StrategyGreedySeq
 	StrategyMerge       = core.StrategyMerge
-	StrategyHybrid      = core.StrategyHybrid
 	StrategyPartitioned = core.StrategyPartitioned
 )
 

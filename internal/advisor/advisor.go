@@ -12,6 +12,7 @@ package advisor
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
@@ -294,13 +295,20 @@ func (h *fnv64) str(s string) {
 	}
 }
 
+// segmentSeed keys segmentHash. One seed per process is enough: the EXEC
+// store the hash addresses is process-local, and the hash is never
+// printed or persisted.
+var segmentSeed = maphash.MakeSeed()
+
 // segmentHash fingerprints a segment's statement content — the part of
-// EXEC(stage, ·) that depends on the workload.
+// EXEC(stage, ·) that depends on the workload. It runs over the whole
+// window on every Problem, so each statement's text goes through
+// maphash (word-at-a-time) and only the 64-bit results are folded.
 func segmentHash(seg workload.Segment) uint64 {
 	h := newFnv()
 	h.u64(uint64(len(seg.Statements)))
 	for _, s := range seg.Statements {
-		h.str(s.SQL)
+		h.u64(maphash.String(segmentSeed, s.SQL))
 	}
 	return uint64(h)
 }

@@ -379,7 +379,7 @@ func TestStrategiesAgreeOnFeasibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []core.Strategy{core.StrategyGreedySeq, core.StrategyMerge, core.StrategyHybrid} {
+	for _, s := range []core.Strategy{core.StrategyGreedySeq, core.StrategyMerge} {
 		opts := paperOpts(2)
 		opts.Strategy = s
 		rec, err := adv.Recommend(w, opts)
@@ -529,7 +529,7 @@ func TestSharedProblemConcurrentStrategies(t *testing.T) {
 	}
 	strategies := []core.Strategy{
 		core.StrategyKAware, core.StrategyGreedySeq,
-		core.StrategyMerge, core.StrategyHybrid,
+		core.StrategyMerge,
 	}
 	want := map[core.Strategy]float64{}
 	for _, s := range strategies {

@@ -8,8 +8,8 @@ import (
 )
 
 // SolveCache memoizes the dense cost tables across the solves of one
-// problem, which share its cost model: the hybrid's unconstrained seed
-// plus its constrained run, a SweepK after the Solve whose layers it
+// problem, which share its cost model: merging's unconstrained seed
+// plus a ladder's exact rung, a SweepK after the Solve whose layers it
 // exposes, and the explain audit's oracle-solve-then-replay of each
 // perturbed problem. Problems do not cache by default — attach one
 // explicitly (the advisor does) and share it by copying the Problem,

@@ -5,9 +5,12 @@
 //     Narasayya (§3),
 //   - the optimal k-aware sequence graph (§3),
 //   - the GREEDY-SEQ candidate-reduction heuristic (§4.1),
-//   - sequential design merging (§4.2),
-//   - shortest-path ranking (§5), and
-//   - the hybrid optimizer suggested by the paper's Figure 4 (§6.4).
+//   - sequential design merging (§4.2), and
+//   - shortest-path ranking (§5).
+//
+// The exact production path (Solve's kaware strategy) is the first two
+// composed: one unconstrained pass, and the k-aware layers only when
+// its optimum makes more than K changes.
 //
 // The package is deliberately independent of the SQL engine: solvers see
 // only an abstract CostModel, so they can be exercised against synthetic

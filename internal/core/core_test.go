@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"dyndesign/internal/obs"
 )
 
 // bg is the context used by tests that don't exercise cancellation.
@@ -422,50 +424,56 @@ func TestGreedySeqFeasibleAndNeverBeatsOptimal(t *testing.T) {
 	}
 }
 
-func TestHybridMatchesFeasibilityAndChoice(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 20; trial++ {
-		stages := 3 + rng.Intn(5)
-		m, configs := randomModel(rng, stages, 2)
-		for k := 0; k <= 3; k++ {
-			p := &Problem{Stages: stages, Configs: configs, Initial: 0, K: k, Model: m}
-			sol, choice, err := SolveHybrid(bg, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.CheckSolution(sol); err != nil {
-				t.Fatalf("trial %d k=%d choice=%s: %v", trial, k, choice, err)
-			}
-			optimal, err := SolveKAware(bg, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Cost < optimal.Cost-1e-6 {
-				t.Fatal("hybrid beats optimal")
-			}
-			if choice == ChoseKAware && !almostEqual(sol.Cost, optimal.Cost) {
-				t.Errorf("hybrid chose kaware but cost %f != optimal %f", sol.Cost, optimal.Cost)
-			}
-		}
-	}
-}
-
-func TestHybridReturnsUnconstrainedWhenFeasible(t *testing.T) {
+// TestSolveAnswersFromSeedWhenItFitsK pins the exact path's branch and
+// what a trace shows of it: at a bound the unconstrained optimum fits,
+// Solve returns that very design from one seqgraph.dp pass without a
+// single kaware.sweep; one change tighter it runs the layers after the
+// seed pass — over one table build either way.
+func TestSolveAnswersFromSeedWhenItFitsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	m, configs := randomModel(rng, 6, 2)
-	p := &Problem{Stages: 6, Configs: configs, Initial: 0, K: Unconstrained, Model: m}
-	seed, _ := SolveUnconstrained(bg, p)
-	p2 := *p
-	p2.K = seed.Changes + 1
-	sol, choice, err := SolveHybrid(bg, &p2)
+	const stages = 12
+	m, configs := randomModel(rng, stages, 2)
+	sink, agg := &exactSpanSink{}, obs.NewAggregator()
+	p := &Problem{Stages: stages, Configs: configs, Initial: 0, K: Unconstrained, Model: m, Tracer: obs.NewTracer(sink, agg)}
+	seed, err := SolveUnconstrained(bg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if choice != ChoseUnconstrained {
-		t.Errorf("choice = %s", choice)
+	if seed.Changes < 3 {
+		t.Fatalf("fixture's unconstrained optimum has %d changes; the binding row needs K >= 2 below it", seed.Changes)
 	}
-	if !almostEqual(sol.Cost, seed.Cost) {
-		t.Errorf("hybrid cost %f != unconstrained %f", sol.Cost, seed.Cost)
+	for _, c := range []struct {
+		k       int
+		layered bool
+		sweeps  int64
+	}{{seed.Changes, false, 0}, {seed.Changes - 1, true, stages - 1}} {
+		pk := *p
+		pk.K = c.k
+		agg.Reset()
+		sol, err := Solve(bg, &pk, StrategyKAware)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.attrs["layered"]; got != c.layered {
+			t.Errorf("K=%d (l=%d): solve span has layered=%v, want %v", c.k, seed.Changes, got, c.layered)
+		}
+		if got := sink.attrs["seed_changes"]; got != int64(seed.Changes) {
+			t.Errorf("K=%d: solve span has seed_changes=%v, want %d", c.k, got, seed.Changes)
+		}
+		counts := map[string]int64{}
+		for _, st := range agg.Snapshot() {
+			counts[st.Name] = st.Count
+		}
+		if counts[SpanMatrixBuild] != 1 || counts[SpanSeqgraphDP] != 1 || counts[SpanKAwareSweep] != c.sweeps {
+			t.Errorf("K=%d: trace has %d matrix.build, %d seqgraph.dp, %d kaware.sweep spans, want 1, 1, %d",
+				c.k, counts[SpanMatrixBuild], counts[SpanSeqgraphDP], counts[SpanKAwareSweep], c.sweeps)
+		}
+		if !c.layered && !reflect.DeepEqual(sol.Designs, seed.Designs) {
+			t.Errorf("K=%d: seed return changed the design", c.k)
+		}
+		if c.layered && (sol.Changes > c.k || sol.Cost < seed.Cost) {
+			t.Errorf("K=%d: layered run returned %d changes at cost %v (unconstrained %v)", c.k, sol.Changes, sol.Cost, seed.Cost)
+		}
 	}
 }
 

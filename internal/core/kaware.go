@@ -283,6 +283,13 @@ func SolveKAware(ctx context.Context, p *Problem) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.kAwareOn(ctx, m, kern)
+}
+
+// kAwareOn is SolveKAware's layered relaxation over tables and a kernel
+// already fetched — the body it shares with the exact path (solveExact),
+// which runs it on its seed pass's tables when K binds.
+func (p *Problem) kAwareOn(ctx context.Context, m *matrices, kern transRelaxer) (*Solution, error) {
 	d, err := p.runLayeredDP(ctx, m, kern, p.K)
 	if err != nil {
 		return nil, err
@@ -292,6 +299,45 @@ func SolveKAware(ctx context.Context, p *Problem) (*Solution, error) {
 		return nil, fmt.Errorf("core: no design with at most %d changes exists", p.K)
 	}
 	return p.NewSolution(d.backtrack(cfg, layer)), nil
+}
+
+// solveExact is the exact production path — the kaware row of the
+// strategy table and the partitioned solver's exact hand-overs: the
+// constrained optimum, with the change-bounded layers run only when K
+// binds. After one solveInputs the unconstrained relaxation runs as a
+// seed pass; its optimum is returned when it counts at most K changes
+// (it minimises the same perturbed objective over a superset of the
+// feasible sequences), and otherwise the layers run on the same tables
+// and kernel. The layers relax K moves per stage and the seed one, so
+// below K = 2 the seed cannot pay and is skipped. Cost is SolveKAware's
+// bit for bit, and so is the design unless the perturbed optimum is not
+// unique (DESIGN.md §12). The attributes are for the solve span:
+// seed_changes (-1 without a seed design) and layered.
+func solveExact(ctx context.Context, p *Problem) (*Solution, []obs.Attr, error) {
+	attrs := func(seedChanges int, layered bool) []obs.Attr {
+		return []obs.Attr{obs.Int("seed_changes", int64(seedChanges)), obs.Bool("layered", layered)}
+	}
+	if p.K < 2 {
+		sol, err := SolveKAware(ctx, p)
+		return sol, attrs(-1, p.K != Unconstrained), err
+	}
+	m, kern, err := p.solveInputs(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	seed, err := p.unconstrainedOn(ctx, m, kern)
+	if err != nil {
+		return nil, nil, err
+	}
+	seedChanges := -1
+	if seed != nil {
+		seedChanges = CountChanges(p.Initial, seed, p.Policy)
+		if seedChanges <= p.K {
+			return p.NewSolution(seed), attrs(seedChanges, false), nil
+		}
+	}
+	sol, err := p.kAwareOn(ctx, m, kern)
+	return sol, attrs(seedChanges, true), err
 }
 
 // KSweepPoint is one point of the cost-of-constraint curve: the optimal

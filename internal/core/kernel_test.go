@@ -60,6 +60,24 @@ func randomAdditiveModel(rng *rand.Rand, stages, structs int) (*additiveModel, [
 	return m, configs
 }
 
+// subsetConfigs keeps each configuration of a list longer than four
+// with probability 0.7, and at least two of them.
+func subsetConfigs(rng *rand.Rand, configs []Config) []Config {
+	if len(configs) <= 4 {
+		return configs
+	}
+	kept := make([]Config, 0, len(configs))
+	for _, c := range configs {
+		if rng.Float64() < 0.7 {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) < 2 {
+		kept = configs[:2]
+	}
+	return kept
+}
+
 // runKernelCase asserts the dense and hypercube kernels agree on one
 // randomized problem: equal solve costs (up to float association), valid
 // solutions, identical feasibility, equal SweepK curves, equal ranking
@@ -69,17 +87,8 @@ func runKernelCase(t *testing.T, seed int64, stages, structs, k int, policy Chan
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m, configs := randomAdditiveModel(rng, stages, structs)
-	if subset && len(configs) > 4 {
-		kept := make([]Config, 0, len(configs))
-		for _, c := range configs {
-			if rng.Float64() < 0.7 {
-				kept = append(kept, c)
-			}
-		}
-		if len(kept) < 2 {
-			kept = configs[:2]
-		}
-		configs = kept
+	if subset {
+		configs = subsetConfigs(rng, configs)
 	}
 	// The initial configuration is any raw lattice point — sometimes
 	// outside the candidate list, which the solvers must tolerate.

@@ -545,7 +545,7 @@ func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, 
 func solveUnfactored(ctx context.Context, p *Problem, configs []Config, width int, forceBeam bool) (*PartitionedSolution, error) {
 	span := spanOf(configs)
 	if exactAffordable(configs) && !forceBeam {
-		sol, err := SolveKAware(ctx, p)
+		sol, _, err := solveExact(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -767,7 +767,7 @@ func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*
 		if !exactAffordable(configs) {
 			return nil, fmt.Errorf("core: no per-component budget split within %d changes: %w", p.K, ErrLatticeTooLarge)
 		}
-		sol, err := SolveKAware(ctx, p)
+		sol, _, err := solveExact(ctx, p)
 		if err != nil {
 			return nil, err
 		}

@@ -210,6 +210,21 @@ func SolveUnconstrained(ctx context.Context, p *Problem) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	designs, err := p.unconstrainedOn(ctx, m, kern)
+	if err != nil {
+		return nil, err
+	}
+	if designs == nil {
+		return nil, fmt.Errorf("core: unconstrained problem has no feasible design")
+	}
+	return p.NewSolution(designs), nil
+}
+
+// unconstrainedOn is SolveUnconstrained's relaxation over tables and a
+// kernel already fetched — the body it shares with the exact path's seed
+// pass (solveExact). It returns the optimal design sequence, nil when no
+// design is feasible.
+func (p *Problem) unconstrainedOn(ctx context.Context, m *matrices, kern transRelaxer) ([]Config, error) {
 	configs := m.configs
 	scr := kern.newScratch()
 	nc := len(configs)
@@ -257,7 +272,7 @@ func SolveUnconstrained(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 	}
 	if bestEnd < 0 {
-		return nil, fmt.Errorf("core: unconstrained problem has no feasible design")
+		return nil, nil
 	}
 	designs := make([]Config, p.Stages)
 	j := int32(bestEnd)
@@ -267,5 +282,5 @@ func SolveUnconstrained(ctx context.Context, p *Problem) (*Solution, error) {
 			j = parents[i][j]
 		}
 	}
-	return p.NewSolution(designs), nil
+	return designs, nil
 }

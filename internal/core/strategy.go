@@ -21,7 +21,6 @@ const (
 	StrategyKAware    Strategy = "kaware"
 	StrategyGreedySeq Strategy = "greedyseq"
 	StrategyMerge     Strategy = "merge"
-	StrategyHybrid    Strategy = "hybrid"
 	// StrategyPartitioned factors the candidate lattice into
 	// independent sub-lattices via the model's interaction graph and
 	// recombines per-component exact (or beam-pruned anytime) solves;
@@ -39,29 +38,29 @@ const (
 var strategyTable = []struct {
 	name Strategy
 	rung bool
-	run  func(context.Context, *Problem) (*Solution, error)
+	run  strategyRun
 }{
-	{StrategyKAware, false, SolveKAware},
-	{StrategyGreedySeq, true, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyKAware, false, solveExact},
+	{StrategyGreedySeq, true, func(ctx context.Context, p *Problem) (*Solution, []obs.Attr, error) {
 		sol, _, err := SolveGreedySeq(ctx, p)
-		return sol, err
+		return sol, nil, err
 	}},
-	{StrategyMerge, true, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyMerge, true, func(ctx context.Context, p *Problem) (*Solution, []obs.Attr, error) {
 		sol, _, err := SolveMergeFromUnconstrained(ctx, p)
-		return sol, err
+		return sol, nil, err
 	}},
-	{StrategyHybrid, false, func(ctx context.Context, p *Problem) (*Solution, error) {
-		sol, _, err := SolveHybrid(ctx, p)
-		return sol, err
-	}},
-	{StrategyPartitioned, false, func(ctx context.Context, p *Problem) (*Solution, error) {
+	{StrategyPartitioned, false, func(ctx context.Context, p *Problem) (*Solution, []obs.Attr, error) {
 		ps, err := SolvePartitioned(ctx, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return ps.Solution, nil
+		return ps.Solution, nil, nil
 	}},
 }
+
+// strategyRun runs one strategy; the attributes it returns, if any, are
+// added to the solve span.
+type strategyRun func(context.Context, *Problem) (*Solution, []obs.Attr, error)
 
 // Strategies lists every available strategy.
 func Strategies() []Strategy {
@@ -74,7 +73,7 @@ func Strategies() []Strategy {
 
 // lookupStrategy finds name's row of the table; the empty name is the
 // default, StrategyKAware.
-func lookupStrategy(name Strategy) (Strategy, func(context.Context, *Problem) (*Solution, error), error) {
+func lookupStrategy(name Strategy) (Strategy, strategyRun, error) {
 	if name == "" {
 		name = StrategyKAware
 	}
@@ -107,8 +106,8 @@ func Solve(ctx context.Context, p *Problem, strategy Strategy) (*Solution, error
 		return nil, err
 	}
 	sp := p.Tracer.Start(SpanSolve)
-	sol, err := run(ctx, p)
-	sp.End(obs.String("strategy", string(strategy)), obs.Bool("ok", err == nil))
+	sol, attrs, err := run(ctx, p)
+	sp.End(append([]obs.Attr{obs.String("strategy", string(strategy)), obs.Bool("ok", err == nil)}, attrs...)...)
 	if err != nil {
 		var pe *PanicError
 		switch {
@@ -119,70 +118,4 @@ func Solve(ctx context.Context, p *Problem, strategy Strategy) (*Solution, error
 		}
 	}
 	return sol, err
-}
-
-// HybridChoice names the technique a hybrid solve actually ran.
-type HybridChoice string
-
-// Hybrid outcomes.
-const (
-	ChoseUnconstrained HybridChoice = "unconstrained" // the optimum already satisfied K
-	ChoseKAware        HybridChoice = "kaware"
-	ChoseMerge         HybridChoice = "merge"
-)
-
-// SolveHybrid implements the combination §6.4 suggests: the k-aware
-// graph's cost grows linearly in K while merging's shrinks as K
-// approaches the unconstrained optimum's change count l, so the solver
-// picks whichever is predicted cheaper for the instance at hand.
-//
-// It first computes the unconstrained optimum (both branches need it or
-// something at least as expensive). If that already has at most K
-// changes it is returned as-is — it is optimal for the constrained
-// problem too. Otherwise the work estimates
-//
-//	kaware ≈ (K+1) · n · m²      (layered DAG relaxation)
-//	merge  ≈ (l−K) · l · m       (merge steps × pairs × candidates)
-//
-// decide the branch, and the choice made is reported. The estimates
-// predate the hypercube kernel and ignore merging's O(n·m) prefix
-// build, and past the first return the solve is one of the two branches
-// plus the seed, so where K binds that branch's own strategy is never
-// slower. What keeps the hybrid a Strategy is the first return: in
-// EXPERIMENTS.md's strategy table it is undominated exactly where K
-// does not bind, and no other strategy has that return.
-func SolveHybrid(ctx context.Context, p *Problem) (*Solution, HybridChoice, error) {
-	if err := p.Validate(); err != nil {
-		return nil, "", err
-	}
-	if p.K == Unconstrained {
-		sol, err := SolveUnconstrained(ctx, p)
-		return sol, ChoseUnconstrained, err
-	}
-	unconstrained := *p
-	unconstrained.K = Unconstrained
-	seed, err := SolveUnconstrained(ctx, &unconstrained)
-	if err != nil {
-		return nil, "", err
-	}
-	l := CountChanges(p.Initial, seed.Designs, p.Policy)
-	if l <= p.K {
-		// Optimal and feasible: re-wrap under the constrained problem so
-		// the change count reflects its policy.
-		return p.NewSolution(seed.Designs), ChoseUnconstrained, nil
-	}
-	usable, err := p.usableConfigs()
-	if err != nil {
-		return nil, "", err
-	}
-	m := float64(len(usable))
-	n := float64(p.Stages)
-	kawareWork := float64(p.K+1) * n * m * m
-	mergeWork := float64(l-p.K) * float64(l) * m
-	if kawareWork <= mergeWork {
-		sol, err := SolveKAware(ctx, p)
-		return sol, ChoseKAware, err
-	}
-	sol, _, err := SolveMerge(ctx, p, seed)
-	return sol, ChoseMerge, err
 }

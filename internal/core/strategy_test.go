@@ -33,7 +33,7 @@ func (s *solveSpanSink) Emit(rec obs.SpanRecord) {
 // and reports itself on the solve span, and no other name — the two
 // solvers that are library functions included — parses or solves.
 func TestStrategyTable(t *testing.T) {
-	want := []Strategy{StrategyKAware, StrategyGreedySeq, StrategyMerge, StrategyHybrid, StrategyPartitioned}
+	want := []Strategy{StrategyKAware, StrategyGreedySeq, StrategyMerge, StrategyPartitioned}
 	if got := Strategies(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Strategies() = %v, want %v", got, want)
 	}
@@ -64,7 +64,7 @@ func TestStrategyTable(t *testing.T) {
 		}
 	}
 	wantErr := fmt.Sprintf("(want one of %v)", want)
-	for _, name := range []string{"ranking", "rankmerge", "kawre"} {
+	for _, name := range []string{"ranking", "rankmerge", "hybrid", "kawre"} {
 		_, err := ParseStrategy(name)
 		if err == nil {
 			t.Errorf("ParseStrategy(%q) accepted a name outside the table", name)

@@ -87,7 +87,6 @@ func TestTracedStrategiesEmitTheirSpans(t *testing.T) {
 		// paper's worst case and would exhaust the budget, which is a
 		// different test's business (TestRankingBudget).
 		{"ranking", 39, []string{SpanRankingSweep, SpanRankingExpand}},
-		{"hybrid", 2, []string{SpanSolve, SpanSeqgraphDP}},
 	}
 	solvers := map[string]namedSolver{}
 	for _, s := range everySolver() {

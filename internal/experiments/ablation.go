@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"time"
 
 	"dyndesign/internal/advisor"
 	"dyndesign/internal/core"
+	"dyndesign/internal/workload"
 )
 
 // QualityVsK quantifies what the change constraint costs: the optimal
@@ -135,8 +137,8 @@ func (r *RankingAblation) Render(w io.Writer) {
 
 // StrategyComparison is the table that decides which solvers are
 // production strategies: every row of core's strategy table through
-// core.Solve, then the two library functions by name, each timed
-// alone, one cell at a time, over two fixtures and three change bounds.
+// core.Solve, then the three library functions by name, each timed
+// alone, one cell at a time, over three fixtures and three change bounds.
 // A heuristic belongs in core's table iff some cell here has it
 // undominated: no other row at least as fast and at least as cheap. The
 // exact solvers stay whatever their cells say; they are the oracle.
@@ -177,14 +179,18 @@ type ComparisonCell struct {
 	Exhausted bool
 }
 
-// RunStrategyComparison builds the comparison over W1 at the table's
-// scale: the paper's seven single-index configurations (the dense
-// kernel) and the full 2^6 lattice over the same six structures (the
-// hypercube kernel). Cost rows are warmed first and each fixture's
-// problem carries its solve cache, so a cell times graph work the way
-// Figure 4 does. rankingBudget bounds ranking's frontier pops on the
-// seven-configuration fixture; the lattice gets proportionally fewer,
-// so that neither holds more path nodes than the other.
+// RunStrategyComparison builds the comparison at the table's scale over
+// three fixtures: W1 over the paper's seven single-index configurations
+// (the dense kernel), W1 over the full 2^6 lattice of the same six
+// structures (the hypercube kernel; read-only, so its unconstrained
+// optimum never changes design and no bound binds), and the same
+// lattice over W1 with an INSERT burst after every fifth block (loadedW1),
+// where dropping indexes for each load pays and every bound of the
+// table binds. Cost rows are warmed first and each fixture's problem
+// carries its solve cache, so a cell times graph work the way Figure 4
+// does. rankingBudget bounds ranking's frontier pops on the
+// seven-configuration fixture; the lattices get proportionally fewer,
+// so that none holds more path nodes than another.
 func RunStrategyComparison(ctx context.Context, t2 *Table2Result, rankingBudget int) (_ *StrategyComparison, err error) {
 	end := experimentSpan("strategy_comparison")
 	defer func() { end(err == nil) }()
@@ -194,20 +200,26 @@ func RunStrategyComparison(ctx context.Context, t2 *Table2Result, rankingBudget 
 	if err != nil {
 		return nil, err
 	}
+	loaded, err := loadedW1(t2)
+	if err != nil {
+		return nil, err
+	}
 	var names []string
 	for _, s := range core.Strategies() {
 		names = append(names, string(s))
 	}
-	names = append(names, "ranking", "rankmerge")
+	names = append(names, "layered", "ranking", "rankmerge")
 	res := &StrategyComparison{Ks: []int{2, 4, 8}}
 	for _, fx := range []struct {
 		name string
 		adv  *advisor.Advisor
+		w    *workload.Workload
 	}{
-		{"7 single-index configurations", t2.Advisor},
-		{"full lattice over the 6 structures", latticeAdvisor},
+		{"7 single-index configurations", t2.Advisor, t2.W1},
+		{"full lattice over the 6 structures", latticeAdvisor, t2.W1},
+		{"full lattice, a load after every fifth block", latticeAdvisor, loaded},
 	} {
-		base, _, err := fx.adv.Problem(t2.W1, PaperOptions(core.Unconstrained))
+		base, _, err := fx.adv.Problem(fx.w, PaperOptions(core.Unconstrained))
 		if err != nil {
 			return nil, err
 		}
@@ -250,12 +262,39 @@ func RunStrategyComparison(ctx context.Context, t2 *Table2Result, rankingBudget 
 	return res, nil
 }
 
+// loadedW1 is W1 with a burst of INSERTs after every fifth block. A
+// burst is a fiftieth of the table: each row costs every held index a
+// few pages of maintenance and a rebuild costs about a page per fifty
+// rows, so the unconstrained optimum drops its indexes for each load and
+// rebuilds them after it — more changes than any bound of the table
+// allows.
+func loadedW1(t2 *Table2Result) (*workload.Workload, error) {
+	rng := rand.New(rand.NewSource(t2.Scale.Seed + 901))
+	domain := workload.DomainForRows(t2.Scale.Rows)
+	every := 5 * t2.Scale.BlockSize
+	w := &workload.Workload{Name: "W1+loads"}
+	for at := 0; at < t2.W1.Len(); at += every {
+		reads := t2.W1.Slice(at, min(at+every, t2.W1.Len()))
+		w.Statements = append(w.Statements, reads.Statements...)
+		w.Labels = append(w.Labels, reads.Labels...)
+		inserts, err := workload.GenerateInserts(workload.PaperTable, 4, domain, rng, int(t2.Scale.Rows/50))
+		if err != nil {
+			return nil, err
+		}
+		w.Append("LOAD", inserts...)
+	}
+	return w, nil
+}
+
 // solveRow runs one row of the comparison: a strategy of core's table
-// through core.Solve, or one of the two library functions by name —
-// ranking plain, as §5 states it. A nil solution is a ranking run whose
-// budget ran out.
+// through core.Solve, or one of the three library functions by name —
+// layered is core.SolveKAware, the always-layered relaxation the kaware
+// row runs only where the bound binds; ranking is plain, as §5 states
+// it. A nil solution is a ranking run whose budget ran out.
 func solveRow(ctx context.Context, name string, p *core.Problem, ranking core.RankingOptions) (*core.Solution, error) {
 	switch name {
+	case "layered":
+		return core.SolveKAware(ctx, p)
 	case "ranking":
 		res, err := core.SolveRanking(ctx, p, ranking)
 		if err != nil {

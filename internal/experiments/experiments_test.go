@@ -338,26 +338,31 @@ func TestQualityCurveMatchesKAware(t *testing.T) {
 }
 
 // TestStrategyComparison checks the table that decides the production
-// strategies, not its timings: both fixtures and every change bound are
-// there, each on the kernel it is there for; the exact rows agree
-// (ranking when its budget sufficed, partitioned when it reports no
-// gap); no row beats the optimum or its bound; and a ranking run that
-// exhausts its budget is a marked cell, not a failed comparison.
+// strategies, not its timings: all three fixtures and every change
+// bound are there, each on the kernel it is there for, and on the loaded
+// lattice every bound binds; the exact rows agree (the kaware row with
+// the always-layered relaxation bit for bit, ranking when its budget
+// sufficed, partitioned when it reports no gap); no row beats the
+// optimum or its bound; and a ranking run that exhausts its budget is a
+// marked cell, not a failed comparison.
 func TestStrategyComparison(t *testing.T) {
 	cmp, err := RunStrategyComparison(bg, getTable2(t), 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmp.Fixtures) != 2 || len(cmp.Ks) != 3 {
-		t.Fatalf("comparison has %d fixtures x %d bounds, want 2 x 3", len(cmp.Fixtures), len(cmp.Ks))
+	if len(cmp.Fixtures) != 3 || len(cmp.Ks) != 3 {
+		t.Fatalf("comparison has %d fixtures x %d bounds, want 3 x 3", len(cmp.Fixtures), len(cmp.Ks))
 	}
-	if got := []int{cmp.Fixtures[0].Configs, cmp.Fixtures[1].Configs}; got[0] != 7 || got[1] != 64 {
-		t.Fatalf("fixtures have %v configurations, want 7 (dense kernel) and 64 (hypercube)", got)
+	if got := []int{cmp.Fixtures[0].Configs, cmp.Fixtures[1].Configs, cmp.Fixtures[2].Configs}; got[0] != 7 || got[1] != 64 || got[2] != 64 {
+		t.Fatalf("fixtures have %v configurations, want 7 (dense kernel), 64 and 64 (hypercube)", got)
 	}
-	wantRows := len(core.Strategies()) + 2
+	if l, maxK := cmp.Fixtures[2].L, cmp.Ks[len(cmp.Ks)-1]; l <= maxK {
+		t.Errorf("%s: unconstrained optimum has l=%d changes, so k=%d does not bind", cmp.Fixtures[2].Name, l, maxK)
+	}
+	wantRows := len(core.Strategies()) + 3
 	for _, f := range cmp.Fixtures {
 		if len(f.Rows) != wantRows {
-			t.Fatalf("%s: %d rows, want core's %d strategies and the 2 library functions", f.Name, len(f.Rows), len(core.Strategies()))
+			t.Fatalf("%s: %d rows, want core's %d strategies and the 3 library functions", f.Name, len(f.Rows), len(core.Strategies()))
 		}
 		for ri, row := range f.Rows {
 			for i, c := range row.Cells {
@@ -374,6 +379,8 @@ func TestStrategyComparison(t *testing.T) {
 					t.Errorf("%s, %s at k=%d: cost %v beats the optimum %v", f.Name, row.Name, k, c.Cost, opt)
 				case c.Cost > opt+c.Gap+1e-6 && (row.Name == "kaware" || row.Name == "ranking" || row.Name == "partitioned"):
 					t.Errorf("%s, %s at k=%d: cost %v, optimum %v, reported gap %v", f.Name, row.Name, k, c.Cost, opt, c.Gap)
+				case row.Name == "layered" && c.Cost != opt:
+					t.Errorf("%s at k=%d: SolveKAware costs %v, the kaware row %v", f.Name, k, c.Cost, opt)
 				}
 			}
 		}
@@ -389,7 +396,7 @@ func TestStrategyComparison(t *testing.T) {
 	}
 	var sb strings.Builder
 	cmp.Render(&sb)
-	for _, want := range []string{"budget exhausted", "greedyseq", "hybrid", "k=8"} {
+	for _, want := range []string{"budget exhausted", "greedyseq", "layered", "a load after every fifth block", "k=8"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("render lacks %q:\n%s", want, sb.String())
 		}

@@ -179,6 +179,36 @@ func TestKSweepShape(t *testing.T) {
 	}
 }
 
+// TestKSweepClampedToStageCount pins that the sweep's length follows the
+// problem, not the bound: a change bound far above the stage count (-k
+// 1000000) renders the stage count's worth of points plus the delta,
+// and the curve has reached the unconstrained cost by its last point.
+func TestKSweepClampedToStageCount(t *testing.T) {
+	p := phaseProblem(1, 1)
+	p.Stages, p.K = 50, 200000
+	p.Model = &phaseModel{seed: 1, phases: make([]int, p.Stages)}
+	sol, err := core.Solve(bg, p, core.StrategyKAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Build(bg, p, sol, Options{KSweepDelta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, most := len(e.KSweep), p.Stages+1+2; got > most {
+		t.Fatalf("sweep has %d points for %d stages, want at most %d", got, p.Stages, most)
+	}
+	unc := *p
+	unc.K = core.Unconstrained
+	opt, err := core.SolveUnconstrained(bg, &unc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := e.KSweep[len(e.KSweep)-1]; last.Cost != opt.Cost {
+		t.Errorf("last sweep point costs %v, the unconstrained optimum %v", last.Cost, opt.Cost)
+	}
+}
+
 // TestAuditConstrainedGeneralizes is the acceptance criterion: on a
 // phase-structured trace with transient noise, the k=2 design's
 // held-out regret over perturbed replays stays at or below the
