@@ -102,12 +102,18 @@ chaos:
 # (exact_test.go); batched plan-table costing must be bitwise
 # identical to the scalar what-if coster on every configuration, and a
 # cost row filled by the statement-major row kernel bitwise identical to
-# both over arbitrary candidate lists (plan_test.go); and the readers of
-# on-disk bytes — WAL/snapshot frames and the snapshot inside one — must
-# answer arbitrary input with an error or a value that re-encodes to
-# bytes they accept, without panicking or allocating what a length field
-# merely promises (internal/durable/fuzz_test.go). CI runs this as a
-# smoke test; longer local campaigns just raise -fuzztime.
+# both over arbitrary candidate lists (plan_test.go); the readers of
+# on-disk bytes — WAL/snapshot frames, the statement, reset or batch
+# record inside a WAL frame, and the snapshot inside one — must answer
+# arbitrary input with an error or a value that re-encodes to bytes they
+# accept, without panicking or allocating what a length field merely
+# promises (internal/durable/fuzz_test.go); and the two decoders of
+# foreign bytes must never panic: the SQL parser, whose accepted
+# statements must also print back to something that parses
+# (internal/sql/fuzz_test.go), and POST /ingest, which must answer 200,
+# 400 or 413 and move the ingested count by exactly what it acknowledged
+# (cmd/advisord/ingest_test.go). CI runs this as a smoke test; longer
+# local campaigns just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
@@ -115,7 +121,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/durable/
+	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=20s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/durable/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/sql/
+	$(GO) test -run='^$$' -fuzz=FuzzIngestBody -fuzztime=20s ./cmd/advisord/
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve
@@ -150,10 +159,11 @@ metrics-doc:
 
 # advisord-crash runs the crash-restart equivalence harness under the
 # race detector: advisord children are SIGKILLed at seeded chaos points
-# (mid-WAL-append, pre-fsync, at segment rotation, and at each stage of
-# the atomic snapshot write), restarted over the same data dir, and the
-# recovered recommendation must be byte-identical to an uninterrupted
-# run over the same trace. On a mismatch the harness writes the two
+# (mid-WAL-append — inside a batch frame, none of which may survive —
+# pre-fsync, at segment rotation, and at each stage of the atomic
+# snapshot write), restarted over the same data dir, and the recovered
+# recommendation must be byte-identical to an uninterrupted run over the
+# same trace. On a mismatch the harness writes the two
 # recommendation bodies to $$ADVISORD_CRASH_ARTIFACTS (CI uploads
 # them). See DESIGN.md §14.
 advisord-crash:

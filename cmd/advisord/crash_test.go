@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -50,6 +51,9 @@ const crashRows = 3000
 // mid-trace solve, chaining the installed design into the final one.
 const midSolveAt = 60
 
+// crashBatch is the ingest batch size, so the WAL crash points count
+// frames of up to 8 statements: frames 1–8 carry statements 1–60 (the
+// eighth holds the 4 left before the mid solve), frames 9–21 the rest.
 const crashBatch = 8
 
 var (
@@ -249,7 +253,9 @@ func canonicalSolve(t *testing.T, body []byte) []byte {
 // the stream the uninterrupted service saw. A mid-trace solve whose
 // durable snapshot was lost to the crash is re-forced over the
 // identical window before ingestion resumes, keeping the installed
-// design chain (each solve's C0) the same in both runs.
+// design chain (each solve's C0) the same in both runs. A child killed
+// inside a WAL frame must come back holding exactly the acknowledged
+// statements: none of the batch whose frame was torn.
 func runScenario(t *testing.T, crashpoint string) (final []byte, restarts int) {
 	t.Helper()
 	dir := t.TempDir()
@@ -279,6 +285,10 @@ func runScenario(t *testing.T, crashpoint string) (final []byte, restarts int) {
 		h := healthzAt(t, client, base)
 		if h.Durable == nil {
 			t.Fatal("recovered child reports no durable state")
+		}
+		if strings.HasPrefix(crashpoint, "wal.append.mid:") && (h.WindowTotal != int64(sent) || h.Durable.WALLastSeq != uint64(sent)) {
+			t.Fatalf("killed inside a batch frame after %d acknowledged statements, the restart holds window_total %d, wal_last_seq %d: part of the torn batch survived",
+				sent, h.WindowTotal, h.Durable.WALLastSeq)
 		}
 		sent = int(h.WindowTotal)
 		midDone = h.Durable.RecoverySnapSeq >= midSolveAt
@@ -326,11 +336,12 @@ func runScenario(t *testing.T, crashpoint string) (final []byte, restarts int) {
 }
 
 // TestAdvisordCrashRecovery is the crash-restart equivalence gate: for
-// every seeded kill point — mid-WAL-append (a real torn frame), before
-// and after the fsync, at a segment rotation, and at each stage of the
-// atomic snapshot write — a SIGKILLed-and-recovered advisord must serve
-// a final recommendation byte-identical (modulo timestamps) to an
-// uninterrupted run over the same trace.
+// every seeded kill point — mid-WAL-append (a real torn batch frame, none
+// of whose statements may survive), before the fsync, at a segment
+// rotation, and at each stage of the atomic snapshot write — a
+// SIGKILLed-and-recovered advisord must serve a final recommendation
+// byte-identical (modulo timestamps) to an uninterrupted run over the
+// same trace.
 func TestAdvisordCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash harness; skipped with -short")
@@ -340,13 +351,14 @@ func TestAdvisordCrashRecovery(t *testing.T) {
 		t.Fatalf("reference run restarted %d times", refRestarts)
 	}
 	for _, cp := range []string{
-		"wal.append.mid:25",     // torn frame during ingest, before the mid solve
-		"wal.append.presync:40", // record written, fsync pending
-		"wal.rotate:2",          // at the second segment rotation
-		"wal.append.mid:100",    // torn frame after the mid solve's snapshot
-		"snapshot.tmp:1",        // mid snapshot temp write (solve published, not durable)
-		"snapshot.rename:1",     // temp durable, rename pending
-		"snapshot.post:1",       // snapshot fully durable, response lost
+		"wal.append.mid:4",     // torn batch frame during ingest, before the mid solve
+		"wal.append.presync:5", // batch frame written, fsync pending
+		"wal.rotate:2",         // at the second segment rotation
+		"wal.append.mid:8",     // torn frame of the short batch right before the mid solve
+		"wal.append.mid:13",    // torn batch frame after the mid solve's snapshot
+		"snapshot.tmp:1",       // mid snapshot temp write (solve published, not durable)
+		"snapshot.rename:1",    // temp durable, rename pending
+		"snapshot.post:1",      // snapshot fully durable, response lost
 	} {
 		t.Run(cp, func(t *testing.T) {
 			got, restarts := runScenario(t, cp)

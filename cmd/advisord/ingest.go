@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"time"
 
-	"dyndesign/internal/alerter"
 	"dyndesign/internal/core"
+	"dyndesign/internal/durable"
 	"dyndesign/internal/workload"
 )
 
@@ -36,8 +37,12 @@ type ingestResponse struct {
 
 // handleIngest validates the whole batch first (parse + what-if
 // costability), so a bad statement rejects the batch atomically, then
-// logs each statement to the WAL and feeds it through the window and
-// the drift alerter.
+// commits it — one WAL frame, one fsync, n window entries, under one
+// lock acquisition: applied whole or not at all — and feeds it through
+// the drift alerter. A committed batch is ingested whatever becomes of
+// the request: it is counted, observed without the request's
+// cancellation (recovery would replay it into the alerter anyway) and
+// acknowledged.
 //
 // Overload protection happens before any work: at most MaxInflight
 // requests are processed concurrently — when the WAL (fsync) or the
@@ -96,22 +101,19 @@ func (s *service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		stmts[i] = stmt
 	}
-	alerts := 0
-	for i, stmt := range stmts {
-		alert, err := s.apply(r.Context(), batch[i].Label, stmt)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if alert != nil {
-			alerts++
-		}
+	winLen, err := s.commit(batch, stmts)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	s.ingested.Add(int64(len(stmts)))
 	s.batches.Add(1)
-	s.mu.Lock()
-	winLen := s.win.Len()
-	s.mu.Unlock()
+	alerts, err := s.observe(context.WithoutCancel(r.Context()), stmts...)
+	if err != nil {
+		// Validation costed every statement already, so this is a broken
+		// alerter, not a bad batch; the drift detector misses a statement.
+		fmt.Fprintf(os.Stderr, "advisord: %v\n", err)
+	}
 	if s.cfg.MinSolve >= 0 && s.snap.Load() == nil && winLen >= s.cfg.MinSolve {
 		s.requestSolve("initial")
 	}
@@ -122,26 +124,52 @@ func (s *service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestResponse{Ingested: len(stmts), Window: winLen, Alerts: alerts})
 }
 
-// apply folds one validated statement into the service, live or during
-// recovery: WAL append and window append as one atomic step under mu —
-// log order is window order, which is what makes snapshot + tail-replay
-// reconstruct the exact ring, and the statement is durable (fsync
-// policy permitting) before the window, and therefore any solve, can
-// see it — then the drift alerter. Replayed statements are already in
-// the log and are not appended again.
-func (s *service) apply(ctx context.Context, label string, stmt workload.Statement) (*alerter.Alert, error) {
-	s.mu.Lock()
-	if s.store != nil && !s.replaying {
-		if _, err := s.store.AppendStatement(label, stmt.SQL); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("wal: %w", err)
+// commit makes a validated batch part of the stream and returns the
+// window fill after it: the WAL frame and the window entries as one
+// atomic step under mu — log order is window order, which is what makes
+// snapshot + tail-replay reconstruct the exact ring, and the batch is
+// durable (fsync policy permitting) before the window, and therefore any
+// solve, can see it. A WAL error leaves the window as it was, and the log
+// too when it comes before the frame's first byte (a closed store, an
+// oversized frame). One that comes after — a short write, a failed fsync
+// — may leave the unacknowledged frame in the log, wal_last_seq ahead of
+// window_total by this one batch; the store then refuses every later
+// append, so ingest answers 500 until a restart, which replays the frame
+// if it is whole.
+func (s *service) commit(batch []ingestStatement, stmts []workload.Statement) (int, error) {
+	var logged []durable.Statement
+	if s.store != nil {
+		logged = make([]durable.Statement, len(stmts))
+		for i, stmt := range stmts {
+			logged[i] = durable.Statement{Label: batch[i].Label, SQL: stmt.SQL}
 		}
 	}
-	s.win.Append(label, stmt)
-	s.mu.Unlock()
-	alert, err := s.stream.Observe(ctx, stmt)
-	if err != nil {
-		return nil, fmt.Errorf("alerter: %w", err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.store != nil {
+		if _, err := s.store.AppendBatch(logged); err != nil {
+			return 0, fmt.Errorf("wal: %w", err)
+		}
 	}
-	return alert, nil
+	for i, stmt := range stmts {
+		s.win.Append(batch[i].Label, stmt)
+	}
+	return s.win.Len(), nil
+}
+
+// observe feeds statements already in the window — committed live, or
+// replayed by recovery — through the drift alerter in log order and
+// returns how many alerts fired. It goes on past a statement the alerter
+// cannot cost and reports the first such error.
+func (s *service) observe(ctx context.Context, stmts ...workload.Statement) (alerts int, first error) {
+	for _, stmt := range stmts {
+		alert, err := s.stream.Observe(ctx, stmt)
+		if err != nil && first == nil {
+			first = fmt.Errorf("alerter: %w", err)
+		}
+		if alert != nil {
+			alerts++
+		}
+	}
+	return alerts, first
 }

@@ -26,11 +26,12 @@
 // audit log at publication, and gains its calibration summary (a
 // follow-up line in the log) when the replay finishes. See DESIGN.md §16.
 //
-// With -data-dir the service is crash-safe: every accepted statement is
-// appended to a CRC-framed, fsync-batched write-ahead log BEFORE the
-// window sees it, and the derived state (window ring, installed design,
-// last-known-good solution, drift-detector costs) is snapshotted after
-// every published solve. On restart the service loads the newest valid
+// With -data-dir the service is crash-safe: every accepted ingest batch
+// is appended to a write-ahead log as one CRC frame and fsynced once
+// BEFORE the window sees it — applied whole or not at all — and the
+// derived state (window ring, installed design, last-known-good
+// solution, drift-detector costs) is snapshotted after every published
+// solve. On restart the service loads the newest valid
 // snapshot, replays the WAL tail, truncates torn records at the first
 // bad frame, and resumes where it left off; /healthz window_total is
 // the resume cursor for clients replaying a trace. Ingest is bounded:
@@ -41,7 +42,7 @@
 // Re-solves warm-start from state retained across windows: the what-if
 // EXEC row store (one cost row per distinct segment content, so a slid
 // window costs only the segments that entered it; -memo-cap bounds it
-// in cells) and the last-known-good solution backing the resilient
+// in 8-byte cells) and the last-known-good solution backing the resilient
 // ladder's final rung.
 // Each solve runs under a deadline with the degradation ladder, and the
 // published recommendation is swapped atomically, so concurrent readers
@@ -111,12 +112,12 @@ func run(ctx context.Context) error {
 	tumbling := flag.Bool("tumbling", false, "reset the window at every re-solve instead of sliding it")
 	minSolve := flag.Int("min-statements", 25, "window fill that triggers the first solve (negative = solve only on POST /solve)")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
-	fsyncEvery := flag.Int("fsync-every", 1, "fsync the WAL after every Nth ingested statement (1 = every statement)")
+	fsyncEvery := flag.Int("fsync-every", 1, "fsync the WAL after an ingest batch once N statements are waiting (1 = every batch is durable before it is acknowledged)")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 4<<20, "rotate the WAL to a fresh segment file at this size")
 	snapshotEvery := flag.Int("snapshot-every", 0, "also snapshot after every N ingested statements (0 = snapshot only after solves)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent /ingest requests before shedding with 429 (negative = unbounded)")
 	maxBody := flag.Int64("max-body-bytes", 1<<20, "request body cap in bytes; larger bodies get 413 (negative = unlimited)")
-	memoCap := flag.Int("memo-cap", 1<<20, "retained what-if memo bound in cells, i.e. stored segment rows x candidate configurations (0 = unbounded)")
+	memoCap := flag.Int("memo-cap", 1<<20, "retained what-if memo bound in 8-byte cells, each stored segment row charged its candidate configurations + 64 (0 = unbounded)")
 	solveTimeout := flag.Duration("solve-timeout", 30*time.Second, "deadline per solve attempt (0 = none)")
 	fallback := flag.Bool("fallback", true, "degrade to cheaper strategies (and last-known-good) when a solve attempt fails")
 	parallelism := flag.Int("parallelism", 0, "worker bound for the cost-table build (0 = all cores, 1 = serial)")

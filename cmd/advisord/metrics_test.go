@@ -52,12 +52,7 @@ func scrape(t *testing.T, g *obs.GaugeSet) map[string]float64 {
 
 func ingestTrace(t *testing.T, client *http.Client, url string, from, to int) {
 	t.Helper()
-	trace := phasedTrace(t, 40)
-	batch := make([]ingestStatement, 0, to-from)
-	for i := from; i < to; i++ {
-		batch = append(batch, ingestStatement{SQL: trace.Statements[i].SQL, Label: trace.Labels[i]})
-	}
-	postIngest(t, client, url, batch)
+	postIngest(t, client, url, traceBatch(t, from, to))
 }
 
 // TestMetricsListedBeforeFirstIngest pins that the table is declared,

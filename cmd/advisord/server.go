@@ -139,8 +139,8 @@ type service struct {
 	trigger chan string // buffered(1): pending re-solves coalesce
 
 	// store is the durable WAL + snapshot directory (nil = in-memory).
-	// WAL appends happen under mu together with the window mutation, so
-	// log order always equals window order.
+	// A batch's WAL frame is appended under mu together with its window
+	// entries, so log order always equals window order.
 	store *durable.Store
 	// snapCh requests a durable snapshot from the solver goroutine
 	// (buffered(1): pending requests coalesce like solve triggers).
@@ -150,9 +150,8 @@ type service struct {
 	forceCh chan chan forcedSolve
 	// inflight is the ingest admission semaphore; nil means unbounded.
 	inflight chan struct{}
-	// replaying suppresses the WAL append and drift-alert side effects
-	// while the WAL tail is re-applied during recovery (set only before
-	// serving starts).
+	// replaying drops the drift alerts the WAL tail re-raises while it is
+	// re-applied during recovery (set only before serving starts).
 	replaying bool
 	// solveHook, when non-nil, runs at the start of every solve attempt
 	// — the test seam for holding a solve in flight.

@@ -40,7 +40,7 @@ var (
 // testAdvisor builds the paper table once per test binary — the
 // expensive fixture every service test shares. The advisor itself is
 // stateless across recommendations, so sharing is safe.
-func testAdvisor(t *testing.T) *advisor.Advisor {
+func testAdvisor(t testing.TB) *advisor.Advisor {
 	t.Helper()
 	advOnce.Do(func() {
 		db, err := experiments.SetupPaperDatabase(experiments.Scale{Rows: testRows, BlockSize: 1, Seed: 1})
@@ -250,8 +250,27 @@ func TestAdvisordSmoke(t *testing.T) {
 	}
 
 	// Stream the drifting trace in batches, like a workload collector
-	// would.
+	// would — one that lets the solver catch up at the two points the
+	// assertions below rest on, so every solve sees the same window
+	// however fast ingest runs: the initial solve answers the 40-statement
+	// warm-up before the rest of phase A arrives, and the re-solve the
+	// first drift alert forces answers the window that alert fired on.
+	deadline := time.Now().Add(60 * time.Second)
+	waitResolves := func(n int64) healthzResponse {
+		t.Helper()
+		for {
+			h := getHealthz(t, client, ts.URL)
+			if h.Resolves >= n {
+				return h
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("solve %d never landed: %+v", n, h)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 	trace := phasedTrace(t, 120)
+	alerts := 0
 	for i := 0; i < trace.Len(); i += 20 {
 		end := i + 20
 		if end > trace.Len() {
@@ -265,21 +284,19 @@ func TestAdvisordSmoke(t *testing.T) {
 		if out.Ingested != len(batch) {
 			t.Fatalf("batch at %d: ingested %d of %d", i, out.Ingested, len(batch))
 		}
+		if end == 40 {
+			waitResolves(1)
+		}
+		if out.Alerts > 0 && alerts == 0 {
+			waitResolves(2)
+		}
+		alerts += out.Alerts
 	}
 
-	// The solver runs asynchronously; wait for the drift-triggered
-	// re-solve to land.
-	deadline := time.Now().Add(60 * time.Second)
-	var h healthzResponse
-	for {
-		h = getHealthz(t, client, ts.URL)
-		if h.DriftAlerts >= 1 && h.Resolves >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no drift re-solve: %+v", h)
-		}
-		time.Sleep(50 * time.Millisecond)
+	// The drift alerter (not a timer) forced the re-solve.
+	h := waitResolves(2)
+	if h.DriftAlerts < 1 {
+		t.Fatalf("no drift re-solve: %+v", h)
 	}
 	if h.SolveErrors != 0 {
 		t.Fatalf("solve errors: %+v", h)

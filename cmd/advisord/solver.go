@@ -16,9 +16,10 @@ import (
 )
 
 // recover restores the service from the durable store: newest valid
-// snapshot first, then the WAL tail replayed through the window and the
-// drift alerter in original stream order (RecordReset markers reproduce
-// tumbling epoch boundaries exactly). Cost-derived state — the
+// snapshot first, then the WAL tail — one record per statement, however
+// the statements were framed on disk — replayed through the window and
+// the drift alerter in original stream order (RecordReset markers
+// reproduce tumbling epoch boundaries exactly). Cost-derived state — the
 // last-known-good solution and the alerter's cost ring — is dropped
 // when the table-statistics fingerprint changed since the snapshot:
 // those numbers were computed in a dead cost world. The window and the
@@ -63,7 +64,8 @@ func (s *service) recover() error {
 			if err != nil {
 				return fmt.Errorf("advisord: WAL record %d no longer parses (data dir from another schema?): %w", rec.Seq, err)
 			}
-			if _, err := s.apply(context.Background(), rec.Label, stmt); err != nil {
+			s.win.Append(rec.Label, stmt)
+			if _, err := s.observe(context.Background(), stmt); err != nil {
 				return fmt.Errorf("advisord: replaying WAL record %d: %w", rec.Seq, err)
 			}
 		}

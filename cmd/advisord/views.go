@@ -245,9 +245,9 @@ var metricsTable = []metric{
 	{"advisord_memo_invalidations_total", obs.Counter, "Whole-memo purges caused by cost-world or candidate-list changes.", func(v *view) float64 { return float64(v.memo.Invalidations) }},
 	{"advisord_shed_total", obs.Counter, "Ingest requests shed with 429 by the overload guard.", func(v *view) float64 { return float64(v.svc.shed.Load()) }},
 	{"advisord_body_too_large_total", obs.Counter, "Requests rejected with 413 for exceeding the body cap.", func(v *view) float64 { return float64(v.svc.bodyTooLarge.Load()) }},
-	{"advisord_wal_appends_total", obs.Counter, "Records appended to the write-ahead log this process.", func(v *view) float64 { return v.durable(float64(v.wal.Appends)) }},
+	{"advisord_wal_appends_total", obs.Counter, "Records appended to the write-ahead log this process, one per sequence (a batch frame of n statements counts n).", func(v *view) float64 { return v.durable(float64(v.wal.Appends)) }},
 	{"advisord_wal_appended_bytes_total", obs.Counter, "Bytes appended to the write-ahead log this process.", func(v *view) float64 { return v.durable(float64(v.wal.AppendedBytes)) }},
-	{"advisord_wal_fsyncs_total", obs.Counter, "WAL and snapshot fsyncs issued this process.", func(v *view) float64 { return v.durable(float64(v.wal.Fsyncs)) }},
+	{"advisord_wal_fsyncs_total", obs.Counter, "WAL and snapshot fsyncs issued this process (one per ingest batch at -fsync-every 1).", func(v *view) float64 { return v.durable(float64(v.wal.Fsyncs)) }},
 	{"advisord_wal_segments", obs.Gauge, "Current WAL segment file count.", func(v *view) float64 { return v.durable(float64(v.wal.Segments)) }},
 	{"advisord_snapshots_total", obs.Counter, "Durable snapshots written this process.", func(v *view) float64 { return v.durable(float64(v.wal.Snapshots)) }},
 	{"advisord_snapshot_errors_total", obs.Counter, "Durable snapshot writes that failed.", func(v *view) float64 { return v.durable(float64(v.svc.snapErrors.Load())) }},

@@ -63,12 +63,15 @@ func newRowLayout(configs []core.Config) *rowLayout {
 // descriptions) and a candidate list; a problem assembled under a
 // different world or list purges it instead of replaying dead rows.
 //
-// A capacity bounds the store in cells (rows × candidate list length).
-// The bound is enforced by one sweep when a problem is assembled: whole
-// rows are dropped, least recently attached first, and never a row of
-// the problem in hand — so occupancy stays at or below
-// max(capacity, current problem's cells). Capacity 0 means unbounded,
-// the right choice for one-shot runs.
+// A capacity bounds the store in cells of 8 bytes. A row is charged its
+// cost cells (the candidate list length) plus rowOverheadCells for what
+// it retains besides them, so capacity × 8 bounds the store's bytes for
+// a list of 7 configurations as for one of 1024. The bound is enforced
+// by one sweep when a problem is assembled: whole rows are dropped,
+// least recently attached first, and never a row of the problem in hand
+// — so the charge stays at or below max(capacity, current problem's
+// charge). Capacity 0 means unbounded, the right choice for one-shot
+// runs. MemoStats reports occupancy and evictions in cost cells alone.
 //
 // One mutex guards the row map; each row has its own lock, held while
 // its segment is compiled and costed, so two stages with identical
@@ -92,9 +95,21 @@ type ExecMemo struct {
 	probes probeCounters
 }
 
-// NewMemo builds an EXEC row store bounded to capacity cells;
-// capacity <= 0 means unbounded. Pass it via Options.Memo to share it
-// across recommendations.
+// rowOverheadCells is what a stored row retains besides its cost cells,
+// in cells: the execRow, its list element and map entry, the table slice
+// and one statement's compiled PlanTable. Measured on rows of one
+// statement over 7 configurations (advisord's defaults): 420–460 B a row
+// on the test fixture's point queries (TestCappedMemoBoundsBytes), ≈480 B
+// in the heap profile of an advisord that had ingested 118 000 paper-mix
+// statements — 56 B of either are the cost cells. 64 cells (512 B) covers
+// both. Charged by cost cells alone, the default 1<<20 cells of such rows
+// were 150 000 rows, ≈70 MB, against the 8 MB the number reads as.
+const rowOverheadCells = 64
+
+// NewMemo builds an EXEC row store bounded to capacity cells, each row
+// charged its cost cells plus rowOverheadCells; capacity <= 0 means
+// unbounded. Pass it via Options.Memo to share it across
+// recommendations.
 func NewMemo(capacity int) *ExecMemo {
 	return &ExecMemo{capacity: max(capacity, 0), rows: make(map[uint64]*execRow)}
 }
@@ -133,7 +148,7 @@ func (c *ExecMemo) attach(world uint64, configs []core.Config, segHash []uint64)
 	// longest time; reaching a row of this assembly means only the
 	// problem in hand is left, and that is never evicted.
 	width := len(configs)
-	for c.capacity > 0 && len(c.rows)*width > c.capacity {
+	for c.capacity > 0 && len(c.rows)*(width+rowOverheadCells) > c.capacity {
 		r := c.lru.Back().Value.(*execRow)
 		if r.used == c.assembly {
 			break

@@ -3,6 +3,7 @@ package advisor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"dyndesign/internal/core"
@@ -189,6 +190,71 @@ func TestCappedMemoBoundedOverSlides(t *testing.T) {
 	}
 	if st := tiny.Stats(); st.Entries != int64(stages*width) || st.Evictions != 0 {
 		t.Fatalf("under-capacity store: %+v, want the whole window resident", st)
+	}
+}
+
+// retainedBy returns the heap bytes that dropping every reference held by
+// release frees.
+func retainedBy(release func()) int64 {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	release()
+	return before - heap()
+}
+
+// TestCappedMemoBoundsBytes pins that the capacity is a bound in bytes
+// for a narrow candidate list too: a store fed ten times its row budget
+// of distinct one-statement rows at width 7 — advisord's shape, where a
+// row's 56 B of cost cells are an eighth of what it retains — holds no
+// more rows than the capacity pays for, so bytes on the order of
+// capacity × 8, and still never evicts a row of the problem in hand.
+// Charged by cost cells alone the same capacity kept every one of the
+// 20 000 rows, 8 MB where it reads as 1.1 MB.
+func TestCappedMemoBoundsBytes(t *testing.T) {
+	_, adv := testAdvisor(t)
+	width := len(adv.space.Configs)
+	if width != 7 {
+		t.Fatalf("fixture has %d configurations, the measurement is for 7", width)
+	}
+	const window, budget = 500, 2000
+	capacity := budget * (width + rowOverheadCells)
+	stream := distinctStream(10 * budget)
+	memo := NewMemo(capacity)
+	opts := Options{K: 2, SegmentSize: 1, Memo: memo}
+	for lo := 0; lo+window <= stream.Len(); lo += window {
+		p, segs, err := adv.Problem(stream.Slice(lo, lo+window), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range p.Model.(*whatIfModel).rows {
+			if memo.rows[segmentHash(segs[i])] != r {
+				t.Fatalf("window at %d: stage %d's row was evicted while its problem was being assembled", lo, i)
+			}
+		}
+		if _, err := core.Solve(bg, p, core.StrategyKAware); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(memo.rows); got > budget {
+			t.Fatalf("window at %d: %d rows resident, the capacity pays for %d", lo, got, budget)
+		}
+	}
+	st := memo.Stats()
+	if st.Evictions == 0 || st.Entries != int64(len(memo.rows)*width) || st.Capacity != capacity {
+		t.Fatalf("stats %+v: want evictions, %d cost cells resident, capacity %d", st, len(memo.rows)*width, capacity)
+	}
+	// The row count above is the exact bound. The bytes are a heap
+	// measurement that moves with the Go version, the architecture and the
+	// allocator's size classes (≈0.9 MB here), so it is held to twice what
+	// the capacity reads as — still a quarter of what the uncapped rows
+	// took.
+	if got, bound := retainedBy(func() { memo, opts.Memo = nil, nil }), 2*int64(capacity)*8; got > bound {
+		t.Fatalf("the capped store retains %d bytes, twice its capacity of %d cells reads as %d", got, capacity, bound)
 	}
 }
 

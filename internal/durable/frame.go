@@ -1,8 +1,9 @@
 // Package durable persists the advisor service's state across process
-// crashes: a CRC-framed, fsync-batched, segment-rotating write-ahead
-// log for the ingested statement stream, plus periodic schema-versioned
-// snapshots of the derived state (window ring, installed design,
-// last-known-good solution, drift-detector costs). Recovery loads the
+// crashes: a CRC-framed, segment-rotating write-ahead log for the
+// ingested statement stream — one frame and one fsync per acknowledged
+// ingest batch — plus periodic schema-versioned snapshots of the derived
+// state (window ring, installed design, last-known-good solution,
+// drift-detector costs). Recovery loads the
 // newest valid snapshot and replays the WAL tail, truncating torn
 // records at the first bad frame — the standard snapshot + redo-log
 // shape, sized for a single-node tuner.
@@ -30,14 +31,15 @@ import (
 const frameHeaderSize = 8
 
 // maxFramePayload bounds a single frame. WAL records are statements
-// (bytes to kilobytes); snapshots carry a whole window ring and a cost
+// (bytes to kilobytes) or whole ingest batches (up to a request body,
+// a megabyte by default); snapshots carry a whole window ring and a cost
 // ring (up to a few megabytes). Anything larger than this is treated as
-// a corrupt length field, not a record.
+// a corrupt length field, not a record, so append refuses to write one.
 const maxFramePayload = 64 << 20
 
 // frameAllocStep is how much of a frame's declared length readFrame
-// allocates before it has seen the bytes. WAL records fit in one step,
-// so they still take exactly one allocation.
+// allocates before it has seen the bytes. A WAL record within the default
+// body cap fits in one step, so it still takes exactly one allocation.
 const frameAllocStep = 1 << 20
 
 // castagnoli is the CRC-32C table (the checksum polynomial used by

@@ -2,9 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dyndesign/internal/alerter"
@@ -12,12 +14,12 @@ import (
 	"dyndesign/internal/workload"
 )
 
-// The decode fuzzers feed the two readers of on-disk bytes — readFrame
-// (every WAL record and snapshot goes through it) and decodeSnapshot —
-// arbitrary input, as a torn write or a flipped bit would. Either must
-// answer with an error or with a value that encodes back to bytes it
-// accepts unchanged; neither may panic, nor allocate from a length field
-// what the input does not hold.
+// The decode fuzzers feed the readers of on-disk bytes — readFrame
+// (every WAL record and snapshot goes through it), decodeRecords (what a
+// WAL frame holds) and decodeSnapshot — arbitrary input, as a torn write
+// or a flipped bit would. Each must answer with an error or with a value
+// that encodes back to bytes it accepts unchanged; none may panic, nor
+// allocate from a length field what the input does not hold.
 
 // allocBound is how much a decode of n input bytes may allocate: the
 // frame's first step, growth by doubling over what arrives, and JSON
@@ -45,8 +47,12 @@ func corruptions(f *testing.F, valid []byte) {
 	f.Add([]byte{})
 }
 
+// seedBatch is a batch frame's payload as AppendBatch writes it.
+const seedBatch = `{"seq":2,"kind":"batch","stmts":[{"label":"A","sql":"SELECT a FROM t WHERE a = 1"},{"sql":"SELECT b FROM t WHERE b < 2"}]}`
+
 func FuzzFrameDecode(f *testing.F) {
 	corruptions(f, appendFrame(nil, []byte(`{"seq":1,"kind":"stmt","sql":"SELECT a FROM t WHERE a = 1"}`)))
+	corruptions(f, appendFrame(nil, []byte(seedBatch)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payload []byte
 		var err error
@@ -64,6 +70,61 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if again := appendFrame(nil, payload); !bytes.HasPrefix(data, again) {
 			t.Fatalf("accepted payload %q re-encodes to %x, the input began %x", payload, again, data[:min(len(data), len(again))])
+		}
+	})
+}
+
+// FuzzRecordDecode feeds decodeRecords what a frame with a sound CRC
+// could still hold. An accepted payload stands for at least one record,
+// sequences consecutive and not wrapping, a batch's all statements — and
+// written back the way the store writes them (one frame for a batch, one
+// per record otherwise) it decodes to the same records.
+func FuzzRecordDecode(f *testing.F) {
+	for _, seed := range []string{
+		seedBatch,
+		`{"seq":1,"kind":"stmt","label":"A","sql":"SELECT a FROM t WHERE a = 1"}`,
+		`{"seq":9,"kind":"reset"}`,
+		`{"seq":3,"kind":"batch"}`,
+		`{"seq":3,"kind":"batch","stmts":[]}`,
+		`{"seq":18446744073709551615,"kind":"batch","stmts":[{"sql":"a"},{"sql":"b"}]}`,
+		`{"seq":3,"kind":"stmt","stmts":[{"sql":"ignored"}]}`,
+		`{"seq":"3"}`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		recs, err := decodeRecords(payload)
+		if err != nil {
+			if recs != nil {
+				t.Fatalf("decodeRecords: records %+v with error %v", recs, err)
+			}
+			return
+		}
+		if len(recs) == 0 {
+			t.Fatal("decodeRecords accepted a payload that stands for no record")
+		}
+		fr := frameRecord{Record: recs[0]}
+		for i, rec := range recs {
+			if rec.Seq != recs[0].Seq+uint64(i) || rec.Seq < recs[0].Seq {
+				t.Fatalf("record %d of %d has seq %d after first %d", i, len(recs), rec.Seq, recs[0].Seq)
+			}
+			if len(recs) > 1 {
+				if rec.Kind != RecordStatement {
+					t.Fatalf("record %d of a batch has kind %q", i, rec.Kind)
+				}
+				fr.Stmts = append(fr.Stmts, Statement{Label: rec.Label, SQL: rec.SQL})
+			}
+		}
+		if len(recs) > 1 {
+			fr.Record = Record{Seq: recs[0].Seq, Kind: recordBatch}
+		}
+		canon, err := json.Marshal(fr)
+		if err != nil {
+			t.Fatalf("accepted records do not encode: %v", err)
+		}
+		if again, err := decodeRecords(canon); err != nil || !slices.Equal(again, recs) {
+			t.Fatalf("%s decodes to %+v (err %v), the input to %+v", canon, again, err, recs)
 		}
 	})
 }

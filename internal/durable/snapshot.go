@@ -60,8 +60,8 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durable: store is closed")
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if snap.Seq >= s.nextSeq {
 		return fmt.Errorf("durable: snapshot seq %d beyond the log head %d", snap.Seq, s.nextSeq-1)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,6 +25,10 @@ const (
 	// replays resets in stream order instead of resurrecting a window
 	// the service had already emptied.
 	RecordReset RecordKind = "reset"
+	// recordBatch exists on disk only: one frame holding the statements
+	// of one acknowledged ingest batch. Recovery hands its statements
+	// out as RecordStatement records.
+	recordBatch RecordKind = "batch"
 )
 
 // Record is one WAL entry. Seq is assigned by the store and is strictly
@@ -36,6 +41,49 @@ type Record struct {
 	SQL   string     `json:"sql,omitempty"`
 }
 
+// Statement is one label/SQL pair of an ingest batch.
+type Statement struct {
+	Label string `json:"label,omitempty"`
+	SQL   string `json:"sql"`
+}
+
+// frameRecord is the JSON inside one WAL frame: a Record, or — kind
+// "batch" — the first sequence of a batch and its statements, which own
+// the sequences Seq … Seq+len(Stmts)-1. A frame is the unit of the CRC
+// and of the torn-tail rule, so a batch is on disk whole or not at all.
+// Logs written before the batch kind existed hold "stmt" and "reset"
+// frames only and decode unchanged; the two mix freely.
+type frameRecord struct {
+	Record
+	Stmts []Statement `json:"stmts,omitempty"`
+}
+
+// decodeRecords parses one frame's payload into the records it stands
+// for, one per sequence, oldest first. A batch with no statements, or
+// one whose sequences would wrap, is as undecodable as bad JSON: the
+// caller ends the log there.
+func decodeRecords(payload []byte) ([]Record, error) {
+	var fr frameRecord
+	if err := json.Unmarshal(payload, &fr); err != nil {
+		return nil, err
+	}
+	if fr.Kind != recordBatch {
+		return []Record{fr.Record}, nil
+	}
+	n := uint64(len(fr.Stmts))
+	if n == 0 {
+		return nil, fmt.Errorf("batch record %d holds no statements", fr.Seq)
+	}
+	if fr.Seq > math.MaxUint64-n {
+		return nil, fmt.Errorf("batch record %d with %d statements overflows the sequence", fr.Seq, n)
+	}
+	recs := make([]Record, n)
+	for i, st := range fr.Stmts {
+		recs[i] = Record{Seq: fr.Seq + uint64(i), Kind: RecordStatement, Label: st.Label, SQL: st.SQL}
+	}
+	return recs, nil
+}
+
 // keepSnapshots is how many snapshot generations a Store retains: the
 // newest plus one fallback. WAL segments are only compacted up to the
 // oldest retained snapshot, so every retained snapshot can still be the
@@ -44,9 +92,10 @@ const keepSnapshots = 2
 
 // Options tunes a Store. Zero values get crash-safe defaults.
 type Options struct {
-	// FsyncEvery batches WAL fsyncs: the log is synced after every
-	// FsyncEvery-th appended record (default 1 — sync every record,
-	// the setting under which an acknowledged ingest is durable).
+	// FsyncEvery batches WAL fsyncs: an append syncs the log once, after
+	// its frame, when FsyncEvery or more records (one per sequence, so a
+	// batch of n counts n) are waiting — default 1: every append ends in
+	// a sync, the setting under which an acknowledged ingest is durable.
 	// Larger values trade the tail of un-synced records for throughput;
 	// clients that resume from the recovered statement count are safe
 	// either way.
@@ -71,8 +120,11 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	// Appends and AppendedBytes count WAL records written this process;
-	// Fsyncs counts WAL and snapshot file syncs.
+	// Appends counts WAL records written this process, one per sequence
+	// (a batch frame of n statements counts n), AppendedBytes their
+	// frames' bytes; Fsyncs counts WAL and snapshot file syncs — one per
+	// frame at FsyncEvery=1, so Fsyncs/Appends is where group commit
+	// shows.
 	Appends       int64
 	AppendedBytes int64
 	Fsyncs        int64
@@ -103,10 +155,18 @@ type segment struct {
 	size  int64
 }
 
-// Store is the durable state of one advisord data directory. Appends
+// Store is the durable state of one advisord data directory. An append
+// — one statement, one reset marker or one whole ingest batch — is one
+// CRC frame, written and (FsyncEvery permitting) synced once. Appends
 // and snapshot writes are serialized behind one mutex; a flock'd LOCK
 // file keeps a second process from appending to the same log (the lock
 // dies with the process, so a SIGKILL never wedges the directory).
+//
+// The store fail-stops: an append that errors once its frame has begun
+// to reach the file (short write, failed fsync, failed rotation) leaves
+// bytes this process cannot take back, so every later append, sync and
+// snapshot answers that error until the directory is reopened, where
+// recovery keeps the frame if it is whole and cuts it if it is torn.
 type Store struct {
 	dir  string
 	opts Options
@@ -118,6 +178,7 @@ type Store struct {
 	nextSeq  uint64
 	pending  int // records appended since the last fsync
 	closed   bool
+	failed   error // the append error the store stopped at
 
 	stats Stats
 }
@@ -300,11 +361,11 @@ func scanSegment(path string, first uint64) (truncAt int64, last uint64, err err
 		if err != nil {
 			return offset, expect - 1, nil // torn tail: cut here
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Seq != expect {
+		recs, err := decodeRecords(payload)
+		if err != nil || recs[0].Seq != expect {
 			return offset, expect - 1, nil // undecodable or broken chain
 		}
-		expect++
+		expect += uint64(len(recs))
 		offset = r.n
 	}
 }
@@ -358,58 +419,106 @@ func (s *Store) syncDir() error {
 // the call returns — the property that makes an acknowledged ingest
 // survive a SIGKILL.
 func (s *Store) AppendStatement(label, sql string) (uint64, error) {
-	return s.append(Record{Kind: RecordStatement, Label: label, SQL: sql})
+	return s.append(frameRecord{Record: Record{Kind: RecordStatement, Label: label, SQL: sql}}, 1)
+}
+
+// AppendBatch appends the statements of one ingest batch as one frame —
+// one write, one fsync under the FsyncEvery rule — and returns the
+// sequence of the first; the rest follow it one by one. Recovery sees
+// all of the batch or none of it. A batch of one is written as the
+// "stmt" frame AppendStatement writes. An error means the batch is not
+// acknowledged, not that it is absent: one raised after the write began
+// may leave the frame in the log, and stops the store (see Store).
+func (s *Store) AppendBatch(stmts []Statement) (uint64, error) {
+	switch len(stmts) {
+	case 0:
+		return 0, fmt.Errorf("durable: empty batch")
+	case 1:
+		return s.AppendStatement(stmts[0].Label, stmts[0].SQL)
+	}
+	return s.append(frameRecord{Record: Record{Kind: recordBatch}, Stmts: stmts}, len(stmts))
 }
 
 // AppendReset appends a tumbling-window epoch boundary marker.
 func (s *Store) AppendReset() (uint64, error) {
-	return s.append(Record{Kind: RecordReset})
+	return s.append(frameRecord{Record: Record{Kind: RecordReset}}, 1)
 }
 
-func (s *Store) append(rec Record) (uint64, error) {
+// usableLocked reports why the store takes no more writes: closed, or
+// stopped at a failed append. Called with mu held.
+func (s *Store) usableLocked() error {
+	if s.closed {
+		return fmt.Errorf("durable: store is closed")
+	}
+	if s.failed != nil {
+		return fmt.Errorf("durable: store stopped at a failed append, reopen to recover: %w", s.failed)
+	}
+	return nil
+}
+
+// append writes fr as one frame owning the next n sequences and returns
+// the first of them. An error before the frame's first byte (closed
+// store, oversized record) leaves the log as it was; an error after it
+// stops the store.
+func (s *Store) append(fr frameRecord, n int) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, fmt.Errorf("durable: store is closed")
+	if err := s.usableLocked(); err != nil {
+		return 0, err
 	}
-	rec.Seq = s.nextSeq
-	payload, err := json.Marshal(rec)
+	fr.Seq = s.nextSeq
+	payload, err := json.Marshal(fr)
 	if err != nil {
 		return 0, err
 	}
-	frame := appendFrame(nil, payload)
+	if len(payload) > maxFramePayload {
+		// Recovery would read the length as corruption and end the log.
+		return 0, fmt.Errorf("durable: a %d-byte record exceeds the %d-byte frame limit", len(payload), maxFramePayload)
+	}
+	if err := s.writeLocked(appendFrame(nil, payload), fr.Seq+uint64(n)-1, n); err != nil {
+		// Half a frame would sit in front of every later append and end
+		// the log there at recovery; a frame whose fsync failed may or may
+		// not be on disk, and asking again proves nothing (the kernel
+		// reports a writeback error once).
+		s.failed = err
+		return 0, err
+	}
+	return fr.Seq, nil
+}
+
+// writeLocked puts one frame holding n records, the newest of them last,
+// at the log's tail: write, sync under the FsyncEvery rule, rotate.
+func (s *Store) writeLocked(frame []byte, last uint64, n int) error {
 	// Two writes with a crash point between them: a kill here leaves a
 	// torn frame on disk, exactly what recovery must truncate.
 	half := len(frame) / 2
 	if _, err := s.active.Write(frame[:half]); err != nil {
-		return 0, err
+		return err
 	}
 	chaos.MaybeCrash("wal.append.mid")
 	if _, err := s.active.Write(frame[half:]); err != nil {
-		return 0, err
+		return err
 	}
-	s.nextSeq++
-	s.pending++
+	s.nextSeq = last + 1
+	s.pending += n
 	tail := &s.segments[len(s.segments)-1]
-	tail.last = rec.Seq
+	tail.last = last
 	tail.size += int64(len(frame))
-	s.stats.Appends++
+	s.stats.Appends += int64(n)
 	s.stats.AppendedBytes += int64(len(frame))
-	s.stats.LastSeq = rec.Seq
+	s.stats.LastSeq = last
 
 	if s.pending >= s.opts.FsyncEvery {
 		chaos.MaybeCrash("wal.append.presync")
 		if err := s.syncLocked(); err != nil {
-			return 0, err
+			return err
 		}
 		chaos.MaybeCrash("wal.append.post")
 	}
 	if tail.size >= s.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return 0, err
-		}
+		return s.rotateLocked()
 	}
-	return rec.Seq, nil
+	return nil
 }
 
 // syncLocked fsyncs the active segment. Called with mu held.
@@ -441,8 +550,8 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durable: store is closed")
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	return s.syncLocked()
 }
@@ -507,13 +616,17 @@ func (s *Store) tailRecords(after uint64) ([]Record, error) {
 				f.Close()
 				return nil, corruptionError("segment %s re-read hit a bad frame after repair", seg.path)
 			}
-			var rec Record
-			if err := json.Unmarshal(payload, &rec); err != nil {
+			recs, err := decodeRecords(payload)
+			if err != nil {
 				f.Close()
 				return nil, corruptionError("segment %s holds an undecodable record: %v", seg.path, err)
 			}
-			if rec.Seq > after {
-				out = append(out, rec)
+			// A snapshot sequence inside a batch leaves only the batch's
+			// later statements to replay.
+			for _, rec := range recs {
+				if rec.Seq > after {
+					out = append(out, rec)
+				}
 			}
 		}
 		f.Close()
