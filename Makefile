@@ -100,9 +100,12 @@ chaos:
 # change-bounded layers only when k binds, must return the always-layered
 # relaxation's cost bit for bit, tie-heavy integer costs included
 # (exact_test.go); batched plan-table costing must be bitwise
-# identical to the scalar what-if coster on every configuration, and a
-# cost row filled by the statement-major row kernel bitwise identical to
-# both over arbitrary candidate lists (plan_test.go); the readers of
+# identical to the scalar what-if coster on every configuration, a cost
+# row filled by the row kernel — statement-major, or by configuration
+# classes where a segment repeats a table — bitwise identical to both
+# over arbitrary candidate lists (plan_test.go), and two statements with
+# equal compile keys must compile to tables equal at every configuration,
+# while a combined range has no key (intern_test.go); the readers of
 # on-disk bytes — WAL/snapshot frames, the statement, reset or batch
 # record inside a WAL frame, and the snapshot inside one — must answer
 # arbitrary input with an error or a value that re-encodes to bytes they
@@ -120,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactFitsK -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
+	$(GO) test -run='^$$' -fuzz=FuzzPlanKey -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=20s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/durable/

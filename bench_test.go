@@ -252,18 +252,20 @@ func BenchmarkAblationRankingPruned(b *testing.B) {
 // m configurations of real what-if EXEC calls, the advisor's dominant
 // expense — at a fixed parallelism degree. A fresh Problem per
 // iteration keeps the exec memo cold so the build measures costing, not
-// map lookups; the per-statement validation pass inside Advisor.Problem
-// is identical in both arms.
+// map lookups. The degree goes in through the options, so it governs both
+// halves of the costing: the plan-table compile that validates the
+// workload inside Advisor.Problem, and the row fills of the build.
 func benchMatrixBuild(b *testing.B, parallelism int) {
 	t2 := getFixture(b)
+	opts := experiments.PaperOptions(core.Unconstrained)
+	opts.Parallelism = parallelism
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, _, err := t2.Advisor.Problem(t2.W1, experiments.PaperOptions(core.Unconstrained))
+		p, _, err := t2.Advisor.Problem(t2.W1, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p.Parallelism = parallelism
 		if err := p.BuildCostTables(bg); err != nil {
 			b.Fatal(err)
 		}
@@ -274,15 +276,16 @@ func benchMatrixBuild(b *testing.B, parallelism int) {
 func BenchmarkMatrixBuildSerial(b *testing.B) { benchMatrixBuild(b, 1) }
 
 // BenchmarkMatrixBuildParallel uses one worker per core; compare
-// against BenchmarkMatrixBuildSerial for the costing-layer speedup
-// (≈linear until the validation pass and memory bandwidth dominate).
+// against BenchmarkMatrixBuildSerial for the costing-layer speedup.
 func BenchmarkMatrixBuildParallel(b *testing.B) { benchMatrixBuild(b, 0) }
 
 // BenchmarkExecRowFill times the fill of one EXEC row at the
 // solve_lattice shape — 50 compiled statements over the full 2¹⁰ lattice
-// of ten candidate indexes, 51 200 what-if cells — by the statement-major
-// row kernel every row goes through, and by the per-cell PlanTable.Cost
-// sum that defines its result.
+// of ten candidate indexes, 51 200 what-if cells — by the row kernel:
+// statement-major over 50 separately compiled tables ("kernel"), and by
+// configuration classes over the same statements resolved through a
+// cost.PlanSet, as a problem resolves them ("interned"); and by the
+// per-cell PlanTable.Cost sum that defines both results.
 func BenchmarkExecRowFill(b *testing.B) {
 	t2 := getFixture(b)
 	tp, err := t2.DB.TablePhys(workload.PaperTable)
@@ -299,9 +302,15 @@ func BenchmarkExecRowFill(b *testing.B) {
 		}
 		phys = append(phys, ip)
 	}
+	set := cost.NewPlanSet(tp, phys)
 	tables := make([]*cost.PlanTable, 50)
+	interned := make([]*cost.PlanTable, len(tables))
 	for i := range tables {
-		if tables[i], err = cost.CompilePlan(t2.W1.Statements[i].Stmt, tp, phys); err != nil {
+		stmt := t2.W1.Statements[i].Stmt
+		if tables[i], err = cost.CompilePlan(stmt, tp, phys); err != nil {
+			b.Fatal(err)
+		}
+		if interned[i], err = set.Compile(stmt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -315,6 +324,13 @@ func BenchmarkExecRowFill(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			kernel.Fill(tables, row)
+		}
+	})
+	b.Run("interned", func(b *testing.B) {
+		kernel := cost.NewRowKernel(configs)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kernel.Fill(interned, row)
 		}
 	})
 	b.Run("percell", func(b *testing.B) {

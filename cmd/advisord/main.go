@@ -120,7 +120,7 @@ func run(ctx context.Context) error {
 	memoCap := flag.Int("memo-cap", 1<<20, "retained what-if memo bound in 8-byte cells, each stored segment row charged its candidate configurations + 64 (0 = unbounded)")
 	solveTimeout := flag.Duration("solve-timeout", 30*time.Second, "deadline per solve attempt (0 = none)")
 	fallback := flag.Bool("fallback", true, "degrade to cheaper strategies (and last-known-good) when a solve attempt fails")
-	parallelism := flag.Int("parallelism", 0, "worker bound for the cost-table build (0 = all cores, 1 = serial)")
+	parallelism := flag.Int("parallelism", 0, "worker bound for the plan compile and the cost-table build (0 = all cores, 1 = serial)")
 	explainFlag := flag.Bool("explain", true, "attach per-transition cost attribution to each recommendation")
 	alertWindow := flag.Int("alert-window", 0, "drift alerter window in statements (0 = default 500)")
 	alertEvery := flag.Int("alert-every", 0, "re-check drift every this many statements (0 = default 50)")

@@ -235,8 +235,8 @@ var metricsTable = []metric{
 	{"advisord_last_solve_seconds", obs.Gauge, "Wall-clock duration of the last re-solve attempt (the advisord_solve_seconds histogram has the distribution).", func(v *view) float64 { return when(v.attempt.SolveID != 0, v.attempt.SolveMillis/1000) }},
 	{"advisord_solve_cost", obs.Gauge, "Objective cost of the last published recommendation.", func(v *view) float64 { return v.lastSolve(v.published.Cost) }},
 	{"advisord_solve_gap", obs.Gauge, "Anytime optimality gap of the last recommendation (0 = proven optimal).", func(v *view) float64 { return v.lastSolve(v.published.Gap) }},
-	{"advisord_plan_tables_built_total", obs.Counter, "Per-statement plan tables compiled by the last solve's batched costing layer.", func(v *view) float64 { return v.lastSolve(float64(v.published.cost.PlanTableBuilds)) }},
-	{"advisord_plan_table_bytes", obs.Gauge, "Heap bytes retained by the last solve's compiled plan tables.", func(v *view) float64 { return v.lastSolve(float64(v.published.cost.PlanTableBytes)) }},
+	{"advisord_plan_tables_built_total", obs.Counter, "Statements the last solve resolved into plan tables, compiled or shared with a statement that compiles alike.", func(v *view) float64 { return v.lastSolve(float64(v.published.cost.PlanTableBuilds)) }},
+	{"advisord_plan_table_bytes", obs.Gauge, "Heap bytes retained by the distinct plan tables the last solve compiled, each counted once however many statements share it.", func(v *view) float64 { return v.lastSolve(float64(v.published.cost.PlanTableBytes)) }},
 	{"advisord_batched_lookups_total", obs.Counter, "Configurations the last solve evaluated through the batched what-if entry point.", func(v *view) float64 { return v.lastSolve(float64(v.published.cost.BatchedLookups)) }},
 	{"advisord_recommendation_age_seconds", obs.Gauge, "Seconds since the current recommendation was published (absent before the first solve).", func(v *view) float64 { return when(!v.publishedAt.IsZero(), time.Since(v.publishedAt).Seconds()) }},
 	{"advisord_memo_entries", obs.Gauge, "Current occupancy of the retained what-if memo, in cells (stored rows x candidate configurations).", func(v *view) float64 { return float64(v.memo.Entries) }},

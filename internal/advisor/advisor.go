@@ -108,10 +108,11 @@ type Options struct {
 	// fails. Only consulted when Fallback is on.
 	LastKnownGood *core.Solution
 
-	// Parallelism bounds the worker count of the cost-table build and
-	// the data-parallel solver phases (core.Problem.Parallelism): 0
-	// means one worker per CPU, 1 forces the serial path. Parallel and
-	// serial solves produce bit-identical results.
+	// Parallelism bounds the worker count of the plan-table compile that
+	// validates the workload, the cost-table build, and the data-parallel
+	// solver phases (core.Problem.Parallelism): 0 means one worker per
+	// CPU, 1 forces the serial path. Parallel and serial solves produce
+	// bit-identical results.
 	Parallelism int
 
 	// Memo, when non-nil, supplies a retained what-if EXEC row store
@@ -253,17 +254,20 @@ type whatIfModel struct {
 	// solves); layout is the candidate list the rows are dense over.
 	rows   []*execRow
 	layout *rowLayout
+	// plans is the problem's intern set: every row this problem compiles
+	// resolves its statements through it, so statements that compile
+	// alike share one table. It lives as long as the problem.
+	plans *cost.PlanSet
 	// whatIfCalls counts statement costings demanded of the model —
 	// cells not served from a stored row times statements, attempted
 	// evaluations included even when costing fails. See CostStats.
 	whatIfCalls atomic.Int64
 	// probes counts this problem's row-store lookups and hits, in cells.
 	probes probeCounters
-	// planBuilds, planBytes, and batchedLookups instrument the batched
-	// costing layer: plan tables compiled, bytes they retain, and
-	// configurations evaluated through BatchExec.
+	// planBuilds and batchedLookups instrument the batched costing
+	// layer: statements resolved into plan tables, and configurations
+	// evaluated through BatchExec.
 	planBuilds     atomic.Int64
-	planBytes      atomic.Int64
 	batchedLookups atomic.Int64
 	// errMu guards execErr, the first costing failure since the last
 	// TakeErr drain (the core.FallibleModel contract).
@@ -334,31 +338,41 @@ func (m *whatIfModel) worldVersion() uint64 {
 	return uint64(h)
 }
 
-// compile returns stage's plan tables, compiling them into the stage's
-// store row r on first use; the caller holds r.mu. Compilation is the
-// "one histogram pass per access path" step: each statement's
-// selectivities and candidate path costs are derived exactly once per
-// distinct segment content, after which every configuration evaluation
-// is O(statements) masked table lookups. A failure stores nothing.
+// compile returns stage's plan tables, resolving them into the stage's
+// store row r on first use; the caller holds r.mu. Problem assembly
+// resolves every row it validates, so a solve finds the tables here; a
+// model built by hand, or a row whose compile failed, resolves them now,
+// and the failure means the model's world changed since validation.
 func (m *whatIfModel) compile(stage int, r *execRow) ([]*cost.PlanTable, error) {
+	if j, err := m.resolve(stage, r); err != nil {
+		return nil, fmt.Errorf("advisor: costing validated statement %q: %w", m.segs[stage].Statements[j].SQL, err)
+	}
+	return r.tables, nil
+}
+
+// resolve stores stage's plan tables in its row r unless r holds them;
+// the caller holds r.mu. Each statement goes through the problem's
+// intern set: the "one histogram pass per access path" compile runs once
+// per distinct compile key, and statements that compile alike share one
+// table, after which every configuration evaluation is O(statements)
+// masked table lookups. On a failure it returns the index in the segment
+// of the statement that failed and stores nothing.
+func (m *whatIfModel) resolve(stage int, r *execRow) (int, error) {
 	if r.tables != nil {
-		return r.tables, nil
+		return 0, nil
 	}
 	stmts := m.segs[stage].Statements
 	tables := make([]*cost.PlanTable, len(stmts))
-	retained := 0
 	for i, s := range stmts {
-		pt, err := cost.CompilePlan(s.Stmt, m.table, m.phys)
+		pt, err := m.plans.Compile(s.Stmt)
 		if err != nil {
-			return nil, fmt.Errorf("advisor: costing validated statement %q: %w", s.SQL, err)
+			return i, err
 		}
 		tables[i] = pt
-		retained += pt.Bytes()
 	}
 	r.tables = tables
 	m.planBuilds.Add(int64(len(stmts)))
-	m.planBytes.Add(int64(retained))
-	return tables, nil
+	return 0, nil
 }
 
 // sumTables is EXEC(segment, c) over compiled plan tables: the
@@ -418,11 +432,13 @@ func (m *whatIfModel) Exec(stage int, c core.Config) float64 {
 // per stage. The result is always a slice the model owns — out is never
 // written, so a caller recycling an earlier result as out cannot clobber
 // a stored row. Over the store's candidate list a filled row is
-// returned by reference; an empty one is compiled, filled by the
-// layout's row kernel, published as the stage's row, and returned —
-// under the row's lock, so a stage with the same content waits and then
-// shares it. Any other list (a partitioned component's projection) is
-// filled by a kernel of its own and stores nothing.
+// returned by reference; an empty one is filled from the stage's plan
+// tables by the layout's row kernel — by configuration classes where the
+// segment repeats a table (cost.RowKernel.Fill) — published as the
+// stage's row, and returned, under the row's lock, so a stage with the
+// same content waits and then shares it. Any other list (a partitioned
+// component's projection) is filled by a kernel of its own and stores
+// nothing.
 func (m *whatIfModel) BatchExec(stage int, configs []core.Config, _ []float64) []float64 {
 	n := len(configs)
 	m.batchedLookups.Add(int64(n))
@@ -481,7 +497,7 @@ func (m *whatIfModel) costStats() CostStats {
 		WhatIfCalls:     m.whatIfCalls.Load(),
 		ProbeStats:      m.probes.stats(),
 		PlanTableBuilds: m.planBuilds.Load(),
-		PlanTableBytes:  m.planBytes.Load(),
+		PlanTableBytes:  m.plans.Bytes(),
 		BatchedLookups:  m.batchedLookups.Load(),
 	}
 }
@@ -567,38 +583,57 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 // model's cost world and candidate list — rows computed under refreshed
 // statistics, different physical descriptions, or another list are
 // purged instead of replayed — and each stage resolves its row by
-// segment content.
+// segment content. It also gives the model its own, empty intern set.
 func (m *whatIfModel) attach(configs []core.Config) {
 	segHash := make([]uint64, len(m.segs))
 	for i, seg := range m.segs {
 		segHash[i] = segmentHash(seg)
 	}
 	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segHash)
+	m.plans = cost.NewPlanSet(m.table, m.phys)
 }
 
-// validate checks the statements of every stage whose store row holds
-// no plan tables; a row with tables was compiled from this very content
-// under the pinned cost world, which validated each statement (cost
-// errors are schema/type errors, configuration-independent). A slide
-// therefore validates the entering segment, not the window.
-func (m *whatIfModel) validate() error {
-	for i, seg := range m.segs {
-		r := m.rows[i]
+// validate validates the window by compiling it: every stage whose store
+// row holds no plan tables resolves them, on up to workers goroutines of
+// core's pool. Cost errors are schema and type errors — the compile
+// rejects exactly the statements StatementCost rejects, under any
+// configuration — so a row with tables was validated when it was
+// compiled, from this very content under the pinned cost world, and a
+// slide validates the entering segment, not the window. The error is the
+// one a serial pass over the window would give: the failing statement
+// with the lowest window index, whichever worker met it.
+func (m *whatIfModel) validate(workers int) error {
+	var pending []int
+	for i, r := range m.rows {
 		r.mu.Lock()
-		compiled := r.tables != nil
-		r.mu.Unlock()
-		if compiled {
-			continue
+		if r.tables == nil {
+			pending = append(pending, i)
 		}
-		for j, s := range seg.Statements {
-			switch s.Stmt.(type) {
-			case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
-				if _, err := cost.StatementCost(s.Stmt, m.table, nil); err != nil {
-					return fmt.Errorf("advisor: statement %d (%q): %w", seg.Start+j, s.SQL, err)
-				}
-			default:
-				return fmt.Errorf("advisor: statement %d (%q) is not a workload statement", seg.Start+j, s.SQL)
-			}
+		r.mu.Unlock()
+	}
+	errs := make([]error, len(pending))
+	err := core.ParallelFor(context.TODO(), workers, len(pending), func(k int) {
+		i := pending[k]
+		seg, r := m.segs[i], m.rows[i]
+		r.mu.Lock()
+		j, err := m.resolve(i, r)
+		r.mu.Unlock()
+		if err == nil {
+			return
+		}
+		switch s := seg.Statements[j]; s.Stmt.(type) {
+		case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
+			errs[k] = fmt.Errorf("advisor: statement %d (%q): %w", seg.Start+j, s.SQL, err)
+		default:
+			errs[k] = fmt.Errorf("advisor: statement %d (%q) is not a workload statement", seg.Start+j, s.SQL)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -606,7 +641,8 @@ func (m *whatIfModel) validate() error {
 
 // Problem assembles the core problem instance for a workload under the
 // given options. It validates the statements against the schema up
-// front (see whatIfModel.validate).
+// front by compiling them, on opts.Parallelism workers (see
+// whatIfModel.validate), so a solve finds every plan table in place.
 func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, _ []workload.Segment, err error) {
 	sp := opts.Tracer.Start("advisor.problem")
 	defer func() { sp.End(obs.Int("statements", int64(w.Len())), obs.Bool("ok", err == nil)) }()
@@ -640,7 +676,7 @@ func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, 
 		})
 	}
 	model.attach(pinned)
-	if err := model.validate(); err != nil {
+	if err := model.validate(core.Workers(opts.Parallelism)); err != nil {
 		return nil, nil, err
 	}
 	cache := opts.Cache

@@ -11,13 +11,14 @@ import (
 )
 
 // execRow is one store entry: everything EXEC(segment, ·) needs for one
-// segment content — the compiled per-statement plan tables and the
-// dense cost row over the store's candidate list. mu guards tables and
-// costs; both are written once and immutable afterwards — BatchExec
-// hands costs out by reference, so solver matrices alias it and
-// eviction only drops the store's own reference. A compile failure
-// leaves tables nil, so a healthy retry recompiles instead of replaying
-// a dead error.
+// segment content — the per-statement plan tables (shared with every
+// statement, of any row, that the same problem resolved to an equal
+// table) and the dense cost row over the store's candidate list. mu
+// guards tables and costs; both are written once and immutable
+// afterwards — BatchExec hands costs out by reference, so solver
+// matrices alias it and eviction only drops the store's own reference.
+// A compile failure leaves tables nil, so a healthy retry recompiles
+// instead of replaying a dead error.
 type execRow struct {
 	mu     sync.Mutex
 	tables []*cost.PlanTable
@@ -97,13 +98,18 @@ type ExecMemo struct {
 
 // rowOverheadCells is what a stored row retains besides its cost cells,
 // in cells: the execRow, its list element and map entry, the table slice
-// and one statement's compiled PlanTable. Measured on rows of one
-// statement over 7 configurations (advisord's defaults): 420–460 B a row
-// on the test fixture's point queries (TestCappedMemoBoundsBytes), ≈480 B
-// in the heap profile of an advisord that had ingested 118 000 paper-mix
-// statements — 56 B of either are the cost cells. 64 cells (512 B) covers
-// both. Charged by cost cells alone, the default 1<<20 cells of such rows
-// were 150 000 rows, ≈70 MB, against the 8 MB the number reads as.
+// and its share of the compiled PlanTables. Measured on rows of one
+// statement over 7 configurations (advisord's defaults), 56 B of which
+// are the cost cells: 420–460 B a row on the test fixture's point queries
+// (TestCappedMemoBoundsBytes) and ≈480 B in the heap profile of an
+// advisord that had ingested 118 000 paper-mix statements, while every
+// statement kept a table of its own. Since statements that compile alike
+// share one table per problem, the fixture's rows retain 234 B when each
+// solve takes in 500 new statements, 251 B at 40 and 306 B at 10. 64
+// cells (512 B) covers all of these, so the charge still bounds the
+// store's bytes by capacity × 8, now with room to spare. Charged by cost
+// cells alone, the default 1<<20 cells of such rows were 150 000 rows,
+// ≈70 MB, against the 8 MB the number reads as.
 const rowOverheadCells = 64
 
 // NewMemo builds an EXEC row store bounded to capacity cells, each row
@@ -241,10 +247,11 @@ type CostStats struct {
 	// store's lifetime (see ExecMemo.Stats): a first solve over unseen
 	// segments reports a hit rate of 0, an unchanged-window re-solve 1.
 	ProbeStats
-	// PlanTableBuilds counts per-statement plan-table compilations —
-	// the "one histogram pass per access path" work the batched costing
-	// layer performs once per distinct segment instead of once per
-	// configuration. PlanTableBytes is the heap those tables retain.
+	// PlanTableBuilds counts the statements resolved into plan tables
+	// for store rows — once per distinct segment, not per configuration —
+	// whether the problem's intern set compiled a table for a statement
+	// or shared one it held. PlanTableBytes is the heap the distinct
+	// tables retain, each counted once however many statements share it.
 	PlanTableBuilds int64
 	PlanTableBytes  int64
 	// BatchedLookups counts configurations evaluated through the

@@ -240,7 +240,7 @@ func (r *Recommendation) Render(w io.Writer) {
 		r.Stats.WhatIfCalls, 100*r.Stats.HitRate(),
 		float64(r.MatrixBuildTime.Microseconds())/1000, r.MatrixBuilds, r.MatrixReuses)
 	if r.Stats.PlanTableBuilds > 0 {
-		fmt.Fprintf(w, "  plan tables: %d compiled (%.1f KiB retained)   batched lookups: %d\n",
+		fmt.Fprintf(w, "  plan tables: %d statements resolved (%.1f KiB of distinct tables retained)   batched lookups: %d\n",
 			r.Stats.PlanTableBuilds, float64(r.Stats.PlanTableBytes)/1024, r.Stats.BatchedLookups)
 	}
 	r.RenderRobustness(w)

@@ -152,6 +152,45 @@ func TestRowsSurviveEvictionUnderRetainedSolveCache(t *testing.T) {
 	}
 }
 
+// TestValidationErrorIsDeterministic pins the error of validation by
+// parallel compile: with bad statements in two segments, whichever
+// worker meets which first, Problem answers what a serial pass over the
+// window answers — the statement with the lowest window index, in text
+// and index — at Parallelism 1 and 4, cold and over a retained store
+// whose rows already hold every other segment's tables.
+func TestValidationErrorIsDeterministic(t *testing.T) {
+	_, adv := testAdvisor(t)
+	const seg, stages = 5, 8
+	good := distinctStream(seg * stages)
+	for _, tc := range []struct{ first, second, want string }{
+		{"SELECT nope FROM t", "DROP TABLE t", "advisor: statement 12 (\"SELECT nope FROM t\"): cost: unknown column \"nope\""},
+		{"DROP TABLE t", "SELECT a FROM t WHERE zz = 1", "advisor: statement 12 (\"DROP TABLE t\") is not a workload statement"},
+	} {
+		w := &workload.Workload{}
+		w.Append("", good.Statements[:12]...)
+		w.Append("", workload.MustStatement(tc.first))
+		w.Append("", good.Statements[13:31]...)
+		w.Append("", workload.MustStatement(tc.second))
+		w.Append("", good.Statements[32:]...)
+		memo := NewMemo(0)
+		if _, err := adv.Recommend(good, Options{K: 2, SegmentSize: seg, Memo: memo}); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{
+			{K: 2, SegmentSize: seg, Parallelism: 1},
+			{K: 2, SegmentSize: seg, Parallelism: 4},
+			{K: 2, SegmentSize: seg, Parallelism: 4, Memo: memo},
+		} {
+			for range 10 {
+				_, _, err := adv.Problem(w, opts)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("Parallelism %d, retained store %v: error %v, want %q", opts.Parallelism, opts.Memo != nil, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestSlideValidatesTheEnteringSegment pins what validation skipping
 // must not change: a statement entering a window whose other segments
 // are already compiled in the store is still rejected, with the error

@@ -164,7 +164,7 @@ func TestParallelWorkerPanicBecomesError(t *testing.T) {
 // more actionable diagnosis.
 func TestParallelForPanicPrecedence(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := parallelFor(ctx, 4, 64, func(i int) {
+	err := ParallelFor(ctx, 4, 64, func(i int) {
 		if i == 3 {
 			cancel()
 			panic("boom")

@@ -150,7 +150,7 @@ func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelax
 			nextLive[l] = anyLive
 		}
 		if layers >= 2 && nc >= parallelSweepMinConfigs {
-			if err := parallelFor(ctx, workers, layers, relaxLayer); err != nil {
+			if err := ParallelFor(ctx, workers, layers, relaxLayer); err != nil {
 				sweep.End(obs.Int("stage", int64(i)), obs.Int("layers", int64(layers)),
 					obs.Int("configs", int64(nc)), obs.String("kernel", kern.name()))
 				return nil, err

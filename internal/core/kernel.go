@@ -259,7 +259,7 @@ func (k *denseKernel) relaxMove(prev, out []float64, from []int32, _ *latticeScr
 func (k *denseKernel) relaxBack(ctx context.Context, workers int, exec, hnext, out []float64, _ *latticeScratch) error {
 	trans := k.m.trans
 	nc := len(out)
-	return parallelFor(ctx, workers, nc, func(c int) {
+	return ParallelFor(ctx, workers, nc, func(c int) {
 		best := math.Inf(1)
 		row := trans[c]
 		for j := 0; j < nc; j++ {

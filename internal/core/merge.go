@@ -67,7 +67,7 @@ func SolveMergeOpts(ctx context.Context, p *Problem, initial *Solution, opts Mer
 	var prefix [][]float64
 	if opts.MemoizeSegments {
 		prefix = make([][]float64, len(configs))
-		err := parallelFor(ctx, p.workers(), len(configs), func(ci int) {
+		err := ParallelFor(ctx, p.workers(), len(configs), func(ci int) {
 			cfg := configs[ci]
 			row := make([]float64, p.Stages+1)
 			for i := 0; i < p.Stages; i++ {

@@ -30,7 +30,7 @@ func recoverPanic(r any) *PanicError {
 	return &PanicError{Value: r, Stack: debug.Stack()}
 }
 
-// parallelFor runs fn(i) for every i in [0, n), spreading the calls over
+// ParallelFor runs fn(i) for every i in [0, n), spreading the calls over
 // at most `workers` goroutines. Work is handed out through an atomic
 // counter so unevenly-priced items (what-if EXEC calls vary wildly by
 // stage) balance across workers. With workers <= 1 — or a single item —
@@ -52,7 +52,7 @@ func recoverPanic(r any) *PanicError {
 // the panicking goroutine's stack; the remaining workers stop at their
 // next item. A panic error takes precedence over a concurrent
 // cancellation so the root cause is not masked.
-func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
+func ParallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -114,14 +114,17 @@ func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 	return context.Cause(ctx)
 }
 
-// workers resolves the problem's parallelism degree: an explicit
-// Parallelism wins, otherwise every available CPU.
-func (p *Problem) workers() int {
-	if p.Parallelism > 0 {
-		return p.Parallelism
+// Workers resolves a parallelism degree as Problem.Parallelism reads it:
+// a positive value wins, otherwise every available CPU.
+func Workers(parallelism int) int {
+	if parallelism > 0 {
+		return parallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }
+
+// workers resolves the problem's parallelism degree.
+func (p *Problem) workers() int { return Workers(p.Parallelism) }
 
 // ctxErr is the solvers' cooperative cancellation check: nil while the
 // context is live, the cancellation cause (context.Cause — the deadline

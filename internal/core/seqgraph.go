@@ -104,7 +104,7 @@ func (p *Problem) buildMatrices(ctx context.Context, configs []Config, needTrans
 	// table, so they inherit the batched fill). Batched and scalar
 	// evaluation are bit-identical by the BatchCostModel contract.
 	bm, batched := p.Model.(BatchCostModel)
-	err = parallelFor(ctx, workers, p.Stages, func(i int) {
+	err = ParallelFor(ctx, workers, p.Stages, func(i int) {
 		var rowSpan obs.Span
 		if traced {
 			rowSpan = p.Tracer.Start(SpanMatrixExecStage)
@@ -163,7 +163,7 @@ func (p *Problem) buildMatrices(ctx context.Context, configs []Config, needTrans
 // worker pool (row ownership keeps it bit-identical to serial).
 func (p *Problem) buildTransRows(ctx context.Context, configs []Config) ([][]float64, error) {
 	trans := make([][]float64, len(configs))
-	err := parallelFor(ctx, p.workers(), len(configs), func(i int) {
+	err := ParallelFor(ctx, p.workers(), len(configs), func(i int) {
 		from := configs[i]
 		row := make([]float64, len(configs))
 		for j, to := range configs {

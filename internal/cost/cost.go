@@ -241,15 +241,43 @@ func conjunctSelectivity(t TablePhys, c sql.Comparison) float64 {
 	}
 }
 
+// isRangeOp reports whether op bounds a range (<, <=, >, >=).
+func isRangeOp(op sql.CompareOp) bool {
+	return op == sql.OpLt || op == sql.OpLe || op == sql.OpGt || op == sql.OpGe
+}
+
+// conjunctNumbers returns every histogram-derived number costing reads
+// of one conjunct: its selectivity in isolation, and for a range bound
+// seekSel, the selectivity an index seek prices when the bound is the only
+// one on its column — selRange under the schema's spelling of the column,
+// which is how the seek names it. A seek over two bounds on one column
+// prices their combined range, which depends on the literals and is not
+// among these numbers. shapeSelect and PlanKey both read conjuncts through
+// this one function, which is why equal keys compile to equal tables.
+func conjunctNumbers(t TablePhys, c sql.Comparison) (sel, seekSel float64) {
+	sel = conjunctSelectivity(t, c)
+	if !isRangeOp(c.Op) {
+		return sel, 0
+	}
+	ord := t.Schema.ColumnIndex(c.Column)
+	if ord < 0 || t.Schema.Columns[ord].Name == c.Column {
+		return sel, sel
+	}
+	c.Column = t.Schema.Columns[ord].Name
+	return sel, conjunctSelectivity(t, c)
+}
+
 // selectShape is the configuration-independent part of costing a
 // SELECT: the referenced column ordinals (which decide covering), the
-// WHERE conjuncts, and the estimated result cardinality. Deriving it
-// once per statement is what lets a PlanTable price every candidate
-// access path with a single histogram pass.
+// WHERE conjuncts with their conjunctNumbers, and the estimated result
+// cardinality. Deriving it once per statement is what lets a PlanTable
+// price every candidate access path with a single histogram pass.
 type selectShape struct {
-	need       []int
-	conjuncts  []sql.Comparison
-	resultRows float64
+	need      []int
+	conjuncts []sql.Comparison
+	// sel[i] and seekSel[i] are conjunctNumbers(conjuncts[i]).
+	sel, seekSel []float64
+	resultRows   float64
 }
 
 // shapeSelect validates the statement and derives its selectShape.
@@ -272,8 +300,11 @@ func shapeSelect(sel *sql.Select, t TablePhys) (selectShape, error) {
 	if sel.Where != nil {
 		sh.conjuncts = sel.Where.Conjuncts
 	}
-	for _, c := range sh.conjuncts {
-		sh.resultRows *= conjunctSelectivity(t, c)
+	nums := make([]float64, 2*len(sh.conjuncts))
+	sh.sel, sh.seekSel = nums[:len(sh.conjuncts)], nums[len(sh.conjuncts):]
+	for i, c := range sh.conjuncts {
+		sh.sel[i], sh.seekSel[i] = conjunctNumbers(t, c)
+		sh.resultRows *= sh.sel[i]
 	}
 	return sh, nil
 }
@@ -296,7 +327,7 @@ func ChooseAccess(sel *sql.Select, t TablePhys, indexes []IndexPhys) (Access, er
 	for i := range indexes {
 		ip := &indexes[i]
 		covering := ip.Covers(sh.need)
-		if a, ok := seekAccess(sel, t, ip, sh.conjuncts, covering, sh.resultRows); ok && betterAccess(a, best) {
+		if a, ok := seekAccess(t, ip, &sh, covering); ok && betterAccess(a, best) {
 			best = a
 		}
 		if covering {
@@ -350,7 +381,11 @@ func indexName(a Access) string {
 
 // seekAccess builds the best seek on one index: the longest leading
 // equality prefix, optionally extended by a range on the next key column.
-func seekAccess(sel *sql.Select, t TablePhys, ip *IndexPhys, conjuncts []sql.Comparison, covering bool, resultRows float64) (Access, bool) {
+// Its selectivities are the shape's conjunctNumbers, except the combined
+// range of two or more bounds on one column, priced here from the
+// literals.
+func seekAccess(t TablePhys, ip *IndexPhys, sh *selectShape, covering bool) (Access, bool) {
+	conjuncts := sh.conjuncts
 	a := Access{Kind: IndexSeek, Index: ip, Covering: covering}
 	sel1 := 1.0
 	// Consumed-conjunct tracking: a bitmask for the (universal) case of
@@ -393,7 +428,7 @@ func seekAccess(sel *sql.Select, t TablePhys, ip *IndexPhys, conjuncts []sql.Com
 		markUsed(found)
 		a.Consumed = append(a.Consumed, found)
 		a.EqVals = append(a.EqVals, conjuncts[found].Value)
-		sel1 *= selEq(t, conjuncts[found].Column, conjuncts[found].Value)
+		sel1 *= sh.sel[found]
 	}
 
 	// Optional IN list or range on the next key column. An IN predicate
@@ -407,14 +442,7 @@ func seekAccess(sel *sql.Select, t TablePhys, ip *IndexPhys, conjuncts []sql.Com
 			a.In = c.Values
 			a.Consumed = append(a.Consumed, ci)
 			markUsed(ci)
-			inSel := 0.0
-			for _, v := range c.Values {
-				inSel += selEq(t, c.Column, v)
-			}
-			if inSel > 1 {
-				inSel = 1
-			}
-			sel1 *= inSel
+			sel1 *= sh.sel[ci]
 			break
 		}
 	}
@@ -442,11 +470,14 @@ func seekAccess(sel *sql.Select, t TablePhys, ip *IndexPhys, conjuncts []sql.Com
 				consumed = append(consumed, ci)
 			}
 		}
-		if r.Low != nil || r.High != nil {
-			colName := t.Schema.Columns[next].Name
+		if len(consumed) > 0 {
 			a.Range = &r
 			a.Consumed = append(a.Consumed, consumed...)
-			sel1 *= selRange(t, colName, r)
+			if len(consumed) == 1 {
+				sel1 *= sh.seekSel[consumed[0]]
+			} else {
+				sel1 *= selRange(t, t.Schema.Columns[next].Name, r)
+			}
 		}
 	}
 
@@ -454,7 +485,7 @@ func seekAccess(sel *sql.Select, t TablePhys, ip *IndexPhys, conjuncts []sql.Com
 		return Access{}, false // nothing to seek on
 	}
 	a.EstMatchRows = t.Rows * sel1
-	a.EstResultRows = resultRows
+	a.EstResultRows = sh.resultRows
 	// Pages: descents + matched leaf pages + heap fetches unless
 	// covering. An IN seek descends once per value.
 	descents := 1.0

@@ -81,10 +81,11 @@ func CompilePlan(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (*PlanTab
 	if len(indexes) < 64 {
 		pt.allMask = 1<<uint(len(indexes)) - 1
 	}
+	var err error
 	switch s := stmt.(type) {
 	case *sql.Select:
 		pt.kind = planSelect
-		if err := pt.compileSearch(s, t, indexes); err != nil {
+		if _, err := pt.compileSearch(s, t, indexes); err != nil {
 			return nil, err
 		}
 	case *sql.Insert:
@@ -94,18 +95,16 @@ func CompilePlan(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (*PlanTab
 	case *sql.Update:
 		pt.kind = planUpdate
 		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		if err := pt.compileSearch(probe, t, indexes); err != nil {
+		if pt.rows, err = pt.compileSearch(probe, t, indexes); err != nil {
 			return nil, err
 		}
-		pt.rows = estimateResultRows(s.Where, t)
 		pt.compileMaint(indexes, 2) // delete + insert entries
 	case *sql.Delete:
 		pt.kind = planDelete
 		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		if err := pt.compileSearch(probe, t, indexes); err != nil {
+		if pt.rows, err = pt.compileSearch(probe, t, indexes); err != nil {
 			return nil, err
 		}
-		pt.rows = estimateResultRows(s.Where, t)
 		pt.compileMaint(indexes, 1)
 	default:
 		return nil, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
@@ -115,12 +114,13 @@ func CompilePlan(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (*PlanTab
 }
 
 // compileSearch prices the row search's access paths: the heap scan and
-// each candidate index's best seek/covering variant, one histogram pass
-// per path.
-func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []IndexPhys) error {
+// each candidate index's best seek/covering variant, all from one
+// histogram pass over the conjuncts (shapeSelect). It returns the search's
+// estimated result rows — the rows an UPDATE or DELETE modifies.
+func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []IndexPhys) (float64, error) {
 	sh, err := shapeSelect(sel, t)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	pt.heapCost = math.Max(1, t.HeapPages)
 	pt.pathCost = make([]float64, len(indexes))
@@ -128,7 +128,7 @@ func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []Index
 		ip := &indexes[i]
 		covering := ip.Covers(sh.need)
 		best := math.Inf(1)
-		if a, ok := seekAccess(sel, t, ip, sh.conjuncts, covering, sh.resultRows); ok {
+		if a, ok := seekAccess(t, ip, &sh, covering); ok {
 			best = a.PageCost
 		}
 		if covering {
@@ -143,7 +143,7 @@ func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []Index
 			pt.relevant |= 1 << uint(i)
 		}
 	}
-	return nil
+	return sh.resultRows, nil
 }
 
 // compileMaint precomputes the per-row maintenance increment of every

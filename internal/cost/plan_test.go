@@ -357,6 +357,7 @@ func checkRowKernelSeed(t *testing.T, seed uint64) {
 	for g, row := range rows {
 		compare("concurrent", g, row)
 	}
+	checkClassFill(t, seed, rng, tables, configs)
 }
 
 // FuzzRowKernelEquivalence pins the row kernel to the per-cell
