@@ -115,7 +115,11 @@ chaos:
 # statements must also print back to something that parses
 # (internal/sql/fuzz_test.go), and POST /ingest, which must answer 200,
 # 400 or 413 and move the ingested count by exactly what it acknowledged
-# (cmd/advisord/ingest_test.go). CI runs this as a smoke test; longer
+# (cmd/advisord/ingest_test.go); and the engine's scans, which test
+# predicates on encoded bytes, must never panic on an arbitrary heap
+# payload or index key, must accept exactly the payloads DecodeRow
+# accepts with its error, and must reach decode-then-evaluate's verdict
+# (internal/engine/filter_test.go). CI runs this as a smoke test; longer
 # local campaigns just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
@@ -129,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/sql/
 	$(GO) test -run='^$$' -fuzz=FuzzIngestBody -fuzztime=20s ./cmd/advisord/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodedPredicate -fuzztime=20s ./internal/engine/
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve

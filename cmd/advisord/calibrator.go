@@ -15,9 +15,10 @@ type calibJob struct {
 }
 
 // startCalibrator starts the calibration goroutine: the only code in the
-// service that touches engine.Database after start-up (solves cost
-// against the TablePhys captured at advisor.New), so at most one replay
-// is ever in flight and a solve never waits for one. close stops it.
+// service that touches engine.Database after start-up (solves read the
+// table's size from its heap counters, never the database lock), so at
+// most one replay is ever in flight and a solve never waits for one.
+// close stops it.
 func (s *service) startCalibrator() {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.calibCh = make(chan calibJob, 1)

@@ -166,6 +166,18 @@ func (o *Options) resilient() bool {
 type Advisor struct {
 	db    *engine.Database
 	space DesignSpace
+	// size reports the table's live row and page counts without the
+	// database lock (engine.Database.TableSize).
+	size func() (rows int64, pages int)
+	// world is the cost world of the last problem: the statistics of the
+	// Analyze that preceded New, the table's size, and the candidate
+	// indexes sized from both. Problem moves it to the table's current
+	// size when DML has changed it; StatementCost reads the last one.
+	world atomic.Pointer[costWorld]
+}
+
+// costWorld is the physical description every what-if estimate reads.
+type costWorld struct {
 	table cost.TablePhys
 	phys  []cost.IndexPhys // hypothetical physical description per structure
 }
@@ -187,15 +199,51 @@ func New(db *engine.Database, space DesignSpace) (*Advisor, error) {
 	if tp.Stats == nil {
 		return nil, fmt.Errorf("advisor: table %q has no statistics; run Analyze first", space.Table)
 	}
-	a := &Advisor{db: db, space: space, table: tp}
-	for _, def := range space.Structures {
+	size, err := db.TableSize(space.Table)
+	if err != nil {
+		return nil, err
+	}
+	a := &Advisor{db: db, space: space, size: size}
+	w, err := a.newWorld(tp)
+	if err != nil {
+		return nil, err
+	}
+	a.world.Store(w)
+	return a, nil
+}
+
+// newWorld sizes the candidate indexes for the table description tp.
+func (a *Advisor) newWorld(tp cost.TablePhys) (*costWorld, error) {
+	w := &costWorld{table: tp}
+	for _, def := range a.space.Structures {
 		ip, err := cost.HypotheticalIndex(def, tp)
 		if err != nil {
 			return nil, err
 		}
-		a.phys = append(a.phys, ip)
+		w.phys = append(w.phys, ip)
 	}
-	return a, nil
+	return w, nil
+}
+
+// currentWorld returns the cost world at the table's current size. A
+// replay's INSERTs and DELETEs change the table under a long-lived
+// advisor; pricing the next problem at the size New saw would drift from
+// what the engine then measures by the rows added since. The statistics
+// stay those of the last Analyze, scaled to the live row count.
+func (a *Advisor) currentWorld() (*costWorld, error) {
+	w := a.world.Load()
+	rows, pages := a.size()
+	if float64(rows) == w.table.Rows && float64(pages) == w.table.HeapPages {
+		return w, nil
+	}
+	tp := w.table
+	tp.Rows, tp.HeapPages = float64(rows), float64(pages)
+	w, err := a.newWorld(tp)
+	if err != nil {
+		return nil, err
+	}
+	a.world.Store(w)
+	return w, nil
 }
 
 // Space returns the advisor's design space.
@@ -207,7 +255,7 @@ func (a *Advisor) Space() *DesignSpace { return &a.space }
 // solution, drift-detector costs) records it at snapshot time: a
 // restart whose statistics hash differently must treat cost-derived
 // state as stale instead of replaying estimates from a dead world.
-func (a *Advisor) StatsFingerprint() uint64 { return a.table.Stats.Fingerprint() }
+func (a *Advisor) StatsFingerprint() uint64 { return a.world.Load().table.Stats.Fingerprint() }
 
 // physPool recycles the per-call []cost.IndexPhys assembly of the
 // scalar costing path, so monitoring loops (the drift alerter costs
@@ -223,18 +271,19 @@ type physScratch struct{ buf []cost.IndexPhys }
 // configuration of the design space — the EXEC(S, C) primitive, exposed
 // for monitoring tools like the drift alerter.
 func (a *Advisor) StatementCost(s workload.Statement, c core.Config) (float64, error) {
+	w := a.world.Load()
 	sc := physPool.Get().(*physScratch)
 	defer physPool.Put(sc)
 	idxs := sc.buf[:0]
 	for b := uint64(c); b != 0; b &= b - 1 {
 		bit := bits.TrailingZeros64(b)
-		if bit >= len(a.phys) {
+		if bit >= len(w.phys) {
 			return 0, fmt.Errorf("advisor: configuration bit %d outside the design space", bit)
 		}
-		idxs = append(idxs, a.phys[bit])
+		idxs = append(idxs, w.phys[bit])
 	}
 	sc.buf = idxs
-	return cost.StatementCost(s.Stmt, a.table, idxs)
+	return cost.StatementCost(s.Stmt, w.table, idxs)
 }
 
 // whatIfModel implements core.FallibleModel over the engine's what-if
@@ -658,7 +707,11 @@ func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, 
 	if memo == nil {
 		memo = NewMemo(0)
 	}
-	model := &whatIfModel{table: a.table, phys: a.phys, segs: segs, memo: memo}
+	world, err := a.currentWorld()
+	if err != nil {
+		return nil, nil, err
+	}
+	model := &whatIfModel{table: world.table, phys: world.phys, segs: segs, memo: memo}
 	configs := a.space.Configs
 	if configs == nil {
 		var err error

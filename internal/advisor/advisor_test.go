@@ -313,6 +313,93 @@ func TestReplayMatchesEstimate(t *testing.T) {
 	}
 }
 
+// TestProblemPricesCurrentTableSize: DML after New changes the table an
+// advisor prices. The next problem is costed at the table's current size
+// — as an advisor built now over the same statistics costs it — and a
+// memo retained across the change drops the rows of the old size.
+func TestProblemPricesCurrentTableSize(t *testing.T) {
+	db, adv := testAdvisor(t)
+	w := testWorkload(t)
+	opts := paperOpts(2)
+	opts.Memo = NewMemo(0)
+	before, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < testRows/5; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d, %d)", rng.Intn(100), rng.Intn(100), rng.Intn(100), rng.Intn(100)))
+	}
+	after, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(db, paperSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Recommend(w, paperOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Solution.Cost != want.Solution.Cost || after.Solution.Cost <= before.Solution.Cost {
+		t.Errorf("after growing the table: cost %v, an advisor built now %v, before %v",
+			after.Solution.Cost, want.Solution.Cost, before.Solution.Cost)
+	}
+	if got := opts.Memo.Stats().Invalidations; got != 1 {
+		t.Errorf("the retained memo was purged %d times, want once", got)
+	}
+	for _, s := range w.Statements[:5] {
+		got, err := adv.StatementCost(s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp, _ := fresh.StatementCost(s, 1); got != exp {
+			t.Errorf("StatementCost(%q) = %v, an advisor built now says %v", s.SQL, got, exp)
+		}
+	}
+}
+
+// TestWorldRefreshUnderConcurrentUse: problems re-size the cost world
+// while another goroutine inserts rows and others cost statements, as
+// advisord's ingest and alerter do beside its solver; run under -race.
+func TestWorldRefreshUnderConcurrentUse(t *testing.T) {
+	db, adv := testAdvisor(t)
+	w := testWorkload(t).Slice(0, 200)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := adv.StatementCost(w.Statements[i%w.Len()], core.Config(i%3)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if _, err := adv.Recommend(w, paperOpts(2)); err != nil {
+				t.Error(err)
+			}
+		}
+		close(stop)
+	}()
+	for i := 0; i < 300; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d, %d)", i, i, i, i))
+	}
+	wg.Wait()
+}
+
 func TestReplayErrors(t *testing.T) {
 	db, adv := testAdvisor(t)
 	w := testWorkload(t)

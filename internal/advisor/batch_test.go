@@ -62,7 +62,7 @@ func brokenModel(t *testing.T, adv *Advisor) (*whatIfModel, int) {
 		workload.MustStatement("SELECT a FROM t WHERE a = 1"),
 	}
 	segs := []workload.Segment{{Statements: stmts}}
-	m := &whatIfModel{table: adv.table, phys: adv.phys, segs: segs, memo: NewMemo(0)}
+	m := &whatIfModel{table: adv.world.Load().table, phys: adv.world.Load().phys, segs: segs, memo: NewMemo(0)}
 	m.attach(adv.space.Configs)
 	return m, len(stmts)
 }
@@ -178,7 +178,7 @@ func TestExecWarmMemoZeroAllocs(t *testing.T) {
 func TestStatementCostPooledScratch(t *testing.T) {
 	_, adv := testAdvisor(t)
 	s := workload.MustStatement("INSERT INTO t VALUES (1, 2, 3, 4)")
-	full := core.Config(1)<<uint(len(adv.phys)) - 1
+	full := core.Config(1)<<uint(len(adv.world.Load().phys)) - 1
 	if _, err := adv.StatementCost(s, full); err != nil {
 		t.Fatal(err)
 	}

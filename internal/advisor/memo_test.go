@@ -340,7 +340,7 @@ func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 
 	// "Refresh the statistics": mutate the histograms in place — same
 	// TableStats pointer, new contents. The world fingerprint must change.
-	for _, cs := range adv.table.Stats.Columns {
+	for _, cs := range adv.world.Load().table.Stats.Columns {
 		cs.NDV = cs.NDV/2 + 1
 		if cs.Hist != nil {
 			for i := range cs.Hist.Buckets {

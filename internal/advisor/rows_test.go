@@ -17,7 +17,7 @@ import (
 func TestSpaceBoundedExplicitConfigsFillRows(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := distinctStream(40)
-	sizer := &whatIfModel{phys: adv.phys}
+	sizer := &whatIfModel{phys: adv.world.Load().phys}
 	bound := 0.0
 	for _, c := range adv.space.Configs {
 		bound = max(bound, sizer.Size(c))

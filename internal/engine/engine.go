@@ -342,6 +342,22 @@ func (db *Database) TablePhys(table string) (cost.TablePhys, error) {
 	return db.tablePhysLocked(td), nil
 }
 
+// TableSize returns a function that reports a table's live row and page
+// counts. The function reads the table's heap counters only, never the
+// database lock, so it answers while another goroutine runs a statement:
+// the advisor prices every problem at the table's current size without
+// waiting for a replay's index build.
+func (db *Database) TableSize(table string) (func() (rows int64, pages int), error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	td, err := db.table(table)
+	if err != nil {
+		return nil, err
+	}
+	heap := td.heap
+	return func() (int64, int) { return heap.NumRows(), heap.NumPages() }, nil
+}
+
 func (db *Database) tablePhysLocked(td *tableData) cost.TablePhys {
 	return cost.TablePhys{
 		Name:      td.meta.Name,

@@ -11,70 +11,6 @@ import (
 	"dyndesign/internal/types"
 )
 
-// compiledPred is a predicate with the column resolved to its ordinal.
-type compiledPred struct {
-	ord  int
-	op   sql.CompareOp
-	val  types.Value
-	vals []types.Value // sorted IN list (op == sql.OpIn)
-}
-
-func compilePreds(schema *types.Schema, preds []sql.Comparison) ([]compiledPred, error) {
-	out := make([]compiledPred, len(preds))
-	for i, c := range preds {
-		ord := schema.ColumnIndex(c.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q", c.Column)
-		}
-		out[i] = compiledPred{ord: ord, op: c.Op, val: c.Value, vals: c.Values}
-	}
-	return out, nil
-}
-
-func (p compiledPred) eval(row types.Row) bool {
-	return p.evalValue(row[p.ord])
-}
-
-func (p compiledPred) evalValue(v types.Value) bool {
-	if p.op == sql.OpIn {
-		// The parser sorts IN lists, so membership is a binary search.
-		lo, hi := 0, len(p.vals)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if p.vals[mid].Compare(v) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(p.vals) && p.vals[lo].Equal(v)
-	}
-	cmp := v.Compare(p.val)
-	switch p.op {
-	case sql.OpEq:
-		return cmp == 0
-	case sql.OpLt:
-		return cmp < 0
-	case sql.OpLe:
-		return cmp <= 0
-	case sql.OpGt:
-		return cmp > 0
-	case sql.OpGe:
-		return cmp >= 0
-	default:
-		return false
-	}
-}
-
-func evalAll(preds []compiledPred, row types.Row) bool {
-	for _, p := range preds {
-		if !p.eval(row) {
-			return false
-		}
-	}
-	return true
-}
-
 // seekBounds builds the encoded key range [low, high) for an index seek
 // from the equality prefix and optional range spec.
 func seekBounds(a *cost.Access) (low, high []byte, err error) {
@@ -128,35 +64,40 @@ type matchedRow struct {
 }
 
 // collectRows runs the access path and returns the matching rows after
-// residual filtering. For covering paths the returned rows are sparse:
-// only the index key columns are populated; a caller needing all columns
-// must use needHeap=true to force heap fetches.
+// residual filtering, in access-path order. Residuals are tested on the
+// encoded heap payload or index key (filter.go); only matching rows are
+// decoded. For covering paths the returned rows are sparse: only the
+// index key columns are populated; a caller needing all columns must use
+// needHeap=true to force heap fetches.
 func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]matchedRow, error) {
 	schema := td.meta.Schema
-	residual, err := compilePreds(schema, plan.Residual)
+	rows, err := newRowFilter(schema, plan.Residual)
 	if err != nil {
 		return nil, err
 	}
 	var out []matchedRow
 	var innerErr error
+	// keep decodes a matching payload into a row of its own.
+	keep := func(rid storage.RID, payload []byte) bool {
+		row, err := types.DecodeRowInto(make(types.Row, 0, schema.Len()), payload)
+		if err != nil {
+			innerErr = err
+			return false
+		}
+		out = append(out, matchedRow{rid: rid, row: row})
+		return true
+	}
 
 	a := &plan.Access
 	switch a.Kind {
 	case cost.HeapScan:
-		// The decode scratch is reused per row; matching rows are cloned
-		// before they are retained.
-		var scratch types.Row
 		td.heap.Scan(func(rid storage.RID, payload []byte) bool {
-			row, err := types.DecodeRowInto(scratch, payload)
+			ok, err := rows.match(payload)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			scratch = row
-			if evalAll(residual, row) {
-				out = append(out, matchedRow{rid: rid, row: row.Clone()})
-			}
-			return true
+			return !ok || keep(rid, payload)
 		})
 
 	case cost.IndexSeek, cost.IndexOnlyScan:
@@ -190,49 +131,47 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 		fetch := needHeap || !a.Covering
 		if fetch {
 			for _, kr := range ranges {
-				err = ix.ScanEncodedRange(kr.low, kr.high, func(keyVals []types.Value, rid storage.RID) bool {
+				err = ix.ScanEncodedRange(kr.low, kr.high, func(_ []types.Value, rid storage.RID) bool {
 					payload, err := td.heap.Get(rid)
 					if err != nil {
 						innerErr = err
 						return false
 					}
-					row, err := types.DecodeRow(payload)
+					ok, err := rows.match(payload)
 					if err != nil {
 						innerErr = err
 						return false
 					}
-					if evalAll(residual, row) {
-						out = append(out, matchedRow{rid: rid, row: row})
-					}
-					return true
+					return !ok || keep(rid, payload)
 				})
 				if err != nil || innerErr != nil {
 					break
 				}
 			}
+			if err != nil {
+				return nil, err
+			}
 		} else {
-			// Covering path: evaluate residual predicates against the
-			// decoded key values directly and materialize a (sparse) row
-			// only for matches — index-only scans visit every entry, so
-			// this loop must not allocate per entry.
-			keyPos := make(map[int]int, len(keyCols))
-			for i, ord := range keyCols {
-				keyPos[ord] = i
+			// Covering path: index-only scans visit every entry, so the
+			// residual is tested on the key bytes and a (sparse) row is
+			// decoded only for matches.
+			keys, err := newKeyFilter(schema, keyCols, plan.Residual)
+			if err != nil {
+				return nil, err
 			}
-			residualPos := make([]int, len(residual))
-			for i, p := range residual {
-				pos, ok := keyPos[p.ord]
-				if !ok {
-					return nil, fmt.Errorf("engine: covering plan has residual on uncovered column")
-				}
-				residualPos[i] = pos
-			}
+			var keyVals []types.Value
 			for _, kr := range ranges {
-				err = ix.ScanEncodedRange(kr.low, kr.high, func(keyVals []types.Value, rid storage.RID) bool {
-					for i, p := range residual {
-						if !p.evalValue(keyVals[residualPos[i]]) {
-							return true
-						}
+				ix.ScanKeys(kr.low, kr.high, func(key []byte, rid storage.RID) bool {
+					ok, err := keys.match(key)
+					if err == nil && ok {
+						keyVals, err = keyenc.DecodeInto(keyVals, key)
+					}
+					if err != nil {
+						innerErr = err
+						return false
+					}
+					if !ok {
+						return true
 					}
 					row := make(types.Row, schema.Len())
 					for i, ord := range keyCols {
@@ -241,13 +180,10 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 					out = append(out, matchedRow{rid: rid, row: row})
 					return true
 				})
-				if err != nil || innerErr != nil {
+				if innerErr != nil {
 					break
 				}
 			}
-		}
-		if err != nil {
-			return nil, err
 		}
 
 	default:

@@ -4,7 +4,11 @@
 package index
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dyndesign/internal/btree"
@@ -65,11 +69,18 @@ func (ix *Index) LeafPages() int64 { return ix.tree.LeafCount() }
 
 // key builds the encoded composite key of row for this index.
 func (ix *Index) key(row types.Row) ([]byte, error) {
-	vals := make([]types.Value, len(ix.cols))
-	for i, c := range ix.cols {
-		vals[i] = row[c]
+	return ix.appendKey(make([]byte, 0, 16*len(ix.cols)), row)
+}
+
+// appendKey appends the encoded composite key of row to dst.
+func (ix *Index) appendKey(dst []byte, row types.Row) ([]byte, error) {
+	var err error
+	for _, c := range ix.cols {
+		if dst, err = keyenc.AppendValue(dst, row[c]); err != nil {
+			return nil, err
+		}
 	}
-	return keyenc.Encode(vals...)
+	return dst, nil
 }
 
 // Insert adds the entry for a newly inserted heap row.
@@ -153,7 +164,7 @@ func (ix *Index) ScanRange(low, high []types.Value, fn func(keyVals []types.Valu
 func (ix *Index) ScanEncodedRange(lowKey, highKey []byte, fn func(keyVals []types.Value, rid storage.RID) bool) error {
 	var decodeErr error
 	var scratch []types.Value
-	ix.tree.ScanRange(lowKey, highKey, func(k []byte, rid storage.RID) bool {
+	ix.ScanKeys(lowKey, highKey, func(k []byte, rid storage.RID) bool {
 		kv, err := keyenc.DecodeInto(scratch, k)
 		if err != nil {
 			decodeErr = err
@@ -165,8 +176,19 @@ func (ix *Index) ScanEncodedRange(lowKey, highKey []byte, fn func(keyVals []type
 	return decodeErr
 }
 
+// ScanKeys calls fn for entries with lowKey <= encoded key < highKey (nil
+// bounds unbounded) with the raw encoded key, decoding nothing: the
+// index-only scan filters on key bytes and decodes only what it keeps.
+// The key aliases tree memory; fn must neither modify nor retain it.
+func (ix *Index) ScanKeys(lowKey, highKey []byte, fn func(key []byte, rid storage.RID) bool) {
+	ix.tree.ScanRange(lowKey, highKey, fn)
+}
+
 // CheckInvariants verifies the underlying tree structure.
 func (ix *Index) CheckInvariants() error { return ix.tree.CheckInvariants() }
+
+// arenaChunk is the size of one chunk of the build's key arena.
+const arenaChunk = 64 << 10
 
 // Build constructs an index over the current contents of heap. It is the
 // online index build: one full heap scan, a sort, and a bulk load — all
@@ -188,27 +210,40 @@ func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (
 		tree:   btree.New(heap.Stats()),
 	}
 
+	// Each row decodes into one reused Row and its key is appended to a
+	// chunked arena; BulkLoad copies the keys again in sorted order, so
+	// the leaves hold them contiguously rather than in heap order.
 	entries := make([]btree.Entry, 0, heap.NumRows())
+	var row types.Row
+	var key, arena []byte
 	var scanErr error
 	heap.Scan(func(rid storage.RID, payload []byte) bool {
-		row, err := types.DecodeRow(payload)
-		if err != nil {
+		var err error
+		if row, err = types.DecodeRowInto(row, payload); err != nil {
 			scanErr = fmt.Errorf("index %s: decoding row %s: %w", def.Name(), rid, err)
 			return false
 		}
-		k, err := ix.key(row)
-		if err != nil {
+		if key, err = ix.appendKey(key[:0], row); err != nil {
 			scanErr = err
 			return false
 		}
-		entries = append(entries, btree.Entry{Key: k, RID: rid})
+		if cap(arena)-len(arena) < len(key) {
+			arena = make([]byte, 0, max(arenaChunk, len(key)))
+		}
+		start := len(arena)
+		arena = append(arena, key...)
+		entries = append(entries, btree.Entry{Key: arena[start:len(arena):len(arena)], RID: rid})
 		return true
 	})
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return compareEntries(entries[i], entries[j]) < 0
+	// (key, RID) is the tree's strict total order: entries are unique.
+	slices.SortFunc(entries, func(a, b btree.Entry) int {
+		if c := compareKeys(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return a.RID.Compare(b.RID)
 	})
 	if err := ix.tree.BulkLoad(entries); err != nil {
 		return nil, err
@@ -224,34 +259,20 @@ func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (
 	return ix, nil
 }
 
-func compareEntries(a, b btree.Entry) int {
-	if c := compareBytes(a.Key, b.Key); c != 0 {
-		return c
+// compareKeys is bytes.Compare, with the first IntLen bytes — a whole
+// INT part, the leading part of most keys — compared as a tag byte and a
+// big-endian word.
+func compareKeys(a, b []byte) int {
+	if len(a) < keyenc.IntLen || len(b) < keyenc.IntLen {
+		return bytes.Compare(a, b)
 	}
-	return a.RID.Compare(b.RID)
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	if a[0] != b[0] {
+		return cmp.Compare(a[0], b[0])
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
+	if x, y := binary.BigEndian.Uint64(a[1:]), binary.BigEndian.Uint64(b[1:]); x != y {
+		return cmp.Compare(x, y)
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
+	return bytes.Compare(a[keyenc.IntLen:], b[keyenc.IntLen:])
 }
 
 // Manager owns the materialized indexes of one table and keeps them

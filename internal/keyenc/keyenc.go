@@ -18,6 +18,7 @@
 package keyenc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -91,6 +92,56 @@ func PrefixSuccessor(prefix []byte) []byte {
 		}
 	}
 	return nil
+}
+
+// IntLen is the encoded length of an int value, tag included.
+const IntLen = 9
+
+// ValueSpan returns the kind and the length of the encoded value at the
+// front of key, tag and string terminator included, failing where
+// DecodeInto would on that value. Since the encoding preserves order
+// value by value, a predicate on one key column is a bytes.Compare of
+// that column's part of the key against the encoded literal.
+func ValueSpan(key []byte) (types.Kind, int, error) {
+	if len(key) == 0 {
+		return types.KindInvalid, 0, fmt.Errorf("keyenc: empty key")
+	}
+	switch key[0] {
+	case tagInt:
+		if len(key) < IntLen {
+			return types.KindInvalid, 0, fmt.Errorf("keyenc: truncated int key")
+		}
+		return types.KindInt, IntLen, nil
+	case tagString:
+		for i := 1; ; i += 2 {
+			j := bytes.IndexByte(key[i:], 0x00)
+			if j < 0 {
+				return types.KindInvalid, 0, fmt.Errorf("keyenc: unterminated string key")
+			}
+			i += j
+			if i+1 >= len(key) {
+				return types.KindInvalid, 0, fmt.Errorf("keyenc: truncated string escape")
+			}
+			switch key[i+1] {
+			case 0x00: // terminator
+				return types.KindString, i + 2, nil
+			case 0xFF: // escaped literal 0x00
+			default:
+				return types.KindInvalid, 0, fmt.Errorf("keyenc: invalid string escape 0x00 0x%02X", key[i+1])
+			}
+		}
+	default:
+		return types.KindInvalid, 0, fmt.Errorf("keyenc: unknown tag 0x%02X", key[0])
+	}
+}
+
+// IntAt decodes the int value encoded at key[off:], reporting false when
+// no complete int value starts there.
+func IntAt(key []byte, off int) (int64, bool) {
+	if off < 0 || len(key)-IntLen < off || key[off] != tagInt {
+		return 0, false
+	}
+	return int64(binary.BigEndian.Uint64(key[off+1:]) ^ (1 << 63)), true
 }
 
 // Decode parses a composite key back into its values. It is the inverse

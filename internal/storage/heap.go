@@ -17,9 +17,11 @@ type HeapFile struct {
 	stats *AccessStats
 	rows  int64
 	// insertHint is the page most likely to have free space; inserts try
-	// it first and fall back to a scan, so the common append workload is
-	// O(1) per insert.
+	// it first and fall back to the free-space index, so the common
+	// append workload is O(1) per insert.
 	insertHint PageID
+	// free holds every page's room, kept current by each page mutation.
+	free freeSpace
 }
 
 // NewHeapFile creates an empty heap file charging accesses to stats.
@@ -49,8 +51,12 @@ func (h *HeapFile) newPage() *Page {
 	p := &Page{}
 	p.init(PageID(len(h.pages)))
 	h.pages = append(h.pages, p)
+	h.touch(p)
 	return p
 }
+
+// touch records p's room in the free-space index after a mutation.
+func (h *HeapFile) touch(p *Page) { h.free.set(int(p.id), p.room()) }
 
 func (h *HeapFile) page(id PageID) (*Page, error) {
 	if int(id) >= len(h.pages) {
@@ -70,34 +76,36 @@ func (h *HeapFile) Insert(payload []byte) (RID, error) {
 
 	// Fast path: the hinted page.
 	if int(h.insertHint) < len(h.pages) {
-		p := h.pages[h.insertHint]
-		if slot, ok := p.insert(payload); ok {
-			h.stats.Write(1)
-			h.rows++
-			return RID{Page: p.id, Slot: slot}, nil
+		if rid, ok := h.insertInto(h.pages[h.insertHint], payload); ok {
+			return rid, nil
 		}
 	}
-	// Slow path: scan for any page with room (keeps pages dense after
-	// deletions), then allocate.
-	for _, p := range h.pages {
-		if p.canFit(len(payload)) {
-			if slot, ok := p.insert(payload); ok {
-				h.stats.Write(1)
-				h.rows++
-				h.insertHint = p.id
-				return RID{Page: p.id, Slot: slot}, nil
-			}
-		}
+	// Slow path: the lowest-id page with room (keeps pages dense after
+	// deletions), else a new page.
+	var p *Page
+	if i := h.free.first(len(payload)); i >= 0 {
+		p = h.pages[i]
+	} else {
+		p = h.newPage()
 	}
-	p := h.newPage()
-	slot, ok := p.insert(payload)
+	rid, ok := h.insertInto(p, payload)
 	if !ok {
 		return RID{}, fmt.Errorf("storage: payload of %d bytes does not fit a fresh page", len(payload))
 	}
+	h.insertHint = p.id
+	return rid, nil
+}
+
+// insertInto stores payload on p, charging one page write.
+func (h *HeapFile) insertInto(p *Page, payload []byte) (RID, bool) {
+	slot, ok := p.insert(payload)
+	if !ok {
+		return RID{}, false
+	}
+	h.touch(p)
 	h.stats.Write(1)
 	h.rows++
-	h.insertHint = p.id
-	return RID{Page: p.id, Slot: slot}, nil
+	return RID{Page: p.id, Slot: slot}, true
 }
 
 // Get returns a copy of the payload stored at rid, charging one page
@@ -130,6 +138,7 @@ func (h *HeapFile) Delete(rid RID) error {
 	if err := p.delete(rid.Slot); err != nil {
 		return err
 	}
+	h.touch(p)
 	h.stats.Write(1)
 	h.rows--
 	return nil
@@ -154,6 +163,7 @@ func (h *HeapFile) Update(rid RID, payload []byte) (RID, error) {
 		return RID{}, err
 	}
 	if ok {
+		h.touch(p)
 		h.stats.Write(1)
 		h.mu.Unlock()
 		return rid, nil
@@ -164,6 +174,7 @@ func (h *HeapFile) Update(rid RID, payload []byte) (RID, error) {
 		h.mu.Unlock()
 		return RID{}, err
 	}
+	h.touch(p)
 	h.stats.Write(1)
 	h.rows--
 	h.mu.Unlock()
@@ -202,6 +213,13 @@ func (h *HeapFile) CheckInvariants() error {
 	var live int64
 	for _, p := range h.pages {
 		live += int64(p.liveCount())
+		if dead := int(p.slotCount()) - p.liveCount(); dead != int(p.dead) {
+			return fmt.Errorf("storage: page %d has %d dead slots, counted %d", p.id, dead, p.dead)
+		}
+		if h.free.room(int(p.id)) != p.room() {
+			return fmt.Errorf("storage: free-space index holds room %d for page %d, which has %d",
+				h.free.room(int(p.id)), p.id, p.room())
+		}
 		if int(p.freeEnd()) < pageHeaderSize+int(p.slotCount())*slotEntrySize {
 			return fmt.Errorf("storage: page %d slot directory overlaps payload region", p.id)
 		}

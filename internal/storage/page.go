@@ -74,6 +74,7 @@ const (
 // created by a HeapFile.
 type Page struct {
 	id   PageID
+	dead uint16 // dead slots in the directory
 	data [PageSize]byte
 }
 
@@ -101,6 +102,7 @@ func (p *Page) setSlot(i, offset, length uint16) {
 
 func (p *Page) init(id PageID) {
 	p.id = id
+	p.dead = 0
 	p.setSlotCount(0)
 	p.setFreeEnd(PageSize)
 	p.setGarbage(0)
@@ -112,41 +114,33 @@ func (p *Page) contiguousFree() int {
 	return int(p.freeEnd()) - pageHeaderSize - int(p.slotCount())*slotEntrySize
 }
 
-// hasDeadSlot reports whether any slot is dead (reusable without growing
-// the directory).
-func (p *Page) hasDeadSlot() bool {
-	n := p.slotCount()
-	for i := uint16(0); i < n; i++ {
-		if _, l := p.slot(i); l == deadLen {
-			return true
-		}
+// room returns the largest payload the page can take, counting space
+// that compaction would reclaim: a payload fits if and only if its size
+// is at most room. Without a dead slot to reuse, the payload also needs
+// a new directory entry.
+func (p *Page) room() int {
+	r := p.contiguousFree() + int(p.garbage())
+	if p.dead == 0 {
+		r -= slotEntrySize
 	}
-	return false
-}
-
-// canFit reports whether a payload of the given size could be inserted,
-// counting space that compaction would reclaim.
-func (p *Page) canFit(size int) bool {
-	need := size
-	if !p.hasDeadSlot() {
-		need += slotEntrySize
-	}
-	return p.contiguousFree()+int(p.garbage()) >= need
+	return r
 }
 
 // insert stores the payload and returns its slot, or ok=false if the page
 // cannot fit it even after compaction.
 func (p *Page) insert(payload []byte) (slot uint16, ok bool) {
-	if len(payload) > MaxPayload || !p.canFit(len(payload)) {
+	if len(payload) > MaxPayload || len(payload) > p.room() {
 		return 0, false
 	}
-	// Reuse a dead slot if one exists; otherwise append to the directory.
+	// Reuse the lowest dead slot if one exists; otherwise append to the
+	// directory.
 	n := p.slotCount()
 	slot = n
-	grow := true
-	for i := uint16(0); i < n; i++ {
+	grow := p.dead == 0
+	for i := uint16(0); !grow && i < n; i++ {
 		if _, l := p.slot(i); l == deadLen {
-			slot, grow = i, false
+			slot = i
+			p.dead--
 			break
 		}
 	}
@@ -191,6 +185,7 @@ func (p *Page) delete(slot uint16) error {
 	}
 	p.setGarbage(p.garbage() + l)
 	p.setSlot(slot, 0, deadLen)
+	p.dead++
 	return nil
 }
 
