@@ -99,7 +99,10 @@ chaos:
 # (partition_test.go), and the exact production path, which runs the
 # change-bounded layers only when k binds, must return the always-layered
 # relaxation's cost bit for bit, tie-heavy integer costs included
-# (exact_test.go); batched plan-table costing must be bitwise
+# (exact_test.go), and the seed pass split between two workers must
+# give the one-worker schedule's lattices, parent rows and costs bit for
+# bit, every solver the same Cost bits and designs at Parallelism 1, 2
+# and 4 (lattice_split_test.go); batched plan-table costing must be bitwise
 # identical to the scalar what-if coster on every configuration, a cost
 # row filled by the row kernel — statement-major, or by configuration
 # classes where a segment repeats a table — bitwise identical to both
@@ -125,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzExactFitsK -fuzztime=20s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzLatticeSplit -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanKey -fuzztime=20s ./internal/cost/

@@ -433,7 +433,7 @@ func TestSolveAnswersFromSeedWhenItFitsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const stages = 12
 	m, configs := randomModel(rng, stages, 2)
-	sink, agg := &exactSpanSink{}, obs.NewAggregator()
+	sink, agg := &spanAttrSink{name: SpanSolve}, obs.NewAggregator()
 	p := &Problem{Stages: stages, Configs: configs, Initial: 0, K: Unconstrained, Model: m, Tracer: obs.NewTracer(sink, agg)}
 	seed, err := SolveUnconstrained(bg, p)
 	if err != nil {

@@ -18,11 +18,14 @@ const (
 	costShapes
 )
 
-// exactSpanSink keeps the attributes of the last solve span.
-type exactSpanSink struct{ attrs map[string]any }
+// spanAttrSink keeps the attributes of the last span named name.
+type spanAttrSink struct {
+	name  string
+	attrs map[string]any
+}
 
-func (s *exactSpanSink) Emit(rec obs.SpanRecord) {
-	if rec.Name != SpanSolve {
+func (s *spanAttrSink) Emit(rec obs.SpanRecord) {
+	if rec.Name != s.name {
 		return
 	}
 	s.attrs = map[string]any{}
@@ -61,7 +64,7 @@ func runExactCase(t *testing.T, seed int64, stages, structs, k, shape int, polic
 	if subset {
 		configs = subsetConfigs(rng, configs)
 	}
-	sink := &exactSpanSink{}
+	sink := &spanAttrSink{name: SpanSolve}
 	p := &Problem{
 		Stages: stages, Configs: configs, Initial: Config(rng.Intn(1 << uint(structs))),
 		K: k, Policy: policy, Model: m, Parallelism: 1,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"dyndesign/internal/obs"
 )
@@ -39,11 +40,11 @@ func (d *layeredDP) idx(c, l int) int { return l*len(d.m.configs) + c }
 // in a configuration keeps the layer; switching moves one layer down
 // through the kernel's move relaxation — O(layers·m²) per stage dense,
 // O(layers·m'·2^m') hypercube. Layers relax independently (each reads
-// the frozen previous stage), so stages with enough configurations fan
-// the layer sweep out across the worker pool; every layer is owned by
-// exactly one worker, which keeps the output bit-identical to the serial
-// sweep. The stage loop checks the context between stages, so
-// cancellation latency is bounded by one relaxation.
+// the frozen previous stage), so with enough configurations a stage
+// crew shares the layers out; every layer is owned by exactly one
+// worker, which keeps the output bit-identical to the serial sweep. The
+// stage loop checks the context between stages, so cancellation latency
+// is bounded by one relaxation.
 func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelaxer, maxK int) (*layeredDP, error) {
 	configs := m.configs
 	nc := len(configs)
@@ -77,7 +78,8 @@ func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelax
 	// One backing array serves every stage's parent table, and the move
 	// and lattice scratch buffers are reused across all stages (and all
 	// SweepK layers): the per-stage allocations the sweep used to make
-	// are gone.
+	// are gone. Stage i reads costs[(i-1)&1] and lives[(i-1)&1] and
+	// writes costs[i&1] and lives[i&1].
 	d.parents = make([][]int32, p.Stages)
 	if p.Stages > 1 {
 		backing := make([]int32, (p.Stages-1)*nc*layers)
@@ -85,87 +87,105 @@ func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelax
 			d.parents[i] = backing[(i-1)*nc*layers : i*nc*layers : i*nc*layers]
 		}
 	}
-	next := make([]float64, nc*layers)
+	costs := [2][]float64{cost, make([]float64, nc*layers)}
+	lives := [2][]bool{live, make([]bool, layers)}
 	move := make([]float64, nc*layers)
 	moveFrom := make([]int32, nc*layers)
 	scratch := make([]*latticeScratch, layers) // one per layer: the sweep below fans out by layer
 	for l := 1; l < layers; l++ {
 		scratch[l] = kern.newScratch()
 	}
-	nextLive := make([]bool, layers)
-	workers := p.workers()
 
-	for i := 1; i < p.Stages; i++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
+	// relax is layer l of stage i. It reads layers l-1 and l of stage
+	// i-1 and writes layer l of stage i only.
+	relax := func(i, l int) {
+		cost, next := costs[(i-1)&1], costs[i&1]
+		live := lives[(i-1)&1]
+		base := l * nc
+		execRow := m.exec[i]
+		outRow := next[base : base+nc]
+		parRow := d.parents[i][base : base+nc]
+		stayRow := cost[base : base+nc]
+		var moveRow []float64
+		var moveSrc []int32
+		if l > 0 && live[l-1] {
+			moveRow = move[base : base+nc]
+			moveSrc = moveFrom[base : base+nc]
+			kern.relaxMove(cost[(l-1)*nc:base], moveRow, moveSrc, scratch[l])
+		}
+		anyLive := false
+		for t := 0; t < nc; t++ {
+			// Stay in the same configuration (same layer) vs switch in
+			// from the layer above; the stay state wins exact ties.
+			v := inf
+			from := int32(-1)
+			if live[l] {
+				if sv := stayRow[t]; sv < v {
+					v = sv
+					from = int32(t)
+				}
+			}
+			if moveRow != nil {
+				if mv := moveRow[t]; mv < v {
+					v = mv
+					from = moveSrc[t]
+				}
+			}
+			if math.IsInf(v, 1) {
+				outRow[t] = inf
+				parRow[t] = -1
+				continue
+			}
+			nv := v + execRow[t]
+			if math.IsInf(nv, 1) {
+				outRow[t] = inf
+				parRow[t] = -1
+				continue
+			}
+			outRow[t] = nv
+			parRow[t] = from
+			anyLive = true
+		}
+		lives[i&1][l] = anyLive
+	}
+
+	// Layers relax independently within a stage, so with enough
+	// configurations a crew of workers shares them, layer l to worker
+	// l mod n. A worker starts stage i once every other has finished
+	// stage i-1: then the layers it reads are written and the cells it
+	// overwrites are read.
+	n := 1
+	if layers >= 2 && nc >= parallelSweepMinConfigs {
+		n = crewSize(p.Parallelism, layers)
+	}
+	var crew stageCrew
+	done := make([]atomic.Int64, n)
+	step := func(w, i int) bool {
+		for v := range done {
+			if v != w && !crew.await(&done[v], i-1) {
+				return false
+			}
+		}
+		for l := w; l < layers; l += n {
+			relax(i, l)
+		}
+		done[w].Store(int64(i))
+		return true
+	}
+	err := crew.run(ctx, p.Stages, n, func(w, i int) bool {
+		if w > 0 {
+			return step(w, i)
 		}
 		sweep := p.Tracer.Start(SpanKAwareSweep)
-		parent := d.parents[i]
-		execRow := m.exec[i]
-		relaxLayer := func(l int) {
-			base := l * nc
-			outRow := next[base : base+nc]
-			parRow := parent[base : base+nc]
-			stayRow := cost[base : base+nc]
-			var moveRow []float64
-			var moveSrc []int32
-			if l > 0 && live[l-1] {
-				moveRow = move[base : base+nc]
-				moveSrc = moveFrom[base : base+nc]
-				kern.relaxMove(cost[(l-1)*nc:base], moveRow, moveSrc, scratch[l])
-			}
-			anyLive := false
-			for t := 0; t < nc; t++ {
-				// Stay in the same configuration (same layer) vs switch in
-				// from the layer above; the stay state wins exact ties.
-				v := inf
-				from := int32(-1)
-				if live[l] {
-					if sv := stayRow[t]; sv < v {
-						v = sv
-						from = int32(t)
-					}
-				}
-				if moveRow != nil {
-					if mv := moveRow[t]; mv < v {
-						v = mv
-						from = moveSrc[t]
-					}
-				}
-				if math.IsInf(v, 1) {
-					outRow[t] = inf
-					parRow[t] = -1
-					continue
-				}
-				nv := v + execRow[t]
-				if math.IsInf(nv, 1) {
-					outRow[t] = inf
-					parRow[t] = -1
-					continue
-				}
-				outRow[t] = nv
-				parRow[t] = from
-				anyLive = true
-			}
-			nextLive[l] = anyLive
-		}
-		if layers >= 2 && nc >= parallelSweepMinConfigs {
-			if err := ParallelFor(ctx, workers, layers, relaxLayer); err != nil {
-				sweep.End(obs.Int("stage", int64(i)), obs.Int("layers", int64(layers)),
-					obs.Int("configs", int64(nc)), obs.String("kernel", kern.name()))
-				return nil, err
-			}
-		} else {
-			for l := 0; l < layers; l++ {
-				relaxLayer(l)
-			}
-		}
-		cost, next = next, cost
-		copy(live, nextLive)
+		ok := step(w, i)
 		sweep.End(obs.Int("stage", int64(i)), obs.Int("layers", int64(layers)),
 			obs.Int("configs", int64(nc)), obs.String("kernel", kern.name()))
+		return ok
+	})
+	if err != nil {
+		return nil, err
 	}
-	d.cost = cost
+	d.cost = costs[(p.Stages-1)&1]
 	return d, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // AdditiveTransModel is an optional CostModel capability: a model whose
@@ -77,11 +78,15 @@ const maxLatticeBits = 20
 type transRelaxer interface {
 	name() string
 
-	// relaxFull writes out[t] = min over every source f — t itself
-	// included, at transition cost 0 — of prev[f] + T~(f, t), with the
-	// argmin in from (-1 only when every source is unreachable). The
-	// unconstrained DP's whole-stage relaxation.
-	relaxFull(prev, out []float64, from []int32, scr *latticeScratch)
+	// forward runs the unconstrained DP's stage loop over the tables:
+	// cost[t] starts at initTrans[t] + exec[0][t], and each stage i ≥ 1
+	// relaxes it to min over every source f — t itself included, at
+	// transition cost 0 — of cost[f] + T~(f, t), plus exec[i][t]. The
+	// argmin goes to parents[i][t] (-1 only when every source is
+	// unreachable). It returns the last stage's costs in candidate order
+	// and how many workers ran the loop; workers is the problem's
+	// parallelism. The loop checks the context between stages.
+	forward(ctx context.Context, m *matrices, parents [][]int32, workers int) (cost []float64, used int, err error)
 
 	// relaxMove writes out[t] = min over f != t of prev[f] + T~(f, t)
 	// with the argmin in from — the layered DP's switch step. The kernel
@@ -215,7 +220,30 @@ func (k *denseKernel) transCost(f, t int) float64 {
 	return k.m.trans[f][t] + changeEpsilon
 }
 
-func (k *denseKernel) relaxFull(prev, out []float64, from []int32, _ *latticeScratch) {
+func (k *denseKernel) forward(ctx context.Context, m *matrices, parents [][]int32, _ int) ([]float64, int, error) {
+	nc := len(m.configs)
+	cost := make([]float64, nc)
+	for j := range cost {
+		cost[j] = m.initTrans[j] + m.exec[0][j]
+	}
+	next := make([]float64, nc)
+	for i := 1; i < len(m.exec); i++ {
+		if err := ctxErr(ctx); err != nil {
+			return nil, 1, err
+		}
+		k.relaxFull(cost, next, parents[i])
+		exec := m.exec[i]
+		for j := range next {
+			next[j] += exec[j]
+		}
+		cost, next = next, cost
+	}
+	return cost, 1, nil
+}
+
+// relaxFull is one stage of forward: out[t] = min over every source f of
+// prev[f] + T~(f, t), the argmin in from.
+func (k *denseKernel) relaxFull(prev, out []float64, from []int32) {
 	trans := k.m.trans
 	nc := len(prev)
 	for t := 0; t < nc; t++ {
@@ -275,13 +303,25 @@ func (k *denseKernel) relaxBack(ctx context.Context, workers int, exec, hnext, o
 	})
 }
 
-// latticeScratch is the per-call buffer a hypercube relaxation sweeps
-// over. One scratch must not be shared by concurrent relax calls; the
-// layered DP keeps one per layer so the layer sweep can fan out.
+// lattice is one lattice-sized buffer: per subset of the span, the best
+// value found and the candidate index it originated from (-1 while no
+// candidate reaches the cell).
+type lattice struct {
+	val []float64
+	org []int32
+}
+
+func newLattice(size int) lattice {
+	return lattice{val: make([]float64, size), org: make([]int32, size)}
+}
+
+// latticeScratch is the per-call buffer a hypercube move or backward
+// relaxation sweeps over. One scratch must not be shared by concurrent
+// relax calls; the layered DP keeps one per layer so the layer sweep can
+// fan out.
 type latticeScratch struct {
-	val []float64 // lattice cost, one cell per subset of the span
-	org []int32   // candidate index the cell's best value originated from
-	w   []float64 // combined destination weights for backward sweeps
+	lattice
+	w []float64 // combined destination weights for backward sweeps
 }
 
 // hyperKernel is the subset-lattice relaxation: seed every candidate's
@@ -295,10 +335,19 @@ type latticeScratch struct {
 type hyperKernel struct {
 	configs    []Config
 	latIdx     []int32 // candidate index -> lattice point
+	candAt     []int32 // lattice point -> candidate index, -1 off the list
 	addL, drpL []float64
 	addS, drpS []float64 // structure-indexed parts for transCost
 	nbits      int
 	size       int
+	// top is the highest lattice bit (-1 on the one-point lattice) and
+	// half = 2^top: the lower half of the lattice lacks the top bit, the
+	// upper half [half, size) holds it.
+	top, half int
+	// observe, when set, sees every forward stage's final lattice, half
+	// by half, from the worker that owns the half: a test's view of the
+	// sweeps, nil otherwise.
+	observe func(stage, lo int, half lattice)
 }
 
 func newHyperKernel(ch kernelChoice, configs []Config) *hyperKernel {
@@ -308,7 +357,9 @@ func newHyperKernel(ch kernelChoice, configs []Config) *hyperKernel {
 		size:    1 << uint(ch.bits),
 		addS:    ch.add,
 		drpS:    ch.drop,
+		top:     ch.bits - 1,
 	}
+	k.half = k.size >> 1
 	k.addL = make([]float64, ch.bits)
 	k.drpL = make([]float64, ch.bits)
 	b := 0
@@ -319,8 +370,14 @@ func newHyperKernel(ch kernelChoice, configs []Config) *hyperKernel {
 		b++
 	}
 	k.latIdx = make([]int32, len(configs))
+	k.candAt = make([]int32, k.size)
+	for x := range k.candAt {
+		k.candAt[x] = -1
+	}
 	for ci, c := range configs {
-		k.latIdx[ci] = int32(compress(c, ch.span))
+		li := int32(compress(c, ch.span))
+		k.latIdx[ci] = li
+		k.candAt[li] = int32(ci)
 	}
 	return k
 }
@@ -342,11 +399,7 @@ func compress(c, span Config) int {
 func (k *hyperKernel) name() string { return "hypercube" }
 
 func (k *hyperKernel) newScratch() *latticeScratch {
-	return &latticeScratch{
-		val: make([]float64, k.size),
-		org: make([]int32, k.size),
-		w:   make([]float64, len(k.configs)),
-	}
+	return &latticeScratch{lattice: newLattice(k.size), w: make([]float64, len(k.configs))}
 }
 
 func (k *hyperKernel) transCost(f, t int) float64 {
@@ -364,81 +417,353 @@ func (k *hyperKernel) transCost(f, t int) float64 {
 	return total + changeEpsilon
 }
 
-// sweep runs the lattice relaxation over the scratch: seed src at the
-// candidates' points, strip sweeps in ascending structure order, then
-// add sweeps. Forward sweeps (reverse=false) price strips as drops and
-// additions as builds — min over sources f of src[f] + TRANS(f, ·).
-// Reverse sweeps swap the prices, computing min over destinations j of
-// src[j] + TRANS(·, j) for the backward cost-to-go. Ties keep the
-// first-written origin, so the sweep is deterministic.
-func (k *hyperKernel) sweep(src []float64, scr *latticeScratch, reverse bool) {
-	val, org := scr.val, scr.org
+// scatter seeds l with src, indexed by candidate, at the candidates'
+// points; every other cell is unreached (+Inf, origin -1).
+func (k *hyperKernel) scatter(src []float64, l lattice) {
 	inf := math.Inf(1)
-	for x := range val {
-		val[x] = inf
-		org[x] = -1
+	for x := range l.val {
+		l.val[x] = inf
 	}
+	copy(l.org, k.candAt)
 	for ci, li := range k.latIdx {
-		val[li] = src[ci]
-		org[li] = int32(ci)
+		l.val[li] = src[ci]
 	}
-	stripPrice, addPrice := k.drpL, k.addL
-	if reverse {
-		stripPrice, addPrice = k.addL, k.drpL
+}
+
+// sweep relaxes a seeded lattice in place: one strip pass per structure
+// in ascending order, then one add pass per structure. Forward sweeps
+// price strips as drops and additions as builds — min over sources f of
+// src[f] + TRANS(f, ·); reverse sweeps swap the prices, computing min
+// over destinations j of src[j] + TRANS(·, j) for the backward
+// cost-to-go. A pass writes a cell only for a strictly lower value, so
+// ties keep the first-written origin and the sweep is deterministic.
+//
+// A pass on any bit but the top one never leaves a half of the lattice,
+// so the passes form four phases — the low bits' strips, the top strip,
+// the low bits' adds, the top add — and this is their one-worker
+// schedule; the forward pass also runs them split between two workers
+// (seedRun.split).
+func (k *hyperKernel) sweep(l lattice, stripPrice, addPrice []float64) {
+	if k.top < 0 {
+		return
 	}
-	// One pass per structure over the lattice as pair blocks: cells
-	// [blk, blk+bit) lack the structure, [blk+bit, blk+2·bit) hold it, and
-	// cell lo pairs with lo+bit. A strip pass reads the upper half and
-	// writes the lower, an add pass the reverse — disjoint cells, so the
-	// order within a pass is immaterial.
-	for pass, prices := range [2][]float64{stripPrice, addPrice} {
-		for b, price := range prices {
-			bit := 1 << uint(b)
-			from, to := bit, 0
-			if pass == 1 {
-				from, to = 0, bit
-			}
-			for blk := 0; blk < k.size; blk += 2 * bit {
-				for lo := blk; lo < blk+bit; lo++ {
-					x, y := lo+from, lo+to
-					if v := val[x] + price; v < val[y] {
-						val[y] = v
-						org[y] = org[x]
-					}
-				}
+	k.stripLow(l, 0, k.size, stripPrice)
+	k.stripTop(l, stripPrice[k.top])
+	k.addLow(l, l, 0, k.size, addPrice)
+	k.addTop(l, l, addPrice[k.top])
+}
+
+// stripLow runs the strip passes of the bits below the top over the cells
+// [lo, hi) of l: the whole lattice or one half of it. A strip pass on bit
+// b lowers each cell lacking b to its partner holding b plus the price.
+// Bits go two to a pass (strip2), ascending, the last one alone when
+// their count is odd.
+func (k *hyperKernel) stripLow(l lattice, lo, hi int, prices []float64) {
+	b := 0
+	for ; b+1 < k.top; b += 2 {
+		strip2(l, lo, hi, 1<<uint(b), prices[b], prices[b+1])
+	}
+	if b < k.top {
+		strip1(l, lo, hi, 1<<uint(b), prices[b])
+	}
+}
+
+// addLow runs the add passes of the bits below the top over the cells
+// [lo, hi), reading src and writing dst: the first pass moves the cells
+// from src into dst (a plain copy when there is no such bit), later ones
+// run in place on dst. src and dst may be one buffer. An add pass on bit
+// b lowers each cell holding b to its partner lacking b plus the price.
+func (k *hyperKernel) addLow(src, dst lattice, lo, hi int, prices []float64) {
+	if k.top < 1 {
+		copy(dst.val[lo:hi], src.val[lo:hi])
+		copy(dst.org[lo:hi], src.org[lo:hi])
+		return
+	}
+	b := 0
+	for ; b+1 < k.top; b += 2 {
+		add2(src, dst, lo, hi, 1<<uint(b), prices[b], prices[b+1])
+		src = dst
+	}
+	if b < k.top {
+		add1(src, dst, lo, hi, 1<<uint(b), prices[b])
+	}
+}
+
+// stripTop is the top bit's strip pass: each lower-half cell x of l from
+// the upper-half cell x+half.
+func (k *hyperKernel) stripTop(l lattice, price float64) {
+	val, org := l.val[:k.half], l.org[:k.half]
+	upVal, upOrg := l.val[k.half:k.size], l.org[k.half:k.size]
+	upVal, upOrg = upVal[:len(val)], upOrg[:len(val)]
+	for x := range val {
+		if v := upVal[x] + price; v < val[x] {
+			val[x] = v
+			org[x] = upOrg[x]
+		}
+	}
+}
+
+// addTop is the top bit's add pass: each upper-half cell x+half of dst
+// from the lower-half cell x of src.
+func (k *hyperKernel) addTop(src, dst lattice, price float64) {
+	loVal, loOrg := src.val[:k.half], src.org[:k.half]
+	val, org := dst.val[k.half:k.size], dst.org[k.half:k.size]
+	loVal, loOrg, org = loVal[:len(val)], loOrg[:len(val)], org[:len(val)]
+	for x := range val {
+		if v := loVal[x] + price; v < val[x] {
+			val[x] = v
+			org[x] = loOrg[x]
+		}
+	}
+}
+
+// strip1 is one strip pass on bit (a power of two) over [lo, hi): the
+// cells of each 2·bit block lacking the bit from their partners holding
+// it.
+func strip1(l lattice, lo, hi, bit int, p float64) {
+	val, org := l.val, l.org
+	for blk := lo; blk < hi; blk += 2 * bit {
+		for x := blk; x < blk+bit; x++ {
+			if v := val[x+bit] + p; v < val[x] {
+				val[x] = v
+				org[x] = org[x+bit]
 			}
 		}
 	}
 }
 
-func (k *hyperKernel) relaxFull(prev, out []float64, from []int32, scr *latticeScratch) {
-	k.sweep(prev, scr, false)
-	for ti, li := range k.latIdx {
-		stay := prev[ti]
-		o := scr.org[li]
-		if o < 0 || int(o) == ti {
-			// Either nothing reaches t, or the identity won the lattice
-			// (every genuine move costs at least stay + epsilon).
-			out[ti] = stay
-			if math.IsInf(stay, 1) {
-				from[ti] = -1
-			} else {
-				from[ti] = int32(ti)
+// add1 is one add pass on bit over [lo, hi) from src into dst: the cells
+// holding the bit from their partners lacking it, which are copied.
+func add1(src, dst lattice, lo, hi, bit int, p float64) {
+	for blk := lo; blk < hi; blk += 2 * bit {
+		for x := blk; x < blk+bit; x++ {
+			y := x + bit
+			vx, ox := src.val[x], src.org[x]
+			vy, oy := src.val[y], src.org[y]
+			if v := vx + p; v < vy {
+				vy, oy = v, ox
 			}
+			dst.val[x], dst.org[x] = vx, ox
+			dst.val[y], dst.org[y] = vy, oy
+		}
+	}
+}
+
+// strip2 is the strip passes on bit and 2·bit as one pass over [lo, hi).
+// The four cells a, b = a+bit, c = a+2·bit, d = a+3·bit differ in those
+// two bits only, so the quad sees exactly the two passes' operations in
+// their order: a from b and c from d, then a from c and b from d.
+func strip2(l lattice, lo, hi, bit int, p0, p1 float64) {
+	val, org := l.val, l.org
+	for blk := lo; blk < hi; blk += 4 * bit {
+		for a := blk; a < blk+bit; a++ {
+			b, c, d := a+bit, a+2*bit, a+3*bit
+			va, vb, vc, vd := val[a], val[b], val[c], val[d]
+			oa, ob, oc, od := org[a], org[b], org[c], org[d]
+			if v := vb + p0; v < va {
+				va, oa = v, ob
+			}
+			if v := vd + p0; v < vc {
+				vc, oc = v, od
+			}
+			if v := vc + p1; v < va {
+				va, oa = v, oc
+			}
+			if v := vd + p1; v < vb {
+				vb, ob = v, od
+			}
+			val[a], val[b], val[c] = va, vb, vc
+			org[a], org[b], org[c] = oa, ob, oc
+		}
+	}
+}
+
+// add2 is the add passes on bit and 2·bit as one pass over [lo, hi) from
+// src into dst (which may be src): b from a and d from c, then c from a
+// and d from b.
+func add2(src, dst lattice, lo, hi, bit int, p0, p1 float64) {
+	for blk := lo; blk < hi; blk += 4 * bit {
+		for a := blk; a < blk+bit; a++ {
+			b, c, d := a+bit, a+2*bit, a+3*bit
+			va, vb, vc, vd := src.val[a], src.val[b], src.val[c], src.val[d]
+			oa, ob, oc, od := src.org[a], src.org[b], src.org[c], src.org[d]
+			if v := va + p0; v < vb {
+				vb, ob = v, oa
+			}
+			if v := vc + p0; v < vd {
+				vd, od = v, oc
+			}
+			if v := va + p1; v < vc {
+				vc, oc = v, oa
+			}
+			if v := vb + p1; v < vd {
+				vd, od = v, ob
+			}
+			dst.val[a], dst.val[b], dst.val[c], dst.val[d] = va, vb, vc, vd
+			dst.org[a], dst.org[b], dst.org[c], dst.org[d] = oa, ob, oc, od
+		}
+	}
+}
+
+// splitMinBits is the narrowest lattice whose forward pass splits
+// between two workers; below it a stage is too short for the split's two
+// hand-offs to pay (BenchmarkSeedPass).
+const splitMinBits = 8
+
+// forward is the hypercube kernel's stage loop (seedRun). It splits the
+// lattice between two workers when the lattice is at least splitMinBits
+// wide and the problem's parallelism and the runtime give it two
+// processors.
+func (k *hyperKernel) forward(ctx context.Context, m *matrices, parents [][]int32, workers int) ([]float64, int, error) {
+	used := 1
+	if k.nbits >= splitMinBits && len(m.exec) > 1 {
+		used = crewSize(workers, 2)
+	}
+	cost, err := k.runForward(ctx, m, parents, used == 2)
+	return cost, used, err
+}
+
+// seedRun is one forward pass of the hypercube kernel. Its DP costs stay
+// in lattice order — a cell per lattice point, +Inf off the candidate
+// list — so a stage seeds its lattice with two copies; parent rows stay
+// in candidate order, the shape every backtrack reads.
+type seedRun struct {
+	stageCrew
+	k       *hyperKernel
+	exec    [][]float64
+	parents [][]int32
+	cost    [2][]float64 // stage i reads cost[(i-1)&1] and writes cost[i&1]
+	lat     [2]lattice   // stage i sweeps lat[i&1]; one worker uses lat[0] only
+	// The split's hand-offs: the last stage whose upper half worker 1 has
+	// stripped, and whose lower half worker 0 has added.
+	stripped, added atomic.Int64
+}
+
+// runForward runs the stage loop on one worker or, with split, on two;
+// the two schedules give the same bits (split). It returns the last
+// stage's costs in candidate order.
+func (k *hyperKernel) runForward(ctx context.Context, m *matrices, parents [][]int32, split bool) ([]float64, error) {
+	r := &seedRun{k: k, exec: m.exec, parents: parents}
+	inf := math.Inf(1)
+	for b := range r.cost {
+		c := make([]float64, k.size)
+		for x := range c {
+			c[x] = inf
+		}
+		r.cost[b] = c
+	}
+	for ci, li := range k.latIdx {
+		r.cost[0][li] = m.initTrans[ci] + m.exec[0][ci]
+	}
+	r.lat[0] = newLattice(k.size)
+	stages := len(m.exec)
+	step, workers := r.whole, 1
+	if split {
+		r.lat[1] = newLattice(k.size)
+		step, workers = r.split, 2
+	}
+	if err := r.run(ctx, stages, workers, step); err != nil {
+		return nil, err
+	}
+	last := r.cost[(stages-1)&1]
+	out := make([]float64, len(k.latIdx))
+	for ci, li := range k.latIdx {
+		out[ci] = last[li]
+	}
+	return out, nil
+}
+
+// whole is stage i on one worker: the one-worker sweep of the lattice.
+func (r *seedRun) whole(_, i int) bool {
+	k, l := r.k, r.lat[0]
+	r.seed(l, i, 0, k.size)
+	k.sweep(l, k.drpL, k.addL)
+	r.readBack(l, i, 0, k.size)
+	return true
+}
+
+// split is stage i as the two-worker schedule of the same phases:
+// worker 0 owns the lower half of the lattice and worker 1 the upper
+// half, which the low-bit passes never leave. Per stage the two exchange
+// two half-lattices: worker 0's top strip reads the upper half once
+// worker 1 has stripped it (stripped), and worker 1's top add reads the
+// lower half once worker 0 has added it (added). Worker 1 writes its
+// first add pass out of place, into the pair's other buffer, so the
+// upper half the top strip reads stays as stripped; the stage parity
+// swaps the buffers' roles, so neither worker writes a cell the other
+// may still read. No copy is made at a hand-off, and every cell sees the
+// one-worker sweep's operations on the same operands in the same order:
+// values, origins, costs and parents are the same bits.
+func (r *seedRun) split(w, i int) bool {
+	k := r.k
+	cur, alt := r.lat[i&1], r.lat[(i+1)&1]
+	if w == 0 {
+		r.seed(cur, i, 0, k.half)
+		k.stripLow(cur, 0, k.half, k.drpL)
+		if !r.await(&r.stripped, i) {
+			return false
+		}
+		k.stripTop(cur, k.drpL[k.top])
+		k.addLow(cur, cur, 0, k.half, k.addL)
+		r.added.Store(int64(i))
+		r.readBack(cur, i, 0, k.half)
+		return true
+	}
+	r.seed(cur, i, k.half, k.size)
+	k.stripLow(cur, k.half, k.size, k.drpL)
+	r.stripped.Store(int64(i))
+	k.addLow(cur, alt, k.half, k.size, k.addL)
+	if !r.await(&r.added, i) {
+		return false
+	}
+	k.addTop(cur, alt, k.addL[k.top])
+	r.readBack(alt, i, k.half, k.size)
+	return true
+}
+
+// seed starts stage i's lattice l on the cells [lo, hi): the previous
+// stage's costs as values, the candidates' own indices as origins.
+func (r *seedRun) seed(l lattice, i, lo, hi int) {
+	copy(l.val[lo:hi], r.cost[(i-1)&1][lo:hi])
+	copy(l.org[lo:hi], r.k.candAt[lo:hi])
+}
+
+// readBack finishes stage i for the candidates in [lo, hi), whose final
+// lattice cells are in l: t stays at its previous cost, or moves in from
+// its cell's origin at the cell's value plus changeEpsilon when that is
+// strictly cheaper. The stage's EXEC is added and the choice recorded as
+// t's parent.
+func (r *seedRun) readBack(l lattice, i, lo, hi int) {
+	k := r.k
+	if k.observe != nil {
+		k.observe(i, lo, lattice{val: l.val[lo:hi], org: l.org[lo:hi]})
+	}
+	prev, next := r.cost[(i-1)&1], r.cost[i&1]
+	exec, par := r.exec[i], r.parents[i]
+	for x := lo; x < hi; x++ {
+		t := k.candAt[x]
+		if t < 0 {
 			continue
 		}
-		if mv := scr.val[li] + changeEpsilon; mv < stay {
-			out[ti] = mv
-			from[ti] = o
-		} else {
-			out[ti] = stay
-			from[ti] = int32(ti)
+		stay := prev[x]
+		out, from := stay, t
+		if o := l.org[x]; o < 0 || o == t {
+			// Either nothing reaches t, or the identity won the lattice
+			// (every genuine move costs at least stay + epsilon).
+			if math.IsInf(stay, 1) {
+				from = -1
+			}
+		} else if mv := l.val[x] + changeEpsilon; mv < stay {
+			out, from = mv, o
 		}
+		next[x] = out + exec[t]
+		par[t] = from
 	}
 }
 
 func (k *hyperKernel) relaxMove(prev, out []float64, from []int32, scr *latticeScratch) {
-	k.sweep(prev, scr, false)
+	k.scatter(prev, scr.lattice)
+	k.sweep(scr.lattice, k.drpL, k.addL)
 	inf := math.Inf(1)
 	for ti, li := range k.latIdx {
 		o := scr.org[li]
@@ -464,7 +789,8 @@ func (k *hyperKernel) relaxBack(ctx context.Context, _ int, exec, hnext, out []f
 	for j := range w {
 		w[j] = exec[j] + hnext[j]
 	}
-	k.sweep(w, scr, true)
+	k.scatter(w, scr.lattice)
+	k.sweep(scr.lattice, k.addL, k.drpL) // reversed: strips price builds, adds drops
 	for ci, li := range k.latIdx {
 		best := w[ci] // staying at c: zero transition, no epsilon
 		if v := scr.val[li] + changeEpsilon; v < best {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -435,15 +436,22 @@ func benchProblem(structs int, kernel TransKernel) *Problem {
 // kernels at m=8 (256 configurations); allocs/op documents the buffer
 // reuse across stages and layers. The hypercube kernel also runs at 10
 // structures (1024 configurations), where the dense kernel's 4^10
-// relaxations per stage and layer are a timeout, not a benchmark.
+// relaxations per stage and layer are a timeout, not a benchmark — on
+// one worker and on a crew of two sharing the layers.
 func BenchmarkKAwareKernels(b *testing.B) {
 	for _, bench := range []struct {
-		name    string
-		kernel  TransKernel
-		structs int
-	}{{"dense", KernelDense, 8}, {"hypercube", KernelHypercube, 8}, {"hypercube/structs=10", KernelHypercube, 10}} {
+		name                 string
+		kernel               TransKernel
+		structs, parallelism int
+	}{
+		{"dense", KernelDense, 8, 1},
+		{"hypercube", KernelHypercube, 8, 1},
+		{"hypercube/structs=10", KernelHypercube, 10, 1},
+		{"hypercube/structs=10/parallelism=2", KernelHypercube, 10, 2},
+	} {
 		b.Run(bench.name, func(b *testing.B) {
 			p := benchProblem(bench.structs, bench.kernel)
+			p.Parallelism = bench.parallelism
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -452,5 +460,27 @@ func BenchmarkKAwareKernels(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSeedPass times the exact path's seed pass alone — the
+// unconstrained stage loop over tables already built — for 360 stages
+// over full lattices of 6 to 10 structures, on one worker and split
+// between two. The split is forced at every width, so the cells show
+// where it starts to pay: splitMinBits.
+func BenchmarkSeedPass(b *testing.B) {
+	for _, structs := range []int{6, 7, 8, 10} {
+		m, k, parents := forwardInputs(b, splitCase{stages: 360, structs: structs}, 42)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("structs=%d/workers=%d", structs, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := k.runForward(bg, m, parents, workers == 2); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

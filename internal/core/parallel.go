@@ -114,6 +114,94 @@ func ParallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 	return context.Cause(ctx)
 }
 
+// stageCrew runs a stage loop on several workers at once: the calling
+// goroutine is worker 0, and helper goroutines, started once for the
+// whole loop, are the others — where ParallelFor would start and join
+// its workers at every stage. Workers hand work to one another through
+// stage counters they publish and await: no goroutine start, lock or
+// channel per stage.
+type stageCrew struct {
+	stop     atomic.Bool
+	panicked atomic.Pointer[PanicError]
+}
+
+// crewSpins is how many times await re-reads a counter before it yields
+// its processor between reads.
+const crewSpins = 256
+
+// crewSize is how many workers a stage loop over units independent
+// pieces of work per stage gets: the problem's parallelism, capped by
+// the pieces and by the runtime's processors — a worker awaiting
+// another spins, so two must never share a processor for long.
+func crewSize(parallelism, units int) int {
+	return max(1, min(Workers(parallelism), units, runtime.GOMAXPROCS(0)))
+}
+
+// run calls step(w, i) for every stage i in [1, stages) on every worker
+// w in [0, n), each worker in stage order. The context is checked before
+// each of worker 0's stages. A cancellation, a step returning false or a
+// panic stops every worker at its next await or stage, and run returns
+// once every helper has exited: the cancellation cause, or a helper's
+// panic as a *PanicError (the ParallelFor contract); a panic on worker 0
+// propagates. With n = 1 it is a plain loop.
+func (c *stageCrew) run(ctx context.Context, stages, n int, step func(w, i int) bool) (err error) {
+	var helpers sync.WaitGroup
+	for w := 1; w < n; w++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					c.panicked.CompareAndSwap(nil, recoverPanic(r))
+					c.stop.Store(true)
+				}
+			}()
+			for i := 1; i < stages && !c.stop.Load(); i++ {
+				if !step(w, i) {
+					return
+				}
+			}
+		}()
+	}
+	completed := false
+	defer func() {
+		// Stop only a loop cut short: at the end, helpers may still be
+		// awaiting one another's last stage.
+		if !completed {
+			c.stop.Store(true)
+		}
+		helpers.Wait()
+		if pe := c.panicked.Load(); pe != nil {
+			err = pe
+		}
+	}()
+	for i := 1; i < stages; i++ {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if !step(0, i) {
+			return nil // a helper panicked: the deferred join returns it
+		}
+	}
+	completed = true
+	return nil
+}
+
+// await waits until the counter reaches stage i: it spins crewSpins
+// reads, then yields its processor between reads. It returns false if
+// the crew stops first.
+func (c *stageCrew) await(ctr *atomic.Int64, i int) bool {
+	for spins := 0; ctr.Load() < int64(i); spins++ {
+		if c.stop.Load() {
+			return false
+		}
+		if spins >= crewSpins {
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
 // Workers resolves a parallelism degree as Problem.Parallelism reads it:
 // a positive value wins, otherwise every available CPU.
 func Workers(parallelism int) int {

@@ -226,14 +226,9 @@ func SolveUnconstrained(ctx context.Context, p *Problem) (*Solution, error) {
 // design is feasible.
 func (p *Problem) unconstrainedOn(ctx context.Context, m *matrices, kern transRelaxer) ([]Config, error) {
 	configs := m.configs
-	scr := kern.newScratch()
 	nc := len(configs)
 	dp := p.Tracer.Start(SpanSeqgraphDP)
 
-	cost := make([]float64, nc)
-	for j := 0; j < nc; j++ {
-		cost[j] = m.initTrans[j] + m.exec[0][j]
-	}
 	// One backing array serves every stage's parent row; reslicing it
 	// replaces the per-stage allocations the DP used to make.
 	parents := make([][]int32, p.Stages)
@@ -243,21 +238,12 @@ func (p *Problem) unconstrainedOn(ctx context.Context, m *matrices, kern transRe
 			parents[i] = backing[(i-1)*nc : i*nc : i*nc]
 		}
 	}
-	next := make([]float64, nc)
-	for i := 1; i < p.Stages; i++ {
-		if err := ctxErr(ctx); err != nil {
-			dp.End(obs.Int("stages", int64(i)), obs.Int("configs", int64(nc)),
-				obs.String("kernel", kern.name()), obs.Bool("ok", false))
-			return nil, err
-		}
-		kern.relaxFull(cost, next, parents[i], scr)
-		for j := 0; j < nc; j++ {
-			next[j] += m.exec[i][j]
-		}
-		cost, next = next, cost
-	}
+	cost, workers, err := kern.forward(ctx, m, parents, p.workers())
 	dp.End(obs.Int("stages", int64(p.Stages)), obs.Int("configs", int64(nc)),
-		obs.String("kernel", kern.name()), obs.Bool("ok", true))
+		obs.String("kernel", kern.name()), obs.Int("workers", int64(workers)), obs.Bool("ok", err == nil))
+	if err != nil {
+		return nil, err
+	}
 
 	bestEnd := -1
 	bestCost := math.Inf(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,6 +108,39 @@ func TestTracedStrategiesEmitTheirSpans(t *testing.T) {
 				if !seen[name] {
 					t.Errorf("solver %s left no %q span (saw %v)", c.solver, name, seen)
 				}
+			}
+		})
+	}
+}
+
+// TestSeqgraphDPSpanNamesWorkers checks the seqgraph.dp span says which
+// schedule ran the stage loop: workers=2 when a lattice of splitMinBits
+// bits splits between two processors, 1 on the one-worker schedule and
+// on the dense kernel.
+func TestSeqgraphDPSpanNamesWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct {
+		name        string
+		structs     int
+		kernel      TransKernel
+		parallelism int
+		want        int64
+	}{
+		{"split", splitMinBits, KernelHypercube, 2, 2},
+		{"one worker", splitMinBits, KernelHypercube, 1, 1},
+		{"narrow lattice", splitMinBits - 1, KernelHypercube, 2, 1},
+		{"dense", 3, KernelDense, 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sink := &spanAttrSink{name: SpanSeqgraphDP}
+			m, configs := randomAdditiveModel(rand.New(rand.NewSource(9)), 6, c.structs)
+			p := &Problem{Stages: 6, Configs: configs, K: Unconstrained, Model: m,
+				Kernel: c.kernel, Parallelism: c.parallelism, Tracer: obs.NewTracer(sink)}
+			if _, err := SolveUnconstrained(bg, p); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := sink.attrs["workers"].(int64); got != c.want {
+				t.Errorf("seqgraph.dp workers = %v, want %d (attrs %v)", sink.attrs["workers"], c.want, sink.attrs)
 			}
 		})
 	}
