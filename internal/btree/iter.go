@@ -102,8 +102,21 @@ func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, rid storage.RID) bo
 }
 
 // ScanRange calls fn for every entry with low <= key < high (nil bounds
-// are unbounded), in order, stopping early if fn returns false.
+// are unbounded), in order, stopping early if fn returns false. A full
+// range is ScanChunks' leaf loop run chunk after chunk on the caller.
 func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) bool) {
+	if low == nil && high == nil {
+		leaves := t.leaves()
+		t.stats.Read(int64(t.height - 1))
+		for c := range storage.Chunks(len(leaves)) {
+			visited, stopped := scanLeaves(leaves, c, fn)
+			t.stats.Read(visited)
+			if stopped {
+				return
+			}
+		}
+		return
+	}
 	var it *Iterator
 	if low == nil {
 		it = t.First()
@@ -118,6 +131,59 @@ func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) 
 			return
 		}
 	}
+}
+
+// ScanChunks is ScanRange(nil, nil, …) split at leaf boundaries into
+// chunks of storage.ScanChunk leaves run by storage.ScanParts, possibly
+// two at once. For each chunk it calls entries with a pointer to that
+// chunk's result; the callback entries returns then receives the chunk's
+// entries in order, on one goroutine, and ends the scan by returning
+// false. ScanChunks returns the results of the chunks up to and including
+// the one that ended the scan, in key order, and charges what First and
+// Next charge: the height, then one read per further leaf up to the leaf
+// where the scan ended. The tree must not change while it runs.
+func ScanChunks[T any](t *Tree, entries func(part *T) func(key []byte, rid storage.RID) bool) []T {
+	leaves := t.leaves()
+	parts, visited := storage.ScanParts(storage.Chunks(len(leaves)), entries,
+		func(c int, fn func(key []byte, rid storage.RID) bool) (int64, bool) {
+			return scanLeaves(leaves, c, fn)
+		})
+	t.stats.Read(int64(t.height-1) + visited)
+	return parts
+}
+
+// scanLeaves calls fn for the entries of chunk c of leaves in order, and
+// returns the number of leaves it visited and whether fn stopped it.
+func scanLeaves(leaves []*leaf, c int, fn func(key []byte, rid storage.RID) bool) (visited int64, stopped bool) {
+	for _, l := range leaves[c*storage.ScanChunk : min((c+1)*storage.ScanChunk, len(leaves))] {
+		visited++
+		for i, k := range l.keys {
+			if !fn(k, l.rids[i]) {
+				return visited, true
+			}
+		}
+	}
+	return visited, false
+}
+
+// leaves returns the leaves in key order, read off the level above them.
+func (t *Tree) leaves() []*leaf {
+	if l, ok := t.root.(*leaf); ok {
+		return []*leaf{l}
+	}
+	var out []*leaf
+	var walk func(b *branch)
+	walk = func(b *branch) {
+		for _, c := range b.children {
+			if l, ok := c.(*leaf); ok {
+				out = append(out, l)
+			} else {
+				walk(c.(*branch))
+			}
+		}
+	}
+	walk(t.root.(*branch))
+	return out
 }
 
 // BulkLoad builds a tree from entries that must already be sorted by

@@ -11,27 +11,33 @@ import (
 )
 
 // The engine's working benchmarks: the three operations a replay spends
-// its time in, each on the paper's table shape at 100 000 rows. They are
-// for working on the executor; bench/e2e and bench/history hold the
-// recorded numbers.
+// its time in, each on the paper's table shape over a table-size axis
+// that straddles the size where full scans split between two goroutines
+// (storage.ScanParts: 4 chunks of 16 pages or leaves, ≈ 12k rows of this
+// table in the heap, ≈ 15k entries of a two-column index). Run at
+// -cpu 1,2, the two schedules side by side are the evidence for
+// storage.ScanChunk and the split threshold. They are for working on the
+// executor; bench/e2e and bench/history hold the recorded numbers.
 //
-//	go test -run '^$' -bench 'HeapScan|IndexOnlyScan|CreateIndex' ./internal/engine
+//	go test -run '^$' -cpu 1,2 -bench 'HeapScan|IndexOnlyScan|CreateIndex' ./internal/engine
 
-const benchRows = 100000
+// benchSizes is the table-size axis: 2, 4, 7 and 33 heap chunks, and 2,
+// 3, 6 and 28 chunks of the (a, b) index's leaves.
+var benchSizes = []int{5000, 10000, 20000, 100000}
 
-// benchDB loads t(a, b, c, d) with benchRows uniform rows over
-// [0, benchRows/5), the domain the paper's table uses, and analyzes it.
-func benchDB(b *testing.B) *Database {
+// benchDB loads t(a, b, c, d) with rows uniform rows over [0, rows/5),
+// the domain the paper's table uses, and analyzes it.
+func benchDB(b *testing.B, rows int) *Database {
 	b.Helper()
 	db := New()
 	db.MustExec("CREATE TABLE t (a INT, b INT, c INT, d INT)")
 	rng := rand.New(rand.NewSource(1))
-	domain := benchRows / 5
+	domain := rows / 5
 	var sb strings.Builder
-	for loaded := 0; loaded < benchRows; loaded += 500 {
+	for loaded := 0; loaded < rows; loaded += 500 {
 		sb.Reset()
 		sb.WriteString("INSERT INTO t VALUES ")
-		for i := 0; i < 500; i++ {
+		for i := 0; i < min(500, rows-loaded); i++ {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -45,8 +51,15 @@ func benchDB(b *testing.B) *Database {
 	return db
 }
 
+// eachSize runs bench as one sub-benchmark per table size.
+func eachSize(b *testing.B, bench func(b *testing.B, rows int)) {
+	for _, rows := range benchSizes {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) { bench(b, rows) })
+	}
+}
+
 // benchSelect runs query n times after checking it plans as kind.
-func benchSelect(b *testing.B, db *Database, query string, kind cost.AccessKind) {
+func benchSelect(b *testing.B, db *Database, rows int, query string, kind cost.AccessKind) {
 	b.Helper()
 	stmt := sql.MustParse(query)
 	plan, err := db.Explain(query)
@@ -63,39 +76,45 @@ func benchSelect(b *testing.B, db *Database, query string, kind cost.AccessKind)
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
 // BenchmarkHeapScanPointPredicate: a point query with no index, the
 // replay's most frequent statement.
 func BenchmarkHeapScanPointPredicate(b *testing.B) {
-	benchSelect(b, benchDB(b), "SELECT c FROM t WHERE c = 17", cost.HeapScan)
+	eachSize(b, func(b *testing.B, rows int) {
+		benchSelect(b, benchDB(b, rows), rows, "SELECT c FROM t WHERE c = 17", cost.HeapScan)
+	})
 }
 
 // BenchmarkIndexOnlyScanNonLeading: a point query on the second column
 // of a two-column index, answered by scanning every leaf.
 func BenchmarkIndexOnlyScanNonLeading(b *testing.B) {
-	db := benchDB(b)
-	db.MustExec("CREATE INDEX ON t (a, b)")
-	benchSelect(b, db, "SELECT b FROM t WHERE b = 17", cost.IndexOnlyScan)
+	eachSize(b, func(b *testing.B, rows int) {
+		db := benchDB(b, rows)
+		db.MustExec("CREATE INDEX ON t (a, b)")
+		benchSelect(b, db, rows, "SELECT b FROM t WHERE b = 17", cost.IndexOnlyScan)
+	})
 }
 
 // BenchmarkCreateIndex: the online build of a one-column index; the drop
 // that makes room for the next iteration is not timed.
 func BenchmarkCreateIndex(b *testing.B) {
-	db := benchDB(b)
-	create, drop := sql.MustParse("CREATE INDEX ON t (c)"), sql.MustParse("DROP INDEX I(c) ON t")
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecStmt(create); err != nil {
-			b.Fatal(err)
+	eachSize(b, func(b *testing.B, rows int) {
+		db := benchDB(b, rows)
+		create, drop := sql.MustParse("CREATE INDEX ON t (c)"), sql.MustParse("DROP INDEX I(c) ON t")
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.ExecStmt(create); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if _, err := db.ExecStmt(drop); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
-		b.StopTimer()
-		if _, err := db.ExecStmt(drop); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dyndesign/internal/cost"
+	"dyndesign/internal/index"
 	"dyndesign/internal/keyenc"
 	"dyndesign/internal/sql"
 	"dyndesign/internal/storage"
@@ -63,42 +64,76 @@ type matchedRow struct {
 	row types.Row
 }
 
+// scanPart is what one chunk of a scan (or a whole serial access path)
+// collects: its matching rows in order, and the error that ended it.
+type scanPart struct {
+	rows []matchedRow
+	err  error
+}
+
+// joinParts concatenates the parts' rows in order. The first part with an
+// error is the one the serial scan stopped in: its error is the result.
+func joinParts(parts []scanPart) ([]matchedRow, error) {
+	n := 0
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		n += len(p.rows)
+	}
+	var out []matchedRow
+	if n > 0 {
+		out = make([]matchedRow, 0, n)
+	}
+	for _, p := range parts {
+		out = append(out, p.rows...)
+	}
+	return out, nil
+}
+
 // collectRows runs the access path and returns the matching rows after
 // residual filtering, in access-path order. Residuals are tested on the
 // encoded heap payload or index key (filter.go); only matching rows are
 // decoded. For covering paths the returned rows are sparse: only the
 // index key columns are populated; a caller needing all columns must use
 // needHeap=true to force heap fetches.
+//
+// Full scans — heap scans and covering index-only scans — run as chunks,
+// on the caller and at most one helper goroutine (storage.ScanParts);
+// each chunk collects into its own part and joinParts restores the
+// serial order and first error. Nothing mutates the table meanwhile: the
+// caller holds db.mu, and UPDATE and DELETE mutate only after collecting.
 func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]matchedRow, error) {
 	schema := td.meta.Schema
 	rows, err := newRowFilter(schema, plan.Residual)
 	if err != nil {
 		return nil, err
 	}
-	var out []matchedRow
-	var innerErr error
-	// keep decodes a matching payload into a row of its own.
-	keep := func(rid storage.RID, payload []byte) bool {
-		row, err := types.DecodeRowInto(make(types.Row, 0, schema.Len()), payload)
-		if err != nil {
-			innerErr = err
-			return false
+	// matchPayload returns the callback that tests a payload with f and
+	// appends the matching rows, each decoded into a row of its own, to part.
+	matchPayload := func(f *rowFilter, part *scanPart) func(rid storage.RID, payload []byte) bool {
+		return func(rid storage.RID, payload []byte) bool {
+			ok, err := f.match(payload)
+			if err == nil && ok {
+				var row types.Row
+				if row, err = types.DecodeRowInto(make(types.Row, 0, schema.Len()), payload); err == nil {
+					part.rows = append(part.rows, matchedRow{rid: rid, row: row})
+				}
+			}
+			if err != nil {
+				part.err = err
+				return false
+			}
+			return true
 		}
-		out = append(out, matchedRow{rid: rid, row: row})
-		return true
 	}
 
 	a := &plan.Access
 	switch a.Kind {
 	case cost.HeapScan:
-		td.heap.Scan(func(rid storage.RID, payload []byte) bool {
-			ok, err := rows.match(payload)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			return !ok || keep(rid, payload)
-		})
+		return joinParts(storage.ScanChunks(td.heap, func(part *scanPart) func(storage.RID, []byte) bool {
+			return matchPayload(rows.fork(schema), part)
+		}))
 
 	case cost.IndexSeek, cost.IndexOnlyScan:
 		ix, ok := td.indexes.Get(a.Index.Def.Name())
@@ -128,71 +163,70 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 			ranges = append(ranges, keyRange{nil, nil})
 		}
 		keyCols := ix.KeyColumns()
-		fetch := needHeap || !a.Covering
-		if fetch {
+		var part scanPart
+		if needHeap || !a.Covering {
+			fetch := matchPayload(rows, &part)
 			for _, kr := range ranges {
-				err = ix.ScanEncodedRange(kr.low, kr.high, func(_ []types.Value, rid storage.RID) bool {
+				err := ix.ScanEncodedRange(kr.low, kr.high, func(_ []types.Value, rid storage.RID) bool {
 					payload, err := td.heap.Get(rid)
 					if err != nil {
-						innerErr = err
+						part.err = err
 						return false
 					}
-					ok, err := rows.match(payload)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					return !ok || keep(rid, payload)
+					return fetch(rid, payload)
 				})
-				if err != nil || innerErr != nil {
+				if err != nil {
+					return nil, err
+				}
+				if part.err != nil {
 					break
 				}
 			}
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// Covering path: index-only scans visit every entry, so the
-			// residual is tested on the key bytes and a (sparse) row is
-			// decoded only for matches.
-			keys, err := newKeyFilter(schema, keyCols, plan.Residual)
-			if err != nil {
-				return nil, err
-			}
+			return joinParts([]scanPart{part})
+		}
+		// Covering path: the residual is tested on the key bytes and a
+		// (sparse) row is decoded only for matches.
+		keys, err := newKeyFilter(schema, keyCols, plan.Residual)
+		if err != nil {
+			return nil, err
+		}
+		matchKey := func(part *scanPart) func(key []byte, rid storage.RID) bool {
 			var keyVals []types.Value
-			for _, kr := range ranges {
-				ix.ScanKeys(kr.low, kr.high, func(key []byte, rid storage.RID) bool {
-					ok, err := keys.match(key)
-					if err == nil && ok {
-						keyVals, err = keyenc.DecodeInto(keyVals, key)
-					}
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					if !ok {
-						return true
-					}
+			return func(key []byte, rid storage.RID) bool {
+				ok, err := keys.match(key)
+				if err == nil && ok {
+					keyVals, err = keyenc.DecodeInto(keyVals, key)
+				}
+				if err != nil {
+					part.err = err
+					return false
+				}
+				if ok {
 					row := make(types.Row, schema.Len())
 					for i, ord := range keyCols {
 						row[ord] = keyVals[i]
 					}
-					out = append(out, matchedRow{rid: rid, row: row})
-					return true
-				})
-				if innerErr != nil {
-					break
+					part.rows = append(part.rows, matchedRow{rid: rid, row: row})
 				}
+				return true
 			}
 		}
+		if a.Kind == cost.IndexOnlyScan {
+			// An index-only scan visits every entry: split it.
+			return joinParts(index.ScanKeyChunks(ix, matchKey))
+		}
+		match := matchKey(&part)
+		for _, kr := range ranges {
+			ix.ScanKeys(kr.low, kr.high, match)
+			if part.err != nil {
+				break
+			}
+		}
+		return joinParts([]scanPart{part})
 
 	default:
 		return nil, fmt.Errorf("engine: unknown access kind %v", a.Kind)
 	}
-	if innerErr != nil {
-		return nil, innerErr
-	}
-	return out, nil
 }
 
 func (db *Database) execSelect(s *sql.Select) (*Result, error) {

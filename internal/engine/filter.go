@@ -154,6 +154,13 @@ func newRowFilter(schema *types.Schema, residual []sql.Comparison) (*rowFilter, 
 	return f, nil
 }
 
+// fork returns a filter with f's predicates and a layout of its own: a
+// RowLayout serves one scan at a time, and each chunk of a split scan is
+// one.
+func (f *rowFilter) fork(schema *types.Schema) *rowFilter {
+	return &rowFilter{layout: types.NewRowLayout(schema), preds: f.preds}
+}
+
 // match reports whether the encoded row satisfies every predicate, tested
 // in order. It fails on a payload DecodeRow rejects, with DecodeRow's
 // error, and on a row whose value a predicate reads is missing or of the

@@ -1,0 +1,288 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"dyndesign/internal/catalog"
+	"dyndesign/internal/cost"
+	"dyndesign/internal/sql"
+	"dyndesign/internal/storage"
+	"dyndesign/internal/types"
+)
+
+// The split schedule of full scans (storage.ScanParts) against the
+// decode-then-evaluate oracle and against the serial schedule, at sizes
+// where scans split.
+
+// splitRows is large enough that the heap and the (g, s) index both have
+// several times storage.ScanChunk pages past the split threshold.
+const splitRows = 30000
+
+// longS is the string a growing update writes: rows it reaches move.
+var longS = strings.Repeat("m", 60)
+
+// splitDB loads t(id, g, s) with splitRows rows in id order and builds
+// the two-column index (g, s), whose keys repeat thousands of times.
+// Then it empties a run of whole pages (a contiguous id range), deletes
+// the rows of one g scattered over every page, and grows the strings of
+// another g so that those rows move to later pages.
+func splitDB(t testing.TB) *Database {
+	t.Helper()
+	db := New()
+	db.MustExec("CREATE TABLE t (id INT, g INT, s STRING)")
+	rng := rand.New(rand.NewSource(3))
+	var sb strings.Builder
+	for id := 0; id < splitRows; id += 1000 {
+		sb.Reset()
+		sb.WriteString("INSERT INTO t VALUES ")
+		for i := id; i < id+1000; i++ {
+			if i > id {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, '%s')", i, rng.Intn(20), "abc"[rng.Intn(3):])
+		}
+		db.MustExec(sb.String())
+	}
+	db.MustExec("CREATE INDEX ON t (g, s)")
+	db.MustExec("DELETE FROM t WHERE id >= 3000 AND id < 9000")
+	db.MustExec("DELETE FROM t WHERE g = 7")
+	db.MustExec(fmt.Sprintf("UPDATE t SET s = '%s' WHERE g = 3", longS))
+	if err := db.Analyze("t"); err != nil {
+		t.Fatal(err)
+	}
+	td := db.tables["t"]
+	ix, _ := td.indexes.Get(catalog.IndexDef{Table: "t", Columns: []string{"g", "s"}}.Name())
+	if pages, leaves := td.heap.NumPages(), ix.LeafPages(); pages < 6*storage.ScanChunk || leaves < 6*storage.ScanChunk {
+		t.Fatalf("%d heap pages and %d leaves: too few for the split", pages, leaves)
+	}
+	return db
+}
+
+// splitProcs raises GOMAXPROCS to at least 2, so that scans split, and
+// returns the restore.
+func splitProcs() func() {
+	old := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	return func() { runtime.GOMAXPROCS(old) }
+}
+
+// TestScanEquivalenceSplit: on a heap with deleted rows, emptied pages
+// and moved rows, and a two-column index with duplicate keys, split heap
+// scans and index-only scans (covering, or fetching the heap) return
+// the oracle's rows in its order and charge what it charges.
+func TestScanEquivalenceSplit(t *testing.T) {
+	defer splitProcs()()
+	db := splitDB(t)
+	td := db.tables["t"]
+	def := catalog.IndexDef{Table: "t", Columns: []string{"g", "s"}}
+	eq := func(col string, v types.Value) sql.Comparison {
+		return sql.Comparison{Column: col, Op: sql.OpEq, Value: v}
+	}
+	residuals := [][]sql.Comparison{
+		nil, // every row
+		{eq("g", types.NewInt(5))},
+		{eq("s", types.NewString("b"))},
+		{eq("s", types.NewString(longS))},
+		{{Column: "g", Op: sql.OpIn, Values: []types.Value{types.NewInt(1), types.NewInt(3), types.NewInt(19)}}},
+		{{Column: "g", Op: sql.OpGe, Value: types.NewInt(15)}, {Column: "s", Op: sql.OpLe, Value: types.NewString("b")}},
+		{{Column: "id", Op: sql.OpLt, Value: types.NewInt(200)}}, // matches on the first pages only
+		{{Column: "id", Op: sql.OpGe, Value: types.NewInt(29800)}},
+	}
+	for _, residual := range residuals {
+		var covered []sql.Comparison
+		for _, c := range residual {
+			if slices.Contains(def.Columns, c.Column) {
+				covered = append(covered, c)
+			}
+		}
+		ix := &cost.IndexPhys{Def: def}
+		cases := []struct {
+			plan     *Plan
+			needHeap bool
+		}{
+			{&Plan{Table: "t", Access: cost.Access{Kind: cost.HeapScan}, Residual: residual}, false},
+			{&Plan{Table: "t", Access: cost.Access{Kind: cost.HeapScan}, Residual: residual}, true},
+			{&Plan{Table: "t", Access: cost.Access{Kind: cost.IndexOnlyScan, Index: ix}, Residual: residual}, true},
+			{&Plan{Table: "t", Access: cost.Access{Kind: cost.IndexOnlyScan, Index: ix, Covering: true}, Residual: covered}, false},
+		}
+		for _, pc := range cases {
+			before := db.access.Snapshot()
+			got, err := db.collectRows(td, pc.plan, pc.needHeap)
+			if err != nil {
+				t.Fatalf("%s: %v", pc.plan, err)
+			}
+			charged := db.access.Snapshot().Sub(before)
+			before = db.access.Snapshot()
+			want := oracleCollectRows(t, td, pc.plan, pc.needHeap)
+			if oracle := db.access.Snapshot().Sub(before); charged != oracle {
+				t.Fatalf("%s: charged %+v, the oracle %+v", pc.plan, charged, oracle)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (needHeap %v): %d rows, the oracle %d", pc.plan, pc.needHeap, len(got), len(want))
+			}
+		}
+	}
+}
+
+// heapRows returns every live row of t in RID order.
+func heapRows(t testing.TB, db *Database) []matchedRow {
+	t.Helper()
+	var out []matchedRow
+	db.tables["t"].heap.Scan(func(rid storage.RID, payload []byte) bool {
+		row, err := types.DecodeRow(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, matchedRow{rid: rid, row: row})
+		return true
+	})
+	return out
+}
+
+// checkTable checks the heap's and every index's invariants and that
+// each index holds one entry per live row.
+func checkTable(t testing.TB, db *Database) {
+	t.Helper()
+	td := db.tables["t"]
+	if err := td.heap.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range td.indexes.All() {
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", ix.Def().Name(), err)
+		}
+		if ix.Entries() != td.heap.NumRows() {
+			t.Fatalf("%s holds %d entries for %d rows", ix.Def().Name(), ix.Entries(), td.heap.NumRows())
+		}
+	}
+}
+
+// TestDMLEquivalenceSplit: UPDATE and DELETE whose rows a split full scan
+// collects affect the oracle's rows and charge, statement by statement,
+// what the same statements charge on a twin database run serially
+// (GOMAXPROCS 1); afterwards both tables hold the same rows at the same
+// RIDs and pass their invariants.
+func TestDMLEquivalenceSplit(t *testing.T) {
+	defer splitProcs()()
+	split, serial := splitDB(t), splitDB(t)
+	stmts := []struct{ head, where string }{
+		{"UPDATE t SET s = '" + longS + "'", "id < 12000"}, // grows rows: moves
+		{"UPDATE t SET g = 11", "s = 'c'"},                 // a non-leading index column
+		{"DELETE FROM t", "id >= 20000"},                   // a tail of pages
+		{"DELETE FROM t", "g = 11"},                        // scattered
+		{"UPDATE t SET s = 'z'", "id >= 100"},              // shrinks in place
+		{"DELETE FROM t", "s = '" + longS + "' AND id < 1000"},
+	}
+	kinds := map[cost.AccessKind]int{}
+	for _, st := range stmts {
+		text := st.head + " WHERE " + st.where
+		stmt := sql.MustParse(text)
+		// UPDATE and DELETE plan the SELECT * of their WHERE.
+		plan, err := split.Explain("SELECT * FROM t WHERE " + st.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[plan.Access.Kind]++
+		want := oracleCollectRows(t, split.tables["t"], plan, true)
+		before := split.access.Snapshot()
+		res, err := split.ExecStmt(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		charged := split.access.Snapshot().Sub(before)
+
+		restore := runtime.GOMAXPROCS(1)
+		before = serial.access.Snapshot()
+		serialRes, err := serial.ExecStmt(stmt)
+		runtime.GOMAXPROCS(restore)
+		if err != nil {
+			t.Fatalf("%s (serial): %v", text, err)
+		}
+		if serialCharged := serial.access.Snapshot().Sub(before); charged != serialCharged {
+			t.Fatalf("%s: charged %+v, serially %+v", text, charged, serialCharged)
+		}
+		if res.Count != int64(len(want)) || serialRes.Count != res.Count {
+			t.Fatalf("%s: %d rows split, %d serially, the oracle %d", text, res.Count, serialRes.Count, len(want))
+		}
+		checkTable(t, split)
+		checkTable(t, serial)
+		if !reflect.DeepEqual(heapRows(t, split), heapRows(t, serial)) {
+			t.Fatalf("%s: the split and serial tables differ", text)
+		}
+	}
+	if kinds[cost.HeapScan] == 0 {
+		t.Fatalf("no statement ran a heap scan: %v", kinds)
+	}
+}
+
+// TestSplitScanFirstError: with two corrupt payloads in different chunks,
+// a split heap scan fails with the error of the one a serial scan meets
+// first, whichever of the two is met first on which goroutine.
+func TestSplitScanFirstError(t *testing.T) {
+	defer splitProcs()()
+	db := splitDB(t)
+	td := db.tables["t"]
+	// The first live row of a page in chunk 1 and of one in chunk 5.
+	var early, late storage.RID
+	var latePayload []byte
+	td.heap.Scan(func(rid storage.RID, payload []byte) bool {
+		switch {
+		case early == (storage.RID{}) && int(rid.Page) >= storage.ScanChunk+2:
+			early = rid
+		case int(rid.Page) >= 5*storage.ScanChunk+2:
+			late, latePayload = rid, append([]byte(nil), payload...)
+			return false
+		}
+		return true
+	})
+	short, err := types.EncodeRow(nil, types.Row{types.NewInt(1)}) // one column: g is missing
+	if err != nil {
+		t.Fatal(err)
+	}
+	badTag := latePayload
+	badTag[2] = 0x30 // the first value's kind tag
+	plan := &Plan{Table: "t", Access: cost.Access{Kind: cost.HeapScan},
+		Residual: []sql.Comparison{{Column: "g", Op: sql.OpEq, Value: types.NewInt(5)}}}
+	for _, order := range [][2][]byte{{short, badTag}, {badTag, short}} {
+		// A longer payload moves the early row, to an emptied page: still
+		// the first the scan meets.
+		if early, err = td.heap.Update(early, order[0]); err != nil {
+			t.Fatal(err)
+		}
+		if late, err = td.heap.Update(late, order[1]); err != nil {
+			t.Fatal(err)
+		}
+		restore := runtime.GOMAXPROCS(1)
+		before := db.access.Snapshot()
+		_, serialErr := db.collectRows(td, plan, false)
+		serialCharge := db.access.Snapshot().Sub(before)
+		runtime.GOMAXPROCS(restore)
+		if _, earlyErr := rowFilterMatch(t, td, plan, order[0]); serialErr == nil || serialErr.Error() != earlyErr.Error() {
+			t.Fatalf("the serial scan failed with %v, the early payload's error is %v", serialErr, earlyErr)
+		}
+		for i := 0; i < 50; i++ {
+			before := db.access.Snapshot()
+			if _, err := db.collectRows(td, plan, false); fmt.Sprint(err) != serialErr.Error() {
+				t.Fatalf("split scan %d: %v, serially %v", i, err, serialErr)
+			}
+			if charged := db.access.Snapshot().Sub(before); charged != serialCharge {
+				t.Fatalf("split scan %d charged %+v, serially %+v", i, charged, serialCharge)
+			}
+		}
+	}
+}
+
+// rowFilterMatch tests one payload with the plan's residual.
+func rowFilterMatch(t testing.TB, td *tableData, plan *Plan, payload []byte) (bool, error) {
+	t.Helper()
+	f, err := newRowFilter(td.meta.Schema, plan.Residual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.match(payload)
+}

@@ -184,6 +184,15 @@ func (ix *Index) ScanKeys(lowKey, highKey []byte, fn func(key []byte, rid storag
 	ix.tree.ScanRange(lowKey, highKey, fn)
 }
 
+// ScanKeyChunks is ScanKeys(nil, nil, …) run by btree.ScanChunks: the
+// full scan split at leaf boundaries, possibly two chunks at once. For
+// each chunk it calls entries with a pointer to that chunk's result and
+// feeds the chunk's raw keys, in order, to the callback entries returns.
+// It returns the counted chunks' results in key order.
+func ScanKeyChunks[T any](ix *Index, entries func(part *T) func(key []byte, rid storage.RID) bool) []T {
+	return btree.ScanChunks(ix.tree, entries)
+}
+
 // CheckInvariants verifies the underlying tree structure.
 func (ix *Index) CheckInvariants() error { return ix.tree.CheckInvariants() }
 

@@ -73,7 +73,11 @@ func (h *HeapFile) Insert(payload []byte) (RID, error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.insertLocked(payload)
+}
 
+// insertLocked is Insert under h.mu.
+func (h *HeapFile) insertLocked(payload []byte) (RID, error) {
 	// Fast path: the hinted page.
 	if int(h.insertHint) < len(h.pages) {
 		if rid, ok := h.insertInto(h.pages[h.insertHint], payload); ok {
@@ -147,60 +151,82 @@ func (h *HeapFile) Delete(rid RID) error {
 // Update replaces the payload at rid. If the new payload fits in place
 // the RID is unchanged; otherwise the row moves and the new RID is
 // returned — callers (the index manager) must then update index entries.
+// A move deletes and re-inserts under one critical section, so NumRows
+// never sees the row gone.
 func (h *HeapFile) Update(rid RID, payload []byte) (RID, error) {
 	if len(payload) > MaxPayload {
 		return RID{}, fmt.Errorf("storage: payload of %d bytes exceeds page capacity %d", len(payload), MaxPayload)
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	p, err := h.page(rid.Page)
 	if err != nil {
-		h.mu.Unlock()
 		return RID{}, err
 	}
 	ok, err := p.updateInPlace(rid.Slot, payload)
 	if err != nil {
-		h.mu.Unlock()
 		return RID{}, err
 	}
 	if ok {
 		h.touch(p)
 		h.stats.Write(1)
-		h.mu.Unlock()
 		return rid, nil
 	}
-	// Move: delete then insert. Release the lock between the two steps is
-	// not needed — do both under the same critical section by inlining.
 	if err := p.delete(rid.Slot); err != nil {
-		h.mu.Unlock()
 		return RID{}, err
 	}
 	h.touch(p)
 	h.stats.Write(1)
 	h.rows--
-	h.mu.Unlock()
-	return h.Insert(payload)
+	return h.insertLocked(payload)
 }
 
 // Scan calls fn for every live row in RID order, charging one read per
 // page visited. Scanning stops early if fn returns false. The payload
-// slice passed to fn aliases page memory and must not be retained.
+// slice passed to fn aliases page memory and must not be retained. It is
+// ScanChunks' page loop run chunk after chunk on the caller.
 func (h *HeapFile) Scan(fn func(rid RID, payload []byte) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	for _, p := range h.pages {
-		h.stats.Read(1)
-		stop := false
-		p.liveSlots(func(slot uint16, payload []byte) bool {
-			if !fn(RID{Page: p.id, Slot: slot}, payload) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+	for c := range Chunks(len(h.pages)) {
+		pages, stopped := h.scanChunk(c, fn)
+		h.stats.Read(pages)
+		if stopped {
 			return
 		}
 	}
+}
+
+// ScanChunks is Scan split into chunks of ScanChunk pages run by
+// ScanParts, possibly two at once. For each chunk it calls rows with a
+// pointer to that chunk's result; the callback rows returns then receives
+// the chunk's live rows in RID order, on one goroutine, and ends the
+// scan by returning false. ScanChunks returns the results of the chunks
+// up to and including the one that ended the scan, in page order, and
+// charges what Scan charges: one read per page up to the page where the
+// scan ended.
+func ScanChunks[T any](h *HeapFile, rows func(part *T) func(rid RID, payload []byte) bool) []T {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	parts, pages := ScanParts(Chunks(len(h.pages)), rows, h.scanChunk)
+	h.stats.Read(pages)
+	return parts
+}
+
+// scanChunk calls fn for the live rows of chunk c's pages in RID order,
+// and returns the number of pages it visited and whether fn stopped it.
+func (h *HeapFile) scanChunk(c int, fn func(rid RID, payload []byte) bool) (pages int64, stopped bool) {
+	for _, p := range h.pages[c*ScanChunk : min((c+1)*ScanChunk, len(h.pages))] {
+		pages++
+		p.liveSlots(func(slot uint16, payload []byte) bool {
+			stopped = !fn(RID{Page: p.id, Slot: slot}, payload)
+			return !stopped
+		})
+		if stopped {
+			return pages, true
+		}
+	}
+	return pages, false
 }
 
 // CheckInvariants verifies internal consistency: the live-row count
