@@ -122,7 +122,9 @@ chaos:
 # predicates on encoded bytes, must never panic on an arbitrary heap
 # payload or index key, must accept exactly the payloads DecodeRow
 # accepts with its error, and must reach decode-then-evaluate's verdict
-# (internal/engine/filter_test.go). CI runs this as a smoke test; longer
+# (internal/engine/filter_test.go); and the radix sorter behind online
+# index builds and ANALYZE must give slices.SortStableFunc's permutation
+# on arbitrary byte keys (internal/keyenc/sort_test.go). CI runs this as a smoke test; longer
 # local campaigns just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/sql/
 	$(GO) test -run='^$$' -fuzz=FuzzIngestBody -fuzztime=20s ./cmd/advisord/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodedPredicate -fuzztime=20s ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=20s ./internal/keyenc/
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve

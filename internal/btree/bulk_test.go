@@ -1,0 +1,180 @@
+package btree
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"dyndesign/internal/keyenc"
+	"dyndesign/internal/storage"
+	"dyndesign/internal/types"
+)
+
+// sortedIntEntries returns n entries with strictly ascending int keys.
+func sortedIntEntries(n int) []Entry {
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Key: intKey(int64(3 * i)), RID: ridOf(i)}
+	}
+	return entries
+}
+
+// packedShape is the oracle of TestBulkLoadShape: the leaf count, node
+// count and height of a bulk load that packs entries one key at a time,
+// a leaf or branch closing when the next entry would pass the fill.
+func packedShape(entries []Entry) (leaves, nodes int64, height int) {
+	const fill = nodeBudget * 9 / 10
+	var firsts [][]byte
+	size := 0
+	for i, e := range entries {
+		sz := leafEntrySize(e.Key)
+		if i == 0 || size+sz > fill {
+			firsts = append(firsts, e.Key)
+			size = 0
+		}
+		size += sz
+	}
+	if len(firsts) == 0 {
+		firsts = [][]byte{nil}
+	}
+	leaves, nodes, height = int64(len(firsts)), int64(len(firsts)), 1
+	for len(firsts) > 1 {
+		var up [][]byte
+		size := 0
+		for i, k := range firsts {
+			sz := branchEntrySize(k)
+			if i == 0 || (size+sz > fill && size > 0) {
+				up = append(up, k)
+				size = 0
+				continue
+			}
+			size += sz
+		}
+		nodes += int64(len(up))
+		firsts = up
+		height++
+	}
+	return leaves, nodes, height
+}
+
+// TestBulkLoadShape: per-leaf arenas leave the tree's shape and charges
+// as per-key packing has them — leaf count, node count, height, and one
+// write per node — for no entries, one, one full leaf, one full leaf and
+// one more, and 100k.
+func TestBulkLoadShape(t *testing.T) {
+	full := (nodeBudget * 9 / 10) / leafEntrySize(intKey(0))
+	for _, n := range []int{0, 1, full, full + 1, 100000} {
+		entries := sortedIntEntries(n)
+		var stats storage.AccessStats
+		tr := New(&stats)
+		before := stats.Snapshot()
+		if err := tr.BulkLoad(entries); err != nil {
+			t.Fatal(err)
+		}
+		charged := stats.Snapshot().Sub(before)
+		leaves, nodes, height := packedShape(entries)
+		if tr.LeafCount() != leaves || tr.NodeCount() != nodes || tr.Height() != height {
+			t.Errorf("n=%d: %d leaves, %d nodes, height %d; per-key packing %d, %d, %d",
+				n, tr.LeafCount(), tr.NodeCount(), tr.Height(), leaves, nodes, height)
+		}
+		if charged.Writes != nodes || charged.Reads != 0 {
+			t.Errorf("n=%d: charged %+v, want %d writes", n, charged, nodes)
+		}
+		if n == full && leaves != 1 || n == full+1 && leaves != 2 {
+			t.Errorf("n=%d: %d leaves around the first leaf's fill", n, leaves)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
+	}
+}
+
+// TestBulkLoadAllocsPerLeaf: a bulk load allocates a bounded number of
+// times per leaf, not once per key.
+func TestBulkLoadAllocsPerLeaf(t *testing.T) {
+	entries := sortedIntEntries(100000)
+	probe := New(nil)
+	if err := probe.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	leaves := float64(probe.LeafCount())
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := New(nil).BulkLoad(entries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5*leaves+64 {
+		t.Fatalf("%.0f allocations for %.0f leaves", allocs, leaves)
+	}
+}
+
+// TestBulkLoadedLeavesSurviveStorms: after a bulk load the caller's key
+// bytes are overwritten, then insert and delete storms split, borrow and
+// merge the loaded leaves. Every surviving key still equals a deep copy
+// taken before the load, and the tree keeps its invariants — the leaves'
+// keys share one arena per leaf, and nothing writes into it.
+func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type entry struct {
+		key string
+		rid storage.RID
+	}
+	model := make(map[entry]bool)
+	var entries []Entry
+	for i := 0; i < 20000; i++ {
+		key := keyenc.MustEncode(types.NewInt(int64(i/3)), types.NewString(string(rune('a'+i%3))))
+		entries = append(entries, Entry{Key: key, RID: ridOf(i)})
+		model[entry{string(key), ridOf(i)}] = true
+	}
+	tr := New(nil)
+	if err := tr.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		for i := range e.Key {
+			e.Key[i] = 0xEE
+		}
+	}
+	for round := 0; round < 6; round++ {
+		// Delete a contiguous run of whole leaves' worth, so neighbours
+		// borrow and merge, and scattered entries elsewhere.
+		lo := rng.Intn(15000)
+		for i := lo; i < lo+2000; i++ {
+			key := keyenc.MustEncode(types.NewInt(int64(i/3)), types.NewString(string(rune('a'+i%3))))
+			if e := (entry{string(key), ridOf(i)}); model[e] {
+				if found, err := tr.Delete(key, ridOf(i)); err != nil || !found {
+					t.Fatalf("round %d: delete %d: %v %v", round, i, found, err)
+				}
+				delete(model, e)
+			}
+		}
+		// Insert between loaded keys, so loaded leaves split.
+		for j := 0; j < 3000; j++ {
+			i := rng.Intn(20000)
+			key := keyenc.MustEncode(types.NewInt(int64(i/3)), types.NewString(string(rune('a'+i%3))+"+"))
+			rid := ridOf(20000 + round*3000 + j)
+			if err := tr.Insert(key, rid); err != nil {
+				t.Fatal(err)
+			}
+			model[entry{string(key), rid}] = true
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	n := 0
+	var prev []byte
+	for it := tr.First(); it.Valid(); it.Next() {
+		if !model[entry{string(it.Key()), it.RID()}] {
+			t.Fatalf("entry %d (% x, %v) is not in the model", n, it.Key(), it.RID())
+		}
+		if n > 0 && bytes.Compare(prev, it.Key()) > 0 {
+			t.Fatalf("entry %d out of order", n)
+		}
+		prev = it.Key()
+		n++
+	}
+	if n != len(model) {
+		t.Fatalf("%d entries, model %d", n, len(model))
+	}
+}

@@ -61,6 +61,19 @@ func sameEntries(a, b []Entry) bool {
 	return true
 }
 
+// leafEntries adapts an entry callback to ScanChunks' leaf callback: it
+// calls fn for the leaf's entries in order, as ScanRange does.
+func leafEntries(fn func([]byte, storage.RID) bool) func([][]byte, []storage.RID) bool {
+	return func(keys [][]byte, rids []storage.RID) bool {
+		for i, k := range keys {
+			if !fn(k, rids[i]) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // TestScanChunksMatchesIterator: on trees below and above the split
 // threshold, built by inserts and deletes or bulk-loaded, ScanChunks at
 // GOMAXPROCS 1 to 4 and ScanRange(nil, nil) yield the (key, RID)
@@ -104,7 +117,7 @@ func TestScanChunksMatchesIterator(t *testing.T) {
 					runtime.GOMAXPROCS(procs)
 					before := stats.Snapshot()
 					var got []Entry
-					for _, p := range ScanChunks(tr, collect) {
+					for _, p := range ScanChunks(tr, func(part *[]Entry) func([][]byte, []storage.RID) bool { return leafEntries(collect(part)) }) {
 						got = append(got, p...)
 					}
 					if charged := stats.Snapshot().Sub(before); !sameEntries(got, want) || charged != wantCharge {

@@ -106,10 +106,18 @@ func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, rid storage.RID) bo
 // range is ScanChunks' leaf loop run chunk after chunk on the caller.
 func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) bool) {
 	if low == nil && high == nil {
+		entries := func(keys [][]byte, rids []storage.RID) bool {
+			for i, k := range keys {
+				if !fn(k, rids[i]) {
+					return false
+				}
+			}
+			return true
+		}
 		leaves := t.leaves()
 		t.stats.Read(int64(t.height - 1))
 		for c := range storage.Chunks(len(leaves)) {
-			visited, stopped := scanLeaves(leaves, c, fn)
+			visited, stopped := scanLeaves(leaves, c, entries)
 			t.stats.Read(visited)
 			if stopped {
 				return
@@ -135,32 +143,32 @@ func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) 
 
 // ScanChunks is ScanRange(nil, nil, …) split at leaf boundaries into
 // chunks of storage.ScanChunk leaves run by storage.ScanParts, possibly
-// two at once. For each chunk it calls entries with a pointer to that
-// chunk's result; the callback entries returns then receives the chunk's
-// entries in order, on one goroutine, and ends the scan by returning
-// false. ScanChunks returns the results of the chunks up to and including
-// the one that ended the scan, in key order, and charges what First and
-// Next charge: the height, then one read per further leaf up to the leaf
-// where the scan ended. The tree must not change while it runs.
-func ScanChunks[T any](t *Tree, entries func(part *T) func(key []byte, rid storage.RID) bool) []T {
-	leaves := t.leaves()
-	parts, visited := storage.ScanParts(storage.Chunks(len(leaves)), entries,
-		func(c int, fn func(key []byte, rid storage.RID) bool) (int64, bool) {
-			return scanLeaves(leaves, c, fn)
+// two at once. For each chunk it calls leaves with a pointer to that
+// chunk's result; the callback leaves returns then receives the chunk's
+// leaves in order, one call per leaf with its keys and RIDs, on one
+// goroutine, and ends the scan by returning false. The slices alias the
+// tree: the callback must neither modify nor retain them. ScanChunks
+// returns the results of the chunks up to and including the one that
+// ended the scan, in key order, and charges what First and Next charge:
+// the height, then one read per further leaf up to the leaf where the
+// scan ended. The tree must not change while it runs.
+func ScanChunks[T any](t *Tree, leaves func(part *T) func(keys [][]byte, rids []storage.RID) bool) []T {
+	all := t.leaves()
+	parts, visited := storage.ScanParts(storage.Chunks(len(all)), leaves,
+		func(c int, fn func(keys [][]byte, rids []storage.RID) bool) (int64, bool) {
+			return scanLeaves(all, c, fn)
 		})
 	t.stats.Read(int64(t.height-1) + visited)
 	return parts
 }
 
-// scanLeaves calls fn for the entries of chunk c of leaves in order, and
+// scanLeaves calls fn for each leaf of chunk c of leaves in order, and
 // returns the number of leaves it visited and whether fn stopped it.
-func scanLeaves(leaves []*leaf, c int, fn func(key []byte, rid storage.RID) bool) (visited int64, stopped bool) {
+func scanLeaves(leaves []*leaf, c int, fn func(keys [][]byte, rids []storage.RID) bool) (visited int64, stopped bool) {
 	for _, l := range leaves[c*storage.ScanChunk : min((c+1)*storage.ScanChunk, len(leaves))] {
 		visited++
-		for i, k := range l.keys {
-			if !fn(k, l.rids[i]) {
-				return visited, true
-			}
+		if !fn(l.keys, l.rids) {
+			return visited, true
 		}
 	}
 	return visited, false
@@ -190,28 +198,41 @@ func (t *Tree) leaves() []*leaf {
 // (key, RID) with no duplicates. It replaces the tree's contents and is
 // the fast path for online index builds: leaves are packed to ~90% of
 // the node budget and upper levels are built bottom-up. Each node built
-// charges one page write.
+// charges one page write. Each leaf copies its keys into one allocation
+// of its own; the tree retains none of the caller's key slices.
 func (t *Tree) BulkLoad(entries []Entry) error {
-	for i := 1; i < len(entries); i++ {
-		if compareEntry(entries[i-1].Key, entries[i-1].RID, entries[i].Key, entries[i].RID) >= 0 {
-			return fmt.Errorf("btree: bulk-load input not strictly sorted at position %d", i)
-		}
-	}
 	const fill = nodeBudget * 9 / 10
-	// Build the leaf level.
+	// Build the leaf level: each leaf takes as many entries as fit the
+	// fill, at least one, and copies their keys into one arena of its
+	// own, so a leaf's keys lie in key order in memory. Each entry is
+	// checked against the one before it as it is copied, so the input's
+	// keys are read once; the tree is untouched until all have passed.
 	var leaves []*leaf
-	cur := &leaf{}
-	for _, e := range entries {
-		sz := leafEntrySize(e.Key)
-		if cur.bytes+sz > fill && len(cur.keys) > 0 {
-			leaves = append(leaves, cur)
-			cur = &leaf{}
+	var prev []byte
+	for i := 0; i < len(entries) || len(leaves) == 0; {
+		j, size, keyBytes := i, 0, 0
+		for ; j < len(entries); j++ {
+			sz := leafEntrySize(entries[j].Key)
+			if size+sz > fill && j > i {
+				break
+			}
+			size += sz
+			keyBytes += len(entries[j].Key)
 		}
-		cur.keys = append(cur.keys, append([]byte(nil), e.Key...))
-		cur.rids = append(cur.rids, e.RID)
-		cur.bytes += sz
+		l := &leaf{keys: make([][]byte, j-i), rids: make([]storage.RID, j-i), bytes: size}
+		arena := make([]byte, 0, keyBytes)
+		for k, e := range entries[i:j] {
+			start := len(arena)
+			arena = append(arena, e.Key...)
+			key := arena[start:len(arena):len(arena)]
+			if i+k > 0 && compareEntry(prev, entries[i+k-1].RID, key, e.RID) >= 0 {
+				return fmt.Errorf("btree: bulk-load input not strictly sorted at position %d", i+k)
+			}
+			l.keys[k], l.rids[k], prev = key, e.RID, key
+		}
+		leaves = append(leaves, l)
+		i = j
 	}
-	leaves = append(leaves, cur)
 	for i := 0; i < len(leaves)-1; i++ {
 		leaves[i].next = leaves[i+1]
 	}

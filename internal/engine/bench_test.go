@@ -97,24 +97,30 @@ func BenchmarkIndexOnlyScanNonLeading(b *testing.B) {
 	})
 }
 
-// BenchmarkCreateIndex: the online build of a one-column index; the drop
+// BenchmarkCreateIndex: the online build of a one-column index (c) and
+// of the two-column index (a, b), the replay's slowest build; the drop
 // that makes room for the next iteration is not timed.
 func BenchmarkCreateIndex(b *testing.B) {
-	eachSize(b, func(b *testing.B, rows int) {
-		db := benchDB(b, rows)
-		create, drop := sql.MustParse("CREATE INDEX ON t (c)"), sql.MustParse("DROP INDEX I(c) ON t")
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.ExecStmt(create); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if _, err := db.ExecStmt(drop); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
-	})
+	for _, cols := range []string{"c", "a, b"} {
+		b.Run("cols="+strings.ReplaceAll(cols, ", ", ","), func(b *testing.B) {
+			eachSize(b, func(b *testing.B, rows int) {
+				db := benchDB(b, rows)
+				create := sql.MustParse("CREATE INDEX ON t (" + cols + ")")
+				drop := sql.MustParse("DROP INDEX I(" + strings.ReplaceAll(cols, " ", "") + ") ON t")
+				b.ResetTimer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.ExecStmt(create); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					if _, err := db.ExecStmt(drop); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+			})
+		})
+	}
 }

@@ -100,39 +100,23 @@ func joinParts(parts []scanPart) ([]matchedRow, error) {
 //
 // Full scans — heap scans and covering index-only scans — run as chunks,
 // on the caller and at most one helper goroutine (storage.ScanParts);
-// each chunk collects into its own part and joinParts restores the
-// serial order and first error. Nothing mutates the table meanwhile: the
-// caller holds db.mu, and UPDATE and DELETE mutate only after collecting.
+// each chunk hands its loop one heap page or one leaf per call
+// (scanPage, keyScan.leaf), collects into its own part, and joinParts
+// restores the serial order and first error. Nothing mutates the table
+// meanwhile: the caller holds db.mu, and UPDATE and DELETE mutate only
+// after collecting.
 func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]matchedRow, error) {
 	schema := td.meta.Schema
 	rows, err := newRowFilter(schema, plan.Residual)
 	if err != nil {
 		return nil, err
 	}
-	// matchPayload returns the callback that tests a payload with f and
-	// appends the matching rows, each decoded into a row of its own, to part.
-	matchPayload := func(f *rowFilter, part *scanPart) func(rid storage.RID, payload []byte) bool {
-		return func(rid storage.RID, payload []byte) bool {
-			ok, err := f.match(payload)
-			if err == nil && ok {
-				var row types.Row
-				if row, err = types.DecodeRowInto(make(types.Row, 0, schema.Len()), payload); err == nil {
-					part.rows = append(part.rows, matchedRow{rid: rid, row: row})
-				}
-			}
-			if err != nil {
-				part.err = err
-				return false
-			}
-			return true
-		}
-	}
-
 	a := &plan.Access
 	switch a.Kind {
 	case cost.HeapScan:
-		return joinParts(storage.ScanChunks(td.heap, func(part *scanPart) func(storage.RID, []byte) bool {
-			return matchPayload(rows.fork(schema), part)
+		return joinParts(storage.ScanChunks(td.heap, func(part *scanPart) func(*storage.Page) bool {
+			f := rows.fork(schema)
+			return func(p *storage.Page) bool { return f.scanPage(p, part) }
 		}))
 
 	case cost.IndexSeek, cost.IndexOnlyScan:
@@ -162,10 +146,8 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 		default:
 			ranges = append(ranges, keyRange{nil, nil})
 		}
-		keyCols := ix.KeyColumns()
 		var part scanPart
 		if needHeap || !a.Covering {
-			fetch := matchPayload(rows, &part)
 			for _, kr := range ranges {
 				err := ix.ScanEncodedRange(kr.low, kr.high, func(_ []types.Value, rid storage.RID) bool {
 					payload, err := td.heap.Get(rid)
@@ -173,7 +155,7 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 						part.err = err
 						return false
 					}
-					return fetch(rid, payload)
+					return rows.collect(rid, payload, &part)
 				})
 				if err != nil {
 					return nil, err
@@ -186,38 +168,23 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 		}
 		// Covering path: the residual is tested on the key bytes and a
 		// (sparse) row is decoded only for matches.
+		keyCols := ix.KeyColumns()
 		keys, err := newKeyFilter(schema, keyCols, plan.Residual)
 		if err != nil {
 			return nil, err
 		}
-		matchKey := func(part *scanPart) func(key []byte, rid storage.RID) bool {
-			var keyVals []types.Value
-			return func(key []byte, rid storage.RID) bool {
-				ok, err := keys.match(key)
-				if err == nil && ok {
-					keyVals, err = keyenc.DecodeInto(keyVals, key)
-				}
-				if err != nil {
-					part.err = err
-					return false
-				}
-				if ok {
-					row := make(types.Row, schema.Len())
-					for i, ord := range keyCols {
-						row[ord] = keyVals[i]
-					}
-					part.rows = append(part.rows, matchedRow{rid: rid, row: row})
-				}
-				return true
-			}
+		scan := func(part *scanPart) *keyScan {
+			return &keyScan{filter: keys, cols: keyCols, width: schema.Len(), part: part}
 		}
 		if a.Kind == cost.IndexOnlyScan {
 			// An index-only scan visits every entry: split it.
-			return joinParts(index.ScanKeyChunks(ix, matchKey))
+			return joinParts(index.ScanKeyChunks(ix, func(part *scanPart) func([][]byte, []storage.RID) bool {
+				return scan(part).leaf
+			}))
 		}
-		match := matchKey(&part)
+		s := scan(&part)
 		for _, kr := range ranges {
-			ix.ScanKeys(kr.low, kr.high, match)
+			ix.ScanKeys(kr.low, kr.high, s.entry)
 			if part.err != nil {
 				break
 			}
@@ -227,6 +194,99 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 	default:
 		return nil, fmt.Errorf("engine: unknown access kind %v", a.Kind)
 	}
+}
+
+// scanPage is a heap scan's page loop: it tests the live rows of p in
+// slot order and appends each match, decoded into a row of its own, to
+// part. At the first payload the filter rejects it sets part.err and
+// reports false.
+func (f *rowFilter) scanPage(p *storage.Page, part *scanPart) bool {
+	for i := range p.Slots() {
+		payload, live := p.Live(i)
+		if !live {
+			continue
+		}
+		if ok, err := f.match(payload); err != nil || ok {
+			if !f.keep(storage.RID{Page: p.ID(), Slot: uint16(i)}, payload, err, part) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// collect is scanPage for one row, the heap fetch of an index seek.
+func (f *rowFilter) collect(rid storage.RID, payload []byte, part *scanPart) bool {
+	if ok, err := f.match(payload); err != nil || ok {
+		return f.keep(rid, payload, err, part)
+	}
+	return true
+}
+
+// keep appends the matching row at rid to part, or, when the filter
+// failed with err, sets part.err and reports false.
+func (f *rowFilter) keep(rid storage.RID, payload []byte, err error, part *scanPart) bool {
+	var row types.Row
+	if err == nil {
+		row, err = types.DecodeRowInto(make(types.Row, 0, f.width), payload)
+	}
+	if err != nil {
+		part.err = err
+		return false
+	}
+	part.rows = append(part.rows, matchedRow{rid: rid, row: row})
+	return true
+}
+
+// keyScan is a covering index scan's collector: it tests raw keys with
+// its filter and appends each match to part, decoded into a sparse row
+// that holds only the key columns.
+type keyScan struct {
+	filter  keyFilter
+	cols    []int // the key columns' ordinals in the table schema
+	width   int   // the table's number of columns
+	keyVals []types.Value
+	part    *scanPart
+}
+
+// leaf is an index-only scan's leaf loop: it tests one leaf's keys in
+// order and reports false, with part.err set, at the first key the
+// filter rejects.
+func (s *keyScan) leaf(keys [][]byte, rids []storage.RID) bool {
+	for i, k := range keys {
+		if ok, err := s.filter.match(k); err != nil || ok {
+			if !s.keep(k, rids[i], err) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// entry is leaf for one entry, the callback of a covering seek.
+func (s *keyScan) entry(key []byte, rid storage.RID) bool {
+	if ok, err := s.filter.match(key); err != nil || ok {
+		return s.keep(key, rid, err)
+	}
+	return true
+}
+
+// keep appends the matching entry to part, or, when the filter failed
+// with err, sets part.err and reports false.
+func (s *keyScan) keep(key []byte, rid storage.RID, err error) bool {
+	if err == nil {
+		s.keyVals, err = keyenc.DecodeInto(s.keyVals, key)
+	}
+	if err != nil {
+		s.part.err = err
+		return false
+	}
+	row := make(types.Row, s.width)
+	for i, ord := range s.cols {
+		row[ord] = s.keyVals[i]
+	}
+	s.part.rows = append(s.part.rows, matchedRow{rid: rid, row: row})
+	return true
 }
 
 func (db *Database) execSelect(s *sql.Select) (*Result, error) {

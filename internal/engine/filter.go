@@ -136,10 +136,11 @@ func intRange(op sql.CompareOp, x int64) (lo, hi int64) {
 type rowFilter struct {
 	layout *types.RowLayout
 	preds  []bytePred
+	width  int // the schema's number of columns, the width of a decoded row
 }
 
 func newRowFilter(schema *types.Schema, residual []sql.Comparison) (*rowFilter, error) {
-	f := &rowFilter{layout: types.NewRowLayout(schema)}
+	f := &rowFilter{layout: types.NewRowLayout(schema), width: schema.Len()}
 	for _, c := range residual {
 		ord := schema.ColumnIndex(c.Column)
 		if ord < 0 {
@@ -158,7 +159,7 @@ func newRowFilter(schema *types.Schema, residual []sql.Comparison) (*rowFilter, 
 // RowLayout serves one scan at a time, and each chunk of a split scan is
 // one.
 func (f *rowFilter) fork(schema *types.Schema) *rowFilter {
-	return &rowFilter{layout: types.NewRowLayout(schema), preds: f.preds}
+	return &rowFilter{layout: types.NewRowLayout(schema), preds: f.preds, width: f.width}
 }
 
 // match reports whether the encoded row satisfies every predicate, tested

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"dyndesign/internal/btree"
@@ -50,84 +51,130 @@ func referenceBuild(t *testing.T, cols []int, heap *storage.HeapFile) *btree.Tre
 // TestBuildMatchesReference: Build yields the reference's (key, RID)
 // sequence, tree shape and page charges on duplicate keys, two-column
 // keys, negative ints and string keys with embedded 0x00 bytes and
-// shared prefixes, and the result passes CheckInvariants.
+// shared prefixes, and the result passes CheckInvariants. Further heaps
+// take the radix sorter to its edges: more than 65 536 distinct values
+// (three or more radix passes), one value everywhere (every pass
+// skipped), keys shorter than the radix prefix (the empty string is 3
+// bytes), leading-STRING keys with long shared prefixes (long runs the
+// comparison sort finishes), and a heap whose rows were deleted and
+// moved, so RIDs are not in insertion order.
 func TestBuildMatchesReference(t *testing.T) {
-	schema := testSchema()
 	strs := []string{"", "x", "x\x00", "x\x00y", "xy", "\x00", "\x00\x00", "y\xff"}
-	var stats storage.AccessStats
-	heap := storage.NewHeapFile(&stats)
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 6000; i++ {
-		row := types.Row{
+	mixed := func() types.Row {
+		return types.Row{
 			types.NewInt(rng.Int63n(101) - 50),
 			types.NewInt(int64(rng.Intn(10))),
 			types.NewString(strs[rng.Intn(len(strs))]),
 		}
-		payload, err := types.EncodeRow(nil, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := heap.Insert(payload); err != nil {
-			t.Fatal(err)
+	}
+	wide := func() types.Row { // > 65 536 distinct values in a and b
+		return types.Row{types.NewInt(rng.Int63() - rng.Int63()), types.NewInt(rng.Int63n(1 << 20)), types.NewString("")}
+	}
+	same := func() types.Row {
+		return types.Row{types.NewInt(-7), types.NewInt(-7), types.NewString("same string, longer than the prefix")}
+	}
+	shared := strings.Repeat("long shared prefix ", 4)
+	prefixed := func() types.Row {
+		return types.Row{
+			types.NewInt(int64(rng.Intn(3))),
+			types.NewInt(rng.Int63n(1000) - 500),
+			types.NewString(shared + strs[rng.Intn(len(strs))] + strs[rng.Intn(len(strs))]),
 		}
 	}
-	for _, cols := range [][]string{{"b"}, {"a"}, {"a", "b"}, {"s"}, {"b", "s"}, {"s", "a"}} {
-		def := catalog.IndexDef{Table: "t", Columns: cols}
-		before := stats.Snapshot()
-		ix, err := Build(def, schema, heap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := stats.Snapshot().Sub(before)
-		before = stats.Snapshot()
-		ref := referenceBuild(t, ix.cols, heap)
-		if want := stats.Snapshot().Sub(before); got != want {
-			t.Errorf("%s: build charged %+v, reference %+v", def.Name(), got, want)
-		}
-		if ix.LeafPages() != ref.LeafCount() || ix.SizePages() != ref.NodeCount() || ix.Height() != ref.Height() {
-			t.Errorf("%s: tree of %d leaves, %d nodes, height %d; reference %d, %d, %d", def.Name(),
-				ix.LeafPages(), ix.SizePages(), ix.Height(), ref.LeafCount(), ref.NodeCount(), ref.Height())
-		}
-		var want []btree.Entry
-		ref.ScanRange(nil, nil, func(k []byte, rid storage.RID) bool {
-			want = append(want, btree.Entry{Key: k, RID: rid})
-			return true
-		})
-		i := 0
-		ix.ScanKeys(nil, nil, func(k []byte, rid storage.RID) bool {
-			if i >= len(want) || !bytes.Equal(k, want[i].Key) || rid != want[i].RID {
-				t.Fatalf("%s: entry %d is (% x, %v), reference has %v", def.Name(), i, k, rid, want[i:min(i+1, len(want))])
+	all := [][]string{{"b"}, {"a"}, {"a", "b"}, {"s"}, {"b", "s"}, {"s", "a"}}
+	for _, tc := range []struct {
+		name string
+		rows int
+		row  func() types.Row
+		cols [][]string
+		mess bool // delete and move rows after loading
+	}{
+		{"mixed", 6000, mixed, all, false},
+		{"wide", 70000, wide, [][]string{{"a"}, {"b"}, {"b", "a"}}, false},
+		{"same", 3000, same, all, false},
+		{"prefixed", 6000, prefixed, [][]string{{"s"}, {"s", "a"}, {"a", "s"}, {"s", "b"}}, false},
+		{"messy", 6000, mixed, all, true},
+	} {
+		var stats storage.AccessStats
+		heap := storage.NewHeapFile(&stats)
+		var rids []storage.RID
+		for i := 0; i < tc.rows; i++ {
+			payload, err := types.EncodeRow(nil, tc.row())
+			if err != nil {
+				t.Fatal(err)
 			}
-			i++
-			return true
-		})
-		if i != len(want) {
-			t.Errorf("%s: %d entries, reference %d", def.Name(), i, len(want))
+			rid, err := heap.Insert(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
 		}
-		if err := ix.CheckInvariants(); err != nil {
-			t.Errorf("%s: %v", def.Name(), err)
+		if tc.mess {
+			// Delete every third row, then grow every fifth remaining one
+			// so it moves into a hole an earlier delete left.
+			for i := 0; i < len(rids); i += 3 {
+				if err := heap.Delete(rids[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i < len(rids); i += 5 {
+				if i%3 == 0 {
+					continue
+				}
+				row := mixed()
+				row[2] = types.NewString(strings.Repeat("moved", 4))
+				payload, err := types.EncodeRow(nil, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := heap.Update(rids[i], payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, cols := range tc.cols {
+			checkBuildMatchesReference(t, tc.name, catalog.IndexDef{Table: "t", Columns: cols}, heap, &stats)
 		}
 	}
 }
 
-// TestCompareKeysIsBytesCompare: the build's sort comparison is
-// bytes.Compare, on keys shorter and longer than a whole INT part.
-func TestCompareKeysIsBytesCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	key := func() []byte {
-		b := make([]byte, rng.Intn(20))
-		for i := range b {
-			b[i] = byte(rng.Intn(3)) // few symbols: long shared prefixes
-		}
-		return b
+// checkBuildMatchesReference builds def over heap and compares it with
+// referenceBuild's tree: entries, shape and charges.
+func checkBuildMatchesReference(t *testing.T, name string, def catalog.IndexDef, heap *storage.HeapFile, stats *storage.AccessStats) {
+	t.Helper()
+	before := stats.Snapshot()
+	ix, err := Build(def, testSchema(), heap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 20000; i++ {
-		a, b := key(), key()
-		if rng.Intn(4) == 0 {
-			b = append(append([]byte(nil), a...), b...)
+	got := stats.Snapshot().Sub(before)
+	before = stats.Snapshot()
+	ref := referenceBuild(t, ix.cols, heap)
+	if want := stats.Snapshot().Sub(before); got != want {
+		t.Errorf("%s %s: build charged %+v, reference %+v", name, def.Name(), got, want)
+	}
+	if ix.LeafPages() != ref.LeafCount() || ix.SizePages() != ref.NodeCount() || ix.Height() != ref.Height() {
+		t.Errorf("%s %s: tree of %d leaves, %d nodes, height %d; reference %d, %d, %d", name, def.Name(),
+			ix.LeafPages(), ix.SizePages(), ix.Height(), ref.LeafCount(), ref.NodeCount(), ref.Height())
+	}
+	var want []btree.Entry
+	ref.ScanRange(nil, nil, func(k []byte, rid storage.RID) bool {
+		want = append(want, btree.Entry{Key: k, RID: rid})
+		return true
+	})
+	i := 0
+	ix.ScanKeys(nil, nil, func(k []byte, rid storage.RID) bool {
+		if i >= len(want) || !bytes.Equal(k, want[i].Key) || rid != want[i].RID {
+			t.Fatalf("%s %s: entry %d is (% x, %v), reference has %v", name, def.Name(), i, k, rid, want[i:min(i+1, len(want))])
 		}
-		if got, want := compareKeys(a, b), bytes.Compare(a, b); got != want {
-			t.Fatalf("compareKeys(% x, % x) = %d, bytes.Compare %d", a, b, got, want)
-		}
+		i++
+		return true
+	})
+	if i != len(want) || int64(i) != heap.NumRows() {
+		t.Errorf("%s %s: %d entries, reference %d, heap %d rows", name, def.Name(), i, len(want), heap.NumRows())
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Errorf("%s %s: %v", name, def.Name(), err)
 	}
 }

@@ -4,11 +4,7 @@
 package index
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 
 	"dyndesign/internal/btree"
@@ -186,18 +182,17 @@ func (ix *Index) ScanKeys(lowKey, highKey []byte, fn func(key []byte, rid storag
 
 // ScanKeyChunks is ScanKeys(nil, nil, …) run by btree.ScanChunks: the
 // full scan split at leaf boundaries, possibly two chunks at once. For
-// each chunk it calls entries with a pointer to that chunk's result and
-// feeds the chunk's raw keys, in order, to the callback entries returns.
-// It returns the counted chunks' results in key order.
-func ScanKeyChunks[T any](ix *Index, entries func(part *T) func(key []byte, rid storage.RID) bool) []T {
-	return btree.ScanChunks(ix.tree, entries)
+// each chunk it calls leaves with a pointer to that chunk's result and
+// feeds the chunk's leaves, in order, to the callback leaves returns: one
+// call per leaf with its raw keys and RIDs, which the callback must
+// neither modify nor retain. It returns the counted chunks' results in
+// key order.
+func ScanKeyChunks[T any](ix *Index, leaves func(part *T) func(keys [][]byte, rids []storage.RID) bool) []T {
+	return btree.ScanChunks(ix.tree, leaves)
 }
 
 // CheckInvariants verifies the underlying tree structure.
 func (ix *Index) CheckInvariants() error { return ix.tree.CheckInvariants() }
-
-// arenaChunk is the size of one chunk of the build's key arena.
-const arenaChunk = 64 << 10
 
 // Build constructs an index over the current contents of heap. It is the
 // online index build: one full heap scan, a sort, and a bulk load — all
@@ -219,41 +214,35 @@ func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (
 		tree:   btree.New(heap.Stats()),
 	}
 
-	// Each row decodes into one reused Row and its key is appended to a
-	// chunked arena; BulkLoad copies the keys again in sorted order, so
-	// the leaves hold them contiguously rather than in heap order.
-	entries := make([]btree.Entry, 0, heap.NumRows())
-	var row types.Row
-	var key, arena []byte
+	// Each row's key is built from its payload bytes, located in place,
+	// and added to one arena of keys, sized for INT parts. The heap
+	// yields RIDs in ascending order and the sort is stable, so sorting
+	// by key alone gives the tree's (key, RID) order. Only then are the
+	// entries made, in that order; BulkLoad copies the keys again, leaf
+	// by leaf, so each leaf holds its keys contiguously.
+	n := int(heap.NumRows())
+	keys := keyenc.MakeKeys(n, n*keyenc.IntLen*len(cols))
+	rids := make([]storage.RID, 0, n)
+	layout := types.NewRowLayout(schema)
 	var scanErr error
 	heap.Scan(func(rid storage.RID, payload []byte) bool {
 		var err error
-		if row, err = types.DecodeRowInto(row, payload); err != nil {
+		if keys.Bytes, err = ix.payloadKey(keys.Bytes, layout, payload); err != nil {
 			scanErr = fmt.Errorf("index %s: decoding row %s: %w", def.Name(), rid, err)
 			return false
 		}
-		if key, err = ix.appendKey(key[:0], row); err != nil {
-			scanErr = err
-			return false
-		}
-		if cap(arena)-len(arena) < len(key) {
-			arena = make([]byte, 0, max(arenaChunk, len(key)))
-		}
-		start := len(arena)
-		arena = append(arena, key...)
-		entries = append(entries, btree.Entry{Key: arena[start:len(arena):len(arena)], RID: rid})
+		keys.End()
+		rids = append(rids, rid)
 		return true
 	})
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	// (key, RID) is the tree's strict total order: entries are unique.
-	slices.SortFunc(entries, func(a, b btree.Entry) int {
-		if c := compareKeys(a.Key, b.Key); c != 0 {
-			return c
-		}
-		return a.RID.Compare(b.RID)
-	})
+	order := keys.Order()
+	entries := make([]btree.Entry, len(order))
+	for i, pos := range order {
+		entries[i] = btree.Entry{Key: keys.Key(int(pos)), RID: rids[pos]}
+	}
 	if err := ix.tree.BulkLoad(entries); err != nil {
 		return nil, err
 	}
@@ -268,20 +257,22 @@ func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (
 	return ix, nil
 }
 
-// compareKeys is bytes.Compare, with the first IntLen bytes — a whole
-// INT part, the leading part of most keys — compared as a tag byte and a
-// big-endian word.
-func compareKeys(a, b []byte) int {
-	if len(a) < keyenc.IntLen || len(b) < keyenc.IntLen {
-		return bytes.Compare(a, b)
+// payloadKey appends to dst the key of the encoded heap row payload,
+// read from the row's bytes (keyenc.AppendRowValue). It fails on
+// exactly the payloads DecodeRow rejects, with DecodeRow's error, and on
+// a row without a value for a key column.
+func (ix *Index) payloadKey(dst []byte, layout *types.RowLayout, payload []byte) ([]byte, error) {
+	offs, err := layout.Locate(payload)
+	if err != nil {
+		return nil, err
 	}
-	if a[0] != b[0] {
-		return cmp.Compare(a[0], b[0])
+	for _, c := range ix.cols {
+		if c >= len(offs) {
+			return nil, fmt.Errorf("row of %d values has no column %d", len(offs), c)
+		}
+		dst = keyenc.AppendRowValue(dst, payload, offs[c])
 	}
-	if x, y := binary.BigEndian.Uint64(a[1:]), binary.BigEndian.Uint64(b[1:]); x != y {
-		return cmp.Compare(x, y)
-	}
-	return bytes.Compare(a[keyenc.IntLen:], b[keyenc.IntLen:])
+	return dst, nil
 }
 
 // Manager owns the materialized indexes of one table and keeps them

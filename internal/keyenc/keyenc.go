@@ -34,24 +34,41 @@ const (
 func AppendValue(dst []byte, v types.Value) ([]byte, error) {
 	switch v.Kind {
 	case types.KindInt:
-		dst = append(dst, tagInt)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int)^(1<<63))
-		return dst, nil
+		return appendInt(dst, v.Int), nil
 	case types.KindString:
-		dst = append(dst, tagString)
-		for i := 0; i < len(v.Str); i++ {
-			c := v.Str[i]
-			if c == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, c)
-			}
-		}
-		dst = append(dst, 0x00, 0x00)
-		return dst, nil
+		return appendString(dst, v.Str), nil
 	default:
 		return nil, fmt.Errorf("keyenc: cannot encode invalid value")
 	}
+}
+
+// AppendRowValue appends the encoding of the value whose kind tag sits
+// at row[off] of an encoded heap row that types.RowLayout.Locate has
+// accepted, read from the row's bytes: an INT is the tag and the row's
+// word with its sign bit flipped, a STRING the tag and its bytes escaped.
+func AppendRowValue(dst, row []byte, off int) []byte {
+	if types.Kind(row[off]) == types.KindInt {
+		return appendInt(dst, types.IntAt(row, off))
+	}
+	return appendString(dst, types.StringAt(row, off))
+}
+
+func appendInt(dst []byte, v int64) []byte {
+	dst = append(dst, tagInt)
+	return binary.BigEndian.AppendUint64(dst, uint64(v)^(1<<63))
+}
+
+func appendString[S string | []byte](dst []byte, s S) []byte {
+	dst = append(dst, tagString)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, 0x00, 0x00)
 }
 
 // Encode encodes a tuple of values as one composite key.

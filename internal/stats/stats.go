@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"dyndesign/internal/keyenc"
 	"dyndesign/internal/storage"
 	"dyndesign/internal/types"
 )
@@ -58,23 +59,31 @@ func Build(table string, schema *types.Schema, heap *storage.HeapFile, numBucket
 	if numBuckets <= 0 {
 		numBuckets = DefaultBuckets
 	}
+	// Each column's values are kept as order-preserving keys (keyenc),
+	// read from the payload bytes and sorted by keyenc's radix sorter.
 	cols := schema.Columns
-	samples := make([][]types.Value, len(cols))
+	n := int(heap.NumRows())
+	samples := make([]keyenc.Keys, len(cols))
+	for i := range samples {
+		samples[i] = keyenc.MakeKeys(n, n*keyenc.IntLen)
+	}
+	layout := types.NewRowLayout(schema)
 	var rows int64
 	var bytes int64
 	var scanErr error
 	heap.Scan(func(rid storage.RID, payload []byte) bool {
-		row, err := types.DecodeRow(payload)
+		offs, err := layout.Locate(payload)
 		if err != nil {
 			scanErr = fmt.Errorf("stats: decoding row %s: %w", rid, err)
 			return false
 		}
-		if len(row) != len(cols) {
-			scanErr = fmt.Errorf("stats: row %s has %d values, schema %d", rid, len(row), len(cols))
+		if len(offs) != len(cols) {
+			scanErr = fmt.Errorf("stats: row %s has %d values, schema %d", rid, len(offs), len(cols))
 			return false
 		}
-		for i, v := range row {
-			samples[i] = append(samples[i], v)
+		for i, off := range offs {
+			samples[i].Bytes = keyenc.AppendRowValue(samples[i].Bytes, payload, off)
+			samples[i].End()
 		}
 		rows++
 		bytes += int64(len(payload))
@@ -92,7 +101,7 @@ func Build(table string, schema *types.Schema, heap *storage.HeapFile, numBucket
 		ts.RowBytes = float64(bytes) / float64(rows)
 	}
 	for i, c := range cols {
-		ts.Columns[lower(c.Name)] = buildColumn(c.Name, samples[i], numBuckets)
+		ts.Columns[lower(c.Name)] = buildColumn(c.Name, &samples[i], numBuckets)
 	}
 	return ts, nil
 }
@@ -107,15 +116,21 @@ func lower(s string) string {
 	return string(b)
 }
 
-func buildColumn(name string, vals []types.Value, numBuckets int) *ColumnStats {
-	cs := &ColumnStats{Column: name, Rows: int64(len(vals))}
-	if len(vals) == 0 {
+// buildColumn computes one column's statistics from its values as keys.
+// Keys are equal exactly when their values are, so runs of equal keys in
+// sorted order are runs of equal values; only a bucket's upper bound and
+// the minimum and maximum are decoded.
+func buildColumn(name string, vals *keyenc.Keys, numBuckets int) *ColumnStats {
+	n := vals.Len()
+	cs := &ColumnStats{Column: name, Rows: int64(n)}
+	if n == 0 {
 		return cs
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
-	h := &Histogram{Min: vals[0], Max: vals[len(vals)-1], Rows: int64(len(vals))}
+	order := vals.Order()
+	sorted := func(i int) []byte { return vals.Key(int(order[i])) }
+	h := &Histogram{Min: decodeKey(sorted(0)), Max: decodeKey(sorted(n - 1)), Rows: int64(n)}
 
-	perBucket := (len(vals) + numBuckets - 1) / numBuckets
+	perBucket := (n + numBuckets - 1) / numBuckets
 	if perBucket < 1 {
 		perBucket = 1
 	}
@@ -125,25 +140,28 @@ func buildColumn(name string, vals []types.Value, numBuckets int) *ColumnStats {
 	// their bucket neighbours.
 	var ndv int64
 	var cur Bucket
+	var curUpper []byte // the key of cur's upper bound
 	flush := func() {
 		if cur.Count > 0 {
+			cur.Upper = decodeKey(curUpper)
 			h.Buckets = append(h.Buckets, cur)
 			cur = Bucket{}
 		}
 	}
 	i := 0
-	for i < len(vals) {
+	for i < n {
+		key := sorted(i)
 		j := i + 1
-		for j < len(vals) && vals[j].Equal(vals[i]) {
+		for j < n && string(sorted(j)) == string(key) {
 			j++
 		}
 		runLen := int64(j - i)
 		ndv++
 		if runLen >= int64(perBucket) {
 			flush()
-			h.Buckets = append(h.Buckets, Bucket{Upper: vals[i], Count: runLen, Distinct: 1})
+			h.Buckets = append(h.Buckets, Bucket{Upper: decodeKey(key), Count: runLen, Distinct: 1})
 		} else {
-			cur.Upper = vals[i]
+			curUpper = key
 			cur.Count += runLen
 			cur.Distinct++
 			if cur.Count >= int64(perBucket) {
@@ -156,6 +174,16 @@ func buildColumn(name string, vals []types.Value, numBuckets int) *ColumnStats {
 	cs.NDV = ndv
 	cs.Hist = h
 	return cs
+}
+
+// decodeKey returns the value of a one-value key that buildColumn's
+// caller encoded.
+func decodeKey(key []byte) types.Value {
+	vals, err := keyenc.Decode(key)
+	if err != nil || len(vals) != 1 {
+		panic(fmt.Sprintf("stats: key % x does not hold one value: %v", key, err))
+	}
+	return vals[0]
 }
 
 // Column returns the stats for a column (case-insensitive), or nil.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dyndesign/internal/storage"
@@ -241,5 +242,96 @@ func TestBucketCountRespected(t *testing.T) {
 	nb := len(ts.Column("a").Hist.Buckets)
 	if nb < 8 || nb > 32 {
 		t.Errorf("bucket count = %d, want ~16", nb)
+	}
+}
+
+// referenceColumn is the oracle of TestBuildMatchesSortSliceReference:
+// one column's statistics from its decoded values, sorted by sort.Slice
+// with Value.Compare, in runs of Value.Equal values.
+func referenceColumn(name string, vals []types.Value, numBuckets int) *ColumnStats {
+	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
+	h := &Histogram{Min: vals[0], Max: vals[len(vals)-1], Rows: int64(len(vals))}
+	perBucket := max((len(vals)+numBuckets-1)/numBuckets, 1)
+	var ndv int64
+	var cur Bucket
+	flush := func() {
+		if cur.Count > 0 {
+			h.Buckets = append(h.Buckets, cur)
+			cur = Bucket{}
+		}
+	}
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && vals[j].Equal(vals[i]) {
+			j++
+		}
+		ndv++
+		if run := int64(j - i); run >= int64(perBucket) {
+			flush()
+			h.Buckets = append(h.Buckets, Bucket{Upper: vals[i], Count: run, Distinct: 1})
+		} else {
+			cur.Upper = vals[i]
+			cur.Count += run
+			cur.Distinct++
+			if cur.Count >= int64(perBucket) {
+				flush()
+			}
+		}
+		i = j
+	}
+	flush()
+	return &ColumnStats{Column: name, Rows: int64(len(vals)), NDV: ndv, Hist: h}
+}
+
+// TestBuildMatchesSortSliceReference: statistics built from keys through
+// the radix sorter equal, bucket for bucket and in Fingerprint, those
+// built from each column's values sorted by sort.Slice with
+// Value.Compare — on INT columns with negative values and on STRING
+// columns with embedded 0x00 bytes and long shared prefixes.
+func TestBuildMatchesSortSliceReference(t *testing.T) {
+	schema := types.MustSchema(
+		types.Column{Name: "a", Kind: types.KindInt},
+		types.Column{Name: "s", Kind: types.KindString},
+		types.Column{Name: "w", Kind: types.KindInt},
+	)
+	rng := rand.New(rand.NewSource(11))
+	strs := []string{"", "\x00", "\x00\x00", "x", "x\x00", "x\x00y", "xy", "y\xff",
+		"shared prefix, longer than a radix key: a", "shared prefix, longer than a radix key: a\x00",
+		"shared prefix, longer than a radix key: b"}
+	var rows []types.Row
+	for range 20000 {
+		rows = append(rows, types.Row{
+			types.NewInt(rng.Int63n(2001) - 1000),
+			types.NewString(strs[rng.Intn(len(strs))]),
+			types.NewInt(rng.Int63() - math.MaxInt64/2),
+		})
+	}
+	for _, buckets := range []int{1, 7, DefaultBuckets} {
+		ts, err := Build("t", schema, buildHeap(t, rows), buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &TableStats{Table: "t", Rows: ts.Rows, RowBytes: ts.RowBytes, Columns: map[string]*ColumnStats{}}
+		for i, c := range schema.Columns {
+			vals := make([]types.Value, len(rows))
+			for j, r := range rows {
+				vals[j] = r[i]
+			}
+			ref.Columns[c.Name] = referenceColumn(c.Name, vals, buckets)
+			got, want := ts.Column(c.Name), ref.Columns[c.Name]
+			if got.NDV != want.NDV || got.Rows != want.Rows || len(got.Hist.Buckets) != len(want.Hist.Buckets) ||
+				!got.Hist.Min.Equal(want.Hist.Min) || !got.Hist.Max.Equal(want.Hist.Max) {
+				t.Fatalf("%d buckets, column %s: NDV %d, %d buckets; reference %d, %d", buckets, c.Name,
+					got.NDV, len(got.Hist.Buckets), want.NDV, len(want.Hist.Buckets))
+			}
+			for j, b := range got.Hist.Buckets {
+				if w := want.Hist.Buckets[j]; !b.Upper.Equal(w.Upper) || b.Count != w.Count || b.Distinct != w.Distinct {
+					t.Fatalf("%d buckets, column %s: bucket %d is %+v, reference %+v", buckets, c.Name, j, b, w)
+				}
+			}
+		}
+		if got, want := ts.Fingerprint(), ref.Fingerprint(); got != want {
+			t.Fatalf("%d buckets: fingerprint %x, reference %x", buckets, got, want)
+		}
 	}
 }

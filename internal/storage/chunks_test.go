@@ -82,6 +82,19 @@ func sameRows(a, b []heapRow) bool {
 	return true
 }
 
+// pageRows adapts a row callback to ScanChunks' page callback: it calls
+// fn for the page's live rows in slot order, as Scan does.
+func pageRows(fn func(RID, []byte) bool) func(*Page) bool {
+	return func(p *Page) bool {
+		for i := range p.Slots() {
+			if payload, live := p.Live(i); live && !fn(RID{Page: p.ID(), Slot: uint16(i)}, payload) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // TestScanChunksMatchesScan: at GOMAXPROCS 1 to 4, on heaps below and
 // above the split threshold, ScanChunks yields Scan's (RID, payload)
 // sequence and charges Scan's page reads — for a full scan and for scans
@@ -104,8 +117,8 @@ func TestScanChunksMatchesScan(t *testing.T) {
 				var charged AccessSnapshot
 				withProcs(procs, func() {
 					before := stats.Snapshot()
-					parts := ScanChunks(h, func(part *[]heapRow) func(RID, []byte) bool {
-						return func(rid RID, payload []byte) bool {
+					parts := ScanChunks(h, func(part *[]heapRow) func(*Page) bool {
+						return pageRows(func(rid RID, payload []byte) bool {
 							*part = append(*part, heapRow{rid, bytes.Clone(payload)})
 							if stopping && rid == want[stopAt].rid {
 								// Give the helper time to run chunks past this
@@ -114,7 +127,7 @@ func TestScanChunksMatchesScan(t *testing.T) {
 								return false
 							}
 							return true
-						}
+						})
 					})
 					charged = stats.Snapshot().Sub(before)
 					for _, p := range parts {
@@ -236,14 +249,14 @@ func TestRunChunksSerialAtOneProc(t *testing.T) {
 		before := stats.Snapshot()
 		base := runtime.NumGoroutine()
 		var rows []heapRow
-		for _, p := range ScanChunks(h, func(part *[]heapRow) func(RID, []byte) bool {
+		for _, p := range ScanChunks(h, func(part *[]heapRow) func(*Page) bool {
 			if d := runtime.NumGoroutine() - base; d > 0 {
 				extra.Store(int64(d))
 			}
-			return func(rid RID, payload []byte) bool {
+			return pageRows(func(rid RID, payload []byte) bool {
 				*part = append(*part, heapRow{rid, bytes.Clone(payload)})
 				return true
-			}
+			})
 		}) {
 			rows = append(rows, p...)
 		}
@@ -319,5 +332,55 @@ func TestUpdateMoveKeepsRowCount(t *testing.T) {
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanRIDsStrictlyAscending: Scan yields every live row once, in
+// strictly ascending RID order, after deletes, moves, and inserts into
+// the holes they left that compact pages — the order the online index
+// build's stable sort relies on for its (key, RID) order.
+func TestScanRIDsStrictlyAscending(t *testing.T) {
+	h := messyHeap(t, nil, ScanChunk*3)
+	live := make(map[RID][]byte)
+	h.Scan(func(rid RID, payload []byte) bool {
+		live[rid] = bytes.Clone(payload)
+		return true
+	})
+	garbage := func() int {
+		n := 0
+		for _, p := range h.pages {
+			if p.garbage() > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	before := garbage()
+	for i := 0; i < 3000; i++ {
+		payload := payloadOf(30+i%90, byte(i))
+		rid, err := h.Insert(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[rid] = payload
+	}
+	if after := garbage(); before == 0 || after >= before {
+		t.Fatalf("pages with garbage: %d before the inserts, %d after; the test wants compactions", before, after)
+	}
+	var prev RID
+	n := 0
+	h.Scan(func(rid RID, payload []byte) bool {
+		if n > 0 && prev.Compare(rid) >= 0 {
+			t.Fatalf("row %d: RID %v after %v", n, rid, prev)
+		}
+		if want, ok := live[rid]; !ok || !bytes.Equal(payload, want) {
+			t.Fatalf("row %d: RID %v holds % x, want % x (live %v)", n, rid, payload, want, ok)
+		}
+		prev = rid
+		n++
+		return true
+	})
+	if n != len(live) {
+		t.Fatalf("scan yielded %d rows, %d are live", n, len(live))
 	}
 }

@@ -181,15 +181,26 @@ func (h *HeapFile) Update(rid RID, payload []byte) (RID, error) {
 	return h.insertLocked(payload)
 }
 
-// Scan calls fn for every live row in RID order, charging one read per
-// page visited. Scanning stops early if fn returns false. The payload
-// slice passed to fn aliases page memory and must not be retained. It is
-// ScanChunks' page loop run chunk after chunk on the caller.
+// Scan calls fn for every live row in RID order — strictly ascending
+// RIDs, page by page and slot by slot, whatever deletes, moves and
+// compactions came before — charging one read per page visited.
+// Scanning stops early if fn returns false. The payload slice passed to
+// fn aliases page memory and must not be retained. It is ScanChunks'
+// page loop run chunk after chunk on the caller, with fn called for each
+// of a page's live slots.
 func (h *HeapFile) Scan(fn func(rid RID, payload []byte) bool) {
+	rows := func(p *Page) bool {
+		for i := range p.Slots() {
+			if payload, live := p.Live(i); live && !fn(RID{Page: p.id, Slot: uint16(i)}, payload) {
+				return false
+			}
+		}
+		return true
+	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	for c := range Chunks(len(h.pages)) {
-		pages, stopped := h.scanChunk(c, fn)
+		pages, stopped := h.scanChunk(c, rows)
 		h.stats.Read(pages)
 		if stopped {
 			return
@@ -198,31 +209,27 @@ func (h *HeapFile) Scan(fn func(rid RID, payload []byte) bool) {
 }
 
 // ScanChunks is Scan split into chunks of ScanChunk pages run by
-// ScanParts, possibly two at once. For each chunk it calls rows with a
-// pointer to that chunk's result; the callback rows returns then receives
-// the chunk's live rows in RID order, on one goroutine, and ends the
-// scan by returning false. ScanChunks returns the results of the chunks
-// up to and including the one that ended the scan, in page order, and
-// charges what Scan charges: one read per page up to the page where the
-// scan ended.
-func ScanChunks[T any](h *HeapFile, rows func(part *T) func(rid RID, payload []byte) bool) []T {
+// ScanParts, possibly two at once. For each chunk it calls pages with a
+// pointer to that chunk's result; the callback pages returns then
+// receives the chunk's pages in order, on one goroutine, reads their live
+// slots itself (Page.Slots, Page.Live), and ends the scan by returning
+// false. ScanChunks returns the results of the chunks up to and
+// including the one that ended the scan, in page order, and charges what
+// Scan charges: one read per page up to the page where the scan ended.
+func ScanChunks[T any](h *HeapFile, pages func(part *T) func(p *Page) bool) []T {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	parts, pages := ScanParts(Chunks(len(h.pages)), rows, h.scanChunk)
-	h.stats.Read(pages)
+	parts, visited := ScanParts(Chunks(len(h.pages)), pages, h.scanChunk)
+	h.stats.Read(visited)
 	return parts
 }
 
-// scanChunk calls fn for the live rows of chunk c's pages in RID order,
-// and returns the number of pages it visited and whether fn stopped it.
-func (h *HeapFile) scanChunk(c int, fn func(rid RID, payload []byte) bool) (pages int64, stopped bool) {
+// scanChunk calls fn for chunk c's pages in order, and returns the
+// number of pages it visited and whether fn stopped it.
+func (h *HeapFile) scanChunk(c int, fn func(p *Page) bool) (pages int64, stopped bool) {
 	for _, p := range h.pages[c*ScanChunk : min((c+1)*ScanChunk, len(h.pages))] {
 		pages++
-		p.liveSlots(func(slot uint16, payload []byte) bool {
-			stopped = !fn(RID{Page: p.id, Slot: slot}, payload)
-			return !stopped
-		})
-		if stopped {
+		if !fn(p) {
 			return pages, true
 		}
 	}
@@ -250,10 +257,10 @@ func (h *HeapFile) CheckInvariants() error {
 			return fmt.Errorf("storage: page %d slot directory overlaps payload region", p.id)
 		}
 		var payloadBytes int
-		p.liveSlots(func(slot uint16, payload []byte) bool {
+		for i := range p.Slots() {
+			payload, _ := p.Live(i)
 			payloadBytes += len(payload)
-			return true
-		})
+		}
 		used := PageSize - int(p.freeEnd())
 		if payloadBytes+int(p.garbage()) > used {
 			return fmt.Errorf("storage: page %d accounting mismatch: %d live + %d garbage > %d used",

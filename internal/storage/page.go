@@ -237,24 +237,28 @@ func (p *Page) compact() {
 	p.setGarbage(0)
 }
 
-// liveSlots calls fn for every live slot in slot order, stopping early if
-// fn returns false.
-func (p *Page) liveSlots(fn func(slot uint16, payload []byte) bool) {
-	n := p.slotCount()
-	for i := uint16(0); i < n; i++ {
-		off, l := p.slot(i)
-		if l == deadLen {
-			continue
-		}
-		if !fn(i, p.data[off:off+l]) {
-			return
-		}
+// Slots returns the number of slots in the page's directory, dead ones
+// included: every RID on the page has a Slot below it.
+func (p *Page) Slots() int { return int(p.slotCount()) }
+
+// Live returns the payload of slot i, which must be below Slots(), and
+// whether the slot is live. The payload aliases the page and must not be
+// modified or retained.
+func (p *Page) Live(i int) ([]byte, bool) {
+	off, l := p.slot(uint16(i))
+	if l == deadLen {
+		return nil, false
 	}
+	return p.data[off : off+l], true
 }
 
-// liveCount returns the number of live slots.
+// liveCount returns the number of live slots, counted in the directory.
 func (p *Page) liveCount() int {
 	c := 0
-	p.liveSlots(func(uint16, []byte) bool { c++; return true })
+	for i := range p.Slots() {
+		if _, live := p.Live(i); live {
+			c++
+		}
+	}
 	return c
 }
