@@ -124,8 +124,12 @@ chaos:
 # accepts with its error, and must reach decode-then-evaluate's verdict
 # (internal/engine/filter_test.go); and the radix sorter behind online
 # index builds and ANALYZE must give slices.SortStableFunc's permutation
-# on arbitrary byte keys (internal/keyenc/sort_test.go). CI runs this as a smoke test; longer
-# local campaigns just raise -fuzztime.
+# on arbitrary byte keys (internal/keyenc/sort_test.go); and a packed
+# INT column of a page's or leaf's column view must keep the narrowest
+# width, give back every value and keep exactly the positions a range or
+# IN conjunct accepts on the plain values (internal/engine/colview_test.go).
+# CI runs this as a smoke test; longer local campaigns just raise
+# -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
@@ -140,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/sql/
 	$(GO) test -run='^$$' -fuzz=FuzzIngestBody -fuzztime=20s ./cmd/advisord/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodedPredicate -fuzztime=20s ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzIntColumn -fuzztime=20s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=20s ./internal/keyenc/
 
 # explain-smoke drives the decision-provenance layer end to end on a

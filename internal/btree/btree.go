@@ -61,6 +61,14 @@ type leaf struct {
 	rids  []storage.RID
 	next  *leaf
 	bytes int
+	// view is the leaf's derived-data slot, handed to ScanChunks'
+	// callback beside the keys and RIDs. The tree never reads it and
+	// empties it whenever the leaf's entries change: on an insert or a
+	// delete, and on every leaf a split, a borrow or a merge rewrites.
+	// Only the scan worker that owns the leaf within a ScanChunks call
+	// writes it; the caller keeps scans and mutations of one tree from
+	// running at once (the engine holds its database lock).
+	view any
 }
 
 func (l *leaf) isLeaf() bool { return true }
@@ -196,6 +204,7 @@ func (t *Tree) insert(n node, level int, key []byte, rid storage.RID) (sepKey []
 		copy(l.rids[pos+1:], l.rids[pos:])
 		l.rids[pos] = rid
 		l.bytes += leafEntrySize(key)
+		l.view = nil
 		t.stats.Write(1)
 		if l.bytes <= nodeBudget {
 			return nil, storage.RID{}, nil, nil
@@ -249,6 +258,7 @@ func (t *Tree) splitLeaf(l *leaf) ([]byte, storage.RID, node, error) {
 	l.rids = l.rids[:mid:mid]
 	l.bytes -= right.bytes
 	l.next = right
+	l.view = nil
 	t.nodes++
 	t.stats.Write(2)
 	return right.keys[0], right.rids[0], right, nil
@@ -315,6 +325,7 @@ func (t *Tree) delete(n node, key []byte, rid storage.RID) bool {
 		l.bytes -= leafEntrySize(l.keys[pos])
 		l.keys = append(l.keys[:pos], l.keys[pos+1:]...)
 		l.rids = append(l.rids[:pos], l.rids[pos+1:]...)
+		l.view = nil
 		t.stats.Write(1)
 		return true
 	}
@@ -355,6 +366,7 @@ func (t *Tree) borrowOrMerge(b *branch, i int) bool {
 		l, r := left.(*leaf), right.(*leaf)
 		if l.bytes+r.bytes <= nodeBudget {
 			// Merge right into left.
+			l.view = nil
 			l.keys = append(l.keys, r.keys...)
 			l.rids = append(l.rids, r.rids...)
 			l.bytes += r.bytes
@@ -374,6 +386,7 @@ func (t *Tree) borrowOrMerge(b *branch, i int) bool {
 				l.keys = append(l.keys, k)
 				l.rids = append(l.rids, rid)
 				l.bytes += leafEntrySize(k)
+				l.view, r.view = nil, nil
 			}
 		} else {
 			for r.bytes < minBudget && len(l.keys) > 1 {
@@ -385,6 +398,7 @@ func (t *Tree) borrowOrMerge(b *branch, i int) bool {
 				r.keys = append([][]byte{k}, r.keys...)
 				r.rids = append([]storage.RID{rid}, r.rids...)
 				r.bytes += leafEntrySize(k)
+				l.view, r.view = nil, nil
 			}
 		}
 		b.bytes -= branchEntrySize(b.sepKeys[i])

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyndesign/internal/keyenc"
@@ -112,8 +113,22 @@ func TestBulkLoadAllocsPerLeaf(t *testing.T) {
 // bytes are overwritten, then insert and delete storms split, borrow and
 // merge the loaded leaves. Every surviving key still equals a deep copy
 // taken before the load, and the tree keeps its invariants — the leaves'
-// keys share one arena per leaf, and nothing writes into it.
+// keys share one arena per leaf, and nothing writes into it. The storms
+// run in steps of stormStep operations; before each, every leaf's
+// derived-data slot gets a sentinel, and after it every leaf whose
+// entries changed, new leaves included, has an empty slot, while every
+// other leaf keeps its sentinel.
 func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
+	const stormStep = 50
+	var tr *Tree
+	sentinel := new(int)
+	before := map[*leaf][]storage.RID{}
+	mark := func() {
+		clear(before)
+		for _, l := range tr.leaves() {
+			l.view, before[l] = sentinel, slices.Clone(l.rids)
+		}
+	}
 	rng := rand.New(rand.NewSource(17))
 	type entry struct {
 		key string
@@ -126,10 +141,32 @@ func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
 		entries = append(entries, Entry{Key: key, RID: ridOf(i)})
 		model[entry{string(key), ridOf(i)}] = true
 	}
-	tr := New(nil)
+	tr = New(nil)
 	if err := tr.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
+	var changed, kept, split, merged int
+	check := func(round int) {
+		t.Helper()
+		leaves := tr.leaves()
+		for _, l := range leaves {
+			rids, old := before[l]
+			switch unchanged := old && slices.Equal(rids, l.rids); {
+			case !unchanged && l.view != nil:
+				t.Fatalf("round %d: a leaf whose entries changed (new: %v) kept its slot", round, !old)
+			case unchanged && l.view != any(sentinel):
+				t.Fatalf("round %d: an unchanged leaf's slot holds %v", round, l.view)
+			case unchanged:
+				kept++
+			default:
+				changed++
+			}
+		}
+		split += max(0, len(leaves)-len(before))
+		merged += max(0, len(before)-len(leaves))
+		mark()
+	}
+	mark()
 	for _, e := range entries {
 		for i := range e.Key {
 			e.Key[i] = 0xEE
@@ -137,8 +174,13 @@ func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
 	}
 	for round := 0; round < 6; round++ {
 		// Delete a contiguous run of whole leaves' worth, so neighbours
-		// borrow and merge, and scattered entries elsewhere.
+		// borrow and merge, and scattered entries elsewhere. The first
+		// run starts at the first leaf, which has no left sibling and
+		// borrows from its right one.
 		lo := rng.Intn(15000)
+		if round == 0 {
+			lo = 0
+		}
 		for i := lo; i < lo+2000; i++ {
 			key := keyenc.MustEncode(types.NewInt(int64(i/3)), types.NewString(string(rune('a'+i%3))))
 			if e := (entry{string(key), ridOf(i)}); model[e] {
@@ -146,6 +188,9 @@ func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
 					t.Fatalf("round %d: delete %d: %v %v", round, i, found, err)
 				}
 				delete(model, e)
+			}
+			if (i-lo)%stormStep == stormStep-1 {
+				check(round)
 			}
 		}
 		// Insert between loaded keys, so loaded leaves split.
@@ -157,6 +202,9 @@ func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
 				t.Fatal(err)
 			}
 			model[entry{string(key), rid}] = true
+			if j%stormStep == stormStep-1 {
+				check(round)
+			}
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -176,5 +224,9 @@ func TestBulkLoadedLeavesSurviveStorms(t *testing.T) {
 	}
 	if n != len(model) {
 		t.Fatalf("%d entries, model %d", n, len(model))
+	}
+	if changed == 0 || kept == 0 || split == 0 || merged == 0 {
+		t.Fatalf("the storms changed %d leaves and kept %d, split %d times and merged %d: not every case ran",
+			changed, kept, split, merged)
 	}
 }

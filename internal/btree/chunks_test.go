@@ -63,8 +63,8 @@ func sameEntries(a, b []Entry) bool {
 
 // leafEntries adapts an entry callback to ScanChunks' leaf callback: it
 // calls fn for the leaf's entries in order, as ScanRange does.
-func leafEntries(fn func([]byte, storage.RID) bool) func([][]byte, []storage.RID) bool {
-	return func(keys [][]byte, rids []storage.RID) bool {
+func leafEntries(fn func([]byte, storage.RID) bool) func([][]byte, []storage.RID, *any) bool {
+	return func(keys [][]byte, rids []storage.RID, _ *any) bool {
 		for i, k := range keys {
 			if !fn(k, rids[i]) {
 				return false
@@ -117,7 +117,7 @@ func TestScanChunksMatchesIterator(t *testing.T) {
 					runtime.GOMAXPROCS(procs)
 					before := stats.Snapshot()
 					var got []Entry
-					for _, p := range ScanChunks(tr, func(part *[]Entry) func([][]byte, []storage.RID) bool { return leafEntries(collect(part)) }) {
+					for _, p := range ScanChunks(tr, func(part *[]Entry) func([][]byte, []storage.RID, *any) bool { return leafEntries(collect(part)) }) {
 						got = append(got, p...)
 					}
 					if charged := stats.Snapshot().Sub(before); !sameEntries(got, want) || charged != wantCharge {

@@ -106,7 +106,7 @@ func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, rid storage.RID) bo
 // range is ScanChunks' leaf loop run chunk after chunk on the caller.
 func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) bool) {
 	if low == nil && high == nil {
-		entries := func(keys [][]byte, rids []storage.RID) bool {
+		entries := func(keys [][]byte, rids []storage.RID, _ *any) bool {
 			for i, k := range keys {
 				if !fn(k, rids[i]) {
 					return false
@@ -145,17 +145,19 @@ func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) 
 // chunks of storage.ScanChunk leaves run by storage.ScanParts, possibly
 // two at once. For each chunk it calls leaves with a pointer to that
 // chunk's result; the callback leaves returns then receives the chunk's
-// leaves in order, one call per leaf with its keys and RIDs, on one
-// goroutine, and ends the scan by returning false. The slices alias the
-// tree: the callback must neither modify nor retain them. ScanChunks
+// leaves in order, one call per leaf with its keys, its RIDs and its
+// derived-data slot, on one goroutine, and ends the scan by returning
+// false. The slices alias the tree: the callback must neither modify nor
+// retain them. The slot is the callback's to read and write; the tree
+// empties it whenever the leaf's entries change. ScanChunks
 // returns the results of the chunks up to and including the one that
 // ended the scan, in key order, and charges what First and Next charge:
 // the height, then one read per further leaf up to the leaf where the
 // scan ended. The tree must not change while it runs.
-func ScanChunks[T any](t *Tree, leaves func(part *T) func(keys [][]byte, rids []storage.RID) bool) []T {
+func ScanChunks[T any](t *Tree, leaves func(part *T) func(keys [][]byte, rids []storage.RID, view *any) bool) []T {
 	all := t.leaves()
 	parts, visited := storage.ScanParts(storage.Chunks(len(all)), leaves,
-		func(c int, fn func(keys [][]byte, rids []storage.RID) bool) (int64, bool) {
+		func(c int, fn func(keys [][]byte, rids []storage.RID, view *any) bool) (int64, bool) {
 			return scanLeaves(all, c, fn)
 		})
 	t.stats.Read(int64(t.height-1) + visited)
@@ -164,10 +166,10 @@ func ScanChunks[T any](t *Tree, leaves func(part *T) func(keys [][]byte, rids []
 
 // scanLeaves calls fn for each leaf of chunk c of leaves in order, and
 // returns the number of leaves it visited and whether fn stopped it.
-func scanLeaves(leaves []*leaf, c int, fn func(keys [][]byte, rids []storage.RID) bool) (visited int64, stopped bool) {
+func scanLeaves(leaves []*leaf, c int, fn func(keys [][]byte, rids []storage.RID, view *any) bool) (visited int64, stopped bool) {
 	for _, l := range leaves[c*storage.ScanChunk : min((c+1)*storage.ScanChunk, len(leaves))] {
 		visited++
-		if !fn(l.keys, l.rids) {
+		if !fn(l.keys, l.rids, &l.view) {
 			return visited, true
 		}
 	}
@@ -201,6 +203,15 @@ func (t *Tree) leaves() []*leaf {
 // charges one page write. Each leaf copies its keys into one allocation
 // of its own; the tree retains none of the caller's key slices.
 func (t *Tree) BulkLoad(entries []Entry) error {
+	return t.BulkLoadFunc(len(entries), func(i int) ([]byte, storage.RID) { return entries[i].Key, entries[i].RID })
+}
+
+// BulkLoadFunc is BulkLoad over the n entries that entry returns by
+// position, so that a caller holding its keys and RIDs apart (an online
+// index build: a key arena and a sort permutation) makes no slice of
+// entries, which at 250k rows would be 8 MB beside the new leaves at the
+// build's peak.
+func (t *Tree) BulkLoadFunc(n int, entry func(i int) (key []byte, rid storage.RID)) error {
 	const fill = nodeBudget * 9 / 10
 	// Build the leaf level: each leaf takes as many entries as fit the
 	// fill, at least one, and copies their keys into one arena of its
@@ -209,26 +220,29 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 	// keys are read once; the tree is untouched until all have passed.
 	var leaves []*leaf
 	var prev []byte
-	for i := 0; i < len(entries) || len(leaves) == 0; {
+	var prevRID storage.RID
+	for i := 0; i < n || len(leaves) == 0; {
 		j, size, keyBytes := i, 0, 0
-		for ; j < len(entries); j++ {
-			sz := leafEntrySize(entries[j].Key)
+		for ; j < n; j++ {
+			key, _ := entry(j)
+			sz := leafEntrySize(key)
 			if size+sz > fill && j > i {
 				break
 			}
 			size += sz
-			keyBytes += len(entries[j].Key)
+			keyBytes += len(key)
 		}
 		l := &leaf{keys: make([][]byte, j-i), rids: make([]storage.RID, j-i), bytes: size}
 		arena := make([]byte, 0, keyBytes)
-		for k, e := range entries[i:j] {
+		for k := range j - i {
+			e, rid := entry(i + k)
 			start := len(arena)
-			arena = append(arena, e.Key...)
+			arena = append(arena, e...)
 			key := arena[start:len(arena):len(arena)]
-			if i+k > 0 && compareEntry(prev, entries[i+k-1].RID, key, e.RID) >= 0 {
+			if i+k > 0 && compareEntry(prev, prevRID, key, rid) >= 0 {
 				return fmt.Errorf("btree: bulk-load input not strictly sorted at position %d", i+k)
 			}
-			l.keys[k], l.rids[k], prev = key, e.RID, key
+			l.keys[k], l.rids[k], prev, prevRID = key, rid, key, rid
 		}
 		leaves = append(leaves, l)
 		i = j
@@ -238,7 +252,7 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 	}
 	t.nodes = int64(len(leaves))
 	t.stats.Write(int64(len(leaves)))
-	t.entries = int64(len(entries))
+	t.entries = int64(n)
 	t.height = 1
 
 	// Build branch levels bottom-up until a single root remains.

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"dyndesign/internal/catalog"
 	"dyndesign/internal/cost"
 	"dyndesign/internal/sql"
+	"dyndesign/internal/storage"
+	"dyndesign/internal/types"
 )
 
 // The engine's working benchmarks: the three operations a replay spends
@@ -58,8 +61,9 @@ func eachSize(b *testing.B, bench func(b *testing.B, rows int)) {
 	}
 }
 
-// benchSelect runs query n times after checking it plans as kind.
-func benchSelect(b *testing.B, db *Database, rows int, query string, kind cost.AccessKind) {
+// benchSelect runs query n times after checking it plans as kind. With
+// touch set it calls touch, untimed, before each run.
+func benchSelect(b *testing.B, db *Database, rows int, query string, kind cost.AccessKind, touch func()) {
 	b.Helper()
 	stmt := sql.MustParse(query)
 	plan, err := db.Explain(query)
@@ -72,6 +76,11 @@ func benchSelect(b *testing.B, db *Database, rows int, query string, kind cost.A
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		if touch != nil {
+			b.StopTimer()
+			touch()
+			b.StartTimer()
+		}
 		if _, err := db.ExecStmt(stmt); err != nil {
 			b.Fatal(err)
 		}
@@ -79,11 +88,92 @@ func benchSelect(b *testing.B, db *Database, rows int, query string, kind cost.A
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
+// benchPointScans runs the point query format (one %d) as four
+// sub-benchmarks: at the literal 17, which lies below most pages' and
+// leaves' minimum, and at the mid-domain literal rows/10; each warm, the
+// table unchanged between runs, and cold, after touch has changed every
+// page or leaf the scan reads.
+func benchPointScans(b *testing.B, db *Database, rows int, format string, kind cost.AccessKind, touch func()) {
+	for _, lit := range []int{17, rows / 10} {
+		query := fmt.Sprintf(format, lit)
+		for _, cold := range []bool{false, true} {
+			name := fmt.Sprintf("lit=%d/warm", lit)
+			var before func()
+			if cold {
+				name, before = fmt.Sprintf("lit=%d/cold", lit), touch
+			}
+			b.Run(name, func(b *testing.B) { benchSelect(b, db, rows, query, kind, before) })
+		}
+	}
+}
+
+// touchPages returns a function that rewrites one row of every heap page
+// of t in place, unchanged: the cheapest write that reaches every page.
+func touchPages(b *testing.B, db *Database) func() {
+	heap := db.tables["t"].heap
+	var rids []storage.RID
+	heap.Scan(func(rid storage.RID, _ []byte) bool {
+		if len(rids) == 0 || rids[len(rids)-1].Page != rid.Page {
+			rids = append(rids, rid)
+		}
+		return true
+	})
+	return func() {
+		for _, rid := range rids {
+			payload, err := heap.Get(rid)
+			if err == nil {
+				_, err = heap.Update(rid, payload)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// touchLeaves returns a function that deletes and re-inserts every
+// 100th entry of the index on (a, b): fewer entries than any leaf but the
+// last holds, so every leaf changes and none splits.
+func touchLeaves(b *testing.B, db *Database) func() {
+	td := db.tables["t"]
+	ix, _ := td.indexes.Get(catalog.IndexDef{Table: "t", Columns: []string{"a", "b"}}.Name())
+	var rows []matchedRow
+	n := 0
+	if err := ix.ScanAll(func(_ []types.Value, rid storage.RID) bool {
+		if n%100 == 0 {
+			payload, err := td.heap.Get(rid)
+			var row types.Row
+			if err == nil {
+				row, err = types.DecodeRow(payload)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows = append(rows, matchedRow{rid: rid, row: row})
+		}
+		n++
+		return true
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return func() {
+		for _, r := range rows {
+			if err := ix.Delete(r.row, r.rid); err != nil {
+				b.Fatal(err)
+			}
+			if err := ix.Insert(r.row, r.rid); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkHeapScanPointPredicate: a point query with no index, the
 // replay's most frequent statement.
 func BenchmarkHeapScanPointPredicate(b *testing.B) {
 	eachSize(b, func(b *testing.B, rows int) {
-		benchSelect(b, benchDB(b, rows), rows, "SELECT c FROM t WHERE c = 17", cost.HeapScan)
+		db := benchDB(b, rows)
+		benchPointScans(b, db, rows, "SELECT c FROM t WHERE c = %d", cost.HeapScan, touchPages(b, db))
 	})
 }
 
@@ -93,7 +183,7 @@ func BenchmarkIndexOnlyScanNonLeading(b *testing.B) {
 	eachSize(b, func(b *testing.B, rows int) {
 		db := benchDB(b, rows)
 		db.MustExec("CREATE INDEX ON t (a, b)")
-		benchSelect(b, db, rows, "SELECT b FROM t WHERE b = 17", cost.IndexOnlyScan)
+		benchPointScans(b, db, rows, "SELECT b FROM t WHERE b = %d", cost.IndexOnlyScan, touchLeaves(b, db))
 	})
 }
 

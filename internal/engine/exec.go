@@ -101,8 +101,9 @@ func joinParts(parts []scanPart) ([]matchedRow, error) {
 // Full scans — heap scans and covering index-only scans — run as chunks,
 // on the caller and at most one helper goroutine (storage.ScanParts);
 // each chunk hands its loop one heap page or one leaf per call
-// (scanPage, keyScan.leaf), collects into its own part, and joinParts
-// restores the serial order and first error. Nothing mutates the table
+// (scanPage, keyScan.leaf), which tests the page's or leaf's column view
+// where one serves (colview.go), collects into its own part, and
+// joinParts restores the serial order and first error. Nothing mutates the table
 // meanwhile: the caller holds db.mu, and UPDATE and DELETE mutate only
 // after collecting.
 func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]matchedRow, error) {
@@ -178,8 +179,11 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 		}
 		if a.Kind == cost.IndexOnlyScan {
 			// An index-only scan visits every entry: split it.
-			return joinParts(index.ScanKeyChunks(ix, func(part *scanPart) func([][]byte, []storage.RID) bool {
-				return scan(part).leaf
+			preds, cols := keys.view()
+			return joinParts(index.ScanKeyChunks(ix, func(part *scanPart) func([][]byte, []storage.RID, *any) bool {
+				s := scan(part)
+				s.viewPreds, s.viewCols = preds, cols
+				return s.leaf
 			}))
 		}
 		s := scan(&part)
@@ -199,8 +203,14 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 // scanPage is a heap scan's page loop: it tests the live rows of p in
 // slot order and appends each match, decoded into a row of its own, to
 // part. At the first payload the filter rejects it sets part.err and
-// reports false.
+// reports false. Where p's column view serves the predicates it tests
+// them there (scanView); the row loop below runs everywhere else.
 func (f *rowFilter) scanPage(p *storage.Page, part *scanPart) bool {
+	if f.viewCols != nil {
+		if v := f.pageView(p); v != nil {
+			return f.scanView(p, v, part)
+		}
+	}
 	for i := range p.Slots() {
 		payload, live := p.Live(i)
 		if !live {
@@ -247,12 +257,30 @@ type keyScan struct {
 	width   int   // the table's number of columns
 	keyVals []types.Value
 	part    *scanPart
+	// viewPreds and viewCols are the filter's predicates and the key
+	// parts they read when a leaf's column view can serve them all
+	// (colview.go), else nil.
+	viewPreds []bytePred
+	viewCols  []colRef
+	scratch   viewScratch
 }
 
 // leaf is an index-only scan's leaf loop: it tests one leaf's keys in
 // order and reports false, with part.err set, at the first key the
-// filter rejects.
-func (s *keyScan) leaf(keys [][]byte, rids []storage.RID) bool {
+// filter rejects. Where the leaf's column view serves the predicates it
+// tests them there; the key loop below runs everywhere else.
+func (s *keyScan) leaf(keys [][]byte, rids []storage.RID, view *any) bool {
+	if s.viewCols != nil {
+		if v := s.leafView(keys, view); v != nil {
+			s.scratch.match(v, s.viewPreds)
+			for _, i := range s.scratch.cand {
+				if !s.keep(keys[i], rids[i], nil) {
+					return false
+				}
+			}
+			return true
+		}
+	}
 	for i, k := range keys {
 		if ok, err := s.filter.match(k); err != nil || ok {
 			if !s.keep(k, rids[i], err) {

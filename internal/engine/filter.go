@@ -137,6 +137,10 @@ type rowFilter struct {
 	layout *types.RowLayout
 	preds  []bytePred
 	width  int // the schema's number of columns, the width of a decoded row
+	// viewCols lists the columns the predicates read when a page's column
+	// view can serve them all (colview.go), else it is nil.
+	viewCols []colRef
+	scratch  viewScratch
 }
 
 func newRowFilter(schema *types.Schema, residual []sql.Comparison) (*rowFilter, error) {
@@ -152,14 +156,36 @@ func newRowFilter(schema *types.Schema, residual []sql.Comparison) (*rowFilter, 
 		}
 		f.preds = append(f.preds, p)
 	}
+	f.viewCols = viewCols(f.preds, nil)
 	return f, nil
 }
 
-// fork returns a filter with f's predicates and a layout of its own: a
-// RowLayout serves one scan at a time, and each chunk of a split scan is
-// one.
+// viewCols returns the distinct columns preds read, with offs[i] the
+// byte offset of pred i's key part (nil for heap rows), or nil unless
+// there are predicates and a column view can serve them all: each one is
+// on an INT column, at a fixed offset in a key.
+func viewCols(preds []bytePred, offs []int) []colRef {
+	var cols []colRef
+	for i, p := range preds {
+		c := colRef{pos: p.pos, off: -1}
+		if offs != nil {
+			c.off = offs[i]
+		}
+		if p.kind != types.KindInt || (offs != nil && c.off < 0) {
+			return nil
+		}
+		if !slices.Contains(cols, c) {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// fork returns a filter with f's predicates, and a layout and a scratch
+// of its own: both serve one scan at a time, and each chunk of a split
+// scan is one.
 func (f *rowFilter) fork(schema *types.Schema) *rowFilter {
-	return &rowFilter{layout: types.NewRowLayout(schema), preds: f.preds, width: f.width}
+	return &rowFilter{layout: types.NewRowLayout(schema), preds: f.preds, width: f.width, viewCols: f.viewCols}
 }
 
 // match reports whether the encoded row satisfies every predicate, tested
@@ -202,6 +228,20 @@ type keyPred struct {
 
 // keyFilter tests residual predicates on encoded index keys.
 type keyFilter []keyPred
+
+// view returns the predicates and the key parts a leaf's column view
+// serves, or nils when it cannot serve them all.
+func (f keyFilter) view() ([]bytePred, []colRef) {
+	preds := make([]bytePred, len(f))
+	offs := make([]int, len(f))
+	for i, p := range f {
+		preds[i], offs[i] = p.bytePred, p.off
+	}
+	if cols := viewCols(preds, offs); cols != nil {
+		return preds, cols
+	}
+	return nil, nil
+}
 
 // newKeyFilter compiles the residual over an index keyed on the schema
 // columns keyCols. Every residual column must be a key column.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dyndesign/internal/catalog"
@@ -162,20 +163,27 @@ func (g valueGen) conjunct(col types.Column) sql.Comparison {
 	return c
 }
 
-// TestScanEquivalence is the differential test of the byte-level scans:
-// over random schemas mixing INT and STRING columns, every operator and IN
-// lists, heap scans and full index scans (covering, or fetching the heap)
-// must return the rows, in the order, and charge the page accesses that
-// decoding every row and key before evaluating the residual does.
+// TestScanEquivalence is the differential test of the byte-level scans
+// and of the column views kept beside pages and leaves: over random
+// schemas mixing INT and STRING columns (every third one all INT, where
+// the views serve most conjunct lists), every operator and IN lists,
+// heap scans and full index scans (covering, or fetching the heap) must
+// return the rows, in the order, and charge the page accesses that
+// decoding every row and key before evaluating the residual does. Each
+// query runs twice, so the second run reads the views the first built,
+// and between rounds of queries a batch of INSERTs, UPDATEs in place,
+// UPDATEs that move rows and DELETEs changes random pages and leaves, so
+// a view that outlived its page's or leaf's rows would show.
 func TestScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gen := valueGen{rng}
 	for trial := 0; trial < 40; trial++ {
 		db := New()
+		allInt := trial%3 == 0
 		var cols []sql.ColumnDef
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			kind := types.KindInt
-			if rng.Intn(2) == 0 {
+			if !allInt && rng.Intn(2) == 0 {
 				kind = types.KindString
 			}
 			cols = append(cols, sql.ColumnDef{Name: fmt.Sprintf("c%d", i), Kind: kind})
@@ -185,15 +193,7 @@ func TestScanEquivalence(t *testing.T) {
 		}
 		td := db.tables["t"]
 		schema := td.meta.Schema
-		ins := &sql.Insert{Table: "t"}
-		for i := 0; i < 300; i++ {
-			row := make(types.Row, schema.Len())
-			for j, c := range schema.Columns {
-				row[j] = gen.value(c.Kind)
-			}
-			ins.Rows = append(ins.Rows, row)
-		}
-		if _, err := db.ExecStmt(ins); err != nil {
+		if _, err := db.ExecStmt(randomInsert(gen, schema, 400)); err != nil {
 			t.Fatal(err)
 		}
 		// Indexes on random column sequences.
@@ -209,51 +209,139 @@ func TestScanEquivalence(t *testing.T) {
 			}
 		}
 
-		for q := 0; q < 30; q++ {
-			var residual []sql.Comparison
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				residual = append(residual, gen.conjunct(schema.Columns[rng.Intn(schema.Len())]))
+		for round := 0; round < 5; round++ {
+			if round > 0 {
+				scanDML(t, db, gen)
 			}
-			plans := []struct {
-				plan     *Plan
-				needHeap bool
-			}{{&Plan{Table: "t", Access: cost.Access{Kind: cost.HeapScan}, Residual: residual}, q%2 == 0}}
-			for _, def := range defs {
-				ix := &cost.IndexPhys{Def: def}
-				plans = append(plans, struct {
+			for q := 0; q < 5; q++ {
+				var residual []sql.Comparison
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					residual = append(residual, gen.conjunct(schema.Columns[rng.Intn(schema.Len())]))
+				}
+				plans := []struct {
 					plan     *Plan
 					needHeap bool
-				}{&Plan{Table: "t", Access: cost.Access{Kind: cost.IndexOnlyScan, Index: ix}, Residual: residual}, q%2 == 0})
-				var covered []sql.Comparison
-				for _, c := range residual {
-					if slices.Contains(def.Columns, c.Column) {
-						covered = append(covered, c)
+				}{{&Plan{Table: "t", Access: cost.Access{Kind: cost.HeapScan}, Residual: residual}, q%2 == 0}}
+				for _, def := range defs {
+					ix := &cost.IndexPhys{Def: def}
+					plans = append(plans, struct {
+						plan     *Plan
+						needHeap bool
+					}{&Plan{Table: "t", Access: cost.Access{Kind: cost.IndexOnlyScan, Index: ix}, Residual: residual}, q%2 == 0})
+					var covered []sql.Comparison
+					for _, c := range residual {
+						if slices.Contains(def.Columns, c.Column) {
+							covered = append(covered, c)
+						}
 					}
+					plans = append(plans, struct {
+						plan     *Plan
+						needHeap bool
+					}{&Plan{Table: "t", Access: cost.Access{Kind: cost.IndexOnlyScan, Index: ix, Covering: true}, Residual: covered}, false})
 				}
-				plans = append(plans, struct {
-					plan     *Plan
-					needHeap bool
-				}{&Plan{Table: "t", Access: cost.Access{Kind: cost.IndexOnlyScan, Index: ix, Covering: true}, Residual: covered}, false})
-			}
-			for _, pc := range plans {
-				before := db.access.Snapshot()
-				got, err := db.collectRows(td, pc.plan, pc.needHeap)
-				if err != nil {
-					t.Fatalf("trial %d, %s: %v", trial, pc.plan, err)
-				}
-				charged := db.access.Snapshot().Sub(before)
-				before = db.access.Snapshot()
-				want := oracleCollectRows(t, td, pc.plan, pc.needHeap)
-				if oracle := db.access.Snapshot().Sub(before); charged != oracle {
-					t.Fatalf("trial %d, %s: charged %+v, the oracle %+v", trial, pc.plan, charged, oracle)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d, schema %s, %s (needHeap %v):\n got %v\nwant %v",
-						trial, schema, pc.plan, pc.needHeap, got, want)
+				for _, pc := range plans {
+					for run := 0; run < 2; run++ {
+						before := db.access.Snapshot()
+						got, err := db.collectRows(td, pc.plan, pc.needHeap)
+						if err != nil {
+							t.Fatalf("trial %d round %d run %d, %s: %v", trial, round, run, pc.plan, err)
+						}
+						charged := db.access.Snapshot().Sub(before)
+						before = db.access.Snapshot()
+						want := oracleCollectRows(t, td, pc.plan, pc.needHeap)
+						if oracle := db.access.Snapshot().Sub(before); charged != oracle {
+							t.Fatalf("trial %d round %d run %d, %s: charged %+v, the oracle %+v", trial, round, run, pc.plan, charged, oracle)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d round %d run %d, schema %s, %s (needHeap %v):\n got %v\nwant %v",
+								trial, round, run, schema, pc.plan, pc.needHeap, got, want)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// randomInsert returns an INSERT of n random rows of the schema.
+func randomInsert(gen valueGen, schema *types.Schema, n int) *sql.Insert {
+	ins := &sql.Insert{Table: "t"}
+	for i := 0; i < n; i++ {
+		row := make(types.Row, schema.Len())
+		for j, c := range schema.Columns {
+			row[j] = gen.value(c.Kind)
+		}
+		ins.Rows = append(ins.Rows, row)
+	}
+	return ins
+}
+
+// scanDML changes a few random rows of t, and with them their pages and
+// the leaves of every index: it inserts rows, updates rows in place (an
+// INT column to another value, or a STRING column to the empty string),
+// updates a STRING column to a longer string, which moves the row, and
+// deletes rows. Each UPDATE or DELETE picks a live row and matches the
+// rows equal to it in every column.
+func scanDML(t *testing.T, db *Database, gen valueGen) {
+	t.Helper()
+	schema := db.tables["t"].meta.Schema
+	rng := gen.rng
+	var ints, strs []int
+	for i, c := range schema.Columns {
+		if c.Kind == types.KindInt {
+			ints = append(ints, i)
+		} else {
+			strs = append(strs, i)
+		}
+	}
+	like := func() *sql.Where {
+		rows := heapRows(t, db)
+		if len(rows) == 0 {
+			return nil
+		}
+		row := rows[rng.Intn(len(rows))].row
+		w := &sql.Where{}
+		for i, c := range schema.Columns {
+			w.Conjuncts = append(w.Conjuncts, sql.Comparison{Column: c.Name, Op: sql.OpEq, Value: row[i]})
+		}
+		return w
+	}
+	exec := func(st sql.Statement) {
+		if _, err := db.ExecStmt(st); err != nil {
+			t.Fatalf("%s: %v", st, err)
+		}
+	}
+	exec(randomInsert(gen, schema, 1+rng.Intn(20)))
+	var edits []func(where *sql.Where) sql.Statement
+	for n := 0; n < 2; n++ {
+		var set sql.Assignment
+		if len(ints) > 0 {
+			col := ints[rng.Intn(len(ints))]
+			set = sql.Assignment{Column: schema.Columns[col].Name, Value: gen.value(types.KindInt)}
+		} else {
+			set = sql.Assignment{Column: schema.Columns[strs[0]].Name, Value: types.NewString("")}
+		}
+		edits = append(edits, func(where *sql.Where) sql.Statement {
+			return &sql.Update{Table: "t", Set: []sql.Assignment{set}, Where: where}
+		})
+	}
+	if len(strs) > 0 {
+		set := sql.Assignment{Column: schema.Columns[strs[rng.Intn(len(strs))]].Name,
+			Value: types.NewString(strings.Repeat("w", 30+rng.Intn(30)))}
+		edits = append(edits, func(where *sql.Where) sql.Statement {
+			return &sql.Update{Table: "t", Set: []sql.Assignment{set}, Where: where}
+		})
+	}
+	for n := 0; n < 2; n++ {
+		edits = append(edits, func(where *sql.Where) sql.Statement { return &sql.Delete{Table: "t", Where: where} })
+	}
+	// Each UPDATE or DELETE matches a row picked just before it runs.
+	for _, edit := range edits {
+		if where := like(); where != nil {
+			exec(edit(where))
+		}
+	}
+	checkTable(t, db)
 }
 
 // FuzzEncodedPredicate: on arbitrary bytes, read as a heap payload and as

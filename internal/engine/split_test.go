@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"dyndesign/internal/catalog"
@@ -222,7 +223,9 @@ func TestDMLEquivalenceSplit(t *testing.T) {
 
 // TestSplitScanFirstError: with two corrupt payloads in different chunks,
 // a split heap scan fails with the error of the one a serial scan meets
-// first, whichever of the two is met first on which goroutine.
+// first, whichever of the two is met first on which goroutine. The scan
+// runs once before the payloads are written, so each lands on a page
+// that has a column view.
 func TestSplitScanFirstError(t *testing.T) {
 	defer splitProcs()()
 	db := splitDB(t)
@@ -248,6 +251,14 @@ func TestSplitScanFirstError(t *testing.T) {
 	badTag[2] = 0x30 // the first value's kind tag
 	plan := &Plan{Table: "t", Access: cost.Access{Kind: cost.HeapScan},
 		Residual: []sql.Comparison{{Column: "g", Op: sql.OpEq, Value: types.NewInt(5)}}}
+	if _, err := db.collectRows(td, plan, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []storage.PageID{early.Page, late.Page} {
+		if !viewBuilt(td, p) {
+			t.Fatalf("page %d has no column view", p)
+		}
+	}
 	for _, order := range [][2][]byte{{short, badTag}, {badTag, short}} {
 		// A longer payload moves the early row, to an emptied page: still
 		// the first the scan meets.
@@ -285,4 +296,97 @@ func rowFilterMatch(t testing.TB, td *tableData, plan *Plan, payload []byte) (bo
 		t.Fatal(err)
 	}
 	return f.match(payload)
+}
+
+// viewBuilt reports whether heap page id of td holds a column view.
+func viewBuilt(td *tableData, id storage.PageID) bool {
+	built := false
+	storage.ScanChunks(td.heap, func(*struct{}) func(*storage.Page) bool {
+		return func(p *storage.Page) bool {
+			if p.ID() == id {
+				v, _ := (*p.View()).(*colView)
+				built = v != nil && len(v.cols) > 0
+			}
+			return true
+		}
+	})
+	return built
+}
+
+// TestConcurrentExecColumnViews: goroutines run SELECTs — heap scans and
+// index-only scans, both split between two goroutines and both served by
+// column views — UPDATEs in place and INSERTs on one Database at once.
+// Under -race it checks that the view slots a split scan's helper
+// goroutine writes are ordered with every later read and mutation of
+// their pages and leaves; afterwards the table passes its invariants and
+// both scans, run twice, return the oracle's rows.
+func TestConcurrentExecColumnViews(t *testing.T) {
+	defer splitProcs()()
+	const rows = 20000
+	db := New()
+	db.MustExec("CREATE TABLE t (a INT, b INT, c INT, d INT)")
+	rng := rand.New(rand.NewSource(5))
+	var sb strings.Builder
+	for loaded := 0; loaded < rows; loaded += 1000 {
+		sb.Reset()
+		sb.WriteString("INSERT INTO t VALUES ")
+		for i := loaded; i < loaded+1000; i++ {
+			if i > loaded {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, %d, %d)", i, rng.Intn(100), rng.Intn(100), rng.Intn(100))
+		}
+		db.MustExec(sb.String())
+	}
+	db.MustExec("CREATE INDEX ON t (a, b)")
+	if err := db.Analyze("t"); err != nil {
+		t.Fatal(err)
+	}
+	heapScan, indexScan := "SELECT c FROM t WHERE c = %d", "SELECT b FROM t WHERE b = %d"
+	plans := map[string]cost.AccessKind{heapScan: cost.HeapScan, indexScan: cost.IndexOnlyScan}
+	for format, kind := range plans {
+		if plan, err := db.Explain(fmt.Sprintf(format, 7)); err != nil || plan.Access.Kind != kind {
+			t.Fatalf("%s plans as %v (%v), want %v", format, plan, err, kind)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 40; i++ {
+				var q string
+				switch rng.Intn(5) {
+				case 0, 1:
+					q = fmt.Sprintf(heapScan, rng.Intn(100))
+				case 2:
+					q = fmt.Sprintf(indexScan, rng.Intn(100))
+				case 3:
+					q = fmt.Sprintf("UPDATE t SET %s = %d WHERE a = %d", "bc"[i%2:i%2+1], rng.Intn(100), rng.Intn(rows))
+				default:
+					q = fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d, %d)", rows+rng.Intn(rows), rng.Intn(100), rng.Intn(100), rng.Intn(100))
+				}
+				if _, err := db.Exec(q); err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkTable(t, db)
+	td := db.tables["t"]
+	for format := range plans {
+		plan, err := db.Explain(fmt.Sprintf(format, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleCollectRows(t, td, plan, false)
+		for run := 0; run < 2; run++ {
+			if got, err := db.collectRows(td, plan, false); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s run %d: %d rows (%v), the oracle %d", plan, run, len(got), err, len(want))
+			}
+		}
+	}
 }

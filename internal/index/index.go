@@ -185,9 +185,10 @@ func (ix *Index) ScanKeys(lowKey, highKey []byte, fn func(key []byte, rid storag
 // each chunk it calls leaves with a pointer to that chunk's result and
 // feeds the chunk's leaves, in order, to the callback leaves returns: one
 // call per leaf with its raw keys and RIDs, which the callback must
-// neither modify nor retain. It returns the counted chunks' results in
-// key order.
-func ScanKeyChunks[T any](ix *Index, leaves func(part *T) func(keys [][]byte, rids []storage.RID) bool) []T {
+// neither modify nor retain, and the leaf's derived-data slot, which the
+// tree empties whenever the leaf changes. It returns the counted chunks'
+// results in key order.
+func ScanKeyChunks[T any](ix *Index, leaves func(part *T) func(keys [][]byte, rids []storage.RID, view *any) bool) []T {
 	return btree.ScanChunks(ix.tree, leaves)
 }
 
@@ -217,9 +218,9 @@ func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (
 	// Each row's key is built from its payload bytes, located in place,
 	// and added to one arena of keys, sized for INT parts. The heap
 	// yields RIDs in ascending order and the sort is stable, so sorting
-	// by key alone gives the tree's (key, RID) order. Only then are the
-	// entries made, in that order; BulkLoad copies the keys again, leaf
-	// by leaf, so each leaf holds its keys contiguously.
+	// by key alone gives the tree's (key, RID) order. BulkLoadFunc reads
+	// the entries in that order through the permutation and copies the
+	// keys again, leaf by leaf, so each leaf holds its keys contiguously.
 	n := int(heap.NumRows())
 	keys := keyenc.MakeKeys(n, n*keyenc.IntLen*len(cols))
 	rids := make([]storage.RID, 0, n)
@@ -239,11 +240,10 @@ func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (
 		return nil, scanErr
 	}
 	order := keys.Order()
-	entries := make([]btree.Entry, len(order))
-	for i, pos := range order {
-		entries[i] = btree.Entry{Key: keys.Key(int(pos)), RID: rids[pos]}
-	}
-	if err := ix.tree.BulkLoad(entries); err != nil {
+	err := ix.tree.BulkLoadFunc(len(order), func(i int) ([]byte, storage.RID) {
+		return keys.Key(int(order[i])), rids[order[i]]
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Charge the external-sort I/O of the build: a two-pass merge sort

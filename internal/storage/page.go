@@ -75,11 +75,24 @@ const (
 type Page struct {
 	id   PageID
 	dead uint16 // dead slots in the directory
+	view any    // see View
 	data [PageSize]byte
 }
 
 // ID returns the page's identifier within its heap file.
 func (p *Page) ID() PageID { return p.id }
+
+// View returns the page's derived-data slot: whatever a scan derives from
+// the page's live rows and keeps for the next scan of the same page. The
+// page never reads the slot, and every mutation of the page (insert,
+// compaction included, delete and updateInPlace) empties it, so what the
+// slot holds always describes the rows the page holds now.
+//
+// The slot is not synchronized. Only the scan worker that owns the page
+// within a ScanChunks call writes it, under the heap's read lock, and the
+// caller keeps two scans of one heap from running at once (the engine
+// holds its database lock across every statement).
+func (p *Page) View() *any { return &p.view }
 
 func (p *Page) slotCount() uint16     { return binary.BigEndian.Uint16(p.data[0:2]) }
 func (p *Page) freeEnd() uint16       { return binary.BigEndian.Uint16(p.data[2:4]) }
@@ -154,6 +167,7 @@ func (p *Page) insert(payload []byte) (slot uint16, ok bool) {
 	if grow {
 		p.setSlotCount(n + 1)
 	}
+	p.view = nil
 	off := p.freeEnd() - uint16(len(payload))
 	copy(p.data[off:], payload)
 	p.setFreeEnd(off)
@@ -186,6 +200,7 @@ func (p *Page) delete(slot uint16) error {
 	p.setGarbage(p.garbage() + l)
 	p.setSlot(slot, 0, deadLen)
 	p.dead++
+	p.view = nil
 	return nil
 }
 
@@ -202,6 +217,7 @@ func (p *Page) updateInPlace(slot uint16, payload []byte) (bool, error) {
 	if len(payload) > int(l) {
 		return false, nil
 	}
+	p.view = nil
 	copy(p.data[off:], payload)
 	if shrink := l - uint16(len(payload)); shrink > 0 {
 		p.setGarbage(p.garbage() + shrink)
@@ -235,6 +251,7 @@ func (p *Page) compact() {
 	}
 	p.setFreeEnd(writeEnd)
 	p.setGarbage(0)
+	p.view = nil
 }
 
 // Slots returns the number of slots in the page's directory, dead ones

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -400,4 +401,102 @@ func TestHeapManyPagesInvariants(t *testing.T) {
 	if h.NumRows() != 20000 {
 		t.Errorf("NumRows = %d", h.NumRows())
 	}
+}
+
+// TestPageViewEmptiedByMutations: an insert, an insert that compacts the
+// page, a delete, an in-place update of the same size and a shorter one,
+// and an Update that moves the row each empty the derived-data slot of
+// every page they change, and of no other page.
+func TestPageViewEmptiedByMutations(t *testing.T) {
+	h := NewHeapFile(nil)
+	var rids []RID
+	for len(h.pages) < 4 {
+		rid, err := h.Insert(payloadOf(200, byte(len(rids))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	onPage := func(id PageID) []RID {
+		var out []RID
+		for _, rid := range rids {
+			if rid.Page == id {
+				out = append(out, rid)
+			}
+		}
+		return out
+	}
+	type mark struct{ page PageID }
+	// step marks every page, runs do, and checks that exactly the pages
+	// do reports changed lost their marks.
+	step := func(name string, do func() []PageID) {
+		t.Helper()
+		for _, p := range h.pages {
+			*p.View() = &mark{p.id}
+		}
+		changed := do()
+		for _, p := range h.pages {
+			m, kept := (*p.View()).(*mark)
+			if slices.Contains(changed, p.id) {
+				if *p.View() != nil {
+					t.Fatalf("%s: page %d changed and kept its view", name, p.id)
+				}
+			} else if !kept || m.page != p.id {
+				t.Fatalf("%s: page %d did not change and lost its view", name, p.id)
+			}
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	step("insert", func() []PageID {
+		rid, err := h.Insert(payloadOf(200, 0xAA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []PageID{rid.Page}
+	})
+	step("delete", func() []PageID {
+		for _, rid := range onPage(0)[:3] {
+			if err := h.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return []PageID{0}
+	})
+	step("insert with compaction", func() []PageID {
+		p := h.pages[0]
+		if p.contiguousFree() >= 500 || p.room() < 500 {
+			t.Fatalf("page 0 has %d contiguous bytes free and room %d: no compaction", p.contiguousFree(), p.room())
+		}
+		h.insertHint = 0
+		rid, err := h.Insert(payloadOf(500, 0xBB))
+		if err != nil || rid.Page != 0 || p.garbage() != 0 {
+			t.Fatalf("insert went to %v (%v), garbage %d", rid, err, p.garbage())
+		}
+		return []PageID{0}
+	})
+	step("same-size update in place", func() []PageID {
+		rid := onPage(1)[2]
+		if got, err := h.Update(rid, payloadOf(200, 0xCC)); err != nil || got != rid {
+			t.Fatalf("update moved %v to %v (%v)", rid, got, err)
+		}
+		return []PageID{1}
+	})
+	step("shorter update in place", func() []PageID {
+		rid := onPage(2)[5]
+		if got, err := h.Update(rid, payloadOf(120, 0xDD)); err != nil || got != rid {
+			t.Fatalf("update moved %v to %v (%v)", rid, got, err)
+		}
+		return []PageID{2}
+	})
+	step("moving update", func() []PageID {
+		rid := onPage(1)[0]
+		h.insertHint = 1 // a full page: the insert fails there and moves on
+		got, err := h.Update(rid, payloadOf(1500, 0xEE))
+		if err != nil || got.Page == rid.Page {
+			t.Fatalf("update of %v went to %v (%v)", rid, got, err)
+		}
+		return []PageID{rid.Page, got.Page}
+	})
 }
