@@ -103,7 +103,7 @@ chaos:
 # give the one-worker schedule's lattices, parent rows and costs bit for
 # bit, every solver the same Cost bits and designs at Parallelism 1, 2
 # and 4 (lattice_split_test.go); batched plan-table costing must be bitwise
-# identical to the scalar what-if coster on every configuration, a cost
+# identical to the planner's price on every configuration, a cost
 # row filled by the row kernel — statement-major, or by configuration
 # classes where a segment repeats a table — bitwise identical to both
 # over arbitrary candidate lists (plan_test.go), and two statements with

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"dyndesign/internal/durable"
+	"dyndesign/internal/engine"
 )
 
 // traceBatch is statements [from, to) of the shared phased trace as an
@@ -178,6 +180,83 @@ func TestRecoveryAcrossFrameKinds(t *testing.T) {
 	}
 	if oldSolve != newSolve {
 		t.Fatalf("forced solves differ:\nstmt frames:  %s\nbatch frames: %s", oldSolve, newSolve)
+	}
+}
+
+// engineRefused are statements that parse and that the engine refuses
+// before it touches a row: the wrong arity, the wrong kinds, an unknown
+// column, or another table. Ingest validation accepted all seven when it
+// priced with its own scalar coster.
+var engineRefused = []string{
+	"INSERT INTO t VALUES (1)",
+	"INSERT INTO t VALUES ('x','y','z','w')",
+	"INSERT INTO t (a, zz) VALUES (1, 2)",
+	"UPDATE t SET zz = 1 WHERE a = 1",
+	"UPDATE t SET a = 'x' WHERE a = 1",
+	"SELECT a FROM nowhere WHERE a = 1",
+	"DELETE FROM nowhere WHERE a = 1",
+}
+
+// TestIngestRejectsWhatTheEngineRejects pins that ingest accepts no
+// statement the engine would refuse: each of engineRefused, alone or
+// after a valid statement in one batch, gets a 400 and leaves the
+// window, the log, the counters and the drift alerter as they were.
+func TestIngestRejectsWhatTheEngineRejects(t *testing.T) {
+	db := engine.New()
+	db.MustExec("CREATE TABLE t (a INT, b INT, c INT, d INT)")
+	svc, _, ts := metricsService(t, serviceConfig{WindowCap: 100})
+	valid := traceBatch(t, 0, 1)[0]
+	for _, text := range engineRefused {
+		if _, err := db.Exec(text); err == nil {
+			t.Fatalf("the engine executed %q", text)
+		}
+		before := ledgerOf(svc)
+		for _, req := range []ingestRequest{
+			{SQL: text},
+			{Statements: []ingestStatement{valid, {SQL: text}}},
+		} {
+			if status := postStatus(t, ts.Client(), ts.URL, req); status != http.StatusBadRequest {
+				t.Errorf("%q: status %d, want 400", text, status)
+			}
+			if got := ledgerOf(svc); got != before {
+				t.Errorf("%q left a trace: %+v, before it %+v", text, got, before)
+			}
+		}
+	}
+}
+
+// TestRecoveryRejectsRefusedRecord: a WAL written before ingest
+// validated like the engine may hold a statement the engine refuses.
+// Recovery stops at that record with a recordError naming its sequence
+// number, as it does at a record that no longer parses, and the service
+// does not start.
+func TestRecoveryRejectsRefusedRecord(t *testing.T) {
+	adv := testAdvisor(t)
+	valid := traceBatch(t, 0, 1)[0]
+	for _, text := range append([]string{"SELECT a FROM t WHERE"}, engineRefused...) {
+		dir := t.TempDir()
+		store, err := durable.Open(dir, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.AppendBatch([]durable.Statement{{Label: valid.Label, SQL: valid.SQL}, {SQL: text}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if store, err = durable.Open(dir, durable.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := newService(adv, serviceConfig{WindowCap: 50, MinSolve: -1, Store: store})
+		var rec *recordError
+		if !errors.As(err, &rec) || rec.Seq != 2 {
+			if svc != nil {
+				svc.close()
+			}
+			t.Fatalf("recovering a WAL whose record 2 is %q: service %v, error %v; want a recordError for record 2", text, svc != nil, err)
+		}
+		store.Close()
 	}
 }
 

@@ -15,6 +15,17 @@ import (
 	"dyndesign/internal/workload"
 )
 
+// recordError is a WAL record recovery cannot replay: it no longer
+// parses, or the drift alerter cannot price it — a statement ingest
+// would refuse today. Recovery stops at it, the service does not start.
+type recordError struct {
+	Seq uint64
+	Err error
+}
+
+func (e *recordError) Error() string { return fmt.Sprintf("advisord: WAL record %d: %v", e.Seq, e.Err) }
+func (e *recordError) Unwrap() error { return e.Err }
+
 // recover restores the service from the durable store: newest valid
 // snapshot first, then the WAL tail — one record per statement, however
 // the statements were framed on disk — replayed through the window and
@@ -62,11 +73,11 @@ func (s *service) recover() error {
 		case durable.RecordStatement:
 			stmt, err := workload.NewStatement(rec.SQL)
 			if err != nil {
-				return fmt.Errorf("advisord: WAL record %d no longer parses (data dir from another schema?): %w", rec.Seq, err)
+				return &recordError{rec.Seq, fmt.Errorf("no longer parses (data dir from another schema?): %w", err)}
 			}
 			s.win.Append(rec.Label, stmt)
 			if _, err := s.observe(context.Background(), stmt); err != nil {
-				return fmt.Errorf("advisord: replaying WAL record %d: %w", rec.Seq, err)
+				return &recordError{rec.Seq, err}
 			}
 		}
 	}

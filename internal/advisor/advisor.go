@@ -172,7 +172,7 @@ type Advisor struct {
 	// world is the cost world of the last problem: the statistics of the
 	// Analyze that preceded New, the table's size, and the candidate
 	// indexes sized from both. Problem moves it to the table's current
-	// size when DML has changed it; StatementCost reads the last one.
+	// size when DML has changed it; StatementCosts reads the last one.
 	world atomic.Pointer[costWorld]
 }
 
@@ -257,33 +257,37 @@ func (a *Advisor) Space() *DesignSpace { return &a.space }
 // state as stale instead of replaying estimates from a dead world.
 func (a *Advisor) StatsFingerprint() uint64 { return a.world.Load().table.Stats.Fingerprint() }
 
-// physPool recycles the per-call []cost.IndexPhys assembly of the
-// scalar costing path, so monitoring loops (the drift alerter costs
-// every observed statement, the calibrator every sample) do not pay one
-// slice allocation per what-if call.
-var physPool = sync.Pool{New: func() any {
-	return &physScratch{buf: make([]cost.IndexPhys, 0, core.MaxStructures)}
-}}
-
-type physScratch struct{ buf []cost.IndexPhys }
-
-// StatementCost returns the what-if cost of one statement under a
-// configuration of the design space — the EXEC(S, C) primitive, exposed
-// for monitoring tools like the drift alerter.
-func (a *Advisor) StatementCost(s workload.Statement, c core.Config) (float64, error) {
-	w := a.world.Load()
-	sc := physPool.Get().(*physScratch)
-	defer physPool.Put(sc)
-	idxs := sc.buf[:0]
-	for b := uint64(c); b != 0; b &= b - 1 {
-		bit := bits.TrailingZeros64(b)
-		if bit >= len(w.phys) {
-			return 0, fmt.Errorf("advisor: configuration bit %d outside the design space", bit)
-		}
-		idxs = append(idxs, w.phys[bit])
+// StatementCosts sets out[j] to EXEC(s, configs[j]), every price read off
+// one plan table compiled over the design space's structures. A bit
+// outside the space, len(out) != len(configs) or a statement the compile
+// rejects is an error, and out is left as it was.
+func (a *Advisor) StatementCosts(s workload.Statement, configs []core.Config, out []float64) error {
+	if len(out) != len(configs) {
+		return fmt.Errorf("advisor: %d costs asked for %d configurations", len(out), len(configs))
 	}
-	sc.buf = idxs
-	return cost.StatementCost(s.Stmt, w.table, idxs)
+	w := a.world.Load()
+	for _, c := range configs {
+		if outside := uint64(c) >> uint(len(w.phys)); outside != 0 {
+			return fmt.Errorf("advisor: configuration bit %d outside the design space",
+				len(w.phys)+bits.TrailingZeros64(outside))
+		}
+	}
+	pt, err := cost.CompilePlan(s.Stmt, w.table, w.phys)
+	if err != nil {
+		return err
+	}
+	for j, c := range configs {
+		out[j] = pt.Cost(uint64(c))
+	}
+	return nil
+}
+
+// StatementCost is StatementCosts for one configuration: the EXEC(S, C)
+// primitive of advisord's ingest check and of calibration.
+func (a *Advisor) StatementCost(s workload.Statement, c core.Config) (float64, error) {
+	var out [1]float64
+	err := a.StatementCosts(s, []core.Config{c}, out[:])
+	return out[0], err
 }
 
 // whatIfModel implements core.FallibleModel over the engine's what-if
@@ -425,8 +429,7 @@ func (m *whatIfModel) resolve(stage int, r *execRow) (int, error) {
 }
 
 // sumTables is EXEC(segment, c) over compiled plan tables: the
-// statement costs accumulated in statement order, bit-identical to
-// summing cost.StatementCost per the PlanTable contract — the scalar
+// statement costs accumulated in statement order — the scalar
 // definition of the cell cost.RowKernel fills rows of.
 func sumTables(tables []*cost.PlanTable, c core.Config) float64 {
 	total := 0.0
@@ -645,8 +648,8 @@ func (m *whatIfModel) attach(configs []core.Config) {
 // validate validates the window by compiling it: every stage whose store
 // row holds no plan tables resolves them, on up to workers goroutines of
 // core's pool. Cost errors are schema and type errors — the compile
-// rejects exactly the statements StatementCost rejects, under any
-// configuration — so a row with tables was validated when it was
+// rejects the same statements under any configuration, the ones
+// StatementCosts rejects — so a row with tables was validated when it was
 // compiled, from this very content under the pinned cost world, and a
 // slide validates the entering segment, not the window. The error is the
 // one a serial pass over the window would give: the failing statement

@@ -2,8 +2,10 @@ package advisor
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"dyndesign/internal/catalog"
 	"dyndesign/internal/core"
 	"dyndesign/internal/workload"
 )
@@ -171,24 +173,62 @@ func TestExecWarmMemoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStatementCostPooledScratch pins the satellite fix: the scalar
-// what-if path assembles its []cost.IndexPhys in pooled scratch instead
-// of allocating per call. The average must amortize below one
-// allocation per call (an occasional GC may empty the pool).
-func TestStatementCostPooledScratch(t *testing.T) {
-	_, adv := testAdvisor(t)
-	s := workload.MustStatement("INSERT INTO t VALUES (1, 2, 3, 4)")
-	full := core.Config(1)<<uint(len(adv.world.Load().phys)) - 1
-	if _, err := adv.StatementCost(s, full); err != nil {
+// TestStatementCostsEdges pins the edges of pricing a configuration
+// list from one compile: a bit outside the design space anywhere in the
+// list is an error that leaves out untouched — PlanTable.Cost would drop
+// it silently — a 64-structure space takes bit 63, and out must be as
+// long as the list.
+func TestStatementCostsEdges(t *testing.T) {
+	db, adv := testAdvisor(t)
+	s := workload.MustStatement("UPDATE t SET b = 1 WHERE a = 5")
+	n := len(adv.Space().Structures)
+	out := []float64{-1, -1, -1}
+	for _, configs := range [][]core.Config{
+		{0, core.ConfigOf(0), core.ConfigOf(n)},
+		{core.ConfigOf(n, 0), 0, 0},
+		{0, 0, core.ConfigOf(63)},
+	} {
+		if err := adv.StatementCosts(s, configs, out); err == nil {
+			t.Errorf("configurations %v outside a %d-structure space accepted", configs, n)
+		}
+		if out[0] != -1 || out[1] != -1 || out[2] != -1 {
+			t.Fatalf("a rejected list wrote %v", out)
+		}
+	}
+	if err := adv.StatementCosts(s, []core.Config{0, 1}, out); err == nil {
+		t.Error("3 costs for 2 configurations accepted")
+	}
+
+	// Every ordered choice of one to four of t's columns: 4 + 12 + 24 + 24
+	// structures.
+	var structures []catalog.IndexDef
+	var perms func(prefix []string, rest []string)
+	perms = func(prefix, rest []string) {
+		if len(prefix) > 0 {
+			structures = append(structures, catalog.IndexDef{Table: "t", Columns: slices.Clone(prefix)})
+		}
+		for i, c := range rest {
+			perms(append(prefix, c), append(slices.Clone(rest[:i]), rest[i+1:]...))
+		}
+	}
+	perms(nil, []string{"a", "b", "c", "d"})
+	wide, err := New(db, DesignSpace{Table: "t", Structures: structures, Configs: SingleIndexConfigs(len(structures))})
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := adv.StatementCost(s, full); err != nil {
-			panic(err)
+	top := core.ConfigOf(63)
+	configs := []core.Config{0, top, top | core.ConfigOf(0)}
+	costs := make([]float64, len(configs))
+	if err := wide.StatementCosts(s, configs, costs); err != nil {
+		t.Fatalf("%d-structure space rejected bit 63: %v", len(structures), err)
+	}
+	for j, c := range configs {
+		if one, err := wide.StatementCost(s, c); err != nil || math.Float64bits(one) != math.Float64bits(costs[j]) {
+			t.Errorf("StatementCost(%v) = %v, %v; StatementCosts gave %v", c, one, err, costs[j])
 		}
-	})
-	if allocs >= 1 {
-		t.Fatalf("StatementCost allocates %.2f objects per call; pooled scratch should amortize below 1", allocs)
+	}
+	if costs[1] <= costs[0] {
+		t.Errorf("index %s did not add maintenance: %v under it, %v without", structures[63].Name(), costs[1], costs[0])
 	}
 }
 

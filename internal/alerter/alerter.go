@@ -15,6 +15,7 @@ package alerter
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dyndesign/internal/advisor"
 	"dyndesign/internal/core"
@@ -94,14 +95,7 @@ func New(adv *advisor.Advisor, configs []core.Config, current core.Config, opts 
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("alerter: no candidate configurations")
 	}
-	hasCurrent := false
-	for _, c := range configs {
-		if c == current {
-			hasCurrent = true
-			break
-		}
-	}
-	if !hasCurrent {
+	if !slices.Contains(configs, current) {
 		return nil, fmt.Errorf("alerter: current configuration not among the candidates")
 	}
 	opts = opts.withDefaults()
@@ -126,14 +120,12 @@ func (a *Alerter) Current() core.Config { return a.current }
 // SetCurrent informs the alerter that the design changed (e.g. after
 // re-running the advisor); it also resets the alert cooldown.
 func (a *Alerter) SetCurrent(c core.Config) error {
-	for _, cand := range a.configs {
-		if cand == c {
-			a.current = c
-			a.lastFire = -1
-			return nil
-		}
+	if !slices.Contains(a.configs, c) {
+		return fmt.Errorf("alerter: configuration not among the candidates")
 	}
-	return fmt.Errorf("alerter: configuration not among the candidates")
+	a.current = c
+	a.lastFire = -1
+	return nil
 }
 
 // Observed returns how many statements the alerter has seen.
@@ -203,14 +195,7 @@ func (a *Alerter) RestoreState(st State) error {
 	if st.Pos < 0 || st.Pos >= a.opts.WindowSize || st.Filled < 0 || st.Filled > a.opts.WindowSize {
 		return fmt.Errorf("alerter: state position %d/fill %d outside window %d", st.Pos, st.Filled, a.opts.WindowSize)
 	}
-	hasCurrent := false
-	for _, c := range a.configs {
-		if c == st.Current {
-			hasCurrent = true
-			break
-		}
-	}
-	if !hasCurrent {
+	if !slices.Contains(a.configs, st.Current) {
 		return fmt.Errorf("alerter: state's current configuration not among the candidates")
 	}
 	for i, slot := range st.Ring {
@@ -234,23 +219,18 @@ func (a *Alerter) Observe(s workload.Statement) (*Alert, error) {
 	return a.ObserveContext(context.Background(), s)
 }
 
-// ObserveContext is Observe with cooperative cancellation: the
-// per-candidate what-if costing loop stops with ctx's error when the
-// context is cancelled, leaving the window unchanged for this
-// statement.
+// ObserveContext is Observe with cooperative cancellation: a cancelled
+// context returns its error before the statement is costed, leaving the
+// window unchanged for this statement.
 func (a *Alerter) ObserveContext(ctx context.Context, s workload.Statement) (*Alert, error) {
-	// Cost every candidate before mutating the window, so a mid-loop
-	// cancellation cannot leave slot and sums half-updated.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Cost every candidate from one compile before mutating the window,
+	// so a rejected statement cannot leave slot and sums half-updated.
 	costs := make([]float64, len(a.configs))
-	for j, cfg := range a.configs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c, err := a.adv.StatementCost(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		costs[j] = c
+	if err := a.adv.StatementCosts(s, a.configs, costs); err != nil {
+		return nil, err
 	}
 	slot := a.ring[a.pos]
 	for j := range a.configs {

@@ -283,3 +283,71 @@ func TestAlerterRestoreShapeMismatch(t *testing.T) {
 		t.Fatal("restore with a foreign current configuration succeeded")
 	}
 }
+
+// observeMix returns the statement mix of the observe benchmark: 800
+// point SELECTs of the paper's mix A, 100 single-row INSERTs and 100
+// point UPDATEs, shuffled.
+func observeMix(t testing.TB) []workload.Statement {
+	t.Helper()
+	rng := rand.New(rand.NewSource(91))
+	domain := workload.DomainForRows(testRows)
+	stmts, err := workload.PaperMixes(testRows)["A"].Generate(rng, 800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := workload.GenerateInserts("t", 4, domain, rng, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := workload.GenerateUpdates("t", "b", "a", domain, rng, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts = append(append(stmts, ins...), upd...)
+	rng.Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+	return stmts
+}
+
+// TestObserveCompilesOnce pins that Observe prices its whole candidate
+// list from one compile of the statement: its allocations do not grow
+// with the number of candidates, here 2 against 7.
+func TestObserveCompilesOnce(t *testing.T) {
+	adv, configs := fixture(t)
+	stmts := observeMix(t)[:20]
+	allocs := func(configs []core.Config) float64 {
+		a, err := New(adv, configs, configs[0], Options{WindowSize: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			for _, s := range stmts {
+				if _, err := a.Observe(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if two, seven := allocs(configs[:2]), allocs(configs); two != seven {
+		t.Fatalf("Observe over 20 statements allocates %v objects with 2 candidates and %v with 7; one compile prices them all", two, seven)
+	}
+}
+
+// BenchmarkObserve times the drift alerter's per-statement work — one
+// statement priced under the 7 candidate configurations of the paper's
+// design space, and the window update — over a mix of SELECTs, INSERTs
+// and UPDATEs.
+func BenchmarkObserve(b *testing.B) {
+	adv, configs := fixture(b)
+	stmts := observeMix(b)
+	a, err := New(adv, configs, configs[0], Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Observe(stmts[i%len(stmts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,10 +7,12 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"dyndesign/internal/sql"
 	"dyndesign/internal/types"
 )
 
@@ -65,6 +67,79 @@ func ParseIndexName(name string) ([]string, error) {
 type Table struct {
 	Name   string
 	Schema *types.Schema
+}
+
+// CheckStatement binds stmt to the table as the engine does before it
+// touches a row: the statement must name the table, case-insensitively
+// as the catalog resolves names; an INSERT must name each column once,
+// if it names any, and give every row a value of each column's kind; an
+// UPDATE must SET known columns to values of their kinds. The what-if
+// coster calls it too, so the advisor accepts exactly the writes the
+// engine executes. Select lists and WHERE clauses are the planner's to
+// check; statements other than SELECT, INSERT, UPDATE and DELETE pass.
+func (t *Table) CheckStatement(stmt sql.Statement) error {
+	var table string
+	var err error
+	switch s := stmt.(type) {
+	case *sql.Select:
+		table = s.Table
+	case *sql.Insert:
+		table, err = s.Table, t.checkInsert(s)
+	case *sql.Update:
+		table = s.Table
+		for _, a := range s.Set {
+			if err = t.checkValue(a.Column, a.Value); err != nil {
+				break
+			}
+		}
+	case *sql.Delete:
+		table = s.Table
+	default:
+		return nil
+	}
+	if strings.ToLower(table) != strings.ToLower(t.Name) {
+		return fmt.Errorf("catalog: statement names table %q, not %q", table, t.Name)
+	}
+	return err
+}
+
+func (t *Table) checkInsert(s *sql.Insert) error {
+	n := t.Schema.Len()
+	if len(s.Columns) > 0 && len(s.Columns) != n {
+		return fmt.Errorf("catalog: INSERT names %d of %d columns", len(s.Columns), n)
+	}
+	for pos, name := range s.Columns {
+		if slices.ContainsFunc(s.Columns[:pos], func(prev string) bool { return strings.EqualFold(prev, name) }) {
+			return fmt.Errorf("catalog: column %q named twice", name)
+		}
+	}
+	for r, row := range s.Rows {
+		if len(row) != n {
+			return fmt.Errorf("catalog: row %d has %d values, table has %d columns", r, len(row), n)
+		}
+		for pos, v := range row {
+			name := t.Schema.Columns[pos].Name
+			if len(s.Columns) > 0 {
+				name = s.Columns[pos]
+			}
+			if err := t.checkValue(name, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkValue checks that the table has the named column and v its kind.
+func (t *Table) checkValue(name string, v types.Value) error {
+	ord := t.Schema.ColumnIndex(name)
+	if ord < 0 {
+		return fmt.Errorf("catalog: unknown column %q", name)
+	}
+	if kind := t.Schema.Columns[ord].Kind; kind != v.Kind {
+		return fmt.Errorf("catalog: column %q expects %s, got %s", name, kind, v.Kind)
+	}
+	return nil
 }
 
 // Catalog is the metadata store. It is safe for concurrent use.

@@ -3,6 +3,7 @@ package catalog
 import (
 	"testing"
 
+	"dyndesign/internal/sql"
 	"dyndesign/internal/types"
 )
 
@@ -168,5 +169,47 @@ func TestTablesSorted(t *testing.T) {
 	tabs := c.Tables()
 	if len(tabs) != 2 || tabs[0].Name != "alpha" || tabs[1].Name != "zeta" {
 		t.Errorf("Tables() = %v", tabs)
+	}
+}
+
+func TestCheckStatement(t *testing.T) {
+	c := New()
+	tbl, err := c.CreateTable("Tab", types.MustSchema(
+		types.Column{Name: "a", Kind: types.KindInt},
+		types.Column{Name: "s", Kind: types.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT a FROM tab WHERE a = 1",
+		"INSERT INTO TAB VALUES (1, 'x'), (2, 'y')",
+		"INSERT INTO tab (S, a) VALUES ('x', 1)",
+		"UPDATE tab SET A = 2, s = 'z' WHERE a = 1",
+		"DELETE FROM tAB WHERE a = 1",
+		"CREATE INDEX ON other (a)",
+	} {
+		if err := tbl.CheckStatement(sql.MustParse(q)); err != nil {
+			t.Errorf("%q refused: %v", q, err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT a FROM other",
+		"DELETE FROM other WHERE a = 1",
+		"INSERT INTO other VALUES (1, 'x')",
+		"INSERT INTO tab VALUES (1)",
+		"INSERT INTO tab VALUES (1, 'x'), (2, 3)",
+		"INSERT INTO tab VALUES ('x', 1)",
+		"INSERT INTO tab (a) VALUES (1)",
+		"INSERT INTO tab (a, A) VALUES (1, 2)",
+		"INSERT INTO tab (a, zz) VALUES (1, 'x')",
+		"INSERT INTO tab (s, a) VALUES (1, 'x')",
+		"UPDATE tab SET zz = 1",
+		"UPDATE tab SET a = 'x'",
+		"UPDATE other SET a = 1",
+	} {
+		if err := tbl.CheckStatement(sql.MustParse(q)); err == nil {
+			t.Errorf("%q accepted", q)
+		}
 	}
 }

@@ -2,14 +2,18 @@
 // that must always agree:
 //
 //   - the planner, which costs access paths over the *real* indexes of a
-//     table and picks the cheapest, and
+//     table and picks the cheapest (ChooseAccess), and
 //   - the design advisor's what-if interface, which costs statements
-//     under *hypothetical* configurations that are never materialized —
-//     this is EXEC(S,C) of the paper, plus the TRANS and SIZE terms.
+//     under *hypothetical* configurations that are never materialized
+//     (CompilePlan) — this is EXEC(S,C) of the paper, plus the TRANS and
+//     SIZE terms.
 //
-// Both go through the same ChooseAccess function over the same physical
-// descriptions, so "what the advisor assumed" and "what execution pays"
-// are the same quantity: logical page accesses.
+// Both derive a statement's shape once (shapeSelect) and price each
+// index's best path with the same function (indexAccess), so a plan
+// table's cost of a configuration is the page cost of the access the
+// planner would choose over that configuration's indexes, plus for DML
+// the per-row maintenance: "what the advisor assumed" and "what
+// execution pays" are the same quantity, logical page accesses.
 package cost
 
 import (
@@ -49,6 +53,11 @@ type TablePhys struct {
 	Rows      float64
 	HeapPages float64
 	Stats     *stats.TableStats // nil disables statistics-based estimates
+}
+
+// check is the engine's check of stmt against the table's catalog entry.
+func (t TablePhys) check(stmt sql.Statement) error {
+	return (&catalog.Table{Name: t.Name, Schema: t.Schema}).CheckStatement(stmt)
 }
 
 // IndexPhys is the physical description of an index, real or
@@ -325,26 +334,33 @@ func ChooseAccess(sel *sql.Select, t TablePhys, indexes []IndexPhys) (Access, er
 		PageCost:      math.Max(1, t.HeapPages),
 	}
 	for i := range indexes {
-		ip := &indexes[i]
-		covering := ip.Covers(sh.need)
-		if a, ok := seekAccess(t, ip, &sh, covering); ok && betterAccess(a, best) {
+		if a, ok := indexAccess(t, &indexes[i], &sh); ok && betterAccess(a, best) {
 			best = a
-		}
-		if covering {
-			a := Access{
-				Kind:          IndexOnlyScan,
-				Index:         ip,
-				Covering:      true,
-				EstMatchRows:  t.Rows,
-				EstResultRows: sh.resultRows,
-				PageCost:      ip.Height + ip.LeafPages,
-			}
-			if betterAccess(a, best) {
-				best = a
-			}
 		}
 	}
 	return best, nil
+}
+
+// indexAccess is the per-index step of ChooseAccess and CompilePlan: the
+// index's seek or, when it covers the statement, its index-only scan,
+// whichever betterAccess prefers; false when it offers neither.
+func indexAccess(t TablePhys, ip *IndexPhys, sh *selectShape) (Access, bool) {
+	covering := ip.Covers(sh.need)
+	a, ok := seekAccess(t, ip, sh, covering)
+	if covering {
+		scan := Access{
+			Kind:          IndexOnlyScan,
+			Index:         ip,
+			Covering:      true,
+			EstMatchRows:  t.Rows,
+			EstResultRows: sh.resultRows,
+			PageCost:      ip.Height + ip.LeafPages,
+		}
+		if !ok || betterAccess(scan, a) {
+			return scan, true
+		}
+	}
+	return a, ok
 }
 
 // betterAccess reports whether a is strictly preferred over b under the
@@ -584,71 +600,7 @@ func validateSelect(sel *sql.Select, schema *types.Schema) error {
 	return nil
 }
 
-// --- Statement-level costing (EXEC) and configuration terms ----------
-
-// SelectCost estimates the page cost of a SELECT under the given
-// physical table and index set.
-func SelectCost(sel *sql.Select, t TablePhys, indexes []IndexPhys) (float64, error) {
-	a, err := ChooseAccess(sel, t, indexes)
-	if err != nil {
-		return 0, err
-	}
-	return a.PageCost, nil
-}
-
-// StatementCost estimates the page cost of any supported statement under
-// the given physical design — the EXEC(S,C) term. DML statements pay
-// their row search (costed like a SELECT) plus per-row heap and index
-// maintenance; DDL statements are not workload statements and are
-// rejected.
-func StatementCost(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (float64, error) {
-	switch s := stmt.(type) {
-	case *sql.Select:
-		return SelectCost(s, t, indexes)
-	case *sql.Insert:
-		perRow := 1.0 // heap write
-		for i := range indexes {
-			perRow += indexes[i].Height + 1 // descend + leaf write
-		}
-		return float64(len(s.Rows)) * perRow, nil
-	case *sql.Update:
-		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		base, err := SelectCost(probe, t, indexes)
-		if err != nil {
-			return 0, err
-		}
-		rows := estimateResultRows(s.Where, t)
-		perRow := 1.0 // heap write
-		for i := range indexes {
-			perRow += 2 * (indexes[i].Height + 1) // delete + insert entries
-		}
-		return base + float64(rows*perRow), nil
-	case *sql.Delete:
-		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		base, err := SelectCost(probe, t, indexes)
-		if err != nil {
-			return 0, err
-		}
-		rows := estimateResultRows(s.Where, t)
-		perRow := 1.0
-		for i := range indexes {
-			perRow += indexes[i].Height + 1
-		}
-		return base + float64(rows*perRow), nil
-	default:
-		return 0, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
-	}
-}
-
-func estimateResultRows(w *sql.Where, t TablePhys) float64 {
-	rows := t.Rows
-	if w != nil {
-		for _, c := range w.Conjuncts {
-			rows *= conjunctSelectivity(t, c)
-		}
-	}
-	return rows
-}
+// --- Configuration terms (TRANS, SIZE) ---------------------------------
 
 // SortIOFactor models the external-sort I/O of an online index build as
 // a multiple of the index's leaf pages: a two-pass external merge sort

@@ -149,11 +149,11 @@ func TestPaperArgminStructure(t *testing.T) {
 		total := 0.0
 		for col, frac := range map[string]float64{"a": pa, "b": pb, "c": pc, "d": pd} {
 			q := sql.MustParse(fmt.Sprintf("SELECT %s FROM t WHERE %s = 42", col, col)).(*sql.Select)
-			c, err := SelectCost(q, tp, idxs)
+			a, err := ChooseAccess(q, tp, idxs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += frac * c
+			total += frac * a.PageCost
 		}
 		return total
 	}
@@ -262,17 +262,25 @@ func TestSelectStarNeverIndexOnly(t *testing.T) {
 	}
 }
 
+// TestStatementCostDML prices DML through plan tables over the one index
+// I(a): configuration 0 is the table alone, 1 the table with I(a).
 func TestStatementCostDML(t *testing.T) {
 	heap, ts := buildPaperHeap(t, 20000, 1000)
 	tp := physOf(heap, ts)
-	ia := hyp(t, tp, "a")
+	ia := []IndexPhys{hyp(t, tp, "a")}
+	execCost := func(text string, c uint64) (float64, error) {
+		pt, err := CompilePlan(sql.MustParse(text), tp, ia)
+		if err != nil {
+			return 0, err
+		}
+		return pt.Cost(c), nil
+	}
 
-	ins := sql.MustParse("INSERT INTO t VALUES (1,2,3,4)")
-	c0, err := StatementCost(ins, tp, nil)
+	c0, err := execCost("INSERT INTO t VALUES (1,2,3,4)", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := StatementCost(ins, tp, []IndexPhys{ia})
+	c1, err := execCost("INSERT INTO t VALUES (1,2,3,4)", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,19 +288,16 @@ func TestStatementCostDML(t *testing.T) {
 		t.Errorf("insert with index (%f) not costlier than without (%f)", c1, c0)
 	}
 
-	upd := sql.MustParse("UPDATE t SET b = 1 WHERE a = 5")
-	cu, err := StatementCost(upd, tp, []IndexPhys{ia})
+	cu, err := execCost("UPDATE t SET b = 1 WHERE a = 5", 1)
 	if err != nil || cu <= 0 {
 		t.Errorf("update cost = %f, %v", cu, err)
 	}
-	del := sql.MustParse("DELETE FROM t WHERE a = 5")
-	cd, err := StatementCost(del, tp, []IndexPhys{ia})
+	cd, err := execCost("DELETE FROM t WHERE a = 5", 1)
 	if err != nil || cd <= 0 {
 		t.Errorf("delete cost = %f, %v", cd, err)
 	}
 
-	ddl := sql.MustParse("CREATE INDEX ON t (a)")
-	if _, err := StatementCost(ddl, tp, nil); err == nil {
+	if _, err := execCost("CREATE INDEX ON t (a)", 0); err == nil {
 		t.Error("DDL accepted as workload statement")
 	}
 }

@@ -35,8 +35,13 @@ func PlanKey(stmt sql.Statement, t TablePhys) (CompileKey, bool) {
 // validation, covering and the seek's column matching read, and the
 // float64 bits of every histogram-derived number the compile reads: each
 // conjunct's conjunctNumbers. An INSERT's table depends only on its row
-// count.
+// count. Neither an INSERT's values nor an UPDATE's SET list is keyed, so
+// the statement passes CompilePlan's catalog check before it gets a key:
+// a key hit must not skip it.
 func appendPlanKey(b []byte, stmt sql.Statement, t TablePhys) ([]byte, bool) {
+	if t.check(stmt) != nil {
+		return b, false
+	}
 	var where *sql.Where
 	switch s := stmt.(type) {
 	case *sql.Select:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dyndesign/internal/sql"
+	"dyndesign/internal/types"
 )
 
 // synthKeyStatement emits one random statement built to collide compile
@@ -97,13 +98,43 @@ func combinedRange(stmt sql.Statement) bool {
 	return false
 }
 
+// invalidTwins returns writes the engine refuses that would share stmt's
+// compile key if they had one: for an INSERT, rows as many as its own of
+// the wrong arity and of the wrong kinds; for an UPDATE, the same WHERE
+// setting an unknown column or a column to a value of the wrong kind.
+// Neither an INSERT's values nor an UPDATE's SET list is keyed.
+func invalidTwins(stmt sql.Statement) []sql.Statement {
+	switch s := stmt.(type) {
+	case *sql.Insert:
+		short := &sql.Insert{Table: s.Table, Rows: make([]types.Row, len(s.Rows))}
+		kinds := &sql.Insert{Table: s.Table, Rows: make([]types.Row, len(s.Rows))}
+		for i, row := range s.Rows {
+			short.Rows[i] = row[:1]
+			kinds.Rows[i] = make(types.Row, len(row))
+			for j := range row {
+				kinds.Rows[i][j] = types.NewString("x")
+			}
+		}
+		return []sql.Statement{short, kinds}
+	case *sql.Update:
+		return []sql.Statement{
+			&sql.Update{Table: s.Table, Set: []sql.Assignment{{Column: "zz", Value: types.NewInt(1)}}, Where: s.Where},
+			&sql.Update{Table: s.Table, Set: []sql.Assignment{{Column: s.Set[0].Column, Value: types.NewString("x")}}, Where: s.Where},
+		}
+	}
+	return nil
+}
+
 // checkPlanKeySeed is the body of FuzzPlanKey: over one random world and
 // a random configuration list it compiles random statements and asserts
 // the compile key's contract — a rejected statement and a combined range
 // have no key, two statements with equal keys compile to tables whose
 // Cost is bit-equal at every configuration, and a PlanSet hands both the
-// same table, equal to a fresh compile. It returns how many statements
-// met an earlier statement's key, and how many combined ranges it saw.
+// same table, equal to a fresh compile — and that a write the engine
+// refuses, following a valid statement of the key it would have, has no
+// key and is refused by CompilePlan and the PlanSet alike. It returns how
+// many statements met an earlier statement's key, and how many combined
+// ranges it saw.
 func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tp := synthTable(t, rng)
@@ -150,6 +181,14 @@ func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
 		}
 		if !keyed {
 			continue
+		}
+		for _, twin := range invalidTwins(stmt) {
+			_, twinKeyed := PlanKey(twin, tp)
+			_, cerr := CompilePlan(twin, tp, idx)
+			if _, serr := set.Compile(twin); twinKeyed || cerr == nil || serr == nil {
+				t.Fatalf("seed %d: %q's invalid twin %q: keyed %v, CompilePlan error %v, PlanSet error %v",
+					seed, text, twin, twinKeyed, cerr, serr)
+			}
 		}
 		f, seen := byKey[key]
 		if !seen {

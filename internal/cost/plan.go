@@ -15,7 +15,7 @@ import (
 // solver tolerates, so real workloads always get the dense table.
 const maxProjBits = 12
 
-// planKind mirrors the statement dispatch of StatementCost.
+// planKind is the kind of workload statement a PlanTable prices.
 type planKind uint8
 
 const (
@@ -32,16 +32,16 @@ const (
 // single time, and records per-index path costs, per-index per-row
 // maintenance increments, and the statement's relevant-index mask.
 // Evaluating a configuration is then O(1) masked lookups instead of a
-// fresh plan derivation, and the result is bit-for-bit identical to
-// StatementCost over the corresponding index slice (the equivalence the
-// FuzzBatchCostEquivalence fuzzer pins):
+// fresh plan derivation, and the row search's cost is bit-for-bit the
+// PageCost of the access ChooseAccess picks over the corresponding index
+// slice (the equivalence FuzzBatchCostEquivalence pins):
 //
 //   - a SELECT's cost is the minimum over candidate paths, each path's
 //     cost depends only on (statement, table, that one index), and
 //     indexes whose best path loses to the heap scan can never change
 //     the minimum;
-//   - DML maintenance is per-index additive, replayed in ascending bit
-//     order — exactly the iteration order of the scalar code.
+//   - DML maintenance is per-index additive, summed in ascending bit
+//     order, the order of the corresponding index slice.
 //
 // Configurations are uint64 bitmasks: bit i selects indexes[i] of the
 // compile-time candidate list.
@@ -70,71 +70,65 @@ type PlanTable struct {
 	proj []float64
 }
 
-// CompilePlan compiles one workload statement into a PlanTable over the
-// candidate index list. The supported statement set, validation errors,
-// and cost arithmetic mirror StatementCost exactly.
+// CompilePlan compiles one workload statement — a SELECT, INSERT, UPDATE
+// or DELETE that the table's catalog entry and the planner accept — into a
+// PlanTable over the candidate index list. DML pays its row search plus,
+// per modified row, a heap write and each index's maintenance.
 func CompilePlan(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (*PlanTable, error) {
 	if len(indexes) > 64 {
 		return nil, fmt.Errorf("cost: plan table supports at most 64 candidate indexes, got %d", len(indexes))
+	}
+	if err := t.check(stmt); err != nil {
+		return nil, err
 	}
 	pt := &PlanTable{allMask: ^uint64(0)}
 	if len(indexes) < 64 {
 		pt.allMask = 1<<uint(len(indexes)) - 1
 	}
-	var err error
+	var search *sql.Select // the row search, nil for an INSERT
 	switch s := stmt.(type) {
 	case *sql.Select:
-		pt.kind = planSelect
-		if _, err := pt.compileSearch(s, t, indexes); err != nil {
-			return nil, err
-		}
+		pt.kind, search = planSelect, s
 	case *sql.Insert:
-		pt.kind = planInsert
-		pt.rows = float64(len(s.Rows))
+		pt.kind, pt.rows = planInsert, float64(len(s.Rows))
 		pt.compileMaint(indexes, 1) // descend + leaf write
 	case *sql.Update:
-		pt.kind = planUpdate
-		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		if pt.rows, err = pt.compileSearch(probe, t, indexes); err != nil {
-			return nil, err
-		}
+		pt.kind, search = planUpdate, &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
 		pt.compileMaint(indexes, 2) // delete + insert entries
 	case *sql.Delete:
-		pt.kind = planDelete
-		probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		if pt.rows, err = pt.compileSearch(probe, t, indexes); err != nil {
-			return nil, err
-		}
+		pt.kind, search = planDelete, &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
 		pt.compileMaint(indexes, 1)
 	default:
 		return nil, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
+	}
+	if search != nil {
+		if err := pt.compileSearch(search, t, indexes); err != nil {
+			return nil, err
+		}
 	}
 	pt.buildProjection()
 	return pt, nil
 }
 
 // compileSearch prices the row search's access paths: the heap scan and
-// each candidate index's best seek/covering variant, all from one
-// histogram pass over the conjuncts (shapeSelect). It returns the search's
-// estimated result rows — the rows an UPDATE or DELETE modifies.
-func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []IndexPhys) (float64, error) {
+// each candidate index's best path (indexAccess, ChooseAccess's own
+// per-index step), all from one histogram pass over the conjuncts
+// (shapeSelect). For an UPDATE or DELETE it sets rows to the search's
+// estimated result rows, the rows the statement modifies.
+func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []IndexPhys) error {
 	sh, err := shapeSelect(sel, t)
 	if err != nil {
-		return 0, err
+		return err
+	}
+	if pt.kind != planSelect {
+		pt.rows = sh.resultRows
 	}
 	pt.heapCost = math.Max(1, t.HeapPages)
 	pt.pathCost = make([]float64, len(indexes))
 	for i := range indexes {
-		ip := &indexes[i]
-		covering := ip.Covers(sh.need)
 		best := math.Inf(1)
-		if a, ok := seekAccess(t, ip, &sh, covering); ok {
+		if a, ok := indexAccess(t, &indexes[i], &sh); ok {
 			best = a.PageCost
-		}
-		if covering {
-			if v := ip.Height + ip.LeafPages; v < best {
-				best = v
-			}
 		}
 		pt.pathCost[i] = best
 		// Relevance matches the planner's tie-break: on equal cost the
@@ -143,7 +137,7 @@ func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []Index
 			pt.relevant |= 1 << uint(i)
 		}
 	}
-	return sh.resultRows, nil
+	return nil
 }
 
 // compileMaint precomputes the per-row maintenance increment of every
@@ -216,8 +210,8 @@ func (pt *PlanTable) searchCost(c uint64) float64 {
 }
 
 // perRow accumulates the per-modified-row maintenance pages of c in
-// ascending bit order — the scalar code's iteration order, so the
-// float64 operation sequence (and hence the result bits) is identical.
+// ascending bit order, so the float64 operation sequence (and hence the
+// result bits) is that of summing over the corresponding index slice.
 func (pt *PlanTable) perRow(c uint64) float64 {
 	per := 1.0 // heap write
 	for m := c; m != 0; m &= m - 1 {
@@ -227,11 +221,12 @@ func (pt *PlanTable) perRow(c uint64) float64 {
 }
 
 // Cost returns EXEC(statement, c) for the configuration whose bit i
-// selects candidate index i — bit-identical to StatementCost over the
-// corresponding index slice. The explicit float64 around the product
-// rounds it before any enclosing add, here and wherever the same value
-// is computed (StatementCost, RowKernel): without it a compiler may fuse
-// the two (arm64 FMA) in one place and not another.
+// selects candidate index i; bits beyond the candidate list are dropped,
+// so a caller that must refuse them checks them first. The explicit
+// float64 around the product rounds it before any enclosing add, here
+// and wherever the same value is computed (RowKernel's addCosts and
+// classTable): without it a compiler may fuse the two (arm64 FMA) in one
+// place and not another.
 func (pt *PlanTable) Cost(c uint64) float64 {
 	c &= pt.allMask
 	switch pt.kind {

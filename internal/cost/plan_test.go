@@ -18,8 +18,8 @@ import (
 // synthColumn fabricates a structurally valid equi-depth histogram for
 // one integer column: ascending distinct values grouped into buckets,
 // random per-value counts. The absolute selectivities do not matter for
-// the equivalence tests — only that plan tables and the scalar coster
-// read the same statistics.
+// the equivalence tests — only that plan tables and the planner read the
+// same statistics.
 func synthColumn(rng *rand.Rand, name string) *stats.ColumnStats {
 	ndv := 3 + rng.Intn(40)
 	vals := make([]int64, 0, ndv)
@@ -155,15 +155,107 @@ func synthStatement(rng *rand.Rand) string {
 	}
 }
 
+// subsetOf returns the indexes configuration c selects, in bit order.
+func subsetOf(idx []IndexPhys, c uint64) []IndexPhys {
+	var out []IndexPhys
+	for i := range idx {
+		if c&(1<<uint(i)) != 0 {
+			out = append(out, idx[i])
+		}
+	}
+	return out
+}
+
+// plannerCost is the reference EXEC(stmt) over the index set idxs, which
+// a plan table must reproduce bit for bit: the page cost of the access
+// the planner picks for the row search (ChooseAccess), plus, for DML,
+// the estimated rows it writes times the pages each written row costs —
+// a heap write, and per index a descent and a leaf write, twice for an
+// UPDATE's delete and insert of the entry. A statement the engine would
+// refuse (the table's catalog check) or the planner rejects is an error.
+func plannerCost(stmt sql.Statement, tp TablePhys, idxs []IndexPhys) (float64, error) {
+	if err := tp.check(stmt); err != nil {
+		return 0, err
+	}
+	search := rowSearch(stmt)
+	writes, rows := 1.0, 0.0
+	switch s := stmt.(type) {
+	case *sql.Select:
+		a, err := ChooseAccess(s, tp, idxs)
+		return a.PageCost, err
+	case *sql.Insert:
+		rows = float64(len(s.Rows))
+	case *sql.Update:
+		writes = 2
+	case *sql.Delete:
+	default:
+		return 0, fmt.Errorf("not a workload statement: %T", stmt)
+	}
+	perRow := 1.0
+	for _, ip := range idxs {
+		perRow += writes * (ip.Height + 1)
+	}
+	if search == nil {
+		return float64(rows * perRow), nil
+	}
+	a, err := ChooseAccess(search, tp, idxs)
+	if err != nil {
+		return 0, err
+	}
+	return a.PageCost + float64(a.EstResultRows*perRow), nil
+}
+
+// rowSearch returns stmt's row search: a SELECT itself, an UPDATE's or a
+// DELETE's WHERE clause as a SELECT, and nil for anything else.
+func rowSearch(stmt sql.Statement) *sql.Select {
+	switch s := stmt.(type) {
+	case *sql.Select:
+		return s
+	case *sql.Update:
+		return &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
+	case *sql.Delete:
+		return &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
+	}
+	return nil
+}
+
+// checkSeekRows recomputes, from the histograms, the rows a seek the
+// planner chose expects to match: the table's rows times the product of
+// its consumed conjuncts' selectivities, in consumption order. A seek
+// over two bounds on one column prices their combined range and is not
+// checked. The planner is the reference of every equivalence here, so
+// this is what anchors its seeks to the statistics.
+func checkSeekRows(t *testing.T, seed uint64, text string, tp TablePhys, sel *sql.Select, a Access) {
+	if a.Kind != IndexSeek {
+		return
+	}
+	f := 1.0
+	ranges := 0
+	for _, ci := range a.Consumed {
+		c := sel.Where.Conjuncts[ci]
+		v, seekSel := conjunctNumbers(tp, c)
+		if isRangeOp(c.Op) {
+			if ranges++; ranges > 1 {
+				return
+			}
+			v = seekSel
+		}
+		f *= v
+	}
+	if want := tp.Rows * f; math.Float64bits(a.EstMatchRows) != math.Float64bits(want) {
+		t.Fatalf("seed %d: %q: seek on %s expects %v matching rows, its conjuncts' selectivities give %v",
+			seed, text, a.Index.Def.Name(), a.EstMatchRows, want)
+	}
+}
+
 // checkSeed is the shared body of the fuzzer and the deterministic seed
 // sweep: for one random world it asserts that PlanTable.Cost is
-// bit-for-bit identical to scalar StatementCost on every configuration
-// of the candidate set.
+// bit-for-bit plannerCost on every configuration of the candidate set,
+// and that CompilePlan rejects exactly what plannerCost rejects.
 func checkSeed(t *testing.T, seed uint64) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tp := synthTable(t, rng)
 	idx := synthIndexes(t, rng, tp, 5)
-	subset := make([]IndexPhys, 0, len(idx))
 	nstmt := 1 + rng.Intn(6)
 	for si := 0; si < nstmt; si++ {
 		text := synthStatement(rng)
@@ -173,35 +265,39 @@ func checkSeed(t *testing.T, seed uint64) {
 		}
 		pt, perr := CompilePlan(stmt, tp, idx)
 		if perr != nil {
-			if _, serr := StatementCost(stmt, tp, nil); serr == nil {
-				t.Fatalf("seed %d: CompilePlan failed (%v) but StatementCost succeeded for %q", seed, perr, text)
+			if _, serr := plannerCost(stmt, tp, nil); serr == nil {
+				t.Fatalf("seed %d: CompilePlan failed (%v) but the planner accepted %q", seed, perr, text)
 			}
 			continue
 		}
+		search := rowSearch(stmt)
 		for c := uint64(0); c < 1<<len(idx); c++ {
-			subset = subset[:0]
-			for i := range idx {
-				if c&(1<<uint(i)) != 0 {
-					subset = append(subset, idx[i])
-				}
-			}
-			want, serr := StatementCost(stmt, tp, subset)
+			subset := subsetOf(idx, c)
+			want, serr := plannerCost(stmt, tp, subset)
 			if serr != nil {
-				t.Fatalf("seed %d: StatementCost(%q, %b): %v", seed, text, c, serr)
+				t.Fatalf("seed %d: plannerCost(%q, %b): %v", seed, text, c, serr)
 			}
 			got := pt.Cost(c)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d: %q config %05b: plan table %v (bits %x) != scalar %v (bits %x)",
+				t.Fatalf("seed %d: %q config %05b: plan table %v (bits %x) != planner %v (bits %x)",
 					seed, text, c, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if search != nil {
+				a, err := ChooseAccess(search, tp, subset)
+				if err != nil {
+					t.Fatalf("seed %d: ChooseAccess(%q, %b): %v", seed, text, c, err)
+				}
+				checkSeekRows(t, seed, text, tp, search, a)
 			}
 		}
 	}
 }
 
-// FuzzBatchCostEquivalence pins the tentpole invariant: batched
-// plan-table costing is bitwise identical to the scalar coster on every
-// configuration, across random schemas, statistics, index sets, and
-// statements.
+// FuzzBatchCostEquivalence pins what-if ≡ planner: plan-table costing is
+// bitwise identical, on every configuration, to the access the planner
+// picks over that configuration's indexes plus the DML maintenance
+// written out in plannerCost, across random schemas, statistics, index
+// sets, and statements.
 func FuzzBatchCostEquivalence(f *testing.F) {
 	for s := uint64(0); s < 8; s++ {
 		f.Add(s)
@@ -211,10 +307,10 @@ func FuzzBatchCostEquivalence(f *testing.F) {
 	})
 }
 
-// TestPlanTableMatchesStatementCostSeeds runs the fuzz body over a
-// fixed seed sweep so plain `go test` exercises the equivalence without
-// the fuzz engine.
-func TestPlanTableMatchesStatementCostSeeds(t *testing.T) {
+// TestPlanTableMatchesPlannerSeeds runs the fuzz body over a fixed seed
+// sweep so plain `go test` exercises the equivalence without the fuzz
+// engine.
+func TestPlanTableMatchesPlannerSeeds(t *testing.T) {
 	for s := uint64(0); s < 50; s++ {
 		checkSeed(t, s)
 	}
@@ -223,8 +319,8 @@ func TestPlanTableMatchesStatementCostSeeds(t *testing.T) {
 // checkRowKernelSeed is the body of the row-kernel fuzzer: for one random
 // world, statement list, and candidate list it asserts that a row filled
 // by RowKernel is bit-for-bit the per-cell sum of PlanTable.Cost and the
-// per-cell sum of scalar StatementCost, both accumulated in statement
-// order from 0. The candidate lists are arbitrary — unordered, with
+// per-cell sum of plannerCost, both accumulated in statement order from
+// 0. The candidate lists are arbitrary — unordered, with
 // duplicates, the empty and the full configuration, and bits beyond the
 // index list — and every fourth seed uses an index list that gives point
 // queries a clique wider than maxProjBits (no projection table). Four
@@ -269,8 +365,8 @@ func checkRowKernelSeed(t *testing.T, seed uint64) {
 		}
 		pt, perr := CompilePlan(stmt, tp, idx)
 		if perr != nil {
-			if _, serr := StatementCost(stmt, tp, nil); serr == nil {
-				t.Fatalf("seed %d: CompilePlan failed (%v) but StatementCost succeeded for %q", seed, perr, text)
+			if _, serr := plannerCost(stmt, tp, nil); serr == nil {
+				t.Fatalf("seed %d: CompilePlan failed (%v) but the planner accepted %q", seed, perr, text)
 			}
 			continue
 		}
@@ -292,31 +388,25 @@ func checkRowKernelSeed(t *testing.T, seed uint64) {
 	rng.Shuffle(len(configs), func(i, j int) { configs[i], configs[j] = configs[j], configs[i] })
 
 	// suffix[g] is the oracle row over tables[g:]: per cell, PlanTable.Cost
-	// summed in order — checked against the scalar coster for g == 0.
+	// summed in order — checked against the planner for g == 0.
 	const workers = 4
 	suffix := make([][]float64, workers)
-	subset := make([]IndexPhys, 0, len(idx))
 	for g := range suffix {
 		from := min(g, len(tables))
 		suffix[g] = make([]float64, len(configs))
 		for j, c := range configs {
-			subset = subset[:0]
-			for i := range idx {
-				if c&(1<<uint(i)) != 0 {
-					subset = append(subset, idx[i])
-				}
-			}
-			perCell, scalar := 0.0, 0.0
+			subset := subsetOf(idx, c)
+			perCell, planner := 0.0, 0.0
 			for i := from; i < len(tables); i++ {
 				perCell += tables[i].Cost(c)
-				v, err := StatementCost(stmts[i], tp, subset)
+				v, err := plannerCost(stmts[i], tp, subset)
 				if err != nil {
-					t.Fatalf("seed %d: StatementCost(%q, %b): %v", seed, compiled[i], c, err)
+					t.Fatalf("seed %d: plannerCost(%q, %b): %v", seed, compiled[i], c, err)
 				}
-				scalar += v
+				planner += v
 			}
-			if math.Float64bits(perCell) != math.Float64bits(scalar) {
-				t.Fatalf("seed %d config %b: per-cell plan tables %v != scalar %v", seed, c, perCell, scalar)
+			if math.Float64bits(perCell) != math.Float64bits(planner) {
+				t.Fatalf("seed %d config %b: per-cell plan tables %v != planner %v", seed, c, perCell, planner)
 			}
 			suffix[g][j] = perCell
 		}
@@ -361,7 +451,7 @@ func checkRowKernelSeed(t *testing.T, seed uint64) {
 }
 
 // FuzzRowKernelEquivalence pins the row kernel to the per-cell
-// definition it replaces: row kernel ≡ PlanTable.Cost ≡ StatementCost,
+// definition it replaces: row kernel ≡ PlanTable.Cost ≡ planner,
 // bitwise, over random candidate lists.
 func FuzzRowKernelEquivalence(f *testing.F) {
 	for s := uint64(0); s < 8; s++ {
@@ -420,7 +510,7 @@ func TestRelevantMaskMatchesSoloProbe(t *testing.T) {
 
 // TestPlanTableWideCliqueFallback forces a relevant clique wider than
 // maxProjBits so the dense projection array is skipped, and checks the
-// bit-scan fallback path still matches the scalar coster.
+// bit-scan fallback path still matches the planner.
 func TestPlanTableWideCliqueFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tp := synthTable(t, rng)
@@ -441,21 +531,14 @@ func TestPlanTableWideCliqueFallback(t *testing.T) {
 	if w := bits.OnesCount64(pt.RelevantMask()); w <= maxProjBits {
 		t.Fatalf("want clique wider than %d, got %d (mask %b)", maxProjBits, w, pt.RelevantMask())
 	}
-	subset := make([]IndexPhys, 0, len(idx))
 	check := func(c uint64) {
-		subset = subset[:0]
-		for i := range idx {
-			if c&(1<<uint(i)) != 0 {
-				subset = append(subset, idx[i])
-			}
-		}
-		want, serr := StatementCost(stmt, tp, subset)
+		want, serr := plannerCost(stmt, tp, subsetOf(idx, c))
 		if serr != nil {
-			t.Fatalf("StatementCost(%b): %v", c, serr)
+			t.Fatalf("plannerCost(%b): %v", c, serr)
 		}
 		got := pt.Cost(c)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("config %b: plan table %v != scalar %v", c, got, want)
+			t.Fatalf("config %b: plan table %v != planner %v", c, got, want)
 		}
 	}
 	all := uint64(1)<<uint(len(idx)) - 1
@@ -467,7 +550,8 @@ func TestPlanTableWideCliqueFallback(t *testing.T) {
 }
 
 // TestCompilePlanRejectsInvalidStatement checks compile-time validation
-// fails the same statements the scalar coster fails.
+// fails the statements the planner fails, and the writes and tables the
+// engine refuses before it touches a row.
 func TestCompilePlanRejectsInvalidStatement(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tp := synthTable(t, rng)
@@ -476,7 +560,34 @@ func TestCompilePlanRejectsInvalidStatement(t *testing.T) {
 	if _, err := CompilePlan(stmt, tp, idx); err == nil {
 		t.Fatalf("CompilePlan accepted a statement with an unknown column")
 	}
-	if _, err := StatementCost(stmt, tp, idx); err == nil {
-		t.Fatalf("StatementCost accepted a statement with an unknown column")
+	if _, err := ChooseAccess(stmt.(*sql.Select), tp, idx); err == nil {
+		t.Fatalf("the planner accepted a statement with an unknown column")
+	}
+	for _, text := range []string{
+		"INSERT INTO t VALUES (1)",
+		"INSERT INTO t VALUES ('x', 'y', 'z', 'w')",
+		"INSERT INTO t VALUES (1, 2, 3, 4), (5, 6, 7)",
+		"INSERT INTO t (a, zz) VALUES (1, 2)",
+		"INSERT INTO t (a, b, c, A) VALUES (1, 2, 3, 4)",
+		"UPDATE t SET zz = 1 WHERE a = 1",
+		"UPDATE t SET a = 'x' WHERE a = 1",
+		"SELECT a FROM nowhere WHERE a = 1",
+		"DELETE FROM nowhere WHERE a = 1",
+	} {
+		stmt := sql.MustParse(text)
+		if _, err := CompilePlan(stmt, tp, idx); err == nil {
+			t.Errorf("CompilePlan accepted %q", text)
+		}
+		if key, ok := PlanKey(stmt, tp); ok {
+			t.Errorf("%q has compile key %q", text, key)
+		}
+	}
+	for _, text := range []string{
+		"INSERT INTO T (d, c, b, a) VALUES (1, 2, 3, 4)",
+		"UPDATE T SET A = 1 WHERE a = 1",
+	} {
+		if _, err := CompilePlan(sql.MustParse(text), tp, idx); err != nil {
+			t.Errorf("CompilePlan rejected %q: %v", text, err)
+		}
 	}
 }

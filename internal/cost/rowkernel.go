@@ -303,9 +303,9 @@ func grow[T any](buf *[]T, n int) []T {
 }
 
 // addCosts adds pt.Cost(configs[j]) to every out[j]. The products carry
-// an explicit float64 conversion, as in PlanTable.Cost and
-// StatementCost: it forbids fusing rows*perRow into the surrounding add
-// (arm64 FMA), which would round kernel and scalar results differently.
+// an explicit float64 conversion, as in PlanTable.Cost: it forbids fusing
+// rows*perRow into the surrounding add (arm64 FMA), which would round the
+// kernel's cells and Cost differently.
 func (k *RowKernel[C]) addCosts(pt *PlanTable, out []float64) {
 	proj := pt.proj
 	if proj == nil {

@@ -250,41 +250,23 @@ func (db *Database) execInsert(s *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	schema := td.meta.Schema
+	// Every row passes the check before any is written.
+	if err := td.meta.CheckStatement(s); err != nil {
+		return nil, err
+	}
 	// Map target columns to schema order.
 	order := make([]int, schema.Len())
-	if len(s.Columns) == 0 {
-		for i := range order {
-			order[i] = i
-		}
-	} else {
-		if len(s.Columns) != schema.Len() {
-			return nil, fmt.Errorf("engine: INSERT names %d of %d columns", len(s.Columns), schema.Len())
-		}
-		for i := range order {
-			order[i] = -1
-		}
-		for pos, name := range s.Columns {
-			ord := schema.ColumnIndex(name)
-			if ord < 0 {
-				return nil, fmt.Errorf("engine: unknown column %q", name)
-			}
-			if order[ord] != -1 {
-				return nil, fmt.Errorf("engine: column %q named twice", name)
-			}
-			order[ord] = pos
-		}
+	for i := range order {
+		order[i] = i
+	}
+	for pos, name := range s.Columns {
+		order[schema.ColumnIndex(name)] = pos
 	}
 	var inserted int64
 	for _, given := range s.Rows {
-		if len(given) != schema.Len() {
-			return nil, fmt.Errorf("engine: row has %d values, table has %d columns", len(given), schema.Len())
-		}
 		row := make(types.Row, schema.Len())
 		for ord := range row {
 			row[ord] = given[order[ord]]
-		}
-		if err := schema.Validate(row); err != nil {
-			return nil, err
 		}
 		payload, err := types.EncodeRow(nil, row)
 		if err != nil {

@@ -75,6 +75,24 @@ func TestInsertErrors(t *testing.T) {
 	}
 }
 
+// TestInsertRefusesWholeStatement: the statement is checked before its
+// first row is written, so a bad row anywhere leaves the table as it was.
+func TestInsertRefusesWholeStatement(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE t (a INT, s STRING)")
+	for _, q := range []string{
+		"INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3)",
+		"INSERT INTO t (s, a) VALUES ('x', 1), (2, 'y')",
+	} {
+		if _, err := db.Exec(q); err == nil {
+			t.Errorf("%q succeeded", q)
+		}
+	}
+	if n := db.MustExec("SELECT COUNT(*) FROM t").Count; n != 0 {
+		t.Fatalf("refused inserts left %d rows", n)
+	}
+}
+
 func TestSelectFilterCorrectness(t *testing.T) {
 	db := New()
 	db.MustExec("CREATE TABLE t (a INT, b INT)")

@@ -570,22 +570,16 @@ func (db *Database) execUpdate(s *sql.Update) (*Result, error) {
 		return nil, err
 	}
 	schema := td.meta.Schema
-	// Validate assignments.
+	if err := td.meta.CheckStatement(s); err != nil {
+		return nil, err
+	}
 	type setOp struct {
 		ord int
 		val types.Value
 	}
 	sets := make([]setOp, len(s.Set))
 	for i, a := range s.Set {
-		ord := schema.ColumnIndex(a.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q", a.Column)
-		}
-		if schema.Columns[ord].Kind != a.Value.Kind {
-			return nil, fmt.Errorf("engine: SET %s expects %s, got %s",
-				a.Column, schema.Columns[ord].Kind, a.Value.Kind)
-		}
-		sets[i] = setOp{ord: ord, val: a.Value}
+		sets[i] = setOp{ord: schema.ColumnIndex(a.Column), val: a.Value}
 	}
 	probe := &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
 	plan, err := db.planSelectLocked(td, probe)
