@@ -124,7 +124,9 @@ chaos:
 # accepts with its error, and must reach decode-then-evaluate's verdict
 # (internal/engine/filter_test.go); and the radix sorter behind online
 # index builds and ANALYZE must give slices.SortStableFunc's permutation
-# on arbitrary byte keys (internal/keyenc/sort_test.go); and a packed
+# on arbitrary byte keys, and the radix sort of packed INT words must
+# order arbitrary records as slices.SortStableFunc by key does
+# (internal/keyenc/sort_test.go); and a packed
 # INT column of a page's or leaf's column view must keep the narrowest
 # width, give back every value and keep exactly the positions a range or
 # IN conjunct accepts on the plain values (internal/engine/colview_test.go).
@@ -146,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEncodedPredicate -fuzztime=20s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz=FuzzIntColumn -fuzztime=20s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=20s ./internal/keyenc/
+	$(GO) test -run='^$$' -fuzz=FuzzSortWords -fuzztime=20s ./internal/keyenc/
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve

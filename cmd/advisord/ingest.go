@@ -89,10 +89,7 @@ func (s *service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, in := range batch {
 		stmt, err := workload.NewStatement(in.SQL)
 		if err == nil {
-			// Validate against the schema by costing it once under the
-			// empty configuration — the same check the advisor applies
-			// at problem build, surfaced at the ingest boundary instead.
-			_, err = s.adv.StatementCost(stmt, core.Config(0))
+			err = s.admits(stmt)
 		}
 		if err != nil {
 			s.rejected.Add(int64(len(batch)))
@@ -122,6 +119,16 @@ func (s *service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.requestSnapshot()
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{Ingested: len(stmts), Window: winLen, Alerts: alerts})
+}
+
+// admits reports why ingest refuses the parsed statement stmt, or nil.
+// It is checked against the schema by costing it once under the empty
+// configuration — the same check the advisor applies at problem build,
+// surfaced at the ingest boundary instead. Recovery drops a snapshot
+// statement this refuses, so the two keep one rule.
+func (s *service) admits(stmt workload.Statement) error {
+	_, err := s.adv.StatementCost(stmt, core.Config(0))
+	return err
 }
 
 // commit makes a validated batch part of the stream and returns the

@@ -12,6 +12,8 @@ import (
 
 	"dyndesign/internal/durable"
 	"dyndesign/internal/engine"
+	"dyndesign/internal/obs"
+	"dyndesign/internal/workload"
 )
 
 // traceBatch is statements [from, to) of the shared phased trace as an
@@ -310,4 +312,78 @@ func FuzzIngestBody(f *testing.F) {
 			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body)
 		}
 	})
+}
+
+// TestRecoveryDropsRefusedSnapshotStatements: a hand-built snapshot
+// whose window holds statements ingest refuses today — a snapshot
+// written before ingest and the engine shared one check could — is
+// restored without them. /healthz and advisord_recovery_dropped count
+// them, the WAL tail replays after them, and the forced solve succeeds
+// and equals that of a service restored from the same snapshot with the
+// statements never in it.
+func TestRecoveryDropsRefusedSnapshotStatements(t *testing.T) {
+	adv := testAdvisor(t)
+	stream := traceBatch(t, 0, 60)
+	recovered := func(window []ingestStatement) (*service, map[string]float64) {
+		dir := t.TempDir()
+		store, err := durable.Open(dir, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stream {
+			if _, err := store.AppendStatement(st.Label, st.SQL); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state := workload.WindowState{Name: "advisord", Cap: 50, Total: 40, Seq: 40}
+		for _, st := range window {
+			state.Statements = append(state.Statements, workload.WindowStatement{Label: st.Label, SQL: st.SQL})
+		}
+		if err := store.WriteSnapshot(&durable.Snapshot{Seq: 40, Window: state, StatsFingerprint: adv.StatsFingerprint()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if store, err = durable.Open(dir, durable.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		gauges := obs.NewGaugeSet()
+		svc, err := newService(adv, serviceConfig{WindowCap: 50, MinSolve: -1, K: 2, SegmentSize: 5, Store: store, Gauges: gauges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = svc.close() })
+		return svc, scrape(t, gauges)
+	}
+	var dirty []ingestStatement
+	for i, st := range stream[:40] {
+		dirty = append(dirty, st)
+		if i%6 == 3 {
+			dirty = append(dirty, ingestStatement{SQL: engineRefused[i/6], Label: "refused"})
+		}
+	}
+	svc, metrics := recovered(dirty)
+	clean, _ := recovered(stream[:40])
+	h := svc.healthz()
+	if h.Durable.RecoveryDropped != 7 || metrics["advisord_recovery_dropped"] != 7 {
+		t.Errorf("dropped %d statements, metric %v; want 7", h.Durable.RecoveryDropped, metrics["advisord_recovery_dropped"])
+	}
+	if h.WindowStatements != 50 || h.WindowTotal != 60 || h.Durable.RecoveryReplayed != 20 {
+		t.Errorf("recovered %d statements of %d in all, %d replayed; want 50, 60, 20", h.WindowStatements, h.WindowTotal, h.Durable.RecoveryReplayed)
+	}
+	if d := clean.healthz().Durable.RecoveryDropped; d != 0 {
+		t.Errorf("a clean snapshot dropped %d statements", d)
+	}
+	got, err := svc.solveOnce(context.Background(), "forced")
+	if err != nil {
+		t.Fatalf("forced solve after recovery: %v", err)
+	}
+	want, err := clean.solveOnce(context.Background(), "forced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := solutionBytes(t, got), solutionBytes(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("forced solves differ:\ndropped: %s\nclean:   %s", g, w)
+	}
 }

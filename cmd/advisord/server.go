@@ -177,6 +177,7 @@ type service struct {
 	// Recovery facts, fixed before serving starts.
 	recoveredSnapSeq uint64
 	recoveredReplay  int
+	recoveredDropped int // snapshot statements ingest refuses today
 	worldMismatch    bool
 
 	// Lifetime counters; /healthz and the metrics table read them in

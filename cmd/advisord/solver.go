@@ -42,7 +42,8 @@ func (s *service) recover() error {
 		return err
 	}
 	if snap != nil {
-		if err := s.win.RestoreState(snap.Window); err != nil {
+		window, dropped := s.admissible(snap.Window)
+		if err := s.win.RestoreState(window); err != nil {
 			return fmt.Errorf("advisord: restoring window from snapshot seq %d: %w", snap.Seq, err)
 		}
 		s.installed = snap.Installed
@@ -62,7 +63,10 @@ func (s *service) recover() error {
 		} else {
 			s.worldMismatch = true
 		}
-		s.recoveredSnapSeq = snap.Seq
+		s.recoveredSnapSeq, s.recoveredDropped = snap.Seq, dropped
+		if dropped > 0 {
+			fmt.Fprintf(os.Stderr, "advisord: dropped %d snapshot statements that ingest refuses today\n", dropped)
+		}
 	}
 	s.replaying = true
 	defer func() { s.replaying = false }()
@@ -88,6 +92,28 @@ func (s *service) recover() error {
 			s.win.Len(), s.recoveredSnapSeq, len(tail), st.TruncatedBytes)
 	}
 	return nil
+}
+
+// admissible returns the window state st without the statements that
+// ingest refuses today (service.admits), and how many it dropped. A
+// snapshot written before ingest, the plan compiler and the engine
+// shared catalog.Table.CheckStatement can hold such a statement, and
+// every solve would fail validation on it until it slid out of the
+// window. Dropping it before the window is restored leaves what a ring
+// that refused it at ingest would hold. A statement that no longer
+// parses is kept: RestoreState refuses it, as WAL replay refuses such a
+// record.
+func (s *service) admissible(st workload.WindowState) (workload.WindowState, int) {
+	kept := make([]workload.WindowStatement, 0, len(st.Statements))
+	for _, ws := range st.Statements {
+		if stmt, err := workload.NewStatement(ws.SQL); err == nil && s.admits(stmt) != nil {
+			continue
+		}
+		kept = append(kept, ws)
+	}
+	dropped := len(st.Statements) - len(kept)
+	st.Statements = kept
+	return st, dropped
 }
 
 // requestSolve schedules a re-solve; a pending request absorbs it (the

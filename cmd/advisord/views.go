@@ -103,6 +103,7 @@ type durableJSON struct {
 	RecoveryReplayed  int    `json:"recovery_replayed"`
 	RecoveryTruncated int64  `json:"recovery_truncated_bytes"`
 	RecoveryDiscarded int64  `json:"recovery_snapshots_discarded"`
+	RecoveryDropped   int    `json:"recovery_dropped"`
 	WorldMismatch     bool   `json:"world_mismatch"`
 }
 
@@ -152,6 +153,7 @@ func (s *service) healthz() healthzResponse {
 			RecoveryReplayed:  s.recoveredReplay,
 			RecoveryTruncated: v.wal.TruncatedBytes,
 			RecoveryDiscarded: v.wal.SnapshotsDiscarded,
+			RecoveryDropped:   s.recoveredDropped,
 			WorldMismatch:     s.worldMismatch,
 		}
 	}
@@ -255,6 +257,7 @@ var metricsTable = []metric{
 	{"advisord_recovery_replayed", obs.Gauge, "WAL records replayed into the window at startup.", func(v *view) float64 { return v.durable(float64(v.svc.recoveredReplay)) }},
 	{"advisord_recovery_truncated_bytes", obs.Gauge, "Torn-tail bytes truncated from the WAL at startup.", func(v *view) float64 { return v.durable(float64(v.wal.TruncatedBytes)) }},
 	{"advisord_recovery_snapshot_seq", obs.Gauge, "WAL sequence of the snapshot recovery started from.", func(v *view) float64 { return v.durable(float64(v.svc.recoveredSnapSeq)) }},
+	{"advisord_recovery_dropped", obs.Gauge, "Snapshot statements recovery dropped because ingest refuses them today.", func(v *view) float64 { return v.durable(float64(v.svc.recoveredDropped)) }},
 	{"advisord_recovery_world_mismatch", obs.Gauge, "1 when recovery dropped cost-derived state because table statistics changed.", func(v *view) float64 { return v.durable(b2f(v.svc.worldMismatch)) }},
 	{"advisord_calib_runs_total", obs.Counter, "Calibration replay runs folded into the monitor.", func(v *view) float64 { return float64(v.calib.Runs) }},
 	{"advisord_calib_samples_total", obs.Counter, "Estimate/measurement pairs collected across all calibration runs.", func(v *view) float64 { return float64(v.calib.Samples) }},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dyndesign/internal/keyenc"
@@ -87,6 +88,53 @@ func TestBulkLoadShape(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Errorf("n=%d: %v", n, err)
 		}
+	}
+}
+
+// TestBulkLoadFixed: a load of fixed-length keys, whose leaves are cut
+// by count, builds the tree BulkLoad builds from the same entries, and
+// refuses a key of another length or an entry out of order — deep in a
+// later leaf — with its position, leaving the tree untouched.
+func TestBulkLoadFixed(t *testing.T) {
+	const n = 20000
+	entries := sortedIntEntries(n)
+	load := func(tr *Tree, long int) error {
+		return tr.BulkLoadFixed(n, len(intKey(0)), func(dst []byte, i int) ([]byte, storage.RID) {
+			dst = append(dst, entries[i].Key...)
+			if i == long {
+				dst = append(dst, 0)
+			}
+			return dst, entries[i].RID
+		})
+	}
+	fixed, want := New(nil), New(nil)
+	if err := load(fixed, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	if fixed.NodeCount() != want.NodeCount() || fixed.LeafCount() != want.LeafCount() || fixed.Height() != want.Height() {
+		t.Fatalf("fixed load: %d nodes, %d leaves, height %d; BulkLoad %d, %d, %d",
+			fixed.NodeCount(), fixed.LeafCount(), fixed.Height(), want.NodeCount(), want.LeafCount(), want.Height())
+	}
+	got, exp := fixed.leaves(), want.leaves()
+	for i := range got {
+		if !slices.EqualFunc(got[i].keys, exp[i].keys, bytes.Equal) || !slices.Equal(got[i].rids, exp[i].rids) {
+			t.Fatalf("leaf %d differs", i)
+		}
+	}
+
+	tr := New(nil)
+	if err := load(tr, 15000); err == nil || !strings.Contains(err.Error(), "key 15000 is 10 bytes, announced 9") {
+		t.Errorf("a long key: error %v", err)
+	}
+	entries[17000] = entries[16999]
+	if err := load(tr, -1); err == nil || !strings.Contains(err.Error(), "not strictly sorted at position 17000") {
+		t.Errorf("a repeated entry: error %v", err)
+	}
+	if tr.Len() != 0 || tr.NodeCount() != 1 {
+		t.Errorf("the failed loads left %d entries in %d nodes", tr.Len(), tr.NodeCount())
 	}
 }
 

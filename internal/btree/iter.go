@@ -203,42 +203,67 @@ func (t *Tree) leaves() []*leaf {
 // charges one page write. Each leaf copies its keys into one allocation
 // of its own; the tree retains none of the caller's key slices.
 func (t *Tree) BulkLoad(entries []Entry) error {
-	return t.BulkLoadFunc(len(entries), func(i int) ([]byte, storage.RID) { return entries[i].Key, entries[i].RID })
+	return t.BulkLoadFunc(len(entries), func(i int) int { return len(entries[i].Key) },
+		func(dst []byte, i int) ([]byte, storage.RID) { return append(dst, entries[i].Key...), entries[i].RID })
 }
 
-// BulkLoadFunc is BulkLoad over the n entries that entry returns by
-// position, so that a caller holding its keys and RIDs apart (an online
-// index build: a key arena and a sort permutation) makes no slice of
-// entries, which at 250k rows would be 8 MB beside the new leaves at the
-// build's peak.
-func (t *Tree) BulkLoadFunc(n int, entry func(i int) (key []byte, rid storage.RID)) error {
+// BulkLoadFunc is BulkLoad over n entries that the caller writes in
+// place: keyLen returns the length of key i, and appendEntry appends key
+// i to dst, the arena of the leaf that takes it, and returns the result
+// and entry i's RID. A caller holding its keys apart from their RIDs (an
+// online index build: a key arena and a sort permutation) makes no slice
+// of entries and no copy of a key outside the leaves.
+func (t *Tree) BulkLoadFunc(n int, keyLen func(i int) int, appendEntry func(dst []byte, i int) ([]byte, storage.RID)) error {
+	return t.bulkLoad(n, 0, keyLen, appendEntry)
+}
+
+// BulkLoadFixed is BulkLoadFunc for keys that are all keyLen bytes long:
+// each leaf's share of the entries follows from the fill alone, so no
+// key is sized before it is written.
+func (t *Tree) BulkLoadFixed(n, keyLen int, appendEntry func(dst []byte, i int) ([]byte, storage.RID)) error {
+	return t.bulkLoad(n, keyLen, nil, appendEntry)
+}
+
+// bulkLoad is the one loader behind BulkLoad, BulkLoadFunc and
+// BulkLoadFixed: fixed > 0 is the length of every key, else keyLen gives
+// each key's.
+func (t *Tree) bulkLoad(n, fixed int, keyLen func(i int) int, appendEntry func(dst []byte, i int) ([]byte, storage.RID)) error {
 	const fill = nodeBudget * 9 / 10
 	// Build the leaf level: each leaf takes as many entries as fit the
-	// fill, at least one, and copies their keys into one arena of its
-	// own, so a leaf's keys lie in key order in memory. Each entry is
-	// checked against the one before it as it is copied, so the input's
+	// fill, at least one, and has their keys written into one arena of
+	// its own, so a leaf's keys lie in key order in memory. Each entry is
+	// checked against the one before it as it is written, so the input's
 	// keys are read once; the tree is untouched until all have passed.
 	var leaves []*leaf
 	var prev []byte
 	var prevRID storage.RID
 	for i := 0; i < n || len(leaves) == 0; {
-		j, size, keyBytes := i, 0, 0
-		for ; j < n; j++ {
-			key, _ := entry(j)
-			sz := leafEntrySize(key)
+		j, size := i, 0
+		if fixed > 0 {
+			j = min(n, i+max(1, fill/(fixed+leafEntryOverhead)))
+			size = (j - i) * (fixed + leafEntryOverhead)
+		}
+		for ; fixed == 0 && j < n; j++ {
+			sz := keyLen(j) + leafEntryOverhead
 			if size+sz > fill && j > i {
 				break
 			}
 			size += sz
-			keyBytes += len(key)
 		}
 		l := &leaf{keys: make([][]byte, j-i), rids: make([]storage.RID, j-i), bytes: size}
-		arena := make([]byte, 0, keyBytes)
+		arena := make([]byte, 0, size-(j-i)*leafEntryOverhead)
 		for k := range j - i {
-			e, rid := entry(i + k)
 			start := len(arena)
-			arena = append(arena, e...)
+			var rid storage.RID
+			arena, rid = appendEntry(arena, i+k)
 			key := arena[start:len(arena):len(arena)]
+			want := fixed
+			if want == 0 {
+				want = keyLen(i + k)
+			}
+			if len(key) != want {
+				return fmt.Errorf("btree: bulk-load key %d is %d bytes, announced %d", i+k, len(key), want)
+			}
 			if i+k > 0 && compareEntry(prev, prevRID, key, rid) >= 0 {
 				return fmt.Errorf("btree: bulk-load input not strictly sorted at position %d", i+k)
 			}

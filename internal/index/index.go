@@ -195,86 +195,6 @@ func ScanKeyChunks[T any](ix *Index, leaves func(part *T) func(keys [][]byte, ri
 // CheckInvariants verifies the underlying tree structure.
 func (ix *Index) CheckInvariants() error { return ix.tree.CheckInvariants() }
 
-// Build constructs an index over the current contents of heap. It is the
-// online index build: one full heap scan, a sort, and a bulk load — all
-// charged to the heap's access stats, which is exactly the TRANS cost of
-// adding this index to a configuration.
-func Build(def catalog.IndexDef, schema *types.Schema, heap *storage.HeapFile) (*Index, error) {
-	cols := make([]int, len(def.Columns))
-	for i, name := range def.Columns {
-		ord := schema.ColumnIndex(name)
-		if ord < 0 {
-			return nil, fmt.Errorf("index %s: table %q has no column %q", def.Name(), def.Table, name)
-		}
-		cols[i] = ord
-	}
-	ix := &Index{
-		def:    def,
-		cols:   cols,
-		schema: schema,
-		tree:   btree.New(heap.Stats()),
-	}
-
-	// Each row's key is built from its payload bytes, located in place,
-	// and added to one arena of keys, sized for INT parts. The heap
-	// yields RIDs in ascending order and the sort is stable, so sorting
-	// by key alone gives the tree's (key, RID) order. BulkLoadFunc reads
-	// the entries in that order through the permutation and copies the
-	// keys again, leaf by leaf, so each leaf holds its keys contiguously.
-	n := int(heap.NumRows())
-	keys := keyenc.MakeKeys(n, n*keyenc.IntLen*len(cols))
-	rids := make([]storage.RID, 0, n)
-	layout := types.NewRowLayout(schema)
-	var scanErr error
-	heap.Scan(func(rid storage.RID, payload []byte) bool {
-		var err error
-		if keys.Bytes, err = ix.payloadKey(keys.Bytes, layout, payload); err != nil {
-			scanErr = fmt.Errorf("index %s: decoding row %s: %w", def.Name(), rid, err)
-			return false
-		}
-		keys.End()
-		rids = append(rids, rid)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	order := keys.Order()
-	err := ix.tree.BulkLoadFunc(len(order), func(i int) ([]byte, storage.RID) {
-		return keys.Key(int(order[i])), rids[order[i]]
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Charge the external-sort I/O of the build: a two-pass merge sort
-	// reads and writes the run files twice. The sort itself ran in
-	// memory, but an on-disk engine at this scale would pay these pages,
-	// and the what-if cost model (cost.BuildCost) predicts them — the
-	// two must agree for advisor estimates to match measurements.
-	leaves := ix.tree.LeafCount()
-	heap.Stats().Read(2 * leaves)
-	heap.Stats().Write(2 * leaves)
-	return ix, nil
-}
-
-// payloadKey appends to dst the key of the encoded heap row payload,
-// read from the row's bytes (keyenc.AppendRowValue). It fails on
-// exactly the payloads DecodeRow rejects, with DecodeRow's error, and on
-// a row without a value for a key column.
-func (ix *Index) payloadKey(dst []byte, layout *types.RowLayout, payload []byte) ([]byte, error) {
-	offs, err := layout.Locate(payload)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range ix.cols {
-		if c >= len(offs) {
-			return nil, fmt.Errorf("row of %d values has no column %d", len(offs), c)
-		}
-		dst = keyenc.AppendRowValue(dst, payload, offs[c])
-	}
-	return dst, nil
-}
-
 // Manager owns the materialized indexes of one table and keeps them
 // consistent with heap DML.
 type Manager struct {

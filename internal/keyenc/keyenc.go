@@ -34,7 +34,7 @@ const (
 func AppendValue(dst []byte, v types.Value) ([]byte, error) {
 	switch v.Kind {
 	case types.KindInt:
-		return appendInt(dst, v.Int), nil
+		return AppendInt(dst, v.Int), nil
 	case types.KindString:
 		return appendString(dst, v.Str), nil
 	default:
@@ -48,12 +48,13 @@ func AppendValue(dst []byte, v types.Value) ([]byte, error) {
 // word with its sign bit flipped, a STRING the tag and its bytes escaped.
 func AppendRowValue(dst, row []byte, off int) []byte {
 	if types.Kind(row[off]) == types.KindInt {
-		return appendInt(dst, types.IntAt(row, off))
+		return AppendInt(dst, types.IntAt(row, off))
 	}
 	return appendString(dst, types.StringAt(row, off))
 }
 
-func appendInt(dst []byte, v int64) []byte {
+// AppendInt appends the encoding of the INT value v.
+func AppendInt(dst []byte, v int64) []byte {
 	dst = append(dst, tagInt)
 	return binary.BigEndian.AppendUint64(dst, uint64(v)^(1<<63))
 }

@@ -2,9 +2,14 @@ package keyenc
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"dyndesign/internal/types"
 )
 
 // stableOrder is the oracle of the sorter's tests: the positions of keys
@@ -99,4 +104,140 @@ func FuzzSortKeys(f *testing.F) {
 		}
 		checkSortOrder(t, keys)
 	})
+}
+
+// checkSortWords fails unless SortWords sorts recs, whose Val is each
+// record's position, as slices.SortStableFunc by Key does.
+func checkSortWords(t *testing.T, recs []Word[int], keyBits int) {
+	t.Helper()
+	want := slices.Clone(recs)
+	slices.SortStableFunc(want, func(a, b Word[int]) int { return cmp.Compare(a.Key, b.Key) })
+	got := SortWords(slices.Clone(recs), keyBits)
+	if len(got) != len(want) {
+		t.Fatalf("%d records sorted into %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%d records of %d bits: position %d holds %+v, SortStableFunc has %+v", len(recs), keyBits, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSortWordsMatchesStableSort: SortWords equals a stable comparison
+// sort on keys of 0 to 64 bits, with one digit pass and several, on
+// digits every key shares (skipped), on many duplicates, and at sizes
+// that take 8- to 16-bit digits.
+func TestSortWordsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	records := func(n, keyBits int, distinct uint64) []Word[int] {
+		recs := make([]Word[int], n)
+		for i := range recs {
+			k := rng.Uint64()
+			if distinct > 0 {
+				k = (k % distinct) * 0x9E3779B97F4A7C15
+			}
+			if keyBits < 64 {
+				k &= 1<<keyBits - 1
+			}
+			recs[i] = Word[int]{Key: k, Val: i}
+		}
+		return recs
+	}
+	for _, n := range []int{0, 1, 2, 255, 1000, 70000} {
+		for _, keyBits := range []int{0, 1, 8, 13, 19, 33, 38, 63, 64} {
+			checkSortWords(t, records(n, keyBits, 0), keyBits)
+			checkSortWords(t, records(n, keyBits, 5), keyBits)
+		}
+	}
+	// Every key agrees on all but the top bit, and on all but the lowest.
+	top := make([]Word[int], 5000)
+	low := make([]Word[int], 5000)
+	for i := range top {
+		top[i] = Word[int]{Key: uint64(rng.Intn(2))<<63 | 0x1234, Val: i}
+		low[i] = Word[int]{Key: 0xABCD<<40 | uint64(rng.Intn(2)), Val: i}
+	}
+	checkSortWords(t, top, 64)
+	checkSortWords(t, low, 64)
+}
+
+// FuzzSortWords: on arbitrary records SortWords equals
+// slices.SortStableFunc by Key. The first input byte picks the key
+// width (mod 65), the rest is cut into 8-byte keys, masked to the width.
+func FuzzSortWords(f *testing.F) {
+	f.Add([]byte{64, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add([]byte{9, 0xFF, 1, 0, 0, 0, 0, 0, 0, 0xFF, 1, 0, 0, 0, 0, 0, 0})
+	f.Add(append([]byte{17}, bytes.Repeat([]byte{0, 0, 0, 0, 0, 1, 2, 3}, 40)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		keyBits := int(data[0]) % 65
+		var recs []Word[int]
+		for data = data[1:]; len(data) >= 8; data = data[8:] {
+			k := binary.BigEndian.Uint64(data)
+			if keyBits < 64 {
+				k &= 1<<keyBits - 1
+			}
+			recs = append(recs, Word[int]{Key: k, Val: len(recs)})
+		}
+		checkSortWords(t, recs, keyBits)
+	})
+}
+
+// TestPackingOrder: words packed from random INT keys of one to four
+// parts compare as the encoded keys do, and AppendKey writes the
+// encoded key back; the parts' widths pack up to 64 bits in all and
+// not one bit more.
+func TestPackingOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := range 200 {
+		parts := 1 + trial%4
+		mins, maxs := make([]int64, parts), make([]int64, parts)
+		for p := range parts {
+			mins[p] = rng.Int63() - rng.Int63()
+			maxs[p] = mins[p] + rng.Int63n(1<<uint(rng.Intn(20)))
+		}
+		pk, ok := NewPacking(mins, maxs)
+		if !ok {
+			t.Fatalf("%d parts of at most 20 bits do not pack", parts)
+		}
+		keys := make([][]byte, 50)
+		words := make([]uint64, 50)
+		for i := range keys {
+			var vals []types.Value
+			for p := range parts {
+				v := mins[p] + rng.Int63n(maxs[p]-mins[p]+1)
+				vals = append(vals, types.NewInt(v))
+				words[i] |= pk.Field(p, v)
+			}
+			keys[i] = MustEncode(vals...)
+			if words[i]>>pk.Bits() != 0 && pk.Bits() < 64 {
+				t.Fatalf("word %x has bits above %d", words[i], pk.Bits())
+			}
+			if got := pk.AppendKey(nil, words[i]); !bytes.Equal(got, keys[i]) {
+				t.Fatalf("AppendKey gives % x, Encode % x", got, keys[i])
+			}
+		}
+		for i := range keys {
+			for j := range keys {
+				if c := bytes.Compare(keys[i], keys[j]); c != cmp.Compare(words[i], words[j]) {
+					t.Fatalf("keys % x, % x compare %d; their words %x, %x do not", keys[i], keys[j], c, words[i], words[j])
+				}
+			}
+		}
+	}
+	full := []int64{math.MinInt64}
+	if pk, ok := NewPacking(full, []int64{math.MaxInt64}); !ok || pk.Bits() != 64 ||
+		!bytes.Equal(pk.AppendKey(nil, pk.Field(0, math.MaxInt64)), MustEncode(types.NewInt(math.MaxInt64))) {
+		t.Errorf("the whole int64 range does not pack into 64 bits")
+	}
+	if pk, ok := NewPacking([]int64{0, 0}, []int64{1<<32 - 1, 1<<32 - 1}); !ok || pk.Bits() != 64 {
+		t.Errorf("two 32-bit parts do not pack into 64 bits")
+	}
+	if _, ok := NewPacking([]int64{0, 0}, []int64{1<<33 - 1, 1<<32 - 1}); ok {
+		t.Errorf("33 and 32 bits pack")
+	}
+	if pk, ok := NewPacking([]int64{5}, []int64{5}); !ok || pk.Bits() != 0 {
+		t.Errorf("one value takes %d bits", pk.Bits())
+	}
 }

@@ -59,13 +59,19 @@ func Build(table string, schema *types.Schema, heap *storage.HeapFile, numBucket
 	if numBuckets <= 0 {
 		numBuckets = DefaultBuckets
 	}
-	// Each column's values are kept as order-preserving keys (keyenc),
-	// read from the payload bytes and sorted by keyenc's radix sorter.
+	// An INT column keeps its values as integers, with its least and
+	// greatest value, and sorts them as packed words (keyenc.SortWords);
+	// a STRING column keeps them as order-preserving keys (keyenc), read
+	// from the payload bytes and sorted by Keys.Order.
 	cols := schema.Columns
 	n := int(heap.NumRows())
-	samples := make([]keyenc.Keys, len(cols))
-	for i := range samples {
-		samples[i] = keyenc.MakeKeys(n, n*keyenc.IntLen)
+	samples := make([]sample, len(cols))
+	for i, c := range cols {
+		if samples[i].ints = c.Kind == types.KindInt; samples[i].ints {
+			samples[i].words = make([]keyenc.Word[struct{}], 0, n)
+		} else {
+			samples[i].keys = keyenc.MakeKeys(n, n*keyenc.IntLen)
+		}
 	}
 	layout := types.NewRowLayout(schema)
 	var rows int64
@@ -82,8 +88,10 @@ func Build(table string, schema *types.Schema, heap *storage.HeapFile, numBucket
 			return false
 		}
 		for i, off := range offs {
-			samples[i].Bytes = keyenc.AppendRowValue(samples[i].Bytes, payload, off)
-			samples[i].End()
+			if err := samples[i].add(payload, off); err != nil {
+				scanErr = fmt.Errorf("stats: row %s, column %s: %w", rid, cols[i].Name, err)
+				return false
+			}
 		}
 		rows++
 		bytes += int64(len(payload))
@@ -101,9 +109,66 @@ func Build(table string, schema *types.Schema, heap *storage.HeapFile, numBucket
 		ts.RowBytes = float64(bytes) / float64(rows)
 	}
 	for i, c := range cols {
-		ts.Columns[lower(c.Name)] = buildColumn(c.Name, &samples[i], numBuckets)
+		ts.Columns[lower(c.Name)] = samples[i].column(c.Name, numBuckets)
+		samples[i] = sample{}
 	}
 	return ts, nil
+}
+
+// sample is one column's values as ANALYZE's scan collects them: for an
+// INT column (ints), each value's bits as a word's key, with the least
+// and greatest value; else as keys.
+type sample struct {
+	ints     bool
+	words    []keyenc.Word[struct{}]
+	min, max int64
+	keys     keyenc.Keys
+}
+
+// add adds the value whose kind tag sits at row[off] of an encoded heap
+// row. It fails on a value of another kind in an INT column, which the
+// engine's statement check keeps out of its tables.
+func (s *sample) add(row []byte, off int) error {
+	if !s.ints {
+		s.keys.Bytes = keyenc.AppendRowValue(s.keys.Bytes, row, off)
+		s.keys.End()
+		return nil
+	}
+	if k := types.Kind(row[off]); k != types.KindInt {
+		return fmt.Errorf("%s value in an INT column", k)
+	}
+	v := types.IntAt(row, off)
+	if len(s.words) == 0 || v < s.min {
+		s.min = v
+	}
+	if len(s.words) == 0 || v > s.max {
+		s.max = v
+	}
+	s.words = append(s.words, keyenc.Word[struct{}]{Key: uint64(v)})
+	return nil
+}
+
+// column sorts the sample and computes the column's statistics from it.
+// Integers are sorted as words of their offsets from the least value;
+// keys are equal exactly when their values are. Either way only a
+// bucket's upper bound and the minimum and maximum are decoded.
+func (s *sample) column(name string, numBuckets int) *ColumnStats {
+	if !s.ints {
+		order := s.keys.Order()
+		key := func(i int) []byte { return s.keys.Key(int(order[i])) }
+		return buildColumn(name, len(order), numBuckets,
+			func(i int) bool { return string(key(i)) == string(key(i-1)) },
+			func(i int) types.Value { return decodeKey(key(i)) })
+	}
+	pk, _ := keyenc.NewPacking([]int64{s.min}, []int64{s.max}) // one part always packs
+	for i, w := range s.words {
+		s.words[i].Key = pk.Field(0, int64(w.Key))
+	}
+	words := keyenc.SortWords(s.words, pk.Bits())
+	s.words = nil
+	return buildColumn(name, len(words), numBuckets,
+		func(i int) bool { return words[i].Key == words[i-1].Key },
+		func(i int) types.Value { return types.NewInt(pk.Part(words[i].Key, 0)) })
 }
 
 func lower(s string) string {
@@ -116,19 +181,16 @@ func lower(s string) string {
 	return string(b)
 }
 
-// buildColumn computes one column's statistics from its values as keys.
-// Keys are equal exactly when their values are, so runs of equal keys in
-// sorted order are runs of equal values; only a bucket's upper bound and
-// the minimum and maximum are decoded.
-func buildColumn(name string, vals *keyenc.Keys, numBuckets int) *ColumnStats {
-	n := vals.Len()
+// buildColumn computes one column's statistics from its n values in
+// sorted order: same(i) reports whether value i equals value i-1, and
+// value(i) returns it, called only for a bucket's upper bound and the
+// minimum and maximum.
+func buildColumn(name string, n, numBuckets int, same func(i int) bool, value func(i int) types.Value) *ColumnStats {
 	cs := &ColumnStats{Column: name, Rows: int64(n)}
 	if n == 0 {
 		return cs
 	}
-	order := vals.Order()
-	sorted := func(i int) []byte { return vals.Key(int(order[i])) }
-	h := &Histogram{Min: decodeKey(sorted(0)), Max: decodeKey(sorted(n - 1)), Rows: int64(n)}
+	h := &Histogram{Min: value(0), Max: value(n - 1), Rows: int64(n)}
 
 	perBucket := (n + numBuckets - 1) / numBuckets
 	if perBucket < 1 {
@@ -140,28 +202,27 @@ func buildColumn(name string, vals *keyenc.Keys, numBuckets int) *ColumnStats {
 	// their bucket neighbours.
 	var ndv int64
 	var cur Bucket
-	var curUpper []byte // the key of cur's upper bound
+	curUpper := -1 // the position of cur's upper bound
 	flush := func() {
 		if cur.Count > 0 {
-			cur.Upper = decodeKey(curUpper)
+			cur.Upper = value(curUpper)
 			h.Buckets = append(h.Buckets, cur)
 			cur = Bucket{}
 		}
 	}
 	i := 0
 	for i < n {
-		key := sorted(i)
 		j := i + 1
-		for j < n && string(sorted(j)) == string(key) {
+		for j < n && same(j) {
 			j++
 		}
 		runLen := int64(j - i)
 		ndv++
 		if runLen >= int64(perBucket) {
 			flush()
-			h.Buckets = append(h.Buckets, Bucket{Upper: decodeKey(key), Count: runLen, Distinct: 1})
+			h.Buckets = append(h.Buckets, Bucket{Upper: value(i), Count: runLen, Distinct: 1})
 		} else {
-			curUpper = key
+			curUpper = i
 			cur.Count += runLen
 			cur.Distinct++
 			if cur.Count >= int64(perBucket) {

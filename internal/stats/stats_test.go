@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"dyndesign/internal/storage"
@@ -283,17 +284,22 @@ func referenceColumn(name string, vals []types.Value, numBuckets int) *ColumnSta
 	return &ColumnStats{Column: name, Rows: int64(len(vals)), NDV: ndv, Hist: h}
 }
 
-// TestBuildMatchesSortSliceReference: statistics built from keys through
-// the radix sorter equal, bucket for bucket and in Fingerprint, those
-// built from each column's values sorted by sort.Slice with
-// Value.Compare — on INT columns with negative values and on STRING
-// columns with embedded 0x00 bytes and long shared prefixes.
+// TestBuildMatchesSortSliceReference: statistics built through the
+// radix sorters — packed words for INT columns, keys for STRING ones —
+// equal, bucket for bucket and in Fingerprint, those built from each
+// column's values sorted by sort.Slice with Value.Compare: on INT
+// columns with negative values, one value everywhere (no pass) and the
+// whole int64 range (64-bit words), and on STRING columns with embedded
+// 0x00 bytes and long shared prefixes.
 func TestBuildMatchesSortSliceReference(t *testing.T) {
 	schema := types.MustSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "s", Kind: types.KindString},
 		types.Column{Name: "w", Kind: types.KindInt},
+		types.Column{Name: "e", Kind: types.KindInt},
+		types.Column{Name: "m", Kind: types.KindInt},
 	)
+	extremes := []int64{math.MinInt64, math.MaxInt64, -1, 0}
 	rng := rand.New(rand.NewSource(11))
 	strs := []string{"", "\x00", "\x00\x00", "x", "x\x00", "x\x00y", "xy", "y\xff",
 		"shared prefix, longer than a radix key: a", "shared prefix, longer than a radix key: a\x00",
@@ -304,6 +310,8 @@ func TestBuildMatchesSortSliceReference(t *testing.T) {
 			types.NewInt(rng.Int63n(2001) - 1000),
 			types.NewString(strs[rng.Intn(len(strs))]),
 			types.NewInt(rng.Int63() - math.MaxInt64/2),
+			types.NewInt(-42),
+			types.NewInt(extremes[rng.Intn(len(extremes))]),
 		})
 	}
 	for _, buckets := range []int{1, 7, DefaultBuckets} {
@@ -333,5 +341,18 @@ func TestBuildMatchesSortSliceReference(t *testing.T) {
 		if got, want := ts.Fingerprint(), ref.Fingerprint(); got != want {
 			t.Fatalf("%d buckets: fingerprint %x, reference %x", buckets, got, want)
 		}
+	}
+}
+
+// TestBuildRefusesStringInIntColumn: a STRING value in a column the
+// schema declares INT fails the build with the row and the column.
+func TestBuildRefusesStringInIntColumn(t *testing.T) {
+	heap := buildHeap(t, []types.Row{
+		{types.NewInt(1), types.NewInt(2)},
+		{types.NewInt(3), types.NewString("x")},
+	})
+	schema := types.MustSchema(types.Column{Name: "a", Kind: types.KindInt}, types.Column{Name: "b", Kind: types.KindInt})
+	if _, err := Build("t", schema, heap, 4); err == nil || !strings.Contains(err.Error(), "column b: STRING value in an INT column") {
+		t.Fatalf("error %v", err)
 	}
 }
