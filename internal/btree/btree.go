@@ -61,13 +61,13 @@ type leaf struct {
 	rids  []storage.RID
 	next  *leaf
 	bytes int
-	// view is the leaf's derived-data slot, handed to ScanChunks'
+	// view is the leaf's derived-data slot, handed to ScanLeaves'
 	// callback beside the keys and RIDs. The tree never reads it and
 	// empties it whenever the leaf's entries change: on an insert or a
 	// delete, and on every leaf a split, a borrow or a merge rewrites.
-	// Only the scan worker that owns the leaf within a ScanChunks call
-	// writes it; the caller keeps scans and mutations of one tree from
-	// running at once (the engine holds its database lock).
+	// Only the ScanLeaves callback writes it, on the caller; the caller
+	// keeps scans and mutations of one tree from running at once (the
+	// engine holds its database lock).
 	view any
 }
 

@@ -103,26 +103,17 @@ func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, rid storage.RID) bo
 
 // ScanRange calls fn for every entry with low <= key < high (nil bounds
 // are unbounded), in order, stopping early if fn returns false. A full
-// range is ScanChunks' leaf loop run chunk after chunk on the caller.
+// range is ScanLeaves with fn called for each of a leaf's entries.
 func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) bool) {
 	if low == nil && high == nil {
-		entries := func(keys [][]byte, rids []storage.RID, _ *any) bool {
+		t.ScanLeaves(func(keys [][]byte, rids []storage.RID, _ *any) bool {
 			for i, k := range keys {
 				if !fn(k, rids[i]) {
 					return false
 				}
 			}
 			return true
-		}
-		leaves := t.leaves()
-		t.stats.Read(int64(t.height - 1))
-		for c := range storage.Chunks(len(leaves)) {
-			visited, stopped := scanLeaves(leaves, c, entries)
-			t.stats.Read(visited)
-			if stopped {
-				return
-			}
-		}
+		})
 		return
 	}
 	var it *Iterator
@@ -141,59 +132,23 @@ func (t *Tree) ScanRange(low, high []byte, fn func(key []byte, rid storage.RID) 
 	}
 }
 
-// ScanChunks is ScanRange(nil, nil, …) split at leaf boundaries into
-// chunks of storage.ScanChunk leaves run by storage.ScanParts, possibly
-// two at once. For each chunk it calls leaves with a pointer to that
-// chunk's result; the callback leaves returns then receives the chunk's
-// leaves in order, one call per leaf with its keys, its RIDs and its
-// derived-data slot, on one goroutine, and ends the scan by returning
-// false. The slices alias the tree: the callback must neither modify nor
-// retain them. The slot is the callback's to read and write; the tree
-// empties it whenever the leaf's entries change. ScanChunks
-// returns the results of the chunks up to and including the one that
-// ended the scan, in key order, and charges what First and Next charge:
-// the height, then one read per further leaf up to the leaf where the
-// scan ended. The tree must not change while it runs.
-func ScanChunks[T any](t *Tree, leaves func(part *T) func(keys [][]byte, rids []storage.RID, view *any) bool) []T {
-	all := t.leaves()
-	parts, visited := storage.ScanParts(storage.Chunks(len(all)), leaves,
-		func(c int, fn func(keys [][]byte, rids []storage.RID, view *any) bool) (int64, bool) {
-			return scanLeaves(all, c, fn)
-		})
-	t.stats.Read(int64(t.height-1) + visited)
-	return parts
-}
-
-// scanLeaves calls fn for each leaf of chunk c of leaves in order, and
-// returns the number of leaves it visited and whether fn stopped it.
-func scanLeaves(leaves []*leaf, c int, fn func(keys [][]byte, rids []storage.RID, view *any) bool) (visited int64, stopped bool) {
-	for _, l := range leaves[c*storage.ScanChunk : min((c+1)*storage.ScanChunk, len(leaves))] {
+// ScanLeaves calls fn for every leaf in key order, on the caller: one
+// call per leaf with its keys, its RIDs and its derived-data slot. fn
+// ends the scan by returning false. The slices alias the tree: fn must
+// neither modify nor retain them. The slot is fn's to read and write;
+// the tree empties it whenever the leaf's entries change. ScanLeaves
+// charges what First and Next charge: the height, then one read per
+// further leaf up to the leaf where the scan ended. The tree must not
+// change while it runs.
+func (t *Tree) ScanLeaves(fn func(keys [][]byte, rids []storage.RID, view *any) bool) {
+	visited := int64(t.height - 1)
+	for l := t.firstLeaf(); l != nil; l = l.next {
 		visited++
 		if !fn(l.keys, l.rids, &l.view) {
-			return visited, true
+			break
 		}
 	}
-	return visited, false
-}
-
-// leaves returns the leaves in key order, read off the level above them.
-func (t *Tree) leaves() []*leaf {
-	if l, ok := t.root.(*leaf); ok {
-		return []*leaf{l}
-	}
-	var out []*leaf
-	var walk func(b *branch)
-	walk = func(b *branch) {
-		for _, c := range b.children {
-			if l, ok := c.(*leaf); ok {
-				out = append(out, l)
-			} else {
-				walk(c.(*branch))
-			}
-		}
-	}
-	walk(t.root.(*branch))
-	return out
+	t.stats.Read(visited)
 }
 
 // BulkLoad builds a tree from entries that must already be sorted by

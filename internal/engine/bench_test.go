@@ -15,17 +15,14 @@ import (
 
 // The engine's working benchmarks: the three operations a replay spends
 // its time in, each on the paper's table shape over a table-size axis
-// that straddles the size where full scans split between two goroutines
-// (storage.ScanParts: 4 chunks of 16 pages or leaves, ≈ 12k rows of this
-// table in the heap, ≈ 15k entries of a two-column index). Run at
-// -cpu 1,2, the two schedules side by side are the evidence for
-// storage.ScanChunk and the split threshold. They are for working on the
-// executor; bench/e2e and bench/history hold the recorded numbers.
+// from 5k to 100k rows (≈ 30 to 530 heap pages, ≈ 30 to 450 leaves of
+// a two-column index). Every scan and build runs on the caller, so the
+// per-row cost should stay flat along the axis. They are for working on
+// the executor; bench/e2e and bench/history hold the recorded numbers.
 //
-//	go test -run '^$' -cpu 1,2 -bench 'HeapScan|IndexOnlyScan|CreateIndex' ./internal/engine
+//	go test -run '^$' -bench 'HeapScan|IndexOnlyScan|CreateIndex' ./internal/engine
 
-// benchSizes is the table-size axis: 2, 4, 7 and 33 heap chunks, and 2,
-// 3, 6 and 28 chunks of the (a, b) index's leaves.
+// benchSizes is the table-size axis.
 var benchSizes = []int{5000, 10000, 20000, 100000}
 
 // benchDB loads t(a, b, c, d) with rows uniform rows over [0, rows/5),

@@ -11,7 +11,7 @@ import (
 
 // Column views: a full scan keeps, in each heap page's and each B+-tree
 // leaf's derived-data slot (storage.Page.View, the leaf's slot handed
-// over by index.ScanKeyChunks), the INT columns its conjuncts read, one
+// over by index.ScanLeaves), the INT columns its conjuncts read, one
 // vector per column, built on first use. Between mutations the same
 // pages and leaves are scanned again and again, and a later scan tests
 // its conjuncts with one tight loop over 2–8 bytes per value instead of
@@ -188,8 +188,7 @@ func (v *colView) serves(cols []colRef, missing []colRef) (bool, []colRef) {
 // or key and, in a key, the fixed byte offset of its INT part.
 type colRef struct{ pos, off int }
 
-// viewScratch is the reusable memory of one scan worker (one chunk of a
-// split scan): the candidate positions and the buffers a build decodes
+// viewScratch is the reusable memory of one scan: the candidate positions and the buffers a build decodes
 // through, so that building a view allocates only the view itself.
 type viewScratch struct {
 	cand    []uint16

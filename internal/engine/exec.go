@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dyndesign/internal/cost"
-	"dyndesign/internal/index"
 	"dyndesign/internal/keyenc"
 	"dyndesign/internal/sql"
 	"dyndesign/internal/storage"
@@ -64,31 +63,11 @@ type matchedRow struct {
 	row types.Row
 }
 
-// scanPart is what one chunk of a scan (or a whole serial access path)
-// collects: its matching rows in order, and the error that ended it.
+// scanPart is what an access path collects: its matching rows in order,
+// and the error that ended it.
 type scanPart struct {
 	rows []matchedRow
 	err  error
-}
-
-// joinParts concatenates the parts' rows in order. The first part with an
-// error is the one the serial scan stopped in: its error is the result.
-func joinParts(parts []scanPart) ([]matchedRow, error) {
-	n := 0
-	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
-		}
-		n += len(p.rows)
-	}
-	var out []matchedRow
-	if n > 0 {
-		out = make([]matchedRow, 0, n)
-	}
-	for _, p := range parts {
-		out = append(out, p.rows...)
-	}
-	return out, nil
 }
 
 // collectRows runs the access path and returns the matching rows after
@@ -98,27 +77,24 @@ func joinParts(parts []scanPart) ([]matchedRow, error) {
 // index key columns are populated; a caller needing all columns must use
 // needHeap=true to force heap fetches.
 //
-// Full scans — heap scans and covering index-only scans — run as chunks,
-// on the caller and at most one helper goroutine (storage.ScanParts);
-// each chunk hands its loop one heap page or one leaf per call
-// (scanPage, keyScan.leaf), which tests the page's or leaf's column view
-// where one serves (colview.go), collects into its own part, and
-// joinParts restores the serial order and first error. Nothing mutates the table
-// meanwhile: the caller holds db.mu, and UPDATE and DELETE mutate only
-// after collecting.
+// Full scans — heap scans and covering index-only scans — hand their
+// loop one heap page or one leaf per call (scanPage, keyScan.leaf),
+// which tests the page's or leaf's column view where one serves
+// (colview.go). Every path collects into one part on the caller; the
+// first error ends it and is the result, with no rows. Nothing mutates
+// the table meanwhile: the caller holds db.mu, and UPDATE and DELETE
+// mutate only after collecting.
 func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]matchedRow, error) {
 	schema := td.meta.Schema
 	rows, err := newRowFilter(schema, plan.Residual)
 	if err != nil {
 		return nil, err
 	}
+	var part scanPart
 	a := &plan.Access
 	switch a.Kind {
 	case cost.HeapScan:
-		return joinParts(storage.ScanChunks(td.heap, func(part *scanPart) func(*storage.Page) bool {
-			f := rows.fork(schema)
-			return func(p *storage.Page) bool { return f.scanPage(p, part) }
-		}))
+		td.heap.ScanPages(func(p *storage.Page) bool { return rows.scanPage(p, &part) })
 
 	case cost.IndexSeek, cost.IndexOnlyScan:
 		ix, ok := td.indexes.Get(a.Index.Def.Name())
@@ -147,7 +123,6 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 		default:
 			ranges = append(ranges, keyRange{nil, nil})
 		}
-		var part scanPart
 		if needHeap || !a.Covering {
 			for _, kr := range ranges {
 				err := ix.ScanEncodedRange(kr.low, kr.high, func(_ []types.Value, rid storage.RID) bool {
@@ -165,7 +140,7 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 					break
 				}
 			}
-			return joinParts([]scanPart{part})
+			break
 		}
 		// Covering path: the residual is tested on the key bytes and a
 		// (sparse) row is decoded only for matches.
@@ -174,30 +149,27 @@ func (db *Database) collectRows(td *tableData, plan *Plan, needHeap bool) ([]mat
 		if err != nil {
 			return nil, err
 		}
-		scan := func(part *scanPart) *keyScan {
-			return &keyScan{filter: keys, cols: keyCols, width: schema.Len(), part: part}
-		}
+		s := &keyScan{filter: keys, cols: keyCols, width: schema.Len(), part: &part}
 		if a.Kind == cost.IndexOnlyScan {
-			// An index-only scan visits every entry: split it.
-			preds, cols := keys.view()
-			return joinParts(index.ScanKeyChunks(ix, func(part *scanPart) func([][]byte, []storage.RID, *any) bool {
-				s := scan(part)
-				s.viewPreds, s.viewCols = preds, cols
-				return s.leaf
-			}))
+			// An index-only scan visits every leaf.
+			s.viewPreds, s.viewCols = keys.view()
+			ix.ScanLeaves(s.leaf)
+			break
 		}
-		s := scan(&part)
 		for _, kr := range ranges {
 			ix.ScanKeys(kr.low, kr.high, s.entry)
 			if part.err != nil {
 				break
 			}
 		}
-		return joinParts([]scanPart{part})
 
 	default:
 		return nil, fmt.Errorf("engine: unknown access kind %v", a.Kind)
 	}
+	if part.err != nil {
+		return nil, part.err
+	}
+	return part.rows, nil
 }
 
 // scanPage is a heap scan's page loop: it tests the live rows of p in

@@ -181,13 +181,6 @@ func viewCols(preds []bytePred, offs []int) []colRef {
 	return cols
 }
 
-// fork returns a filter with f's predicates, and a layout and a scratch
-// of its own: both serve one scan at a time, and each chunk of a split
-// scan is one.
-func (f *rowFilter) fork(schema *types.Schema) *rowFilter {
-	return &rowFilter{layout: types.NewRowLayout(schema), preds: f.preds, width: f.width, viewCols: f.viewCols}
-}
-
 // match reports whether the encoded row satisfies every predicate, tested
 // in order. It fails on a payload DecodeRow rejects, with DecodeRow's
 // error, and on a row whose value a predicate reads is missing or of the

@@ -193,20 +193,15 @@ func intSchema() *types.Schema {
 
 // leafEntries returns ix's entries leaf by leaf, in key order.
 func leafEntries(ix *Index) [][]btree.Entry {
-	parts := ScanKeyChunks(ix, func(part *[][]btree.Entry) func(keys [][]byte, rids []storage.RID, _ *any) bool {
-		return func(keys [][]byte, rids []storage.RID, _ *any) bool {
-			leaf := make([]btree.Entry, len(keys))
-			for i := range keys {
-				leaf[i] = btree.Entry{Key: keys[i], RID: rids[i]}
-			}
-			*part = append(*part, leaf)
-			return true
-		}
-	})
 	var out [][]btree.Entry
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	ix.ScanLeaves(func(keys [][]byte, rids []storage.RID, _ *any) bool {
+		leaf := make([]btree.Entry, len(keys))
+		for i := range keys {
+			leaf[i] = btree.Entry{Key: keys[i], RID: rids[i]}
+		}
+		out = append(out, leaf)
+		return true
+	})
 	return out
 }
 

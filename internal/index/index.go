@@ -180,16 +180,13 @@ func (ix *Index) ScanKeys(lowKey, highKey []byte, fn func(key []byte, rid storag
 	ix.tree.ScanRange(lowKey, highKey, fn)
 }
 
-// ScanKeyChunks is ScanKeys(nil, nil, …) run by btree.ScanChunks: the
-// full scan split at leaf boundaries, possibly two chunks at once. For
-// each chunk it calls leaves with a pointer to that chunk's result and
-// feeds the chunk's leaves, in order, to the callback leaves returns: one
-// call per leaf with its raw keys and RIDs, which the callback must
-// neither modify nor retain, and the leaf's derived-data slot, which the
-// tree empties whenever the leaf changes. It returns the counted chunks'
-// results in key order.
-func ScanKeyChunks[T any](ix *Index, leaves func(part *T) func(keys [][]byte, rids []storage.RID, view *any) bool) []T {
-	return btree.ScanChunks(ix.tree, leaves)
+// ScanLeaves is ScanKeys(nil, nil, …) leaf by leaf (btree.ScanLeaves):
+// it calls fn for every leaf in key order, on the caller, with the
+// leaf's raw keys and RIDs, which fn must neither modify nor retain, and
+// the leaf's derived-data slot, which the tree empties whenever the leaf
+// changes. fn ends the scan by returning false.
+func (ix *Index) ScanLeaves(fn func(keys [][]byte, rids []storage.RID, view *any) bool) {
+	ix.tree.ScanLeaves(fn)
 }
 
 // CheckInvariants verifies the underlying tree structure.

@@ -185,55 +185,34 @@ func (h *HeapFile) Update(rid RID, payload []byte) (RID, error) {
 // RIDs, page by page and slot by slot, whatever deletes, moves and
 // compactions came before — charging one read per page visited.
 // Scanning stops early if fn returns false. The payload slice passed to
-// fn aliases page memory and must not be retained. It is ScanChunks'
-// page loop run chunk after chunk on the caller, with fn called for each
-// of a page's live slots.
+// fn aliases page memory and must not be retained. It is ScanPages with
+// fn called for each of a page's live slots.
 func (h *HeapFile) Scan(fn func(rid RID, payload []byte) bool) {
-	rows := func(p *Page) bool {
+	h.ScanPages(func(p *Page) bool {
 		for i := range p.Slots() {
 			if payload, live := p.Live(i); live && !fn(RID{Page: p.id, Slot: uint16(i)}, payload) {
 				return false
 			}
 		}
 		return true
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for c := range Chunks(len(h.pages)) {
-		pages, stopped := h.scanChunk(c, rows)
-		h.stats.Read(pages)
-		if stopped {
-			return
-		}
-	}
+	})
 }
 
-// ScanChunks is Scan split into chunks of ScanChunk pages run by
-// ScanParts, possibly two at once. For each chunk it calls pages with a
-// pointer to that chunk's result; the callback pages returns then
-// receives the chunk's pages in order, on one goroutine, reads their live
-// slots itself (Page.Slots, Page.Live), and ends the scan by returning
-// false. ScanChunks returns the results of the chunks up to and
-// including the one that ended the scan, in page order, and charges what
-// Scan charges: one read per page up to the page where the scan ended.
-func ScanChunks[T any](h *HeapFile, pages func(part *T) func(p *Page) bool) []T {
+// ScanPages calls fn for every page in order, on the caller, under the
+// heap's read lock; fn reads the page's live slots itself (Page.Slots,
+// Page.Live) and ends the scan by returning false. It charges what Scan
+// charges: one read per page up to the page where the scan ended.
+func (h *HeapFile) ScanPages(fn func(p *Page) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	parts, visited := ScanParts(Chunks(len(h.pages)), pages, h.scanChunk)
-	h.stats.Read(visited)
-	return parts
-}
-
-// scanChunk calls fn for chunk c's pages in order, and returns the
-// number of pages it visited and whether fn stopped it.
-func (h *HeapFile) scanChunk(c int, fn func(p *Page) bool) (pages int64, stopped bool) {
-	for _, p := range h.pages[c*ScanChunk : min((c+1)*ScanChunk, len(h.pages))] {
-		pages++
+	var visited int64
+	for _, p := range h.pages {
+		visited++
 		if !fn(p) {
-			return pages, true
+			break
 		}
 	}
-	return pages, false
+	h.stats.Read(visited)
 }
 
 // CheckInvariants verifies internal consistency: the live-row count

@@ -88,10 +88,10 @@ func (p *Page) ID() PageID { return p.id }
 // compaction included, delete and updateInPlace) empties it, so what the
 // slot holds always describes the rows the page holds now.
 //
-// The slot is not synchronized. Only the scan worker that owns the page
-// within a ScanChunks call writes it, under the heap's read lock, and the
-// caller keeps two scans of one heap from running at once (the engine
-// holds its database lock across every statement).
+// The slot is not synchronized. Only the ScanPages callback writes it,
+// on the caller, under the heap's read lock, and the caller keeps two
+// scans of one heap from running at once (the engine holds its database
+// lock across every statement).
 func (p *Page) View() *any { return &p.view }
 
 func (p *Page) slotCount() uint16     { return binary.BigEndian.Uint16(p.data[0:2]) }

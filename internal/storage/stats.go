@@ -6,10 +6,8 @@ import "sync/atomic"
 // shared by a database's heap files and index trees, so a workload run
 // yields a single, deterministic cost figure.
 //
-// Counters are atomic so concurrent readers may share a database. A scan
-// split between goroutines (runChunks) still charges deterministically:
-// each chunk counts the pages it visited, and the scan adds the counts of
-// the chunks that count, so the total is the serial scan's.
+// Counters are atomic so concurrent readers may share a database. A full
+// scan counts the pages it visited and adds them once, when it ends.
 type AccessStats struct {
 	reads  atomic.Int64
 	writes atomic.Int64

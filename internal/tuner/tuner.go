@@ -7,9 +7,10 @@
 //     directly operationalizes the paper's notion that the input is a
 //     *representative* of a workload process.
 //
-//   - The elbow rule on the quality-vs-k curve for the single-trace case:
-//     increase k while the marginal cost reduction still exceeds a
-//     threshold fraction of the unconstrained optimum.
+//   - The elbow rule on the quality-vs-k curve for the single-trace case
+//     (ElbowK): pick the smallest k whose optimal cost captures a given
+//     fraction of the improvement from the static design (k = 0) to the
+//     unconstrained optimum.
 package tuner
 
 import (
