@@ -128,8 +128,10 @@ chaos:
 # order arbitrary records as slices.SortStableFunc by key does
 # (internal/keyenc/sort_test.go); and a packed
 # INT column of a page's or leaf's column view must keep the narrowest
-# width, give back every value and keep exactly the positions a range or
-# IN conjunct accepts on the plain values (internal/engine/colview_test.go).
+# width, give back every value, set every value's bucket in its bucket
+# bitmap and keep exactly the positions a range or IN conjunct accepts on
+# the plain values, literals on bucket edges included
+# (internal/engine/colview_test.go).
 # CI runs this as a smoke test; longer local campaigns just raise
 # -fuzztime.
 fuzz-smoke:

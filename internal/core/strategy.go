@@ -71,6 +71,18 @@ func Strategies() []Strategy {
 	return out
 }
 
+// Heuristic reports whether s is one of the table's heuristics (its
+// rungs): a strategy whose answer need not be optimal, so that its cost
+// need not fall as the change bound grows.
+func Heuristic(s Strategy) bool {
+	for _, row := range strategyTable {
+		if row.name == s {
+			return row.rung
+		}
+	}
+	return false
+}
+
 // lookupStrategy finds name's row of the table; the empty name is the
 // default, StrategyKAware.
 func lookupStrategy(name Strategy) (Strategy, strategyRun, error) {

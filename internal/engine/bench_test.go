@@ -85,23 +85,50 @@ func benchSelect(b *testing.B, db *Database, rows int, query string, kind cost.A
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
-// benchPointScans runs the point query format (one %d) as four
-// sub-benchmarks: at the literal 17, which lies below most pages' and
-// leaves' minimum, and at the mid-domain literal rows/10; each warm, the
-// table unchanged between runs, and cold, after touch has changed every
-// page or leaf the scan reads.
+// benchPointScans runs the point query format (one %d) as six
+// sub-benchmarks, each warm, the table unchanged between runs, and cold,
+// after touch has changed every page or leaf the scan reads. The
+// literals: 17, which lies below nearly every page's and leaf's min, so
+// that it times the min/max skip and not the row loop; the mid-domain
+// rows/10, which lies inside nearly every page's and leaf's [min, max];
+// and absent, a mid-domain literal no row holds (picked untimed), which
+// the bucket bitmaps of most pages and leaves rule out.
 func benchPointScans(b *testing.B, db *Database, rows int, format string, kind cost.AccessKind, touch func()) {
-	for _, lit := range []int{17, rows / 10} {
-		query := fmt.Sprintf(format, lit)
+	lits := []struct {
+		name string
+		lit  int
+	}{{"17", 17}, {fmt.Sprint(rows / 10), rows / 10}, {"absent", absentLiteral(b, db, rows, format)}}
+	for _, l := range lits {
+		query := fmt.Sprintf(format, l.lit)
 		for _, cold := range []bool{false, true} {
-			name := fmt.Sprintf("lit=%d/warm", lit)
+			name := fmt.Sprintf("lit=%s/warm", l.name)
 			var before func()
 			if cold {
-				name, before = fmt.Sprintf("lit=%d/cold", lit), touch
+				name, before = fmt.Sprintf("lit=%s/cold", l.name), touch
 			}
 			b.Run(name, func(b *testing.B) { benchSelect(b, db, rows, query, kind, before) })
 		}
 	}
+}
+
+// absentLiteral returns the first literal from rows/10 up, wrapping
+// around the domain [0, rows/5), for which the point query format
+// returns no row.
+func absentLiteral(b *testing.B, db *Database, rows int, format string) int {
+	b.Helper()
+	domain := rows / 5
+	for i := range domain {
+		lit := (rows/10 + i) % domain
+		res, err := db.Exec(fmt.Sprintf(format, lit))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			return lit
+		}
+	}
+	b.Fatalf("every literal in [0, %d) is held by some row", domain)
+	return 0
 }
 
 // touchPages returns a function that rewrites one row of every heap page

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"dyndesign/internal/keyenc"
@@ -15,9 +16,11 @@ import (
 // vector per column, built on first use. Between mutations the same
 // pages and leaves are scanned again and again, and a later scan tests
 // its conjuncts with one tight loop over 2–8 bytes per value instead of
-// walking each row's bytes. The page or the tree empties the slot on
-// every mutation, so a view always describes the rows it sits beside;
-// the engine keeps no other record of it.
+// walking each row's bytes — or with no loop at all, where a column's
+// min and max or its bucket bitmap shows that no row can match. The page
+// or the tree empties the slot on every mutation, so a view always
+// describes the rows it sits beside; the engine keeps no other record of
+// it.
 //
 // A view serves a scan when every conjunct is an INT predicate: on a
 // column of the heap row, or on an INT key part at a fixed offset. A page
@@ -32,47 +35,89 @@ import (
 // max − min — in u16, u32 or u64, one value per row in order; the other
 // two are nil. (Three typed fields, not one interface, so that building
 // a column allocates its values and nothing else.)
+//
+// buckets is a bitmap over the offsets: bit o >> shift is set for every
+// stored offset o, and shift is the least that maps max − min into
+// bucketBits buckets. A conjunct whose range touches only empty buckets
+// skips the page or leaf without a loop, though its range lies inside
+// [min, max].
 type intColumn struct {
 	min, max int64
+	shift    uint8
+	buckets  [bucketBits / 64]uint64
 	u16      []uint16
 	u32      []uint32
 	u64      []uint64
 }
 
+// bucketBits is the size of a column's bucket bitmap, 128 bytes per
+// built column. DESIGN §6 has the measurement that chose it over 2 048.
+const bucketBits = 1024
+
 // packInts returns the packed column of vals, whose least and greatest
 // values are lo and hi.
 func packInts(vals []int64, lo, hi int64) intColumn {
-	c := intColumn{min: lo, max: hi}
-	switch span := uint64(hi) - uint64(lo); {
+	span := uint64(hi) - uint64(lo)
+	c := intColumn{min: lo, max: hi, shift: uint8(max(0, bits.Len64(span)-bits.Len64(bucketBits-1)))}
+	switch {
 	case span <= math.MaxUint16:
-		c.u16 = packAs[uint16](vals, lo)
+		c.u16 = packAs[uint16](vals, lo, &c)
 	case span <= math.MaxUint32:
-		c.u32 = packAs[uint32](vals, lo)
+		c.u32 = packAs[uint32](vals, lo, &c)
 	default:
-		c.u64 = packAs[uint64](vals, lo)
+		c.u64 = packAs[uint64](vals, lo, &c)
 	}
 	return c
 }
 
-func packAs[T uint16 | uint32 | uint64](vals []int64, lo int64) []T {
+// packAs returns the offsets of vals from lo as T and sets their buckets
+// in c.
+func packAs[T uint16 | uint32 | uint64](vals []int64, lo int64, c *intColumn) []T {
 	out := make([]T, len(vals))
 	for i, x := range vals {
-		out[i] = T(uint64(x) - uint64(lo))
+		off := uint64(x) - uint64(lo)
+		out[i] = T(off)
+		b := off >> c.shift
+		c.buckets[b/64] |= 1 << (b % 64)
 	}
 	return out
 }
 
-// narrow tests conjunct p on the column. With first set it returns, in
-// cand's storage, the positions of every value that satisfies p;
-// otherwise it keeps those of the positions in cand. A conjunct whose
-// range misses [min, max] keeps nothing, without a loop; an IN list is
-// tested by its range, then exactly on each survivor.
-func (c *intColumn) narrow(p *bytePred, cand []uint16, first bool) []uint16 {
+// reach returns conjunct p's range on the column as offsets, a = lo − min
+// and b = hi − lo, or ok false when no stored value can satisfy p: the
+// range misses [min, max], or every bucket it touches is empty.
+func (c *intColumn) reach(p *bytePred) (a, b uint64, ok bool) {
 	lo, hi := max(p.lo, c.min), min(p.hi, c.max)
 	if lo > hi {
+		return 0, 0, false
+	}
+	a, b = uint64(lo)-uint64(c.min), uint64(hi)-uint64(lo)
+	first, last := a>>c.shift, (a+b)>>c.shift
+	for w := first / 64; w <= last/64; w++ {
+		m := c.buckets[w]
+		if w == first/64 {
+			m &= ^uint64(0) << (first % 64)
+		}
+		if w == last/64 {
+			m &= ^uint64(0) >> (63 - last%64)
+		}
+		if m != 0 {
+			return a, b, true
+		}
+	}
+	return 0, 0, false
+}
+
+// narrow tests conjunct p on the column. With first set it returns, in
+// cand's storage, the positions of every value that satisfies p;
+// otherwise it keeps those of the positions in cand. A conjunct that
+// reach rules out keeps nothing, without a loop; an IN list is tested by
+// its range, then exactly on each survivor.
+func (c *intColumn) narrow(p *bytePred, cand []uint16, first bool) []uint16 {
+	a, b, ok := c.reach(p)
+	if !ok {
 		return cand[:0]
 	}
-	a, b := uint64(lo)-uint64(c.min), uint64(hi)-uint64(lo)
 	switch {
 	case c.u16 != nil:
 		cand = narrowRange(c.u16, uint16(a), uint16(b), cand, first)

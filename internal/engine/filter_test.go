@@ -126,10 +126,17 @@ func oracleCollectRows(t testing.TB, td *tableData, plan *Plan, needHeap bool) [
 
 // valueGen draws values from small domains, so predicates both match and
 // miss: ints around zero and at the extremes, strings over an alphabet
-// with 0x00 and 0xFF, of lengths 0 to 3.
-type valueGen struct{ rng *rand.Rand }
+// with 0x00 and 0xFF, of lengths 0 to 3. With span set, ints are drawn
+// from the span values around zero instead.
+type valueGen struct {
+	rng  *rand.Rand
+	span int
+}
 
 func (g valueGen) value(kind types.Kind) types.Value {
+	if kind == types.KindInt && g.span > 0 {
+		return types.NewInt(int64(g.rng.Intn(g.span) - g.span/2))
+	}
 	if kind == types.KindInt {
 		switch g.rng.Intn(12) {
 		case 0:
@@ -173,13 +180,21 @@ func (g valueGen) conjunct(col types.Column) sql.Comparison {
 // query runs twice, so the second run reads the views the first built,
 // and between rounds of queries a batch of INSERTs, UPDATEs in place,
 // UPDATEs that move rows and DELETEs changes random pages and leaves, so
-// a view that outlived its page's or leaf's rows would show.
+// a view that outlived its page's or leaf's rows would show. The last
+// trials are all INT with values over a span of a few thousand, so that
+// a bucket of a view's bitmap holds several values (shift > 0), and half
+// their literals are a live value or one beside it: the one beside it
+// often shares a set bucket although no row holds it.
 func TestScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	gen := valueGen{rng}
-	for trial := 0; trial < 40; trial++ {
+	gen := valueGen{rng: rng}
+	for trial := 0; trial < 52; trial++ {
 		db := New()
-		allInt := trial%3 == 0
+		gen.span = 0
+		if trial >= 40 {
+			gen.span = 2000 + rng.Intn(4000)
+		}
+		allInt := trial%3 == 0 || gen.span > 0
 		var cols []sql.ColumnDef
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			kind := types.KindInt
@@ -217,6 +232,9 @@ func TestScanEquivalence(t *testing.T) {
 				var residual []sql.Comparison
 				for n := 1 + rng.Intn(3); n > 0; n-- {
 					residual = append(residual, gen.conjunct(schema.Columns[rng.Intn(schema.Len())]))
+				}
+				if gen.span > 0 {
+					nearLive(rng, heapRows(t, db), schema, residual)
 				}
 				plans := []struct {
 					plan     *Plan
@@ -260,6 +278,19 @@ func TestScanEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// nearLive sets the literal of about half the non-IN conjuncts to a value
+// of a random live row, or to one more or one less.
+func nearLive(rng *rand.Rand, rows []matchedRow, schema *types.Schema, residual []sql.Comparison) {
+	for i := range residual {
+		c := &residual[i]
+		if c.Op == sql.OpIn || len(rows) == 0 || rng.Intn(2) == 0 {
+			continue
+		}
+		v := rows[rng.Intn(len(rows))].row[schema.ColumnIndex(c.Column)].Int
+		c.Value = types.NewInt(v + int64(rng.Intn(3)-1))
 	}
 }
 

@@ -11,6 +11,17 @@
 //     (ElbowK): pick the smallest k whose optimal cost captures a given
 //     fraction of the improvement from the static design (k = 0) to the
 //     unconstrained optimum.
+//
+// Both read a k-curve that must not rise as k grows, which only an exact
+// strategy guarantees: a heuristic's (greedyseq, merge) cost can rise
+// from one k to the next, so that the capture fraction measures nothing
+// and the held-out minimum rewards the heuristic's luck. Both therefore
+// check every recommendation they read and return an error on the first
+// that no exact solve produced: one a heuristic strategy answered (an
+// opts.Strategy that core.Heuristic names, or a heuristic or
+// last-known-good rung answering for an exact one under opts.Fallback),
+// or one whose solver stopped with a positive gap (the partitioned
+// solver's beam-pruned search).
 package tuner
 
 import (
@@ -61,6 +72,9 @@ func CrossValidateK(ctx context.Context, adv *advisor.Advisor, traces []*workloa
 		o := opts
 		o.K = k
 		rec, err := adv.RecommendContext(ctx, traces[0], o)
+		if err == nil {
+			err = exactAnswer(rec, k)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -80,6 +94,15 @@ func CrossValidateK(ctx context.Context, adv *advisor.Advisor, traces []*workloa
 		}
 	}
 	return choice, nil
+}
+
+// exactAnswer refuses a recommendation that no exact solve produced (see
+// the package doc).
+func exactAnswer(rec *advisor.Recommendation, k int) error {
+	if core.Heuristic(rec.Rung) || rec.Rung == core.RungLastKnownGood || rec.Gap > 0 {
+		return fmt.Errorf("tuner: k=%d was answered by %q with gap %g, not by an exact solve: its k-curve may rise with k; choose k with an exact strategy", k, rec.Rung, rec.Gap)
+	}
+	return nil
 }
 
 // DefaultCaptureFraction is the elbow rule's default: pick the smallest
@@ -106,6 +129,9 @@ func ElbowK(ctx context.Context, adv *advisor.Advisor, trace *workload.Workload,
 	o := opts
 	o.K = core.Unconstrained
 	unc, err := adv.RecommendContext(ctx, trace, o)
+	if err == nil {
+		err = exactAnswer(unc, o.K)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +148,9 @@ func ElbowK(ctx context.Context, adv *advisor.Advisor, trace *workload.Workload,
 		}
 		o.K = k
 		rec, err := adv.RecommendContext(ctx, trace, o)
+		if err == nil {
+			err = exactAnswer(rec, k)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -174,6 +174,61 @@ func TestElbowKExtremes(t *testing.T) {
 	}
 }
 
+// TestTunerRefusesHeuristicStrategies: both procedures refuse the
+// strategy table's heuristics, whose k-curves may rise with k, and answer
+// with an exact strategy; on this small fixture the partitioned solver
+// answers with no gap and chooses the k the default strategy chooses.
+func TestTunerRefusesHeuristicStrategies(t *testing.T) {
+	adv, traces := fixture(t)
+	want, err := ElbowK(bg, adv, traces[0], opts(), 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range core.Strategies() {
+		o := opts()
+		o.Strategy = s
+		cv, cvErr := CrossValidateK(bg, adv, traces, o, 2)
+		elbow, elbowErr := ElbowK(bg, adv, traces[0], o, 4, 0)
+		if core.Heuristic(s) {
+			if cvErr == nil || elbowErr == nil {
+				t.Errorf("%s: CrossValidateK error %v, ElbowK error %v; want both refused", s, cvErr, elbowErr)
+			}
+			continue
+		}
+		if cvErr != nil || elbowErr != nil {
+			t.Fatalf("%s: CrossValidateK error %v, ElbowK error %v", s, cvErr, elbowErr)
+		}
+		if len(cv.Curve) != 3 || elbow.K != want.K {
+			t.Errorf("%s: %d cross-validation points, elbow k=%d; want 3 and k=%d", s, len(cv.Curve), elbow.K, want.K)
+		}
+	}
+	if !core.Heuristic(core.StrategyGreedySeq) || !core.Heuristic(core.StrategyMerge) || core.Heuristic(core.StrategyKAware) || core.Heuristic("") {
+		t.Error("core.Heuristic must name greedyseq and merge, and neither kaware nor the default")
+	}
+}
+
+// TestExactAnswer: a recommendation an exact strategy asked for is still
+// refused when a heuristic or last-known-good rung answered it (as
+// opts.Fallback allows) or when its solver stopped with a positive gap
+// (the partitioned solver's beam-pruned search).
+func TestExactAnswer(t *testing.T) {
+	for _, c := range []struct {
+		rec advisor.Recommendation
+		ok  bool
+	}{
+		{advisor.Recommendation{Rung: core.StrategyKAware}, true},
+		{advisor.Recommendation{Rung: core.StrategyPartitioned, Degraded: true}, true},
+		{advisor.Recommendation{Rung: core.StrategyGreedySeq, Degraded: true}, false},
+		{advisor.Recommendation{Rung: core.StrategyMerge, Degraded: true}, false},
+		{advisor.Recommendation{Rung: core.RungLastKnownGood, Degraded: true}, false},
+		{advisor.Recommendation{Rung: core.StrategyPartitioned, Gap: 1}, false},
+	} {
+		if err := exactAnswer(&c.rec, 2); (err == nil) != c.ok {
+			t.Errorf("rung %q, degraded %t, gap %g: error %v; want accepted %t", c.rec.Rung, c.rec.Degraded, c.rec.Gap, err, c.ok)
+		}
+	}
+}
+
 func TestRecommendMultiBalancesTraces(t *testing.T) {
 	adv, traces := fixture(t)
 	o := opts()

@@ -24,6 +24,9 @@ type KChoice = tuner.KChoice
 
 // CrossValidateK chooses k by recommending on the first trace and
 // validating on the others; it needs at least two representative traces.
+// A heuristic opts.Strategy (greedyseq, merge) is refused, and so is
+// any k an exact solve did not answer (a fallback rung, or an anytime
+// solve that stopped with a gap).
 func CrossValidateK(adv *Advisor, traces []*Workload, opts Options, maxK int) (*KChoice, error) {
 	return tuner.CrossValidateK(context.Background(), adv, traces, opts, maxK)
 }
@@ -36,7 +39,9 @@ func CrossValidateKContext(ctx context.Context, adv *Advisor, traces []*Workload
 
 // ElbowK chooses k from a single trace: the smallest k capturing
 // captureFrac of the improvement attainable between the static design
-// and the unconstrained optimum (default 0.6 when <= 0).
+// and the unconstrained optimum (default 0.6 when <= 0). A heuristic
+// opts.Strategy, or an inexact answer at any k, is refused as by
+// CrossValidateK.
 func ElbowK(adv *Advisor, trace *Workload, opts Options, maxK int, captureFrac float64) (*KChoice, error) {
 	return tuner.ElbowK(context.Background(), adv, trace, opts, maxK, captureFrac)
 }
