@@ -6,7 +6,7 @@ GO ?= go
 # fails.
 COVER_FLOOR ?= 90.0
 
-.PHONY: all build vet test race bench bench-smoke bench-e2e bench-pair frontier cover-check chaos lint tier1 explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
+.PHONY: all build vet test race bench bench-smoke bench-e2e bench-pair frontier cover-check chaos lint tier1 examples explain-smoke fuzz-smoke advisord-smoke advisord-crash metrics-doc
 
 all: tier1
 
@@ -152,6 +152,17 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=20s ./internal/keyenc/
 	$(GO) test -run='^$$' -fuzz=FuzzSortWords -fuzztime=20s ./internal/keyenc/
 
+# examples runs the five programs under examples/ (a few seconds each),
+# so that none compiles but never runs. The autotune example, which
+# prints the tuner's k-curves and the drift alerter's alerts, must also
+# print exactly its committed output.
+examples:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/retailrush > /dev/null
+	$(GO) run ./examples/spacebound > /dev/null
+	$(GO) run ./examples/tracereplay > /dev/null
+	$(GO) run ./examples/autotune | diff -u examples/autotune/testdata/output.txt -
+
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve
 # with -explain, and the provenance JSON (attribution + k-sweep +
@@ -202,4 +213,4 @@ lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 # tier1 is what CI runs and what every change must keep green.
-tier1: build vet race bench-smoke
+tier1: build vet race bench-smoke examples

@@ -61,12 +61,12 @@ func main() {
 	}
 	fmt.Printf("cross-validation over %d traces chose k = %d\n", len(traces), cv.K)
 	fmt.Printf("%4s %14s %14s\n", "k", "train cost", "holdout cost")
-	for _, p := range cv.Curve {
+	for k, p := range cv.Curve {
 		marker := ""
-		if p.K == cv.K {
+		if k == cv.K {
 			marker = "  <- chosen"
 		}
-		fmt.Printf("%4d %14.0f %14.0f%s\n", p.K, p.TrainCost, p.HoldoutCost, marker)
+		fmt.Printf("%4d %14.0f %14.0f%s\n", k, p.Cost, cv.Holdout[k], marker)
 	}
 
 	elbow, err := dyndesign.ElbowK(adv, traces[0], opts, -1, 0)

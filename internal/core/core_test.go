@@ -726,8 +726,8 @@ func TestChangeBoundAboveStageCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(curve) != 121 || curve[120] != (KSweepPoint{K: 120, Feasible: true, Cost: want.Cost,
-			ExecCost: want.ExecCost, TransCost: want.TransCost, Changes: want.Changes}) {
+		if len(curve) != 121 || !reflect.DeepEqual(curve[120], KPoint{K: 120, Feasible: true, Cost: want.Cost,
+			ExecCost: want.ExecCost, TransCost: want.TransCost, Changes: want.Changes, Designs: want.Designs}) {
 			t.Errorf("%v: SweepK(120) has %d points ending %+v, want 121 ending at the unconstrained optimum %+v",
 				policy, len(curve), curve[len(curve)-1], want)
 		}

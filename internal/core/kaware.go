@@ -273,11 +273,23 @@ func (d *layeredDP) curve(ctx context.Context, p *Problem, maxK int) ([]*Solutio
 
 // layeredCurve is one layered relaxation read at every change bound in
 // [0, maxK] (see curve): what SweepK reports and what the partitioned
-// solver recombines per component.
+// solver recombines per component. maxK == Unconstrained sweeps to the
+// unconstrained optimum's change count, learnt from a seed pass over the
+// same tables and kernel.
 func (p *Problem) layeredCurve(ctx context.Context, maxK int) ([]*Solution, error) {
 	m, kern, err := p.solveInputs(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if maxK == Unconstrained {
+		seed, err := p.unconstrainedOn(ctx, m, kern)
+		if err != nil {
+			return nil, err
+		}
+		if seed == nil {
+			return nil, fmt.Errorf("core: unconstrained problem has no feasible design")
+		}
+		maxK = CountChanges(p.Initial, seed, p.Policy)
 	}
 	d, err := p.runLayeredDP(ctx, m, kern, maxK)
 	if err != nil {
@@ -360,23 +372,29 @@ func solveExact(ctx context.Context, p *Problem) (*Solution, []obs.Attr, error) 
 	return sol, attrs(seedChanges, true), err
 }
 
-// KSweepPoint is one point of the cost-of-constraint curve: the optimal
+// KPoint is one point of the cost-of-constraint curve: the optimal
 // sequence cost when at most K design changes are allowed.
-type KSweepPoint struct {
+type KPoint struct {
 	// K is the change bound of this point.
-	K int
+	K int `json:"k"`
 	// Feasible is false when no design with at most K changes exists
-	// (K = 0 under CountAll with an unusable initial configuration); Cost
-	// and Changes are meaningless then.
-	Feasible bool
+	// (K = 0 under CountAll with an unusable initial configuration); the
+	// other fields are zero then.
+	Feasible bool `json:"feasible"`
 	// Cost is the optimal sequence cost under the bound, recomputed from
-	// the model (epsilon-free, matching Solution.Cost for the same K).
-	Cost float64
-	// ExecCost and TransCost split Cost the way Solution does.
-	ExecCost, TransCost float64
-	// Changes is the change count of the optimal design at this bound —
-	// it can be below K when extra allowance buys nothing.
-	Changes int
+	// the model (epsilon-free, matching Solution.Cost for the same K),
+	// with its EXEC/TRANS split; Changes is the optimum's change count,
+	// which can be below K when extra allowance buys nothing.
+	Cost      float64 `json:"cost"`
+	ExecCost  float64 `json:"exec_cost"`
+	TransCost float64 `json:"trans_cost"`
+	Changes   int     `json:"changes"`
+	// Marginal is cost(K-1) - cost(K): what the K-th allowed change
+	// bought. Zero at K = 0 and when the previous point is infeasible.
+	Marginal float64 `json:"marginal"`
+	// Designs is the optimal design sequence, one configuration per
+	// stage. Flat stretches of the curve share one slice.
+	Designs []Config `json:"-"`
 }
 
 // SweepK computes the cost-of-constraint curve cost(k') for k' in
@@ -389,21 +407,27 @@ type KSweepPoint struct {
 // construction: a design feasible at k' is feasible at k'+1, so each
 // point keeps the previous design when the DP offers nothing cheaper.
 //
-// The problem's own K is ignored; the sweep always spans [0, maxK].
-func SweepK(ctx context.Context, p *Problem, maxK int) ([]KSweepPoint, error) {
-	if maxK < 0 {
+// maxK == Unconstrained sweeps to l, the unconstrained optimum's change
+// count: the last point is the unconstrained optimum. The problem's own
+// K is ignored.
+func SweepK(ctx context.Context, p *Problem, maxK int) ([]KPoint, error) {
+	if maxK < 0 && maxK != Unconstrained {
 		return nil, fmt.Errorf("core: cannot sweep to negative change bound %d", maxK)
 	}
 	sols, err := p.layeredCurve(ctx, maxK)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]KSweepPoint, maxK+1)
+	out := make([]KPoint, len(sols))
 	for k, sol := range sols {
-		out[k] = KSweepPoint{K: k}
-		if sol != nil {
-			out[k] = KSweepPoint{K: k, Feasible: true, Cost: sol.Cost,
-				ExecCost: sol.ExecCost, TransCost: sol.TransCost, Changes: sol.Changes}
+		out[k] = KPoint{K: k}
+		if sol == nil {
+			continue
+		}
+		out[k] = KPoint{K: k, Feasible: true, Cost: sol.Cost, ExecCost: sol.ExecCost,
+			TransCost: sol.TransCost, Changes: sol.Changes, Designs: sol.Designs}
+		if k > 0 && out[k-1].Feasible {
+			out[k].Marginal = out[k-1].Cost - sol.Cost
 		}
 	}
 	return out, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -183,7 +184,7 @@ func runSplitCase(t *testing.T, seed int64, c splitCase) {
 			t.Fatalf("%s: errors disagree: %v vs %v", what("SweepK"), errS, err)
 		}
 		for i := range curve {
-			if curve[i] != wantS[i] {
+			if !reflect.DeepEqual(curve[i], wantS[i]) {
 				t.Fatalf("%s point %d: %+v, want %+v", what("SweepK"), i, curve[i], wantS[i])
 			}
 		}

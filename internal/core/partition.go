@@ -346,9 +346,8 @@ type component struct {
 }
 
 // exactCurve computes a component's exact cost-versus-budget curve from
-// one layered-DP run, the way SweepK reads every layer of a single
-// relaxation — but retaining the backtracked designs the recombination
-// needs. The curve is monotone non-increasing: each budget keeps the
+// one layered-DP run, the curve SweepK reads, keeping each point's
+// solution for the recombination. The curve is monotone non-increasing: each budget keeps the
 // previous design unless the DP offers a strictly cheaper one.
 func exactCurve(ctx context.Context, sub *Problem, k int) ([]componentPoint, error) {
 	if k == Unconstrained {

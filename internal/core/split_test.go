@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -110,6 +111,19 @@ func TestSweepKCurve(t *testing.T) {
 			t.Errorf("k=%d >= l=%d but sweep cost %v != unconstrained %v",
 				i, opt.Changes, pt.Cost, opt.Cost)
 		}
+	}
+	// Swept to Unconstrained, the curve stops at l and its last point
+	// is the unconstrained optimum.
+	toL, err := SweepK(bg, p, Unconstrained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toL) != opt.Changes+1 || !reflect.DeepEqual(toL, curve[:opt.Changes+1]) || toL[opt.Changes].Cost != opt.Cost {
+		t.Errorf("SweepK(Unconstrained) has %d points ending %+v, want the first %d of SweepK(%d) ending at cost %v",
+			len(toL), toL[len(toL)-1], opt.Changes+1, maxK, opt.Cost)
+	}
+	if _, err := SweepK(bg, p, -2); err == nil {
+		t.Error("SweepK accepted a negative bound other than Unconstrained")
 	}
 }
 

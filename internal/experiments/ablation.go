@@ -33,19 +33,16 @@ func RunQualityVsK(ctx context.Context, t2 *Table2Result) (_ *QualityVsK, err er
 	if err != nil {
 		return nil, err
 	}
-	unc, err := core.SolveUnconstrained(ctx, base)
+	// One layered DP run holds every point of the curve; its last point
+	// is the unconstrained optimum.
+	curve, err := core.SweepK(ctx, base, core.Unconstrained)
 	if err != nil {
 		return nil, err
 	}
-	// One layered DP run holds every point of the curve.
-	curve, err := core.SweepK(ctx, base, unc.Changes)
-	if err != nil {
-		return nil, err
-	}
-	res := &QualityVsK{Unconstrained: unc.Cost, L: unc.Changes}
+	res := &QualityVsK{L: len(curve) - 1, Unconstrained: curve[len(curve)-1].Cost}
 	for _, pt := range curve {
 		res.Ks = append(res.Ks, pt.K)
-		res.RelativeCost = append(res.RelativeCost, pt.Cost/unc.Cost)
+		res.RelativeCost = append(res.RelativeCost, pt.Cost/res.Unconstrained)
 	}
 	return res, nil
 }

@@ -134,21 +134,6 @@ type Transition struct {
 	TopStages []StageImpact `json:"top_stages,omitempty"`
 }
 
-// KPoint is one point of the counterfactual cost-of-constraint curve.
-type KPoint struct {
-	K        int  `json:"k"`
-	Feasible bool `json:"feasible"`
-	// Cost is the optimal sequence cost at change bound K, with its
-	// EXEC/TRANS split; Changes is the optimum's change count.
-	Cost      float64 `json:"cost"`
-	ExecCost  float64 `json:"exec_cost"`
-	TransCost float64 `json:"trans_cost"`
-	Changes   int     `json:"changes"`
-	// Marginal is cost(K-1) - cost(K): what the K-th allowed change
-	// bought. Zero at K = 0 and when the previous point is infeasible.
-	Marginal float64 `json:"marginal"`
-}
-
 // Trial is one perturbed replay of the audit.
 type Trial struct {
 	Seed int64 `json:"seed"`
@@ -205,7 +190,7 @@ type Explanation struct {
 	// included.
 	Transitions []Transition `json:"transitions"`
 	// KSweep is the cost-of-constraint curve over [0, k+KSweepDelta].
-	KSweep []KPoint `json:"k_sweep,omitempty"`
+	KSweep []core.KPoint `json:"k_sweep,omitempty"`
 	// Audit is the overfitting audit (nil when not requested).
 	Audit *Audit `json:"audit,omitempty"`
 }

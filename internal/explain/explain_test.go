@@ -180,9 +180,10 @@ func TestKSweepShape(t *testing.T) {
 }
 
 // TestKSweepClampedToStageCount pins that the sweep's length follows the
-// problem, not the bound: a change bound far above the stage count (-k
-// 1000000) renders the stage count's worth of points plus the delta,
-// and the curve has reached the unconstrained cost by its last point.
+// problem, not the bound or the delta: a change bound far above the
+// stage count (-k 1000000) or a huge -ksweep-delta renders at most the
+// stage count's worth of points plus k = 0, and the curve has reached
+// the unconstrained cost by its last point.
 func TestKSweepClampedToStageCount(t *testing.T) {
 	p := phaseProblem(1, 1)
 	p.Stages, p.K = 50, 200000
@@ -191,21 +192,23 @@ func TestKSweepClampedToStageCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Build(bg, p, sol, Options{KSweepDelta: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, most := len(e.KSweep), p.Stages+1+2; got > most {
-		t.Fatalf("sweep has %d points for %d stages, want at most %d", got, p.Stages, most)
-	}
 	unc := *p
 	unc.K = core.Unconstrained
 	opt, err := core.SolveUnconstrained(bg, &unc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := e.KSweep[len(e.KSweep)-1]; last.Cost != opt.Cost {
-		t.Errorf("last sweep point costs %v, the unconstrained optimum %v", last.Cost, opt.Cost)
+	for _, delta := range []int{2, 1_000_000} {
+		e, err := Build(bg, p, sol, Options{KSweepDelta: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, most := len(e.KSweep), p.Stages+1; got > most {
+			t.Fatalf("delta %d: sweep has %d points for %d stages, want at most %d", delta, got, p.Stages, most)
+		}
+		if last := e.KSweep[len(e.KSweep)-1]; last.Cost != opt.Cost {
+			t.Errorf("delta %d: last sweep point costs %v, the unconstrained optimum %v", delta, last.Cost, opt.Cost)
+		}
 	}
 }
 

@@ -12,16 +12,18 @@
 //     fraction of the improvement from the static design (k = 0) to the
 //     unconstrained optimum.
 //
-// Both read a k-curve that must not rise as k grows, which only an exact
-// strategy guarantees: a heuristic's (greedyseq, merge) cost can rise
-// from one k to the next, so that the capture fraction measures nothing
-// and the held-out minimum rewards the heuristic's luck. Both therefore
-// check every recommendation they read and return an error on the first
-// that no exact solve produced: one a heuristic strategy answered (an
-// opts.Strategy that core.Heuristic names, or a heuristic or
-// last-known-good rung answering for an exact one under opts.Fallback),
-// or one whose solver stopped with a positive gap (the partitioned
-// solver's beam-pruned search).
+// Both read one k-curve: core.SweepK over the training trace's problem,
+// built once, whose one layered run holds the optimum for every k. The
+// curve never rises with k, which only an exact solve guarantees: a
+// heuristic's (greedyseq, merge) cost can rise from one k to the next,
+// so that the capture fraction measures nothing and the held-out minimum
+// rewards the heuristic's luck. Both procedures therefore refuse an
+// opts.Strategy that core.Heuristic names; the exact strategies
+// (partitioned included) are accepted, and the curve is computed on the
+// full lattice whichever is named. They also refuse opts.Fallback,
+// Timeout and MaxWhatIfCalls, which bound or replace single solves and
+// mean nothing for one run: ctx is its only bound. opts.K, Explain,
+// Calibrate and LastKnownGood are not read.
 package tuner
 
 import (
@@ -34,21 +36,15 @@ import (
 	"dyndesign/internal/workload"
 )
 
-// KPoint is one point of a k-selection curve.
-type KPoint struct {
-	K int
-	// TrainCost is the optimal cost on the training trace at this k.
-	TrainCost float64
-	// HoldoutCost is the mean what-if cost of the k-design on the
-	// held-out traces (NaN for the elbow rule, which has none).
-	HoldoutCost float64
-}
-
 // KChoice reports a k selection.
 type KChoice struct {
 	K      int
 	Method string // "cross-validation" or "elbow"
-	Curve  []KPoint
+	// Curve is the optimal cost on the training trace at each k from 0.
+	Curve []core.KPoint
+	// Holdout[k] is the mean what-if cost of Curve[k]'s design on the
+	// held-out traces; nil for the elbow rule, which has none.
+	Holdout []float64
 }
 
 // CrossValidateK chooses k by leave-one-out style validation: the design
@@ -63,46 +59,48 @@ func CrossValidateK(ctx context.Context, adv *advisor.Advisor, traces []*workloa
 	if maxK < 0 {
 		return nil, fmt.Errorf("tuner: negative maxK")
 	}
-	choice := &KChoice{Method: "cross-validation", K: 0}
-	best := math.Inf(1)
-	for k := 0; k <= maxK; k++ {
+	curve, segs, err := trainCurve(ctx, adv, traces[0], opts, maxK)
+	if err != nil {
+		return nil, err
+	}
+	// Each held-out trace is costed per statement, whatever the
+	// training segmentation (as Advisor.EvaluateOn does).
+	designs := make([][]core.Config, len(curve))
+	for k, pt := range curve {
+		for i, seg := range segs {
+			for range seg.Statements {
+				designs[k] = append(designs[k], pt.Designs[i])
+			}
+		}
+	}
+	held := make([]float64, len(curve))
+	opts.K, opts.SegmentSize = core.Unconstrained, 1
+	for _, tr := range traces[1:] {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		o := opts
-		o.K = k
-		rec, err := adv.RecommendContext(ctx, traces[0], o)
-		if err == nil {
-			err = exactAnswer(rec, k)
+		if tr.Len() != traces[0].Len() {
+			return nil, fmt.Errorf("tuner: trace %q has %d statements, %q has %d",
+				tr.Name, tr.Len(), traces[0].Name, traces[0].Len())
 		}
+		p, _, err := adv.Problem(tr, opts)
 		if err != nil {
 			return nil, err
 		}
-		var held float64
-		for _, tr := range traces[1:] {
-			c, err := adv.EvaluateOn(rec, tr, o)
-			if err != nil {
-				return nil, err
-			}
-			held += c
+		for k := range held {
+			held[k] += p.SequenceCost(designs[k])
 		}
-		held /= float64(len(traces) - 1)
-		choice.Curve = append(choice.Curve, KPoint{K: k, TrainCost: rec.Solution.Cost, HoldoutCost: held})
-		if held < best {
-			best = held
+	}
+	choice := &KChoice{Method: "cross-validation", Curve: curve, Holdout: held}
+	best := math.Inf(1)
+	for k := range held {
+		held[k] /= float64(len(traces) - 1)
+		if held[k] < best {
+			best = held[k]
 			choice.K = k
 		}
 	}
 	return choice, nil
-}
-
-// exactAnswer refuses a recommendation that no exact solve produced (see
-// the package doc).
-func exactAnswer(rec *advisor.Recommendation, k int) error {
-	if core.Heuristic(rec.Rung) || rec.Rung == core.RungLastKnownGood || rec.Gap > 0 {
-		return fmt.Errorf("tuner: k=%d was answered by %q with gap %g, not by an exact solve: its k-curve may rise with k; choose k with an exact strategy", k, rec.Rung, rec.Gap)
-	}
-	return nil
 }
 
 // DefaultCaptureFraction is the elbow rule's default: pick the smallest
@@ -116,57 +114,61 @@ const DefaultCaptureFraction = 0.6
 // gain cutoff would stall on the plateaus this curve always has (useful
 // changes come in pairs — switch away and back — so odd k often buys
 // nothing over k−1); capturing a fraction of the total is plateau-proof.
-// captureFrac defaults to DefaultCaptureFraction when <= 0; maxK caps
-// the search (the unconstrained optimum's change count also caps it
-// naturally).
+// captureFrac defaults to DefaultCaptureFraction when <= 0 and must then
+// lie in (0, 1]; maxK caps the search (the unconstrained optimum's
+// change count also caps it naturally).
 func ElbowK(ctx context.Context, adv *advisor.Advisor, trace *workload.Workload, opts advisor.Options, maxK int, captureFrac float64) (*KChoice, error) {
 	if captureFrac <= 0 {
 		captureFrac = DefaultCaptureFraction
 	}
-	if captureFrac > 1 {
-		return nil, fmt.Errorf("tuner: capture fraction %f > 1", captureFrac)
+	if !(captureFrac > 0 && captureFrac <= 1) {
+		return nil, fmt.Errorf("tuner: capture fraction %f is not in (0, 1]", captureFrac)
 	}
-	o := opts
-	o.K = core.Unconstrained
-	unc, err := adv.RecommendContext(ctx, trace, o)
-	if err == nil {
-		err = exactAnswer(unc, o.K)
-	}
+	curve, _, err := trainCurve(ctx, adv, trace, opts, core.Unconstrained)
 	if err != nil {
 		return nil, err
 	}
-	limit := unc.Solution.Changes
-	if maxK >= 0 && maxK < limit {
-		limit = maxK
+	// The curve runs to the unconstrained optimum's change count: its
+	// last point is that optimum.
+	attainable := curve[0].Cost - curve[len(curve)-1].Cost
+	if maxK >= 0 && maxK < len(curve)-1 {
+		curve = curve[:maxK+1]
 	}
-	choice := &KChoice{Method: "elbow"}
-	var staticCost float64
-	chosen := false
-	for k := 0; k <= limit; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	choice := &KChoice{Method: "elbow", K: len(curve) - 1, Curve: curve}
+	for _, pt := range curve {
+		if attainable <= 0 || curve[0].Cost-pt.Cost >= captureFrac*attainable {
+			choice.K = pt.K
+			break
 		}
-		o.K = k
-		rec, err := adv.RecommendContext(ctx, trace, o)
-		if err == nil {
-			err = exactAnswer(rec, k)
-		}
-		if err != nil {
-			return nil, err
-		}
-		cost := rec.Solution.Cost
-		choice.Curve = append(choice.Curve, KPoint{K: k, TrainCost: cost, HoldoutCost: math.NaN()})
-		if k == 0 {
-			staticCost = cost
-		}
-		attainable := staticCost - unc.Solution.Cost
-		if !chosen && (attainable <= 0 || staticCost-cost >= captureFrac*attainable) {
-			choice.K = k
-			chosen = true
-		}
-	}
-	if !chosen {
-		choice.K = limit
 	}
 	return choice, nil
+}
+
+// trainCurve builds trace's problem once and sweeps it to maxK (or to
+// the unconstrained optimum), returning the curve and the problem's
+// segments. It refuses the options the package doc names and an
+// infeasible point.
+func trainCurve(ctx context.Context, adv *advisor.Advisor, trace *workload.Workload, opts advisor.Options, maxK int) ([]core.KPoint, []workload.Segment, error) {
+	if _, err := core.ParseStrategy(string(opts.Strategy)); err != nil {
+		return nil, nil, err
+	}
+	if core.Heuristic(opts.Strategy) || opts.Fallback || opts.Timeout > 0 || opts.MaxWhatIfCalls > 0 {
+		return nil, nil, fmt.Errorf("tuner: k is read off one exact k-curve run whose only bound is ctx: a heuristic strategy (%q), Fallback, Timeout and MaxWhatIfCalls are refused", opts.Strategy)
+	}
+	opts.K = core.Unconstrained
+	p, segs, err := adv.Problem(trace, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	curve, err := core.SweepK(ctx, p, maxK)
+	if fm, ok := p.Model.(core.FallibleModel); ok && err == nil {
+		err = fm.TakeErr()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if !curve[0].Feasible { // feasibility nests in k
+		return nil, nil, fmt.Errorf("tuner: no design with at most 0 changes exists")
+	}
+	return curve, segs, nil
 }

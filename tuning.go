@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dyndesign/internal/alerter"
+	"dyndesign/internal/core"
 	"dyndesign/internal/engine"
 	"dyndesign/internal/tuner"
 )
@@ -16,38 +17,37 @@ import (
 
 // --- Choosing k -----------------------------------------------------------
 
-// KPoint is one point of a k-selection curve.
-type KPoint = tuner.KPoint
+// KPoint is one point of a cost-of-constraint curve.
+type KPoint = core.KPoint
 
 // KChoice reports a selected change bound and the curve behind it.
 type KChoice = tuner.KChoice
 
 // CrossValidateK chooses k by recommending on the first trace and
 // validating on the others; it needs at least two representative traces.
-// A heuristic opts.Strategy (greedyseq, merge) is refused, and so is
-// any k an exact solve did not answer (a fallback rung, or an anytime
-// solve that stopped with a gap).
+// One layered run on the first trace's problem answers every k. A
+// heuristic opts.Strategy, Fallback, Timeout and MaxWhatIfCalls are
+// refused; K, Explain, Calibrate and LastKnownGood are not read.
 func CrossValidateK(adv *Advisor, traces []*Workload, opts Options, maxK int) (*KChoice, error) {
 	return tuner.CrossValidateK(context.Background(), adv, traces, opts, maxK)
 }
 
 // CrossValidateKContext is CrossValidateK with cooperative
-// cancellation across the per-k recommendation sweep.
+// cancellation: ctx is the only bound on its run.
 func CrossValidateKContext(ctx context.Context, adv *Advisor, traces []*Workload, opts Options, maxK int) (*KChoice, error) {
 	return tuner.CrossValidateK(ctx, adv, traces, opts, maxK)
 }
 
 // ElbowK chooses k from a single trace: the smallest k capturing
 // captureFrac of the improvement attainable between the static design
-// and the unconstrained optimum (default 0.6 when <= 0). A heuristic
-// opts.Strategy, or an inexact answer at any k, is refused as by
-// CrossValidateK.
+// and the unconstrained optimum (default 0.6 when <= 0; at most 1). It
+// reads one k-curve and treats options as CrossValidateK does.
 func ElbowK(adv *Advisor, trace *Workload, opts Options, maxK int, captureFrac float64) (*KChoice, error) {
 	return tuner.ElbowK(context.Background(), adv, trace, opts, maxK, captureFrac)
 }
 
-// ElbowKContext is ElbowK with cooperative cancellation across the
-// per-k recommendation sweep.
+// ElbowKContext is ElbowK with cooperative cancellation: ctx is the
+// only bound on its run.
 func ElbowKContext(ctx context.Context, adv *Advisor, trace *Workload, opts Options, maxK int, captureFrac float64) (*KChoice, error) {
 	return tuner.ElbowK(ctx, adv, trace, opts, maxK, captureFrac)
 }
