@@ -152,16 +152,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=20s ./internal/keyenc/
 	$(GO) test -run='^$$' -fuzz=FuzzSortWords -fuzztime=20s ./internal/keyenc/
 
-# examples runs the five programs under examples/ (a few seconds each),
-# so that none compiles but never runs. The autotune example, which
-# prints the tuner's k-curves and the drift alerter's alerts, must also
-# print exactly its committed output.
+# examples runs the five programs under examples/ (a few seconds each)
+# and diffs each one's output against its committed
+# examples/<name>/testdata/output.txt, so that none compiles but never
+# runs and none changes its answer unnoticed. Wall-clock fields ("4.2
+# ms") are masked to "N ms" first; with the mask the outputs are the
+# same run to run and at GOMAXPROCS=1.
+EXAMPLES := quickstart retailrush spacebound tracereplay autotune
 examples:
-	$(GO) run ./examples/quickstart > /dev/null
-	$(GO) run ./examples/retailrush > /dev/null
-	$(GO) run ./examples/spacebound > /dev/null
-	$(GO) run ./examples/tracereplay > /dev/null
-	$(GO) run ./examples/autotune | diff -u examples/autotune/testdata/output.txt -
+	@for e in $(EXAMPLES); do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e | sed -E 's/[0-9]+(\.[0-9]+)? ms/N ms/g' \
+			| diff -u examples/$$e/testdata/output.txt - || exit 1; \
+	done
 
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve

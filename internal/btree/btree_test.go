@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -122,7 +121,7 @@ func TestDuplicateKeysOrderedByRID(t *testing.T) {
 		}
 	}
 	var rids []storage.RID
-	tr.ScanPrefix(key, func(k []byte, rid storage.RID) bool {
+	tr.ScanRange(key, keyenc.PrefixSuccessor(key), func(k []byte, rid storage.RID) bool {
 		rids = append(rids, rid)
 		return true
 	})
@@ -137,8 +136,9 @@ func TestDuplicateKeysOrderedByRID(t *testing.T) {
 }
 
 func TestScanPrefixComposite(t *testing.T) {
-	// Composite (a, b) index: ScanPrefix on a=3 must return exactly the
-	// a=3 entries, in b order.
+	// Composite (a, b) index: the executor's prefix seek on a=3, a range
+	// over [prefix, PrefixSuccessor(prefix)), must return exactly the a=3
+	// entries, in b order.
 	tr := New(nil)
 	id := 0
 	for a := int64(0); a < 10; a++ {
@@ -152,7 +152,7 @@ func TestScanPrefixComposite(t *testing.T) {
 	}
 	prefix := keyenc.MustEncode(types.NewInt(3))
 	var keys [][]byte
-	tr.ScanPrefix(prefix, func(k []byte, _ storage.RID) bool {
+	tr.ScanRange(prefix, keyenc.PrefixSuccessor(prefix), func(k []byte, _ storage.RID) bool {
 		keys = append(keys, append([]byte(nil), k...))
 		return true
 	})
@@ -600,23 +600,6 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func ExampleTree_ScanPrefix() {
-	tr := New(nil)
-	for b := int64(0); b < 3; b++ {
-		k := keyenc.MustEncode(types.NewInt(7), types.NewInt(b))
-		tr.Insert(k, storage.RID{Page: 0, Slot: uint16(b)})
-	}
-	tr.ScanPrefix(keyenc.MustEncode(types.NewInt(7)), func(k []byte, rid storage.RID) bool {
-		vals, _ := keyenc.Decode(k)
-		fmt.Println(vals[0].Int, vals[1].Int, rid)
-		return true
-	})
-	// Output:
-	// 7 0 0:0
-	// 7 1 0:1
-	// 7 2 0:2
 }
 
 func TestEstimatesMatchBulkLoad(t *testing.T) {

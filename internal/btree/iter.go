@@ -87,20 +87,6 @@ func (t *Tree) seekEntry(key []byte, rid storage.RID) *Iterator {
 	return it
 }
 
-// ScanPrefix calls fn for every entry whose key starts with prefix, in
-// order, stopping early if fn returns false. It is the primitive behind
-// index seeks on a leading-column equality predicate.
-func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, rid storage.RID) bool) {
-	for it := t.Seek(prefix); it.Valid(); it.Next() {
-		if !bytes.HasPrefix(it.Key(), prefix) {
-			return
-		}
-		if !fn(it.Key(), it.RID()) {
-			return
-		}
-	}
-}
-
 // ScanRange calls fn for every entry with low <= key < high (nil bounds
 // are unbounded), in order, stopping early if fn returns false. A full
 // range is ScanLeaves with fn called for each of a leaf's entries.

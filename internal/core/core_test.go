@@ -694,11 +694,7 @@ func TestChangeBoundAboveStageCount(t *testing.T) {
 				return Solve(ctx, p, StrategyPartitioned)
 			}},
 			{"beam", func(ctx context.Context, p *Problem) (*Solution, error) {
-				ps, err := solvePartitioned(ctx, p, beamWidth, true)
-				if err != nil {
-					return nil, err
-				}
-				return ps.Solution, nil
+				return solvePartitioned(ctx, p, beamWidth, true)
 			}},
 		} {
 			p := problem(hugeK, policy)

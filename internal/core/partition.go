@@ -11,25 +11,15 @@ import (
 	"dyndesign/internal/obs"
 )
 
-// ErrLatticeTooLarge tags the diagnostic raised when a solve's candidate
+// ErrLatticeTooLarge names the wall a solve hits when its candidate
 // span exceeds the 20-bit hypercube ceiling (maxLatticeBits): the exact
 // graph solvers silently fall back to the dense O(n·c²) all-pairs scan,
 // which is why a wide solve suddenly got slow. The Metrics ledger counts
-// these fallbacks (LatticeOverflows) and the advisor surfaces them on
-// the Recommendation; SolvePartitioned is the remedy when the model can
-// report structure interactions.
+// these fallbacks (LatticeOverflows) and the advisor surfaces the count
+// on the Recommendation; SolvePartitioned is the remedy when the model
+// can report structure interactions, and wraps this error when its beam
+// search, the anytime path past the ceiling, finds no design.
 var ErrLatticeTooLarge = errors.New("core: candidate span exceeds the 20-bit hypercube lattice ceiling; exact solvers fall back to the dense O(n·c²) scan")
-
-// LatticeOverflowDiagnostic converts the ledger's lattice-overflow count
-// into a typed error: non-nil (wrapping ErrLatticeTooLarge) when at
-// least one solve's span exceeded the hypercube ceiling and ran on the
-// dense fallback instead.
-func (m *Metrics) LatticeOverflowDiagnostic() error {
-	if n := m.LatticeOverflows(); n > 0 {
-		return fmt.Errorf("%w (%d table builds above the ceiling)", ErrLatticeTooLarge, n)
-	}
-	return nil
-}
 
 // InteractionModel is an optional CostModel capability for models that
 // know which candidate structures jointly affect a statement's EXEC
@@ -72,46 +62,6 @@ func exactAffordable(configs []Config) bool {
 	return spanOf(configs).Count() <= maxLatticeBits || len(configs) <= maxExactConfigs
 }
 
-// ComponentReport describes one independent component of a partitioned
-// solve.
-type ComponentReport struct {
-	// Mask is the component's structure bits.
-	Mask Config
-	// Bits is Mask.Count(); Configs the size of the component's
-	// projected candidate list.
-	Bits, Configs int
-	// Exact is true when the component was solved exactly (its share of
-	// the gap is zero); false for the beam path.
-	Exact bool
-	// Budget is the per-step change budget the recombination granted the
-	// component.
-	Budget int
-	// Cost is the component's epsilon-free objective share; LowerBound
-	// its admissible bound (equal to Cost for exact components up to
-	// tie-breaking).
-	Cost, LowerBound float64
-}
-
-// PartitionedSolution is a design sequence with an anytime optimality
-// certificate.
-type PartitionedSolution struct {
-	*Solution
-	// LowerBound is an admissible lower bound on the constrained
-	// optimum (trusting the model's InteractionModel/AdditiveTransModel
-	// decompositions); Gap = max(0, Cost − LowerBound). Gap is 0 when
-	// every component factored and solved exactly.
-	LowerBound float64
-	Gap        float64
-	// Components is the number of independent sub-lattices solved (1
-	// when the problem did not factor). Factored reports whether the
-	// interaction graph actually split the problem.
-	Components int
-	Factored   bool
-	// Reports has one entry per component, ordered by lowest structure
-	// bit.
-	Reports []ComponentReport
-}
-
 // SolvePartitioned solves the constrained design problem by factoring
 // the candidate lattice into independent sub-lattices: structures whose
 // transition costs are per-structure additive (TransParts) and that
@@ -122,16 +72,20 @@ type PartitionedSolution struct {
 // per-component sequences are recombined under the shared k-per-step
 // constraint by a small budget knapsack plus a synchronization repair
 // pass (simultaneous component moves at one stage count as a single
-// global change). The result always carries a reported optimality gap:
-// exactly 0 when everything factored and solved exactly, Cost − LB
-// otherwise.
+// global change). The solution's Gap is the anytime certificate: Cost −
+// Gap is an admissible lower bound on the constrained optimum (trusting
+// the model's InteractionModel and AdditiveTransModel decompositions),
+// and Gap is exactly 0 when everything factored and solved exactly. The
+// partition.cluster span records whether and into how many components
+// the problem factored, and each partition.component span whether its
+// component was solved exactly.
 //
 // Problems that do not factor (no InteractionModel, non-product
 // candidate list, a single connected component) are delegated to the
 // exact solver when affordable and to the anytime beam over the whole
 // candidate list when not, so SolvePartitioned is safe to call on any
 // valid problem.
-func SolvePartitioned(ctx context.Context, p *Problem) (*PartitionedSolution, error) {
+func SolvePartitioned(ctx context.Context, p *Problem) (*Solution, error) {
 	return solvePartitioned(ctx, p, beamWidth, false)
 }
 
@@ -140,7 +94,7 @@ func SolvePartitioned(ctx context.Context, p *Problem) (*PartitionedSolution, er
 // affordable. Production has one value of each; the package's tests
 // force the beam — at a width that really prunes — on problems small
 // enough to check against the exact solver.
-func solvePartitioned(ctx context.Context, p *Problem, width int, forceBeam bool) (*PartitionedSolution, error) {
+func solvePartitioned(ctx context.Context, p *Problem, width int, forceBeam bool) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -298,76 +252,51 @@ func (p *Problem) componentProblem(mask Config, configs []Config) *Problem {
 	return &sub
 }
 
-// componentPoint is one entry of a component's cost-versus-budget
-// curve: the best design found with at most that many counted changes.
-type componentPoint struct {
-	feasible bool
-	cost     float64 // epsilon-free, recomputed through the model
-	designs  []Config
-	// changeStages lists the stage indices whose change counts against
-	// k under the problem's policy (stage 0 appears only under
-	// CountAll).
-	changeStages []int
+// component is one solved sub-lattice: its curve over budgets 0..K (a
+// single point when K is unconstrained; element l is the best design
+// found with at most l counted changes, nil when none fits), each
+// point's counted change stages, and its admissible lower-bound share.
+type component struct {
+	exact   bool
+	curve   []*Solution
+	changes [][]int
+	lb      float64
 }
 
-func newComponentPoint(sub *Problem, sol *Solution) componentPoint {
-	return componentPoint{
-		feasible:     true,
-		cost:         sol.Cost,
-		designs:      sol.Designs,
-		changeStages: countedChangeStages(sub.Initial, sol.Designs, sub.Policy),
-	}
-}
-
-// countedChangeStages lists the stages whose design change counts
-// against k: stage 0 only under CountAll, every interior change always.
-func countedChangeStages(initial Config, designs []Config, policy ChangePolicy) []int {
-	var out []int
-	if policy == CountAll && len(designs) > 0 && designs[0] != initial {
-		out = append(out, 0)
-	}
-	for i := 1; i < len(designs); i++ {
-		if designs[i] != designs[i-1] {
-			out = append(out, i)
+// countedChangeStages lists, for each point of a curve over sub, the
+// stages whose design change counts against k: stage 0 only under
+// CountAll, every interior change always.
+func countedChangeStages(sub *Problem, curve []*Solution) [][]int {
+	out := make([][]int, len(curve))
+	for l, sol := range curve {
+		if sol == nil {
+			continue
+		}
+		designs := sol.Designs
+		if sub.Policy == CountAll && len(designs) > 0 && designs[0] != sub.Initial {
+			out[l] = append(out[l], 0)
+		}
+		for i := 1; i < len(designs); i++ {
+			if designs[i] != designs[i-1] {
+				out[l] = append(out[l], i)
+			}
 		}
 	}
 	return out
 }
 
-// component is one solved sub-lattice: its curve over budgets 0..K (a
-// single point when K is unconstrained) and its admissible
-// lower-bound share.
-type component struct {
-	mask    Config
-	configs []Config
-	exact   bool
-	curve   []componentPoint
-	lb      float64
-}
-
-// exactCurve computes a component's exact cost-versus-budget curve from
-// one layered-DP run, the curve SweepK reads, keeping each point's
-// solution for the recombination. The curve is monotone non-increasing: each budget keeps the
-// previous design unless the DP offers a strictly cheaper one.
-func exactCurve(ctx context.Context, sub *Problem, k int) ([]componentPoint, error) {
+// exactCurve computes a component's exact cost-versus-budget curve: one
+// layered-DP run, the curve SweepK reads, or the unconstrained optimum
+// alone when k is unconstrained.
+func exactCurve(ctx context.Context, sub *Problem, k int) ([]*Solution, error) {
 	if k == Unconstrained {
 		sol, err := SolveUnconstrained(ctx, sub)
 		if err != nil {
 			return nil, err
 		}
-		return []componentPoint{newComponentPoint(sub, sol)}, nil
+		return []*Solution{sol}, nil
 	}
-	sols, err := sub.layeredCurve(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]componentPoint, k+1)
-	for l, sol := range sols {
-		if sol != nil {
-			points[l] = newComponentPoint(sub, sol)
-		}
-	}
-	return points, nil
+	return sub.layeredCurve(ctx, k)
 }
 
 // beamState is one (configuration, layer) node of the anytime search.
@@ -380,29 +309,33 @@ type beamState struct {
 // beamCurve runs the beam-pruned anytime search, one pass at the given
 // width, and pairs its curve with the admissible lower bound: the
 // unconstrained optimum of the sub-problem (a relaxation of any change
-// budget).
-func beamCurve(ctx context.Context, sub *Problem, k, width int) ([]componentPoint, float64, error) {
+// budget), priced on the same tables and kernel.
+func beamCurve(ctx context.Context, sub *Problem, k, width int) ([]*Solution, float64, error) {
 	m, kern, err := sub.solveInputs(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
-	lbSol, err := SolveUnconstrained(ctx, sub)
+	relaxed, err := sub.unconstrainedOn(ctx, m, kern)
 	if err != nil {
 		return nil, 0, err
 	}
-	points, err := runBeam(ctx, sub, m, kern, k, width)
+	if relaxed == nil {
+		return nil, 0, fmt.Errorf("core: unconstrained problem has no feasible design")
+	}
+	curve, err := runBeam(ctx, sub, m, kern, k, width)
 	if err != nil {
 		return nil, 0, err
 	}
-	return points, lbSol.Cost, nil
+	return curve, sub.SequenceCost(relaxed), nil
 }
 
 // runBeam is the fixed-width pass over the sub-problem's usable
 // candidates: top-width (cost, layer, cfg) states kept per stage,
 // expanded by stay and move edges, with per-budget endpoints backtracked
-// into a curve. Everything is serial and tie-broken by a total order, so
-// the search is deterministic regardless of Problem.Parallelism.
-func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, k, width int) ([]componentPoint, error) {
+// into a curve (nil where no kept state fits the budget). Everything is
+// serial and tie-broken by a total order, so the search is deterministic
+// regardless of Problem.Parallelism.
+func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, k, width int) ([]*Solution, error) {
 	configs := m.configs
 	nc := len(configs)
 	counting := k != Unconstrained
@@ -500,7 +433,7 @@ func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, 
 	if counting {
 		budgets = k + 1
 	}
-	points := make([]componentPoint, budgets)
+	curve := make([]*Solution, budgets)
 	var prev *Solution
 	prevIdx := -1
 	for l := 0; l < budgets; l++ {
@@ -532,54 +465,36 @@ func runBeam(ctx context.Context, sub *Problem, m *matrices, kern transRelaxer, 
 			prevIdx = bestIdx
 		}
 		prev = sol
-		points[l] = newComponentPoint(sub, sol)
+		curve[l] = sol
 	}
-	return points, nil
+	return curve, nil
 }
 
 // solveUnfactored handles problems the interaction graph did not split:
 // exact delegation when the lattice (or candidate count) is within the
 // exact ceilings, the anytime beam over the whole candidate list
 // otherwise.
-func solveUnfactored(ctx context.Context, p *Problem, configs []Config, width int, forceBeam bool) (*PartitionedSolution, error) {
-	span := spanOf(configs)
+func solveUnfactored(ctx context.Context, p *Problem, configs []Config, width int, forceBeam bool) (*Solution, error) {
 	if exactAffordable(configs) && !forceBeam {
 		sol, _, err := solveExact(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		return &PartitionedSolution{
-			Solution: sol, LowerBound: sol.Cost, Gap: 0, Components: 1,
-			Reports: []ComponentReport{{
-				Mask: span, Bits: span.Count(), Configs: len(configs),
-				Exact: true, Budget: p.K, Cost: sol.Cost, LowerBound: sol.Cost,
-			}},
-		}, nil
+		return sol, err
 	}
 	sp := p.Tracer.Start(SpanPartitionComponent)
-	points, lb, err := beamCurve(ctx, p, p.K, width)
-	sp.End(obs.Int("bits", int64(span.Count())), obs.Int("configs", int64(len(configs))),
+	curve, lb, err := beamCurve(ctx, p, p.K, width)
+	sp.End(obs.Int("bits", int64(spanOf(configs).Count())), obs.Int("configs", int64(len(configs))),
 		obs.Bool("exact", false), obs.Bool("ok", err == nil))
 	if err != nil {
 		return nil, err
 	}
-	pt := points[len(points)-1]
-	if !pt.feasible {
+	sol := curve[len(curve)-1]
+	if sol == nil {
 		return nil, fmt.Errorf("core: beam search found no design with at most %d changes: %w", p.K, ErrLatticeTooLarge)
 	}
-	sol := p.NewSolution(pt.designs)
 	if err := p.CheckSolution(sol); err != nil {
 		return nil, err
 	}
-	gap := clampGap(sol.Cost - lb)
-	sol.Gap = gap
-	return &PartitionedSolution{
-		Solution: sol, LowerBound: lb, Gap: gap, Components: 1,
-		Reports: []ComponentReport{{
-			Mask: span, Bits: span.Count(), Configs: len(configs),
-			Budget: p.K, Cost: sol.Cost, LowerBound: lb,
-		}},
-	}, nil
+	sol.Gap = clampGap(sol.Cost - lb)
+	return sol, nil
 }
 
 // clampGap snaps tiny floating-point residue (the epsilon tie-breaks
@@ -592,37 +507,36 @@ func clampGap(gap float64) float64 {
 }
 
 // solveFactored solves each discovered component and recombines.
-func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *partitionPlan, width int, forceBeam bool) (*PartitionedSolution, error) {
+func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *partitionPlan, width int, forceBeam bool) (*Solution, error) {
 	comps := make([]*component, len(plan.masks))
 	for j, mask := range plan.masks {
 		sub := p.componentProblem(mask, plan.subs[j])
-		exact := !forceBeam && exactAffordable(plan.subs[j])
+		c := &component{exact: !forceBeam && exactAffordable(plan.subs[j])}
 		sp := p.Tracer.Start(SpanPartitionComponent)
-		comp := &component{mask: mask, configs: plan.subs[j], exact: exact}
 		var err error
-		if exact {
-			comp.curve, err = exactCurve(ctx, sub, p.K)
+		if c.exact {
+			c.curve, err = exactCurve(ctx, sub, p.K)
 			if err == nil {
-				last := comp.curve[len(comp.curve)-1]
-				if last.feasible {
-					comp.lb = last.cost
+				if last := c.curve[len(c.curve)-1]; last != nil {
+					c.lb = last.Cost
 				} else {
 					err = fmt.Errorf("core: component %s has no design with at most %d changes", mask.Format(nil), p.K)
 				}
 			}
 		} else {
-			comp.curve, comp.lb, err = beamCurve(ctx, sub, p.K, width)
-			if err == nil && !comp.curve[len(comp.curve)-1].feasible {
+			c.curve, c.lb, err = beamCurve(ctx, sub, p.K, width)
+			if err == nil && c.curve[len(c.curve)-1] == nil {
 				err = fmt.Errorf("core: beam search found no design for component %s within %d changes: %w",
 					mask.Format(nil), p.K, ErrLatticeTooLarge)
 			}
 		}
 		sp.End(obs.Int("bits", int64(mask.Count())), obs.Int("configs", int64(len(plan.subs[j]))),
-			obs.Bool("exact", exact), obs.Bool("ok", err == nil))
+			obs.Bool("exact", c.exact), obs.Bool("ok", err == nil))
 		if err != nil {
 			return nil, err
 		}
-		comps[j] = comp
+		c.changes = countedChangeStages(sub, c.curve)
+		comps[j] = c
 	}
 	return recombine(ctx, p, configs, comps)
 }
@@ -639,7 +553,7 @@ func solveFactored(ctx context.Context, p *Problem, configs []Config, plan *part
 // one stage count once globally — so a knapsack over the curves seeds
 // a repair pass that grants components extra budget whenever the
 // composed change count stays within K.
-func recombine(ctx context.Context, p *Problem, configs []Config, comps []*component) (*PartitionedSolution, error) {
+func recombine(ctx context.Context, p *Problem, configs []Config, comps []*component) (*Solution, error) {
 	sp := p.Tracer.Start(SpanPartitionRecombine)
 	res, err := recombineInner(ctx, p, configs, comps)
 	ok := err == nil
@@ -651,7 +565,7 @@ func recombine(ctx context.Context, p *Problem, configs []Config, comps []*compo
 	return res, err
 }
 
-func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*component) (*PartitionedSolution, error) {
+func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*component) (*Solution, error) {
 	span := spanOf(configs)
 	// offset converts Σ per-component objectives into the global
 	// objective: each component re-counts the empty-design EXEC base,
@@ -673,10 +587,10 @@ func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*
 		}
 	}
 
-	finish := func(alloc []int, provablyOptimal bool) (*PartitionedSolution, error) {
+	finish := func(alloc []int, provablyOptimal bool) (*Solution, error) {
 		designs := make([]Config, p.Stages)
 		for j, c := range comps {
-			for i, d := range c.curve[alloc[j]].designs {
+			for i, d := range c.curve[alloc[j]].Designs {
 				designs[i] |= d
 			}
 		}
@@ -684,27 +598,11 @@ func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*
 		if err := p.CheckSolution(sol); err != nil {
 			return nil, err
 		}
-		gap := clampGap(sol.Cost - lb)
+		sol.Gap = clampGap(sol.Cost - lb)
 		if provablyOptimal && allExact {
-			gap = 0
+			sol.Gap = 0
 		}
-		sol.Gap = gap
-		reports := make([]ComponentReport, len(comps))
-		for j, c := range comps {
-			budget := alloc[j]
-			if p.K == Unconstrained {
-				budget = Unconstrained
-			}
-			reports[j] = ComponentReport{
-				Mask: c.mask, Bits: c.mask.Count(), Configs: len(c.configs),
-				Exact: c.exact, Budget: budget,
-				Cost: c.curve[alloc[j]].cost, LowerBound: c.lb,
-			}
-		}
-		return &PartitionedSolution{
-			Solution: sol, LowerBound: lb, Gap: gap,
-			Components: len(comps), Factored: true, Reports: reports,
-		}, nil
+		return sol, nil
 	}
 
 	full := make([]int, len(comps))
@@ -741,14 +639,14 @@ func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*
 			choice[j][b] = -1
 			for l := 0; l <= b && l < len(c.curve); l++ {
 				pt := c.curve[l]
-				if !pt.feasible {
+				if pt == nil {
 					continue
 				}
 				rest := dp[b-l]
 				if math.IsInf(rest, 1) {
 					continue
 				}
-				if v := rest + pt.cost; v < ndp[b] {
+				if v := rest + pt.Cost; v < ndp[b] {
 					ndp[b] = v
 					choice[j][b] = int32(l)
 				}
@@ -767,12 +665,7 @@ func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*
 			return nil, fmt.Errorf("core: no per-component budget split within %d changes: %w", p.K, ErrLatticeTooLarge)
 		}
 		sol, _, err := solveExact(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		return &PartitionedSolution{
-			Solution: sol, LowerBound: sol.Cost, Gap: 0, Components: len(comps), Factored: true,
-		}, nil
+		return sol, err
 	}
 	alloc := make([]int, len(comps))
 	for j, b := len(comps)-1, p.K; j >= 0; j-- {
@@ -795,7 +688,7 @@ func recombineInner(ctx context.Context, p *Problem, configs []Config, comps []*
 		for j, c := range comps {
 			cl := c.curve[alloc[j]]
 			for l := alloc[j] + 1; l < len(c.curve); l++ {
-				gain := cl.cost - c.curve[l].cost
+				gain := cl.Cost - c.curve[l].Cost
 				if gain <= bestGain {
 					continue
 				}
@@ -824,7 +717,7 @@ func composedChanges(stages int, comps []*component, alloc []int) int {
 	seen := make([]bool, stages)
 	total := 0
 	for j, c := range comps {
-		for _, s := range c.curve[alloc[j]].changeStages {
+		for _, s := range c.changes[alloc[j]] {
 			if !seen[s] {
 				seen[s] = true
 				total++

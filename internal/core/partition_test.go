@@ -1,11 +1,13 @@
 package core
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"dyndesign/internal/obs"
 )
 
 // groupedModel is a synthetic InteractionModel: the structure bits are
@@ -76,6 +78,20 @@ func randomGroupedModel(rng *rand.Rand, stages, nGroups, bitsPer int) (*groupedM
 	return m, configs
 }
 
+// components is the number of independent sub-lattices the partitioned
+// solver splits p into: 1 when it does not factor.
+func components(t *testing.T, p *Problem) int {
+	t.Helper()
+	usable, err := p.usableConfigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := partitionConfigs(p, usable); plan != nil {
+		return len(plan.masks)
+	}
+	return 1
+}
+
 // interactionsOnly hides every capability of a grouped model but
 // ExecInteractions.
 type interactionsOnly struct{ m *groupedModel }
@@ -112,14 +128,11 @@ func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int,
 	if exactErr != nil {
 		return
 	}
-	if err := p.CheckSolution(ps.Solution); err != nil {
+	if err := p.CheckSolution(ps); err != nil {
 		t.Fatalf("partitioned solution invalid: %v", err)
 	}
 	if ps.Gap < 0 {
 		t.Fatalf("negative gap %v", ps.Gap)
-	}
-	if ps.Gap != ps.Solution.Gap {
-		t.Fatalf("PartitionedSolution.Gap %v != Solution.Gap %v", ps.Gap, ps.Solution.Gap)
 	}
 	const tol = 1e-6
 	if ps.Cost < exact.Cost-tol {
@@ -131,11 +144,8 @@ func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int,
 	if ps.Gap == 0 && ps.Cost != exact.Cost {
 		t.Fatalf("gap 0 but cost %v != exact %v (integer costs must agree bitwise)", ps.Cost, exact.Cost)
 	}
-	if nGroups >= 2 && !ps.Factored {
-		t.Fatalf("grouped cross-product problem did not factor (components=%d)", ps.Components)
-	}
-	if ps.Factored && len(ps.Reports) != ps.Components {
-		t.Fatalf("%d reports for %d components", len(ps.Reports), ps.Components)
+	if got := components(t, p); got != nGroups {
+		t.Fatalf("grouped cross-product problem split into %d components, want %d", got, nGroups)
 	}
 }
 
@@ -270,8 +280,8 @@ func TestPartitionedTightK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ps.Factored || ps.Components != 2 {
-			t.Fatalf("expected 2 components, got %+v", ps)
+		if got := components(t, p); got != 2 {
+			t.Fatalf("expected 2 components, got %d", got)
 		}
 		if ps.Gap != 0 {
 			t.Fatalf("synchronized wants must compose with gap 0, got %v", ps.Gap)
@@ -299,9 +309,8 @@ func TestPartitionedTightK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ps.Factored || ps.Components != structs {
-					t.Fatalf("structs=%d k=%d: expected %d components, got %d (factored %v)",
-						structs, k, structs, ps.Components, ps.Factored)
+				if got := components(t, p); got != structs {
+					t.Fatalf("structs=%d k=%d: expected %d components, got %d", structs, k, structs, got)
 				}
 				if ps.Gap != 0 {
 					t.Fatalf("structs=%d k=%d: gap %v, want exactly 0", structs, k, ps.Gap)
@@ -370,11 +379,11 @@ func TestPartitionedTightK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ps.Factored || ps.Components != 3 {
-			t.Fatalf("expected 3 components, got %d (factored %v)", ps.Components, ps.Factored)
+		if got := components(t, p); got != 3 {
+			t.Fatalf("expected 3 components, got %d", got)
 		}
-		if ps.Gap != 0 || ps.LowerBound != exact.Cost {
-			t.Fatalf("gap %v, lower bound %v; want 0 and the optimum %v", ps.Gap, ps.LowerBound, exact.Cost)
+		if ps.Gap != 0 || ps.Cost-ps.Gap != exact.Cost {
+			t.Fatalf("gap %v, lower bound %v; want 0 and the optimum %v", ps.Gap, ps.Cost-ps.Gap, exact.Cost)
 		}
 		if ps.Cost != exact.Cost || !reflect.DeepEqual(ps.Designs, exact.Designs) {
 			t.Fatalf("(%v, %v) differs from the exact solve (%v, %v)", ps.Cost, ps.Designs, exact.Cost, exact.Designs)
@@ -394,7 +403,7 @@ func TestPartitionedTightK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.CheckSolution(ps.Solution); err != nil {
+		if err := p.CheckSolution(ps); err != nil {
 			t.Fatal(err)
 		}
 		const tol = 1e-9
@@ -409,7 +418,7 @@ func TestPartitionedTightK(t *testing.T) {
 
 // TestPartitionedSingleComponent pins the degenerate delegation: a
 // problem whose interaction graph is one clique must return the exact
-// solver's answer byte for byte, with gap 0 and Factored false.
+// solver's answer byte for byte, with gap 0, as one component.
 func TestPartitionedSingleComponent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, configs := randomGroupedModel(rng, 10, 1, 3)
@@ -423,8 +432,8 @@ func TestPartitionedSingleComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Factored || ps.Components != 1 || ps.Gap != 0 {
-		t.Fatalf("single-clique problem: %+v", ps)
+	if got := components(t, p); got != 1 || ps.Gap != 0 {
+		t.Fatalf("single-clique problem: %d components, gap %v", got, ps.Gap)
 	}
 	if ps.Cost != exact.Cost || ps.Changes != exact.Changes {
 		t.Fatalf("delegated solve diverges: (%v, %d) vs (%v, %d)",
@@ -588,11 +597,11 @@ func TestAutoLadder(t *testing.T) {
 }
 
 // TestLatticeOverflowDiagnostic asserts the silent dense fallback above
-// the hypercube ceiling is counted and surfaced as a typed error.
+// the hypercube ceiling is counted on the Metrics ledger.
 func TestLatticeOverflowDiagnostic(t *testing.T) {
 	var metrics Metrics
-	if err := metrics.LatticeOverflowDiagnostic(); err != nil {
-		t.Fatalf("fresh ledger reports %v", err)
+	if got := metrics.LatticeOverflows(); got != 0 {
+		t.Fatalf("fresh ledger counts %d overflows", got)
 	}
 	structs := maxLatticeBits + 2
 	m := &additiveModel{
@@ -612,9 +621,49 @@ func TestLatticeOverflowDiagnostic(t *testing.T) {
 	if got := metrics.LatticeOverflows(); got != 1 {
 		t.Fatalf("LatticeOverflows = %d, want 1", got)
 	}
-	err := metrics.LatticeOverflowDiagnostic()
-	if !errors.Is(err, ErrLatticeTooLarge) {
-		t.Fatalf("diagnostic = %v, want ErrLatticeTooLarge", err)
+}
+
+// TestBeamComponentBuildsTablesOnce pins that a beam component prices
+// its lower bound on the tables it searches: with no SolveCache, each
+// partition.component span of a forced-beam solve encloses exactly one
+// matrix.build. Components run one after another, so a component's
+// builds are the ones that end after the previous component span.
+func TestBeamComponentBuildsTablesOnce(t *testing.T) {
+	m, configs := randomGroupedModel(rand.New(rand.NewSource(3)), 12, 2, 2)
+	var buf bytes.Buffer
+	jw := obs.NewJSONLWriter(&buf)
+	p := &Problem{Stages: 12, Configs: configs, Initial: 0, K: 2, Model: m,
+		Parallelism: 1, Tracer: obs.NewTracer(jw)}
+	if _, err := solvePartitioned(bg, p, 4, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps, builds := 0, 0
+	for _, rec := range recs {
+		switch rec.Name {
+		case SpanMatrixBuild:
+			builds++
+		case SpanPartitionComponent:
+			comps++
+			if builds != 1 {
+				t.Errorf("component %d encloses %d %s spans, want 1", comps, builds, SpanMatrixBuild)
+			}
+			for _, a := range rec.Attrs {
+				if a.Key == "exact" && a.Value() != false {
+					t.Errorf("component %d: exact = %v on a forced beam", comps, a.Value())
+				}
+			}
+			builds = 0
+		}
+	}
+	if comps != 2 {
+		t.Fatalf("%d %s spans, want 2", comps, SpanPartitionComponent)
 	}
 }
 

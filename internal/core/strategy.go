@@ -50,11 +50,8 @@ var strategyTable = []struct {
 		return sol, nil, err
 	}},
 	{StrategyPartitioned, false, func(ctx context.Context, p *Problem) (*Solution, []obs.Attr, error) {
-		ps, err := SolvePartitioned(ctx, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ps.Solution, nil, nil
+		sol, err := SolvePartitioned(ctx, p)
+		return sol, nil, err
 	}},
 }
 

@@ -104,55 +104,6 @@ func (ix *Index) Delete(row types.Row, rid storage.RID) error {
 	return nil
 }
 
-// SeekPrefix calls fn for every entry whose leading key columns equal
-// vals, in key order. fn receives the decoded key column values and the
-// RID; returning false stops the scan.
-func (ix *Index) SeekPrefix(vals []types.Value, fn func(keyVals []types.Value, rid storage.RID) bool) error {
-	if len(vals) > len(ix.cols) {
-		return fmt.Errorf("index %s: prefix of %d values on %d key columns", ix.def.Name(), len(vals), len(ix.cols))
-	}
-	prefix, err := keyenc.Encode(vals...)
-	if err != nil {
-		return err
-	}
-	var decodeErr error
-	var scratch []types.Value
-	ix.tree.ScanPrefix(prefix, func(k []byte, rid storage.RID) bool {
-		kv, err := keyenc.DecodeInto(scratch, k)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		scratch = kv
-		return fn(kv, rid)
-	})
-	return decodeErr
-}
-
-// ScanAll calls fn for every entry in key order — the index-only-scan
-// primitive. fn receives the decoded key column values and the RID.
-func (ix *Index) ScanAll(fn func(keyVals []types.Value, rid storage.RID) bool) error {
-	return ix.ScanRange(nil, nil, fn)
-}
-
-// ScanRange calls fn for entries with low <= key < high; nil bounds are
-// unbounded. Bounds are composite value tuples over the key prefix.
-func (ix *Index) ScanRange(low, high []types.Value, fn func(keyVals []types.Value, rid storage.RID) bool) error {
-	var lowKey, highKey []byte
-	var err error
-	if low != nil {
-		if lowKey, err = keyenc.Encode(low...); err != nil {
-			return err
-		}
-	}
-	if high != nil {
-		if highKey, err = keyenc.Encode(high...); err != nil {
-			return err
-		}
-	}
-	return ix.ScanEncodedRange(lowKey, highKey, fn)
-}
-
 // ScanEncodedRange calls fn for entries with lowKey <= encoded key <
 // highKey (nil bounds unbounded). The executor uses this with bounds
 // built by keyenc (including PrefixSuccessor for exclusive/prefix

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dyndesign/internal/catalog"
+	"dyndesign/internal/keyenc"
 	"dyndesign/internal/storage"
 	"dyndesign/internal/types"
 )
@@ -41,6 +42,16 @@ func loadHeap(t testing.TB, heap *storage.HeapFile, n int) []storage.RID {
 	return rids
 }
 
+// seekPrefix is the executor's equality seek on leading key columns: a
+// range scan over [prefix, PrefixSuccessor(prefix)).
+func seekPrefix(t testing.TB, ix *Index, vals []types.Value, fn func(keyVals []types.Value, rid storage.RID) bool) {
+	t.Helper()
+	prefix := keyenc.MustEncode(vals...)
+	if err := ix.ScanEncodedRange(prefix, keyenc.PrefixSuccessor(prefix), fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBuildAndSeek(t *testing.T) {
 	heap := storage.NewHeapFile(nil)
 	loadHeap(t, heap, 1000)
@@ -53,15 +64,15 @@ func TestBuildAndSeek(t *testing.T) {
 	}
 	// b = 3 matches the 100 rows with i%10 == 3.
 	count := 0
-	err = ix.SeekPrefix([]types.Value{types.NewInt(3)}, func(kv []types.Value, rid storage.RID) bool {
+	seekPrefix(t, ix, []types.Value{types.NewInt(3)}, func(kv []types.Value, rid storage.RID) bool {
 		if kv[0].Int != 3 {
 			t.Errorf("seek returned key %v", kv)
 		}
 		count++
 		return true
 	})
-	if err != nil || count != 100 {
-		t.Errorf("seek matched %d rows (err %v)", count, err)
+	if count != 100 {
+		t.Errorf("seek matched %d rows", count)
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -86,15 +97,15 @@ func TestBuildCompositeAndCovers(t *testing.T) {
 	}
 	// Prefix seek on (b=4) yields a-values in ascending order.
 	var prev int64 = -1
-	err = ix.SeekPrefix([]types.Value{types.NewInt(4)}, func(kv []types.Value, _ storage.RID) bool {
-		if kv[1].Int <= prev {
-			t.Error("composite seek out of order")
+	seekPrefix(t, ix, []types.Value{types.NewInt(4)}, func(kv []types.Value, _ storage.RID) bool {
+		if kv[0].Int != 4 || kv[1].Int <= prev {
+			t.Errorf("composite seek returned %v after a = %d", kv, prev)
 		}
 		prev = kv[1].Int
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
+	if prev < 0 {
+		t.Error("composite seek matched nothing")
 	}
 }
 
@@ -105,32 +116,22 @@ func TestBuildUnknownColumn(t *testing.T) {
 	}
 }
 
-func TestSeekPrefixTooLong(t *testing.T) {
-	heap := storage.NewHeapFile(nil)
-	loadHeap(t, heap, 10)
-	ix, _ := Build(catalog.IndexDef{Table: "t", Columns: []string{"a"}}, testSchema(), heap)
-	err := ix.SeekPrefix([]types.Value{types.NewInt(1), types.NewInt(2)}, func([]types.Value, storage.RID) bool { return true })
-	if err == nil {
-		t.Error("over-long prefix accepted")
-	}
-}
-
 func TestScanAllOrderedAndComplete(t *testing.T) {
 	heap := storage.NewHeapFile(nil)
 	loadHeap(t, heap, 300)
 	ix, _ := Build(catalog.IndexDef{Table: "t", Columns: []string{"a"}}, testSchema(), heap)
 	var last int64 = -1
 	count := 0
-	ix.ScanAll(func(kv []types.Value, _ storage.RID) bool {
+	err := ix.ScanEncodedRange(nil, nil, func(kv []types.Value, _ storage.RID) bool {
 		if kv[0].Int <= last {
-			t.Error("ScanAll out of order")
+			t.Error("full scan out of order")
 		}
 		last = kv[0].Int
 		count++
 		return true
 	})
-	if count != 300 {
-		t.Errorf("ScanAll saw %d entries", count)
+	if err != nil || count != 300 {
+		t.Errorf("full scan saw %d entries (err %v)", count, err)
 	}
 }
 
@@ -139,9 +140,9 @@ func TestScanRangeValues(t *testing.T) {
 	loadHeap(t, heap, 100)
 	ix, _ := Build(catalog.IndexDef{Table: "t", Columns: []string{"a"}}, testSchema(), heap)
 	count := 0
-	err := ix.ScanRange(
-		[]types.Value{types.NewInt(10)},
-		[]types.Value{types.NewInt(20)},
+	err := ix.ScanEncodedRange(
+		keyenc.MustEncode(types.NewInt(10)),
+		keyenc.MustEncode(types.NewInt(20)),
 		func(kv []types.Value, _ storage.RID) bool {
 			if kv[0].Int < 10 || kv[0].Int >= 20 {
 				t.Errorf("range scan returned %d", kv[0].Int)
@@ -262,7 +263,7 @@ func TestManagerDMLMaintenance(t *testing.T) {
 	for _, r := range live {
 		found := false
 		ix, _ := m.Get("I(a)")
-		ix.SeekPrefix([]types.Value{r.row[0]}, func(_ []types.Value, rid storage.RID) bool {
+		seekPrefix(t, ix, []types.Value{r.row[0]}, func(_ []types.Value, rid storage.RID) bool {
 			if rid == r.rid {
 				found = true
 				return false

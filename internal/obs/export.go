@@ -64,12 +64,6 @@ func (a *Aggregator) Expvar() expvar.Var {
 	})
 }
 
-// MetricsHandler serves the Prometheus text exposition of the
-// aggregator.
-func (a *Aggregator) MetricsHandler() http.Handler {
-	return metricsHandler(a, nil, nil)
-}
-
 // metricsHandler serves the aggregator's span families followed by the
 // histogram families and the gauge families; any side may be nil.
 func metricsHandler(a *Aggregator, h *HistogramSet, g *GaugeSet) http.Handler {

@@ -156,10 +156,6 @@ type Span struct {
 	start  time.Time
 }
 
-// Active reports whether the span records anything, so hot paths can
-// skip computing expensive attributes for a disabled tracer.
-func (s Span) Active() bool { return s.tracer != nil }
-
 // End finishes the span and emits it, with the given attributes, to
 // every sink of its tracer. On the inert span it does nothing; the
 // variadic attrs stay on the caller's stack (End copies them before
