@@ -169,13 +169,16 @@ examples:
 # explain-smoke drives the decision-provenance layer end to end on a
 # tiny phase-structured trace: a 20-statement A/C plan, a k=2 solve
 # with -explain, and the provenance JSON (attribution + k-sweep +
-# overfitting audit) written to explain.json. CI uploads the JSON as an
-# artifact.
+# overfitting audit) written to explain.json. The report on stdout
+# (timings masked) and explain.json are diffed against the goldens in
+# cmd/dyndesign/testdata. CI uploads the JSON as an artifact.
 explain-smoke:
 	$(GO) run ./cmd/workloadgen -plan "A:10,C:10" -rows 5000 -seed 7 -o explain-trace.json
 	$(GO) run ./cmd/dyndesign -paper-rows 5000 -trace explain-trace.json -k 2 \
-		-audit-trials 3 -explain -explain-out explain.json
-	@test -s explain.json && echo "explain-smoke: explain.json written"
+		-audit-trials 3 -explain -explain-out explain.json \
+		| sed -E 's/[0-9]+(\.[0-9]+)? ms/N ms/g' | diff -u cmd/dyndesign/testdata/stdout.txt -
+	diff -u cmd/dyndesign/testdata/explain.json explain.json
+	@echo "explain-smoke: stdout and explain.json match their goldens"
 
 # advisord-smoke exercises the long-running advisor service end to end
 # under the race detector: a real HTTP listener, a phase-shifting trace

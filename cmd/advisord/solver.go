@@ -311,7 +311,7 @@ func (s *service) solveOnce(ctx context.Context, reason string) (*advisor.Recomm
 		return rec, err
 	}
 	sol := rec.Solution
-	lrec.solveOutcome = solveOutcome{string(rec.Rung), rec.Degraded, sol.Cost, sol.ExecCost, sol.TransCost, sol.Changes, rec.Gap}
+	lrec.solveOutcome = solveOutcome{string(rec.Rung), rec.Degraded, sol.Cost, sol.ExecCost, sol.TransCost, sol.Changes, sol.Gap}
 	lrec.solveStats = solveStats{rec.Stats.WhatIfCalls, rec.Stats.HitRate(), rec.MatrixBuilds, rec.MatrixReuses, rec.LatticeOverflows, rec.Stats}
 	var expl *explain.Explanation
 	if s.cfg.Explain {

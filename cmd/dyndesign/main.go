@@ -204,18 +204,8 @@ func run(ctx context.Context) error {
 	opts.MaxWhatIfCalls = *maxWhatIf
 	opts.Fallback = *fallback
 	opts.Tracer = tracer
-	if *explainFlag || *explainOut != "" {
-		opts.Explain = &advisor.ExplainOptions{
-			KSweepDelta: *ksweepDelta,
-			AuditTrials: *auditTrials,
-			AuditSeed:   *auditSeed,
-		}
-	}
 	if *calibOut != "" && *calibSamples <= 0 {
 		*calibSamples = 16
-	}
-	if *calibSamples > 0 {
-		opts.Calibrate = &advisor.CalibrateOptions{Samples: *calibSamples, Seed: *calibSeed}
 	}
 
 	adv, err := advisor.New(db, spaceDef)
@@ -223,6 +213,18 @@ func run(ctx context.Context) error {
 		return err
 	}
 	rec, err := adv.RecommendContext(ctx, w, opts)
+	if err == nil && (*explainFlag || *explainOut != "") {
+		eopts := advisor.ExplainOptions{KSweepDelta: *ksweepDelta, AuditTrials: *auditTrials, AuditSeed: *auditSeed}
+		if _, err = adv.Explain(ctx, rec, eopts); err != nil {
+			err = fmt.Errorf("advisor: explaining recommendation: %w", err)
+		}
+	}
+	if err == nil && *calibSamples > 0 {
+		copts := advisor.CalibrateOptions{Samples: *calibSamples, Seed: *calibSeed}
+		if _, err = adv.CalibrateContext(ctx, rec, copts); err != nil {
+			err = fmt.Errorf("advisor: calibrating recommendation: %w", err)
+		}
+	}
 	if err != nil {
 		// An interrupted or failed solve still carries its robustness
 		// ledger: print which rungs ran and why they failed.

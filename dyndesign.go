@@ -155,7 +155,8 @@ type CostModel = core.CostModel
 
 // Metrics is the costing-layer instrumentation ledger; point
 // Problem.Metrics at one to collect matrix-build counts and wall time
-// across solves (all copies of the Problem feed the same ledger).
+// across solves (all copies of the Problem feed the same ledger), and
+// read them with Snapshot.
 type Metrics = core.Metrics
 
 // ChangePolicy selects how design changes are counted against k.

@@ -137,21 +137,6 @@ type Options struct {
 	// ("advisor.recommend"), and every solver-phase span below them
 	// (DESIGN.md §9). The nil default is the disabled tracer.
 	Tracer *obs.Tracer
-
-	// Explain, when non-nil, attaches decision provenance to the
-	// recommendation after a successful solve: cost attribution per
-	// design change, the counterfactual k-sweep, and the overfitting
-	// audit (see internal/explain and DESIGN.md §10). Equivalent to
-	// calling Advisor.Explain afterwards.
-	Explain *ExplainOptions
-
-	// Calibrate, when non-nil, replays a deterministic sample of the
-	// workload on the live engine after a successful solve and attaches
-	// the measured-vs-estimated calibration run report (see
-	// internal/calib and DESIGN.md §16). Equivalent to calling
-	// Advisor.Calibrate afterwards; the nil default adds nothing to the
-	// solve path.
-	Calibrate *CalibrateOptions
 }
 
 // resilient reports whether the options ask for the supervised solve
@@ -776,7 +761,7 @@ func (a *Advisor) Recommend(w *workload.Workload, opts Options) (*Recommendation
 // was built: it carries the problem, the costing instrumentation, and
 // any rung reports gathered before the failure (its Solution is nil),
 // so an interrupted run can still render partial diagnostics.
-func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload, opts Options) (rec *Recommendation, err error) {
+func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload, opts Options) (_ *Recommendation, err error) {
 	outer := opts.Tracer.Start("advisor.recommend")
 	defer func() {
 		outer.End(obs.String("table", a.space.Table), obs.Int("k", int64(opts.K)),
@@ -786,11 +771,18 @@ func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload, op
 	if err != nil {
 		return nil, err
 	}
+	return a.solve(ctx, p, segs, w, opts)
+}
+
+// solve runs p's solve and packages the answer: the one place a
+// Recommendation is assembled. segs and w annotate it; opts picks the
+// strategy (default k-aware) and the plain or supervised path.
+func (a *Advisor) solve(ctx context.Context, p *core.Problem, segs []workload.Segment, w *workload.Workload, opts Options) (*Recommendation, error) {
 	strategy := opts.Strategy
 	if strategy == "" {
 		strategy = core.StrategyKAware
 	}
-	rec = &Recommendation{
+	rec := &Recommendation{
 		Table:          a.space.Table,
 		StructureNames: a.space.StructureNames(),
 		Structures:     a.space.Structures,
@@ -802,27 +794,17 @@ func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload, op
 	}
 	start := time.Now()
 	sol, err := a.solveProblem(ctx, p, strategy, opts, rec)
-	rec.Elapsed = time.Since(start)
-	rec.fillInstrumentation(p)
-	if err != nil {
-		return rec, err
+	rec.Solution, rec.Elapsed = sol, time.Since(start)
+	if sp, ok := p.Model.(statsProvider); ok {
+		rec.Stats = sp.costStats()
 	}
-	rec.Solution = sol
-	if opts.Explain != nil {
-		if _, err := a.Explain(ctx, rec, *opts.Explain); err != nil {
-			return rec, fmt.Errorf("advisor: explaining recommendation: %w", err)
-		}
-	}
-	if opts.Calibrate != nil {
-		if _, err := a.CalibrateContext(ctx, rec, *opts.Calibrate); err != nil {
-			return rec, fmt.Errorf("advisor: calibrating recommendation: %w", err)
-		}
-	}
-	return rec, nil
+	rec.Ledger = p.Metrics.Snapshot()
+	return rec, err
 }
 
 // solveProblem runs the plain or supervised solve path per the options,
-// annotating rec with rung diagnostics on the supervised path.
+// annotating rec with rung diagnostics on the supervised path. The
+// solution is nil whenever the error is not.
 func (a *Advisor) solveProblem(ctx context.Context, p *core.Problem, strategy core.Strategy, opts Options, rec *Recommendation) (*core.Solution, error) {
 	if opts.resilient() {
 		ladder := []core.Strategy{strategy}

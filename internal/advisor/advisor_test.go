@@ -694,3 +694,28 @@ func TestRecommendationInstrumentation(t *testing.T) {
 		t.Errorf("Render missing instrumentation line:\n%s", sb.String())
 	}
 }
+
+// TestRenderAnytimeBound pins that Render reports the certificate of a
+// beam-pruned answer, which it reads off Solution.Gap. No fixture here
+// reaches a pruned solve (that needs a component above 20 bits and
+// 4 096 configurations), so the test stamps a gap on a solved one.
+func TestRenderAnytimeBound(t *testing.T) {
+	_, adv := testAdvisor(t)
+	rec, err := adv.Recommend(testWorkload(t).Slice(0, 30), paperOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	rec.Render(&sb)
+	if strings.Contains(sb.String(), "anytime bound") {
+		t.Fatalf("exact solve rendered an anytime bound:\n%s", sb.String())
+	}
+	pruned := *rec.Solution
+	pruned.Gap = pruned.Cost / 4
+	rec.Solution = &pruned
+	sb.Reset()
+	rec.Render(&sb)
+	if !strings.Contains(sb.String(), "anytime bound: optimum within") {
+		t.Errorf("Render missing the anytime bound of a gap-%.0f solution:\n%s", pruned.Gap, sb.String())
+	}
+}

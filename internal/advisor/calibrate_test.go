@@ -8,7 +8,7 @@ import (
 )
 
 // TestSolveHotPathZeroAllocWithCalibrationDisabled pins the acceptance
-// guarantee that leaving Options.Calibrate nil adds nothing to the
+// guarantee that a solve without Advisor.Calibrate adds nothing to the
 // solve hot path: a memoized EXEC evaluation — the operation the
 // solvers issue millions of times — performs zero heap allocations,
 // matching the disabled-tracer guarantee. Calibration runs strictly
@@ -17,7 +17,7 @@ import (
 func TestSolveHotPathZeroAllocWithCalibrationDisabled(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t).Slice(0, 40)
-	opts := paperOpts(2) // Calibrate deliberately nil
+	opts := paperOpts(2)
 	p, _, err := adv.Problem(w, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +56,11 @@ func TestCalibrateRequiresSolution(t *testing.T) {
 func TestRenderIncludesCalibration(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t).Slice(0, 30)
-	rec, err := adv.Recommend(w, Options{K: 1, Calibrate: &CalibrateOptions{Samples: 8, Seed: 3}})
+	rec, err := adv.Recommend(w, Options{K: 1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adv.Calibrate(rec, CalibrateOptions{Samples: 8, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Calibration == nil || len(rec.Calibration.Samples) == 0 {

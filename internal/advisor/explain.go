@@ -19,7 +19,7 @@ type ExplainOptions struct {
 	// (default 2; negative disables the sweep).
 	KSweepDelta int
 	// TopStatements bounds the per-transition list of most-helped
-	// statements (default 3).
+	// statements (0 or less: the default 3).
 	TopStatements int
 	// AuditTrials is the number of perturbed trace replays in the
 	// overfitting audit (default 5; negative disables the audit).
@@ -32,7 +32,7 @@ func (o ExplainOptions) withDefaults() ExplainOptions {
 	if o.KSweepDelta == 0 {
 		o.KSweepDelta = 2
 	}
-	if o.TopStatements == 0 {
+	if o.TopStatements <= 0 {
 		o.TopStatements = 3
 	}
 	if o.AuditTrials == 0 {
@@ -55,11 +55,11 @@ const sqlExcerptLen = 48
 // recommendation's own options — a caller-retained Memo serves every
 // resampled segment it has seen — and still dominates the explain cost.
 func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts ExplainOptions) (_ *explain.Explanation, err error) {
-	sp := rec.opts.Tracer.Start("advisor.explain")
-	defer func() { sp.End(obs.Bool("ok", err == nil)) }()
 	if rec == nil || rec.Solution == nil {
 		return nil, fmt.Errorf("advisor: no solved recommendation to explain")
 	}
+	sp := rec.opts.Tracer.Start("advisor.explain")
+	defer func() { sp.End(obs.Bool("ok", err == nil)) }()
 	opts = opts.withDefaults()
 	eopts := explain.Options{
 		Strategy:       rec.Rung,
@@ -75,9 +75,8 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 			}
 			return seg.Start, sql
 		},
-		KSweepDelta:    opts.KSweepDelta,
-		TopStages:      opts.TopStatements,
-		OracleStrategy: core.StrategyKAware,
+		KSweepDelta: opts.KSweepDelta,
+		TopStages:   opts.TopStatements,
 	}
 	if opts.AuditTrials > 0 {
 		eopts.AuditTrials = opts.AuditTrials

@@ -10,22 +10,23 @@ import (
 )
 
 // TestRecommendExplain pins the advisor-level provenance wiring: a
-// recommendation solved with Options.Explain carries a schema-versioned
+// recommendation explained after its solve carries a schema-versioned
 // explanation whose attribution reconciles with the solution, whose
 // k-sweep is monotone, and whose audit replays the design against
 // block-bootstrap resamples of the real workload.
 func TestRecommendExplain(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
-	opts := paperOpts(2)
-	opts.Explain = &ExplainOptions{AuditTrials: 2, AuditSeed: 9}
-	rec, err := adv.Recommend(w, opts)
+	rec, err := adv.Recommend(w, paperOpts(2))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adv.Explain(bg, rec, ExplainOptions{AuditTrials: 2, AuditSeed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	e := rec.Explanation
 	if e == nil {
-		t.Fatal("Options.Explain did not attach an explanation")
+		t.Fatal("Explain did not attach an explanation")
 	}
 	if e.SchemaVersion != 1 || e.K != 2 || e.Stages != rec.Problem.Stages {
 		t.Fatalf("explanation header = %+v", e)
@@ -88,11 +89,14 @@ func TestRecommendExplain(t *testing.T) {
 	}
 }
 
-// TestExplainRequiresSolution pins the standalone Explain error path.
+// TestExplainRequiresSolution pins the standalone Explain error path:
+// a nil or unsolved recommendation is an error, not a panic.
 func TestExplainRequiresSolution(t *testing.T) {
 	_, adv := testAdvisor(t)
-	if _, err := adv.Explain(bg, &Recommendation{}, ExplainOptions{}); err == nil {
-		t.Error("Explain accepted an unsolved recommendation")
+	for name, rec := range map[string]*Recommendation{"nil": nil, "unsolved": {}} {
+		if _, err := adv.Explain(bg, rec, ExplainOptions{}); err == nil {
+			t.Errorf("Explain accepted a %s recommendation", name)
+		}
 	}
 }
 

@@ -328,7 +328,7 @@ func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 	if got := rec2.Stats.WhatIfCalls; got != 0 {
 		t.Fatalf("unchanged-window re-solve performed %d what-if costings, want 0 (memo not reused)", got)
 	}
-	if got := rec2.Problem.Metrics.MatrixBuilds(); got != 1 {
+	if got := rec2.Problem.Metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("unchanged-window re-solve built %d matrices, want 1 (its own, over the retained rows)", got)
 	}
 	if rec1.Solution.Cost != rec2.Solution.Cost {
@@ -359,7 +359,7 @@ func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 	if got := rec3.Stats.WhatIfCalls; got == 0 {
 		t.Fatal("post-refresh solve served stale memo entries (0 what-if costings)")
 	}
-	if got := rec3.Problem.Metrics.MatrixBuilds(); got != 1 {
+	if got := rec3.Problem.Metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("post-refresh solve built %d matrices, want 1 (stale tables replayed)", got)
 	}
 }

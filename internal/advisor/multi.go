@@ -3,7 +3,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dyndesign/internal/core"
 	"dyndesign/internal/workload"
@@ -94,7 +93,7 @@ func (a *Advisor) RecommendMultiContext(ctx context.Context, traces []*workload.
 			return nil, fmt.Errorf("advisor: trace %q has %d statements, %q has %d",
 				tr.Name, tr.Len(), traces[0].Name, traces[0].Len())
 		}
-		p, pSegs, err := a.Problem(tr, opts)
+		p, _, err := a.Problem(tr, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -102,35 +101,11 @@ func (a *Advisor) RecommendMultiContext(ctx context.Context, traces []*workload.
 			return nil, fmt.Errorf("advisor: trace %q segments into %d stages, %q into %d",
 				tr.Name, p.Stages, traces[0].Name, first.Stages)
 		}
-		_ = pSegs
 		avg.models = append(avg.models, p.Model)
 	}
 	combined := *first
 	combined.Model = avg
-
-	strategy := opts.Strategy
-	if strategy == "" {
-		strategy = core.StrategyKAware
-	}
-	rec := &Recommendation{
-		Table:          a.space.Table,
-		StructureNames: a.space.StructureNames(),
-		Structures:     a.space.Structures,
-		Segments:       segs,
-		Workload:       traces[0],
-		Problem:        &combined,
-		Strategy:       strategy,
-		opts:           opts,
-	}
-	start := time.Now()
-	sol, err := a.solveProblem(ctx, &combined, strategy, opts, rec)
-	rec.Elapsed = time.Since(start)
-	rec.fillInstrumentation(&combined)
-	if err != nil {
-		return rec, err
-	}
-	rec.Solution = sol
-	return rec, nil
+	return a.solve(ctx, &combined, segs, traces[0], opts)
 }
 
 // EvaluateOn computes the what-if cost of this recommendation's design

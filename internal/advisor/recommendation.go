@@ -29,14 +29,9 @@ type Recommendation struct {
 	// count and the hit rate of its own EXEC row-store lookups. It makes
 	// costing-layer speedups observable instead of asserted.
 	Stats CostStats
-	// MatrixBuilds and MatrixBuildTime describe the dense cost-table
-	// evaluations the solver performed; concurrent builds accumulate
-	// their individual durations. MatrixReuses counts the table reads
-	// (solver fetches and cost replays) the solve cache served without
-	// touching the model.
-	MatrixBuilds    int64
-	MatrixBuildTime time.Duration
-	MatrixReuses    int64
+	// Ledger is the solver's instrumentation after the solve: cost-table
+	// builds and cache reads, and the robustness counters.
+	core.Ledger
 	// Rung is the strategy that actually produced the solution: the
 	// requested strategy on a clean solve, a lower ladder rung (or
 	// core.RungLastKnownGood) when the resilient supervisor degraded.
@@ -48,54 +43,18 @@ type Recommendation struct {
 	// with the failure class and error of each one that did not answer.
 	// Empty on the plain (unsupervised) solve path.
 	RungReports []core.RungReport
-	// Degradations, Cancellations, and RecoveredPanics are the
-	// robustness ledger of the solve: rungs failed over, solves aborted
-	// by context (deadline, cancel, or budget), and panics converted to
-	// errors.
-	Degradations    int64
-	Cancellations   int64
-	RecoveredPanics int64
-	// Gap is the anytime optimality gap of the solution: zero when the
-	// answering solver was exact (or proved its recombination optimal),
-	// positive when a beam-pruned partitioned solve had to stop early —
-	// the true optimum is then within [Cost-Gap, Cost].
-	Gap float64
-	// LatticeOverflows counts dense fallbacks for sub-problems whose
-	// structure span exceeded the hypercube kernel's bit ceiling; see
-	// core.ErrLatticeTooLarge for the actionable diagnostic.
-	LatticeOverflows int64
 	// Explanation is the decision provenance of the recommendation —
 	// per-transition cost attribution, the counterfactual k-sweep, and
-	// the overfitting audit. Populated by Advisor.Explain (or
-	// automatically when Options.Explain is set); nil otherwise.
+	// the overfitting audit. Populated by Advisor.Explain; nil otherwise.
 	Explanation *explain.Explanation
 	// Calibration is the measured-vs-estimated replay report of this
-	// recommendation. Populated by Advisor.Calibrate (or automatically
-	// when Options.Calibrate is set); nil otherwise.
+	// recommendation. Populated by Advisor.Calibrate; nil otherwise.
 	Calibration *calib.RunReport
 
 	// opts remembers the options the recommendation was solved under so
 	// Explain can re-assemble identically-shaped problems for perturbed
 	// traces.
 	opts Options
-}
-
-// fillInstrumentation copies the costing-layer counters off the solved
-// problem onto the recommendation.
-func (r *Recommendation) fillInstrumentation(p *core.Problem) {
-	if sp, ok := p.Model.(statsProvider); ok {
-		r.Stats = sp.costStats()
-	}
-	r.MatrixBuilds = p.Metrics.MatrixBuilds()
-	r.MatrixBuildTime = p.Metrics.MatrixBuildTime()
-	r.MatrixReuses = p.Metrics.MatrixReuses()
-	r.Degradations = p.Metrics.Degradations()
-	r.Cancellations = p.Metrics.Cancellations()
-	r.RecoveredPanics = p.Metrics.RecoveredPanics()
-	r.LatticeOverflows = p.Metrics.LatticeOverflows()
-	if r.Solution != nil {
-		r.Gap = r.Solution.Gap
-	}
 }
 
 // PerStatement expands the per-stage designs to one configuration per
@@ -228,9 +187,9 @@ func (r *Recommendation) Render(w io.Writer) {
 		r.Problem.Stages, len(r.Problem.Configs), k, r.Problem.Policy)
 	fmt.Fprintf(w, "  estimated sequence cost: %.0f pages   changes used: %d\n",
 		r.Solution.Cost, r.Solution.Changes)
-	if r.Gap > 0 {
+	if gap := r.Solution.Gap; gap > 0 {
 		fmt.Fprintf(w, "  anytime bound: optimum within %.0f pages (gap %.2f%% of cost)\n",
-			r.Gap, 100*r.Gap/r.Solution.Cost)
+			gap, 100*gap/r.Solution.Cost)
 	}
 	if r.LatticeOverflows > 0 {
 		fmt.Fprintf(w, "  note: %d dense-fallback table build(s) above the 20-bit lattice ceiling (see core.ErrLatticeTooLarge)\n",

@@ -129,12 +129,12 @@ func TestRowsSurviveEvictionUnderRetainedSolveCache(t *testing.T) {
 	if st := memo.Stats(); st.Evictions < int64(stages*width) {
 		t.Fatalf("evicted %d cells, want the first window's %d gone", st.Evictions, stages*width)
 	}
-	builds := first.Problem.Metrics.MatrixBuilds()
+	builds := first.Problem.Metrics.Snapshot().MatrixBuilds
 	again, err := core.Solve(bg, first.Problem, core.StrategyKAware)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Problem.Metrics.MatrixBuilds() != builds {
+	if first.Problem.Metrics.Snapshot().MatrixBuilds != builds {
 		t.Fatal("re-solve rebuilt its matrices; the test needs the retained cache entry to answer")
 	}
 	cold := slideWindow(t, adv, stream, 0, seg*stages, Options{K: 2, SegmentSize: seg})

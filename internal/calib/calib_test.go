@@ -61,16 +61,16 @@ func TestCalibrationFreshVsStale(t *testing.T) {
 	db, adv, w := buildFixture(t, rows)
 
 	mon := calib.NewMonitor()
-	rec, err := adv.Recommend(w, advisor.Options{
-		K:         2,
-		Calibrate: &advisor.CalibrateOptions{Samples: 24, Seed: 7, Monitor: mon},
-	})
+	rec, err := adv.Recommend(w, advisor.Options{K: 2})
 	if err != nil {
 		t.Fatalf("Recommend: %v", err)
 	}
+	if _, err := adv.Calibrate(rec, advisor.CalibrateOptions{Samples: 24, Seed: 7, Monitor: mon}); err != nil {
+		t.Fatalf("Calibrate: %v", err)
+	}
 	fresh := rec.Calibration
 	if fresh == nil {
-		t.Fatal("Options.Calibrate set but Recommendation.Calibration is nil")
+		t.Fatal("Calibrate did not attach Recommendation.Calibration")
 	}
 	if len(fresh.Samples) == 0 {
 		t.Fatal("calibration run produced no samples")

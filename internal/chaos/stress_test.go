@@ -117,8 +117,8 @@ func TestResilientSolveUnderChaos(t *testing.T) {
 			if out.res.Rung == core.RungLastKnownGood {
 				fallbacks.Add(1)
 			}
-			degradations.Add(p.Metrics.Degradations())
-			recoveredPanics.Add(p.Metrics.RecoveredPanics())
+			degradations.Add(p.Metrics.Snapshot().Degradations)
+			recoveredPanics.Add(p.Metrics.Snapshot().RecoveredPanics)
 		})
 	}
 

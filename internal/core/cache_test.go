@@ -22,7 +22,7 @@ func TestSolveCacheKeysOnModelIdentity(t *testing.T) {
 	if _, err := SolveKAware(bg, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.MatrixBuilds(); got != 1 {
+	if got := metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("same-instance rebuilds: MatrixBuilds = %d, want 1", got)
 	}
 	m2 := &tableModel{exec: m1.exec, trans: m1.trans, size: m1.size}
@@ -30,7 +30,7 @@ func TestSolveCacheKeysOnModelIdentity(t *testing.T) {
 	if _, err := SolveKAware(bg, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.MatrixBuilds(); got != 2 {
+	if got := metrics.Snapshot().MatrixBuilds; got != 2 {
 		t.Fatalf("cross-instance: MatrixBuilds = %d, want 2", got)
 	}
 }

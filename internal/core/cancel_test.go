@@ -76,7 +76,7 @@ func TestEveryStrategyReturnsPromptlyOnCancel(t *testing.T) {
 				t.Fatalf("cancellation took %v", elapsed)
 			}
 			// Solve keeps the ledger; the library functions run below it.
-			if _, err := ParseStrategy(s.name); err == nil && p.Metrics.Cancellations() == 0 {
+			if _, err := ParseStrategy(s.name); err == nil && p.Metrics.Snapshot().Cancellations == 0 {
 				t.Error("cancellation not recorded in metrics")
 			}
 		})
@@ -153,7 +153,7 @@ func TestParallelWorkerPanicBecomesError(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Errorf("parallelism %d: no stack attached", parallelism)
 		}
-		if p.Metrics.RecoveredPanics() == 0 {
+		if p.Metrics.Snapshot().RecoveredPanics == 0 {
 			t.Errorf("parallelism %d: recovered panic not recorded", parallelism)
 		}
 	}

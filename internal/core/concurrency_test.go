@@ -136,10 +136,10 @@ func TestSharedProblemAllStrategiesConcurrently(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if p.Metrics.MatrixBuilds() == 0 {
+	if p.Metrics.Snapshot().MatrixBuilds == 0 {
 		t.Error("metrics recorded no matrix builds")
 	}
-	if p.Metrics.MatrixBuildTime() <= 0 {
+	if p.Metrics.Snapshot().MatrixBuildTime <= 0 {
 		t.Error("metrics recorded no matrix-build time")
 	}
 }

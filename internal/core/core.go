@@ -212,11 +212,10 @@ type Problem struct {
 	// path. The parallel and serial paths produce bit-identical
 	// results.
 	Parallelism int
-	// Kernel selects the min-plus transition kernel of the exact graph
-	// solvers. The KernelAuto default picks the hypercube lattice
-	// relaxation when the model reports additive transitions and the
-	// lattice is cheaper than the all-pairs scan; see TransKernel.
-	Kernel TransKernel
+	// kernel forces a min-plus transition kernel on the exact graph
+	// solvers; tests set it to compare the kernels. The kernelAuto
+	// default picks per solve; see transKernel.
+	kernel transKernel
 	// Cache, when non-nil, memoizes the dense cost tables across solves
 	// sharing this model (see SolveCache). Copies of the Problem share
 	// the pointer, the same way Metrics is shared; the nil default

@@ -68,10 +68,10 @@ func runExactCase(t *testing.T, seed int64, stages, structs, k, shape int, polic
 	p := &Problem{
 		Stages: stages, Configs: configs, Initial: Config(rng.Intn(1 << uint(structs))),
 		K: k, Policy: policy, Model: m, Parallelism: 1,
-		Kernel: KernelDense, Tracer: obs.NewTracer(sink),
+		kernel: kernelDense, Tracer: obs.NewTracer(sink),
 	}
 	if hyper {
-		p.Kernel = KernelHypercube
+		p.kernel = kernelHypercube
 	}
 	if withFinal {
 		f := configs[rng.Intn(len(configs))]

@@ -30,37 +30,25 @@ type AdditiveTransModel interface {
 	TransParts() (add, drop []float64)
 }
 
-// TransKernel selects the min-plus relaxation kernel the exact graph
+// transKernel selects the min-plus relaxation kernel the exact graph
 // solvers use for the all-sources step min_f cost[f] + TRANS(f, t).
-type TransKernel int
+// Only tests choose one (Problem.kernel): the dense kernel stays the
+// reference for non-additive models and sparse candidate lists.
+type transKernel int
 
 const (
-	// KernelAuto picks per solve: the hypercube kernel when the model
+	// kernelAuto picks per solve: the hypercube kernel when the model
 	// reports additive transitions and the lattice sweep is cheaper than
 	// the dense all-pairs scan, the dense kernel otherwise. The default.
-	KernelAuto TransKernel = iota
-	// KernelDense forces the all-pairs relaxation regardless of model
+	kernelAuto transKernel = iota
+	// kernelDense forces the all-pairs relaxation regardless of model
 	// capabilities.
-	KernelDense
-	// KernelHypercube forces the lattice relaxation whenever the model
+	kernelDense
+	// kernelHypercube forces the lattice relaxation whenever the model
 	// is eligible (additive, valid parts, lattice within bounds);
 	// ineligible models still fall back to the dense kernel.
-	KernelHypercube
+	kernelHypercube
 )
-
-// String names the kernel preference.
-func (k TransKernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelDense:
-		return "dense"
-	case KernelHypercube:
-		return "hypercube"
-	default:
-		return "TransKernel(?)"
-	}
-}
 
 // maxLatticeBits caps the hypercube lattice: beyond 2^20 points the
 // per-sweep scratch alone outweighs any plausible win over the dense
@@ -116,7 +104,7 @@ type transRelaxer interface {
 // for the hypercube, the structure-indexed transition parts and the
 // span they act on.
 type kernelChoice struct {
-	kind      TransKernel // KernelDense or KernelHypercube, never Auto
+	kind      transKernel // kernelDense or kernelHypercube, never Auto
 	add, drop []float64
 	span      Config
 	bits      int
@@ -125,11 +113,11 @@ type kernelChoice struct {
 // needTrans reports whether the choice requires the dense all-pairs
 // TRANS table — the O(m²) model evaluation the hypercube kernel exists
 // to skip.
-func (ch kernelChoice) needTrans() bool { return ch.kind == KernelDense }
+func (ch kernelChoice) needTrans() bool { return ch.kind == kernelDense }
 
 // kernel builds the relaxer for the choice over the built tables.
 func (ch kernelChoice) kernel(m *matrices) transRelaxer {
-	if ch.kind == KernelHypercube {
+	if ch.kind == kernelHypercube {
 		return newHyperKernel(ch, m.configs)
 	}
 	return &denseKernel{m: m}
@@ -139,13 +127,13 @@ func (ch kernelChoice) kernel(m *matrices) transRelaxer {
 // usable candidate list. The dense kernel is the safe default; the
 // hypercube kernel requires an AdditiveTransModel with finite,
 // non-negative parts covering every structure the candidates use, a
-// span within maxLatticeBits, and — under KernelAuto — a lattice sweep
+// span within maxLatticeBits, and — under kernelAuto — a lattice sweep
 // (~2·bits·2^bits relaxation steps per stage) cheaper than the dense
-// scan (nc² steps). Problem.Kernel overrides the cost comparison but
+// scan (nc² steps). Problem.kernel overrides the cost comparison but
 // never the eligibility checks.
 func resolveKernel(p *Problem, configs []Config) kernelChoice {
-	dense := kernelChoice{kind: KernelDense}
-	if p.Kernel == KernelDense {
+	dense := kernelChoice{kind: kernelDense}
+	if p.kernel == kernelDense {
 		return dense
 	}
 	am, ok := capability[AdditiveTransModel](p.Model)
@@ -166,13 +154,13 @@ func resolveKernel(p *Problem, configs []Config) kernelChoice {
 	if !validTransParts(add, drop, span) {
 		return dense
 	}
-	if p.Kernel != KernelHypercube {
+	if p.kernel != kernelHypercube {
 		nc := len(configs)
 		if 2*nbits*(1<<uint(nbits)) >= nc*nc {
 			return dense
 		}
 	}
-	return kernelChoice{kind: KernelHypercube, add: add, drop: drop, span: span, bits: nbits}
+	return kernelChoice{kind: kernelHypercube, add: add, drop: drop, span: span, bits: nbits}
 }
 
 // spanOf is the union of a candidate list: every structure some

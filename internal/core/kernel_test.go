@@ -104,13 +104,13 @@ func runKernelCase(t *testing.T, seed int64, stages, structs, k int, policy Chan
 	}
 
 	dense := base
-	dense.Kernel = KernelDense
+	dense.kernel = kernelDense
 	hyper := base
-	hyper.Kernel = KernelHypercube
+	hyper.kernel = kernelHypercube
 	hyperPar := hyper
 	hyperPar.Parallelism = 4
 
-	if got := resolveKernel(&hyper, configs).kind; got != KernelHypercube {
+	if got := resolveKernel(&hyper, configs).kind; got != kernelHypercube {
 		t.Fatalf("additive model not eligible for the hypercube kernel (got %v)", got)
 	}
 
@@ -238,14 +238,14 @@ func TestKernelFallbacks(t *testing.T) {
 
 	t.Run("non-additive model", func(t *testing.T) {
 		m, configs := randomModel(rng, 5, 3)
-		p := &Problem{Stages: 5, Configs: configs, Initial: 0, K: 1, Model: m, Kernel: KernelHypercube}
-		if got := resolveKernel(p, configs).kind; got != KernelDense {
+		p := &Problem{Stages: 5, Configs: configs, Initial: 0, K: 1, Model: m, kernel: kernelHypercube}
+		if got := resolveKernel(p, configs).kind; got != kernelDense {
 			t.Fatalf("non-additive model resolved to %v, want dense", got)
 		}
 		// The solve still works (through the dense fallback) and matches
 		// an explicitly dense solve bit for bit.
 		forced := *p
-		forced.Kernel = KernelDense
+		forced.kernel = kernelDense
 		a, errA := SolveKAware(bg, p)
 		b, errB := SolveKAware(bg, &forced)
 		if errA != nil || errB != nil {
@@ -259,8 +259,8 @@ func TestKernelFallbacks(t *testing.T) {
 	t.Run("negative part", func(t *testing.T) {
 		m, configs := randomAdditiveModel(rng, 4, 3)
 		m.add[1] = -2
-		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m, Kernel: KernelHypercube}
-		if got := resolveKernel(p, configs).kind; got != KernelDense {
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m, kernel: kernelHypercube}
+		if got := resolveKernel(p, configs).kind; got != kernelDense {
 			t.Fatalf("negative add part resolved to %v, want dense", got)
 		}
 	})
@@ -268,12 +268,12 @@ func TestKernelFallbacks(t *testing.T) {
 	t.Run("non-finite part", func(t *testing.T) {
 		m, configs := randomAdditiveModel(rng, 4, 3)
 		m.drop[0] = math.Inf(1)
-		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m, Kernel: KernelHypercube}
-		if got := resolveKernel(p, configs).kind; got != KernelDense {
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m, kernel: kernelHypercube}
+		if got := resolveKernel(p, configs).kind; got != kernelDense {
 			t.Fatalf("infinite drop part resolved to %v, want dense", got)
 		}
 		m.drop[0] = math.NaN()
-		if got := resolveKernel(p, configs).kind; got != KernelDense {
+		if got := resolveKernel(p, configs).kind; got != kernelDense {
 			t.Fatalf("NaN drop part resolved to %v, want dense", got)
 		}
 	})
@@ -281,8 +281,8 @@ func TestKernelFallbacks(t *testing.T) {
 	t.Run("parts shorter than span", func(t *testing.T) {
 		m, _ := randomAdditiveModel(rng, 4, 3)
 		configs := []Config{0, ConfigOf(0), ConfigOf(5)} // bit 5 beyond len(parts)=3
-		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m, Kernel: KernelHypercube}
-		if got := resolveKernel(p, configs).kind; got != KernelDense {
+		p := &Problem{Stages: 4, Configs: configs, Initial: 0, K: 1, Model: m, kernel: kernelHypercube}
+		if got := resolveKernel(p, configs).kind; got != kernelDense {
 			t.Fatalf("span outside parts resolved to %v, want dense", got)
 		}
 	})
@@ -293,17 +293,17 @@ func TestKernelFallbacks(t *testing.T) {
 		// steps >= 7² = 49 dense steps, so auto stays dense...
 		narrow := []Config{0, 1, 2, 3, 4, 5, ConfigOf(3)}
 		p := &Problem{Stages: 4, Configs: narrow, Initial: 0, K: 1, Model: m}
-		if got := resolveKernel(p, narrow).kind; got != KernelDense {
+		if got := resolveKernel(p, narrow).kind; got != kernelDense {
 			t.Fatalf("auto picked %v on a narrow list, want dense", got)
 		}
 		// ...but the full 16-point lattice (128 < 256) flips to hypercube,
 		// and forcing the hypercube on the narrow list overrides the
 		// comparison.
-		if got := resolveKernel(p, configs).kind; got != KernelHypercube {
+		if got := resolveKernel(p, configs).kind; got != kernelHypercube {
 			t.Fatalf("auto picked %v on the full lattice, want hypercube", got)
 		}
-		p.Kernel = KernelHypercube
-		if got := resolveKernel(p, narrow).kind; got != KernelHypercube {
+		p.kernel = kernelHypercube
+		if got := resolveKernel(p, narrow).kind; got != kernelHypercube {
 			t.Fatalf("forced hypercube resolved to %v", got)
 		}
 	})
@@ -322,7 +322,7 @@ func TestSolveCacheReuse(t *testing.T) {
 	if _, err := SolveKAware(bg, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics.MatrixBuilds(); got != 1 {
+	if got := p.Metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("MatrixBuilds after first solve = %d, want 1", got)
 	}
 	if _, err := SweepK(bg, p, 4); err != nil {
@@ -331,10 +331,10 @@ func TestSolveCacheReuse(t *testing.T) {
 	if _, err := SolveUnconstrained(bg, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics.MatrixBuilds(); got != 1 {
+	if got := p.Metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("MatrixBuilds after reusing solves = %d, want 1", got)
 	}
-	if got := p.Metrics.MatrixReuses(); got == 0 {
+	if got := p.Metrics.Snapshot().MatrixReuses; got == 0 {
 		t.Fatal("MatrixReuses = 0, want > 0")
 	}
 
@@ -344,7 +344,7 @@ func TestSolveCacheReuse(t *testing.T) {
 	if _, err := SolveKAware(bg, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics.MatrixBuilds(); got != 2 {
+	if got := p.Metrics.Snapshot().MatrixBuilds; got != 2 {
 		t.Fatalf("MatrixBuilds after model swap = %d, want 2", got)
 	}
 }
@@ -396,24 +396,24 @@ func TestSolveCacheTransUpgrade(t *testing.T) {
 	m, configs := randomAdditiveModel(rng, 10, 5)
 	p := &Problem{
 		Stages: 10, Configs: configs, Initial: 0, K: 2, Model: m,
-		Kernel: KernelHypercube, Cache: NewSolveCache(), Metrics: &Metrics{},
+		kernel: kernelHypercube, Cache: NewSolveCache(), Metrics: &Metrics{},
 	}
 	hSol, err := SolveKAware(bg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics.MatrixBuilds(); got != 1 {
+	if got := p.Metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("MatrixBuilds after hypercube solve = %d, want 1", got)
 	}
-	p.Kernel = KernelDense
+	p.kernel = kernelDense
 	dSol, err := SolveKAware(bg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics.MatrixBuilds(); got != 1 {
+	if got := p.Metrics.Snapshot().MatrixBuilds; got != 1 {
 		t.Fatalf("MatrixBuilds after dense upgrade = %d, want 1 (EXEC must not rebuild)", got)
 	}
-	if got := p.Metrics.MatrixReuses(); got == 0 {
+	if got := p.Metrics.Snapshot().MatrixReuses; got == 0 {
 		t.Fatal("MatrixReuses = 0 after upgrade, want > 0")
 	}
 	if !almostEqual(hSol.Cost, dSol.Cost) {
@@ -423,12 +423,12 @@ func TestSolveCacheTransUpgrade(t *testing.T) {
 
 // benchProblem builds the benchmark problem: an additive model over the
 // full structs-bit lattice.
-func benchProblem(structs int, kernel TransKernel) *Problem {
+func benchProblem(structs int, kernel transKernel) *Problem {
 	rng := rand.New(rand.NewSource(42))
 	m, configs := randomAdditiveModel(rng, 30, structs)
 	return &Problem{
 		Stages: 30, Configs: configs, Initial: 0, K: 4,
-		Model: m, Kernel: kernel, Parallelism: 1,
+		Model: m, kernel: kernel, Parallelism: 1,
 	}
 }
 
@@ -441,13 +441,13 @@ func benchProblem(structs int, kernel TransKernel) *Problem {
 func BenchmarkKAwareKernels(b *testing.B) {
 	for _, bench := range []struct {
 		name                 string
-		kernel               TransKernel
+		kernel               transKernel
 		structs, parallelism int
 	}{
-		{"dense", KernelDense, 8, 1},
-		{"hypercube", KernelHypercube, 8, 1},
-		{"hypercube/structs=10", KernelHypercube, 10, 1},
-		{"hypercube/structs=10/parallelism=2", KernelHypercube, 10, 2},
+		{"dense", kernelDense, 8, 1},
+		{"hypercube", kernelHypercube, 8, 1},
+		{"hypercube/structs=10", kernelHypercube, 10, 1},
+		{"hypercube/structs=10/parallelism=2", kernelHypercube, 10, 2},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			p := benchProblem(bench.structs, bench.kernel)

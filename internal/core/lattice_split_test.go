@@ -57,7 +57,7 @@ func (c splitCase) problem(seed int64, parallelism int) *Problem {
 	}
 	p := &Problem{
 		Stages: c.stages, Configs: configs, Initial: Config(rng.Intn(1 << uint(c.structs))),
-		K: c.k, Model: m, Kernel: KernelHypercube, Parallelism: parallelism,
+		K: c.k, Model: m, kernel: kernelHypercube, Parallelism: parallelism,
 	}
 	if c.withFinal {
 		f := configs[rng.Intn(len(configs))]

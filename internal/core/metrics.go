@@ -20,6 +20,47 @@ type Metrics struct {
 	latticeOverflows atomic.Int64
 }
 
+// Ledger is a point-in-time copy of a Metrics value.
+type Ledger struct {
+	// MatrixBuilds and MatrixBuildTime describe the dense EXEC/TRANS
+	// cost tables evaluated against the problem's model; concurrent
+	// builds accumulate their individual durations, so the time can
+	// exceed elapsed wall time on multicore runs.
+	MatrixBuilds    int64
+	MatrixBuildTime time.Duration
+	// MatrixReuses counts the table reads (solver fetches and cost
+	// replays) the solve cache served without touching the model.
+	MatrixReuses int64
+	// Degradations, Cancellations and RecoveredPanics are the robustness
+	// ledger: resilient rungs failed over (timeout, budget, fault, or
+	// panic), solves aborted by their context (deadline, cancel, or a
+	// tripped work budget), and panics converted to errors.
+	Degradations    int64
+	Cancellations   int64
+	RecoveredPanics int64
+	// LatticeOverflows counts solves whose additive-capable model had a
+	// candidate span above the 20-bit hypercube ceiling and ran on the
+	// dense all-pairs kernel instead: the "why did this solve get slow"
+	// diagnostic SolvePartitioned exists to fix (see ErrLatticeTooLarge).
+	LatticeOverflows int64
+}
+
+// Snapshot copies the counters; a nil receiver reads as all zeros.
+func (m *Metrics) Snapshot() Ledger {
+	if m == nil {
+		return Ledger{}
+	}
+	return Ledger{
+		MatrixBuilds:     m.matrixBuilds.Load(),
+		MatrixBuildTime:  time.Duration(m.matrixBuildNanos.Load()),
+		MatrixReuses:     m.matrixReuses.Load(),
+		Degradations:     m.degradations.Load(),
+		Cancellations:    m.cancellations.Load(),
+		RecoveredPanics:  m.recoveredPanics.Load(),
+		LatticeOverflows: m.latticeOverflows.Load(),
+	}
+}
+
 // noteMatrixBuild records one dense cost-table evaluation.
 func (m *Metrics) noteMatrixBuild(d time.Duration) {
 	if m == nil {
@@ -27,25 +68,6 @@ func (m *Metrics) noteMatrixBuild(d time.Duration) {
 	}
 	m.matrixBuilds.Add(1)
 	m.matrixBuildNanos.Add(int64(d))
-}
-
-// MatrixBuilds returns how many dense EXEC/TRANS cost tables were
-// evaluated against this problem's model.
-func (m *Metrics) MatrixBuilds() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.matrixBuilds.Load()
-}
-
-// MatrixBuildTime returns the total wall time spent evaluating dense
-// cost tables. Concurrent builds accumulate their individual durations,
-// so the sum can exceed elapsed wall time on multicore runs.
-func (m *Metrics) MatrixBuildTime() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return time.Duration(m.matrixBuildNanos.Load())
 }
 
 // noteMatrixReuse records one table read served from a SolveCache
@@ -58,15 +80,6 @@ func (m *Metrics) noteMatrixReuse() {
 	m.matrixReuses.Add(1)
 }
 
-// MatrixReuses returns how many table reads (solver fetches and cost
-// replays) were served from the solve cache instead of the model.
-func (m *Metrics) MatrixReuses() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.matrixReuses.Load()
-}
-
 // noteDegradation records one rung of the resilient supervisor failing
 // over to the next rung of its ladder.
 func (m *Metrics) noteDegradation() {
@@ -74,15 +87,6 @@ func (m *Metrics) noteDegradation() {
 		return
 	}
 	m.degradations.Add(1)
-}
-
-// Degradations returns how many times a resilient solve fell from one
-// ladder rung to the next (timeout, budget, fault, or panic).
-func (m *Metrics) Degradations() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.degradations.Load()
 }
 
 // noteCancellation records one solve aborted by its context — a
@@ -95,14 +99,6 @@ func (m *Metrics) noteCancellation() {
 	m.cancellations.Add(1)
 }
 
-// Cancellations returns how many solves were aborted by their context.
-func (m *Metrics) Cancellations() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cancellations.Load()
-}
-
 // noteRecoveredPanic records one panic recovered from a solver worker
 // or a supervisor rung and converted into a typed error.
 func (m *Metrics) noteRecoveredPanic() {
@@ -110,15 +106,6 @@ func (m *Metrics) noteRecoveredPanic() {
 		return
 	}
 	m.recoveredPanics.Add(1)
-}
-
-// RecoveredPanics returns how many panics the solve pipeline recovered
-// and converted into errors instead of crashing the process.
-func (m *Metrics) RecoveredPanics() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.recoveredPanics.Load()
 }
 
 // noteLatticeOverflow records one kernel resolution whose candidate
@@ -129,16 +116,4 @@ func (m *Metrics) noteLatticeOverflow() {
 		return
 	}
 	m.latticeOverflows.Add(1)
-}
-
-// LatticeOverflows returns how many solves had an additive-capable
-// model whose candidate span exceeded the 20-bit hypercube ceiling and
-// silently ran on the dense all-pairs kernel instead. A non-zero count
-// is the "why did this solve get slow" diagnostic SolvePartitioned
-// exists to fix; see ErrLatticeTooLarge.
-func (m *Metrics) LatticeOverflows() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.latticeOverflows.Load()
 }

@@ -600,7 +600,7 @@ func TestAutoLadder(t *testing.T) {
 // the hypercube ceiling is counted on the Metrics ledger.
 func TestLatticeOverflowDiagnostic(t *testing.T) {
 	var metrics Metrics
-	if got := metrics.LatticeOverflows(); got != 0 {
+	if got := metrics.Snapshot().LatticeOverflows; got != 0 {
 		t.Fatalf("fresh ledger counts %d overflows", got)
 	}
 	structs := maxLatticeBits + 2
@@ -614,11 +614,11 @@ func TestLatticeOverflowDiagnostic(t *testing.T) {
 		configs[s+1] = ConfigOf(s)
 	}
 	p := &Problem{Stages: 1, Configs: configs, Initial: 0, K: 1, Model: m,
-		Kernel: KernelHypercube, Metrics: &metrics}
-	if got := resolveKernel(p, configs).kind; got != KernelDense {
+		kernel: kernelHypercube, Metrics: &metrics}
+	if got := resolveKernel(p, configs).kind; got != kernelDense {
 		t.Fatalf("22-bit span resolved to %v, want dense fallback", got)
 	}
-	if got := metrics.LatticeOverflows(); got != 1 {
+	if got := metrics.Snapshot().LatticeOverflows; got != 1 {
 		t.Fatalf("LatticeOverflows = %d, want 1", got)
 	}
 }
@@ -681,7 +681,7 @@ func TestPartitionedCacheWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := p.Metrics.MatrixBuilds()
+	builds := p.Metrics.Snapshot().MatrixBuilds
 	if builds == 0 {
 		t.Fatal("no table builds recorded")
 	}
@@ -689,10 +689,10 @@ func TestPartitionedCacheWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics.MatrixBuilds(); got != builds {
+	if got := p.Metrics.Snapshot().MatrixBuilds; got != builds {
 		t.Fatalf("re-solve rebuilt tables: %d -> %d builds", builds, got)
 	}
-	if p.Metrics.MatrixReuses() == 0 {
+	if p.Metrics.Snapshot().MatrixReuses == 0 {
 		t.Fatal("re-solve reused no tables")
 	}
 	if ps1.Cost != ps2.Cost {

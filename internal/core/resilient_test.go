@@ -85,7 +85,7 @@ func TestResilientFirstRungAnswers(t *testing.T) {
 	if !almostEqual(res.Solution.Cost, want.Cost) {
 		t.Fatalf("resilient %f != kaware %f", res.Solution.Cost, want.Cost)
 	}
-	if p.Metrics.Degradations() != 0 {
+	if p.Metrics.Snapshot().Degradations != 0 {
 		t.Error("clean solve recorded degradations")
 	}
 }
@@ -111,9 +111,9 @@ func TestResilientDegradesOnPanic(t *testing.T) {
 	if err := p.CheckSolution(res.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if p.Metrics.RecoveredPanics() == 0 || p.Metrics.Degradations() != 1 {
+	if p.Metrics.Snapshot().RecoveredPanics == 0 || p.Metrics.Snapshot().Degradations != 1 {
 		t.Errorf("metrics: panics=%d degradations=%d",
-			p.Metrics.RecoveredPanics(), p.Metrics.Degradations())
+			p.Metrics.Snapshot().RecoveredPanics, p.Metrics.Snapshot().Degradations)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestResilientBudgetFallsToLastKnownGood(t *testing.T) {
 	if err := p.CheckSolution(res.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if p.Metrics.Degradations() != 3 {
-		t.Errorf("degradations = %d, want 3", p.Metrics.Degradations())
+	if p.Metrics.Snapshot().Degradations != 3 {
+		t.Errorf("degradations = %d, want 3", p.Metrics.Snapshot().Degradations)
 	}
 }
 
@@ -333,7 +333,7 @@ func (s *kernelSink) Emit(rec obs.SpanRecord) {
 // one and returns bit-identical cost and designs, and a budgeted
 // partitioned solve still factors.
 func TestBudgetKeepsModelCapabilities(t *testing.T) {
-	const stages, groups, bitsPer = 12, 2, 4 // 2^8 lattice: hypercube under KernelAuto
+	const stages, groups, bitsPer = 12, 2, 4 // 2^8 lattice: hypercube under kernelAuto
 	m, configs := randomGroupedModel(rand.New(rand.NewSource(77)), stages, groups, bitsPer)
 	solve := func(budget int64, ladder ...Strategy) (*Solution, map[string]int) {
 		t.Helper()

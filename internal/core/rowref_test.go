@@ -39,12 +39,12 @@ func TestSolversShareModelRowsReadOnly(t *testing.T) {
 	}
 	model := &rowOwnerModel{additiveModel: am, configs: configs}
 	f := Config(0)
-	problem := func(kernel TransKernel, cache *SolveCache) *Problem {
+	problem := func(kernel transKernel, cache *SolveCache) *Problem {
 		return &Problem{Stages: stages, Configs: configs, Final: &f, K: 2,
-			Model: model, Kernel: kernel, Cache: cache, Metrics: &Metrics{}}
+			Model: model, kernel: kernel, Cache: cache, Metrics: &Metrics{}}
 	}
 
-	m, err := problem(KernelAuto, nil).buildMatrices(bg, configs, true)
+	m, err := problem(kernelAuto, nil).buildMatrices(bg, configs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSolversShareModelRowsReadOnly(t *testing.T) {
 	}
 
 	cache := NewSolveCache()
-	for _, kernel := range []TransKernel{KernelHypercube, KernelDense} {
+	for _, kernel := range []transKernel{kernelHypercube, kernelDense} {
 		for _, s := range everySolver() {
 			if _, err := s.run(bg, problem(kernel, cache)); err != nil {
 				t.Fatalf("%s: %v", s.name, err)

@@ -122,20 +122,20 @@ func TestSeqgraphDPSpanNamesWorkers(t *testing.T) {
 	for _, c := range []struct {
 		name        string
 		structs     int
-		kernel      TransKernel
+		kernel      transKernel
 		parallelism int
 		want        int64
 	}{
-		{"split", splitMinBits, KernelHypercube, 2, 2},
-		{"one worker", splitMinBits, KernelHypercube, 1, 1},
-		{"narrow lattice", splitMinBits - 1, KernelHypercube, 2, 1},
-		{"dense", 3, KernelDense, 2, 1},
+		{"split", splitMinBits, kernelHypercube, 2, 2},
+		{"one worker", splitMinBits, kernelHypercube, 1, 1},
+		{"narrow lattice", splitMinBits - 1, kernelHypercube, 2, 1},
+		{"dense", 3, kernelDense, 2, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sink := &spanAttrSink{name: SpanSeqgraphDP}
 			m, configs := randomAdditiveModel(rand.New(rand.NewSource(9)), 6, c.structs)
 			p := &Problem{Stages: 6, Configs: configs, K: Unconstrained, Model: m,
-				Kernel: c.kernel, Parallelism: c.parallelism, Tracer: obs.NewTracer(sink)}
+				kernel: c.kernel, Parallelism: c.parallelism, Tracer: obs.NewTracer(sink)}
 			if _, err := SolveUnconstrained(bg, p); err != nil {
 				t.Fatal(err)
 			}

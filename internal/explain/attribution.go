@@ -100,8 +100,8 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 		}
 		return impacts[a].Stage < impacts[b].Stage
 	})
-	if top := opts.topStages(); len(impacts) > top {
-		impacts = impacts[:top]
+	if len(impacts) > opts.TopStages {
+		impacts = impacts[:opts.TopStages]
 	}
 	t.TopStages = impacts
 	return t

@@ -23,7 +23,7 @@ func runAudit(ctx context.Context, p *core.Problem, sol *core.Solution, opts Opt
 	// the design an unbounded advisor would have shipped.
 	unc := *p
 	unc.K = core.Unconstrained
-	uncSol, err := core.Solve(ctx, &unc, opts.oracle())
+	uncSol, err := core.Solve(ctx, &unc, core.StrategyKAware)
 	if err != nil {
 		return nil, fmt.Errorf("explain: solving unconstrained training counterpart: %w", err)
 	}
@@ -47,12 +47,12 @@ func runAudit(ctx context.Context, p *core.Problem, sol *core.Solution, opts Opt
 			return nil, fmt.Errorf("explain: audit trial %d has %d stages, want %d",
 				trial, perturbed.Stages, p.Stages)
 		}
-		ct, err := replayTrial(ctx, perturbed, p.K, sol.Designs, seed, opts)
+		ct, err := replayTrial(ctx, perturbed, p.K, sol.Designs, seed)
 		if err != nil {
 			return nil, fmt.Errorf("explain: audit trial %d (constrained): %w", trial, err)
 		}
 		audit.Constrained.Trials = append(audit.Constrained.Trials, ct)
-		ut, err := replayTrial(ctx, perturbed, core.Unconstrained, uncSol.Designs, seed, opts)
+		ut, err := replayTrial(ctx, perturbed, core.Unconstrained, uncSol.Designs, seed)
 		if err != nil {
 			return nil, fmt.Errorf("explain: audit trial %d (unconstrained): %w", trial, err)
 		}
@@ -66,10 +66,10 @@ func runAudit(ctx context.Context, p *core.Problem, sol *core.Solution, opts Opt
 // replayTrial costs the fixed design sequence on the perturbed problem
 // and re-solves the perturbation at change bound k for the oracle
 // baseline.
-func replayTrial(ctx context.Context, perturbed *core.Problem, k int, designs []core.Config, seed int64, opts Options) (Trial, error) {
+func replayTrial(ctx context.Context, perturbed *core.Problem, k int, designs []core.Config, seed int64) (Trial, error) {
 	pp := *perturbed
 	pp.K = k
-	oracle, err := core.Solve(ctx, &pp, opts.oracle())
+	oracle, err := core.Solve(ctx, &pp, core.StrategyKAware)
 	if err != nil {
 		return Trial{}, err
 	}

@@ -49,7 +49,7 @@ type Options struct {
 	// change bounds (default 2, negative disables the sweep).
 	KSweepDelta int
 	// TopStages bounds the per-transition list of most-affected stages
-	// (default 3).
+	// (0 lists none).
 	TopStages int
 	// AuditTrials is the number of perturbed replays (default 0: no
 	// audit). The audit also requires Perturb.
@@ -57,25 +57,9 @@ type Options struct {
 	// AuditSeed derives the per-trial seeds (trial i uses AuditSeed+i).
 	AuditSeed int64
 	// Perturb builds each trial's perturbed problem; nil disables the
-	// audit.
+	// audit. The audit's regret baseline re-solves each perturbed
+	// problem with the exact k-aware solver.
 	Perturb PerturbFunc
-	// OracleStrategy re-solves perturbed problems for the regret
-	// baseline (default the exact k-aware solver).
-	OracleStrategy core.Strategy
-}
-
-func (o *Options) topStages() int {
-	if o.TopStages <= 0 {
-		return 3
-	}
-	return o.TopStages
-}
-
-func (o *Options) oracle() core.Strategy {
-	if o.OracleStrategy == "" {
-		return core.StrategyKAware
-	}
-	return o.OracleStrategy
 }
 
 // StageImpact is one stage's contribution to a design change: the

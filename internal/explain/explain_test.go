@@ -90,6 +90,7 @@ func buildFixture(t *testing.T, parallelism int) (*core.Problem, *core.Solution,
 		Strategy:       core.StrategyKAware,
 		StructureNames: []string{"I(a)", "I(b)", "I(noise)"},
 		KSweepDelta:    2,
+		TopStages:      3,
 		AuditTrials:    5,
 		AuditSeed:      100,
 		Perturb:        perturbPhase(p),

@@ -22,8 +22,8 @@
 // (partitioned included) are accepted, and the curve is computed on the
 // full lattice whichever is named. They also refuse opts.Fallback,
 // Timeout and MaxWhatIfCalls, which bound or replace single solves and
-// mean nothing for one run: ctx is its only bound. opts.K, Explain,
-// Calibrate and LastKnownGood are not read.
+// mean nothing for one run: ctx is its only bound. opts.K and
+// LastKnownGood are not read.
 package tuner
 
 import (
