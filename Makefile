@@ -102,7 +102,11 @@ chaos:
 # (exact_test.go), and the seed pass split between two workers must
 # give the one-worker schedule's lattices, parent rows and costs bit for
 # bit, every solver the same Cost bits and designs at Parallelism 1, 2
-# and 4 (lattice_split_test.go); batched plan-table costing must be bitwise
+# and 4 (lattice_split_test.go), and a problem slid from a solved one —
+# head stages dropped, tail stages appended, the initial or final
+# design, an EXEC row or a price changed — must get from the solve cache
+# that retains the solved one's seed pass the answer a fresh cache gives,
+# bit for bit (seed_test.go); batched plan-table costing must be bitwise
 # identical to the planner's price on every configuration, a cost
 # row filled by the row kernel — statement-major, or by configuration
 # classes where a segment repeats a table — bitwise identical to both
@@ -139,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzExactFitsK -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzLatticeSplit -fuzztime=20s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzIncrementalSeed -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanKey -fuzztime=20s ./internal/cost/

@@ -125,10 +125,15 @@ type Options struct {
 	Memo *ExecMemo
 
 	// Cache, when non-nil, supplies the solve cache (core.SolveCache)
-	// instead of the fresh per-problem default. Tables are keyed by the
-	// problem's own model, so nothing carries over from one Recommend
-	// to the next; what a retained window shares across solves is the
-	// Memo's rows.
+	// instead of the fresh per-problem default. Its cost tables are keyed
+	// by the problem's own model and serve only that problem's solves,
+	// but its retained seed pass carries from one Recommend to the next:
+	// from the cache's second solve on, a window that slid by a few
+	// segments over a retained Memo and Cache recomputes only the seed
+	// stages the slide changed, and answers what a cold solve answers,
+	// bit for bit. The cache retains one window, the last solved on it:
+	// solves of other windows on it (the explain audit's resamples) cost
+	// the next slide one full seed pass.
 	Cache *core.SolveCache
 
 	// Tracer, when non-nil, receives spans from the whole advisor

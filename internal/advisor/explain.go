@@ -10,17 +10,14 @@ import (
 )
 
 // ExplainOptions configures the decision-provenance layer attached to a
-// recommendation: the counterfactual k-sweep width, how many statements
-// to credit per design change, and the overfitting audit's size and
-// seed. The zero value asks for sensible defaults (sweep to k+2, top 3
-// statements, 5 audit trials from seed 1).
+// recommendation: the counterfactual k-sweep width and the overfitting
+// audit's size and seed. The zero value asks for sensible defaults
+// (sweep to k+2, 5 audit trials from seed 1). Every transition credits
+// its topStages most-helped stages.
 type ExplainOptions struct {
 	// KSweepDelta sweeps the cost-of-constraint curve to k + KSweepDelta
 	// (default 2; negative disables the sweep).
 	KSweepDelta int
-	// TopStatements bounds the per-transition list of most-helped
-	// statements (0 or less: the default 3).
-	TopStatements int
 	// AuditTrials is the number of perturbed trace replays in the
 	// overfitting audit (default 5; negative disables the audit).
 	AuditTrials int
@@ -31,9 +28,6 @@ type ExplainOptions struct {
 func (o ExplainOptions) withDefaults() ExplainOptions {
 	if o.KSweepDelta == 0 {
 		o.KSweepDelta = 2
-	}
-	if o.TopStatements <= 0 {
-		o.TopStatements = 3
 	}
 	if o.AuditTrials == 0 {
 		o.AuditTrials = 5
@@ -46,6 +40,9 @@ func (o ExplainOptions) withDefaults() ExplainOptions {
 
 // sqlExcerptLen bounds the statement excerpt shown per stage impact.
 const sqlExcerptLen = 48
+
+// topStages is how many most-helped stages each transition lists.
+const topStages = 3
 
 // Explain builds the decision provenance of a solved recommendation:
 // per-transition cost attribution, the counterfactual k-sweep, and the
@@ -76,7 +73,7 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 			return seg.Start, sql
 		},
 		KSweepDelta: opts.KSweepDelta,
-		TopStages:   opts.TopStatements,
+		TopStages:   topStages,
 	}
 	if opts.AuditTrials > 0 {
 		eopts.AuditTrials = opts.AuditTrials

@@ -195,6 +195,10 @@ func (r *Recommendation) Render(w io.Writer) {
 		fmt.Fprintf(w, "  note: %d dense-fallback table build(s) above the 20-bit lattice ceiling (see core.ErrLatticeTooLarge)\n",
 			r.LatticeOverflows)
 	}
+	if r.SeedStagesReused > 0 || r.SeedFullPasses > 0 {
+		fmt.Fprintf(w, "  seed pass: %d stages reused from the retained window, %d full passes over it\n",
+			r.SeedStagesReused, r.SeedFullPasses)
+	}
 	fmt.Fprintf(w, "  what-if calls: %d   cache hit rate: %.1f%%   matrix build: %.1f ms (%d builds, %d cached reads)\n",
 		r.Stats.WhatIfCalls, 100*r.Stats.HitRate(),
 		float64(r.MatrixBuildTime.Microseconds())/1000, r.MatrixBuilds, r.MatrixReuses)

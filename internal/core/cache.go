@@ -7,29 +7,46 @@ import (
 	"sync"
 )
 
-// SolveCache memoizes the dense cost tables across the solves of one
-// problem, which share its cost model: merging's unconstrained seed
-// plus a ladder's exact rung, a SweepK after the Solve whose layers it
-// exposes, and the explain audit's oracle-solve-then-replay of each
-// perturbed problem. Problems do not cache by default — attach one
-// explicitly (the advisor does) and share it by copying the Problem,
-// the same way Metrics is shared.
+// SolveCache carries solver state from one solve to the next. It holds
+// two things:
 //
-// The cache retains the few most recent table sets (maxCacheEntries,
-// MRU-evicted), each keyed by the model identity, stage count,
-// endpoints, and candidate list. A model is immutable once its problem
-// is assembled, so the same model means the same tables; a different
-// model, even one that would compute the same values, builds its own.
-// Multiple live entries are what lets a partitioned solve keep one
-// table set per component sub-lattice. Tables containing non-finite
-// cells (a FallibleModel reporting a fault as +Inf) are returned to the
-// requesting solve but never retained, so a healthy retry after a fault
-// cannot observe poisoned cells. All methods are safe for concurrent
-// use; concurrent builds of the same family serialize on the cache so
-// the model is evaluated once.
+//   - The dense cost tables of the last few problems: merging's
+//     unconstrained seed plus a ladder's exact rung, a SweepK after the
+//     Solve whose layers it exposes, and the explain audit's
+//     oracle-solve-then-replay of each perturbed problem share one
+//     problem's tables. An entry is keyed by the model identity, stage
+//     count, endpoints and candidate list, so it serves only the solves
+//     of one problem: a model is immutable once its problem is
+//     assembled, and a different model, even one that would compute the
+//     same values, builds its own.
+//   - The last hypercube seed pass (seedState), from the cache's second
+//     pass on: each stage's parent row and some of its cost rows, with
+//     the EXEC rows and prices that produced them. This part does carry
+//     across problems. A problem whose window is the
+//     retained one minus some head stages plus some tail stages, over
+//     the same candidate list and prices, recomputes its seed pass only
+//     until a stage's row bit-matches the retained row there, and
+//     reuses the retained rows after it (DESIGN.md §12). One window is
+//     retained — every parent row and one cost row in costEvery, about
+//     stages × configurations × 6 bytes — and every kept seed pass
+//     replaces it, so solves of unrelated windows on one cache (the
+//     explain audit's resamples, a partitioned solve's components) cost
+//     the next slide one full pass.
+//
+// Problems do not cache by default — attach one explicitly (the advisor
+// does) and share it by copying the Problem, the same way Metrics is
+// shared. Multiple live table entries are what lets a partitioned solve
+// keep one table set per component sub-lattice. Tables containing
+// non-finite cells (a FallibleModel reporting a fault as +Inf) are
+// returned to the requesting solve but never retained, so a healthy
+// retry after a fault cannot observe poisoned cells. All methods are
+// safe for concurrent use; concurrent builds of the same family
+// serialize on the cache so the model is evaluated once.
 type SolveCache struct {
 	mu      sync.Mutex
 	entries []*cacheEntry // most recently used first
+	seed    *seedState    // the last kept seed pass
+	seeded  bool          // a hypercube seed pass has run on the cache
 }
 
 // maxCacheEntries bounds the retained table sets: enough for a full
@@ -133,6 +150,37 @@ func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, n
 		}
 	}
 	return m, nil
+}
+
+// retained returns the last kept seed pass, nil on a nil cache or
+// before the first.
+func (c *SolveCache) retained() *seedState {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seed
+}
+
+// reseeding records a hypercube seed pass on the cache and reports
+// whether one ran on it before: only a cache's second and later passes
+// keep their rows, so a cache that serves one pass — a per-problem
+// default behind a single solve, a cold solve on a fresh cache — retains
+// nothing.
+func (c *SolveCache) reseeding() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	again := c.seeded
+	c.seeded = true
+	return again
+}
+
+// retain keeps a finished seed pass for the next one to read.
+func (c *SolveCache) retain(st *seedState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seed = st
 }
 
 // touch moves entry i to the front of the MRU order.

@@ -172,7 +172,7 @@ func (p *Problem) runLayeredDP(ctx context.Context, m *matrices, kern transRelax
 		done[w].Store(int64(i))
 		return true
 	}
-	err := crew.run(ctx, p.Stages, n, func(w, i int) bool {
+	err := crew.run(ctx, 1, p.Stages, n, func(w, i int) bool {
 		if w > 0 {
 			return step(w, i)
 		}

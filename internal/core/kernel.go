@@ -598,75 +598,256 @@ func add2(src, dst lattice, lo, hi, bit int, p0, p1 float64) {
 // hand-offs to pay (BenchmarkSeedPass).
 const splitMinBits = 8
 
-// forward is the hypercube kernel's stage loop (seedRun). It splits the
-// lattice between two workers when the lattice is at least splitMinBits
-// wide and the problem's parallelism and the runtime give it two
-// processors.
+// forward is the hypercube kernel's stage loop (seedRun), run without
+// retention: the pass keeps two cost rows, not one per stage.
 func (k *hyperKernel) forward(ctx context.Context, m *matrices, parents [][]int32, workers int) ([]float64, int, error) {
-	used := 1
-	if k.nbits >= splitMinBits && len(m.exec) > 1 {
-		used = crewSize(workers, 2)
-	}
+	used := k.crew(len(m.exec), workers)
 	cost, err := k.runForward(ctx, m, parents, used == 2)
 	return cost, used, err
 }
 
+// crew is how many workers a seed pass over stages gets: two when the
+// lattice is at least splitMinBits wide and the problem's parallelism
+// and the runtime give it two processors, one otherwise.
+func (k *hyperKernel) crew(stages, workers int) int {
+	if k.nbits >= splitMinBits && stages > 1 {
+		return crewSize(workers, 2)
+	}
+	return 1
+}
+
+// retainable reports whether a seed pass over this lattice may keep its
+// rows on the problem's SolveCache: when at least half the lattice holds
+// candidates. The retained cost rows are in lattice order, so a sparse
+// lattice (a few candidates over many structures) would retain mostly
+// unreached cells.
+func (k *hyperKernel) retainable() bool { return k.size <= 2*len(k.configs) }
+
 // seedRun is one forward pass of the hypercube kernel. Its DP costs stay
 // in lattice order — a cell per lattice point, +Inf off the candidate
 // list — so a stage seeds its lattice with two copies; parent rows stay
-// in candidate order, the shape every backtrack reads.
+// in candidate order, the shape every backtrack reads. Each stage's
+// costs are less the previous stage's minimum (readBack), so two windows
+// that share their recent stages soon hold bit-equal rows; a pass over a
+// window that slid past a retained one (old) stops recomputing at the
+// first stage whose row bit-matches the retained row there, and takes
+// the retained rows from the next stage on (DESIGN.md §12).
 type seedRun struct {
 	stageCrew
-	k       *hyperKernel
-	exec    [][]float64
+	k    *hyperKernel
+	exec [][]float64
+	// cost[i] is stage i's costs and parents[i] its parent row. A kept
+	// pass gives every stage its own parent row and every retained stage
+	// (retainsCost) its own cost row, allocated a chunk of stages
+	// at a time by worker 0 (ensure); the other stages' costs alternate
+	// between two scratch rows. A pass that is not kept uses the scratch
+	// rows for every stage and the caller's parent rows.
+	cost    [][]float64
 	parents [][]int32
-	cost    [2][]float64 // stage i reads cost[(i-1)&1] and writes cost[i&1]
-	lat     [2]lattice   // stage i sweeps lat[i&1]; one worker uses lat[0] only
+	scratch [2][]float64
+	keep    bool
+	base    int        // the kept state's base (seedState.base)
+	chunk   int        // stages the last allocation covered
+	lat     [2]lattice // stage i sweeps lat[i&1]; one worker uses lat[0] only
+	// half[i&1][w] is the minimum of the costs worker w wrote at stage i
+	// (one worker: slot 1 stays +Inf). The two workers learn each other's
+	// through the hand-offs below.
+	half [2][2]float64
+	// old is the retained pass whose stage i+h is this pass's stage i;
+	// for every stage i < until, same[i&1][w] says whether worker w's
+	// half of stage i bit-matched old's row (one worker: slot 1 stays
+	// true). converged is the first stage that matched whole, -1 before.
+	old       *seedState
+	h, until  int
+	same      [2][2]bool
+	converged int
 	// The split's hand-offs: the last stage whose upper half worker 1 has
 	// stripped, and whose lower half worker 0 has added.
 	stripped, added atomic.Int64
 }
 
-// runForward runs the stage loop on one worker or, with split, on two;
-// the two schedules give the same bits (split). It returns the last
-// stage's costs in candidate order.
+// runForward runs the stage loop without retention on one worker or,
+// with split, on two; the two schedules give the same bits (split). It
+// returns the last stage's costs in candidate order.
 func (k *hyperKernel) runForward(ctx context.Context, m *matrices, parents [][]int32, split bool) ([]float64, error) {
-	r := &seedRun{k: k, exec: m.exec, parents: parents}
-	inf := math.Inf(1)
-	for b := range r.cost {
-		c := make([]float64, k.size)
-		for x := range c {
-			c[x] = inf
-		}
-		r.cost[b] = c
+	r, err := k.pass(ctx, m, parents, nil, split)
+	if err != nil {
+		return nil, err
 	}
+	return k.gather(r.cost[len(r.cost)-1]), nil
+}
+
+// slide runs the stage loop keeping its rows, and returns them as the
+// state to retain with the number of stages it took from old, the
+// retained state of an earlier pass: when the problem lines up with old
+// (seedState.align), the loop recomputes stages only until one
+// bit-matches old's row for it, takes old's rows for the rest of the
+// overlap, and runs the stages after it. The answer is a cold pass's,
+// bit for bit.
+func (k *hyperKernel) slide(ctx context.Context, m *matrices, old *seedState, split bool) (*seedState, int, error) {
+	r, err := k.pass(ctx, m, nil, old, split)
+	if err != nil {
+		return nil, 0, err
+	}
+	reused := 0
+	if r.converged >= 0 {
+		reused = r.until - r.converged
+	}
+	for i := range r.cost {
+		if !retainsCost(r.base, i, len(r.cost)) {
+			r.cost[i] = nil
+		}
+	}
+	st := &seedState{configs: k.configs, addL: k.addL, drpL: k.drpL,
+		exec: m.exec, cost: r.cost, parents: r.parents, base: r.base}
+	return st, reused, nil
+}
+
+// pass is the stage loop runForward and slide share; parents is nil
+// exactly when the pass keeps its rows, and old is nil when it does not.
+func (k *hyperKernel) pass(ctx context.Context, m *matrices, parents [][]int32, old *seedState, split bool) (*seedRun, error) {
+	stages := len(m.exec)
+	r := &seedRun{k: k, exec: m.exec, cost: make([][]float64, stages), parents: parents,
+		keep: parents == nil, converged: -1}
+	for b := range r.scratch {
+		r.scratch[b] = k.unreached()
+	}
+	h, until, aligned := old.align(k, m.exec)
+	if r.keep {
+		if aligned {
+			r.base = old.base + h
+		}
+		r.parents = make([][]int32, stages)
+		r.ensure(0)
+	} else {
+		for i := range r.cost {
+			r.cost[i] = r.scratch[i&1]
+		}
+	}
+	first := r.cost[0]
 	for ci, li := range k.latIdx {
-		r.cost[0][li] = m.initTrans[ci] + m.exec[0][ci]
+		first[li] = m.initTrans[ci] + m.exec[0][ci]
 	}
 	r.lat[0] = newLattice(k.size)
-	stages := len(m.exec)
 	step, workers := r.whole, 1
 	if split {
 		r.lat[1] = newLattice(k.size)
 		step, workers = r.split, 2
+	} else {
+		inf := math.Inf(1)
+		r.half[0][1], r.half[1][1] = inf, inf
+		r.same[0][1], r.same[1][1] = true, true
 	}
-	if err := r.run(ctx, stages, workers, step); err != nil {
-		return nil, err
+	if aligned {
+		r.old, r.h, r.until = old, h, until
+		if row := old.cost[h]; row != nil && bitsEqual(first, row) {
+			r.converged = 0
+		}
 	}
-	last := r.cost[(stages-1)&1]
+	if r.converged < 0 {
+		if err := r.loop(ctx, 1, stages, workers, step); err != nil {
+			return nil, err
+		}
+	}
+	if c := r.converged; c >= 0 {
+		// Every stage after c reads only bit-equal rows and equal EXEC
+		// rows and prices: it is old's, which the headers share.
+		end := r.until + 1
+		copy(r.cost[c+1:end], old.cost[c+1+h:end+h])
+		copy(r.parents[c+1:end], old.parents[c+1+h:end+h])
+		if err := r.loop(ctx, end, stages, workers, step); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// loop runs stages [from, to), starting from stage from-1's costs.
+func (r *seedRun) loop(ctx context.Context, from, to, workers int, step func(w, i int) bool) error {
+	if from >= to {
+		return nil
+	}
+	r.half[(from-1)&1] = [2]float64{rowMin(r.cost[from-1]), math.Inf(1)}
+	return r.run(ctx, from, to, workers, step)
+}
+
+// unreached is a lattice-sized cost row with every cell at +Inf.
+func (k *hyperKernel) unreached() []float64 {
+	row := make([]float64, k.size)
+	inf := math.Inf(1)
+	for x := range row {
+		row[x] = inf
+	}
+	return row
+}
+
+// gather reads a lattice-ordered cost row in candidate order.
+func (k *hyperKernel) gather(row []float64) []float64 {
 	out := make([]float64, len(k.latIdx))
 	for ci, li := range k.latIdx {
-		out[ci] = last[li]
+		out[ci] = row[li]
 	}
-	return out, nil
+	return out
+}
+
+// ensure gives a kept pass's stage i its rows: on the first stage
+// without them, one allocation covers the next chunk of stages, twice
+// the last chunk (at least four), so a cold pass makes a handful of
+// allocations and a slide that converges early only small ones. Only
+// worker 0 calls it, before its hand-offs of stage i publish the rows.
+func (r *seedRun) ensure(i int) {
+	if !r.keep || r.cost[i] != nil {
+		return
+	}
+	k := r.k
+	n := min(max(4, 2*r.chunk), len(r.cost)-i)
+	r.chunk = n
+	rows := 0
+	for j := i; j < i+n; j++ {
+		if retainsCost(r.base, j, len(r.cost)) {
+			rows++
+		}
+	}
+	costs := make([]float64, rows*k.size)
+	if len(k.configs) < k.size {
+		inf := math.Inf(1)
+		for x := range costs {
+			costs[x] = inf
+		}
+	}
+	nc := len(k.configs)
+	pars := make([]int32, n*nc)
+	for j := 0; j < n && r.cost[i+j] == nil; j++ {
+		if retainsCost(r.base, i+j, len(r.cost)) {
+			r.cost[i+j], costs = costs[:k.size:k.size], costs[k.size:]
+		} else {
+			r.cost[i+j] = r.scratch[(i+j)&1]
+		}
+		r.parents[i+j] = pars[j*nc : (j+1)*nc : (j+1)*nc]
+	}
+}
+
+// converges reports whether stage i's row bit-matched old's whole, and
+// if so records i as the stage the loop stops after. Worker 0 asks at
+// stage i+1, once both halves of stage i are in.
+func (r *seedRun) converges(i int) bool {
+	if i < r.until && r.same[i&1][0] && r.same[i&1][1] {
+		r.converged = i
+		return true
+	}
+	return false
 }
 
 // whole is stage i on one worker: the one-worker sweep of the lattice.
 func (r *seedRun) whole(_, i int) bool {
+	if r.converges(i - 1) {
+		return false
+	}
+	r.ensure(i)
 	k, l := r.k, r.lat[0]
 	r.seed(l, i, 0, k.size)
 	k.sweep(l, k.drpL, k.addL)
-	r.readBack(l, i, 0, k.size)
+	r.readBack(l, i, 0, 0, k.size)
 	return true
 }
 
@@ -682,19 +863,26 @@ func (r *seedRun) whole(_, i int) bool {
 // may still read. No copy is made at a hand-off, and every cell sees the
 // one-worker sweep's operations on the same operands in the same order:
 // values, origins, costs and parents are the same bits.
+//
+// The same two hand-offs carry what each worker wrote at stage i-1 — its
+// half's minimum and whether its half matched old's row — since a worker
+// publishes stage i only after finishing stage i-1. Worker 0 stops the
+// loop at stage i when stage i-1 matched whole, before it publishes
+// added, so worker 1 never reads back a stage that is not run.
 func (r *seedRun) split(w, i int) bool {
 	k := r.k
 	cur, alt := r.lat[i&1], r.lat[(i+1)&1]
 	if w == 0 {
+		r.ensure(i)
 		r.seed(cur, i, 0, k.half)
 		k.stripLow(cur, 0, k.half, k.drpL)
-		if !r.await(&r.stripped, i) {
+		if !r.await(&r.stripped, i) || r.converges(i-1) {
 			return false
 		}
 		k.stripTop(cur, k.drpL[k.top])
 		k.addLow(cur, cur, 0, k.half, k.addL)
 		r.added.Store(int64(i))
-		r.readBack(cur, i, 0, k.half)
+		r.readBack(cur, i, 0, 0, k.half)
 		return true
 	}
 	r.seed(cur, i, k.half, k.size)
@@ -705,29 +893,39 @@ func (r *seedRun) split(w, i int) bool {
 		return false
 	}
 	k.addTop(cur, alt, k.addL[k.top])
-	r.readBack(alt, i, k.half, k.size)
+	r.readBack(alt, i, 1, k.half, k.size)
 	return true
 }
 
 // seed starts stage i's lattice l on the cells [lo, hi): the previous
 // stage's costs as values, the candidates' own indices as origins.
 func (r *seedRun) seed(l lattice, i, lo, hi int) {
-	copy(l.val[lo:hi], r.cost[(i-1)&1][lo:hi])
+	copy(l.val[lo:hi], r.cost[i-1][lo:hi])
 	copy(l.org[lo:hi], r.k.candAt[lo:hi])
 }
 
-// readBack finishes stage i for the candidates in [lo, hi), whose final
-// lattice cells are in l: t stays at its previous cost, or moves in from
-// its cell's origin at the cell's value plus changeEpsilon when that is
-// strictly cheaper. The stage's EXEC is added and the choice recorded as
-// t's parent.
-func (r *seedRun) readBack(l lattice, i, lo, hi int) {
+// readBack finishes stage i for worker w's candidates in [lo, hi), whose
+// final lattice cells are in l: t stays at its previous cost, or moves in
+// from its cell's origin at the cell's value plus changeEpsilon when that
+// is strictly cheaper. The previous stage's minimum is subtracted and the
+// stage's EXEC added, and the choice is recorded as t's parent. The
+// minimum of what it wrote, and whether it bit-matches old's row, go to
+// worker w's slots of stage i.
+func (r *seedRun) readBack(l lattice, i, w, lo, hi int) {
 	k := r.k
 	if k.observe != nil {
 		k.observe(i, lo, lattice{val: l.val[lo:hi], org: l.org[lo:hi]})
 	}
-	prev, next := r.cost[(i-1)&1], r.cost[i&1]
+	mu := r.half[(i-1)&1][0]
+	if v := r.half[(i-1)&1][1]; v < mu {
+		mu = v
+	}
+	if math.IsInf(mu, 0) {
+		mu = 0 // no candidate is reachable, or the costs are unbounded
+	}
+	prev, next := r.cost[i-1], r.cost[i]
 	exec, par := r.exec[i], r.parents[i]
+	lowest := math.Inf(1)
 	for x := lo; x < hi; x++ {
 		t := k.candAt[x]
 		if t < 0 {
@@ -744,8 +942,17 @@ func (r *seedRun) readBack(l lattice, i, lo, hi int) {
 		} else if mv := l.val[x] + changeEpsilon; mv < stay {
 			out, from = mv, o
 		}
-		next[x] = out + exec[t]
+		v := (out - mu) + exec[t]
+		if v < lowest {
+			lowest = v
+		}
+		next[x] = v
 		par[t] = from
+	}
+	r.half[i&1][w] = lowest
+	if i < r.until {
+		row := r.old.cost[i+r.h]
+		r.same[i&1][w] = row != nil && bitsEqual(next[lo:hi], row[lo:hi])
 	}
 }
 

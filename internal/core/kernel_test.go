@@ -467,10 +467,13 @@ func BenchmarkKAwareKernels(b *testing.B) {
 // unconstrained stage loop over tables already built — for 360 stages
 // over full lattices of 6 to 10 structures, on one worker and split
 // between two. The split is forced at every width, so the cells show
-// where it starts to pay: splitMinBits.
+// where it starts to pay: splitMinBits. The slide cells time the pass
+// over a window slid by one stage past a retained pass, at 10
+// structures, beside the cold cells of the same width.
 func BenchmarkSeedPass(b *testing.B) {
 	for _, structs := range []int{6, 7, 8, 10} {
-		m, k, parents := forwardInputs(b, splitCase{stages: 360, structs: structs}, 42)
+		c := splitCase{stages: 360, structs: structs}
+		m, k, parents := forwardInputs(b, c, 42)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("structs=%d/workers=%d", structs, workers), func(b *testing.B) {
 				b.ReportAllocs()
@@ -478,6 +481,34 @@ func BenchmarkSeedPass(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := k.runForward(bg, m, parents, workers == 2); err != nil {
 						b.Fatal(err)
+					}
+				}
+			})
+		}
+		if structs != 10 {
+			continue
+		}
+		old, _, err := k.slide(bg, m, nil, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slid := slideEdit{head: 1, tail: 1}.apply(rand.New(rand.NewSource(42)), c.problem(42, 2), c.shape)
+		sm, skern, err := slid.solveInputs(bg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sk := skern.(*hyperKernel)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("structs=%d/workers=%d/slide", structs, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, reused, err := sk.slide(bg, sm, old, workers == 2)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if reused == 0 {
+						b.Fatal("the slide reused no stage")
 					}
 				}
 			})

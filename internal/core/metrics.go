@@ -18,6 +18,8 @@ type Metrics struct {
 	cancellations    atomic.Int64
 	recoveredPanics  atomic.Int64
 	latticeOverflows atomic.Int64
+	seedStagesReused atomic.Int64
+	seedFullPasses   atomic.Int64
 }
 
 // Ledger is a point-in-time copy of a Metrics value.
@@ -43,6 +45,15 @@ type Ledger struct {
 	// dense all-pairs kernel instead: the "why did this solve get slow"
 	// diagnostic SolvePartitioned exists to fix (see ErrLatticeTooLarge).
 	LatticeOverflows int64
+	// SeedStagesReused counts the seed-pass stages taken from the pass
+	// retained on the problem's SolveCache instead of recomputed: a
+	// one-segment slide recomputes a few head stages and the new one and
+	// reuses the rest. SeedFullPasses counts the seed passes that reused
+	// nothing although a retained pass existed — a different candidate
+	// list, prices or EXEC rows (a world change), no bit-match before the
+	// overlap ended, or a cancelled pass.
+	SeedStagesReused int64
+	SeedFullPasses   int64
 }
 
 // Snapshot copies the counters; a nil receiver reads as all zeros.
@@ -58,6 +69,8 @@ func (m *Metrics) Snapshot() Ledger {
 		Cancellations:    m.cancellations.Load(),
 		RecoveredPanics:  m.recoveredPanics.Load(),
 		LatticeOverflows: m.latticeOverflows.Load(),
+		SeedStagesReused: m.seedStagesReused.Load(),
+		SeedFullPasses:   m.seedFullPasses.Load(),
 	}
 }
 
@@ -116,4 +129,17 @@ func (m *Metrics) noteLatticeOverflow() {
 		return
 	}
 	m.latticeOverflows.Add(1)
+}
+
+// noteSeedPass records one seed pass taken while a retained pass
+// existed: the stages it reused, or a full pass when it reused none.
+func (m *Metrics) noteSeedPass(reused int) {
+	if m == nil {
+		return
+	}
+	if reused > 0 {
+		m.seedStagesReused.Add(int64(reused))
+	} else {
+		m.seedFullPasses.Add(1)
+	}
 }

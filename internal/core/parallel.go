@@ -137,14 +137,16 @@ func crewSize(parallelism, units int) int {
 	return max(1, min(Workers(parallelism), units, runtime.GOMAXPROCS(0)))
 }
 
-// run calls step(w, i) for every stage i in [1, stages) on every worker
+// run calls step(w, i) for every stage i in [from, to) on every worker
 // w in [0, n), each worker in stage order. The context is checked before
 // each of worker 0's stages. A cancellation, a step returning false or a
 // panic stops every worker at its next await or stage, and run returns
 // once every helper has exited: the cancellation cause, or a helper's
 // panic as a *PanicError (the ParallelFor contract); a panic on worker 0
-// propagates. With n = 1 it is a plain loop.
-func (c *stageCrew) run(ctx context.Context, stages, n int, step func(w, i int) bool) (err error) {
+// propagates. With n = 1 it is a plain loop. A crew may run several
+// loops one after another, each over later stages than the last.
+func (c *stageCrew) run(ctx context.Context, from, to, n int, step func(w, i int) bool) (err error) {
+	c.stop.Store(false)
 	var helpers sync.WaitGroup
 	for w := 1; w < n; w++ {
 		helpers.Add(1)
@@ -156,7 +158,7 @@ func (c *stageCrew) run(ctx context.Context, stages, n int, step func(w, i int) 
 					c.stop.Store(true)
 				}
 			}()
-			for i := 1; i < stages && !c.stop.Load(); i++ {
+			for i := from; i < to && !c.stop.Load(); i++ {
 				if !step(w, i) {
 					return
 				}
@@ -175,12 +177,12 @@ func (c *stageCrew) run(ctx context.Context, stages, n int, step func(w, i int) 
 			err = pe
 		}
 	}()
-	for i := 1; i < stages; i++ {
+	for i := from; i < to; i++ {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
 		if !step(0, i) {
-			return nil // a helper panicked: the deferred join returns it
+			return nil // a helper panicked (the deferred join returns it), or the step ended the loop
 		}
 	}
 	completed = true

@@ -228,19 +228,41 @@ func (p *Problem) unconstrainedOn(ctx context.Context, m *matrices, kern transRe
 	configs := m.configs
 	nc := len(configs)
 	dp := p.Tracer.Start(SpanSeqgraphDP)
-
-	// One backing array serves every stage's parent row; reslicing it
-	// replaces the per-stage allocations the DP used to make.
-	parents := make([][]int32, p.Stages)
-	if p.Stages > 1 {
-		backing := make([]int32, (p.Stages-1)*nc)
-		for i := 1; i < p.Stages; i++ {
-			parents[i] = backing[(i-1)*nc : i*nc : i*nc]
+	var (
+		parents [][]int32
+		cost    []float64
+		workers int
+		reused  int
+		err     error
+	)
+	if hk, ok := kern.(*hyperKernel); ok && p.Cache != nil && hk.retainable() && p.Cache.reseeding() {
+		// The pass keeps its rows on the cache, and reads the rows the
+		// last kept pass left there.
+		old := p.Cache.retained()
+		workers = hk.crew(p.Stages, p.workers())
+		var st *seedState
+		if st, reused, err = hk.slide(ctx, m, old, workers == 2); err == nil {
+			p.Cache.retain(st)
+			parents, cost = st.parents, hk.gather(st.cost[p.Stages-1])
 		}
+		if old != nil {
+			p.Metrics.noteSeedPass(reused)
+		}
+	} else {
+		// One backing array serves every stage's parent row: one
+		// allocation, not one per stage.
+		parents = make([][]int32, p.Stages)
+		if p.Stages > 1 {
+			backing := make([]int32, (p.Stages-1)*nc)
+			for i := 1; i < p.Stages; i++ {
+				parents[i] = backing[(i-1)*nc : i*nc : i*nc]
+			}
+		}
+		cost, workers, err = kern.forward(ctx, m, parents, p.workers())
 	}
-	cost, workers, err := kern.forward(ctx, m, parents, p.workers())
 	dp.End(obs.Int("stages", int64(p.Stages)), obs.Int("configs", int64(nc)),
-		obs.String("kernel", kern.name()), obs.Int("workers", int64(workers)), obs.Bool("ok", err == nil))
+		obs.String("kernel", kern.name()), obs.Int("workers", int64(workers)),
+		obs.Int("reused", int64(reused)), obs.Int("recomputed", int64(p.Stages-reused)), obs.Bool("ok", err == nil))
 	if err != nil {
 		return nil, err
 	}
