@@ -106,7 +106,10 @@ chaos:
 # head stages dropped, tail stages appended, the initial or final
 # design, an EXEC row or a price changed — must get from the solve cache
 # that retains the solved one's seed pass the answer a fresh cache gives,
-# bit for bit (seed_test.go); batched plan-table costing must be bitwise
+# bit for bit (seed_test.go); every segment hash the EXEC row store
+# reuses from its last window, under random edit scripts of the window,
+# must equal a fresh one (internal/advisor/hash_test.go); batched
+# plan-table costing must be bitwise
 # identical to the planner's price on every configuration, a cost
 # row filled by the row kernel — statement-major, or by configuration
 # classes where a segment repeats a table — bitwise identical to both
@@ -144,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactFitsK -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzLatticeSplit -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzIncrementalSeed -fuzztime=20s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentHashReuse -fuzztime=20s ./internal/advisor/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanKey -fuzztime=20s ./internal/cost/

@@ -297,6 +297,9 @@ type whatIfModel struct {
 	// solves); layout is the candidate list the rows are dense over.
 	rows   []*execRow
 	layout *rowLayout
+	// pinned is the candidate list attach pinned the rows to, the list
+	// core passes BatchExec for a whole row.
+	pinned []core.Config
 	// plans is the problem's intern set: every row this problem compiles
 	// resolves its statements through it, so statements that compile
 	// alike share one table. It lives as long as the problem.
@@ -312,6 +315,9 @@ type whatIfModel struct {
 	// evaluated through BatchExec.
 	planBuilds     atomic.Int64
 	batchedLookups atomic.Int64
+	// segmentsHashed is how many segments attach hashed; the others took
+	// the hash of an equal segment of the store's last window.
+	segmentsHashed int64
 	// errMu guards execErr, the first costing failure since the last
 	// TakeErr drain (the core.FallibleModel contract).
 	errMu   sync.Mutex
@@ -348,9 +354,10 @@ func (h *fnv64) str(s string) {
 var segmentSeed = maphash.MakeSeed()
 
 // segmentHash fingerprints a segment's statement content — the part of
-// EXEC(stage, ·) that depends on the workload. It runs over the whole
-// window on every Problem, so each statement's text goes through
-// maphash (word-at-a-time) and only the 64-bit results are folded.
+// EXEC(stage, ·) that depends on the workload. Each statement's text goes
+// through maphash (word-at-a-time) and only the 64-bit results are
+// folded; ExecMemo.hashes runs it only on segments the last window did
+// not hold.
 func segmentHash(seg workload.Segment) uint64 {
 	h := newFnv()
 	h.u64(uint64(len(seg.Statements)))
@@ -484,7 +491,7 @@ func (m *whatIfModel) Exec(stage int, c core.Config) float64 {
 func (m *whatIfModel) BatchExec(stage int, configs []core.Config, _ []float64) []float64 {
 	n := len(configs)
 	m.batchedLookups.Add(int64(n))
-	whole := slices.Equal(configs, m.layout.configs)
+	whole := m.whole(configs)
 	r := m.rows[stage]
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -514,6 +521,16 @@ func (m *whatIfModel) BatchExec(stage int, configs []core.Config, _ []float64) [
 	return out
 }
 
+// whole reports whether configs is the candidate list the store's rows
+// are dense over: by header when it is the list attach pinned, which is
+// the one core asks full rows for, and by value otherwise.
+func (m *whatIfModel) whole(configs []core.Config) bool {
+	if len(configs) == len(m.pinned) && (len(configs) == 0 || &configs[0] == &m.pinned[0]) {
+		return true
+	}
+	return slices.Equal(configs, m.layout.configs)
+}
+
 // recordErr keeps the first costing failure for TakeErr.
 func (m *whatIfModel) recordErr(err error) {
 	m.errMu.Lock()
@@ -541,6 +558,7 @@ func (m *whatIfModel) costStats() CostStats {
 		PlanTableBuilds: m.planBuilds.Load(),
 		PlanTableBytes:  m.plans.Bytes(),
 		BatchedLookups:  m.batchedLookups.Load(),
+		SegmentsHashed:  m.segmentsHashed,
 	}
 }
 
@@ -625,12 +643,12 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 // model's cost world and candidate list — rows computed under refreshed
 // statistics, different physical descriptions, or another list are
 // purged instead of replayed — and each stage resolves its row by
-// segment content. It also gives the model its own, empty intern set.
+// segment content, hashing only the segments the store's last window did
+// not hold. It also gives the model its own, empty intern set.
 func (m *whatIfModel) attach(configs []core.Config) {
-	segHash := make([]uint64, len(m.segs))
-	for i, seg := range m.segs {
-		segHash[i] = segmentHash(seg)
-	}
+	segHash, hashed := m.memo.hashes(m.segs)
+	m.segmentsHashed = int64(hashed)
+	m.pinned = configs
 	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segHash)
 	m.plans = cost.NewPlanSet(m.table, m.phys)
 }

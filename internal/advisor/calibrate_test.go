@@ -5,16 +5,16 @@ import (
 	"testing"
 
 	"dyndesign/internal/calib"
+	"dyndesign/internal/core"
 )
 
-// TestSolveHotPathZeroAllocWithCalibrationDisabled pins the acceptance
-// guarantee that a solve without Advisor.Calibrate adds nothing to the
-// solve hot path: a memoized EXEC evaluation — the operation the
-// solvers issue millions of times — performs zero heap allocations,
-// matching the disabled-tracer guarantee. Calibration runs strictly
-// after the solve, so the only way it could tax this path is by
-// touching the model; this test proves it does not.
-func TestSolveHotPathZeroAllocWithCalibrationDisabled(t *testing.T) {
+// TestMemoizedExecAllocatesNothing pins the solvers' hot path over a
+// warm row store: a memoized EXEC evaluation — the operation the solvers
+// issue millions of times — performs zero heap allocations, and so does
+// a BatchExec served from the stage's stored row. Calibration runs
+// strictly after the solve and never touches the model, so it cannot
+// tax this path either.
+func TestMemoizedExecAllocatesNothing(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t).Slice(0, 40)
 	opts := paperOpts(2)
@@ -35,7 +35,12 @@ func TestSolveHotPathZeroAllocWithCalibrationDisabled(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("memoized EXEC with calibration disabled allocates %v per run, want 0", allocs)
+		t.Fatalf("memoized EXEC allocates %v per run, want 0", allocs)
+	}
+	batch := model.(core.BatchCostModel)
+	batch.BatchExec(0, p.Configs, nil)
+	if allocs := testing.AllocsPerRun(1000, func() { batch.BatchExec(0, p.Configs, nil) }); allocs != 0 {
+		t.Fatalf("BatchExec of a stored row allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -59,7 +59,6 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 	defer func() { sp.End(obs.Bool("ok", err == nil)) }()
 	opts = opts.withDefaults()
 	eopts := explain.Options{
-		Strategy:       rec.Rung,
 		StructureNames: rec.StructureNames,
 		StageInfo: func(stage int) (int, string) {
 			seg := rec.Segments[stage]
@@ -84,6 +83,7 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 	if err != nil {
 		return nil, err
 	}
+	e.Strategy = string(rec.Rung)
 	rec.Explanation = e
 	return e, nil
 }

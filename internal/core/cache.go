@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -36,12 +37,26 @@ import (
 // Problems do not cache by default — attach one explicitly (the advisor
 // does) and share it by copying the Problem, the same way Metrics is
 // shared. Multiple live table entries are what lets a partitioned solve
-// keep one table set per component sub-lattice. Tables containing
-// non-finite cells (a FallibleModel reporting a fault as +Inf) are
-// returned to the requesting solve but never retained, so a healthy
-// retry after a fault cannot observe poisoned cells. All methods are
-// safe for concurrent use; concurrent builds of the same family
-// serialize on the cache so the model is evaluated once.
+// keep one table set per component sub-lattice.
+//
+// A built table set is kept unscanned: most sets are never read again
+// by a solver — a sliding window builds a new model, hence a new
+// problem, for every slide — and scanning every cell for faults is then
+// a whole-window pass bought for nothing. The first solver reuse (a
+// tables hit) scans the set once; a set holding a non-finite cell (a
+// FallibleModel reporting a fault as +Inf) is dropped and rebuilt there,
+// as a miss, so a healthy retry after a fault never solves over
+// poisoned cells. Replays inside the problem (SequenceCostSplit, hence
+// NewSolution, CheckSolution and the explain attribution) read the set
+// through peek unscanned and ask the model for any non-finite cell they
+// meet, which is the model path's answer bit for bit.
+//
+// The table half stays for those replays: a 500-stage replay over 7
+// configurations (advisord's shape) takes 4–6 µs through the tables
+// and 25–35 µs through the advisor's what-if model, whose every cell is
+// a row-store lookup under a lock (2-CPU host). All methods are safe
+// for concurrent use; concurrent builds of the same family serialize on
+// the cache so the model is evaluated once.
 type SolveCache struct {
 	mu      sync.Mutex
 	entries []*cacheEntry // most recently used first
@@ -61,6 +76,9 @@ type cacheEntry struct {
 	final   *Config
 	configs []Config
 	m       *matrices
+	// scanned is set once every cell of m was found finite, by the first
+	// solver reuse; a build keeps its set unscanned.
+	scanned bool
 }
 
 // NewSolveCache returns an empty cache ready to attach to a Problem.
@@ -96,7 +114,8 @@ func (e *cacheEntry) matches(p *Problem, configs []Config) bool {
 }
 
 // tables returns the cached tables for the problem, building (or
-// upgrading with the all-pairs TRANS rows) on miss.
+// upgrading with the all-pairs TRANS rows) on miss. A hit on a set not
+// yet scanned scans it first (see SolveCache).
 func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, needTrans bool) (*matrices, error) {
 	if !comparableModel(p.Model) {
 		return p.buildMatrices(ctx, configs, needTrans)
@@ -106,6 +125,14 @@ func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, n
 	for i, e := range c.entries {
 		if !e.matches(p, configs) {
 			continue
+		}
+		if !e.scanned {
+			if !e.m.finite() {
+				// A faulted build is rebuilt by this solve, as a miss.
+				c.entries = slices.Delete(c.entries, i, i+1)
+				break
+			}
+			e.scanned = true
 		}
 		c.touch(i)
 		m := e.m
@@ -135,19 +162,17 @@ func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, n
 	if err != nil {
 		return nil, err
 	}
-	if m.finite() {
-		var final *Config
-		if p.Final != nil {
-			f := *p.Final
-			final = &f
-		}
-		c.entries = append([]*cacheEntry{{
-			model: p.Model, stages: p.Stages, initial: p.Initial,
-			final: final, configs: configs, m: m,
-		}}, c.entries...)
-		if len(c.entries) > maxCacheEntries {
-			c.entries = c.entries[:maxCacheEntries]
-		}
+	var final *Config
+	if p.Final != nil {
+		f := *p.Final
+		final = &f
+	}
+	c.entries = append([]*cacheEntry{{
+		model: p.Model, stages: p.Stages, initial: p.Initial,
+		final: final, configs: configs, m: m,
+	}}, c.entries...)
+	if len(c.entries) > maxCacheEntries {
+		c.entries = c.entries[:maxCacheEntries]
 	}
 	return m, nil
 }
@@ -195,11 +220,12 @@ func (c *SolveCache) touch(i int) {
 
 // peek returns a stable view of the cached tables when they were built
 // against this problem's model and stage count, and nil otherwise. The
-// shallow copy decouples the caller from a concurrent trans-row upgrade;
-// the row slices themselves are immutable once published. Endpoints and
-// candidate filtering are deliberately not part of the check: the view
-// is consumed through per-Config index lookups of verbatim model
-// outputs, which are correct for any endpoints.
+// view may be unscanned: its readers ask the model for any non-finite
+// cell. The shallow copy decouples the caller from a concurrent
+// trans-row upgrade; the row slices themselves are immutable once
+// published. Endpoints and candidate filtering are deliberately not part
+// of the check: the view is consumed through per-Config index lookups of
+// verbatim model outputs, which are correct for any endpoints.
 func (c *SolveCache) peek(p *Problem) *matrices {
 	if c == nil || !comparableModel(p.Model) {
 		return nil
@@ -232,8 +258,9 @@ func rowsFinite(rows [][]float64) bool {
 	return true
 }
 
-// finite reports whether every built cell is finite — the retention
-// criterion that keeps faulted evaluations out of the cache.
+// finite reports whether every built cell is finite — the check a kept
+// set passes on its first solver reuse, so faulted evaluations never
+// serve a second solve.
 func (m *matrices) finite() bool {
 	if !rowsFinite(m.exec) || !rowsFinite(m.trans) {
 		return false

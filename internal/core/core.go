@@ -389,24 +389,16 @@ func (p *Problem) SequenceCostSplit(designs []Config) (exec, trans float64) {
 // identity hops are skipped rather than accumulated (x + 0 == x for the
 // non-negative sums involved), so the result is bit for bit the model
 // path's. Terms the tables do not cover — a stage beyond the cached
-// range, an endpoint outside the candidate list, or a TRANS hop when
-// the hypercube kernel skipped the all-pairs table — fall back to the
-// model per term.
+// range, an endpoint outside the candidate list, a TRANS hop when the
+// hypercube kernel skipped the all-pairs table, or a non-finite cell of
+// a set kept unscanned — fall back to the model per term.
 func (m *matrices) sequenceCostSplit(p *Problem, designs []Config) (exec, trans float64) {
 	prev := p.Initial
 	for i, c := range designs {
 		if c != prev {
 			trans += m.transTerm(p, prev, c)
 		}
-		if i < len(m.exec) {
-			if j, ok := m.index[c]; ok {
-				exec += m.exec[i][j]
-			} else {
-				exec += p.Model.Exec(i, c)
-			}
-		} else {
-			exec += p.Model.Exec(i, c)
-		}
+		exec += m.execTerm(p, i, c)
 		prev = c
 	}
 	if p.Final != nil && prev != *p.Final {
@@ -415,11 +407,24 @@ func (m *matrices) sequenceCostSplit(p *Problem, designs []Config) (exec, trans 
 	return exec, trans
 }
 
+func (m *matrices) execTerm(p *Problem, stage int, c Config) float64 {
+	if stage < len(m.exec) {
+		if j, ok := m.index[c]; ok {
+			if v := m.exec[stage][j]; finiteCell(v) {
+				return v
+			}
+		}
+	}
+	return p.Model.Exec(stage, c)
+}
+
 func (m *matrices) transTerm(p *Problem, from, to Config) float64 {
 	if m.trans != nil {
 		if f, ok := m.index[from]; ok {
 			if t, ok := m.index[to]; ok {
-				return m.trans[f][t]
+				if v := m.trans[f][t]; finiteCell(v) {
+					return v
+				}
 			}
 		}
 	}

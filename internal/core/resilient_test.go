@@ -24,6 +24,9 @@ type faultyModel struct {
 
 	mu  sync.Mutex
 	err error
+	// stage and config are the cell of the last injected failure.
+	stage  int
+	config Config
 }
 
 func (m *faultyModel) Exec(stage int, c Config) float64 {
@@ -32,6 +35,7 @@ func (m *faultyModel) Exec(stage int, c Config) float64 {
 		if m.err == nil {
 			m.err = errors.New("injected evaluation failure")
 		}
+		m.stage, m.config = stage, c
 		m.mu.Unlock()
 		return math.Inf(1)
 	}

@@ -34,10 +34,6 @@ type PerturbFunc func(trial int, seed int64) (*core.Problem, error)
 
 // Options configures Build.
 type Options struct {
-	// Strategy labels the explanation with the solver that produced the
-	// solution (informational; the advisor passes the rung that
-	// answered).
-	Strategy core.Strategy
 	// StructureNames render configurations; missing names fall back to
 	// bit indices.
 	StructureNames []string
@@ -160,11 +156,13 @@ type Audit struct {
 // Explanation is the schema-versioned decision provenance of one
 // recommendation.
 type Explanation struct {
-	SchemaVersion int    `json:"schema_version"`
-	Strategy      string `json:"strategy,omitempty"`
-	Stages        int    `json:"stages"`
-	K             int    `json:"k"`
-	Policy        string `json:"policy"`
+	SchemaVersion int `json:"schema_version"`
+	// Strategy names the solver that produced the solution. Build
+	// leaves it empty; the advisor sets the rung that answered.
+	Strategy string `json:"strategy,omitempty"`
+	Stages   int    `json:"stages"`
+	K        int    `json:"k"`
+	Policy   string `json:"policy"`
 	// Cost and its split mirror the explained Solution exactly.
 	Cost      float64 `json:"cost"`
 	ExecCost  float64 `json:"exec_cost"`
@@ -193,7 +191,6 @@ func Build(ctx context.Context, p *core.Problem, sol *core.Solution, opts Option
 	}
 	e := &Explanation{
 		SchemaVersion: SchemaVersion,
-		Strategy:      string(opts.Strategy),
 		Stages:        p.Stages,
 		K:             p.K,
 		Policy:        p.Policy.String(),

@@ -87,7 +87,6 @@ func buildFixture(t *testing.T, parallelism int) (*core.Problem, *core.Solution,
 		t.Fatal(err)
 	}
 	e, err := Build(bg, p, sol, Options{
-		Strategy:       core.StrategyKAware,
 		StructureNames: []string{"I(a)", "I(b)", "I(noise)"},
 		KSweepDelta:    2,
 		TopStages:      3,
@@ -98,6 +97,7 @@ func buildFixture(t *testing.T, parallelism int) (*core.Problem, *core.Solution,
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Strategy = string(core.StrategyKAware) // the label the advisor sets
 	return p, sol, e
 }
 
