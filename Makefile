@@ -106,10 +106,11 @@ chaos:
 # head stages dropped, tail stages appended, the initial or final
 # design, an EXEC row or a price changed — must get from the solve cache
 # that retains the solved one's seed pass the answer a fresh cache gives,
-# bit for bit (seed_test.go); every segment hash the EXEC row store
-# reuses from its last window, under random edit scripts of the window,
-# must equal a fresh one (internal/advisor/hash_test.go); batched
-# plan-table costing must be bitwise
+# bit for bit (seed_test.go); under random edit scripts of a window of
+# parsed and literal statements, two segments must resolve one EXEC row
+# store row exactly when their texts are equal, and a literal's text
+# hash must equal the parsed statement's (internal/advisor/hash_test.go);
+# batched plan-table costing must be bitwise
 # identical to the planner's price on every configuration, a cost
 # row filled by the row kernel — statement-major, or by configuration
 # classes where a segment repeats a table — bitwise identical to both

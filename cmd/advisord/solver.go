@@ -287,18 +287,16 @@ func (s *service) solveOnce(ctx context.Context, reason string) (*advisor.Recomm
 		)
 	}
 	opts := advisor.Options{
-		K:           s.cfg.K,
-		Strategy:    s.cfg.Strategy,
-		SegmentSize: s.cfg.SegmentSize,
-		Initial:     s.installed,
-		Timeout:     s.cfg.Timeout,
-		Fallback:    s.cfg.Fallback,
-		Parallelism: s.cfg.Parallelism,
-		Memo:        s.memo,
-		Tracer:      s.cfg.Tracer,
-	}
-	if s.cfg.Fallback {
-		opts.LastKnownGood = s.lkg
+		K:             s.cfg.K,
+		Strategy:      s.cfg.Strategy,
+		SegmentSize:   s.cfg.SegmentSize,
+		Initial:       s.installed,
+		Timeout:       s.cfg.Timeout,
+		Fallback:      s.cfg.Fallback,
+		LastKnownGood: s.lkg,
+		Parallelism:   s.cfg.Parallelism,
+		Memo:          s.memo,
+		Tracer:        s.cfg.Tracer,
 	}
 	start := time.Now()
 	rec, err := s.adv.RecommendContext(ctx, w, opts)

@@ -11,6 +11,7 @@ package advisor
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -315,9 +316,6 @@ type whatIfModel struct {
 	// evaluated through BatchExec.
 	planBuilds     atomic.Int64
 	batchedLookups atomic.Int64
-	// segmentsHashed is how many segments attach hashed; the others took
-	// the hash of an equal segment of the store's last window.
-	segmentsHashed int64
 	// errMu guards execErr, the first costing failure since the last
 	// TakeErr drain (the core.FallibleModel contract).
 	errMu   sync.Mutex
@@ -328,64 +326,50 @@ type whatIfModel struct {
 	interactions []core.Config
 }
 
-// fnv64 is FNV-1a over a byte sequence fed piecewise.
-type fnv64 uint64
-
-func newFnv() fnv64 { return 14695981039346656037 }
-
-func (h *fnv64) byte(b byte) { *h = (*h ^ fnv64(b)) * 1099511628211 }
-
-func (h *fnv64) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnv64) str(s string) {
-	h.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-}
-
-// segmentSeed keys segmentHash. One seed per process is enough: the EXEC
-// store the hash addresses is process-local, and the hash is never
-// printed or persisted.
-var segmentSeed = maphash.MakeSeed()
-
 // segmentHash fingerprints a segment's statement content — the part of
-// EXEC(stage, ·) that depends on the workload. Each statement's text goes
-// through maphash (word-at-a-time) and only the 64-bit results are
-// folded; ExecMemo.hashes runs it only on segments the last window did
-// not hold.
+// EXEC(stage, ·) that depends on the workload. It folds the segment's
+// length and each statement's TextHash, computed once when the statement
+// was parsed, with one order-sensitive multiply-rotate step (xxHash's
+// round) per statement.
 func segmentHash(seg workload.Segment) uint64 {
-	h := newFnv()
-	h.u64(uint64(len(seg.Statements)))
+	h := foldHash(0, uint64(len(seg.Statements)))
 	for _, s := range seg.Statements {
-		h.u64(maphash.String(segmentSeed, s.SQL))
+		h = foldHash(h, s.TextHash())
 	}
-	return uint64(h)
+	return h
 }
+
+func foldHash(h, v uint64) uint64 {
+	return bits.RotateLeft64(h+v*0xC2B2AE3D27D4EB4F, 31) * 0x9E3779B185EBCA87
+}
+
+// worldSeed keys worldVersion. One seed per process is enough: the EXEC
+// store the version pins is process-local, and the version is never
+// printed or persisted.
+var worldSeed = maphash.MakeSeed()
 
 // worldVersion fingerprints the cost world the model evaluates in: the
 // statistics epoch plus every physical description. It deliberately
 // excludes the workload segments — the EXEC memo keys those per entry,
-// so an unchanged world keeps memo entries valid across windows.
+// so an unchanged world keeps memo entries valid across windows. Floats
+// are written as their bit words, so +0 and −0 key apart.
 func (m *whatIfModel) worldVersion() uint64 {
-	h := newFnv()
-	h.str(m.table.Name)
-	h.u64(math.Float64bits(m.table.Rows))
-	h.u64(math.Float64bits(m.table.HeapPages))
-	h.u64(m.table.Stats.Fingerprint())
-	h.u64(uint64(len(m.phys)))
+	var b []byte
+	word := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	str := func(s string) { word(uint64(len(s))); b = append(b, s...) }
+	str(m.table.Name)
+	word(math.Float64bits(m.table.Rows))
+	word(math.Float64bits(m.table.HeapPages))
+	word(m.table.Stats.Fingerprint())
+	word(uint64(len(m.phys)))
 	for _, ip := range m.phys {
-		h.str(ip.Def.Name())
-		h.u64(math.Float64bits(ip.Height))
-		h.u64(math.Float64bits(ip.LeafPages))
-		h.u64(math.Float64bits(ip.TotalPages))
-		h.u64(uint64(ip.KeyBytes))
+		str(ip.Def.Name())
+		word(math.Float64bits(ip.Height))
+		word(math.Float64bits(ip.LeafPages))
+		word(math.Float64bits(ip.TotalPages))
+		word(uint64(ip.KeyBytes))
 	}
-	return uint64(h)
+	return maphash.Bytes(worldSeed, b)
 }
 
 // compile returns stage's plan tables, resolving them into the stage's
@@ -558,7 +542,6 @@ func (m *whatIfModel) costStats() CostStats {
 		PlanTableBuilds: m.planBuilds.Load(),
 		PlanTableBytes:  m.plans.Bytes(),
 		BatchedLookups:  m.batchedLookups.Load(),
-		SegmentsHashed:  m.segmentsHashed,
 	}
 }
 
@@ -643,11 +626,13 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 // model's cost world and candidate list — rows computed under refreshed
 // statistics, different physical descriptions, or another list are
 // purged instead of replayed — and each stage resolves its row by
-// segment content, hashing only the segments the store's last window did
-// not hold. It also gives the model its own, empty intern set.
+// segment content (segmentHash). It also gives the model its own, empty
+// intern set.
 func (m *whatIfModel) attach(configs []core.Config) {
-	segHash, hashed := m.memo.hashes(m.segs)
-	m.segmentsHashed = int64(hashed)
+	segHash := make([]uint64, len(m.segs))
+	for i, seg := range m.segs {
+		segHash[i] = segmentHash(seg)
+	}
 	m.pinned = configs
 	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segHash)
 	m.plans = cost.NewPlanSet(m.table, m.phys)

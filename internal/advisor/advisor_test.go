@@ -208,6 +208,28 @@ func TestRecommendStatic(t *testing.T) {
 	}
 }
 
+// TestLastKnownGoodNeedsFallback pins Options.LastKnownGood's gate: when
+// a what-if budget fails every rung, the last-known-good design answers
+// only with Fallback on; without it the solve fails and the design is
+// never adopted.
+func TestLastKnownGoodNeedsFallback(t *testing.T) {
+	_, adv := testAdvisor(t)
+	w := testWorkload(t)
+	good, err := adv.Recommend(w, paperOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fallback := range []bool{false, true} {
+		opts := paperOpts(2)
+		opts.MaxWhatIfCalls, opts.Fallback, opts.LastKnownGood = 1, fallback, good.Solution
+		rec, err := adv.Recommend(w, opts)
+		adopted := err == nil && rec.Rung == core.RungLastKnownGood
+		if adopted != fallback {
+			t.Fatalf("Fallback %v: adopted the last-known-good design = %v (err %v)", fallback, adopted, err)
+		}
+	}
+}
+
 func TestRecommendationHelpers(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
@@ -273,13 +295,10 @@ func TestSegmentedRecommendationMatchesBlockDesigns(t *testing.T) {
 		t.Errorf("segmented stages = %d", coarse.Problem.Stages)
 	}
 	// Mid-block designs agree between granularities.
-	fb, cb := fine.PerBlock(), coarse.PerBlock()
-	if len(fb) != len(cb) {
-		t.Fatalf("block counts differ: %d vs %d", len(fb), len(cb))
-	}
-	for i := range fb {
-		if fb[i].Design != cb[i].Design {
-			t.Errorf("block %d: fine %v vs coarse %v", i, fb[i].Design, cb[i].Design)
+	for i, b := range w.BlockLabels() {
+		mid := b.Start + b.Count/2
+		if f, c := fine.DesignAt(mid), coarse.DesignAt(mid); f != c {
+			t.Errorf("block %d: fine %v vs coarse %v", i, f, c)
 		}
 	}
 }

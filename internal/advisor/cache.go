@@ -8,7 +8,6 @@ import (
 
 	"dyndesign/internal/core"
 	"dyndesign/internal/cost"
-	"dyndesign/internal/workload"
 )
 
 // execRow is one store entry: everything EXEC(segment, ·) needs for one
@@ -93,112 +92,8 @@ type ExecMemo struct {
 	assembly      uint64
 	evictions     int64
 	invalidations int64
-	// last is the last hashed window's texts; spare the buffers the next
-	// window is recorded in.
-	last, spare windowText
 
 	probes probeCounters
-}
-
-// windowText is a window's statement texts, segment after segment, and
-// each segment's content hash: what lets the next window hash only the
-// segments that entered it. It keeps texts, not statements — a string
-// pins its own bytes, a Statement its parsed AST and, through the slice,
-// the caller's whole workload.
-type windowText struct {
-	sql   []string // every statement's text, segment after segment
-	start []int    // segment k's texts are sql[start[k]:start[k+1]]
-	hash  []uint64
-}
-
-func (t *windowText) record(segs []workload.Segment) {
-	t.start = append(t.start, 0)
-	for _, seg := range segs {
-		for _, s := range seg.Statements {
-			t.sql = append(t.sql, s.SQL)
-		}
-		t.start = append(t.start, len(t.sql))
-	}
-}
-
-func (t *windowText) texts(k int) []string { return t.sql[t.start[k]:t.start[k+1]] }
-
-// reset empties the buffers, dropping their references to the texts.
-func (t *windowText) reset() {
-	clear(t.sql)
-	t.sql, t.start, t.hash = t.sql[:0], t.start[:0], t.hash[:0]
-}
-
-// alignTexts returns where cur's texts start in last's — cur[i] is
-// last[i+off] over the two windows' overlap — or false when no text of
-// last is cur's first. A slid window's overlap agrees throughout and is
-// taken at its first candidate; after an edit inside the overlap the
-// candidate with the longest run of agreeing texts wins. Verifying
-// candidates compares at most len(last)+len(cur) texts in all, so
-// repeated texts cannot make it quadratic.
-func alignTexts(last, cur []string) (int, bool) {
-	if len(cur) == 0 {
-		return 0, false
-	}
-	budget := len(last) + len(cur)
-	best, bestRun := 0, 0
-	for q := 0; q < len(last) && budget > 0; q++ {
-		if last[q] != cur[0] {
-			continue
-		}
-		n := min(len(last)-q, len(cur))
-		run := 1
-		for run < n && run < budget && last[q+run] == cur[run] {
-			run++
-		}
-		if run == n {
-			return q, true
-		}
-		budget -= run
-		if run > bestRun {
-			best, bestRun = q, run
-		}
-	}
-	return best, bestRun > 0
-}
-
-// hashes returns each segment's content hash (segmentHash) and how many
-// segments it hashed. The texts of the last window passed here are
-// aligned with the new window's (alignTexts); a segment that starts
-// where a segment of the last window started, with equal texts, takes
-// that segment's hash, so a slid window hashes only the segments that
-// entered it or that its label-snapped boundaries cut anew.
-func (c *ExecMemo) hashes(segs []workload.Segment) ([]uint64, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	last, cur := &c.last, &c.spare
-	cur.record(segs)
-	off, aligned := 0, false
-	if len(last.hash) > 0 {
-		off, aligned = alignTexts(last.sql, cur.sql)
-	}
-	out := make([]uint64, len(segs))
-	hashed, k := 0, 0
-	for i, seg := range segs {
-		reused := false
-		if aligned {
-			at := cur.start[i] + off
-			for k < len(last.hash) && last.start[k] < at {
-				k++
-			}
-			if k < len(last.hash) && last.start[k] == at && slices.Equal(last.texts(k), cur.texts(i)) {
-				out[i], reused = last.hash[k], true
-			}
-		}
-		if !reused {
-			out[i] = segmentHash(seg)
-			hashed++
-		}
-	}
-	cur.hash = append(cur.hash, out...)
-	last.reset()
-	c.last, c.spare = c.spare, c.last
-	return out, hashed
 }
 
 // rowOverheadCells is what a stored row retains besides its cost cells,
@@ -362,10 +257,6 @@ type CostStats struct {
 	// BatchedLookups counts configurations evaluated through the
 	// BatchExec frontier entry point (row hits included).
 	BatchedLookups int64
-	// SegmentsHashed counts the segments whose texts the problem's
-	// assembly hashed to find their rows; the others were equal to a
-	// segment of the store's last window and took its hash.
-	SegmentsHashed int64
 }
 
 // add accumulates counters (used when several models back one run).
@@ -376,7 +267,6 @@ func (s CostStats) add(o CostStats) CostStats {
 		PlanTableBuilds: s.PlanTableBuilds + o.PlanTableBuilds,
 		PlanTableBytes:  s.PlanTableBytes + o.PlanTableBytes,
 		BatchedLookups:  s.BatchedLookups + o.BatchedLookups,
-		SegmentsHashed:  s.SegmentsHashed + o.SegmentsHashed,
 	}
 }
 

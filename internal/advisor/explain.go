@@ -13,7 +13,7 @@ import (
 // recommendation: the counterfactual k-sweep width and the overfitting
 // audit's size and seed. The zero value asks for sensible defaults
 // (sweep to k+2, 5 audit trials from seed 1). Every transition credits
-// its topStages most-helped stages.
+// its three most-helped stages.
 type ExplainOptions struct {
 	// KSweepDelta sweeps the cost-of-constraint curve to k + KSweepDelta
 	// (default 2; negative disables the sweep).
@@ -40,9 +40,6 @@ func (o ExplainOptions) withDefaults() ExplainOptions {
 
 // sqlExcerptLen bounds the statement excerpt shown per stage impact.
 const sqlExcerptLen = 48
-
-// topStages is how many most-helped stages each transition lists.
-const topStages = 3
 
 // Explain builds the decision provenance of a solved recommendation:
 // per-transition cost attribution, the counterfactual k-sweep, and the
@@ -72,7 +69,6 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 			return seg.Start, sql
 		},
 		KSweepDelta: opts.KSweepDelta,
-		TopStages:   topStages,
 	}
 	if opts.AuditTrials > 0 {
 		eopts.AuditTrials = opts.AuditTrials

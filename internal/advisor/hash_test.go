@@ -2,9 +2,12 @@ package advisor
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"dyndesign/internal/core"
 	"dyndesign/internal/workload"
 )
 
@@ -20,31 +23,10 @@ func checkHashes(t *testing.T, memo *ExecMemo, segs []workload.Segment) {
 	}
 }
 
-// TestSlideHashesOnlyTheEnteringSegment pins the hash reuse of a slide:
-// a window slid by one segment over a retained store hashes the entering
-// segment alone, an unchanged window hashes nothing, a first window
-// hashes every segment, and a window slid by two segments hashes both.
-func TestSlideHashesOnlyTheEnteringSegment(t *testing.T) {
-	_, adv := testAdvisor(t)
-	const seg, stages = 5, 12
-	stream := distinctStream(seg * (stages + 4))
-	opts := Options{K: 2, SegmentSize: seg, Memo: NewMemo(0)}
-	for _, step := range []struct {
-		lo     int
-		hashed int64
-	}{{0, stages}, {seg, 1}, {seg, 0}, {3 * seg, 2}, {4 * seg, 1}} {
-		rec := slideWindow(t, adv, stream, step.lo, seg*stages, opts)
-		if got := rec.Stats.SegmentsHashed; got != step.hashed {
-			t.Fatalf("window at %d hashed %d segments, want %d", step.lo, got, step.hashed)
-		}
-		checkHashes(t, opts.Memo, rec.Segments)
-	}
-}
-
-// TestReplacedStatementGetsItsOwnRow pins the in-place edit: a window
-// whose statement at a retained position was replaced by new text
-// re-hashes that statement's segment, and the segment resolves a row of
-// its own while every other stage keeps the row it had.
+// TestReplacedStatementGetsItsOwnRow pins the in-place edit: in a window
+// whose statement at a retained position was replaced by new text, that
+// statement's segment resolves a row of its own while every other stage
+// keeps the row it had.
 func TestReplacedStatementGetsItsOwnRow(t *testing.T) {
 	_, adv := testAdvisor(t)
 	const seg, stages, at = 4, 10, 17
@@ -61,11 +43,7 @@ func TestReplacedStatementGetsItsOwnRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := p2.Model.(*whatIfModel)
-	if m.segmentsHashed != 1 {
-		t.Fatalf("an in-place replacement hashed %d segments, want 1", m.segmentsHashed)
-	}
-	for i, r := range m.rows {
+	for i, r := range p2.Model.(*whatIfModel).rows {
 		if i == at/seg {
 			if r == before[i] || opts.Memo.rows[segmentHash(segs2[i])] != r || segmentHash(segs2[i]) == segmentHash(segs[i]) {
 				t.Fatalf("stage %d: the edited segment did not get a row of its own", i)
@@ -81,9 +59,9 @@ func TestReplacedStatementGetsItsOwnRow(t *testing.T) {
 // TestDuplicateTextsTakeEqualHashes pins reuse across repeated texts: a
 // window built from seven distinct statements, so equal texts and equal
 // segments sit at many positions, slid one segment at a time with
-// one-statement and three-statement segments. Every hash is a fresh
-// segmentHash, equal contents share one row, and each slide hashes the
-// entering segment alone.
+// one-statement and three-statement segments. Every stage resolves the
+// row of its segmentHash, and two stages share one row exactly when
+// their texts are equal.
 func TestDuplicateTextsTakeEqualHashes(t *testing.T) {
 	_, adv := testAdvisor(t)
 	stream := &workload.Workload{Name: "dup"}
@@ -101,77 +79,47 @@ func TestDuplicateTextsTakeEqualHashes(t *testing.T) {
 			m := p.Model.(*whatIfModel)
 			for i := range segs {
 				for j := range segs[:i] {
-					if (segmentHash(segs[i]) == segmentHash(segs[j])) != (m.rows[i] == m.rows[j]) {
+					if slices.EqualFunc(segs[i].Statements, segs[j].Statements, sameText) != (m.rows[i] == m.rows[j]) {
 						t.Fatalf("segment size %d, window at %d: stages %d and %d share rows unlike their contents", seg, lo, j, i)
 					}
 				}
 			}
-			want := int64(1)
-			if lo == 0 {
-				want = int64(len(segs))
-			}
-			if m.segmentsHashed != want {
-				t.Fatalf("segment size %d, window at %d: hashed %d segments, want %d", seg, lo, m.segmentsHashed, want)
-			}
 		}
 	}
 }
 
-// TestShiftedBoundariesRehashOnlyChangedSegments slides a labelled
-// window by less than a segment: boundaries snap to label changes, so
-// the segments of a block realign at the next label and only the ones
-// whose statements moved are hashed again.
-func TestShiftedBoundariesRehashOnlyChangedSegments(t *testing.T) {
-	_, adv := testAdvisor(t)
-	stream := distinctStream(120)
-	for i := range stream.Labels {
-		stream.Labels[i] = fmt.Sprintf("block%d", i/20)
-	}
-	opts := Options{K: 2, SegmentSize: 8, Memo: NewMemo(0)}
-	prev := -1
-	for _, lo := range []int{0, 3, 11, 20} {
-		p, segs, err := adv.Problem(stream.Slice(lo, lo+80), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkHashes(t, opts.Memo, segs)
-		hashed := int(p.Model.(*whatIfModel).segmentsHashed)
-		// Blocks of 20 cut into 8 + 8 + 4; a head cut inside the first
-		// block re-cuts that block only, and the tail adds the segments
-		// of the statements that entered.
-		want := 0
-		if prev >= 0 {
-			fresh := map[uint64]bool{}
-			for _, s := range segs {
-				fresh[segmentHash(s)] = true
-			}
-			old, _, _ := adv.Problem(stream.Slice(prev, prev+80), Options{K: 2, SegmentSize: 8})
-			for _, s := range old.Model.(*whatIfModel).segs {
-				delete(fresh, segmentHash(s))
-			}
-			want = len(fresh)
-		} else {
-			want = len(segs)
-		}
-		if hashed != want {
-			t.Fatalf("window at %d hashed %d segments, %d are new", lo, hashed, want)
-		}
-		prev = lo
-	}
-}
+func sameText(a, b workload.Statement) bool { return a.SQL == b.SQL }
 
 // FuzzSegmentHashReuse runs random edit scripts — head drops, tail
 // appends, in-place replacements, segment-size changes, repeated texts
-// and label changes — against one store and requires every hash
-// ExecMemo.hashes hands out, reused or not, to equal a fresh
-// segmentHash, and an unchanged window to hash nothing.
+// and label changes — against one store, with statements built both by
+// parsing and as literals. A literal's TextHash must equal the parsed
+// statement's, and across every step two stages must resolve one row
+// exactly when their segments' texts are equal; an unchanged window
+// resolves the rows it had.
 func FuzzSegmentHashReuse(f *testing.F) {
 	f.Add([]byte{1, 40, 0, 3, 1, 5, 2, 7, 4, 0})
 	f.Add([]byte{1, 200, 3, 2, 0, 17, 1, 9, 2, 130, 4, 4})
 	f.Add([]byte{1, 90, 3, 0, 2, 33, 2, 34, 0, 1, 4, 1})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		memo := NewMemo(0)
+		configs := []core.Config{0}
 		w := &workload.Workload{Name: "fuzz"}
+		// Odd arguments parse their texts, even ones build literals.
+		stmt := func(arg int, text string) workload.Statement {
+			lit := workload.Statement{SQL: text}
+			if arg%2 == 0 {
+				return lit
+			}
+			s := workload.MustStatement(text)
+			if s.TextHash() != lit.TextHash() {
+				t.Fatalf("%q: parsed TextHash %x, literal %x", text, s.TextHash(), lit.TextHash())
+			}
+			return s
+		}
+		rowOf := map[string]*execRow{}
+		textsOf := map[*execRow]string{}
+		var prev []*execRow
 		size := 4
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i]%5, int(script[i+1])
@@ -182,36 +130,47 @@ func FuzzSegmentHashReuse(f *testing.F) {
 			case 1: // tail append from a small alphabet: texts repeat
 				for j := 0; j < arg%32; j++ {
 					v := (arg + j*7) % 11
-					w.Append(fmt.Sprintf("L%d", (arg+j)/9%3), workload.Statement{SQL: fmt.Sprintf("SELECT a FROM t WHERE a = %d", v)})
+					w.Append(fmt.Sprintf("L%d", (arg+j)/9%3), stmt(arg+j, fmt.Sprintf("SELECT a FROM t WHERE a = %d", v)))
 				}
 			case 2: // in-place replacement, fresh or repeated text
 				if w.Len() > 0 {
-					w.Statements[arg%w.Len()] = workload.Statement{SQL: fmt.Sprintf("SELECT b FROM t WHERE b = %d", arg%5)}
+					w.Statements[arg%w.Len()] = stmt(arg/5, fmt.Sprintf("SELECT b FROM t WHERE b = %d", arg%5))
 				}
 			case 3: // new segment size: every boundary moves
 				size = 1 + arg%6
 			}
 			segs := w.Segments(size)
-			got, hashed := memo.hashes(segs)
-			if len(got) != len(segs) || hashed < 0 || hashed > len(segs) {
-				t.Fatalf("step %d: %d hashes, %d hashed, for %d segments", i/2, len(got), hashed, len(segs))
-			}
+			hashes := make([]uint64, len(segs))
 			for k, seg := range segs {
-				if want := segmentHash(seg); got[k] != want {
-					t.Fatalf("step %d: segment %d (statement %d) took hash %x, fresh %x", i/2, k, seg.Start, got[k], want)
+				hashes[k] = segmentHash(seg)
+			}
+			_, rows := memo.attach(0, configs, hashes)
+			for k, seg := range segs {
+				texts := make([]string, len(seg.Statements))
+				for j, s := range seg.Statements {
+					texts[j] = s.SQL
 				}
+				key := strings.Join(texts, "\n")
+				if r, ok := rowOf[key]; ok && r != rows[k] {
+					t.Fatalf("step %d: segment %d (statement %d) resolved another row than its equal texts did", i/2, k, seg.Start)
+				}
+				if other, ok := textsOf[rows[k]]; ok && other != key {
+					t.Fatalf("step %d: segment %d (statement %d) resolved the row of other texts", i/2, k, seg.Start)
+				}
+				rowOf[key], textsOf[rows[k]] = rows[k], key
 			}
-			if op == 4 && hashed != 0 {
-				t.Fatalf("step %d: an unchanged window hashed %d segments", i/2, hashed)
+			if op == 4 && !slices.Equal(rows, prev) {
+				t.Fatalf("step %d: an unchanged window resolved other rows", i/2)
 			}
+			prev = rows
 		}
 	})
 }
 
 // TestSharedMemoConcurrentAssembly assembles slid windows on one shared
-// store from two goroutines at once, so the retained texts are read and
-// replaced concurrently: every stage must still resolve the row of its
-// own content.
+// store from two goroutines at once, so rows are resolved and created
+// concurrently: every stage must still resolve the row of its own
+// content.
 func TestSharedMemoConcurrentAssembly(t *testing.T) {
 	_, adv := testAdvisor(t)
 	stream := distinctStream(400)

@@ -123,34 +123,14 @@ func (r *Recommendation) Steps() []Step {
 	return out
 }
 
-// BlockDesigns summarizes the recommendation per workload label block —
-// the shape of the paper's Table 2 design columns. Each entry covers the
-// statements [Start, Start+Count) with a single block label; Design is
-// the configuration in effect at the block start (designs are constant
-// within a block whenever segmentation respected labels).
-type BlockDesign struct {
-	Block  workload.Block
-	Design core.Config
-}
-
-// PerBlock returns the design in effect at the middle of every label
-// block. Mid-block sampling is deliberate: with one stage per statement
-// the optimal switch point can drift a statement or two around a block
-// boundary (the boundary statements are random draws from either mix),
-// while the mid-block design is the one that characterizes the block.
-func (r *Recommendation) PerBlock() []BlockDesign {
-	blocks := r.Workload.BlockLabels()
-	out := make([]BlockDesign, len(blocks))
-	for i, b := range blocks {
-		out[i] = BlockDesign{Block: b, Design: r.DesignAt(b.Start + b.Count/2)}
-	}
-	return out
-}
-
 // RenderTimeline writes the design per fixed-size statement block — the
-// shape of the paper's Table 2 — for any recommendation. Designs are
-// sampled mid-block (see PerBlock). A blockSize <= 0 defaults to 1/30th
-// of the workload (30 rows, like the paper's table).
+// shape of the paper's Table 2 — for any recommendation. A blockSize <= 0
+// defaults to 1/30th of the workload (30 rows, like the paper's table).
+// Designs are sampled mid-block, deliberately: with one stage per
+// statement the optimal switch point can drift a statement or two around
+// a block boundary (the boundary statements are random draws from either
+// mix), while the mid-block design is the one that characterizes the
+// block.
 func (r *Recommendation) RenderTimeline(w io.Writer, blockSize int) {
 	n := r.Workload.Len()
 	if blockSize <= 0 {

@@ -6,6 +6,9 @@ import (
 	"dyndesign/internal/core"
 )
 
+// topStages is how many most-helped stages each transition lists.
+const topStages = 3
+
 // attribute explains every design change of the solution: the interior
 // changes between runs, the initial installation when the first design
 // differs from C0, and the final teardown when the problem pins the
@@ -100,8 +103,8 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 		}
 		return impacts[a].Stage < impacts[b].Stage
 	})
-	if len(impacts) > opts.TopStages {
-		impacts = impacts[:opts.TopStages]
+	if len(impacts) > topStages {
+		impacts = impacts[:topStages]
 	}
 	t.TopStages = impacts
 	return t

@@ -42,11 +42,9 @@ type Options struct {
 	// SQL excerpt. The advisor derives it from its segments.
 	StageInfo func(stage int) (statement int, sql string)
 	// KSweepDelta extends the counterfactual sweep to k + KSweepDelta
-	// change bounds (default 2, negative disables the sweep).
+	// change bounds (0 sweeps to k alone, negative disables the sweep).
+	// Build applies no default; the advisor's is 2.
 	KSweepDelta int
-	// TopStages bounds the per-transition list of most-affected stages
-	// (0 lists none).
-	TopStages int
 	// AuditTrials is the number of perturbed replays (default 0: no
 	// audit). The audit also requires Perturb.
 	AuditTrials int
@@ -109,8 +107,8 @@ type Transition struct {
 	// justified the change; a negative value means a heuristic solver
 	// kept a change the exact merge step would have removed.
 	RemovalPenalty float64 `json:"removal_penalty"`
-	// TopStages lists the stages the change helped most, by EXEC delta
-	// (ties broken by stage index).
+	// TopStages lists the (at most three) stages the change helped most,
+	// by EXEC delta (ties broken by stage index).
 	TopStages []StageImpact `json:"top_stages,omitempty"`
 }
 

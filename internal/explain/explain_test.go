@@ -89,7 +89,6 @@ func buildFixture(t *testing.T, parallelism int) (*core.Problem, *core.Solution,
 	e, err := Build(bg, p, sol, Options{
 		StructureNames: []string{"I(a)", "I(b)", "I(noise)"},
 		KSweepDelta:    2,
-		TopStages:      3,
 		AuditTrials:    5,
 		AuditSeed:      100,
 		Perturb:        perturbPhase(p),

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"sort"
 	"strings"
@@ -19,7 +20,14 @@ import (
 type Statement struct {
 	SQL  string
 	Stmt sql.Statement
+	// hash is SQL's TextHash, computed once by NewStatement; 0 on a
+	// Statement built as a literal.
+	hash uint64
 }
+
+// textSeed keys TextHash. One seed per process is enough: the hash is
+// never printed or persisted.
+var textSeed = maphash.MakeSeed()
 
 // NewStatement parses SQL text into a workload statement.
 func NewStatement(text string) (Statement, error) {
@@ -27,7 +35,18 @@ func NewStatement(text string) (Statement, error) {
 	if err != nil {
 		return Statement{}, err
 	}
-	return Statement{SQL: text, Stmt: stmt}, nil
+	return Statement{SQL: text, Stmt: stmt, hash: maphash.String(textSeed, text)}, nil
+}
+
+// TextHash returns a hash of the statement's SQL text, valid within the
+// process: equal texts hash equal, whether or not they were parsed. A
+// statement from NewStatement returns the hash it computed; one built as
+// a literal hashes SQL on every call.
+func (s Statement) TextHash() uint64 {
+	if s.hash != 0 {
+		return s.hash
+	}
+	return maphash.String(textSeed, s.SQL)
 }
 
 // MustStatement is NewStatement that panics on error. It is for tests,

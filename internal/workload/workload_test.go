@@ -332,3 +332,46 @@ func TestGenerateUpdates(t *testing.T) {
 		t.Error("zero domain accepted")
 	}
 }
+
+// TestTextHashSurvivesCopies pins that the text hash NewStatement
+// computes travels with the statement through every path that copies
+// statements (Slice, Resample, Window.Snapshot), is computed again by
+// the one that re-parses (RestoreState), and equals the hash of a
+// literal with the same text.
+func TestTextHashSurvivesCopies(t *testing.T) {
+	w := labeledFixture(t)
+	check := func(how string, got *Workload) {
+		t.Helper()
+		for i, s := range got.Statements {
+			if want := (Statement{SQL: s.SQL}).TextHash(); s.hash == 0 || s.TextHash() != want {
+				t.Fatalf("%s: statement %d (%q) carries hash %x, its text hashes to %x", how, i, s.SQL, s.hash, want)
+			}
+		}
+	}
+	check("parsed", w)
+	seen := map[uint64]bool{}
+	for _, s := range w.Statements {
+		seen[s.TextHash()] = true
+	}
+	if len(seen) != w.Len() {
+		t.Fatalf("%d distinct texts took %d distinct hashes", w.Len(), len(seen))
+	}
+	check("Slice", w.Slice(1, 5))
+	check("Resample", w.Resample(7))
+	win, err := NewWindow("live", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range w.Statements {
+		win.Append(w.Labels[i], s)
+	}
+	check("Snapshot", win.Snapshot())
+	restored, err := NewWindow("live", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreState(win.State()); err != nil {
+		t.Fatal(err)
+	}
+	check("RestoreState", restored.Snapshot())
+}
