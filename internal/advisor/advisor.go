@@ -545,15 +545,16 @@ func (m *whatIfModel) costStats() CostStats {
 	}
 }
 
-// Trans implements core.CostModel: build costs for added structures plus
-// drop costs for removed ones.
+// Trans implements core.CostModel: build costs for added structures, in
+// ascending structure order, plus drop costs for removed ones. It walks
+// the bits of the two differences instead of listing them, so a call
+// allocates nothing.
 func (m *whatIfModel) Trans(from, to core.Config) float64 {
-	added, removed := from.Diff(to)
 	total := 0.0
-	for _, s := range added {
-		total += cost.BuildCost(m.phys[s], m.table)
+	for added := uint64(to &^ from); added != 0; added &= added - 1 {
+		total += cost.BuildCost(m.phys[bits.TrailingZeros64(added)], m.table)
 	}
-	total += float64(len(removed)) * cost.DropCost()
+	total += float64(bits.OnesCount64(uint64(from&^to))) * cost.DropCost()
 	return total
 }
 

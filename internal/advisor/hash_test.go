@@ -3,7 +3,6 @@ package advisor
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -97,25 +96,46 @@ func sameText(a, b workload.Statement) bool { return a.SQL == b.SQL }
 // statement's, and across every step two stages must resolve one row
 // exactly when their segments' texts are equal; an unchanged window
 // resolves the rows it had.
+//
+// The texts come from an alphabet of sixteen, so an input parses each
+// text once, and the oracle numbers the texts and keys a segment by its
+// text numbers: the same equality as the texts', without joining a
+// segment's texts at every step.
 func FuzzSegmentHashReuse(f *testing.F) {
 	f.Add([]byte{1, 40, 0, 3, 1, 5, 2, 7, 4, 0})
 	f.Add([]byte{1, 200, 3, 2, 0, 17, 1, 9, 2, 130, 4, 4})
 	f.Add([]byte{1, 90, 3, 0, 2, 33, 2, 34, 0, 1, 4, 1})
+	var texts, labels []string
+	for v := range 11 {
+		texts = append(texts, fmt.Sprintf("SELECT a FROM t WHERE a = %d", v))
+	}
+	for v := range 5 {
+		texts = append(texts, fmt.Sprintf("SELECT b FROM t WHERE b = %d", v))
+	}
+	for l := range 3 {
+		labels = append(labels, fmt.Sprintf("L%d", l))
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		memo := NewMemo(0)
 		configs := []core.Config{0}
 		w := &workload.Workload{Name: "fuzz"}
+		// ids[i] numbers the text of w.Statements[i] (its index in texts).
+		var ids []byte
 		// Odd arguments parse their texts, even ones build literals.
-		stmt := func(arg int, text string) workload.Statement {
-			lit := workload.Statement{SQL: text}
+		parsed := make([]*workload.Statement, len(texts))
+		stmt := func(arg, text int) workload.Statement {
+			lit := workload.Statement{SQL: texts[text]}
 			if arg%2 == 0 {
 				return lit
 			}
-			s := workload.MustStatement(text)
-			if s.TextHash() != lit.TextHash() {
-				t.Fatalf("%q: parsed TextHash %x, literal %x", text, s.TextHash(), lit.TextHash())
+			if parsed[text] == nil {
+				s := workload.MustStatement(texts[text])
+				if s.TextHash() != lit.TextHash() {
+					t.Fatalf("%q: parsed TextHash %x, literal %x", texts[text], s.TextHash(), lit.TextHash())
+				}
+				parsed[text] = &s
 			}
-			return s
+			return *parsed[text]
 		}
 		rowOf := map[string]*execRow{}
 		textsOf := map[*execRow]string{}
@@ -126,15 +146,18 @@ func FuzzSegmentHashReuse(f *testing.F) {
 			switch op {
 			case 0: // head drop
 				n := min(arg%16, w.Len())
-				w.Statements, w.Labels = w.Statements[n:], w.Labels[n:]
+				w.Statements, w.Labels, ids = w.Statements[n:], w.Labels[n:], ids[n:]
 			case 1: // tail append from a small alphabet: texts repeat
 				for j := 0; j < arg%32; j++ {
 					v := (arg + j*7) % 11
-					w.Append(fmt.Sprintf("L%d", (arg+j)/9%3), stmt(arg+j, fmt.Sprintf("SELECT a FROM t WHERE a = %d", v)))
+					w.Append(labels[(arg+j)/9%3], stmt(arg+j, v))
+					ids = append(ids, byte(v))
 				}
 			case 2: // in-place replacement, fresh or repeated text
 				if w.Len() > 0 {
-					w.Statements[arg%w.Len()] = stmt(arg/5, fmt.Sprintf("SELECT b FROM t WHERE b = %d", arg%5))
+					v := 11 + arg%5
+					w.Statements[arg%w.Len()] = stmt(arg/5, v)
+					ids[arg%w.Len()] = byte(v)
 				}
 			case 3: // new segment size: every boundary moves
 				size = 1 + arg%6
@@ -146,18 +169,18 @@ func FuzzSegmentHashReuse(f *testing.F) {
 			}
 			_, rows := memo.attach(0, configs, hashes)
 			for k, seg := range segs {
-				texts := make([]string, len(seg.Statements))
-				for j, s := range seg.Statements {
-					texts[j] = s.SQL
-				}
-				key := strings.Join(texts, "\n")
-				if r, ok := rowOf[key]; ok && r != rows[k] {
+				key := ids[seg.Start : seg.Start+len(seg.Statements)]
+				r, seen := rowOf[string(key)]
+				if seen && r != rows[k] {
 					t.Fatalf("step %d: segment %d (statement %d) resolved another row than its equal texts did", i/2, k, seg.Start)
 				}
-				if other, ok := textsOf[rows[k]]; ok && other != key {
+				other, taken := textsOf[rows[k]]
+				if taken && other != string(key) {
 					t.Fatalf("step %d: segment %d (statement %d) resolved the row of other texts", i/2, k, seg.Start)
 				}
-				rowOf[key], textsOf[rows[k]] = rows[k], key
+				if !seen || !taken {
+					rowOf[string(key)], textsOf[rows[k]] = rows[k], string(key)
+				}
 			}
 			if op == 4 && !slices.Equal(rows, prev) {
 				t.Fatalf("step %d: an unchanged window resolved other rows", i/2)

@@ -9,8 +9,12 @@ import (
 )
 
 // SolveCache carries solver state from one solve to the next. It holds
-// two things:
+// three things:
 //
+//   - The indexes of the last few candidate lists (listIndex): a problem
+//     over a list equal to one the cache indexed — the next window of a
+//     sliding advisor — validates, replays and binds its kernel through
+//     the kept index instead of building one (DESIGN.md §12).
 //   - The dense cost tables of the last few problems: merging's
 //     unconstrained seed plus a ladder's exact rung, a SweepK after the
 //     Solve whose layers it exposes, and the explain audit's
@@ -58,6 +62,10 @@ import (
 // for concurrent use; concurrent builds of the same family serialize on
 // the cache so the model is evaluated once.
 type SolveCache struct {
+	// listMu guards lists alone: a table build, which holds mu, indexes
+	// its list.
+	listMu  sync.Mutex
+	lists   []*listIndex // most recently used first
 	mu      sync.Mutex
 	entries []*cacheEntry // most recently used first
 	seed    *seedState    // the last kept seed pass
@@ -134,7 +142,7 @@ func (c *SolveCache) tables(ctx context.Context, p *Problem, configs []Config, n
 			}
 			e.scanned = true
 		}
-		c.touch(i)
+		toFront(c.entries, i)
 		m := e.m
 		if !needTrans || m.trans != nil {
 			p.Metrics.noteMatrixReuse()
@@ -208,14 +216,14 @@ func (c *SolveCache) retain(st *seedState) {
 	c.seed = st
 }
 
-// touch moves entry i to the front of the MRU order.
-func (c *SolveCache) touch(i int) {
+// toFront moves element i of an MRU list to the front.
+func toFront[T any](list []T, i int) {
 	if i == 0 {
 		return
 	}
-	e := c.entries[i]
-	copy(c.entries[1:i+1], c.entries[:i])
-	c.entries[0] = e
+	e := list[i]
+	copy(list[1:i+1], list[:i])
+	list[0] = e
 }
 
 // peek returns a stable view of the cached tables when they were built

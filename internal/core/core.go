@@ -291,16 +291,16 @@ func (p *Problem) Validate() error {
 	}
 	// Note that Initial deliberately does not have to appear in
 	// Configs: it only has to be a valid TRANS source, which the model
-	// guarantees (see the Configs field documentation).
-	seen := make(map[Config]bool, len(p.Configs))
-	for _, c := range p.Configs {
-		if seen[c] {
-			return fmt.Errorf("core: duplicate configuration %d in candidate list", c)
-		}
-		seen[c] = true
+	// guarantees (see the Configs field documentation). The list's index
+	// comes from the attached cache when it indexed an equal list before.
+	idx, err := p.Cache.index(p.Configs)
+	if err != nil {
+		return err
 	}
-	if p.Final != nil && !seen[*p.Final] {
-		return fmt.Errorf("core: final configuration not in candidate list")
+	if p.Final != nil {
+		if _, ok := idx.lookup(*p.Final); !ok {
+			return fmt.Errorf("core: final configuration not in candidate list")
+		}
 	}
 	if p.K < Unconstrained {
 		return fmt.Errorf("core: invalid change bound %d", p.K)
@@ -409,7 +409,7 @@ func (m *matrices) sequenceCostSplit(p *Problem, designs []Config) (exec, trans 
 
 func (m *matrices) execTerm(p *Problem, stage int, c Config) float64 {
 	if stage < len(m.exec) {
-		if j, ok := m.index[c]; ok {
+		if j, ok := m.idx.lookup(c); ok {
 			if v := m.exec[stage][j]; finiteCell(v) {
 				return v
 			}
@@ -420,8 +420,8 @@ func (m *matrices) execTerm(p *Problem, stage int, c Config) float64 {
 
 func (m *matrices) transTerm(p *Problem, from, to Config) float64 {
 	if m.trans != nil {
-		if f, ok := m.index[from]; ok {
-			if t, ok := m.index[to]; ok {
+		if f, ok := m.idx.lookup(from); ok {
+			if t, ok := m.idx.lookup(to); ok {
 				if v := m.trans[f][t]; finiteCell(v) {
 					return v
 				}
@@ -454,12 +454,12 @@ func (p *Problem) CheckSolution(s *Solution) error {
 	if err != nil {
 		return err
 	}
-	ok := make(map[Config]bool, len(usable))
-	for _, c := range usable {
-		ok[c] = true
+	idx, err := p.Cache.index(usable)
+	if err != nil {
+		return err
 	}
 	for i, c := range s.Designs {
-		if !ok[c] {
+		if _, ok := idx.lookup(c); !ok {
 			return fmt.Errorf("core: stage %d uses configuration outside the usable candidate set", i)
 		}
 	}

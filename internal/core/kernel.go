@@ -118,7 +118,7 @@ func (ch kernelChoice) needTrans() bool { return ch.kind == kernelDense }
 // kernel builds the relaxer for the choice over the built tables.
 func (ch kernelChoice) kernel(m *matrices) transRelaxer {
 	if ch.kind == kernelHypercube {
-		return newHyperKernel(ch, m.configs)
+		return newHyperKernel(ch, m)
 	}
 	return &denseKernel{m: m}
 }
@@ -338,9 +338,14 @@ type hyperKernel struct {
 	observe func(stage, lo int, half lattice)
 }
 
-func newHyperKernel(ch kernelChoice, configs []Config) *hyperKernel {
+// newHyperKernel binds the lattice relaxation to a solve's tables. The
+// candidates' lattice points are the tables' list index's (listIndex),
+// shared read-only: the span the kernel sweeps is the list's.
+func newHyperKernel(ch kernelChoice, m *matrices) *hyperKernel {
 	k := &hyperKernel{
-		configs: configs,
+		configs: m.configs,
+		latIdx:  m.idx.latIdx,
+		candAt:  m.idx.candAt,
 		nbits:   ch.bits,
 		size:    1 << uint(ch.bits),
 		addS:    ch.add,
@@ -357,31 +362,7 @@ func newHyperKernel(ch kernelChoice, configs []Config) *hyperKernel {
 		k.drpL[b] = ch.drop[bit]
 		b++
 	}
-	k.latIdx = make([]int32, len(configs))
-	k.candAt = make([]int32, k.size)
-	for x := range k.candAt {
-		k.candAt[x] = -1
-	}
-	for ci, c := range configs {
-		li := int32(compress(c, ch.span))
-		k.latIdx[ci] = li
-		k.candAt[li] = int32(ci)
-	}
 	return k
-}
-
-// compress maps a configuration to its lattice point: bit b of the
-// result is the b-th lowest set bit of span. Candidates are distinct,
-// so the mapping is injective over the candidate list.
-func compress(c, span Config) int {
-	out, b := 0, 0
-	for s := span; s != 0; s &= s - 1 {
-		if c&(s&-s) != 0 {
-			out |= 1 << uint(b)
-		}
-		b++
-	}
-	return out
 }
 
 func (k *hyperKernel) name() string { return "hypercube" }
@@ -608,7 +589,9 @@ func (k *hyperKernel) forward(ctx context.Context, m *matrices, parents [][]int3
 
 // crew is how many workers a seed pass over stages gets: two when the
 // lattice is at least splitMinBits wide and the problem's parallelism
-// and the runtime give it two processors, one otherwise.
+// and the runtime give it two processors, one otherwise. A slide aligned
+// with a retained pass starts its crew only after soloStages stages
+// (seedRun.loop).
 func (k *hyperKernel) crew(stages, workers int) int {
 	if k.nbits >= splitMinBits && stages > 1 {
 		return crewSize(workers, 2)
@@ -649,6 +632,13 @@ type seedRun struct {
 	base    int        // the kept state's base (seedState.base)
 	chunk   int        // stages the last allocation covered
 	lat     [2]lattice // stage i sweeps lat[i&1]; one worker uses lat[0] only
+	// crewed is set when the pass may split its stages between two
+	// workers; solo is how many more stages it runs on one worker first
+	// (soloStages for an aligned pass, 0 otherwise), and workers is the
+	// most workers a stage has run on.
+	crewed  bool
+	solo    int
+	workers int
 	// half[i&1][w] is the minimum of the costs worker w wrote at stage i
 	// (one worker: slot 1 stays +Inf). The two workers learn each other's
 	// through the hand-offs below.
@@ -699,16 +689,18 @@ func (k *hyperKernel) slide(ctx context.Context, m *matrices, old *seedState, sp
 		}
 	}
 	st := &seedState{configs: k.configs, addL: k.addL, drpL: k.drpL,
-		exec: m.exec, cost: r.cost, parents: r.parents, base: r.base}
+		exec: m.exec, cost: r.cost, parents: r.parents, base: r.base, workers: r.workers}
 	return st, reused, nil
 }
 
 // pass is the stage loop runForward and slide share; parents is nil
 // exactly when the pass keeps its rows, and old is nil when it does not.
+// With split, the stages go to the split crew, except that a pass
+// aligned with old runs its first soloStages stages on one worker.
 func (k *hyperKernel) pass(ctx context.Context, m *matrices, parents [][]int32, old *seedState, split bool) (*seedRun, error) {
 	stages := len(m.exec)
 	r := &seedRun{k: k, exec: m.exec, cost: make([][]float64, stages), parents: parents,
-		keep: parents == nil, converged: -1}
+		keep: parents == nil, converged: -1, crewed: split, workers: 1}
 	for b := range r.scratch {
 		r.scratch[b] = k.unreached()
 	}
@@ -729,23 +721,22 @@ func (k *hyperKernel) pass(ctx context.Context, m *matrices, parents [][]int32, 
 		first[li] = m.initTrans[ci] + m.exec[0][ci]
 	}
 	r.lat[0] = newLattice(k.size)
-	step, workers := r.whole, 1
-	if split {
-		r.lat[1] = newLattice(k.size)
-		step, workers = r.split, 2
-	} else {
-		inf := math.Inf(1)
-		r.half[0][1], r.half[1][1] = inf, inf
-		r.same[0][1], r.same[1][1] = true, true
-	}
+	// The one-worker schedule leaves worker 1's slots as neutral: no
+	// cost, and a match.
+	inf := math.Inf(1)
+	r.half[0][1], r.half[1][1] = inf, inf
+	r.same[0][1], r.same[1][1] = true, true
 	if aligned {
 		r.old, r.h, r.until = old, h, until
 		if row := old.cost[h]; row != nil && bitsEqual(first, row) {
 			r.converged = 0
 		}
+		if split {
+			r.solo = soloStages
+		}
 	}
 	if r.converged < 0 {
-		if err := r.loop(ctx, 1, stages, workers, step); err != nil {
+		if err := r.loop(ctx, 1, stages); err != nil {
 			return nil, err
 		}
 	}
@@ -755,20 +746,50 @@ func (k *hyperKernel) pass(ctx context.Context, m *matrices, parents [][]int32, 
 		end := r.until + 1
 		copy(r.cost[c+1:end], old.cost[c+1+h:end+h])
 		copy(r.parents[c+1:end], old.parents[c+1+h:end+h])
-		if err := r.loop(ctx, end, stages, workers, step); err != nil {
+		if err := r.loop(ctx, end, stages); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
 }
 
-// loop runs stages [from, to), starting from stage from-1's costs.
-func (r *seedRun) loop(ctx context.Context, from, to, workers int, step func(w, i int) bool) error {
-	if from >= to {
-		return nil
+// soloStages is how many stages a pass aligned with a retained one runs
+// on one worker before it starts its split crew. Such a pass usually
+// converges within a few stages, and the crew's start and per-stage
+// hand-offs cost more than that little work; one that has not converged
+// within two of the retained cost rows it compares with (costEvery
+// apart) is taken to be a long pass, and the crew runs its other stages.
+const soloStages = 2 * costEvery
+
+// loop runs stages [from, to), starting from stage from-1's costs: on one
+// worker while the pass's solo stages last, then on the split crew when
+// the pass has one. It stops after the stage the pass converges at.
+func (r *seedRun) loop(ctx context.Context, from, to int) error {
+	converged := r.converged
+	for from < to && r.converged == converged {
+		n, workers, step := to, 1, r.whole
+		switch {
+		case r.solo > 0:
+			n = min(to, from+r.solo)
+		case r.crewed:
+			if r.lat[1].val == nil {
+				r.lat[1] = newLattice(r.k.size)
+			}
+			workers, step, r.workers = 2, r.split, 2
+		}
+		r.half[(from-1)&1] = [2]float64{rowMin(r.cost[from-1]), math.Inf(1)}
+		if err := r.run(ctx, from, n, workers, step); err != nil {
+			return err
+		}
+		if r.converged != converged {
+			n = r.converged + 1
+		}
+		if workers == 1 {
+			r.solo = max(0, r.solo-(n-from))
+		}
+		from = n
 	}
-	r.half[(from-1)&1] = [2]float64{rowMin(r.cost[from-1]), math.Inf(1)}
-	return r.run(ctx, from, to, workers, step)
+	return nil
 }
 
 // unreached is a lattice-sized cost row with every cell at +Inf.

@@ -25,6 +25,10 @@ type seedState struct {
 	// stage base+i of the first window the chain of kept passes began
 	// with, so a stage keeps its cost row, or not, from slide to slide.
 	base int
+	// workers is how many workers the pass that made the state ran its
+	// stages on, for the seqgraph.dp span: 2 when it went to the split
+	// crew.
+	workers int
 }
 
 // costEvery spaces the cost rows a kept pass retains: one stage in

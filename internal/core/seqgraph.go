@@ -22,7 +22,7 @@ const changeEpsilon = 1e-9
 // run on dense float64 tables.
 type matrices struct {
 	configs []Config
-	index   map[Config]int32 // configuration -> row/column index
+	idx     *listIndex // configuration -> row/column index
 	// exec[stage][cfg] is the verbatim model EXEC; rows are read-only,
 	// they may be the model's own storage (BatchCostModel).
 	exec [][]float64
@@ -87,12 +87,12 @@ func (p *Problem) buildMatrices(ctx context.Context, configs []Config, needTrans
 		sp.End(obs.Int("stages", int64(p.Stages)), obs.Int("configs", int64(len(configs))),
 			obs.Bool("trans", needTrans), obs.Bool("ok", err == nil))
 	}()
-	workers := p.workers()
-	m := &matrices{configs: configs}
-	m.index = make(map[Config]int32, len(configs))
-	for j, c := range configs {
-		m.index[c] = int32(j)
+	idx, err := p.Cache.index(configs)
+	if err != nil {
+		return nil, err
 	}
+	workers := p.workers()
+	m := &matrices{configs: configs, idx: idx}
 	m.exec = make([][]float64, p.Stages)
 	// The enabled check is hoisted out of the row closure: with the
 	// tracer off, the per-row cost is one branch on a captured bool
@@ -183,7 +183,8 @@ func (p *Problem) buildTransRows(ctx context.Context, configs []Config) ([][]flo
 // cost tables over the usable candidate configurations — the
 // preprocessing the dense-kernel graph solvers perform implicitly. It is
 // exposed so benchmarks and diagnostics can measure the costing layer in
-// isolation (it deliberately bypasses any attached SolveCache); regular
+// isolation (it deliberately bypasses the tables of any attached
+// SolveCache); regular
 // callers just Solve.
 func (p *Problem) BuildCostTables(ctx context.Context) error {
 	if err := p.Validate(); err != nil {
@@ -243,7 +244,7 @@ func (p *Problem) unconstrainedOn(ctx context.Context, m *matrices, kern transRe
 		var st *seedState
 		if st, reused, err = hk.slide(ctx, m, old, workers == 2); err == nil {
 			p.Cache.retain(st)
-			parents, cost = st.parents, hk.gather(st.cost[p.Stages-1])
+			parents, cost, workers = st.parents, hk.gather(st.cost[p.Stages-1]), st.workers
 		}
 		if old != nil {
 			p.Metrics.noteSeedPass(reused)

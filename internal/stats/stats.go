@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dyndesign/internal/keyenc"
@@ -258,14 +259,19 @@ func (ts *TableStats) Column(name string) *ColumnStats {
 // models use it as their statistics epoch: a refreshed ANALYZE or an
 // in-place histogram mutation changes the fingerprint and invalidates
 // anything cached against the old world. A nil receiver hashes to 0.
+//
+// The value is FNV-1a over a fixed byte encoding of the fields (an
+// integer as its 8 little-endian bytes, a string as its length then its
+// bytes, a value as its kind byte, integer and string). It is persisted
+// (advisord records it), so the encoding and the hash must never change.
 func (ts *TableStats) Fingerprint() uint64 {
 	if ts == nil {
 		return 0
 	}
-	h := fnvHash{}
-	h.string(ts.Table)
-	h.int(ts.Rows)
-	h.int(int64(math.Float64bits(ts.RowBytes)))
+	h := uint64(fnvOffset)
+	h = fnvString(h, ts.Table)
+	h = fnvInt(h, ts.Rows)
+	h = fnvInt(h, int64(math.Float64bits(ts.RowBytes)))
 	names := make([]string, 0, len(ts.Columns))
 	for name := range ts.Columns {
 		names = append(names, name)
@@ -273,30 +279,22 @@ func (ts *TableStats) Fingerprint() uint64 {
 	sort.Strings(names)
 	for _, name := range names {
 		cs := ts.Columns[name]
-		h.string(name)
-		h.int(cs.Rows)
-		h.int(cs.NDV)
+		h = fnvString(h, name)
+		h = fnvInt(h, cs.Rows)
+		h = fnvInt(h, cs.NDV)
 		if cs.Hist == nil {
 			continue
 		}
-		h.value(cs.Hist.Min)
-		h.value(cs.Hist.Max)
-		h.int(cs.Hist.Rows)
+		h = fnvValue(h, cs.Hist.Min)
+		h = fnvValue(h, cs.Hist.Max)
+		h = fnvInt(h, cs.Hist.Rows)
 		for _, b := range cs.Hist.Buckets {
-			h.value(b.Upper)
-			h.int(b.Count)
-			h.int(b.Distinct)
+			h = fnvValue(h, b.Upper)
+			h = fnvInt(h, b.Count)
+			h = fnvInt(h, b.Distinct)
 		}
 	}
-	return h.sum()
-}
-
-// fnvHash is a tiny FNV-1a accumulator over the mixed field types the
-// fingerprint walks.
-type fnvHash struct {
-	h uint64
-	// started distinguishes the zero value from an initialized hash.
-	started bool
+	return h
 }
 
 const (
@@ -304,40 +302,43 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func (f *fnvHash) init() {
-	if !f.started {
-		f.h = fnvOffset
-		f.started = true
+// fnvZeros[n] is fnvPrime^n: FNV-1a over n zero bytes multiplies the
+// hash by it, since xoring a zero byte leaves the hash as it is. Most
+// integers the fingerprint hashes are small and most strings empty, so
+// their high zero bytes cost one multiplication instead of one each.
+var fnvZeros = func() (p [9]uint64) {
+	p[0] = 1
+	for n := 1; n < len(p); n++ {
+		p[n] = p[n-1] * fnvPrime
 	}
-}
+	return p
+}()
 
-func (f *fnvHash) byte(b byte) {
-	f.init()
-	f.h = (f.h ^ uint64(b)) * fnvPrime
-}
-
-func (f *fnvHash) int(v int64) {
-	for i := 0; i < 8; i++ {
-		f.byte(byte(v >> (8 * i)))
+// fnvInt hashes v's 8 little-endian bytes into h: the bytes up to the
+// highest non-zero one, then the zero bytes above it at once.
+func fnvInt(h uint64, v int64) uint64 {
+	u := uint64(v)
+	n := (bits.Len64(u) + 7) >> 3
+	for range n {
+		h = (h ^ u&0xff) * fnvPrime
+		u >>= 8
 	}
+	return h * fnvZeros[8-n]
 }
 
-func (f *fnvHash) string(s string) {
-	f.int(int64(len(s)))
+// fnvString hashes s's length, then its bytes, into h.
+func fnvString(h uint64, s string) uint64 {
+	h = fnvInt(h, int64(len(s)))
 	for i := 0; i < len(s); i++ {
-		f.byte(s[i])
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
+	return h
 }
 
-func (f *fnvHash) value(v types.Value) {
-	f.byte(byte(v.Kind))
-	f.int(v.Int)
-	f.string(v.Str)
-}
-
-func (f *fnvHash) sum() uint64 {
-	f.init()
-	return f.h
+// fnvValue hashes v's kind byte, integer and string into h.
+func fnvValue(h uint64, v types.Value) uint64 {
+	h = (h ^ uint64(byte(v.Kind))) * fnvPrime
+	return fnvString(fnvInt(h, v.Int), v.Str)
 }
 
 // SelectivityEq estimates the fraction of rows with column = v.
