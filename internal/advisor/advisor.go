@@ -292,6 +292,9 @@ type whatIfModel struct {
 	phys  []cost.IndexPhys
 	segs  []workload.Segment
 	memo  *ExecMemo
+	// build[s] is cost.BuildCost of structure s, priced once per model:
+	// Trans sums these, and TransParts hands the slice out.
+	build []float64
 	// rows[i] is stage i's row of the EXEC store, resolved from the
 	// segment's content hash when the problem is assembled (so entries
 	// survive the stage renumbering a sliding window causes between
@@ -330,10 +333,44 @@ type whatIfModel struct {
 // EXEC(stage, ·) that depends on the workload. It folds the segment's
 // length and each statement's TextHash, computed once when the statement
 // was parsed, with one order-sensitive multiply-rotate step (xxHash's
-// round) per statement.
+// round) per statement. It is the definition segmentKeys computes.
 func segmentHash(seg workload.Segment) uint64 {
-	h := foldHash(0, uint64(len(seg.Statements)))
-	for _, s := range seg.Statements {
+	return foldStatements(foldHash(0, uint64(len(seg.Statements))), seg.Statements)
+}
+
+// segmentKeys returns segmentHash of every segment, bit for bit, in one
+// pass over the window. One segment's fold is a chain of dependent
+// multiply-rotate steps; four segments are folded side by side, so the
+// four chains overlap in the processor instead of waiting on each
+// other. The segments' common length is folded four-wide and each
+// one's remainder alone; the last len(segs) % 4 segments go through
+// segmentHash.
+func segmentKeys(segs []workload.Segment) []uint64 {
+	keys := make([]uint64, len(segs))
+	i := 0
+	for ; i+4 <= len(segs); i += 4 {
+		s0, s1, s2, s3 := segs[i].Statements, segs[i+1].Statements, segs[i+2].Statements, segs[i+3].Statements
+		h0, h1 := foldHash(0, uint64(len(s0))), foldHash(0, uint64(len(s1)))
+		h2, h3 := foldHash(0, uint64(len(s2))), foldHash(0, uint64(len(s3)))
+		n := min(len(s0), len(s1), len(s2), len(s3))
+		for j := 0; j < n; j++ {
+			h0 = foldHash(h0, s0[j].TextHash())
+			h1 = foldHash(h1, s1[j].TextHash())
+			h2 = foldHash(h2, s2[j].TextHash())
+			h3 = foldHash(h3, s3[j].TextHash())
+		}
+		keys[i], keys[i+1] = foldStatements(h0, s0[n:]), foldStatements(h1, s1[n:])
+		keys[i+2], keys[i+3] = foldStatements(h2, s2[n:]), foldStatements(h3, s3[n:])
+	}
+	for ; i < len(segs); i++ {
+		keys[i] = segmentHash(segs[i])
+	}
+	return keys
+}
+
+// foldStatements folds each statement's TextHash into h, in order.
+func foldStatements(h uint64, stmts []workload.Statement) uint64 {
+	for _, s := range stmts {
 		h = foldHash(h, s.TextHash())
 	}
 	return h
@@ -505,6 +542,33 @@ func (m *whatIfModel) BatchExec(stage int, configs []core.Config, _ []float64) [
 	return out
 }
 
+// StoredRows implements core.StoredRowModel: one pass over the stages'
+// store rows hands every filled row over by reference, as BatchExec
+// would, and names the stages whose rows are empty; the probe counters
+// take the served rows' lookups and hits in one add each, the totals
+// per-stage BatchExec calls would add. Only the list the rows are dense
+// over is served from the store.
+func (m *whatIfModel) StoredRows(configs []core.Config, rows [][]float64) (missing []int) {
+	whole := m.whole(configs)
+	for i, r := range m.rows {
+		var costs []float64
+		if whole {
+			r.mu.Lock()
+			costs = r.costs
+			r.mu.Unlock()
+		}
+		if costs == nil {
+			missing = append(missing, i)
+			continue
+		}
+		rows[i] = costs
+	}
+	served := (len(m.rows) - len(missing)) * len(configs)
+	m.batchedLookups.Add(int64(served))
+	m.noteProbe(served, served)
+	return missing
+}
+
 // whole reports whether configs is the candidate list the store's rows
 // are dense over: by header when it is the list attach pinned, which is
 // the one core asks full rows for, and by value otherwise.
@@ -547,12 +611,13 @@ func (m *whatIfModel) costStats() CostStats {
 
 // Trans implements core.CostModel: build costs for added structures, in
 // ascending structure order, plus drop costs for removed ones. It walks
-// the bits of the two differences instead of listing them, so a call
-// allocates nothing.
+// the bits of the two differences instead of listing them and reads the
+// build costs attach priced, so a call allocates nothing and derives
+// nothing.
 func (m *whatIfModel) Trans(from, to core.Config) float64 {
 	total := 0.0
 	for added := uint64(to &^ from); added != 0; added &= added - 1 {
-		total += cost.BuildCost(m.phys[bits.TrailingZeros64(added)], m.table)
+		total += m.build[bits.TrailingZeros64(added)]
 	}
 	total += float64(bits.OnesCount64(uint64(from&^to))) * cost.DropCost()
 	return total
@@ -561,15 +626,14 @@ func (m *whatIfModel) Trans(from, to core.Config) float64 {
 // TransParts implements core.AdditiveTransModel: TRANS decomposes per
 // structure into one build cost per added index and one flat drop cost
 // per removed one — the capability that lets the exact solvers replace
-// the all-pairs relaxation with the hypercube lattice kernel.
+// the all-pairs relaxation with the hypercube lattice kernel. add is the
+// model's own build-cost slice; callers only read it.
 func (m *whatIfModel) TransParts() (add, drop []float64) {
-	add = make([]float64, len(m.phys))
 	drop = make([]float64, len(m.phys))
-	for s := range m.phys {
-		add[s] = cost.BuildCost(m.phys[s], m.table)
+	for s := range drop {
 		drop[s] = cost.DropCost()
 	}
-	return add, drop
+	return m.build, drop
 }
 
 // ExecInteractions implements core.InteractionModel: one clique per
@@ -627,16 +691,16 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 // model's cost world and candidate list — rows computed under refreshed
 // statistics, different physical descriptions, or another list are
 // purged instead of replayed — and each stage resolves its row by
-// segment content (segmentHash). It also gives the model its own, empty
-// intern set.
+// segment content (segmentKeys). It also gives the model its own, empty
+// intern set and prices each structure's build once.
 func (m *whatIfModel) attach(configs []core.Config) {
-	segHash := make([]uint64, len(m.segs))
-	for i, seg := range m.segs {
-		segHash[i] = segmentHash(seg)
-	}
 	m.pinned = configs
-	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segHash)
+	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segmentKeys(m.segs))
 	m.plans = cost.NewPlanSet(m.table, m.phys)
+	m.build = make([]float64, len(m.phys))
+	for s, ip := range m.phys {
+		m.build[s] = cost.BuildCost(ip, m.table)
+	}
 }
 
 // validate validates the window by compiling it: every stage whose store
@@ -647,8 +711,9 @@ func (m *whatIfModel) attach(configs []core.Config) {
 // compiled, from this very content under the pinned cost world, and a
 // slide validates the entering segment, not the window. The error is the
 // one a serial pass over the window would give: the failing statement
-// with the lowest window index, whichever worker met it.
-func (m *whatIfModel) validate(workers int) error {
+// with the lowest window index, whichever worker met it. A cancelled or
+// expired ctx stops the compile between segments and is the error.
+func (m *whatIfModel) validate(ctx context.Context, workers int) error {
 	var pending []int
 	for i, r := range m.rows {
 		r.mu.Lock()
@@ -658,7 +723,7 @@ func (m *whatIfModel) validate(workers int) error {
 		r.mu.Unlock()
 	}
 	errs := make([]error, len(pending))
-	err := core.ParallelFor(context.TODO(), workers, len(pending), func(k int) {
+	err := core.ParallelFor(ctx, workers, len(pending), func(k int) {
 		i := pending[k]
 		seg, r := m.segs[i], m.rows[i]
 		r.mu.Lock()
@@ -689,7 +754,13 @@ func (m *whatIfModel) validate(workers int) error {
 // given options. It validates the statements against the schema up
 // front by compiling them, on opts.Parallelism workers (see
 // whatIfModel.validate), so a solve finds every plan table in place.
-func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, _ []workload.Segment, err error) {
+func (a *Advisor) Problem(w *workload.Workload, opts Options) (*core.Problem, []workload.Segment, error) {
+	return a.problem(context.Background(), w, opts)
+}
+
+// problem is Problem under ctx: a cancelled or expired ctx stops the
+// statement compile and is returned as the error.
+func (a *Advisor) problem(ctx context.Context, w *workload.Workload, opts Options) (_ *core.Problem, _ []workload.Segment, err error) {
 	sp := opts.Tracer.Start("advisor.problem")
 	defer func() { sp.End(obs.Int("statements", int64(w.Len())), obs.Bool("ok", err == nil)) }()
 	if w.Len() == 0 {
@@ -726,7 +797,7 @@ func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, 
 		})
 	}
 	model.attach(pinned)
-	if err := model.validate(core.Workers(opts.Parallelism)); err != nil {
+	if err := model.validate(ctx, core.Workers(opts.Parallelism)); err != nil {
 		return nil, nil, err
 	}
 	cache := opts.Cache
@@ -776,7 +847,7 @@ func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload, op
 		outer.End(obs.String("table", a.space.Table), obs.Int("k", int64(opts.K)),
 			obs.Bool("ok", err == nil))
 	}()
-	p, segs, err := a.Problem(w, opts)
+	p, segs, err := a.problem(ctx, w, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -736,5 +737,55 @@ func TestRenderAnytimeBound(t *testing.T) {
 	rec.Render(&sb)
 	if !strings.Contains(sb.String(), "anytime bound: optimum within") {
 		t.Errorf("Render missing the anytime bound of a gap-%.0f solution:\n%s", pruned.Gap, sb.String())
+	}
+}
+
+// TestCancelledContextStopsAssembly pins that problem assembly compiles
+// under the caller's context: with a context cancelled before the call,
+// RecommendContext, RecommendMultiContext and the explain audit's
+// re-assembly return context.Canceled without compiling a statement —
+// no row of the retained store holds plan tables afterwards, and the
+// next assembly under a live context builds as many as one on a fresh
+// store.
+func TestCancelledContextStopsAssembly(t *testing.T) {
+	_, adv := testAdvisor(t)
+	w := testWorkload(t)
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	opts := paperOpts(2)
+	opts.SegmentSize = testBlock
+	opts.Memo = NewMemo(0)
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s under a cancelled context: %v, want context.Canceled", what, err)
+		}
+		for _, r := range opts.Memo.rows {
+			if r.tables != nil {
+				t.Fatalf("%s compiled statements under a cancelled context", what)
+			}
+		}
+	}
+	_, err := adv.RecommendContext(ctx, w, opts)
+	check("RecommendContext", err)
+	_, err = adv.RecommendMultiContext(ctx, []*workload.Workload{w, w}, opts)
+	check("RecommendMultiContext", err)
+
+	rec, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := opts
+	fresh.Memo = NewMemo(0)
+	want, err := adv.Recommend(w, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Stats.PlanTableBuilds != want.Stats.PlanTableBuilds {
+		t.Fatalf("live assembly after the cancelled ones built %d plan tables, one on a fresh store %d",
+			rec.Stats.PlanTableBuilds, want.Stats.PlanTableBuilds)
+	}
+	if _, err := adv.perturb(ctx, rec)(0, 9); !errors.Is(err, context.Canceled) {
+		t.Fatalf("audit re-assembly under a cancelled context: %v, want context.Canceled", err)
 	}
 }

@@ -73,7 +73,7 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 	if opts.AuditTrials > 0 {
 		eopts.AuditTrials = opts.AuditTrials
 		eopts.AuditSeed = opts.AuditSeed
-		eopts.Perturb = a.perturb(rec)
+		eopts.Perturb = a.perturb(ctx, rec)
 	}
 	e, err := explain.Build(ctx, rec.Problem, rec.Solution, eopts)
 	if err != nil {
@@ -88,11 +88,11 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 // the workload block-wise (phase structure preserved) and the problem
 // is re-assembled exactly as the original was — same design space,
 // segmentation, bounds, and policy, and the caller's retained Memo and
-// Cache when rec.opts carries them.
-func (a *Advisor) perturb(rec *Recommendation) explain.PerturbFunc {
+// Cache when rec.opts carries them. The re-assembly compiles under ctx.
+func (a *Advisor) perturb(ctx context.Context, rec *Recommendation) explain.PerturbFunc {
 	return func(trial int, seed int64) (*core.Problem, error) {
 		w := rec.Workload.Resample(seed)
-		p, _, err := a.Problem(w, rec.opts)
+		p, _, err := a.problem(ctx, w, rec.opts)
 		if err != nil {
 			return nil, fmt.Errorf("rebuilding problem for resample seed %d: %w", seed, err)
 		}

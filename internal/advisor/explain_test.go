@@ -117,7 +117,7 @@ func TestRecommendMultiAuditKeepsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := adv.perturb(rec)(0, 9)
+	p, err := adv.perturb(bg, rec)(0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

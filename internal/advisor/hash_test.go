@@ -163,11 +163,7 @@ func FuzzSegmentHashReuse(f *testing.F) {
 				size = 1 + arg%6
 			}
 			segs := w.Segments(size)
-			hashes := make([]uint64, len(segs))
-			for k, seg := range segs {
-				hashes[k] = segmentHash(seg)
-			}
-			_, rows := memo.attach(0, configs, hashes)
+			_, rows := memo.attach(0, configs, segmentKeys(segs))
 			for k, seg := range segs {
 				key := ids[seg.Start : seg.Start+len(seg.Statements)]
 				r, seen := rowOf[string(key)]
@@ -209,8 +205,9 @@ func TestSharedMemoConcurrentAssembly(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				keys := segmentKeys(segs)
 				for i, r := range p.Model.(*whatIfModel).rows {
-					if r.hash != segmentHash(segs[i]) {
+					if r.hash != keys[i] {
 						t.Errorf("goroutine %d, window at %d: stage %d resolved the row of another content", g, lo, i)
 						return
 					}
@@ -219,4 +216,37 @@ func TestSharedMemoConcurrentAssembly(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSegmentKeysMatchSegmentHash holds segmentKeys, which folds four
+// segments side by side, to segmentHash per segment, bit for bit: over
+// windows of 0 to 4 segments and longer ones, segment sizes that leave
+// a final partial segment, label cuts that make neighbouring segments
+// of unequal length, and statements built by parsing and as literals.
+func TestSegmentKeysMatchSegmentHash(t *testing.T) {
+	w := &workload.Workload{Name: "keys"}
+	labels := []string{"A", "B", "LOAD"}
+	for i := range 97 {
+		text := fmt.Sprintf("SELECT a FROM t WHERE a = %d", i%13)
+		s := workload.Statement{SQL: text}
+		if i%3 != 0 {
+			s = workload.MustStatement(text)
+		}
+		w.Append(labels[i/7%3], s)
+	}
+	for n := 0; n <= w.Len(); n++ {
+		for _, size := range []int{1, 2, 3, 4, 5, 7, 50} {
+			segs := w.Slice(0, n).Segments(size)
+			keys := segmentKeys(segs)
+			if len(keys) != len(segs) {
+				t.Fatalf("%d statements, size %d: %d keys for %d segments", n, size, len(keys), len(segs))
+			}
+			for i, seg := range segs {
+				if keys[i] != segmentHash(seg) {
+					t.Fatalf("%d statements, size %d: segment %d (statement %d, %d long) keyed %x, segmentHash %x",
+						n, size, i, seg.Start, len(seg.Statements), keys[i], segmentHash(seg))
+				}
+			}
+		}
+	}
 }

@@ -83,7 +83,7 @@ func (a *Advisor) RecommendMultiContext(ctx context.Context, traces []*workload.
 	if len(traces) == 1 {
 		return a.RecommendContext(ctx, traces[0], opts)
 	}
-	first, segs, err := a.Problem(traces[0], opts)
+	first, segs, err := a.problem(ctx, traces[0], opts)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func (a *Advisor) RecommendMultiContext(ctx context.Context, traces []*workload.
 			return nil, fmt.Errorf("advisor: trace %q has %d statements, %q has %d",
 				tr.Name, tr.Len(), traces[0].Name, traces[0].Len())
 		}
-		p, _, err := a.Problem(tr, opts)
+		p, _, err := a.problem(ctx, tr, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dyndesign/internal/candidates"
-	"dyndesign/internal/catalog"
 	"dyndesign/internal/core"
 	"dyndesign/internal/cost"
 	"dyndesign/internal/workload"
@@ -17,15 +15,7 @@ import (
 // bit over every pair of the ten-structure lattice, and checks that a
 // call allocates nothing.
 func TestTransMatchesDiffReference(t *testing.T) {
-	structures := append(candidates.PaperStructures("t"),
-		catalog.IndexDef{Table: "t", Columns: []string{"b", "a"}},
-		catalog.IndexDef{Table: "t", Columns: []string{"d", "c"}},
-		catalog.IndexDef{Table: "t", Columns: []string{"a", "c"}},
-		catalog.IndexDef{Table: "t", Columns: []string{"b", "d"}})
-	adv, err := New(buildDB(t), DesignSpace{Table: "t", Structures: structures})
-	if err != nil {
-		t.Fatal(err)
-	}
+	adv := fullLatticeAdvisor(t)
 	w, err := workload.PaperWorkload("W1", testRows, 2, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -125,6 +125,21 @@ type BatchCostModel interface {
 	BatchExec(stage int, configs []Config, out []float64) []float64
 }
 
+// StoredRowModel is a BatchCostModel that keeps whole EXEC rows and can
+// hand the kept ones over at once: the matrix build takes every stored
+// row in one call and sends only the other stages to its workers, so a
+// table whose rows are nearly all kept costs one pass, not one
+// BatchExec hand-off per stage.
+type StoredRowModel interface {
+	BatchCostModel
+	// StoredRows sets rows[i], for every stage i whose row over configs
+	// the model keeps, to the slice BatchExec(i, configs, nil) would
+	// return for it, and returns the other stages in ascending order. It
+	// leaves their entries of rows unset and counts whatever BatchExec
+	// would have counted for the rows it hands over.
+	StoredRows(configs []Config, rows [][]float64) (missing []int)
+}
+
 // capability finds an optional CostModel capability (AdditiveTransModel,
 // InteractionModel) on m or on a model it decorates: a
 // wrapper that only intercepts evaluations exposes its inner model
@@ -382,6 +397,23 @@ func (p *Problem) SequenceCostSplit(designs []Config) (exec, trans float64) {
 		trans += p.Model.Trans(prev, *p.Final)
 	}
 	return exec, trans
+}
+
+// ExecColumn sets out[k] to EXEC(start+k, c) for every k < len(out):
+// through the problem's cached cost tables, as SequenceCostSplit
+// replays, so each cell is the verbatim model output and the column is
+// bit for bit what Model.Exec would give, without a model call per cell.
+// Cells the tables do not hold come from the model.
+func (p *Problem) ExecColumn(start int, c Config, out []float64) {
+	if m := p.Cache.peek(p); m != nil {
+		for k := range out {
+			out[k] = m.execTerm(p, start+k, c)
+		}
+		return
+	}
+	for k := range out {
+		out[k] = p.Model.Exec(start+k, c)
+	}
 }
 
 // sequenceCostSplit is SequenceCostSplit over cached tables. Every term

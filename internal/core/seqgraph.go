@@ -79,7 +79,9 @@ func (p *Problem) solveInputs(ctx context.Context) (*matrices, transRelaxer, err
 //
 // With needTrans false (the hypercube kernel), the O(m²) all-pairs
 // TRANS evaluation is skipped entirely — the saving that makes wide
-// candidate lattices affordable.
+// candidate lattices affordable. A StoredRowModel's kept rows skip the
+// pool too: only the stages it names as missing get a worker (and a
+// matrix.exec_stage span).
 func (p *Problem) buildMatrices(ctx context.Context, configs []Config, needTrans bool) (_ *matrices, err error) {
 	start := time.Now()
 	sp := p.Tracer.Start(SpanMatrixBuild)
@@ -104,7 +106,17 @@ func (p *Problem) buildMatrices(ctx context.Context, configs []Config, needTrans
 	// table, so they inherit the batched fill). Batched and scalar
 	// evaluation are bit-identical by the BatchCostModel contract.
 	bm, batched := p.Model.(BatchCostModel)
-	err = ParallelFor(ctx, workers, p.Stages, func(i int) {
+	// A model that keeps rows hands the kept ones over in one call; the
+	// workers fill the rest. The check is on the model itself, not
+	// through capability: a wrapper that meters evaluations (a rung's
+	// work budget) must see every row asked for.
+	fill, stage := p.Stages, func(k int) int { return k }
+	if sm, ok := p.Model.(StoredRowModel); ok {
+		missing := sm.StoredRows(configs, m.exec)
+		fill, stage = len(missing), func(k int) int { return missing[k] }
+	}
+	err = ParallelFor(ctx, workers, fill, func(k int) {
+		i := stage(k)
 		var rowSpan obs.Span
 		if traced {
 			rowSpan = p.Tracer.Start(SpanMatrixExecStage)

@@ -12,9 +12,10 @@ const (
 	// SpanMatrixBuild covers one dense EXEC/TRANS cost-table build
 	// (attrs: stages, configs, ok).
 	SpanMatrixBuild = "matrix.build"
-	// SpanMatrixExecStage covers one stage's EXEC row, emitted from
-	// inside the worker pool (attrs: stage) — the concurrent-emission
-	// hot site.
+	// SpanMatrixExecStage covers one stage's EXEC row filled by the
+	// model, emitted from inside the worker pool (attrs: stage) — the
+	// concurrent-emission hot site. A row a StoredRowModel hands over
+	// has none.
 	SpanMatrixExecStage = "matrix.exec_stage"
 	// SpanSeqgraphDP covers the unconstrained sequence-graph DP loop
 	// (attrs: stages, configs).

@@ -1,7 +1,7 @@
 package explain
 
 import (
-	"sort"
+	"slices"
 
 	"dyndesign/internal/core"
 )
@@ -12,8 +12,9 @@ const topStages = 3
 // attribute explains every design change of the solution: the interior
 // changes between runs, the initial installation when the first design
 // differs from C0, and the final teardown when the problem pins the
-// endpoint. All quantities come from the problem's cost model over the
-// already-solved sequence — no re-solving.
+// endpoint. All quantities are the problem's cost-model values over the
+// already-solved sequence, EXEC read through its cost tables — no
+// re-solving.
 func attribute(p *core.Problem, sol *core.Solution, opts Options) []Transition {
 	runs := sol.Runs()
 	var out []Transition
@@ -76,17 +77,34 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 	if opts.StageInfo != nil {
 		t.Statement, _ = opts.StageInfo(run.Start)
 	}
-	impacts := make([]StageImpact, 0, run.Length)
-	for i := run.Start; i < run.Start+run.Length; i++ {
-		under := p.Model.Exec(i, to)
-		t.RunExecCost += under
-		delta := p.Model.Exec(i, from) - under
+	// The run's cells under both designs, read through the problem's cost
+	// tables: verbatim model outputs, without a model call per cell.
+	under := make([]float64, 2*run.Length)
+	before := under[run.Length:]
+	under = under[:run.Length]
+	p.ExecColumn(run.Start, to, under)
+	p.ExecColumn(run.Start, from, before)
+	// top keeps the topStages most-helped stages, largest delta first and
+	// the earlier stage among equal ones — a stable sort's first
+	// topStages, without sorting the run.
+	top := make([]StageImpact, 0, topStages+1)
+	for k, u := range under {
+		t.RunExecCost += u
+		delta := before[k] - u
 		t.ExecSaved += delta
-		im := StageImpact{Stage: i, Statement: -1, Delta: delta}
-		if opts.StageInfo != nil {
-			im.Statement, im.SQL = opts.StageInfo(i)
+		at := len(top)
+		for at > 0 && delta > top[at-1].Delta {
+			at--
 		}
-		impacts = append(impacts, im)
+		if at < topStages {
+			top = slices.Insert(top, at, StageImpact{Stage: run.Start + k, Statement: -1, Delta: delta})
+			top = top[:min(len(top), topStages)]
+		}
+	}
+	if opts.StageInfo != nil {
+		for k := range top {
+			top[k].Statement, top[k].SQL = opts.StageInfo(top[k].Stage)
+		}
 	}
 	// RemovalPenalty is the merge heuristic's penalty of collapsing this
 	// run into its predecessor: run stages execute under from, the
@@ -97,15 +115,6 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 		t.RemovalPenalty -= p.Model.Trans(to, *next)
 		t.RemovalPenalty += p.Model.Trans(from, *next)
 	}
-	sort.SliceStable(impacts, func(a, b int) bool {
-		if impacts[a].Delta != impacts[b].Delta {
-			return impacts[a].Delta > impacts[b].Delta
-		}
-		return impacts[a].Stage < impacts[b].Stage
-	})
-	if len(impacts) > topStages {
-		impacts = impacts[:topStages]
-	}
-	t.TopStages = impacts
+	t.TopStages = top
 	return t
 }

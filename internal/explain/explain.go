@@ -177,9 +177,9 @@ type Explanation struct {
 
 // Build computes the decision provenance of sol for p. The solution
 // must belong to the problem (same stage count). Build never mutates p
-// beyond evaluating its cost model; with a memoizing model (the
-// advisor's what-if model) attribution reuses cached cells instead of
-// re-costing.
+// beyond evaluating its cost model; attribution reads the EXEC cells
+// through the problem's cached cost tables (core.Problem.ExecColumn)
+// and asks the model only for cells they lack.
 func Build(ctx context.Context, p *core.Problem, sol *core.Solution, opts Options) (*Explanation, error) {
 	if sol == nil {
 		return nil, fmt.Errorf("explain: no solution to explain")

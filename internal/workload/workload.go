@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"dyndesign/internal/sql"
 )
@@ -359,23 +360,27 @@ type Segment struct {
 
 // Segments splits the workload into fixed-size stages. If the workload
 // has labels, boundaries additionally snap to label changes so no
-// segment mixes two blocks.
+// segment mixes two blocks. It runs on every re-solve of a sliding
+// window, so it is one pass: the result is sized for the label-free
+// count up front, and the label compare skips the byte compare when the
+// two labels share storage, as the labels of one Append do.
 func (w *Workload) Segments(size int) []Segment {
 	if size <= 0 {
 		size = 1
 	}
-	var out []Segment
-	i := 0
-	for i < len(w.Statements) {
-		end := i + size
-		if end > len(w.Statements) {
-			end = len(w.Statements)
-		}
+	n := len(w.Statements)
+	if n == 0 {
+		return nil
+	}
+	labelled := len(w.Labels) == n
+	out := make([]Segment, 0, (n+size-1)/size)
+	for i := 0; i < n; {
+		end := min(i+size, n)
 		label := ""
-		if len(w.Labels) == len(w.Statements) {
+		if labelled {
 			label = w.Labels[i]
 			for j := i + 1; j < end; j++ {
-				if w.Labels[j] != label {
+				if !sameLabel(w.Labels[j], label) {
 					end = j
 					break
 				}
@@ -385,6 +390,12 @@ func (w *Workload) Segments(size int) []Segment {
 		i = end
 	}
 	return out
+}
+
+// sameLabel is a == b without the out-of-line byte compare when both
+// strings point at the same bytes.
+func sameLabel(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
 }
 
 // MixHistogram counts statements per label, sorted by label — useful for
