@@ -301,6 +301,10 @@ type whatIfModel struct {
 	// solves); layout is the candidate list the rows are dense over.
 	rows   []*execRow
 	layout *rowLayout
+	// fresh is set when attach created every row, so none holds tables
+	// or costs but what this problem puts there; the first StoredRows
+	// call clears it.
+	fresh atomic.Bool
 	// pinned is the candidate list attach pinned the rows to, the list
 	// core passes BatchExec for a whole row.
 	pinned []core.Config
@@ -412,37 +416,39 @@ func (m *whatIfModel) worldVersion() uint64 {
 // compile returns stage's plan tables, resolving them into the stage's
 // store row r on first use; the caller holds r.mu. Problem assembly
 // resolves every row it validates, so a solve finds the tables here; a
-// model built by hand, or a row whose compile failed, resolves them now,
-// and the failure means the model's world changed since validation.
+// model built by hand, or a row whose compile failed, resolves them now
+// through the intern set itself, and the failure means the model's world
+// changed since validation.
 func (m *whatIfModel) compile(stage int, r *execRow) ([]*cost.PlanTable, error) {
-	if j, err := m.resolve(stage, r); err != nil {
-		return nil, fmt.Errorf("advisor: costing validated statement %q: %w", m.segs[stage].Statements[j].SQL, err)
+	if r.tables == nil {
+		if j, err := m.resolve(stage, r, m.plans.Compile); err != nil {
+			return nil, fmt.Errorf("advisor: costing validated statement %q: %w", m.segs[stage].Statements[j].SQL, err)
+		}
+		m.planBuilds.Add(int64(len(r.tables)))
 	}
 	return r.tables, nil
 }
 
-// resolve stores stage's plan tables in its row r unless r holds them;
-// the caller holds r.mu. Each statement goes through the problem's
-// intern set: the "one histogram pass per access path" compile runs once
-// per distinct compile key, and statements that compile alike share one
-// table, after which every configuration evaluation is O(statements)
-// masked table lookups. On a failure it returns the index in the segment
-// of the statement that failed and stores nothing.
-func (m *whatIfModel) resolve(stage int, r *execRow) (int, error) {
-	if r.tables != nil {
-		return 0, nil
-	}
+// resolve stores stage's plan tables in its row r, which holds none; the
+// caller holds r.mu and counts the statements resolved. Each statement
+// goes through the problem's intern set, by compile — a worker's front
+// of it, or the set's own Compile: a statement pays for its template
+// once per problem and for its literals' histogram searches, and
+// statements that compile alike share one table, after which every
+// configuration evaluation is O(statements) masked table lookups. On a
+// failure it returns the index in the segment of the statement that
+// failed and stores nothing.
+func (m *whatIfModel) resolve(stage int, r *execRow, compile func(sql.Statement) (*cost.PlanTable, error)) (int, error) {
 	stmts := m.segs[stage].Statements
 	tables := make([]*cost.PlanTable, len(stmts))
 	for i, s := range stmts {
-		pt, err := m.plans.Compile(s.Stmt)
+		pt, err := compile(s.Stmt)
 		if err != nil {
 			return i, err
 		}
 		tables[i] = pt
 	}
 	r.tables = tables
-	m.planBuilds.Add(int64(len(stmts)))
 	return 0, nil
 }
 
@@ -547,8 +553,17 @@ func (m *whatIfModel) BatchExec(stage int, configs []core.Config, _ []float64) [
 // would, and names the stages whose rows are empty; the probe counters
 // take the served rows' lookups and hits in one add each, the totals
 // per-stage BatchExec calls would add. Only the list the rows are dense
-// over is served from the store.
+// over is served from the store. The first call on a problem whose rows
+// attach created, before any build filled one, names every stage without
+// a walk.
 func (m *whatIfModel) StoredRows(configs []core.Config, rows [][]float64) (missing []int) {
+	if m.fresh.CompareAndSwap(true, false) {
+		missing = make([]int, len(m.rows))
+		for i := range missing {
+			missing[i] = i
+		}
+		return missing
+	}
 	whole := m.whole(configs)
 	for i, r := range m.rows {
 		var costs []float64
@@ -695,7 +710,9 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 // intern set and prices each structure's build once.
 func (m *whatIfModel) attach(configs []core.Config) {
 	m.pinned = configs
-	m.layout, m.rows = m.memo.attach(m.worldVersion(), configs, segmentKeys(m.segs))
+	var fresh bool
+	m.layout, m.rows, fresh = m.memo.attach(m.worldVersion(), configs, segmentKeys(m.segs))
+	m.fresh.Store(fresh)
 	m.plans = cost.NewPlanSet(m.table, m.phys)
 	m.build = make([]float64, len(m.phys))
 	for s, ip := range m.phys {
@@ -703,40 +720,76 @@ func (m *whatIfModel) attach(configs []core.Config) {
 	}
 }
 
+// compileRun is about how many statements validate hands a worker at a
+// time: rows are handed out one at a time once they hold this many.
+const compileRun = 32
+
 // validate validates the window by compiling it: every stage whose store
 // row holds no plan tables resolves them, on up to workers goroutines of
-// core's pool. Cost errors are schema and type errors — the compile
-// rejects the same statements under any configuration, the ones
-// StatementCosts rejects — so a row with tables was validated when it was
-// compiled, from this very content under the pinned cost world, and a
-// slide validates the entering segment, not the window. The error is the
-// one a serial pass over the window would give: the failing statement
-// with the lowest window index, whichever worker met it. A cancelled or
-// expired ctx stops the compile between segments and is the error.
+// core's pool, each through a front of its own over the problem's intern
+// set, so a worker that meets a template and numbers it has met takes no
+// lock. Cost errors are schema and type errors — the compile rejects the
+// same statements under any configuration, the ones StatementCosts
+// rejects — so a row with tables was validated when it was compiled, from
+// this very content under the pinned cost world, and a slide validates
+// the entering segment, not the window. The error is the one a serial
+// pass over the window would give: the failing statement with the lowest
+// window index, whichever worker met it. A cancelled or expired ctx
+// stops the compile between segments and is the error.
 func (m *whatIfModel) validate(ctx context.Context, workers int) error {
+	last := m.segs[len(m.segs)-1]
+	stmts := last.Start + len(last.Statements) - m.segs[0].Start
 	var pending []int
-	for i, r := range m.rows {
-		r.mu.Lock()
-		if r.tables == nil {
-			pending = append(pending, i)
+	if m.fresh.Load() {
+		pending = make([]int, len(m.rows))
+		for i := range pending {
+			pending[i] = i
 		}
-		r.mu.Unlock()
+	} else {
+		for i, r := range m.rows {
+			r.mu.Lock()
+			if r.tables == nil {
+				pending = append(pending, i)
+			}
+			r.mu.Unlock()
+		}
 	}
+	// Rows are handed out in runs of about compileRun statements, so the
+	// workers on one-statement stages do not meet at the counter on every
+	// row; each worker adds its count of statements resolved once.
+	run := max(1, compileRun*len(m.segs)/stmts)
 	errs := make([]error, len(pending))
-	err := core.ParallelFor(ctx, workers, len(pending), func(k int) {
-		i := pending[k]
-		seg, r := m.segs[i], m.rows[i]
-		r.mu.Lock()
-		j, err := m.resolve(i, r)
-		r.mu.Unlock()
-		if err == nil {
-			return
-		}
-		switch s := seg.Statements[j]; s.Stmt.(type) {
-		case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
-			errs[k] = fmt.Errorf("advisor: statement %d (%q): %w", seg.Start+j, s.SQL, err)
-		default:
-			errs[k] = fmt.Errorf("advisor: statement %d (%q) is not a workload statement", seg.Start+j, s.SQL)
+	var next atomic.Int64
+	err := core.ParallelFor(ctx, workers, min(workers, len(pending)), func(int) {
+		front := m.plans.Front()
+		built := 0
+		defer func() { m.planBuilds.Add(int64(built)) }()
+		for ctx.Err() == nil {
+			lo := int(next.Add(int64(run))) - run
+			for k := lo; k < min(lo+run, len(pending)); k++ {
+				i := pending[k]
+				seg, r := m.segs[i], m.rows[i]
+				j, err := 0, error(nil)
+				r.mu.Lock()
+				if r.tables == nil {
+					if j, err = m.resolve(i, r, front.Compile); err == nil {
+						built += len(seg.Statements)
+					}
+				}
+				r.mu.Unlock()
+				if err == nil {
+					continue
+				}
+				switch s := seg.Statements[j]; s.Stmt.(type) {
+				case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
+					errs[k] = fmt.Errorf("advisor: statement %d (%q): %w", seg.Start+j, s.SQL, err)
+				default:
+					errs[k] = fmt.Errorf("advisor: statement %d (%q) is not a workload statement", seg.Start+j, s.SQL)
+				}
+			}
+			if lo+run >= len(pending) {
+				return
+			}
 		}
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package advisor
 
 import (
-	"container/list"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,11 +23,12 @@ type execRow struct {
 	tables []*cost.PlanTable
 	costs  []float64
 	// hash is the row's key; used the assembly number of the last
-	// problem that attached it; lru its place in ExecMemo.lru. The last
-	// two are guarded by ExecMemo.mu.
-	hash uint64
-	used uint64
-	lru  *list.Element
+	// problem that attached it; prev and next its neighbours in the
+	// store's recency list, toward the most and the least recently
+	// attached row. The last three are guarded by ExecMemo.mu.
+	hash       uint64
+	used       uint64
+	prev, next *execRow
 }
 
 // rowLayout is the candidate list every row of a store is dense over,
@@ -83,9 +83,9 @@ type ExecMemo struct {
 
 	mu   sync.Mutex
 	rows map[uint64]*execRow
-	// lru orders the rows (*execRow values) most recently attached
-	// first; within one problem, later stages first.
-	lru    list.List
+	// lru links the rows most recently attached first, through their
+	// prev and next fields; within one problem, later stages first.
+	lru    recency
 	world  uint64
 	layout *rowLayout // nil until the first attach
 	// assembly numbers the attach calls; rows are stamped with it.
@@ -97,8 +97,8 @@ type ExecMemo struct {
 }
 
 // rowOverheadCells is what a stored row retains besides its cost cells,
-// in cells: the execRow, its list element and map entry, the table slice
-// and its share of the compiled PlanTables. Measured on rows of one
+// in cells: the execRow and its map entry, the table slice and its share
+// of the compiled PlanTables. Measured on rows of one
 // statement over 7 configurations (advisord's defaults), 56 B of which
 // are the cost cells: 420–460 B a row on the test fixture's point queries
 // (TestCappedMemoBoundsBytes) and ≈480 B in the heap profile of an
@@ -117,36 +117,42 @@ const rowOverheadCells = 64
 // unbounded. Pass it via Options.Memo to share it across
 // recommendations.
 func NewMemo(capacity int) *ExecMemo {
-	return &ExecMemo{capacity: max(capacity, 0), rows: make(map[uint64]*execRow)}
+	return &ExecMemo{capacity: max(capacity, 0)}
 }
 
 // attach binds a problem being assembled to the store: it pins the
 // store to the problem's cost world and candidate list (purging rows
 // computed under any other), resolves one row per stage from the
 // segment content hashes — creating empty rows for unseen content —
-// and sweeps the store back under its capacity.
-func (c *ExecMemo) attach(world uint64, configs []core.Config, segHash []uint64) (*rowLayout, []*execRow) {
+// and sweeps the store back under its capacity. fresh reports that it
+// created every row it returns.
+func (c *ExecMemo) attach(world uint64, configs []core.Config, segHash []uint64) (_ *rowLayout, _ []*execRow, fresh bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.layout == nil || c.world != world || !slices.Equal(c.layout.configs, configs) {
 		if c.layout != nil {
 			c.invalidations++
-			c.rows = make(map[uint64]*execRow)
-			c.lru.Init()
+			c.rows = nil
+			c.lru = recency{}
 		}
 		c.world, c.layout = world, newRowLayout(configs)
 	}
+	if len(c.rows) == 0 {
+		c.rows = make(map[uint64]*execRow, len(segHash))
+	}
 	c.assembly++
 	rows := make([]*execRow, len(segHash))
+	fresh = true
 	for i, h := range segHash {
 		r := c.rows[h]
 		if r == nil {
 			r = &execRow{hash: h}
-			r.lru = c.lru.PushFront(r)
 			c.rows[h] = r
 		} else {
-			c.lru.MoveToFront(r.lru)
+			fresh = fresh && r.used == c.assembly
+			c.lru.remove(r)
 		}
+		c.lru.pushFront(r)
 		r.used = c.assembly
 		rows[i] = r
 	}
@@ -155,15 +161,45 @@ func (c *ExecMemo) attach(world uint64, configs []core.Config, segHash []uint64)
 	// problem in hand is left, and that is never evicted.
 	width := len(configs)
 	for c.capacity > 0 && len(c.rows)*(width+rowOverheadCells) > c.capacity {
-		r := c.lru.Back().Value.(*execRow)
+		r := c.lru.back
 		if r.used == c.assembly {
 			break
 		}
-		c.lru.Remove(r.lru)
+		c.lru.remove(r)
 		delete(c.rows, r.hash)
 		c.evictions += int64(width)
 	}
-	return c.layout, rows
+	return c.layout, rows, fresh
+}
+
+// recency is a doubly linked list of rows through their prev and next
+// fields, front the most recent.
+type recency struct{ front, back *execRow }
+
+// pushFront links r, which is in no list, at the front.
+func (l *recency) pushFront(r *execRow) {
+	r.prev, r.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = r
+	} else {
+		l.back = r
+	}
+	l.front = r
+}
+
+// remove unlinks r.
+func (l *recency) remove(r *execRow) {
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		l.front = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		l.back = r.prev
+	}
+	r.prev, r.next = nil, nil
 }
 
 // ProbeStats counts EXEC lookups against the row store, in cells: a

@@ -57,16 +57,17 @@ func (a *Advisor) Explain(ctx context.Context, rec *Recommendation, opts Explain
 	opts = opts.withDefaults()
 	eopts := explain.Options{
 		StructureNames: rec.StructureNames,
-		StageInfo: func(stage int) (int, string) {
+		StageStatement: func(stage int) int { return rec.Segments[stage].Start },
+		StageSQL: func(stage int) string {
 			seg := rec.Segments[stage]
-			sql := ""
-			if len(seg.Statements) > 0 {
-				sql = seg.Statements[0].SQL
-				if len(sql) > sqlExcerptLen {
-					sql = sql[:sqlExcerptLen-3] + "..."
-				}
+			if len(seg.Statements) == 0 {
+				return ""
 			}
-			return seg.Start, sql
+			sql := seg.Statements[0].SQL
+			if len(sql) > sqlExcerptLen {
+				sql = sql[:sqlExcerptLen-3] + "..."
+			}
+			return sql
 		},
 		KSweepDelta: opts.KSweepDelta,
 	}

@@ -163,7 +163,10 @@ func FuzzSegmentHashReuse(f *testing.F) {
 				size = 1 + arg%6
 			}
 			segs := w.Segments(size)
-			_, rows := memo.attach(0, configs, segmentKeys(segs))
+			_, rows, fresh := memo.attach(0, configs, segmentKeys(segs))
+			if created := !slices.ContainsFunc(rows, func(r *execRow) bool { return textsOf[r] != "" }); fresh != created {
+				t.Fatalf("step %d: attach reports fresh %v, but it created every row: %v", i/2, fresh, created)
+			}
 			for k, seg := range segs {
 				key := ids[seg.Start : seg.Start+len(seg.Statements)]
 				r, seen := rowOf[string(key)]

@@ -24,7 +24,8 @@ func distinctStream(n int) *workload.Workload {
 // TestExecMemoInvalidationOnWorldChange pins the store's pin in
 // isolation: attaching under the same world and candidate list keeps
 // every row, while a different world fingerprint — or a different
-// candidate list — purges the store and counts one invalidation.
+// candidate list — purges the store and counts one invalidation. An
+// attach reports fresh exactly when it created every row it returns.
 func TestExecMemoInvalidationOnWorldChange(t *testing.T) {
 	m := NewMemo(0)
 	configs := SingleIndexConfigs(3)
@@ -32,32 +33,35 @@ func TestExecMemoInvalidationOnWorldChange(t *testing.T) {
 	for i := range hashes {
 		hashes[i] = uint64(i + 1)
 	}
-	_, rows := m.attach(1, configs, hashes)
+	_, rows, fresh := m.attach(1, configs, hashes)
+	if !fresh {
+		t.Fatal("the first attach created every row but does not report it fresh")
+	}
 	rows[0].costs = make([]float64, len(configs))
 	want := int64(len(hashes) * len(configs))
 	if st := m.Stats(); st.Invalidations != 0 || st.Entries != want {
 		t.Fatalf("first attach: %+v, want %d cells and no invalidation", st, want)
 	}
-	if _, again := m.attach(1, configs, hashes[:1]); again[0] != rows[0] {
-		t.Fatal("same-world attach did not resolve the stored row")
+	if _, again, fresh := m.attach(1, configs, hashes[:1]); again[0] != rows[0] || fresh {
+		t.Fatalf("same-world attach did not resolve the stored row (fresh %v)", fresh)
 	}
 	if st := m.Stats(); st.Invalidations != 0 || st.Entries != want {
 		t.Fatalf("same-world attach purged: %+v", st)
 	}
-	_, fresh := m.attach(2, configs, hashes[:1])
+	_, purged, fresh := m.attach(2, configs, hashes[:1])
 	if st := m.Stats(); st.Invalidations != 1 || st.Entries != int64(len(configs)) {
 		t.Fatalf("after world change: %+v, want 1 invalidation and one empty row", st)
 	}
-	if fresh[0] == rows[0] || fresh[0].costs != nil {
-		t.Fatal("stale row served after world change")
+	if purged[0] == rows[0] || purged[0].costs != nil || !fresh {
+		t.Fatalf("stale row served after world change (fresh %v)", fresh)
 	}
-	fresh[0].costs = make([]float64, len(configs))
-	_, relisted := m.attach(2, configs[:3], hashes[:1])
+	purged[0].costs = make([]float64, len(configs))
+	_, relisted, fresh := m.attach(2, configs[:3], hashes[:1])
 	if st := m.Stats(); st.Invalidations != 2 {
 		t.Fatalf("Invalidations after candidate-list change = %d, want 2", st.Invalidations)
 	}
-	if relisted[0].costs != nil {
-		t.Fatal("row over the old candidate list served after the list changed")
+	if relisted[0].costs != nil || !fresh {
+		t.Fatalf("row over the old candidate list served after the list changed (fresh %v)", fresh)
 	}
 }
 

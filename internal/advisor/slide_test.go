@@ -158,8 +158,8 @@ func TestSlidesMatchColdSolves(t *testing.T) {
 // what a service attaches to every window.
 var attributionOnly = ExplainOptions{KSweepDelta: -1, AuditTrials: -1}
 
-// TestSlidePaysForWhatEntered pins what a converged one-segment slide
-// asks of the row store, at the benchmark's shape — 360 stages over the
+// TestSlidePaysForWhatEntered pins what a cold solve and a converged
+// one-segment slide ask of the row store, at the benchmark's shape — 360 stages over the
 // 1 024-configuration lattice, a retained Memo and Cache: the table
 // build sends exactly one stage (the one that entered) to a worker; the
 // recommendation's CostStats count every stored row as looked up and hit,
@@ -174,9 +174,26 @@ func TestSlidePaysForWhatEntered(t *testing.T) {
 	const seg, stages = 10, 360
 	agg := obs.NewAggregator()
 	opts := Options{K: 4, SegmentSize: seg, Memo: NewMemo(0), Cache: core.NewSolveCache(), Tracer: obs.NewTracer(agg)}
+	cells := int64(stages << 10)
 	for _, lo := range []int{0, seg} {
-		if _, err := adv.Recommend(stream.Slice(lo, lo+seg*stages), opts); err != nil {
+		rec, err := adv.Recommend(stream.Slice(lo, lo+seg*stages), opts)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if lo != 0 {
+			continue
+		}
+		// The cold solve: every row is computed, none looked up stored.
+		want := CostStats{
+			WhatIfCalls:     cells * seg,
+			ProbeStats:      ProbeStats{Lookups: cells},
+			PlanTableBuilds: seg * stages,
+			BatchedLookups:  cells,
+		}
+		got := rec.Stats
+		got.PlanTableBytes = 0
+		if got != want {
+			t.Fatalf("cold CostStats %+v, want %+v", got, want)
 		}
 	}
 	agg.Reset()
@@ -196,7 +213,6 @@ func TestSlidePaysForWhatEntered(t *testing.T) {
 	if filled != 1 {
 		t.Fatalf("the table build filled %d stages through the model, want the one that entered", filled)
 	}
-	cells := int64(stages << 10)
 	want := CostStats{
 		WhatIfCalls:     int64(seg << 10),
 		ProbeStats:      ProbeStats{Lookups: cells, Hits: cells - 1<<10},

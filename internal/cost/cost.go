@@ -19,6 +19,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dyndesign/internal/btree"
@@ -188,22 +189,27 @@ func (a Access) String() string {
 	}
 }
 
-// selEq estimates the selectivity of column = v.
-func selEq(t TablePhys, col string, v types.Value) float64 {
-	if t.Stats != nil {
-		if cs := t.Stats.Column(col); cs != nil {
-			return cs.SelectivityEq(v)
-		}
+// columnStats returns the statistics of the named column, nil when the
+// table has none for it.
+func columnStats(t TablePhys, col string) *stats.ColumnStats {
+	if t.Stats == nil {
+		return nil
 	}
-	return defaultEqSelectivity
+	return t.Stats.Column(col)
 }
 
-// selRange estimates the selectivity of a range over one column.
-func selRange(t TablePhys, col string, r RangeSpec) float64 {
-	if t.Stats == nil {
-		return defaultRangeSelectivity
+// selEq estimates the selectivity of column = v from the column's
+// statistics cs (nil: none).
+func selEq(cs *stats.ColumnStats, v types.Value) float64 {
+	if cs == nil {
+		return defaultEqSelectivity
 	}
-	cs := t.Stats.Column(col)
+	return cs.SelectivityEq(v)
+}
+
+// selRange estimates the selectivity of a range over one column from the
+// column's statistics cs (nil: none).
+func selRange(cs *stats.ColumnStats, r RangeSpec) float64 {
 	if cs == nil {
 		return defaultRangeSelectivity
 	}
@@ -223,28 +229,29 @@ func selRange(t TablePhys, col string, r RangeSpec) float64 {
 	return frac
 }
 
-// conjunctSelectivity estimates one conjunct's selectivity in isolation.
-func conjunctSelectivity(t TablePhys, c sql.Comparison) float64 {
+// conjunctSelectivity estimates one conjunct's selectivity in isolation
+// from its column's statistics cs (nil: none).
+func conjunctSelectivity(cs *stats.ColumnStats, c sql.Comparison) float64 {
 	switch c.Op {
 	case sql.OpEq:
-		return selEq(t, c.Column, c.Value)
+		return selEq(cs, c.Value)
 	case sql.OpIn:
 		total := 0.0
 		for _, v := range c.Values {
-			total += selEq(t, c.Column, v)
+			total += selEq(cs, v)
 		}
 		if total > 1 {
 			return 1
 		}
 		return total
 	case sql.OpLt:
-		return selRange(t, c.Column, RangeSpec{High: &c.Value})
+		return selRange(cs, RangeSpec{High: &c.Value})
 	case sql.OpLe:
-		return selRange(t, c.Column, RangeSpec{High: &c.Value, HighInclusive: true})
+		return selRange(cs, RangeSpec{High: &c.Value, HighInclusive: true})
 	case sql.OpGt:
-		return selRange(t, c.Column, RangeSpec{Low: &c.Value})
+		return selRange(cs, RangeSpec{Low: &c.Value})
 	case sql.OpGe:
-		return selRange(t, c.Column, RangeSpec{Low: &c.Value, LowInclusive: true})
+		return selRange(cs, RangeSpec{Low: &c.Value, LowInclusive: true})
 	default:
 		return defaultRangeSelectivity
 	}
@@ -255,67 +262,125 @@ func isRangeOp(op sql.CompareOp) bool {
 	return op == sql.OpLt || op == sql.OpLe || op == sql.OpGt || op == sql.OpGe
 }
 
-// conjunctNumbers returns every histogram-derived number costing reads
-// of one conjunct: its selectivity in isolation, and for a range bound
-// seekSel, the selectivity an index seek prices when the bound is the only
-// one on its column — selRange under the schema's spelling of the column,
-// which is how the seek names it. A seek over two bounds on one column
-// prices their combined range, which depends on the literals and is not
-// among these numbers. shapeSelect and PlanKey both read conjuncts through
-// this one function, which is why equal keys compile to equal tables.
-func conjunctNumbers(t TablePhys, c sql.Comparison) (sel, seekSel float64) {
-	sel = conjunctSelectivity(t, c)
-	if !isRangeOp(c.Op) {
-		return sel, 0
-	}
-	ord := t.Schema.ColumnIndex(c.Column)
-	if ord < 0 || t.Schema.Columns[ord].Name == c.Column {
-		return sel, sel
-	}
-	c.Column = t.Schema.Columns[ord].Name
-	return sel, conjunctSelectivity(t, c)
+// searchTemplate is the part of costing a row search that its template
+// fixes, whatever its literals: the statement validated, the referenced
+// column ordinals (which decide covering), and per WHERE conjunct its
+// column's ordinal and statistics. Every statement of the template
+// costs the same derivation; only its literals are left to price
+// (numbers).
+type searchTemplate struct {
+	need []int
+	// ords[i] is conjunct i's column ordinal; cs[i] its column's
+	// statistics under the conjunct's spelling of the column, and
+	// seekCS[i] under the schema's, which is how an index seek names it.
+	ords       []int
+	cs, seekCS []*stats.ColumnStats
+	// combined is set when a column carries two range bounds: a seek over
+	// them prices their combined range from the literal values, which
+	// the numbers do not determine.
+	combined bool
 }
 
-// selectShape is the configuration-independent part of costing a
-// SELECT: the referenced column ordinals (which decide covering), the
-// WHERE conjuncts with their conjunctNumbers, and the estimated result
-// cardinality. Deriving it once per statement is what lets a PlanTable
-// price every candidate access path with a single histogram pass.
+// newSearchTemplate validates sel and derives its searchTemplate. SELECT *
+// references every column.
+func newSearchTemplate(sel *sql.Select, t TablePhys) (searchTemplate, error) {
+	if err := validateSelect(sel, t.Schema); err != nil {
+		return searchTemplate{}, err
+	}
+	var st searchTemplate
+	if len(sel.Columns) == 0 && !sel.CountStar && !sel.HasAggregates() {
+		for i := 0; i < t.Schema.Len(); i++ {
+			st.need = append(st.need, i)
+		}
+	} else {
+		for _, name := range sel.ReferencedColumns() {
+			st.need = append(st.need, t.Schema.ColumnIndex(name))
+		}
+	}
+	var conjuncts []sql.Comparison
+	if sel.Where != nil {
+		conjuncts = sel.Where.Conjuncts
+	}
+	st.ords = make([]int, len(conjuncts))
+	st.cs = make([]*stats.ColumnStats, 2*len(conjuncts))
+	st.cs, st.seekCS = st.cs[:len(conjuncts)], st.cs[len(conjuncts):]
+	for i, c := range conjuncts {
+		ord := t.Schema.ColumnIndex(c.Column)
+		st.ords[i] = ord
+		st.cs[i] = columnStats(t, c.Column)
+		st.seekCS[i] = columnStats(t, t.Schema.Columns[ord].Name)
+		if isRangeOp(c.Op) {
+			for j, o := range conjuncts[:i] {
+				if isRangeOp(o.Op) && st.ords[j] == ord {
+					st.combined = true
+				}
+			}
+		}
+	}
+	return st, nil
+}
+
+// numbers appends every histogram-derived number costing reads of the
+// statement's conjuncts, 2 × len(conjuncts) of them: each conjunct's
+// selectivity in isolation, then for each range bound the selectivity an
+// index seek prices when the bound is the only one on its column — under
+// the schema's statistics of the column (0 for a conjunct that bounds no
+// range). A seek over two bounds on one column prices their combined
+// range, which depends on the literals and is not among these numbers.
+// They are all a statement of the template adds to it: statements of one
+// non-combined template with equal numbers compile to equal tables.
+func (st *searchTemplate) numbers(conjuncts []sql.Comparison, out []float64) []float64 {
+	n := len(conjuncts)
+	out = slices.Grow(out[:0], 2*n)[:2*n]
+	for i, c := range conjuncts {
+		sel, seek := conjunctSelectivity(st.cs[i], c), 0.0
+		if isRangeOp(c.Op) {
+			seek = sel
+			if st.seekCS[i] != st.cs[i] {
+				seek = conjunctSelectivity(st.seekCS[i], c)
+			}
+		}
+		out[i], out[n+i] = sel, seek
+	}
+	return out
+}
+
+// selectShape is the configuration-independent part of costing one row
+// search: its template's ordinals, the WHERE conjuncts with their
+// numbers, and the estimated result cardinality. Deriving it once per
+// statement is what lets a PlanTable price every candidate access path
+// with a single histogram pass.
 type selectShape struct {
 	need      []int
 	conjuncts []sql.Comparison
-	// sel[i] and seekSel[i] are conjunctNumbers(conjuncts[i]).
+	ords      []int
+	// sel[i] and seekSel[i] are conjunct i's numbers.
 	sel, seekSel []float64
 	resultRows   float64
 }
 
+// shape assembles the selectShape of a statement of the template from
+// its conjuncts and their numbers.
+func (st *searchTemplate) shape(conjuncts []sql.Comparison, nums []float64, t TablePhys) selectShape {
+	n := len(conjuncts)
+	sh := selectShape{need: st.need, conjuncts: conjuncts, ords: st.ords, sel: nums[:n], seekSel: nums[n:], resultRows: t.Rows}
+	for _, v := range sh.sel {
+		sh.resultRows *= v
+	}
+	return sh
+}
+
 // shapeSelect validates the statement and derives its selectShape.
-// SELECT * references every column.
 func shapeSelect(sel *sql.Select, t TablePhys) (selectShape, error) {
-	if err := validateSelect(sel, t.Schema); err != nil {
+	st, err := newSearchTemplate(sel, t)
+	if err != nil {
 		return selectShape{}, err
 	}
-	var sh selectShape
-	if len(sel.Columns) == 0 && !sel.CountStar && !sel.HasAggregates() {
-		for i := 0; i < t.Schema.Len(); i++ {
-			sh.need = append(sh.need, i)
-		}
-	} else {
-		for _, name := range sel.ReferencedColumns() {
-			sh.need = append(sh.need, t.Schema.ColumnIndex(name))
-		}
-	}
-	sh.resultRows = t.Rows
+	var conjuncts []sql.Comparison
 	if sel.Where != nil {
-		sh.conjuncts = sel.Where.Conjuncts
+		conjuncts = sel.Where.Conjuncts
 	}
-	nums := make([]float64, 2*len(sh.conjuncts))
-	sh.sel, sh.seekSel = nums[:len(sh.conjuncts)], nums[len(sh.conjuncts):]
-	for i, c := range sh.conjuncts {
-		sh.sel[i], sh.seekSel[i] = conjunctNumbers(t, c)
-		sh.resultRows *= sh.sel[i]
-	}
-	return sh, nil
+	return st.shape(conjuncts, st.numbers(conjuncts, nil), t), nil
 }
 
 // ChooseAccess enumerates the access paths available for a SELECT over
@@ -341,9 +406,9 @@ func ChooseAccess(sel *sql.Select, t TablePhys, indexes []IndexPhys) (Access, er
 	return best, nil
 }
 
-// indexAccess is the per-index step of ChooseAccess and CompilePlan: the
-// index's seek or, when it covers the statement, its index-only scan,
-// whichever betterAccess prefers; false when it offers neither.
+// indexAccess is the per-index step of ChooseAccess: the index's seek
+// or, when it covers the statement, its index-only scan, whichever
+// betterAccess prefers; false when it offers neither.
 func indexAccess(t TablePhys, ip *IndexPhys, sh *selectShape) (Access, bool) {
 	covering := ip.Covers(sh.need)
 	a, ok := seekAccess(t, ip, sh, covering)
@@ -361,6 +426,20 @@ func indexAccess(t TablePhys, ip *IndexPhys, sh *selectShape) (Access, bool) {
 		}
 	}
 	return a, ok
+}
+
+// indexCost is the page cost of indexAccess's path, as CompilePlan
+// reads it, without building the Access: betterAccess prefers the
+// index-only scan exactly when it is strictly cheaper than the seek.
+func indexCost(t TablePhys, ip *IndexPhys, sh *selectShape) (float64, bool) {
+	covering := ip.Covers(sh.need)
+	seek, _, ok := seekPrice(t, ip, sh, covering, nil)
+	if covering {
+		if scan := ip.Height + ip.LeafPages; !ok || scan < seek {
+			return scan, true
+		}
+	}
+	return seek, ok
 }
 
 // betterAccess reports whether a is strictly preferred over b under the
@@ -395,14 +474,26 @@ func indexName(a Access) string {
 	return a.Index.Def.Name()
 }
 
-// seekAccess builds the best seek on one index: the longest leading
-// equality prefix, optionally extended by a range on the next key column.
-// Its selectivities are the shape's conjunctNumbers, except the combined
-// range of two or more bounds on one column, priced here from the
-// literals.
+// seekAccess builds the best seek on one index (seekPrice).
 func seekAccess(t TablePhys, ip *IndexPhys, sh *selectShape, covering bool) (Access, bool) {
-	conjuncts := sh.conjuncts
 	a := Access{Kind: IndexSeek, Index: ip, Covering: covering}
+	var ok bool
+	if a.PageCost, a.EstMatchRows, ok = seekPrice(t, ip, sh, covering, &a); !ok {
+		return Access{}, false
+	}
+	a.EstResultRows = sh.resultRows
+	return a, true
+}
+
+// seekPrice prices the best seek on one index: the longest leading
+// equality prefix, optionally extended by an IN list or a range on the
+// next key column. Its selectivities are the shape's numbers, except the
+// combined range of two or more bounds on one column, priced here from
+// the literals. When a is non-nil, the seek's values, range and consumed
+// conjuncts are recorded in it. It returns the seek's page cost and
+// matched rows, false when the index offers nothing to seek on.
+func seekPrice(t TablePhys, ip *IndexPhys, sh *selectShape, covering bool, a *Access) (pageCost, matchRows float64, ok bool) {
+	conjuncts := sh.conjuncts
 	sel1 := 1.0
 	// Consumed-conjunct tracking: a bitmask for the (universal) case of
 	// at most 64 conjuncts, an allocated map beyond — the bitmask keeps
@@ -427,13 +518,14 @@ func seekAccess(t TablePhys, ip *IndexPhys, sh *selectShape, covering bool) (Acc
 	}
 
 	// Leading equality prefix.
+	eq := 0
 	for _, keyCol := range ip.KeyCols {
 		found := -1
 		for ci, c := range conjuncts {
 			if used(ci) || c.Op != sql.OpEq {
 				continue
 			}
-			if t.Schema.ColumnIndex(c.Column) == keyCol {
+			if sh.ords[ci] == keyCol {
 				found = ci
 				break
 			}
@@ -442,82 +534,97 @@ func seekAccess(t TablePhys, ip *IndexPhys, sh *selectShape, covering bool) (Acc
 			break
 		}
 		markUsed(found)
-		a.Consumed = append(a.Consumed, found)
-		a.EqVals = append(a.EqVals, conjuncts[found].Value)
+		eq++
+		if a != nil {
+			a.Consumed = append(a.Consumed, found)
+			a.EqVals = append(a.EqVals, conjuncts[found].Value)
+		}
 		sel1 *= sh.sel[found]
 	}
 
 	// Optional IN list or range on the next key column. An IN predicate
 	// is preferred: it seeks exactly its values instead of spanning them.
-	if len(a.EqVals) < len(ip.KeyCols) {
-		next := ip.KeyCols[len(a.EqVals)]
+	var in []types.Value
+	if eq < len(ip.KeyCols) {
+		next := ip.KeyCols[eq]
 		for ci, c := range conjuncts {
-			if used(ci) || c.Op != sql.OpIn || t.Schema.ColumnIndex(c.Column) != next {
+			if used(ci) || c.Op != sql.OpIn || sh.ords[ci] != next {
 				continue
 			}
-			a.In = c.Values
-			a.Consumed = append(a.Consumed, ci)
+			in = c.Values
+			if a != nil {
+				a.In = in
+				a.Consumed = append(a.Consumed, ci)
+			}
 			markUsed(ci)
 			sel1 *= sh.sel[ci]
 			break
 		}
 	}
-	if a.In == nil && len(a.EqVals) < len(ip.KeyCols) {
-		next := ip.KeyCols[len(a.EqVals)]
+	bounds := 0
+	if in == nil && eq < len(ip.KeyCols) {
+		next := ip.KeyCols[eq]
 		var r RangeSpec
-		var consumed []int
-		for ci, c := range conjuncts {
-			if used(ci) || t.Schema.ColumnIndex(c.Column) != next {
+		first := -1
+		for ci := range conjuncts {
+			c := &conjuncts[ci]
+			if used(ci) || sh.ords[ci] != next {
 				continue
 			}
-			v := c.Value
 			switch c.Op {
 			case sql.OpGt, sql.OpGe:
 				incl := c.Op == sql.OpGe
-				if r.Low == nil || v.Compare(*r.Low) > 0 || (v.Compare(*r.Low) == 0 && !incl) {
-					r.Low, r.LowInclusive = &v, incl
+				if r.Low == nil || c.Value.Compare(*r.Low) > 0 || (c.Value.Compare(*r.Low) == 0 && !incl) {
+					r.Low, r.LowInclusive = &c.Value, incl
 				}
-				consumed = append(consumed, ci)
 			case sql.OpLt, sql.OpLe:
 				incl := c.Op == sql.OpLe
-				if r.High == nil || v.Compare(*r.High) < 0 || (v.Compare(*r.High) == 0 && !incl) {
-					r.High, r.HighInclusive = &v, incl
+				if r.High == nil || c.Value.Compare(*r.High) < 0 || (c.Value.Compare(*r.High) == 0 && !incl) {
+					r.High, r.HighInclusive = &c.Value, incl
 				}
-				consumed = append(consumed, ci)
+			default:
+				continue
+			}
+			if bounds == 0 {
+				first = ci
+			}
+			bounds++
+			if a != nil {
+				a.Consumed = append(a.Consumed, ci)
 			}
 		}
-		if len(consumed) > 0 {
-			a.Range = &r
-			a.Consumed = append(a.Consumed, consumed...)
-			if len(consumed) == 1 {
-				sel1 *= sh.seekSel[consumed[0]]
-			} else {
-				sel1 *= selRange(t, t.Schema.Columns[next].Name, r)
-			}
+		switch {
+		case bounds == 1:
+			sel1 *= sh.seekSel[first]
+		case bounds > 1:
+			sel1 *= selRange(columnStats(t, t.Schema.Columns[next].Name), r)
+		}
+		if bounds > 0 && a != nil {
+			rs := r
+			a.Range = &rs
 		}
 	}
 
-	if len(a.EqVals) == 0 && a.Range == nil && a.In == nil {
-		return Access{}, false // nothing to seek on
+	if eq == 0 && bounds == 0 && in == nil {
+		return 0, 0, false // nothing to seek on
 	}
-	a.EstMatchRows = t.Rows * sel1
-	a.EstResultRows = sh.resultRows
+	matchRows = t.Rows * sel1
 	// Pages: descents + matched leaf pages + heap fetches unless
 	// covering. An IN seek descends once per value.
 	descents := 1.0
-	if a.In != nil {
-		descents = float64(len(a.In))
+	if in != nil {
+		descents = float64(len(in))
 	}
 	leafFrac := 1.0
 	if t.Rows > 0 {
-		leafFrac = a.EstMatchRows / t.Rows
+		leafFrac = matchRows / t.Rows
 	}
 	matchedLeaves := math.Max(descents, math.Ceil(ip.LeafPages*leafFrac))
-	a.PageCost = descents*ip.Height + matchedLeaves
+	pageCost = descents*ip.Height + matchedLeaves
 	if !covering {
-		a.PageCost += a.EstMatchRows
+		pageCost += matchRows
 	}
-	return a, true
+	return pageCost, matchRows, true
 }
 
 // validateSelect checks that every referenced column exists and that

@@ -98,11 +98,12 @@ func combinedRange(stmt sql.Statement) bool {
 	return false
 }
 
-// invalidTwins returns writes the engine refuses that would share stmt's
-// compile key if they had one: for an INSERT, rows as many as its own of
-// the wrong arity and of the wrong kinds; for an UPDATE, the same WHERE
-// setting an unknown column or a column to a value of the wrong kind.
-// Neither an INSERT's values nor an UPDATE's SET list is keyed.
+// invalidTwins returns writes the engine refuses that are stmt but for
+// what its literals' values leave out: for an INSERT, rows as many as its
+// own of the wrong arity and of the wrong kinds; for an UPDATE, the same
+// WHERE setting an unknown column or a column to a value of the wrong
+// kind. Neither an INSERT's values nor an UPDATE's SET values are priced,
+// so only the template tells such a twin from a valid statement.
 func invalidTwins(stmt sql.Statement) []sql.Statement {
 	switch s := stmt.(type) {
 	case *sql.Insert:
@@ -126,15 +127,17 @@ func invalidTwins(stmt sql.Statement) []sql.Statement {
 }
 
 // checkPlanKeySeed is the body of FuzzPlanKey: over one random world and
-// a random configuration list it compiles random statements and asserts
-// the compile key's contract — a rejected statement and a combined range
-// have no key, two statements with equal keys compile to tables whose
-// Cost is bit-equal at every configuration, and a PlanSet hands both the
-// same table, equal to a fresh compile — and that a write the engine
-// refuses, following a valid statement of the key it would have, has no
-// key and is refused by CompilePlan and the PlanSet alike. It returns how
-// many statements met an earlier statement's key, and how many combined
-// ranges it saw.
+// a random configuration list it compiles random statements through a
+// PlanSet — by its own Compile and by two fronts, in random turns — and
+// asserts the template layer's contract: every table costs what a fresh
+// CompilePlan's does, bit for bit, at every configuration, and a
+// statement CompilePlan rejects is rejected with its error; equal
+// templates hash equal; a combined range is flagged as one, and compiles
+// to its own literals; statements of one template and equal numbers get
+// one table, whichever path resolved them; and a write the engine refuses
+// that is a held template's statement but for what its literals leave out
+// is refused on every path. It returns how many statements met an earlier
+// statement's template and numbers, and how many combined ranges it saw.
 func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tp := synthTable(t, rng)
@@ -145,63 +148,81 @@ func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
 		configs = append(configs, rng.Uint64()&all)
 	}
 	set := NewPlanSet(tp, idx)
+	paths := []func(sql.Statement) (*PlanTable, error){set.Compile, set.Front().Compile, set.Front().Compile}
 	type first struct {
+		stmt sql.Statement
 		text string
+		nums []float64
 		pt   *PlanTable
 	}
-	byKey := map[CompileKey]first{}
+	var firsts []first
 	for i := 0; i < 80; i++ {
 		text := synthKeyStatement(rng)
 		stmt, err := sql.Parse(text)
 		if err != nil {
 			t.Fatalf("seed %d: generated unparseable SQL %q: %v", seed, text, err)
 		}
-		key, keyed := PlanKey(stmt, tp)
 		pt, cerr := CompilePlan(stmt, tp, idx)
-		interned, serr := set.Compile(stmt)
+		interned, serr := paths[rng.Intn(len(paths))](stmt)
 		if cerr != nil {
-			if keyed || serr == nil {
-				t.Fatalf("seed %d: %q is rejected by CompilePlan (%v) but keyed %v, PlanSet error %v", seed, text, cerr, keyed, serr)
+			if serr == nil || serr.Error() != cerr.Error() {
+				t.Fatalf("seed %d: %q is rejected by CompilePlan (%v) but the PlanSet says %v", seed, text, cerr, serr)
 			}
 			continue
 		}
 		if serr != nil {
 			t.Fatalf("seed %d: PlanSet rejected %q: %v", seed, text, serr)
 		}
-		if combinedRange(stmt) {
-			combined++
-			if keyed {
-				t.Fatalf("seed %d: %q combines two range bounds on one column but has a key", seed, text)
-			}
-		}
 		for _, c := range configs {
 			if got, want := interned.Cost(c), pt.Cost(c); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d: %q config %b: PlanSet table %v != fresh compile %v", seed, text, c, got, want)
 			}
 		}
-		if !keyed {
-			continue
+		tmpl, err := newTemplate(stmt, tp, idx)
+		if err != nil {
+			t.Fatalf("seed %d: %q compiles but its template fails: %v", seed, text, err)
+		}
+		if got := tmpl.search != nil && tmpl.search.combined; got != combinedRange(stmt) {
+			t.Fatalf("seed %d: %q: template flags a combined range %v, the statement has one %v", seed, text, got, !got)
 		}
 		for _, twin := range invalidTwins(stmt) {
-			_, twinKeyed := PlanKey(twin, tp)
 			_, cerr := CompilePlan(twin, tp, idx)
-			if _, serr := set.Compile(twin); twinKeyed || cerr == nil || serr == nil {
-				t.Fatalf("seed %d: %q's invalid twin %q: keyed %v, CompilePlan error %v, PlanSet error %v",
-					seed, text, twin, twinKeyed, cerr, serr)
+			for p, compile := range paths {
+				if _, serr := compile(twin); cerr == nil || serr == nil {
+					t.Fatalf("seed %d: %q's invalid twin %q: CompilePlan error %v, path %d error %v", seed, text, twin, cerr, p, serr)
+				}
 			}
 		}
-		f, seen := byKey[key]
-		if !seen {
-			byKey[key] = first{text, interned}
+		if combinedRange(stmt) {
+			combined++
+			continue
+		}
+		nums := tmpl.numbers(conjunctsOf(stmt), nil)
+		j := slices.IndexFunc(firsts, func(f first) bool { return sameTemplate(stmt, f.stmt) && sameBits(nums, f.nums) })
+		for _, f := range firsts {
+			if sameTemplate(stmt, f.stmt) != sameTemplate(f.stmt, stmt) {
+				t.Fatalf("seed %d: sameTemplate(%q, %q) is not symmetric", seed, text, f.text)
+			}
+			if h1, _ := templateHash(stmt); sameTemplate(stmt, f.stmt) {
+				if h2, _ := templateHash(f.stmt); h1 != h2 {
+					t.Fatalf("seed %d: %q and %q have equal templates but hash %x and %x", seed, text, f.text, h1, h2)
+				}
+			}
+		}
+		if j < 0 {
+			firsts = append(firsts, first{stmt, text, nums, interned})
 			continue
 		}
 		shared++
-		if interned != f.pt {
-			t.Fatalf("seed %d: %q and %q share a key but the PlanSet gave two tables", seed, f.text, text)
+		f := firsts[j]
+		for p, compile := range paths {
+			if again, err := compile(stmt); err != nil || again != f.pt {
+				t.Fatalf("seed %d: %q and %q share a template and numbers but path %d gave another table (%v)", seed, f.text, text, p, err)
+			}
 		}
 		for _, c := range configs {
 			if got, want := pt.Cost(c), f.pt.Cost(c); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d: %q and %q share a key, config %b costs %v (bits %x) and %v (bits %x)",
+				t.Fatalf("seed %d: %q and %q share a template and numbers, config %b costs %v (bits %x) and %v (bits %x)",
 					seed, f.text, text, c, want, math.Float64bits(want), got, math.Float64bits(got))
 			}
 		}
@@ -209,10 +230,11 @@ func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
 	return shared, combined
 }
 
-// FuzzPlanKey pins the compile key's contract: equal keys mean plan
-// tables equal at every configuration, and a statement whose table
-// depends on its literals (a combined range) or that CompilePlan rejects
-// has no key.
+// FuzzPlanKey pins the template layer's contract: a PlanSet's table,
+// through its own Compile or a front, is CompilePlan's at every
+// configuration; statements of one template and equal numbers share one
+// table; and a statement whose table depends on its literals (a combined
+// range) compiles to its own, while one CompilePlan rejects is rejected.
 func FuzzPlanKey(f *testing.F) {
 	for s := uint64(0); s < 8; s++ {
 		f.Add(s)
@@ -232,7 +254,7 @@ func TestPlanKeySeeds(t *testing.T) {
 		combined += co
 	}
 	if shared < 100 || combined < 50 {
-		t.Fatalf("the sweep met %d shared keys and %d combined ranges; it needs both to mean anything", shared, combined)
+		t.Fatalf("the sweep met %d shared tables and %d combined ranges; it needs both to mean anything", shared, combined)
 	}
 }
 

@@ -73,53 +73,122 @@ type PlanTable struct {
 // CompilePlan compiles one workload statement — a SELECT, INSERT, UPDATE
 // or DELETE that the table's catalog entry and the planner accept — into a
 // PlanTable over the candidate index list. DML pays its row search plus,
-// per modified row, a heap write and each index's maintenance.
+// per modified row, a heap write and each index's maintenance. It is the
+// composition of the two halves a PlanSet splits: the template, derived
+// once per template, and the literals' numbers, priced per statement.
 func CompilePlan(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (*PlanTable, error) {
-	if len(indexes) > 64 {
-		return nil, fmt.Errorf("cost: plan table supports at most 64 candidate indexes, got %d", len(indexes))
-	}
-	if err := t.check(stmt); err != nil {
+	tp, err := newTemplate(stmt, t, indexes)
+	if err != nil {
 		return nil, err
 	}
-	pt := &PlanTable{allMask: ^uint64(0)}
-	if len(indexes) < 64 {
-		pt.allMask = 1<<uint(len(indexes)) - 1
+	conj := conjunctsOf(stmt)
+	return tp.compile(conj, tp.numbers(conj, nil), t, indexes), nil
+}
+
+// template is what compiling a statement reads of it besides its
+// literal values: the statement checked against the catalog entry and
+// validated, its kind, an INSERT's row count, and the row search's
+// searchTemplate. Statements whose templates are equal (sameTemplate)
+// share it, and those whose numbers are equal too compile to equal
+// tables, unless the row search is combined.
+type template struct {
+	kind planKind
+	// rows is an INSERT's row count.
+	rows float64
+	// search is the row search's template; nil for an INSERT.
+	search *searchTemplate
+}
+
+// newTemplate derives stmt's template over t, or the error CompilePlan
+// gives for every statement of the template.
+func newTemplate(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (template, error) {
+	if len(indexes) > 64 {
+		return template{}, fmt.Errorf("cost: plan table supports at most 64 candidate indexes, got %d", len(indexes))
 	}
+	if err := t.check(stmt); err != nil {
+		return template{}, err
+	}
+	var tp template
 	var search *sql.Select // the row search, nil for an INSERT
 	switch s := stmt.(type) {
 	case *sql.Select:
-		pt.kind, search = planSelect, s
+		tp.kind, search = planSelect, s
 	case *sql.Insert:
-		pt.kind, pt.rows = planInsert, float64(len(s.Rows))
-		pt.compileMaint(indexes, 1) // descend + leaf write
+		tp.kind, tp.rows = planInsert, float64(len(s.Rows))
 	case *sql.Update:
-		pt.kind, search = planUpdate, &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		pt.compileMaint(indexes, 2) // delete + insert entries
+		tp.kind, search = planUpdate, &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
 	case *sql.Delete:
-		pt.kind, search = planDelete, &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
-		pt.compileMaint(indexes, 1)
+		tp.kind, search = planDelete, &sql.Select{Table: s.Table, Where: s.Where, Limit: -1}
 	default:
-		return nil, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
+		return template{}, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
 	}
 	if search != nil {
-		if err := pt.compileSearch(search, t, indexes); err != nil {
-			return nil, err
+		st, err := newSearchTemplate(search, t)
+		if err != nil {
+			return template{}, err
 		}
+		tp.search = &st
+	}
+	return tp, nil
+}
+
+// conjunctsOf returns the WHERE conjuncts of stmt's row search.
+func conjunctsOf(stmt sql.Statement) []sql.Comparison {
+	var w *sql.Where
+	switch s := stmt.(type) {
+	case *sql.Select:
+		w = s.Where
+	case *sql.Update:
+		w = s.Where
+	case *sql.Delete:
+		w = s.Where
+	}
+	if w == nil {
+		return nil
+	}
+	return w.Conjuncts
+}
+
+// numbers returns the numbers of a statement of the template whose row
+// search has the conjuncts conj (searchTemplate.numbers), appended to
+// out; none for an INSERT.
+func (tp *template) numbers(conj []sql.Comparison, out []float64) []float64 {
+	if tp.search == nil {
+		return out[:0]
+	}
+	return tp.search.numbers(conj, out)
+}
+
+// compile builds the plan table of a statement of the template from its
+// conjuncts and their numbers.
+func (tp *template) compile(conj []sql.Comparison, nums []float64, t TablePhys, indexes []IndexPhys) *PlanTable {
+	pt := &PlanTable{kind: tp.kind, allMask: ^uint64(0)}
+	if len(indexes) < 64 {
+		pt.allMask = 1<<uint(len(indexes)) - 1
+	}
+	switch tp.kind {
+	case planInsert:
+		pt.rows = tp.rows
+		pt.compileMaint(indexes, 1) // descend + leaf write
+	case planUpdate:
+		pt.compileMaint(indexes, 2) // delete + insert entries
+	case planDelete:
+		pt.compileMaint(indexes, 1)
+	}
+	if tp.search != nil {
+		sh := tp.search.shape(conj, nums, t)
+		pt.compileSearch(&sh, t, indexes)
 	}
 	pt.buildProjection()
-	return pt, nil
+	return pt
 }
 
 // compileSearch prices the row search's access paths: the heap scan and
-// each candidate index's best path (indexAccess, ChooseAccess's own
-// per-index step), all from one histogram pass over the conjuncts
-// (shapeSelect). For an UPDATE or DELETE it sets rows to the search's
-// estimated result rows, the rows the statement modifies.
-func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []IndexPhys) error {
-	sh, err := shapeSelect(sel, t)
-	if err != nil {
-		return err
-	}
+// each candidate index's best path (indexCost, the cost of ChooseAccess's
+// own per-index step), all from the one shape of the statement. For an
+// UPDATE or DELETE it sets rows to the search's estimated result rows,
+// the rows the statement modifies.
+func (pt *PlanTable) compileSearch(sh *selectShape, t TablePhys, indexes []IndexPhys) {
 	if pt.kind != planSelect {
 		pt.rows = sh.resultRows
 	}
@@ -127,8 +196,8 @@ func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []Index
 	pt.pathCost = make([]float64, len(indexes))
 	for i := range indexes {
 		best := math.Inf(1)
-		if a, ok := indexAccess(t, &indexes[i], &sh); ok {
-			best = a.PageCost
+		if c, ok := indexCost(t, &indexes[i], sh); ok {
+			best = c
 		}
 		pt.pathCost[i] = best
 		// Relevance matches the planner's tie-break: on equal cost the
@@ -137,7 +206,6 @@ func (pt *PlanTable) compileSearch(sel *sql.Select, t TablePhys, indexes []Index
 			pt.relevant |= 1 << uint(i)
 		}
 	}
-	return nil
 }
 
 // compileMaint precomputes the per-row maintenance increment of every

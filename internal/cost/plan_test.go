@@ -233,12 +233,12 @@ func checkSeekRows(t *testing.T, seed uint64, text string, tp TablePhys, sel *sq
 	ranges := 0
 	for _, ci := range a.Consumed {
 		c := sel.Where.Conjuncts[ci]
-		v, seekSel := conjunctNumbers(tp, c)
+		v := conjunctSelectivity(columnStats(tp, c.Column), c)
 		if isRangeOp(c.Op) {
 			if ranges++; ranges > 1 {
 				return
 			}
-			v = seekSel
+			v = conjunctSelectivity(columnStats(tp, tp.Schema.Columns[tp.Schema.ColumnIndex(c.Column)].Name), c)
 		}
 		f *= v
 	}
@@ -578,8 +578,8 @@ func TestCompilePlanRejectsInvalidStatement(t *testing.T) {
 		if _, err := CompilePlan(stmt, tp, idx); err == nil {
 			t.Errorf("CompilePlan accepted %q", text)
 		}
-		if key, ok := PlanKey(stmt, tp); ok {
-			t.Errorf("%q has compile key %q", text, key)
+		if _, err := NewPlanSet(tp, idx).Compile(stmt); err == nil {
+			t.Errorf("a PlanSet accepted %q", text)
 		}
 	}
 	for _, text := range []string{

@@ -45,12 +45,11 @@ func attribute(p *core.Problem, sol *core.Solution, opts Options) []Transition {
 			ToBits:    uint64(*p.Final),
 			TransCost: p.Model.Trans(prev, *p.Final),
 		}
-		if opts.StageInfo != nil {
+		if opts.StageStatement != nil {
 			// The teardown happens after the last stage; report the
 			// statement index one past the last stage's first statement
 			// span by probing the final stage.
-			stmt, _ := opts.StageInfo(p.Stages - 1)
-			t.Statement = stmt
+			t.Statement = opts.StageStatement(p.Stages - 1)
 		}
 		// Tearing down to a pinned endpoint cannot be removed; its
 		// "penalty" is the teardown price itself, reported as 0 margin.
@@ -74,8 +73,8 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 		TransCost: p.Model.Trans(from, to),
 		RunLength: run.Length,
 	}
-	if opts.StageInfo != nil {
-		t.Statement, _ = opts.StageInfo(run.Start)
+	if opts.StageStatement != nil {
+		t.Statement = opts.StageStatement(run.Start)
 	}
 	// The run's cells under both designs, read through the problem's cost
 	// tables: verbatim model outputs, without a model call per cell.
@@ -101,9 +100,12 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 			top = top[:min(len(top), topStages)]
 		}
 	}
-	if opts.StageInfo != nil {
-		for k := range top {
-			top[k].Statement, top[k].SQL = opts.StageInfo(top[k].Stage)
+	for k := range top {
+		if opts.StageStatement != nil {
+			top[k].Statement = opts.StageStatement(top[k].Stage)
+		}
+		if opts.StageSQL != nil {
+			top[k].SQL = opts.StageSQL(top[k].Stage)
 		}
 	}
 	// RemovalPenalty is the merge heuristic's penalty of collapsing this

@@ -37,10 +37,12 @@ type Options struct {
 	// StructureNames render configurations; missing names fall back to
 	// bit indices.
 	StructureNames []string
-	// StageInfo, when non-nil, decorates stages with workload positions:
-	// it returns the index of the stage's first statement and a short
-	// SQL excerpt. The advisor derives it from its segments.
-	StageInfo func(stage int) (statement int, sql string)
+	// StageStatement and StageSQL, when non-nil, decorate stages with
+	// workload positions: the index of the stage's first statement, and
+	// a short SQL excerpt of it. The advisor derives both from its
+	// segments.
+	StageStatement func(stage int) int
+	StageSQL       func(stage int) string
 	// KSweepDelta extends the counterfactual sweep to k + KSweepDelta
 	// change bounds (0 sweeps to k alone, negative disables the sweep).
 	// Build applies no default; the advisor's is 2.
@@ -62,10 +64,10 @@ type StageImpact struct {
 	// Stage is the problem stage index.
 	Stage int `json:"stage"`
 	// Statement is the index of the stage's first workload statement
-	// (-1 when no StageInfo was supplied).
+	// (-1 when no StageStatement was supplied).
 	Statement int `json:"statement"`
 	// SQL is a short excerpt of the stage's first statement ("" when no
-	// StageInfo was supplied).
+	// StageSQL was supplied).
 	SQL string `json:"sql,omitempty"`
 	// Delta is EXEC(stage, from) - EXEC(stage, to): how much cheaper the
 	// stage executes under the new design.

@@ -382,12 +382,20 @@ func (cs *ColumnStats) SelectivityRange(low, high *types.Value) float64 {
 	return frac
 }
 
-// bucketFor returns the bucket containing v, or nil.
+// bucketFor returns the bucket containing v, or nil: the first whose
+// upper bound is not below v. An INT value and an INT bound compare as
+// integers, without the generic Value.Compare.
 func (h *Histogram) bucketFor(v types.Value) *Bucket {
 	lo, hi := 0, len(h.Buckets)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if h.Buckets[mid].Upper.Compare(v) < 0 {
+		var less bool
+		if u := &h.Buckets[mid].Upper; u.Kind == types.KindInt && v.Kind == types.KindInt {
+			less = u.Int < v.Int
+		} else {
+			less = u.Compare(v) < 0
+		}
+		if less {
 			lo = mid + 1
 		} else {
 			hi = mid

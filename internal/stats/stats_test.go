@@ -356,3 +356,60 @@ func TestBuildRefusesStringInIntColumn(t *testing.T) {
 		t.Fatalf("error %v", err)
 	}
 }
+
+// genericBucket is bucketFor's search through Value.Compare alone: the
+// reference of the INT search.
+func genericBucket(h *Histogram, v types.Value) *Bucket {
+	i := sort.Search(len(h.Buckets), func(i int) bool { return h.Buckets[i].Upper.Compare(v) >= 0 })
+	if i == len(h.Buckets) {
+		return nil
+	}
+	return &h.Buckets[i]
+}
+
+// TestIntBucketSearchMatchesCompare checks bucketFor's INT search
+// against the generic search over histograms of uniform, skewed,
+// negative and extreme values: at every bucket bound, one on either side
+// of it, the column's minimum and maximum and values beyond them,
+// bucketFor finds the bucket Value.Compare finds.
+func TestIntBucketSearchMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gens := map[string]func(i int) int64{
+		"uniform":  func(int) int64 { return rng.Int63n(5000) },
+		"skewed":   func(i int) int64 { return int64(i % 7 * i % 13) },
+		"negative": func(int) int64 { return rng.Int63n(2000) - 1000 },
+		"extreme": func(i int) int64 {
+			switch i % 3 {
+			case 0:
+				return math.MinInt64 + int64(i)
+			case 1:
+				return math.MaxInt64 - int64(i)
+			}
+			return int64(i)
+		},
+	}
+	for name, gen := range gens {
+		for _, buckets := range []int{1, 2, 7, 100} {
+			var rows []types.Row
+			for i := 0; i < 3000; i++ {
+				rows = append(rows, types.Row{types.NewInt(gen(i)), types.NewString("x")})
+			}
+			ts, err := Build("t", twoColSchema(), buildHeap(t, rows), buckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := ts.Column("a").Hist
+			probes := []int64{h.Min.Int, h.Max.Int, math.MinInt64, math.MaxInt64}
+			for _, b := range h.Buckets {
+				probes = append(probes, b.Upper.Int-1, b.Upper.Int, b.Upper.Int+1)
+			}
+			probes = append(probes, h.Min.Int-1, h.Max.Int+1)
+			for _, p := range probes {
+				v := types.NewInt(p)
+				if got, want := h.bucketFor(v), genericBucket(h, v); got != want {
+					t.Fatalf("%s/%d: value %d: bucketFor finds %p, the generic search %p", name, buckets, p, got, want)
+				}
+			}
+		}
+	}
+}

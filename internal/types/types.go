@@ -218,8 +218,15 @@ func MustSchema(cols ...Column) *Schema {
 func (s *Schema) Len() int { return len(s.Columns) }
 
 // ColumnIndex returns the ordinal of the named column (case-insensitive),
-// or -1 if the schema has no such column.
+// or -1 if the schema has no such column. A name spelled as the schema
+// spells it is found without folding case: NewSchema rejects two columns
+// whose names differ only in case, so the exact match is the only match.
 func (s *Schema) ColumnIndex(name string) int {
+	for i, c := range s.Columns {
+		if c.Name == name {
+			return i
+		}
+	}
 	for i, c := range s.Columns {
 		if strings.EqualFold(c.Name, name) {
 			return i

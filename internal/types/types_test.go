@@ -205,6 +205,53 @@ func TestSchemaColumnIndex(t *testing.T) {
 	}
 }
 
+// TestColumnIndexEverySpelling checks ColumnIndex's exact-spelling fast
+// path against the case-folding scan it runs ahead of: for every column
+// of schemas whose names share letters, prefixes and lengths, every
+// upper/lower spelling of the name finds the column's ordinal, as the
+// first case-insensitive match does; names no column has find none.
+func TestColumnIndexEverySpelling(t *testing.T) {
+	for _, names := range [][]string{
+		{"a", "b", "c", "d"},
+		{"ab", "Ab2", "abc", "aBcD", "x_y"},
+		{"Alpha", "beta", "GAMMA", "alphabet", "b"},
+	} {
+		cols := make([]Column, len(names))
+		for i, n := range names {
+			cols[i] = Column{Name: n, Kind: KindInt}
+		}
+		s := MustSchema(cols...)
+		fold := func(name string) int {
+			for i, c := range s.Columns {
+				if strings.EqualFold(c.Name, name) {
+					return i
+				}
+			}
+			return -1
+		}
+		for ord, n := range names {
+			for mask := 0; mask < 1<<len(n); mask++ {
+				b := []byte(n)
+				for i := range b {
+					if mask>>i&1 == 1 {
+						b[i] = strings.ToUpper(string(b[i]))[0]
+					} else {
+						b[i] = strings.ToLower(string(b[i]))[0]
+					}
+				}
+				if got := s.ColumnIndex(string(b)); got != ord || got != fold(string(b)) {
+					t.Fatalf("schema %v: ColumnIndex(%q) = %d, want %d", names, b, got, ord)
+				}
+			}
+		}
+		for _, missing := range []string{"", "z", "ab ", "alph", names[0] + "x"} {
+			if got, want := s.ColumnIndex(missing), fold(missing); got != want {
+				t.Fatalf("schema %v: ColumnIndex(%q) = %d, the folding scan says %d", names, missing, got, want)
+			}
+		}
+	}
+}
+
 func TestSchemaColumnNames(t *testing.T) {
 	s := MustSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindString})
 	names := s.ColumnNames()
