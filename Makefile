@@ -92,21 +92,18 @@ chaos:
 
 # fuzz-smoke runs the fuzzers briefly (one go test run per
 # fuzzer — the tool accepts a single -fuzz pattern at a time): random
-# problems solved with both the dense and hypercube transition kernels
-# must agree on feasibility and cost (kernel_test.go), the
-# partitioned solver must stay within its reported optimality gap of
-# the monolithic exact solve — bit-identical when the gap is zero
-# (partition_test.go), and the exact production path, which runs the
-# change-bounded layers only when k binds, must return the always-layered
-# relaxation's cost bit for bit, tie-heavy integer costs included
-# (exact_test.go), and the seed pass split between two workers must
-# give the one-worker schedule's lattices, parent rows and costs bit for
-# bit, every solver the same Cost bits and designs at Parallelism 1, 2
-# and 4 (lattice_split_test.go), and a problem slid from a solved one —
-# head stages dropped, tail stages appended, the initial or final
-# design, an EXEC row or a price changed — must get from the solve cache
-# that retains the solved one's seed pass the answer a fresh cache gives,
-# bit for bit (seed_test.go); under random edit scripts of a window of
+# problems from the exactness harness's one generator — dense, additive
+# and grouped models, lattices of up to 10 bits, float, tie-heavy and
+# epsilon-absorbing integer costs with +Inf cells, both change policies,
+# Parallelism 1 and 2, and slides of a solved problem over the solve
+# cache that retains it — must get the constrained optimum that the
+# layered DP and, where it fits, brute force give from every exact path:
+# the exact production path, SolveKAware, SolveUnconstrained, SweepK,
+# ranking, the partitioned solver (within its gap, equal at gap zero),
+# the seed pass split between two workers (the one-worker schedule's
+# lattices, parents and costs bit for bit) and a slide (a fresh cache's
+# answer bit for bit), and every heuristic at least the optimum
+# (exactness_test.go); under random edit scripts of a window of
 # parsed and literal statements, two segments must resolve one EXEC row
 # store row exactly when their texts are equal, and a literal's text
 # hash must equal the parsed statement's (internal/advisor/hash_test.go);
@@ -114,9 +111,11 @@ chaos:
 # identical to the planner's price on every configuration, a cost
 # row filled by the row kernel — statement-major, or by configuration
 # classes where a segment repeats a table — bitwise identical to both
-# over arbitrary candidate lists (plan_test.go), and two statements with
-# equal compile keys must compile to tables equal at every configuration,
-# while a combined range has no key (intern_test.go); the readers of
+# over arbitrary candidate lists (plan_test.go), and a PlanSet's table,
+# through its own Compile or a front, must be CompilePlan's at every
+# configuration, statements of one template and equal numbers must share
+# one table, a combined range must compile to its own literals and a
+# statement CompilePlan rejects must be rejected (intern_test.go); the readers of
 # on-disk bytes — WAL/snapshot frames, the statement, reset or batch
 # record inside a WAL frame, and the snapshot inside one — must answer
 # arbitrary input with an error or a value that re-encodes to bytes they
@@ -143,15 +142,11 @@ chaos:
 # CI runs this as a smoke test; longer local campaigns just raise
 # -fuzztime.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzExactFitsK -fuzztime=20s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzLatticeSplit -fuzztime=20s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzIncrementalSeed -fuzztime=20s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzExactPaths -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentHashReuse -fuzztime=20s ./internal/advisor/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchCostEquivalence -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzRowKernelEquivalence -fuzztime=20s ./internal/cost/
-	$(GO) test -run='^$$' -fuzz=FuzzPlanKey -fuzztime=20s ./internal/cost/
+	$(GO) test -run='^$$' -fuzz=FuzzPlanSet -fuzztime=20s ./internal/cost/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=20s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/durable/
@@ -222,11 +217,15 @@ metrics-doc:
 advisord-crash:
 	$(GO) test -race -count=1 -run 'TestAdvisordCrashRecovery|TestServiceRecoveryRoundTrip|TestAdvisordShutdownWaitsForSolver|TestAdvisordIngestShedsUnderWALStall' -v ./cmd/advisord/ ./internal/durable/
 
-# lint runs vet, gofmt, and staticcheck when the binary is present
-# (the check is skipped, not failed, on machines without it).
+# lint runs vet, gofmt, staticcheck when the binary is present (the
+# check is skipped, not failed, on machines without it), and
+# scripts/check-test-names.sh: every -run and -fuzz name in this file and
+# in the CI workflow must match a test of its packages, since go test
+# passes over one that matches nothing.
 lint: vet
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then echo "gofmt needed:"; echo "$$fmtout"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
+	@GO=$(GO) scripts/check-test-names.sh
 
 # tier1 is what CI runs and what every change must keep green.
 tier1: build vet race bench-smoke examples

@@ -195,73 +195,6 @@ func TestProblemValidation(t *testing.T) {
 	}
 }
 
-func TestUnconstrainedMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		stages := 2 + rng.Intn(5)
-		structs := 1 + rng.Intn(2)
-		m, configs := randomModel(rng, stages, structs)
-		p := &Problem{
-			Stages: stages, Configs: configs, Initial: 0,
-			K: Unconstrained, Model: m,
-		}
-		if trial%3 == 0 {
-			f := Config(0)
-			p.Final = &f
-		}
-		want, err := SolveBruteForce(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveUnconstrained(bg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got.Cost, want.Cost) {
-			t.Fatalf("trial %d: unconstrained %f != brute force %f", trial, got.Cost, want.Cost)
-		}
-		if err := p.CheckSolution(got); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestKAwareMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 40; trial++ {
-		stages := 2 + rng.Intn(5)
-		structs := 1 + rng.Intn(2)
-		m, configs := randomModel(rng, stages, structs)
-		for _, policy := range []ChangePolicy{FreeEndpoints, CountAll} {
-			for k := 0; k <= 3; k++ {
-				p := &Problem{
-					Stages: stages, Configs: configs, Initial: 0,
-					K: k, Policy: policy, Model: m,
-				}
-				if trial%4 == 0 {
-					f := Config(0)
-					p.Final = &f
-				}
-				want, err := SolveBruteForce(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := SolveKAware(bg, p)
-				if err != nil {
-					t.Fatalf("trial %d k=%d policy=%v: %v", trial, k, policy, err)
-				}
-				if !almostEqual(got.Cost, want.Cost) {
-					t.Fatalf("trial %d k=%d policy=%v: kaware %f != brute force %f",
-						trial, k, policy, got.Cost, want.Cost)
-				}
-				if err := p.CheckSolution(got); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
 func TestRankingMatchesKAware(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
@@ -525,35 +458,6 @@ func TestParseStrategy(t *testing.T) {
 		if !strings.Contains(err.Error(), string(s)) {
 			t.Errorf("error %q does not list %s", err, s)
 		}
-	}
-}
-
-func TestCostMonotonicInK(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	m, configs := randomModel(rng, 12, 2)
-	p := &Problem{Stages: 12, Configs: configs, Initial: 0, Model: m}
-	prev := math.Inf(1)
-	for k := 0; k <= 12; k++ {
-		pk := *p
-		pk.K = k
-		sol, err := SolveKAware(bg, &pk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Cost > prev+1e-9 {
-			t.Fatalf("cost increased from %f to %f at k=%d", prev, sol.Cost, k)
-		}
-		prev = sol.Cost
-	}
-	// And k = n matches unconstrained.
-	pu := *p
-	pu.K = Unconstrained
-	unc, err := SolveUnconstrained(bg, &pu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(prev, unc.Cost) {
-		t.Errorf("k=n cost %f != unconstrained %f", prev, unc.Cost)
 	}
 }
 

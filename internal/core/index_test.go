@@ -97,7 +97,7 @@ func TestListIndexRejectsBadLists(t *testing.T) {
 // equal list reads the index the cache kept, and a permuted one gets
 // its own.
 func TestSolveCacheIndexesEachList(t *testing.T) {
-	c := splitCase{stages: 30, structs: 7, shape: costsSmallInt, k: 2, withFinal: true}
+	c := exactCase{stages: 30, structs: 7, shape: costsSmallInt, k: 2, withFinal: true}
 	p := c.problem(5, 1)
 	p.Cache, p.Metrics = primed(), &Metrics{}
 	rng := rand.New(rand.NewSource(5))

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -14,77 +12,6 @@ import (
 
 	"dyndesign/internal/obs"
 )
-
-// splitCase is one random problem of the split ≡ one-worker differential:
-// an additive model over 1–12 structure bits on the hypercube kernel.
-type splitCase struct {
-	stages, structs, k, shape int
-	infShare                  float64 // share of EXEC cells set to +Inf
-	withFinal, subset         bool
-}
-
-// problem builds the case's problem: costs of the given shape (float,
-// small-integer ties, or integers ×10⁹ that swallow changeEpsilon), some
-// +Inf EXEC cells, a full or subset candidate list, and random initial
-// and final designs.
-func (c splitCase) problem(seed int64, parallelism int) *Problem {
-	rng := rand.New(rand.NewSource(seed))
-	m, configs := randomAdditiveModel(rng, c.stages, c.structs)
-	if c.shape != costsFloat {
-		scale := 1.0
-		if c.shape == costsScaledInt {
-			scale = 1e9
-		}
-		for _, row := range m.exec {
-			for j := range row {
-				row[j] = float64(rng.Intn(4)) * scale
-			}
-		}
-		for s := range m.add {
-			m.add[s] = float64(rng.Intn(3)) * scale
-			m.drop[s] = float64(rng.Intn(2)) * scale
-		}
-	}
-	for _, row := range m.exec {
-		for j := range row {
-			if rng.Float64() < c.infShare {
-				row[j] = math.Inf(1)
-			}
-		}
-	}
-	if c.subset {
-		configs = subsetConfigs(rng, configs)
-	}
-	p := &Problem{
-		Stages: c.stages, Configs: configs, Initial: Config(rng.Intn(1 << uint(c.structs))),
-		K: c.k, Model: m, kernel: kernelHypercube, Parallelism: parallelism,
-	}
-	if c.withFinal {
-		f := configs[rng.Intn(len(configs))]
-		p.Final = &f
-	}
-	return p
-}
-
-// sameSolution fails unless two solver outcomes agree bit for bit:
-// both errors or neither, equal Cost bits and identical designs.
-func sameSolution(t *testing.T, what string, a, b *Solution, errA, errB error) {
-	t.Helper()
-	if (errA == nil) != (errB == nil) {
-		t.Fatalf("%s: errors disagree: %v vs %v", what, errA, errB)
-	}
-	if errA != nil {
-		return
-	}
-	if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
-		t.Fatalf("%s: cost %v != %v", what, a.Cost, b.Cost)
-	}
-	for i := range a.Designs {
-		if a.Designs[i] != b.Designs[i] {
-			t.Fatalf("%s: designs diverge at stage %d", what, i)
-		}
-	}
-}
 
 // sweepLog records every forward stage's final lattice as observe sees
 // it; each (stage, half) slot is written by the one worker owning the
@@ -136,61 +63,6 @@ func runForwardLogged(t *testing.T, p *Problem, split bool) forwardRun {
 	return run
 }
 
-// runSplitCase holds the split forward pass to the one-worker schedule on
-// one random problem — every stage's lattice values and origins, the
-// parent rows and the final costs, bit for bit — and every solver that
-// runs the hypercube kernel to the same Cost bits and designs at
-// Parallelism 1, 2 and 4.
-func runSplitCase(t *testing.T, seed int64, c splitCase) {
-	t.Helper()
-	one := runForwardLogged(t, c.problem(seed, 1), false)
-	two := runForwardLogged(t, c.problem(seed, 1), true)
-	for j := range one.cost {
-		if math.Float64bits(one.cost[j]) != math.Float64bits(two.cost[j]) {
-			t.Fatalf("final cost of candidate %d: one worker %v, split %v", j, one.cost[j], two.cost[j])
-		}
-	}
-	for i := 1; i < c.stages; i++ {
-		for x := range one.sweeps.val[i] {
-			a, b := one.sweeps.val[i][x], two.sweeps.val[i][x]
-			if math.Float64bits(a) != math.Float64bits(b) || one.sweeps.org[i][x] != two.sweeps.org[i][x] {
-				t.Fatalf("stage %d cell %d: one worker (%v, %d), split (%v, %d)",
-					i, x, a, one.sweeps.org[i][x], b, two.sweeps.org[i][x])
-			}
-		}
-		for j := range one.parents[i] {
-			if one.parents[i][j] != two.parents[i][j] {
-				t.Fatalf("stage %d parent of candidate %d: one worker %d, split %d", i, j, one.parents[i][j], two.parents[i][j])
-			}
-		}
-	}
-
-	base := c.problem(seed, 1)
-	wantU, errU := SolveUnconstrained(bg, base)
-	wantE, _, errE := solveExact(bg, base)
-	wantK, errK := SolveKAware(bg, base)
-	wantS, errS := SweepK(bg, base, c.k+1)
-	for _, par := range []int{2, 4} {
-		p := c.problem(seed, par)
-		what := func(solver string) string { return fmt.Sprintf("%s at Parallelism %d", solver, par) }
-		got, err := SolveUnconstrained(bg, p)
-		sameSolution(t, what("SolveUnconstrained"), wantU, got, errU, err)
-		got, _, err = solveExact(bg, p)
-		sameSolution(t, what("solveExact"), wantE, got, errE, err)
-		got, err = SolveKAware(bg, p)
-		sameSolution(t, what("SolveKAware"), wantK, got, errK, err)
-		curve, err := SweepK(bg, p, c.k+1)
-		if (err == nil) != (errS == nil) {
-			t.Fatalf("%s: errors disagree: %v vs %v", what("SweepK"), errS, err)
-		}
-		for i := range curve {
-			if !reflect.DeepEqual(curve[i], wantS[i]) {
-				t.Fatalf("%s point %d: %+v, want %+v", what("SweepK"), i, curve[i], wantS[i])
-			}
-		}
-	}
-}
-
 // sweepPassPerBit is the reference sweep: one strip pass per bit in
 // ascending order over the whole lattice, then one add pass per bit.
 func sweepPassPerBit(l lattice, stripPrice, addPrice []float64) {
@@ -224,7 +96,7 @@ func TestSweepMatchesPassPerBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for structs := 0; structs <= 12; structs++ {
 		for trial := 0; trial < 4; trial++ {
-			c := splitCase{stages: 1, structs: max(structs, 1), shape: costsSmallInt, subset: trial%2 == 1}
+			c := exactCase{stages: 1, structs: max(structs, 1), shape: costsSmallInt, subset: trial%2 == 1}
 			p := c.problem(int64(100*structs+trial), 1)
 			if structs == 0 {
 				p.Configs = []Config{0}
@@ -261,45 +133,9 @@ func TestSweepMatchesPassPerBit(t *testing.T) {
 	}
 }
 
-// TestLatticeSplitMatchesOneWorker is the differential grid: every
-// lattice width from 1 to 12 bits, the three cost shapes, full and
-// subset candidate lists, with and without +Inf cells and a final
-// design.
-func TestLatticeSplitMatchesOneWorker(t *testing.T) {
-	seed := int64(0)
-	for structs := 1; structs <= 12; structs++ {
-		stages := 2 + 9*(12-structs)/11 // 11 stages at 1 bit, 2 at 12
-		for shape := 0; shape < costShapes; shape++ {
-			for _, infShare := range []float64{0, 0.2} {
-				seed++
-				runSplitCase(t, seed, splitCase{
-					stages: stages, structs: structs, k: int(seed % 4), shape: shape,
-					infShare: infShare, withFinal: seed%2 == 0, subset: seed%3 == 0,
-				})
-			}
-		}
-	}
-}
-
-// FuzzLatticeSplit fuzzes the same property (make fuzz-smoke).
-func FuzzLatticeSplit(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(9), uint8(2), uint8(costsSmallInt), uint8(0), false, false)
-	f.Add(int64(2), uint8(3), uint8(11), uint8(3), uint8(costsScaledInt), uint8(2), true, true)
-	f.Add(int64(3), uint8(9), uint8(1), uint8(0), uint8(costsFloat), uint8(1), true, false)
-	f.Add(int64(4), uint8(7), uint8(6), uint8(1), uint8(costsFloat), uint8(3), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, stagesRaw, structsRaw, kRaw, shapeRaw, infRaw uint8, withFinal, subset bool) {
-		structs := 1 + int(structsRaw%12)
-		runSplitCase(t, seed, splitCase{
-			stages: 1 + int(stagesRaw)%max(2, 40>>(structs/2)), structs: structs,
-			k: int(kRaw % 4), shape: int(shapeRaw % costShapes), infShare: float64(infRaw%4) / 8,
-			withFinal: withFinal, subset: subset,
-		})
-	})
-}
-
 // forwardInputs are what a forward pass runs on: the case's tables, its
 // hypercube kernel and parent rows.
-func forwardInputs(tb testing.TB, c splitCase, seed int64) (*matrices, *hyperKernel, [][]int32) {
+func forwardInputs(tb testing.TB, c exactCase, seed int64) (*matrices, *hyperKernel, [][]int32) {
 	tb.Helper()
 	p := c.problem(seed, 2)
 	m, kern, err := p.solveInputs(bg)
@@ -316,7 +152,7 @@ func forwardInputs(tb testing.TB, c splitCase, seed int64) (*matrices, *hyperKer
 // splitFixture is the robustness tests' problem: a 9-bit lattice over
 // 40 stages.
 func splitFixture(t *testing.T) (*matrices, *hyperKernel, [][]int32) {
-	return forwardInputs(t, splitCase{stages: 40, structs: 9}, 5)
+	return forwardInputs(t, exactCase{stages: 40, structs: 9}, 5)
 }
 
 // catch runs f and returns what it panicked with, if anything, and its
@@ -372,14 +208,14 @@ func TestLatticeSplitCancelWithinOneStage(t *testing.T) {
 // the one-worker schedule. A livelock shows as the test's timeout.
 func TestLatticeSplitOnOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c := splitCase{stages: 30, structs: 9, k: 2}
+	c := exactCase{stages: 30, structs: 9, k: 2, parallelism: 2}
 	want, err := SolveUnconstrained(bg, c.problem(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := SolveUnconstrained(bg, c.problem(3, 4))
 	sameSolution(t, "Parallelism 4 on one processor", want, got, nil, err)
-	runSplitCase(t, 3, c)
+	runExactCase(t, 3, c, &exactReach{})
 }
 
 // TestLatticeSplitStopsBothSides stops one side early by a panic: on the
@@ -454,7 +290,7 @@ func TestLayeredCrewStops(t *testing.T) {
 					c.atTen(cancel)
 				}
 			}
-			p := splitCase{stages: 40, structs: 6, k: 3}.problem(8, 2)
+			p := exactCase{stages: 40, structs: 6, k: 3}.problem(8, 2)
 			p.Tracer = obs.NewTracer(sink)
 			base := runtime.NumGoroutine()
 			recovered, err := catch(func() error {
@@ -481,7 +317,7 @@ func TestLayeredCrewStops(t *testing.T) {
 // worker 1's short, whose upper-half costs the answer reads.
 func TestLatticeSplitFinishesLastStage(t *testing.T) {
 	for structs := 1; structs <= 2; structs++ {
-		c := splitCase{stages: 11, structs: structs, shape: costsSmallInt}
+		c := exactCase{stages: 11, structs: structs, shape: costsSmallInt}
 		for seed := int64(1); seed <= 20; seed++ {
 			want := runForwardLogged(t, c.problem(seed, 1), false).cost
 			for rep := 0; rep < 200; rep++ {

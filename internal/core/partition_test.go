@@ -101,103 +101,6 @@ func (o interactionsOnly) Trans(from, to Config) float64    { return o.m.Trans(f
 func (o interactionsOnly) Size(c Config) float64            { return o.m.Size(c) }
 func (o interactionsOnly) ExecInteractions() []Config       { return o.m.groups }
 
-// runPartitionCase asserts the partitioned solver's contract on one
-// randomized grouped problem against the monolithic exact solve: the
-// solution is feasible, the gap is non-negative, the cost sandwich
-// Cost − Gap ≤ OPT ≤ Cost holds, and a zero gap means bitwise cost
-// equality (integer costs make float sums exact).
-func runPartitionCase(t *testing.T, seed int64, stages, nGroups, bitsPer, k int, policy ChangePolicy, withFinal bool, width int, forceBeam bool) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	m, configs := randomGroupedModel(rng, stages, nGroups, bitsPer)
-	initial := configs[rng.Intn(len(configs))]
-	p := &Problem{
-		Stages: stages, Configs: configs, Initial: initial,
-		K: k, Policy: policy, Model: m, Parallelism: 1,
-	}
-	if withFinal {
-		f := configs[rng.Intn(len(configs))]
-		p.Final = &f
-	}
-	exactP := *p
-	exact, exactErr := SolveKAware(bg, &exactP)
-	ps, psErr := solvePartitioned(bg, p, width, forceBeam)
-	if (exactErr == nil) != (psErr == nil) {
-		t.Fatalf("feasibility disagrees: exact err %v, partitioned err %v", exactErr, psErr)
-	}
-	if exactErr != nil {
-		return
-	}
-	if err := p.CheckSolution(ps); err != nil {
-		t.Fatalf("partitioned solution invalid: %v", err)
-	}
-	if ps.Gap < 0 {
-		t.Fatalf("negative gap %v", ps.Gap)
-	}
-	const tol = 1e-6
-	if ps.Cost < exact.Cost-tol {
-		t.Fatalf("partitioned cost %v beats the exact optimum %v", ps.Cost, exact.Cost)
-	}
-	if ps.Cost-ps.Gap > exact.Cost+tol {
-		t.Fatalf("lower bound not admissible: cost %v − gap %v > optimum %v", ps.Cost, ps.Gap, exact.Cost)
-	}
-	if ps.Gap == 0 && ps.Cost != exact.Cost {
-		t.Fatalf("gap 0 but cost %v != exact %v (integer costs must agree bitwise)", ps.Cost, exact.Cost)
-	}
-	if got := components(t, p); got != nGroups {
-		t.Fatalf("grouped cross-product problem split into %d components, want %d", got, nGroups)
-	}
-}
-
-// TestPartitionedMatchesExact sweeps the randomized grid: factorable
-// shapes under both policies, constrained and free finals, exact and
-// forced-beam component paths.
-func TestPartitionedMatchesExact(t *testing.T) {
-	seed := int64(100)
-	for _, nGroups := range []int{2, 3} {
-		for _, bitsPer := range []int{1, 2} {
-			for _, stages := range []int{1, 5, 12} {
-				for _, k := range []int{0, 1, 2, Unconstrained} {
-					for _, policy := range []ChangePolicy{FreeEndpoints, CountAll} {
-						seed++
-						runPartitionCase(t, seed, stages, nGroups, bitsPer, k,
-							policy, seed%2 == 0, beamWidth, seed%5 == 0)
-					}
-				}
-			}
-		}
-	}
-	// The beam where it actually prunes: one unfactorable 7- and 9-bit
-	// clique (128 and 512 candidates, three layers each) over 64 stages
-	// at k=2, forced through a beam of width 128. Every grid shape above
-	// fits inside the narrowest beam, so there the search is exhaustive;
-	// here it is not, and the sandwich is all that may be asserted.
-	for _, bits := range []int{7, 9} {
-		seed++
-		runPartitionCase(t, seed, 64, 1, bits, 2, FreeEndpoints, false, 128, true)
-	}
-}
-
-// FuzzPartitionEquivalence fuzzes the same contract; CI runs it with a
-// short budget on every PR (make fuzz-smoke).
-func FuzzPartitionEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(2), uint8(1), uint8(2), false, false, false)
-	f.Add(int64(2), uint8(9), uint8(3), uint8(2), uint8(1), true, true, false)
-	f.Add(int64(3), uint8(4), uint8(2), uint8(2), uint8(0), false, true, true)
-	f.Add(int64(4), uint8(12), uint8(3), uint8(1), uint8(5), true, false, true)
-	f.Fuzz(func(t *testing.T, seed int64, stagesRaw, groupsRaw, bitsRaw, kRaw uint8, countAll, withFinal, forceBeam bool) {
-		stages := 1 + int(stagesRaw%12)
-		nGroups := 2 + int(groupsRaw%2)
-		bitsPer := 1 + int(bitsRaw%2)
-		k := int(kRaw%6) - 1 // -1 is Unconstrained
-		policy := FreeEndpoints
-		if countAll {
-			policy = CountAll
-		}
-		runPartitionCase(t, seed, stages, nGroups, bitsPer, k, policy, withFinal, beamWidth, forceBeam)
-	})
-}
-
 // synchronizedModel builds a problem of len(switchAt) one-bit
 // components, each wanting its single design change at its own stage
 // switchAt[g]: components that share a switch stage are the shape where
@@ -732,7 +635,7 @@ func TestPartitionedStrategy(t *testing.T) {
 // than the dense kernel affords (128 and 512 candidates): exact
 // recombination of one-bit components (TestPartitionedTightK's shared
 // phases), and the forced width-128 beam over one unfactorable clique
-// (TestPartitionedMatchesExact's last rows).
+// (TestExactPaths' pinned forced beams).
 func BenchmarkPartitioned(b *testing.B) {
 	for _, structs := range []int{7, 9} {
 		factor := sharedPhaseProblem(structs, 4)

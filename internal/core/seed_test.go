@@ -18,7 +18,7 @@ type slideEdit struct {
 	flipC0, flipFinal, flipExec, flipPrice bool
 }
 
-// costRow is one EXEC row of n cells in a splitCase cost shape.
+// costRow is one EXEC row of n cells in one of the generator's cost shapes.
 func costRow(rng *rand.Rand, n, shape int) []float64 {
 	row := make([]float64, n)
 	for j := range row {
@@ -84,46 +84,6 @@ func fresh(p *Problem) *Problem {
 	return &q
 }
 
-// runSlideCase solves a case on a cache, then the slid problem on the
-// same cache, and holds the slid answers — the exact path's and the
-// unconstrained optimum's — to a fresh cache's, bit for bit. It returns
-// the slid problem's counters after its exact-path solve.
-func runSlideCase(t *testing.T, seed int64, c splitCase, e slideEdit, parallelism int) Ledger {
-	t.Helper()
-	base := c.problem(seed, parallelism)
-	base.Cache, base.Metrics = primed(), &Metrics{}
-	if _, err := SolveUnconstrained(bg, base); err != nil {
-		t.Fatal(err)
-	}
-	slid := e.apply(rand.New(rand.NewSource(seed^0x51de)), base, c.shape)
-	slid.Metrics = &Metrics{}
-	got, _, errG := solveExact(bg, slid)
-	want, _, errW := solveExact(bg, fresh(slid))
-	sameSolution(t, "exact path after the slide", want, got, errW, errG)
-	if errG == nil && (got.Changes != want.Changes || got.Gap != want.Gap) {
-		t.Fatalf("exact path after the slide: %d changes, gap %v; fresh cache %d, %v", got.Changes, got.Gap, want.Changes, want.Gap)
-	}
-	counters := slid.Metrics.Snapshot()
-	got, errG = SolveUnconstrained(bg, slid)
-	want, errW = SolveUnconstrained(bg, fresh(slid))
-	sameSolution(t, "unconstrained optimum after the slide", want, got, errW, errG)
-	return counters
-}
-
-// TestSlideReusesRetainedStages pins the counters on small-integer costs,
-// whose rows bit-match soon after the dropped head: a one-stage slide
-// reuses stages and answers what a fresh cache answers; a changed
-// transition price takes a full pass.
-func TestSlideReusesRetainedStages(t *testing.T) {
-	c := splitCase{stages: 40, structs: 6, shape: costsSmallInt, k: 2}
-	if got := runSlideCase(t, 7, c, slideEdit{head: 1, tail: 1}, 1); got.SeedStagesReused == 0 || got.SeedFullPasses != 0 {
-		t.Fatalf("one-stage slide: %d stages reused, %d full passes; want reuse and no full pass", got.SeedStagesReused, got.SeedFullPasses)
-	}
-	if got := runSlideCase(t, 7, c, slideEdit{head: 1, tail: 1, flipPrice: true}, 1); got.SeedStagesReused != 0 || got.SeedFullPasses != 1 {
-		t.Fatalf("slide with a changed price: %d stages reused, %d full passes; want one full pass", got.SeedStagesReused, got.SeedFullPasses)
-	}
-}
-
 // TestSlideSplitMatchesOneWorker runs a kept pass and a slide over it on
 // one worker and split between two, at every lattice width from 1 to 9
 // bits and in the three cost shapes: the same stages reused, the same
@@ -134,7 +94,7 @@ func TestSlideSplitMatchesOneWorker(t *testing.T) {
 	for structs := 1; structs <= 9; structs++ {
 		for shape := 0; shape < costShapes; shape++ {
 			seed := int64(10*structs + shape)
-			c := splitCase{stages: 24, structs: structs, shape: shape}
+			c := exactCase{stages: 24, structs: structs, shape: shape}
 			base := c.problem(seed, 1)
 			slid := slideEdit{head: 1 + int(seed%3), tail: 1 + int(seed%2)}.apply(rand.New(rand.NewSource(seed)), base, shape)
 			var states [2]*seedState
@@ -197,7 +157,7 @@ func sameState(t *testing.T, what string, a, b *seedState) {
 // the retained state as it was, so the next slide still reuses it and
 // answers what a fresh cache answers.
 func TestCancelledSlideKeepsRetainedState(t *testing.T) {
-	c := splitCase{stages: 40, structs: 6, shape: costsSmallInt, k: 2}
+	c := exactCase{stages: 40, structs: 6, shape: costsSmallInt, k: 2}
 	base := c.problem(7, 1)
 	base.Cache, base.Metrics = primed(), &Metrics{}
 	if _, err := SolveUnconstrained(bg, base); err != nil {
@@ -241,7 +201,7 @@ func TestCancelledSlideKeepsRetainedState(t *testing.T) {
 // the eight one-structure designs fill 9 of a 256-point lattice, and
 // their seed pass keeps no rows.
 func TestSparseLatticeKeepsNoState(t *testing.T) {
-	c := splitCase{stages: 10, structs: 8, shape: costsSmallInt}
+	c := exactCase{stages: 10, structs: 8, shape: costsSmallInt}
 	p := c.problem(3, 1)
 	p.Configs = []Config{0}
 	for s := range 8 {
@@ -260,7 +220,7 @@ func TestSparseLatticeKeepsNoState(t *testing.T) {
 // cache keeps no rows, the second keeps them without counting a full
 // pass (nothing was retained), and the third reuses them.
 func TestFirstSeedPassKeepsNothing(t *testing.T) {
-	p := splitCase{stages: 20, structs: 6, shape: costsSmallInt}.problem(3, 1)
+	p := exactCase{stages: 20, structs: 6, shape: costsSmallInt}.problem(3, 1)
 	p.Cache, p.Metrics = NewSolveCache(), &Metrics{}
 	for pass, keeps := range []bool{false, true, true} {
 		if _, err := SolveUnconstrained(bg, p); err != nil {
@@ -276,42 +236,12 @@ func TestFirstSeedPassKeepsNothing(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalSeed solves a random hypercube problem on a cache, then
-// a problem derived from it — a random head drop and tail length, random
-// changes of the initial design, the final design, one EXEC row and one
-// transition price, Parallelism 1 or 2 — on the same cache, and holds
-// the answer to a fresh cache's bit for bit (make fuzz-smoke).
-func FuzzIncrementalSeed(f *testing.F) {
-	f.Add(int64(1), uint8(30), uint8(5), uint8(costsSmallInt), uint8(2), uint8(1), uint8(1), uint8(0), false)
-	f.Add(int64(2), uint8(20), uint8(8), uint8(costsSmallInt), uint8(3), uint8(2), uint8(0), uint8(0), true)
-	f.Add(int64(3), uint8(25), uint8(9), uint8(costsScaledInt), uint8(1), uint8(4), uint8(3), uint8(1), true)
-	f.Add(int64(4), uint8(12), uint8(4), uint8(costsFloat), uint8(2), uint8(0), uint8(2), uint8(6), false)
-	f.Add(int64(5), uint8(30), uint8(6), uint8(costsSmallInt), uint8(3), uint8(3), uint8(1), uint8(8), true)
-	f.Add(int64(6), uint8(9), uint8(3), uint8(costsSmallInt), uint8(2), uint8(1), uint8(5), uint8(48), false)
-	f.Fuzz(func(t *testing.T, seed int64, stagesRaw, structsRaw, shapeRaw, kRaw, headRaw, tailRaw, flips uint8, par2 bool) {
-		c := splitCase{
-			stages: 2 + int(stagesRaw)%40, structs: 1 + int(structsRaw)%9,
-			shape: int(shapeRaw % costShapes), k: int(kRaw % 4),
-			withFinal: flips&16 != 0, subset: flips&32 != 0,
-		}
-		e := slideEdit{
-			head: int(headRaw) % c.stages, tail: int(tailRaw) % 6,
-			flipC0: flips&1 != 0, flipFinal: flips&2 != 0, flipExec: flips&4 != 0, flipPrice: flips&8 != 0,
-		}
-		parallelism := 1
-		if par2 {
-			parallelism = 2
-		}
-		runSlideCase(t, seed, c, e, parallelism)
-	})
-}
-
 // TestKeptPassMatchesForward holds a kept pass, which gives each stage
 // its own rows, to the forward pass that alternates two: the same
 // last-stage costs and parent rows, bit for bit.
 func TestKeptPassMatchesForward(t *testing.T) {
 	for shape := 0; shape < costShapes; shape++ {
-		p := splitCase{stages: 20, structs: 7, shape: shape, infShare: 0.1}.problem(int64(shape), 1)
+		p := exactCase{stages: 20, structs: 7, shape: shape, infShare: 0.1}.problem(int64(shape), 1)
 		st := keptPass(t, p, nil, false)
 		m, kern, err := p.solveInputs(bg)
 		if err != nil {
@@ -342,7 +272,7 @@ func TestKeptPassMatchesForward(t *testing.T) {
 // what a fresh cache answers, whichever pass the cache retains when it
 // starts (run it under -race).
 func TestConcurrentSlidesShareOneCache(t *testing.T) {
-	c := splitCase{stages: 30, structs: 8, shape: costsSmallInt, k: 2}
+	c := exactCase{stages: 30, structs: 8, shape: costsSmallInt, k: 2}
 	base := c.problem(11, 2)
 	base.Cache = primed()
 	if _, err := SolveUnconstrained(bg, base); err != nil {

@@ -6,54 +6,6 @@ import (
 	"testing"
 )
 
-// TestSolutionCostSplit pins the Solution cost-attribution invariant:
-// every strategy's solution carries EXEC and TRANS totals that sum —
-// exactly, not within tolerance — to Cost, and each component matches
-// an independent recomputation over the design sequence.
-func TestSolutionCostSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	model, configs := randomModel(rng, 12, 3)
-	for _, k := range []int{0, 2, Unconstrained} {
-		p := &Problem{
-			Stages:  12,
-			Configs: configs,
-			K:       k,
-			Policy:  FreeEndpoints,
-			Model:   model,
-		}
-		f := ConfigOf()
-		p.Final = &f
-		for _, s := range everySolver() {
-			strat := s.name
-			if k == 0 && (strat == "ranking" || strat == "rankmerge") {
-				// Unpruned ranking at k=0 can be slow; the split logic is
-				// identical, so skip the expensive cells.
-				continue
-			}
-			sol, err := s.run(bg, p)
-			if err != nil {
-				t.Fatalf("k=%d %s: %v", k, strat, err)
-			}
-			if sol.ExecCost+sol.TransCost != sol.Cost {
-				t.Errorf("k=%d %s: ExecCost %v + TransCost %v != Cost %v",
-					k, strat, sol.ExecCost, sol.TransCost, sol.Cost)
-			}
-			var exec, trans float64
-			prev := p.Initial
-			for i, c := range sol.Designs {
-				trans += model.Trans(prev, c)
-				exec += model.Exec(i, c)
-				prev = c
-			}
-			trans += model.Trans(prev, *p.Final)
-			if exec != sol.ExecCost || trans != sol.TransCost {
-				t.Errorf("k=%d %s: split (%v, %v) != recomputed (%v, %v)",
-					k, strat, sol.ExecCost, sol.TransCost, exec, trans)
-			}
-		}
-	}
-}
-
 // TestSweepKCurve pins the cost-of-constraint curve: monotone
 // non-increasing in k, exact agreement with SolveKAware at every bound,
 // and flat once k reaches the unconstrained optimum's change count.

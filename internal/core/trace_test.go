@@ -10,6 +10,22 @@ import (
 	"dyndesign/internal/obs"
 )
 
+// spanAttrSink keeps the attributes of the last span named name.
+type spanAttrSink struct {
+	name  string
+	attrs map[string]any
+}
+
+func (s *spanAttrSink) Emit(rec obs.SpanRecord) {
+	if rec.Name != s.name {
+		return
+	}
+	s.attrs = map[string]any{}
+	for _, a := range rec.Attrs {
+		s.attrs[a.Key] = a.Value()
+	}
+}
+
 // tracedProblem builds a random constrained problem with a tracer over
 // the given sinks attached.
 func tracedProblem(stages, structs, k int, sinks ...obs.Sink) *Problem {

@@ -126,7 +126,7 @@ func invalidTwins(stmt sql.Statement) []sql.Statement {
 	return nil
 }
 
-// checkPlanKeySeed is the body of FuzzPlanKey: over one random world and
+// checkPlanSetSeed is the body of FuzzPlanSet: over one random world and
 // a random configuration list it compiles random statements through a
 // PlanSet — by its own Compile and by two fronts, in random turns — and
 // asserts the template layer's contract: every table costs what a fresh
@@ -138,7 +138,7 @@ func invalidTwins(stmt sql.Statement) []sql.Statement {
 // that is a held template's statement but for what its literals leave out
 // is refused on every path. It returns how many statements met an earlier
 // statement's template and numbers, and how many combined ranges it saw.
-func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
+func checkPlanSetSeed(t *testing.T, seed uint64) (shared, combined int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tp := synthTable(t, rng)
 	idx := synthIndexes(t, rng, tp, 1+rng.Intn(6))
@@ -230,26 +230,26 @@ func checkPlanKeySeed(t *testing.T, seed uint64) (shared, combined int) {
 	return shared, combined
 }
 
-// FuzzPlanKey pins the template layer's contract: a PlanSet's table,
+// FuzzPlanSet pins the template layer's contract: a PlanSet's table,
 // through its own Compile or a front, is CompilePlan's at every
 // configuration; statements of one template and equal numbers share one
 // table; and a statement whose table depends on its literals (a combined
 // range) compiles to its own, while one CompilePlan rejects is rejected.
-func FuzzPlanKey(f *testing.F) {
+func FuzzPlanSet(f *testing.F) {
 	for s := uint64(0); s < 8; s++ {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		checkPlanKeySeed(t, seed)
+		checkPlanSetSeed(t, seed)
 	})
 }
 
-// TestPlanKeySeeds runs the PlanKey fuzz body over a fixed seed sweep,
+// TestPlanSetSeeds runs the PlanSet fuzz body over a fixed seed sweep,
 // and checks that the sweep exercises both halves of the contract.
-func TestPlanKeySeeds(t *testing.T) {
+func TestPlanSetSeeds(t *testing.T) {
 	shared, combined := 0, 0
 	for s := uint64(0); s < 40; s++ {
-		sh, co := checkPlanKeySeed(t, s)
+		sh, co := checkPlanSetSeed(t, s)
 		shared += sh
 		combined += co
 	}
